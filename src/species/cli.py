@@ -59,6 +59,17 @@ def _parse_labels(text):
     return [check_label(tok.strip()) for tok in text.split(",")]
 
 
+def _order(text):
+    """An --order argument: a nonnegative truncation order."""
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if order < 0:
+        raise argparse.ArgumentTypeError(f"order must be nonnegative, got {order}")
+    return order
+
+
 def _parse_bijection(text):
     mapping = {}
     text = text.strip()
@@ -200,7 +211,7 @@ def _build_parser():
             p.add_argument("--defs", metavar="FILE", default=None,
                            help="definitions file of name = expression lines")
         if order is not None:
-            p.add_argument("--order", type=int, default=order,
+            p.add_argument("--order", type=_order, default=order,
                            help="truncation order")
         if as_json:
             p.add_argument("--json", action="store_true",
@@ -243,7 +254,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="run the built-in identity suite")
     p.add_argument("--case", action="append", default=None, metavar="NAME",
                    help="run only this case (repeatable)")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=_order, default=None,
                    help="cap both series order and enumeration size")
     common(p)
     p.set_defaults(func=_cmd_verify)

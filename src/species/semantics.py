@@ -1,7 +1,7 @@
 """From expressions to counting series.
 
 egf_of evaluates an expression to its exact truncated series.  Primitive
-species have closed-form coefficient rules; three of them are deliberately
+species have closed-form count tables; three of them are deliberately
 derived from the others through the series algebra (derangements by dividing
 permutations by sets, involutions and partitions by substitution), which
 keeps a single source of truth for those counts.
@@ -11,7 +11,6 @@ names into strongly connected components, resolves acyclic names directly,
 and hands every genuine cycle to series.solve_system.
 """
 
-from fractions import Fraction
 from math import comb, factorial
 
 from .errors import (
@@ -50,9 +49,7 @@ K = PrimitiveKind
 
 
 def _from_counts(order, count_at):
-    return CountSeries(
-        Fraction(count_at(n), factorial(n)) for n in range(order + 1)
-    )
+    return CountSeries(count_at(n) for n in range(order + 1))
 
 
 def _build_set(order, _):
@@ -295,8 +292,8 @@ class _Evaluator:
         if isinstance(expr, RestrictCard):
             inner = self._eval(expr.inner, order, overlay)
             return CountSeries(
-                c if expr.admits(n) else Fraction(0)
-                for n, c in enumerate(inner.coefficients())
+                c if expr.admits(n) else 0
+                for n, c in enumerate(inner.counts())
             )
         raise TypeError(f"not a species expression: {expr!r}")
 

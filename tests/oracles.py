@@ -51,12 +51,27 @@ def subfactorial(n):
     return int(value)
 
 
-def bell(n):
-    """Number of partitions of an n-set, by the companion recurrence."""
+def subfactorial_table(n):
+    """Derangements of m letters for every m <= n: the inclusion-exclusion
+    sum m! * sum_k (-1)^k / k! taken one term at a time,
+    D(m) = m * D(m - 1) + (-1)^m."""
+    table = [1]
+    for m in range(1, n + 1):
+        table.append(m * table[m - 1] + (-1) ** m)
+    return table
+
+
+def bell_table(n):
+    """Partitions of an m-set for every m <= n, by the companion recurrence."""
     table = [1]
     for m in range(n):
         table.append(sum(comb(m, k) * table[k] for k in range(m + 1)))
-    return table[n]
+    return table
+
+
+def bell(n):
+    """Number of partitions of an n-set."""
+    return bell_table(n)[n]
 
 
 def involutions(n):
@@ -64,6 +79,15 @@ def involutions(n):
     if n <= 1:
         return 1
     return involutions(n - 1) + (n - 1) * involutions(n - 2)
+
+
+def involution_table(n):
+    """Self-inverse permutations of m letters for every m <= n, iteratively:
+    m is a fixed point, or it swaps with one of the m - 1 others."""
+    table = [1, 1]
+    for m in range(2, n + 1):
+        table.append(table[m - 1] + (m - 1) * table[m - 2])
+    return table[: n + 1]
 
 
 def catalan(n):

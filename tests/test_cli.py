@@ -224,3 +224,17 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         out, _ = capsys.readouterr()
         assert "count" in out and "verify" in out
+
+
+class TestNegativeOrder:
+    @pytest.mark.parametrize("argv", [
+        ["series", "E", "--order", "-1"],
+        ["solve", "A", "--order", "-1"],
+        ["verify", "--order", "-1"],
+    ])
+    def test_is_exit_1_with_an_error_line(self, capsys, defs_file, argv):
+        code, out, err = run(capsys, *argv, "--defs", defs_file)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "nonnegative" in err
+        assert "Traceback" not in err

@@ -14,9 +14,18 @@ from species.errors import (
     OrderExceeded,
     ZeroConstantDivisor,
 )
+from species.parser import parse_defs, parse_expr
+from species.semantics import egf_of
 from species.series import CountSeries, solve_system
 
-from oracles import binomial_convolution, partitional_composite
+from oracles import (
+    bell_table,
+    binomial_convolution,
+    catalan,
+    involution_table,
+    partitional_composite,
+    subfactorial_table,
+)
 
 
 def counts_series(order, lo=-9, hi=9, zero_constant=False):
@@ -195,3 +204,127 @@ class TestSolve:
         g = CountSeries.from_counts([1, 2, 3, 9])
         assert f.agrees_through(g, 2)
         assert not f.agrees_through(g, 3)
+
+
+def fraction_series(order, zero_constant=False):
+    """Series whose counts are small rationals, mostly not integers."""
+    base = st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        min_size=order + 1, max_size=order + 1,
+    )
+    if zero_constant:
+        base = base.map(lambda c: [0] + c[1:])
+    return base.map(CountSeries.from_counts)
+
+
+def raw_counts(s):
+    """The counts n! * a_n of any series, integral or not."""
+    return [s.coefficient(n) * factorial(n) for n in range(s.order + 1)]
+
+
+# Outer count tables whose substitution takes a closed-form recurrence.
+CLOSED_FORM_OUTERS = {
+    "E": lambda n: 1,
+    "Ep": lambda n: 1 if n else 0,
+    "L": factorial,
+    "Lp": lambda n: factorial(n) if n else 0,
+    "C": lambda n: factorial(n - 1) if n else 0,
+}
+
+
+class TestSubstitutionKernels:
+    @pytest.mark.parametrize("outer", sorted(CLOSED_FORM_OUTERS))
+    @settings(max_examples=25)
+    @given(inner=counts_series(6, -5, 5, zero_constant=True))
+    def test_closed_form_outer_on_integers(self, outer, inner):
+        fc = [CLOSED_FORM_OUTERS[outer](n) for n in range(7)]
+        gc = inner.counts()
+        got = CountSeries.from_counts(fc)(inner).counts()
+        assert got == [partitional_composite(fc, gc, n) for n in range(7)]
+
+    @pytest.mark.parametrize("outer", sorted(CLOSED_FORM_OUTERS))
+    @settings(max_examples=25)
+    @given(
+        inner=fraction_series(5, zero_constant=True),
+        constant=st.integers(-3, 3),
+    )
+    def test_closed_form_outer_on_fractions(self, outer, inner, constant):
+        fc = [constant] + [CLOSED_FORM_OUTERS[outer](n) for n in range(1, 6)]
+        gc = raw_counts(inner)
+        got = raw_counts(CountSeries.from_counts(fc)(inner))
+        assert got == [partitional_composite(fc, gc, n) for n in range(6)]
+
+    @settings(max_examples=25)
+    @given(counts_series(5, -5, 5), fraction_series(5, zero_constant=True))
+    def test_generic_outer_on_fractions(self, f, g):
+        fc, gc = f.counts(), raw_counts(g)
+        got = raw_counts(f(g))
+        assert got == [partitional_composite(fc, gc, n) for n in range(6)]
+
+
+class TestDivisionKernel:
+    @given(
+        counts_series(5),
+        counts_series(5),
+        st.integers(-4, 4).filter(lambda c: c not in (0, 1)),
+    )
+    def test_quotient_times_divisor_is_dividend(self, f, g, constant):
+        g = CountSeries.from_counts([constant] + g.counts()[1:])
+        quot = raw_counts(f / g)
+        gc = g.counts()
+        assert [
+            binomial_convolution(quot, gc, n) for n in range(6)
+        ] == f.counts()
+
+    def test_non_unit_constant_gives_fractions(self):
+        q = CountSeries.one(2) / CountSeries.from_counts([2, 0, 0])
+        assert q.coefficient(0) == Fraction(1, 2)
+        with pytest.raises(NonIntegerCount):
+            q.count(0)
+
+
+class TestCountTypes:
+    def test_coefficient_is_a_fraction(self):
+        # The CLI prints str(coefficient): 1/2 for E at n = 2, 1 at n = 1.
+        e = egf_of(parse_expr("E"), order=2)
+        assert isinstance(e.coefficient(1), Fraction)
+        assert [str(e.coefficient(n)) for n in range(3)] == ["1", "1", "1/2"]
+
+    def test_non_integral_count_raises(self):
+        s = CountSeries.from_counts([1, 1, 1]) / 2
+        assert s.coefficient(1) == Fraction(1, 2)
+        with pytest.raises(NonIntegerCount, match="1/2"):
+            s.count(1)
+
+    def test_integral_fraction_count_is_an_int(self):
+        s = CountSeries.from_counts([Fraction(1, 2), Fraction(3, 2)]) * 2
+        assert s.counts() == [1, 3]
+
+
+class TestClosedFormsAtHighOrder:
+    ENV = parse_defs("A = X*E(A)\nB = 1 + X*B^2\nT = X*L(T)")
+
+    def counts(self, text, order):
+        return egf_of(parse_expr(text), self.ENV, order=order).counts()
+
+    def test_rooted_trees(self):
+        assert self.counts("A", 60) == [0] + [n ** (n - 1) for n in range(1, 61)]
+
+    def test_binary_trees(self):
+        assert self.counts("B", 60) == [
+            catalan(n) * factorial(n) for n in range(61)
+        ]
+
+    def test_plane_trees(self):
+        assert self.counts("T", 40) == [0] + [
+            factorial(n) * catalan(n - 1) for n in range(1, 41)
+        ]
+
+    def test_partitions(self):
+        assert self.counts("Part", 200) == bell_table(200)
+
+    def test_involutions(self):
+        assert self.counts("Inv", 200) == involution_table(200)
+
+    def test_derangements(self):
+        assert self.counts("Der", 200) == subfactorial_table(200)
