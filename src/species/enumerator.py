@@ -118,28 +118,64 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
         )
-    out = _structures(expr, env, labs, set())
-    out.sort(key=lambda s: s.encode())
-    return out
+    found = _structures(expr, env, labs, _Walk())
+    return sorted(found, key=lambda s: s.encode())
+
+
+class _Walk(set):
+    """The guard set of one enumerate_structures call, carrying that
+    call's memo.
+
+    The memo maps (id(node), labels) to a finished list, so that each
+    subexpression is enumerated once per label set and its terms are shared
+    by every term built on them.  Node ids are stable because the
+    expression and env outlive the call.  The memo rides on the guard set
+    because _structures keeps its four-argument signature, which
+    perfbench/tracing.py wraps to count every node visit.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, guards=()):
+        super().__init__(guards)
+        self.memo = {}
 
 
 def _structures(expr, env, labels, active):
     """The list of structures on a sorted label tuple; active tracks the
-    named species currently being expanded on each label set."""
-    if isinstance(expr, Primitive):
-        return _primitive_structures(expr, labels)
+    named species currently being expanded on each label set.
+
+    Finished lists are memoised in the walk and shared: never mutate one.
+    A plain set as active starts a new walk holding its guards.
+    """
+    if not isinstance(active, _Walk):
+        active = _Walk(active)
     if isinstance(expr, Name):
-        key = (expr.ident, frozenset(labels))
-        if key in active:
+        guard = (expr.ident, frozenset(labels))
+        if guard in active:
             raise RecursionGuard(
                 f"'{expr.ident}' recurred on the same labels "
                 f"without consuming any; its structures are not well-founded"
             )
-        active.add(key)
+    memo = active.memo
+    key = (id(expr), labels)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _build(expr, env, labels, active)
+    return found
+
+
+def _build(expr, env, labels, active):
+    """The structures of one node on labels, from its children's lists."""
+    if isinstance(expr, Primitive):
+        return _primitive_structures(expr, labels)
+    if isinstance(expr, Name):
+        guard = (expr.ident, frozenset(labels))
+        active.add(guard)
         try:
             inner = _structures(env[expr.ident], env, labels, active)
         finally:
-            active.discard(key)
+            active.discard(guard)
         return [NamedTerm(expr.ident, s) for s in inner]
     if isinstance(expr, Sum):
         left = _structures(expr.left, env, labels, active)

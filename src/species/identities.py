@@ -80,6 +80,19 @@ def _json_count(value):
     return value
 
 
+def _report(name, check):
+    """Time check() and turn the witness it returns, a tuple (detail, n,
+    lhs, rhs) or None, into a VerificationReport."""
+    start = time.perf_counter()
+    witness = check()
+    return VerificationReport(
+        name,
+        witness is None,
+        *(witness or ()),
+        seconds=time.perf_counter() - start,
+    )
+
+
 class _Case:
     """One suite entry; subclasses supply the actual comparison."""
 
@@ -96,18 +109,12 @@ class _Case:
         raise NotImplementedError
 
     def run(self, order=None):
-        start = time.perf_counter()
         so = self.series_order if order is None else order
         em = self.enum_max if order is None else min(self.enum_max, order)
-        witness = self._series_witness(so) or self._enum_witness(em)
-        report = VerificationReport(
-            name=self.name,
-            passed=witness is None,
-            seconds=time.perf_counter() - start,
+        return _report(
+            self.name,
+            lambda: self._series_witness(so) or self._enum_witness(em),
         )
-        if witness is not None:
-            report.witness, report.witness_n, report.lhs_count, report.rhs_count = witness
-        return report
 
 
 class IdentityCase(_Case):
@@ -269,28 +276,14 @@ class SubstitutionCase(_Case):
 
 def verify_series(case, order=None):
     """Series-level check of one case; a VerificationReport."""
-    start = time.perf_counter()
     so = case.series_order if order is None else order
-    witness = case._series_witness(so)
-    report = VerificationReport(
-        case.name, witness is None, seconds=time.perf_counter() - start
-    )
-    if witness is not None:
-        report.witness, report.witness_n, report.lhs_count, report.rhs_count = witness
-    return report
+    return _report(case.name, lambda: case._series_witness(so))
 
 
 def verify_enumerative(case, max_n=None):
     """Enumeration-level check of one case; a VerificationReport."""
-    start = time.perf_counter()
     em = case.enum_max if max_n is None else max_n
-    witness = case._enum_witness(em)
-    report = VerificationReport(
-        case.name, witness is None, seconds=time.perf_counter() - start
-    )
-    if witness is not None:
-        report.witness, report.witness_n, report.lhs_count, report.rhs_count = witness
-    return report
+    return _report(case.name, lambda: case._enum_witness(em))
 
 
 def _alternating_count(n):

@@ -187,14 +187,22 @@ def _brace(labels):
 class Structure:
     """Base class: canonical term with equality, ordering key, and JSON."""
 
-    __slots__ = ()
+    __slots__ = ("_labels",)
     kind = ""
 
     def _key(self):
         raise NotImplementedError
 
     def labels(self):
-        """The underlying label set (derivative stars excluded)."""
+        """The underlying label set (derivative stars excluded), computed on
+        first use and kept."""
+        try:
+            return self._labels
+        except AttributeError:
+            self._labels = found = self._label_set()
+            return found
+
+    def _label_set(self):
         raise NotImplementedError
 
     def relabel(self, f):
@@ -203,6 +211,14 @@ class Structure:
         raise NotImplementedError
 
     def to_json(self):
+        """The term as a JSON-ready dict.
+
+        Composite terms (sum, prod, comp, deriv, point, named) build it once
+        and return that same dict on every call, nested inside the JSON of
+        every term that contains them: callers must not mutate it.
+        Primitive terms build a fresh dict per call, because one kept dict
+        per listed set, map or graph costs more memory than rebuilding it.
+        """
         raise NotImplementedError
 
     def render(self):
@@ -222,6 +238,23 @@ class Structure:
         return self.render()
 
 
+class _Composite(Structure):
+    """A term built from other terms.  Enumeration shares one subterm among
+    many parents, so the JSON tree is built once and kept."""
+
+    __slots__ = ("_json",)
+
+    def to_json(self):
+        try:
+            return self._json
+        except AttributeError:
+            self._json = tree = self._json_tree()
+            return tree
+
+    def _json_tree(self):
+        raise NotImplementedError
+
+
 class SetTerm(Structure):
     """The underlying set itself; also the one structure of 1 (empty set)
     and X (singleton)."""
@@ -235,7 +268,7 @@ class SetTerm(Structure):
     def _key(self):
         return self.members
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(self.members)
 
     def relabel(self, f):
@@ -264,7 +297,7 @@ class SubsetTerm(Structure):
     def _key(self):
         return (self.members, self.rest)
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(self.members) | frozenset(self.rest)
 
     def relabel(self, f):
@@ -295,7 +328,7 @@ class ListTerm(Structure):
     def _key(self):
         return self.seq
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(self.seq)
 
     def relabel(self, f):
@@ -326,7 +359,7 @@ class CycleTerm(Structure):
     def _key(self):
         return self.seq
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(self.seq)
 
     def relabel(self, f):
@@ -364,7 +397,7 @@ class MapTerm(Structure):
     def _key(self):
         return self.pairs
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(a for a, _ in self.pairs)
 
     def mapping(self):
@@ -424,7 +457,7 @@ class GraphTerm(Structure):
     def _key(self):
         return (self.vertices, self.edges)
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(self.vertices)
 
     def relabel(self, f):
@@ -467,7 +500,7 @@ class DigraphTerm(Structure):
     def _key(self):
         return (self.vertices, self.arcs)
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(self.vertices)
 
     def relabel(self, f):
@@ -515,7 +548,7 @@ class PartitionTerm(Structure):
     def _key(self):
         return self.blocks
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(x for b in self.blocks for x in b)
 
     def relabel(self, f):
@@ -531,7 +564,7 @@ class PartitionTerm(Structure):
         return "{" + ",".join(_brace(b) for b in self.blocks) + "}"
 
 
-class SumTerm(Structure):
+class SumTerm(_Composite):
     """A structure of the left or right summand, tagged with its side."""
 
     __slots__ = ("side", "inner")
@@ -546,27 +579,27 @@ class SumTerm(Structure):
     def _key(self):
         return (self.side, self.inner)
 
-    def labels(self):
+    def _label_set(self):
         return self.inner.labels()
 
     def relabel(self, f):
         return SumTerm(self.side, self.inner.relabel(f))
 
-    def to_json(self):
+    def _json_tree(self):
         return {"kind": "sum", "side": self.side, "inner": self.inner.to_json()}
 
     def render(self):
         return f"{self.side}({self.inner.render()})"
 
 
-class ProdTerm(Structure):
+class ProdTerm(_Composite):
     """An ordered pair of structures on complementary label sets."""
 
     __slots__ = ("left", "right")
     kind = "prod"
 
     def __init__(self, left, right):
-        if left.labels() & right.labels():
+        if not left.labels().isdisjoint(right.labels()):
             raise ValueError("product parts share labels")
         self.left = left
         self.right = right
@@ -574,13 +607,13 @@ class ProdTerm(Structure):
     def _key(self):
         return (self.left, self.right)
 
-    def labels(self):
+    def _label_set(self):
         return self.left.labels() | self.right.labels()
 
     def relabel(self, f):
         return ProdTerm(self.left.relabel(f), self.right.relabel(f))
 
-    def to_json(self):
+    def _json_tree(self):
         return {
             "kind": "prod",
             "left": self.left.to_json(),
@@ -591,7 +624,7 @@ class ProdTerm(Structure):
         return f"({self.left.render()}, {self.right.render()})"
 
 
-class CompTerm(Structure):
+class CompTerm(_Composite):
     """A substitution structure: a partition into blocks, one inner
     structure per block, and an outer structure on the blocks themselves."""
 
@@ -622,7 +655,7 @@ class CompTerm(Structure):
     def _key(self):
         return (self.outer, self.assign)
 
-    def labels(self):
+    def _label_set(self):
         return frozenset(
             m for block, _ in self.assign for m in block.members
         )
@@ -639,7 +672,7 @@ class CompTerm(Structure):
             ),
         )
 
-    def to_json(self):
+    def _json_tree(self):
         return {
             "kind": "comp",
             "outer": self.outer.to_json(),
@@ -659,7 +692,7 @@ class CompTerm(Structure):
         )
 
 
-class DerivTerm(Structure):
+class DerivTerm(_Composite):
     """A structure on the labels plus one extra reserved point."""
 
     __slots__ = ("inner",)
@@ -678,20 +711,20 @@ class DerivTerm(Structure):
     def _key(self):
         return (self.inner,)
 
-    def labels(self):
+    def _label_set(self):
         return self.inner.labels() - {self._star()}
 
     def relabel(self, f):
         return DerivTerm(self.inner.relabel(f))
 
-    def to_json(self):
+    def _json_tree(self):
         return {"kind": "deriv", "inner": self.inner.to_json()}
 
     def render(self):
         return f"D({self.inner.render()})"
 
 
-class PointTerm(Structure):
+class PointTerm(_Composite):
     """A structure together with one of its own labels singled out."""
 
     __slots__ = ("at", "inner")
@@ -706,13 +739,13 @@ class PointTerm(Structure):
     def _key(self):
         return (self.at, self.inner)
 
-    def labels(self):
+    def _label_set(self):
         return self.inner.labels()
 
     def relabel(self, f):
         return PointTerm(f(self.at), self.inner.relabel(f))
 
-    def to_json(self):
+    def _json_tree(self):
         return {
             "kind": "point",
             "at": label_to_string(self.at),
@@ -723,7 +756,7 @@ class PointTerm(Structure):
         return f"pt[{label_to_string(self.at)}]{self.inner.render()}"
 
 
-class NamedTerm(Structure):
+class NamedTerm(_Composite):
     """One unfolding of a named species wrapped with that name."""
 
     __slots__ = ("name", "inner")
@@ -736,13 +769,13 @@ class NamedTerm(Structure):
     def _key(self):
         return (self.name, self.inner)
 
-    def labels(self):
+    def _label_set(self):
         return self.inner.labels()
 
     def relabel(self, f):
         return NamedTerm(self.name, self.inner.relabel(f))
 
-    def to_json(self):
+    def _json_tree(self):
         return {
             "kind": "named",
             "name": self.name,

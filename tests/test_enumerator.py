@@ -1,11 +1,13 @@
 """Exhaustive listing of structures, transport, and permutation views."""
 
+import hashlib
 import itertools
 import json
 from math import comb, factorial
 
 import pytest
 
+from species import cli, enumerator
 from species.enumerator import (
     _structures,
     check_functoriality,
@@ -326,3 +328,109 @@ class TestDerivativeStructures:
         [s] = enum("E'", ["q"])
         assert isinstance(s, DerivTerm)
         assert s.labels() == {"q"}
+
+
+# Digests of `enumerate EXPR LABELS [--json]` stdout, pinned from the
+# per-subset enumerator before it was memoised: any change to output bytes,
+# order or the count line shows here.  Integer labels start at 8 so that
+# string order ("10" < "8") and numeric order differ.
+_DIGEST_DEFS = "A = X*E(A)\nB = 1 + X*B^2\n"
+_INT_LABELS = ["8", "9", "10", "11", "12"]
+_STR_LABELS = ["q", "ab", "b", "zz", "c"]
+_DIGESTS = {
+    ("B", 4, "int", True): "9b19e7171e7f0efeeb3f1f975614350eb2e26fa381308f557757aa5e225a07c3",
+    ("B", 4, "int", False): "124f1499037f2f7c00910d3b71249c5ecb308951ba09db9cbcda33af74d5980e",
+    ("B", 4, "str", True): "8630b6289cb6e67a55815a41eb359099d91a3eef5a52c4e1e185121734a40f4a",
+    ("B", 4, "str", False): "a1e86ea49b7d1fc1fa1cf1c9924c39a8ac612ba29f87a06e1d9e78207e2b4b1a",
+    ("A", 4, "int", True): "a698a30c14aaaa76a18b4e115ca66a4b7e53fdd67f4f4abb8f75841a46eb4dfe",
+    ("A", 4, "int", False): "85d8c1b6c8745443ce3ae63f47e9390c39ebc0fb25461a56807458ce89540d33",
+    ("A", 4, "str", True): "88a81fd21d7df1ed5d75690d759338ae8e337569f5ca9485117085c9aac4a4c5",
+    ("A", 4, "str", False): "ac957a93082e8a2085f805473bdcd1347df1c927e762ec57f8ce0603a5c2317f",
+    ("pt(A)", 3, "int", True): "00ce801f2642fc0194b3bd0d87d447f8f8598a9ec18bef5b0e6e715df6b56071",
+    ("pt(A)", 3, "int", False): "2d44410ff57deed8b07b12325655ad8b2d015444a2afee38aa3eb1a65f6604d7",
+    ("pt(A)", 3, "str", True): "65bbfeaad16145d990eaf385b35a260664275718995ab30bd987e0183e602c0d",
+    ("pt(A)", 3, "str", False): "983b3c8a153365336874b7645f261c7af9fd103b74f9db673ec8b02177ff59fb",
+    ("C'", 5, "int", True): "80c5f71918fa92fed120ea5a0783032ec31033b111cdb2b719af113dc1f719a1",
+    ("C'", 5, "int", False): "3a693b487b8b96955f56aaeb0da94f12d944a07c650b8f98812f447e1047289a",
+    ("C'", 5, "str", True): "ecdd6759d5db70f6cf50a3719472c179791ec4118db663835473a4c40abcbb9a",
+    ("C'", 5, "str", False): "d32139de72a02a155fedf2a3ef1aa2a8bd08243e72e4cb264fa8af351351e800",
+    ("E''", 3, "int", True): "f7dfa9e5f39bd2b3aeaf16b519942b6964fa2a02c96d19f8fd19c4f32b24dc0d",
+    ("E''", 3, "int", False): "70534720cb206d600be0afdef1093c35ff2cde8de6bd365ab0ae61f5786ffb5e",
+    ("E''", 3, "str", True): "8a5223ce923c2cdf2b12e15fd811bf96fba4728829abec362f1beffbfad5a083",
+    ("E''", 3, "str", False): "5724f3c2470a3a41a8173f3abdcf025671c1854e721d734634e9567b44d090bf",
+    ("C(X+X^2)", 4, "int", True): "61b0375167a288011e36d7bc8968556b699fe0313399c695e5abe2ae1f3e35a1",
+    ("C(X+X^2)", 4, "int", False): "d8bd5be62a6d103098fd9a84e869d046ec593be05f811b2a98821553d9f74238",
+    ("C(X+X^2)", 4, "str", True): "a463f1dae7830a0df57e92d4d271a6ab471a384e6abc9b428cd0bf8a0e13c8bf",
+    ("C(X+X^2)", 4, "str", False): "359ba101222b1a8e1882f22b9dbc73c53158335e6ed57958a9e95d526daea0e3",
+    ("E(C)+L'*X", 4, "int", True): "96e2c22270a324403746b51aca975bcf084b7fa141862da94f4fc21cdf24ec18",
+    ("E(C)+L'*X", 4, "int", False): "60ee4d77a5de0cf06b292c5d3e157d8799e93b943bcc69a14d04fba5599f8a06",
+    ("E(C)+L'*X", 4, "str", True): "a6d5a4c1d0e78ada457e4efa313f01ae32bf25a97a18b1847e4c706978a49161",
+    ("E(C)+L'*X", 4, "str", False): "395da3f4edd9a615e2e36538141e73b2a82ef3c925fcab6f04faeec0a434a44a",
+    ("P*Ek[2]", 4, "int", True): "9e6712083e039cb4dbafefd2d989115c58cec4d9165289c80fa3f3b58f913d00",
+    ("P*Ek[2]", 4, "int", False): "502c93a1cec90e35b2ce625fcb4821a17b141c08114975da87811b853ed254ea",
+    ("P*Ek[2]", 4, "str", True): "c63cdf2c95603308bf02b2d8d206f15df9ffec5d8c8f48ae892fb68de4c5ca68",
+    ("P*Ek[2]", 4, "str", False): "78f14b920b663aa9f2c188f542e1b3d3e832938f433d946b81c663e2cdb3564a",
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("key", sorted(_DIGESTS), ids=str)
+    def test_enumerate_stdout_digest(self, key, tmp_path, capsys):
+        text, n, kind, as_json = key
+        defs = tmp_path / "defs.species"
+        defs.write_text(_DIGEST_DEFS, encoding="utf-8")
+        pool = _INT_LABELS if kind == "int" else _STR_LABELS
+        argv = ["enumerate", text, ",".join(pool[:n]), "--defs", str(defs)]
+        code = cli.main(argv + (["--json"] if as_json else []))
+        out = capsys.readouterr().out.encode("utf-8")
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == _DIGESTS[key]
+
+
+class TestSharing:
+    def test_each_subexpression_is_enumerated_once_per_label_set(
+        self, monkeypatch
+    ):
+        calls = []
+        primitive = enumerator._primitive_structures
+
+        def counted(expr, labels):
+            calls.append((id(expr), labels))
+            return primitive(expr, labels)
+
+        monkeypatch.setattr(enumerator, "_primitive_structures", counted)
+        env = parse_defs("B = 1 + X*B^2\n")
+        got = enumerate_structures(parse_expr("B"), env, [1, 2, 3, 4, 5])
+        assert len(got) == factorial(5) * comb(10, 5) // 6
+        # The definition holds two primitive nodes, 1 and X; each is asked
+        # for its structures at most once per subset of the five labels.
+        assert len(set(calls)) == len(calls)
+        assert len(calls) <= 2 * 2**5
+
+    def test_every_node_visit_goes_through_the_module_entry(
+        self, monkeypatch
+    ):
+        # Wrapping _structures(expr, env, labels, active) must see every
+        # node the walk visits, as a tracer that counts node kinds does.
+        visits = []
+        walk = enumerator._structures
+
+        def wrapped(expr, env, labels, active):
+            visits.append(type(expr).__name__)
+            return walk(expr, env, labels, active)
+
+        monkeypatch.setattr(enumerator, "_structures", wrapped)
+        expr = parse_expr("E(C) + L'*X")
+        got = enumerate_structures(expr, None, [1, 2, 3])
+        assert len(got) == egf_of(expr, order=3).count(3)
+        assert {"Sum", "Substitute", "Product", "Derivative", "Primitive"} \
+            <= set(visits)
+
+    def test_cached_json_stays_intact(self):
+        env = parse_defs("A = X*E(A)\n")
+        for s in enumerate_structures(parse_expr("A"), env, [1, 2, 3, 4]):
+            first = s.to_json()
+            second = s.to_json()
+            assert second is first
+            assert decode_structure(second) == s
+            assert decode_structure(json.loads(s.encode())) == s
