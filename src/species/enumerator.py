@@ -1,7 +1,7 @@
 """Exhaustive enumeration of labeled structures and their transport.
 
 enumerate_structures produces every structure of a species on a concrete
-label set, as canonical terms sorted by their encoding.  The expected
+label set, as canonical terms in the order of their encoding.  The expected
 cardinality is computed from the counting series first, which doubles as the
 budget guard and keeps enumeration and series honest against each other.
 
@@ -52,6 +52,7 @@ from .structures import (
     STAR,
     SubsetTerm,
     SumTerm,
+    _Composite,
     check_label,
     is_star,
     label_sort_key,
@@ -104,8 +105,8 @@ def _set_partitions(items):
 
 
 def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
-    """All structures of the species on the given labels, sorted by their
-    canonical encoding.
+    """All structures of the species on the given labels, in the order of
+    their canonical encoding.
 
     The series count is computed first; BudgetExceeded is raised before any
     structure is built when it is larger than the budget.  The result's
@@ -118,8 +119,30 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
         )
-    found = _structures(expr, env, labs, _Walk())
-    return sorted(found, key=lambda s: s.encode())
+    return _sorted(_structures(expr, env, labs, _Walk()))
+
+
+def _sorted(found):
+    """found in encode() order.
+
+    The terms of one listing are all of one class.  Primitive terms are
+    sorted by encode() directly: they share nothing, so a memo over a large
+    listing (65 536 digraphs) would only add memory.  Composite terms are
+    sorted by their _sort_parts tuples, which give the same order; the
+    tuples are kept by term id for this sort only, so a subterm shared by
+    many results is cut up once and its primitive leaves are encoded once.
+    """
+    if not found or not isinstance(found[0], _Composite):
+        return sorted(found, key=lambda s: s.encode())
+    keys = {}
+
+    def key(term):
+        parts = keys.get(id(term))
+        if parts is None:
+            parts = keys[id(term)] = term._sort_parts(key)
+        return parts
+
+    return sorted(found, key=key)
 
 
 class _Walk(set):

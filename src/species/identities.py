@@ -10,7 +10,6 @@ attempts to exhibit a natural isomorphism between the two sides, and the
 report header says so.
 """
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -56,11 +55,9 @@ class VerificationReport:
     witness_n: int | None = None
     lhs_count: object = None
     rhs_count: object = None
-    seconds: float = 0.0
 
     def to_json(self):
-        """Stable machine-readable form; timing is excluded on purpose so
-        the output is byte-identical across runs."""
+        """Stable machine-readable form, byte-identical across runs."""
         out = {"name": self.name, "status": "pass" if self.passed else "fail"}
         if self.passed:
             out["witness"] = None
@@ -81,16 +78,10 @@ def _json_count(value):
 
 
 def _report(name, check):
-    """Time check() and turn the witness it returns, a tuple (detail, n,
+    """Run check() and turn the witness it returns, a tuple (detail, n,
     lhs, rhs) or None, into a VerificationReport."""
-    start = time.perf_counter()
     witness = check()
-    return VerificationReport(
-        name,
-        witness is None,
-        *(witness or ()),
-        seconds=time.perf_counter() - start,
-    )
+    return VerificationReport(name, witness is None, *(witness or ()))
 
 
 class _Case:

@@ -4,8 +4,8 @@ Every structure a species puts on a label set is represented by a term built
 from the constructors below.  Construction canonicalizes (sets sort their
 labels, cycles rotate their smallest label first, partitions order blocks by
 least member, mappings sort by key), so two terms are equal exactly when they
-denote the same structure, and the compact JSON encoding of a term is the
-deterministic sort key for enumeration output.
+denote the same structure, and the compact JSON encoding of a term fixes
+the order of enumeration output.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -52,6 +52,10 @@ STAR = "★"
 #: Characters that cannot appear in a user label: they would collide with
 #: the textual renderings and the star token.
 _FORBIDDEN = set(" \t\r\n,{}()[]<>|" + STAR)
+
+#: The canonical encoder, built once: json.dumps with keyword arguments
+#: builds a new encoder on every call.
+_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def is_star(label):
@@ -225,8 +229,19 @@ class Structure:
         raise NotImplementedError
 
     def encode(self):
-        """Canonical encoding; byte-stable, and the enumeration sort key."""
-        return json.dumps(self.to_json(), separators=(",", ":"), sort_keys=True)
+        """Canonical encoding; byte-stable, and it fixes the enumeration
+        order."""
+        return _ENCODE(self.to_json())
+
+    def _sort_parts(self, key):
+        """encode() cut at every child term: a tuple that alternates literal
+        JSON text with key(child), starting and ending with text.  Every
+        child is a complete JSON object, so no literal is a proper prefix of
+        a different literal at the same position, and comparing these tuples
+        (with key giving the children's tuples) orders terms exactly as
+        comparing their encodings does.  A term with no child is one
+        literal."""
+        return (self.encode(),)
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -240,7 +255,8 @@ class Structure:
 
 class _Composite(Structure):
     """A term built from other terms.  Enumeration shares one subterm among
-    many parents, so the JSON tree is built once and kept."""
+    many parents, so the JSON tree is built once, on the first to_json()
+    call, and kept."""
 
     __slots__ = ("_json",)
 
@@ -588,6 +604,13 @@ class SumTerm(_Composite):
     def _json_tree(self):
         return {"kind": "sum", "side": self.side, "inner": self.inner.to_json()}
 
+    def _sort_parts(self, key):
+        return (
+            '{"inner":',
+            key(self.inner),
+            ',"kind":"sum","side":' + _ENCODE(self.side) + "}",
+        )
+
     def render(self):
         return f"{self.side}({self.inner.render()})"
 
@@ -619,6 +642,15 @@ class ProdTerm(_Composite):
             "left": self.left.to_json(),
             "right": self.right.to_json(),
         }
+
+    def _sort_parts(self, key):
+        return (
+            '{"kind":"prod","left":',
+            key(self.left),
+            ',"right":',
+            key(self.right),
+            "}",
+        )
 
     def render(self):
         return f"({self.left.render()}, {self.right.render()})"
@@ -682,6 +714,16 @@ class CompTerm(_Composite):
             ],
         }
 
+    def _sort_parts(self, key):
+        parts = []
+        text, sep = '{"assign":[', ""
+        for block, inner in self.assign:
+            labels = _ENCODE(_labels_json(block.members))
+            parts += (text + sep + "[" + labels + ",", key(inner))
+            text, sep = "]", ","
+        parts += (text + '],"kind":"comp","outer":', key(self.outer), "}")
+        return tuple(parts)
+
     def render(self):
         parts = ", ".join(
             f"{block.token()}=>{inner.render()}"
@@ -720,6 +762,9 @@ class DerivTerm(_Composite):
     def _json_tree(self):
         return {"kind": "deriv", "inner": self.inner.to_json()}
 
+    def _sort_parts(self, key):
+        return ('{"inner":', key(self.inner), ',"kind":"deriv"}')
+
     def render(self):
         return f"D({self.inner.render()})"
 
@@ -752,6 +797,13 @@ class PointTerm(_Composite):
             "inner": self.inner.to_json(),
         }
 
+    def _sort_parts(self, key):
+        return (
+            '{"at":' + _ENCODE(label_to_string(self.at)) + ',"inner":',
+            key(self.inner),
+            ',"kind":"point"}',
+        )
+
     def render(self):
         return f"pt[{label_to_string(self.at)}]{self.inner.render()}"
 
@@ -781,6 +833,13 @@ class NamedTerm(_Composite):
             "name": self.name,
             "inner": self.inner.to_json(),
         }
+
+    def _sort_parts(self, key):
+        return (
+            '{"inner":',
+            key(self.inner),
+            ',"kind":"named","name":' + _ENCODE(self.name) + "}",
+        )
 
     def render(self):
         return f"{self.name}:{self.inner.render()}"

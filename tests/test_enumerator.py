@@ -6,6 +6,8 @@ import json
 from math import comb, factorial
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from species import cli, enumerator
 from species.enumerator import (
@@ -26,7 +28,7 @@ from species.errors import (
     RecursionGuard,
 )
 from species.parser import parse_defs, parse_expr
-from species.semantics import egf_of
+from species.semantics import egf_of, validate
 from species.structures import (
     STAR,
     Bijection,
@@ -39,10 +41,12 @@ from species.structures import (
     PartitionTerm,
     SetTerm,
     SubsetTerm,
+    _Composite,
     decode_structure,
 )
 
 from oracles import subfactorial
+from strategies import grammar_exprs
 
 
 def enum(text, labels, env=None, **kwargs):
@@ -434,3 +438,81 @@ class TestSharing:
             assert second is first
             assert decode_structure(second) == s
             assert decode_structure(json.loads(s.encode())) == s
+
+
+# Integers, and strings with characters that JSON escapes (the quote, the
+# backslash, e acute) or that sort next to the closing quote (! below it,
+# ' between it and the comma), so that a sort key cut in the wrong place
+# shows in the order.
+_ORDER_LABELS = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=20),
+        st.text(alphabet='ab!"\\\u00e9\'', min_size=1, max_size=3),
+    ),
+    max_size=4,
+    unique=True,
+)
+
+
+def _joined(term):
+    """A term's sort parts with every child key joined back into text."""
+    return "".join(term._sort_parts(_joined))
+
+
+def _assert_in_encode_order(got):
+    assert got == sorted(got, key=lambda s: s.encode())
+    for s in got:
+        assert _joined(s) == s.encode()
+
+
+class TestEncodeOrder:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(grammar_exprs(include_names=False, max_leaves=4), _ORDER_LABELS)
+    def test_listing_is_in_encode_order(self, expr, labels):
+        assume(validate(expr, order=len(labels)).ok)
+        try:
+            got = enumerate_structures(expr, None, labels, budget=2000)
+        except BudgetExceeded:
+            assume(False)
+        _assert_in_encode_order(got)
+
+    @pytest.mark.parametrize(
+        "text,labels",
+        [
+            ("E + X*L", [1, 2]),
+            ("E + X*L", ["a!", 'a"']),
+            ("E(C)", []),
+            ("E(C)", [1, "a", "a!", "\u00e9"]),
+            ("pt(L)", [1, 10, 2]),
+            ("pt(L)", ["a", "a!", "a'"]),
+        ],
+    )
+    def test_mixed_children_and_empty_comp(self, text, labels):
+        got = enum(text, labels)
+        assert got
+        _assert_in_encode_order(got)
+
+    def test_named_listing_is_in_encode_order(self):
+        env = parse_defs("A = X*E(A)\nB = 1 + X*B^2\n")
+        for text in ("A", "B", "pt(A)"):
+            _assert_in_encode_order(
+                enumerate_structures(parse_expr(text), env, [8, 9, 10, 11])
+            )
+
+    def test_sorting_builds_no_json_tree(self, monkeypatch):
+        calls = []
+        to_json = _Composite.to_json
+
+        def recorded(self):
+            calls.append(type(self).__name__)
+            return to_json(self)
+
+        monkeypatch.setattr(_Composite, "to_json", recorded)
+        env = parse_defs("B = 1 + X*B^2\n")
+        got = enumerate_structures(parse_expr("B"), env, range(1, 6))
+        assert len(got) == factorial(5) * comb(10, 5) // 6
+        assert calls == []
