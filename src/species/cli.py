@@ -130,12 +130,42 @@ def _cmd_enumerate(args):
     labels = _parse_labels(args.labels)
     structures = enumerate_structures(expr, env, labels, budget=args.budget)
     if args.json:
-        print(json.dumps([s.to_json() for s in structures]))
+        _write_json_listing(structures)
     else:
         for s in structures:
             print(s.render())
         print(len(structures))
     return 0
+
+
+def _write_json_listing(structures):
+    """Write json.dumps([s.to_json() for s in structures]) + "\n", one
+    structure at a time.
+
+    A subterm's text is kept from the second time it is asked for: a
+    subterm shared by many results is serialised at most twice, and the
+    wrappers that belong to a single result are never kept.  The memo maps
+    a term's id to "" once it has been asked for, then to its text; the
+    listing keeps every term alive, so ids stay unique.
+    """
+    kept = {}
+
+    def text(term):
+        key = id(term)
+        found = kept.get(key)
+        if found:
+            return found
+        out = term._text(text)
+        kept[key] = "" if found is None else out
+        return out
+
+    write = sys.stdout.write
+    write("[")
+    for i, s in enumerate(structures):
+        if i:
+            write(", ")
+        write(s._text(text))
+    write("]\n")
 
 
 def _cmd_transport(args):

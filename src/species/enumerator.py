@@ -157,11 +157,24 @@ class _Walk(set):
     perfbench/tracing.py wraps to count every node visit.
     """
 
-    __slots__ = ("memo",)
+    __slots__ = ("memo", "factor_counts")
 
     def __init__(self, guards=()):
         super().__init__(guards)
         self.memo = {}
+        self.factor_counts = {}
+
+    def counts_of_factors(self, expr, env, n):
+        """The structure counts of a Product's left and right factors on
+        0..n labels, from their series; kept per node, and recomputed only
+        when a visit needs more labels (a derivative adds one)."""
+        found = self.factor_counts.get(id(expr))
+        if found is None or len(found[0]) <= n:
+            found = self.factor_counts[id(expr)] = (
+                egf_of(expr.left, env, order=n).counts(),
+                egf_of(expr.right, env, order=n).counts(),
+            )
+        return found
 
 
 def _structures(expr, env, labels, active):
@@ -207,12 +220,14 @@ def _build(expr, env, labels, active):
             SumTerm("right", s) for s in right
         ]
     if isinstance(expr, Product):
+        n = len(labels)
+        left_counts, right_counts = active.counts_of_factors(expr, env, n)
         out = []
-        for k in range(len(labels) + 1):
+        for k in range(n + 1):
+            if not left_counts[k] or not right_counts[n - k]:
+                continue
             for chosen in combinations(labels, k):
                 lefts = _structures(expr.left, env, chosen, active)
-                if not lefts:
-                    continue
                 taken = set(chosen)
                 rest = tuple(x for x in labels if x not in taken)
                 rights = _structures(expr.right, env, rest, active)

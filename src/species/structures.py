@@ -17,6 +17,7 @@ domains.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -56,6 +57,9 @@ _FORBIDDEN = set(" \t\r\n,{}()[]<>|" + STAR)
 #: The canonical encoder, built once: json.dumps with keyword arguments
 #: builds a new encoder on every call.
 _ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+#: json.dumps with its defaults, built once: the form of `enumerate --json`.
+_DUMPS = json.JSONEncoder().encode
 
 
 def is_star(label):
@@ -215,7 +219,8 @@ class Structure:
         raise NotImplementedError
 
     def to_json(self):
-        """The term as a JSON-ready dict.
+        """The term as a JSON-ready dict, for API callers: listing and
+        `enumerate --json` build none for a composite term.
 
         Composite terms (sum, prod, comp, deriv, point, named) build it once
         and return that same dict on every call, nested inside the JSON of
@@ -224,6 +229,14 @@ class Structure:
         per listed set, map or graph costs more memory than rebuilding it.
         """
         raise NotImplementedError
+
+    def _text(self, text):
+        """json.dumps(self.to_json()): default separators, keys in
+        insertion order, non-ASCII escaped.  A composite term writes its
+        own literals around text(child) for each child, so the caller
+        decides which children's texts to keep; a term with no child
+        dumps its dict."""
+        return _DUMPS(self.to_json())
 
     def render(self):
         raise NotImplementedError
@@ -256,7 +269,9 @@ class Structure:
 class _Composite(Structure):
     """A term built from other terms.  Enumeration shares one subterm among
     many parents, so the JSON tree is built once, on the first to_json()
-    call, and kept."""
+    call, and kept.  That tree serves API callers only: sorting uses
+    _sort_parts and `enumerate --json` writes _text, neither of which
+    builds it."""
 
     __slots__ = ("_json",)
 
@@ -611,6 +626,12 @@ class SumTerm(_Composite):
             ',"kind":"sum","side":' + _ENCODE(self.side) + "}",
         )
 
+    def _text(self, text):
+        return (
+            f'{{"kind": "sum", "side": {_quote(self.side)}, '
+            f'"inner": {text(self.inner)}}}'
+        )
+
     def render(self):
         return f"{self.side}({self.inner.render()})"
 
@@ -650,6 +671,12 @@ class ProdTerm(_Composite):
             ',"right":',
             key(self.right),
             "}",
+        )
+
+    def _text(self, text):
+        return (
+            f'{{"kind": "prod", "left": {text(self.left)}, '
+            f'"right": {text(self.right)}}}'
         )
 
     def render(self):
@@ -724,6 +751,16 @@ class CompTerm(_Composite):
         parts += (text + '],"kind":"comp","outer":', key(self.outer), "}")
         return tuple(parts)
 
+    def _text(self, text):
+        assign = ", ".join(
+            f"[{_DUMPS(_labels_json(block.members))}, {text(inner)}]"
+            for block, inner in self.assign
+        )
+        return (
+            f'{{"kind": "comp", "outer": {text(self.outer)}, '
+            f'"assign": [{assign}]}}'
+        )
+
     def render(self):
         parts = ", ".join(
             f"{block.token()}=>{inner.render()}"
@@ -765,6 +802,9 @@ class DerivTerm(_Composite):
     def _sort_parts(self, key):
         return ('{"inner":', key(self.inner), ',"kind":"deriv"}')
 
+    def _text(self, text):
+        return f'{{"kind": "deriv", "inner": {text(self.inner)}}}'
+
     def render(self):
         return f"D({self.inner.render()})"
 
@@ -804,6 +844,12 @@ class PointTerm(_Composite):
             ',"kind":"point"}',
         )
 
+    def _text(self, text):
+        return (
+            f'{{"kind": "point", "at": {_quote(label_to_string(self.at))}, '
+            f'"inner": {text(self.inner)}}}'
+        )
+
     def render(self):
         return f"pt[{label_to_string(self.at)}]{self.inner.render()}"
 
@@ -839,6 +885,12 @@ class NamedTerm(_Composite):
             '{"inner":',
             key(self.inner),
             ',"kind":"named","name":' + _ENCODE(self.name) + "}",
+        )
+
+    def _text(self, text):
+        return (
+            f'{{"kind": "named", "name": {_quote(self.name)}, '
+            f'"inner": {text(self.inner)}}}'
         )
 
     def render(self):

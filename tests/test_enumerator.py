@@ -1,8 +1,11 @@
 """Exhaustive listing of structures, transport, and permutation views."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -27,6 +30,7 @@ from species.errors import (
     ParseError,
     RecursionGuard,
 )
+from species.expr import PrimitiveKind, print_expr
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of, validate
 from species.structures import (
@@ -38,9 +42,14 @@ from species.structures import (
     GraphTerm,
     ListTerm,
     MapTerm,
+    NamedTerm,
     PartitionTerm,
+    PointTerm,
+    ProdTerm,
     SetTerm,
+    Structure,
     SubsetTerm,
+    SumTerm,
     _Composite,
     decode_structure,
 )
@@ -430,6 +439,26 @@ class TestSharing:
         assert {"Sum", "Substitute", "Product", "Derivative", "Primitive"} \
             <= set(visits)
 
+    @pytest.mark.parametrize("text", ["Gro*0", "0*Gro", "Gro*Ek[5]"])
+    def test_product_skips_a_split_with_an_empty_factor(
+        self, text, monkeypatch
+    ):
+        kinds = []
+        primitive = enumerator._primitive_structures
+
+        def counted(expr, labels):
+            kinds.append(expr.kind)
+            return primitive(expr, labels)
+
+        monkeypatch.setattr(enumerator, "_primitive_structures", counted)
+        assert enum(text, [1, 2, 3, 4]) == []
+        assert PrimitiveKind.DIGRAPH not in kinds
+
+    def test_product_of_nonempty_factors_keeps_its_count(self):
+        expr = parse_expr("Gro*E")
+        got = enumerate_structures(expr, None, [1, 2, 3])
+        assert len(got) == egf_of(expr, order=3).count(3) == 1 + 3 * 2 + 3 * 16 + 512
+
     def test_cached_json_stays_intact(self):
         env = parse_defs("A = X*E(A)\n")
         for s in enumerate_structures(parse_expr("A"), env, [1, 2, 3, 4]):
@@ -516,3 +545,92 @@ class TestEncodeOrder:
         got = enumerate_structures(parse_expr("B"), env, range(1, 6))
         assert len(got) == factorial(5) * comb(10, 5) // 6
         assert calls == []
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _dumped(structures):
+    """The listing as json.dumps writes it, from to_json() trees."""
+    return json.dumps([s.to_json() for s in structures]) + "\n"
+
+
+# `enumerate B LABELS --defs <_DIGEST_DEFS> --json` stdout, pinned from the
+# json.dumps listing.
+_B5_DIGESTS = {
+    "int": "0be4ce3f5faa075de532bc333a24e1621f5aef9c71315eabe53c28f4877565d6",
+    "str": "414299bf505eefe4dbcd4f83856ef09669273ef4ccef73a67965f341af1eecf8",
+}
+
+
+class TestJsonListing:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(grammar_exprs(include_names=False, max_leaves=4), _ORDER_LABELS)
+    def test_bytes_equal_json_dumps(self, expr, labels):
+        arg = ",".join(str(l) for l in labels)
+        code, out = _cli_stdout(
+            ["enumerate", print_expr(expr), arg, "--json", "--budget", "2000"]
+        )
+        assume(code == 0)
+        # A lone integer argument is a size, so list what the CLI parsed.
+        got = enumerate_structures(expr, None, cli._parse_labels(arg))
+        assert out == _dumped(got)
+
+    @pytest.mark.parametrize("text", ["A", "B", "pt(A)"])
+    def test_named_listing_bytes(self, text, tmp_path):
+        defs = tmp_path / "defs.species"
+        defs.write_text(_DIGEST_DEFS, encoding="utf-8")
+        code, out = _cli_stdout(
+            ["enumerate", text, "8,9,b,10", "--defs", str(defs), "--json"]
+        )
+        assert code == 0
+        got = enumerate_structures(
+            parse_expr(text), parse_defs(_DIGEST_DEFS), [8, 9, "b", 10]
+        )
+        assert out == _dumped(got)
+
+    def test_empty_listing(self):
+        assert _cli_stdout(["enumerate", "0", "2", "--json"]) == (0, "[]\n")
+
+    @pytest.mark.parametrize("kind", sorted(_B5_DIGESTS))
+    def test_each_subterm_is_written_at_most_twice(
+        self, kind, tmp_path, monkeypatch
+    ):
+        built = Counter()
+        for cls in (Structure, SumTerm, ProdTerm, CompTerm, DerivTerm,
+                    PointTerm, NamedTerm):
+            def counted(self, text, original=cls.__dict__["_text"]):
+                built[id(self)] += 1
+                return original(self, text)
+
+            monkeypatch.setattr(cls, "_text", counted)
+        trees = []
+        to_json = _Composite.to_json
+
+        def recorded(self):
+            trees.append(type(self).__name__)
+            return to_json(self)
+
+        monkeypatch.setattr(_Composite, "to_json", recorded)
+        defs = tmp_path / "defs.species"
+        defs.write_text(_DIGEST_DEFS, encoding="utf-8")
+        pool = _INT_LABELS if kind == "int" else _STR_LABELS
+        code, out = _cli_stdout(
+            ["enumerate", "B", ",".join(pool), "--defs", str(defs), "--json"]
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == _B5_DIGESTS[kind]
+        # Every listed tree is written, and shared subtrees are written
+        # twice before their text is reused.
+        assert sum(built.values()) > factorial(5) * comb(10, 5) // 6
+        assert max(built.values()) == 2
+        assert trees == []
