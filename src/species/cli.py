@@ -10,11 +10,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse/validation failure (also a failed verify run),
 2 non-integer or negative count, 3 enumeration budget exceeded, 4 label-set
-mismatch in transport.
+mismatch in transport.  A reader that closes stdout early is no failure:
+output stops and the exit code is 0.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -301,7 +303,15 @@ def main(argv=None):
         # code so 2 stays reserved for count integrality.
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`), which ends the output but is
+        # no error.  Stdout now goes to devnull, so that flushing what is
+        # still buffered, here or at exit, stays quiet.
+        _quiet_stdout()
+        return 0
     except NonIntegerCount as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -324,6 +334,17 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _quiet_stdout():
+    """Point stdout's file descriptor, if it has one, at devnull."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ label set, as canonical terms in the order of their encoding.  The expected
 cardinality is computed from the counting series first, which doubles as the
 budget guard and keeps enumeration and series honest against each other.
 
+No listing is sorted at the end.  The encoding fixes the order child first,
+so every node builds its list in encode() order from its children's lists:
+a node that wraps one child keeps the child's order, a sum merges its two
+sides, a product orders its left factors, and primitives are generated in
+order or sorted once per label set.
+
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
 cycles re-rotate, partitions re-sort), transport is a uniform relabeling
@@ -52,9 +58,9 @@ from .structures import (
     STAR,
     SubsetTerm,
     SumTerm,
-    _Composite,
     check_label,
     is_star,
+    label_code,
     label_sort_key,
 )
 
@@ -110,7 +116,8 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
 
     The series count is computed first; BudgetExceeded is raised before any
     structure is built when it is larger than the budget.  The result's
-    length always equals that count.
+    length always equals that count.  The walk builds the list in order, so
+    it is returned as built.
     """
     env = env or Environment()
     labs = _clean_labels(labels)
@@ -119,67 +126,66 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
         )
-    return _sorted(_structures(expr, env, labs, _Walk()))
-
-
-def _sorted(found):
-    """found in encode() order.
-
-    The terms of one listing are all of one class.  Primitive terms are
-    sorted by encode() directly: they share nothing, so a memo over a large
-    listing (65 536 digraphs) would only add memory.  Composite terms are
-    sorted by their _sort_parts tuples, which give the same order; the
-    tuples are kept by term id for this sort only, so a subterm shared by
-    many results is cut up once and its primitive leaves are encoded once.
-    """
-    if not found or not isinstance(found[0], _Composite):
-        return sorted(found, key=lambda s: s.encode())
-    keys = {}
-
-    def key(term):
-        parts = keys.get(id(term))
-        if parts is None:
-            parts = keys[id(term)] = term._sort_parts(key)
-        return parts
-
-    return sorted(found, key=key)
+    return _structures(expr, env, labs, _Walk())
 
 
 class _Walk(set):
     """The guard set of one enumerate_structures call, carrying that
-    call's memo.
+    call's memos.
 
-    The memo maps (id(node), labels) to a finished list, so that each
+    memo maps (id(node), labels) to a finished list, so that each
     subexpression is enumerated once per label set and its terms are shared
     by every term built on them.  Node ids are stable because the
-    expression and env outlive the call.  The memo rides on the guard set
-    because _structures keeps its four-argument signature, which
+    expression and env outlive the call; term ids are stable because the
+    memo keeps every term alive.  The memos ride on the guard set because
+    _structures keeps its four-argument signature, which
     perfbench/tracing.py wraps to count every node visit.
     """
 
-    __slots__ = ("memo", "factor_counts")
+    __slots__ = ("memo", "keys", "series_counts")
 
     def __init__(self, guards=()):
         super().__init__(guards)
         self.memo = {}
-        self.factor_counts = {}
+        self.keys = {}
+        self.series_counts = {}
 
-    def counts_of_factors(self, expr, env, n):
-        """The structure counts of a Product's left and right factors on
-        0..n labels, from their series; kept per node, and recomputed only
-        when a visit needs more labels (a derivative adds one)."""
-        found = self.factor_counts.get(id(expr))
-        if found is None or len(found[0]) <= n:
-            found = self.factor_counts[id(expr)] = (
-                egf_of(expr.left, env, order=n).counts(),
-                egf_of(expr.right, env, order=n).counts(),
-            )
+    def key(self, term):
+        """term's _sort_parts tuple, built once per walk: comparing keys
+        compares encodings, and a shared subterm is cut up once.
+
+        A key cut around one child (a sum, named, derivative or pointed
+        term, or a substitution with no blocks) holds that child's parts in
+        place of the child's tuple.  The parts still cut the encoding at
+        whole child terms, so the order is the same, but keys nest less
+        deeply: comparing nested tuples costs time quadratic in the depth
+        of their first difference.
+        """
+        found = self.keys.get(id(term))
+        if found is None:
+            parts = term._sort_parts(self.key)
+            if len(parts) == 3:
+                head, child, tail = parts
+                parts = (head, *child, tail)
+            found = self.keys[id(term)] = parts
+        return found
+
+    def counts(self, expr, env, n):
+        """The structure counts of a subexpression on 0..n labels, from its
+        series; kept per node, and recomputed only when a visit needs more
+        labels (a derivative adds one)."""
+        found = self.series_counts.get(id(expr))
+        if found is None or len(found) <= n:
+            found = self.series_counts[id(expr)] = egf_of(
+                expr, env, order=n
+            ).counts()
         return found
 
 
 def _structures(expr, env, labels, active):
-    """The list of structures on a sorted label tuple; active tracks the
-    named species currently being expanded on each label set.
+    """The list of structures on a sorted label tuple, in encode() order;
+    active tracks the named species currently being expanded on each label
+    set.
 
     Finished lists are memoised in the walk and shared: never mutate one.
     A plain set as active starts a new walk holding its guards.
@@ -202,7 +208,15 @@ def _structures(expr, env, labels, active):
 
 
 def _build(expr, env, labels, active):
-    """The structures of one node on labels, from its children's lists."""
+    """The structures of one node on labels, in encode() order, from its
+    children's lists.
+
+    Each term's encoding begins with what decides its order: a named or
+    derivative term, like a restriction, keeps its child's order; a sum
+    term orders by its inner term, then left before right; a product term
+    by its left factor, then its right; a pointed term by its point, then
+    its inner term.
+    """
     if isinstance(expr, Primitive):
         return _primitive_structures(expr, labels)
     if isinstance(expr, Name):
@@ -216,13 +230,21 @@ def _build(expr, env, labels, active):
     if isinstance(expr, Sum):
         left = _structures(expr.left, env, labels, active)
         right = _structures(expr.right, env, labels, active)
-        return [SumTerm("left", s) for s in left] + [
+        out = [SumTerm("left", s) for s in left] + [
             SumTerm("right", s) for s in right
         ]
+        if left and right:
+            # A stable sort of two sorted runs is their merge, with the
+            # left side first on equal inner terms.
+            key = active.key
+            out.sort(key=lambda t: key(t.inner))
+        return out
     if isinstance(expr, Product):
         n = len(labels)
-        left_counts, right_counts = active.counts_of_factors(expr, env, n)
-        out = []
+        left_counts = active.counts(expr.left, env, n)
+        right_counts = active.counts(expr.right, env, n)
+        pairs = []
+        splits = 0
         for k in range(n + 1):
             if not left_counts[k] or not right_counts[n - k]:
                 continue
@@ -231,30 +253,16 @@ def _build(expr, env, labels, active):
                 taken = set(chosen)
                 rest = tuple(x for x in labels if x not in taken)
                 rights = _structures(expr.right, env, rest, active)
-                out.extend(
-                    ProdTerm(l, r) for l in lefts for r in rights
-                )
-        return out
+                pairs.extend((l, rights) for l in lefts)
+                splits += 1
+        if splits > 1:
+            # One sorted run of left factors per split; each left factor's
+            # rights are already in order.
+            key = active.key
+            pairs.sort(key=lambda pair: key(pair[0]))
+        return [ProdTerm(l, r) for l, rights in pairs for r in rights]
     if isinstance(expr, Substitute):
-        out = []
-        for part in _set_partitions(labels):
-            blocks = sorted((Block(b) for b in part), key=label_sort_key)
-            per_block = []
-            for block in blocks:
-                inners = _structures(expr.inner, env, block.members, active)
-                if not inners:
-                    per_block = None
-                    break
-                per_block.append(inners)
-            if per_block is None:
-                continue
-            outers = _structures(expr.outer, env, tuple(blocks), active)
-            if not outers:
-                continue
-            for outer in outers:
-                for chosen in iproduct(*per_block):
-                    out.append(CompTerm(outer, zip(blocks, chosen)))
-        return out
+        return _compositions(expr, env, labels, active)
     if isinstance(expr, Derivative):
         star = STAR
         present = set(labels)
@@ -268,10 +276,11 @@ def _build(expr, env, labels, active):
             for s in _structures(expr.inner, env, extended, active)
         ]
     if isinstance(expr, Pointing):
+        inner = _structures(expr.inner, env, labels, active)
         return [
             PointTerm(at, s)
-            for s in _structures(expr.inner, env, labels, active)
-            for at in labels
+            for at in sorted(labels, key=label_code)
+            for s in inner
         ]
     if isinstance(expr, RestrictCard):
         if not expr.admits(len(labels)):
@@ -280,7 +289,99 @@ def _build(expr, env, labels, active):
     raise TypeError(f"not a species expression: {expr!r}")
 
 
+def _compositions(expr, env, labels, active):
+    """The substitution structures of expr on labels, in encode() order.
+
+    A comp term encodes its (block, inner) pairs first, in block order, and
+    its outer term last.  The first block holds the least label, so the
+    terms order by that block's encoded label list, then its inner term,
+    then the pairs on the remaining labels (listed once per remaining label
+    set), and last by outer term.  The outer's counts say on how many
+    blocks it has structures; other partitions are not listed.
+    """
+    n = len(labels)
+    outer_counts = active.counts(expr.outer, env, n)
+    listed = {}
+
+    def assignments(rest, blocks):
+        """The pair tuples on rest in order, using a number of blocks whose
+        bit is set in blocks."""
+        if not rest:
+            return [()] if blocks & 1 else []
+        blocks &= (2 << len(rest)) - 2
+        if not blocks:
+            return []
+        found = listed.get((rest, blocks))
+        if found is not None:
+            return found
+        first, others = rest[0], rest[1:]
+        heads = []
+        for k in range(len(others) + 1):
+            for chosen in combinations(others, k):
+                block = Block((first,) + chosen)
+                heads.append((block.code(), block, chosen))
+        heads.sort(key=lambda head: head[0])
+        out = []
+        for _, block, chosen in heads:
+            inners = _structures(expr.inner, env, block.members, active)
+            if not inners:
+                continue
+            taken = set(chosen)
+            tails = assignments(
+                tuple(x for x in others if x not in taken), blocks >> 1
+            )
+            for inner in inners:
+                pair = ((block, inner),)
+                out.extend(pair + tail for tail in tails)
+        listed[(rest, blocks)] = out
+        return out
+
+    wanted = sum(1 << k for k in range(n + 1) if outer_counts[k])
+    out = []
+    outers_on = {}
+    for assign in assignments(labels, wanted):
+        members = tuple(block.members for block, _ in assign)
+        outers = outers_on.get(members)
+        if outers is None:
+            blocks = tuple(block for block, _ in assign)
+            outers = outers_on[members] = _structures(
+                expr.outer, env, blocks, active
+            )
+        out.extend(CompTerm(outer, assign) for outer in outers)
+    return out
+
+
+def _involutions(labels):
+    """Every involution of labels, in encode() order: a depth-first fill of
+    the sources in order, where each free source maps, by encoded label,
+    to itself or to a later free source."""
+    n = len(labels)
+    by_code = sorted(range(n), key=lambda i: label_code(labels[i]))
+    image = [None] * n
+    out = []
+
+    def fill(i):
+        while i < n and image[i] is not None:
+            i += 1
+        if i == n:
+            out.append(MapTerm(zip(labels, [labels[j] for j in image])))
+            return
+        for j in by_code:
+            if j == i or (j > i and image[j] is None):
+                image[i] = j
+                image[j] = i
+                fill(i + 1)
+                image[i] = image[j] = None
+
+    fill(0)
+    return out
+
+
 def _primitive_structures(expr, labels):
+    """The structures of a primitive on labels, in encode() order.  Lists,
+    cycles and maps hold their labels in fixed places (maps by source), so
+    they are generated from the labels in encoded order; the rest are
+    sorted by encode()."""
     kind = expr.kind
     n = len(labels)
     if kind is K.ZERO:
@@ -295,75 +396,63 @@ def _primitive_structures(expr, labels):
         return [SetTerm(labels)] if n >= 1 else []
     if kind is K.KSET:
         return [SetTerm(labels)] if n == expr.param else []
+    by_code = sorted(labels, key=label_code)
     if kind is K.LIST:
-        return [ListTerm(p) for p in permutations(labels)]
+        return [ListTerm(p) for p in permutations(by_code)]
     if kind is K.NONEMPTY_LIST:
-        return [ListTerm(p) for p in permutations(labels)] if n >= 1 else []
+        return [ListTerm(p) for p in permutations(by_code)] if n >= 1 else []
     if kind is K.CYCLE:
         if n == 0:
             return []
-        first, rest = labels[0], labels[1:]
-        return [CycleTerm((first,) + p) for p in permutations(rest)]
+        rest = [x for x in by_code if x != labels[0]]
+        return [CycleTerm((labels[0],) + p) for p in permutations(rest)]
     if kind is K.PERMUTATION:
         return [
-            MapTerm(zip(labels, image)) for image in permutations(labels)
+            MapTerm(zip(labels, image)) for image in permutations(by_code)
         ]
     if kind is K.DERANGEMENT:
         out = []
-        for image in permutations(labels):
+        for image in permutations(by_code):
             pairs = tuple(zip(labels, image))
             if all(a != b for a, b in pairs):
                 out.append(MapTerm(pairs))
         return out
     if kind is K.INVOLUTION:
-        out = []
-        for image in permutations(labels):
-            f = dict(zip(labels, image))
-            if all(f[f[a]] == a for a in labels):
-                out.append(MapTerm(f.items()))
-        return out
+        return _involutions(labels)
     if kind is K.ENDOFUNCTION:
         return [
             MapTerm(zip(labels, image))
-            for image in iproduct(labels, repeat=n)
+            for image in iproduct(by_code, repeat=n)
         ]
     if kind is K.PARTITION:
-        return [PartitionTerm(p) for p in _set_partitions(labels)]
-    if kind is K.SUBSET:
+        out = [PartitionTerm(p) for p in _set_partitions(labels)]
+    elif kind is K.SUBSET or kind is K.KSUBSET:
+        sizes = range(n + 1) if kind is K.SUBSET else [expr.param]
         out = []
-        for k in range(n + 1):
+        for k in sizes:
             for chosen in combinations(labels, k):
                 taken = set(chosen)
                 out.append(
                     SubsetTerm(chosen, (x for x in labels if x not in taken))
                 )
-        return out
-    if kind is K.KSUBSET:
-        k = expr.param
-        if k > n:
-            return []
-        out = []
-        for chosen in combinations(labels, k):
-            taken = set(chosen)
-            out.append(
-                SubsetTerm(chosen, (x for x in labels if x not in taken))
-            )
-        return out
-    if kind is K.GRAPH:
+    elif kind is K.GRAPH:
         all_edges = list(combinations(labels, 2))
-        return [
+        out = [
             GraphTerm(labels, chosen)
             for k in range(len(all_edges) + 1)
             for chosen in combinations(all_edges, k)
         ]
-    if kind is K.DIGRAPH:
+    elif kind is K.DIGRAPH:
         all_arcs = list(iproduct(labels, repeat=2))
-        return [
+        out = [
             DigraphTerm(labels, chosen)
             for k in range(len(all_arcs) + 1)
             for chosen in combinations(all_arcs, k)
         ]
-    raise TypeError(f"no structure rule for primitive {kind}")
+    else:
+        raise TypeError(f"no structure rule for primitive {kind}")
+    out.sort(key=lambda s: s.encode())
+    return out
 
 
 # -- transport -------------------------------------------------------------

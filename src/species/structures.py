@@ -26,6 +26,7 @@ __all__ = [
     "is_star",
     "check_label",
     "label_sort_key",
+    "label_code",
     "label_to_string",
     "string_to_label",
     "Block",
@@ -106,6 +107,13 @@ def label_to_string(label):
     return str(label)
 
 
+def label_code(label):
+    """A label as encode() writes it: its JSON-quoted, ASCII-escaped string.
+    Where terms hold labels in the same places, these codes order them as
+    their encodings do (no code is a prefix of another)."""
+    return _quote(label_to_string(label))
+
+
 def string_to_label(text):
     """Invert label_to_string: digits become ints, braces become blocks.
 
@@ -166,6 +174,10 @@ class Block:
 
     def token(self):
         return "{" + ",".join(label_to_string(m) for m in self.members) + "}"
+
+    def code(self):
+        """The member list as encode() writes it in a substitution term."""
+        return _ENCODE(_labels_json(self.members))
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.members == other.members
@@ -252,7 +264,8 @@ class Structure:
         child is a complete JSON object, so no literal is a proper prefix of
         a different literal at the same position, and comparing these tuples
         (with key giving the children's tuples) orders terms exactly as
-        comparing their encodings does.  A term with no child is one
+        comparing their encodings does.  Enumeration compares terms this way
+        where it merges sorted lists.  A term with no child is one
         literal."""
         return (self.encode(),)
 
@@ -269,9 +282,9 @@ class Structure:
 class _Composite(Structure):
     """A term built from other terms.  Enumeration shares one subterm among
     many parents, so the JSON tree is built once, on the first to_json()
-    call, and kept.  That tree serves API callers only: sorting uses
-    _sort_parts and `enumerate --json` writes _text, neither of which
-    builds it."""
+    call, and kept.  That tree serves API callers only: enumeration
+    compares _sort_parts and `enumerate --json` writes _text, neither of
+    which builds it."""
 
     __slots__ = ("_json",)
 
@@ -745,8 +758,7 @@ class CompTerm(_Composite):
         parts = []
         text, sep = '{"assign":[', ""
         for block, inner in self.assign:
-            labels = _ENCODE(_labels_json(block.members))
-            parts += (text + sep + "[" + labels + ",", key(inner))
+            parts += (text + sep + "[" + block.code() + ",", key(inner))
             text, sep = "]", ","
         parts += (text + '],"kind":"comp","outer":', key(self.outer), "}")
         return tuple(parts)
@@ -839,7 +851,7 @@ class PointTerm(_Composite):
 
     def _sort_parts(self, key):
         return (
-            '{"at":' + _ENCODE(label_to_string(self.at)) + ',"inner":',
+            '{"at":' + label_code(self.at) + ',"inner":',
             key(self.inner),
             ',"kind":"point"}',
         )

@@ -1,5 +1,7 @@
 """The command-line interface, driven in process through main()."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
@@ -224,6 +226,47 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         out, _ = capsys.readouterr()
         assert "count" in out and "verify" in out
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, failing on write or on flush."""
+
+    def __init__(self, on):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("on", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "Part", "5", "--json"],
+        ["enumerate", "Part", "5"],
+        ["count", "Part", "8"],
+    ])
+    def test_a_closed_reader_is_exit_0_and_quiet(self, argv, on):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_ClosedPipe(on)), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 0
+        assert err.getvalue() == ""
+
+    def test_missing_defs_file_is_still_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "A", "3", "--defs", "/no/such/file"
+        )
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "/no/such/file" in err
 
 
 class TestNegativeOrder:

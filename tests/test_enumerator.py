@@ -9,7 +9,7 @@ from collections import Counter
 from math import comb, factorial
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from species import cli, enumerator
@@ -545,6 +545,104 @@ class TestEncodeOrder:
         got = enumerate_structures(parse_expr("B"), env, range(1, 6))
         assert len(got) == factorial(5) * comb(10, 5) // 6
         assert calls == []
+
+
+def _finished_walk(expr, env, labels):
+    """The walk of one listing after it returns, with its memo."""
+    walk = enumerator._Walk()
+    _structures(expr, env, enumerator._clean_labels(labels), walk)
+    return walk
+
+
+# Listings that merge both sides of a sum and compose on C, L and S outers,
+# with labels whose encoded order differs from their label order.
+_MERGE_CASES = [
+    ("E + X*L", [1, "a!", 'a"']),
+    ("C(Lp) + L(X + Ep)", [10, 2, "a", "\u00e9"]),
+    ("S(X + Ek[2]) * pt(E)", [1, 10, "a'", "a"]),
+]
+
+
+def _merge_examples(test):
+    for text, labels in _MERGE_CASES:
+        test = example(parse_expr(text), labels)(test)
+    return test
+
+
+class TestOrderByConstruction:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(grammar_exprs(include_names=False, max_leaves=4), _ORDER_LABELS)
+    @_merge_examples
+    def test_every_memo_list_is_in_encode_order(self, expr, labels):
+        n = len(labels)
+        assume(validate(expr, order=n).ok)
+        assume(egf_of(expr, order=n).count(n) <= 2000)
+        for found in _finished_walk(expr, None, labels).memo.values():
+            assert found == sorted(found, key=lambda s: s.encode())
+
+    def test_the_examples_merge_sums_and_compose_on_c_l_s(self):
+        merged, outers = 0, set()
+        for text, labels in _MERGE_CASES:
+            walk = _finished_walk(parse_expr(text), None, labels)
+            for found in walk.memo.values():
+                if found and isinstance(found[0], SumTerm):
+                    merged += {t.side for t in found} == {"left", "right"}
+                if len(found) > 1 and isinstance(found[0], CompTerm):
+                    outers.add(type(found[0].outer))
+        assert merged
+        assert {CycleTerm, ListTerm, MapTerm} <= outers
+
+    def test_outer_with_empty_block_counts(self):
+        env = parse_defs("Pair = Ek[2]\n")
+        expr = parse_expr("Pair(Lp)")
+        labels = [1, 10, 2, "a", "a!"]
+        walk = _finished_walk(expr, env, labels)
+        for found in walk.memo.values():
+            assert found == sorted(found, key=lambda s: s.encode())
+        got = enumerate_structures(expr, env, labels)
+        assert len(got) == egf_of(expr, env, order=5).count(5) == 240
+        assert all(len(s.assign) == 2 for s in got)
+
+    def test_top_level_results_are_never_cut_up(self, monkeypatch):
+        cut = []
+        for cls in (Structure, SumTerm, ProdTerm, CompTerm, DerivTerm,
+                    PointTerm, NamedTerm):
+            def recorded(self, key, original=cls.__dict__["_sort_parts"]):
+                cut.append(self)
+                return original(self, key)
+
+            monkeypatch.setattr(cls, "_sort_parts", recorded)
+        env = parse_defs("B = 1 + X*B^2\n")
+        got = enumerate_structures(parse_expr("B"), env, range(1, 6))
+        assert len(got) == factorial(5) * comb(10, 5) // 6
+        cut_ids = {id(t) for t in cut}
+        assert len(cut_ids) == len(cut)  # each term at most once per walk
+        assert not cut_ids & {id(t) for t in got}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=20),
+                st.text(alphabet='ab!"\\\u00e9\'', min_size=1, max_size=3),
+            ),
+            max_size=7,
+            unique=True,
+        )
+    )
+    def test_involutions_equal_the_filtered_permutations(self, labels):
+        labs = enumerator._clean_labels(labels)
+        want = []
+        for image in itertools.permutations(labs):
+            f = dict(zip(labs, image))
+            if all(f[f[a]] == a for a in labs):
+                want.append(MapTerm(f.items()))
+        want.sort(key=lambda s: s.encode())
+        assert enum("Inv", labels) == want
 
 
 def _cli_stdout(argv):
