@@ -145,38 +145,46 @@ def _name_depths(expr):
 
 
 def _sccs(nodes, edges):
-    """Tarjan's algorithm; components come out dependencies-first."""
+    """Tarjan's algorithm; components come out dependencies-first.  The
+    depth-first walk keeps its own stack of (node, unread edges), so a long
+    definition chain does not reach Python's recursion limit."""
     index = {}
     low = {}
     onstack = set()
     stack = []
     out = []
-    counter = [0]
-
-    def visit(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        for w in edges.get(v, {}):
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in onstack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                onstack.discard(w)
-                comp.append(w)
-                if w == v:
+    for root in sorted(nodes):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(edges.get(root, {})))]
+        while work:
+            v, unread = work[-1]
+            for w in unread:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(edges.get(w, {}))))
                     break
-            out.append(comp)
-
-    for v in sorted(nodes):
-        if v not in index:
-            visit(v)
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
     return out
 
 

@@ -18,6 +18,7 @@ domains.
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -204,14 +205,209 @@ def _brace(labels):
     return "{" + ",".join(label_to_string(l) for l in labels) + "}"
 
 
+# -- JSON decoding ---------------------------------------------------------
+
+def _need(obj, field, types):
+    if not isinstance(obj, dict) or field not in obj:
+        raise ParseError(f"structure object is missing '{field}'")
+    value = obj[field]
+    if not isinstance(value, types):
+        raise ParseError(f"structure field '{field}' has the wrong shape")
+    return value
+
+
+def _decode_labels(values):
+    if not isinstance(values, list):
+        raise ParseError(f"a label list must be a JSON list, not {values!r}")
+    return [string_to_label(v) for v in values]
+
+
+def _pairs(values):
+    for pair in values:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError("a pair must be a two-element list")
+    return values
+
+
+def decode_structure(obj):
+    """Rebuild a Structure from its JSON form; raises ParseError when the
+    object does not describe a well-formed term."""
+    kind = _need(obj, "kind", str)
+    cls = _CLASSES.get(kind)
+    if cls is None:
+        raise ParseError(f"unknown structure kind {kind!r}")
+    try:
+        return cls(*[
+            fk.decode(_need(obj, key, fk.shape)) for key, _, fk in cls.fields
+        ])
+    except (ValueError, TypeError) as err:
+        raise ParseError(f"malformed '{kind}' structure: {err}") from None
+
+
+# -- field tables ----------------------------------------------------------
+#
+# Every term class declares `fields`: one (JSON key, attribute, field kind)
+# entry per constructor argument, in constructor order, which is also the
+# key order of to_json().  to_json(), the decoder, the equality key and
+# relabelling read the table.  A composite term's _text and _sort_parts,
+# which `enumerate --json` and listing call once per term, are compiled
+# from it when the class is created, with the literal JSON text around
+# each field fixed then.
+
+
+class _FieldKind:
+    """How one kind of field is read, written and relabelled.  decode turns
+    its JSON value, checked to be a shape, into a constructor argument,
+    json turns the attribute back into that value, and relabel(value, f)
+    applies f to its labels.  For a composite term's compiled writers, the
+    rest are templates of Python expressions in which {v} is the value:
+    code is the JSON text of a value that holds no term, and a value that
+    holds terms has its text in _text(text) and its part of
+    _sort_parts(key): one child's key or, when splice is set, a run of
+    texts and keys that starts and ends with text."""
+
+    def __init__(self, shape, decode, json, relabel, code="", text="",
+                 part="", splice=False):
+        self.shape, self.decode, self.json = shape, decode, json
+        self.relabel, self.code, self.text = relabel, code, text
+        self.part, self.splice = part, splice
+
+
+_TEXT = _FieldKind(
+    str, lambda v: v, lambda v: v, lambda v, f: v, code="_quote({v})"
+)
+_LABEL = _FieldKind(
+    str, string_to_label, label_to_string, lambda v, f: f(v),
+    code="label_code({v})",
+)
+_LABELS = _FieldKind(
+    list, _decode_labels, _labels_json, lambda v, f: [f(x) for x in v]
+)
+_PAIRS = _FieldKind(
+    list,
+    lambda v: [(string_to_label(a), string_to_label(b)) for a, b in _pairs(v)],
+    lambda v: [[label_to_string(a), label_to_string(b)] for a, b in v],
+    lambda v, f: [(f(a), f(b)) for a, b in v],
+)
+_BLOCKS = _FieldKind(
+    list,
+    lambda v: [_decode_labels(b) for b in v],
+    lambda v: [_labels_json(b) for b in v],
+    lambda v, f: [[f(x) for x in b] for b in v],
+)
+_CHILD = _FieldKind(
+    dict, decode_structure, lambda v: v.to_json(), lambda v, f: v.relabel(f),
+    text="text({v})", part="key({v})",
+)
+#: A child whose labels are blocks, relabelled by each block's image.
+_ON_BLOCKS = _FieldKind(
+    dict, decode_structure, lambda v: v.to_json(),
+    lambda v, f: v.relabel(lambda b: Block(f(m) for m in b.members)),
+    text="text({v})", part="key({v})",
+)
+#: A substitution's (block, inner term) pairs.
+_ASSIGN = _FieldKind(
+    list,
+    lambda v: [
+        (Block(_decode_labels(b)), decode_structure(t)) for b, t in _pairs(v)
+    ],
+    lambda v: [[_labels_json(b.members), t.to_json()] for b, t in v],
+    lambda v, f: [
+        (Block(f(m) for m in b.members), t.relabel(f)) for b, t in v
+    ],
+    text="_assign_text({v}, text)",
+    part="_assign_parts({v}, key)",
+    splice=True,
+)
+
+#: Every term class by its JSON kind.
+_CLASSES = {}
+
+
+def _tuple(items):
+    return "(" + "".join(item + ", " for item in items) + ")"
+
+
+def _compile(cls):
+    """A composite class's _text and _sort_parts, by name."""
+    fields = [(key, "self." + attr, fk) for key, attr, fk in cls.fields]
+    src = [_text_source(cls.kind, fields), _parts_source(cls.kind, fields)]
+    methods = {}
+    code = compile("\n".join(src), f"<fields of {cls.__name__}>", "exec")
+    exec(code, globals(), methods)
+    return methods
+
+
+def _text_source(kind, fields):
+    """_text: keys in insertion order, json.dumps's separators.  Here and in
+    _sort_parts, the keys and kinds written into the generated f-strings
+    have no brace, quote or backslash to escape."""
+    text = '{{"kind": ' + _quote(kind)
+    for k, v, fk in fields:
+        value = (fk.text or fk.code).format(v=v)
+        text += f", {_quote(k)}: {{{value}}}"
+    return f"def _text(self, text): return f'{text}}}}}'"
+
+
+def _parts_source(kind, fields):
+    """_sort_parts: keys sorted, encode()'s separators, cut at each child."""
+    runs, items, text = [], [], "{{"
+    for i, (k, v, fk) in enumerate(sorted(fields + [("kind", "", None)])):
+        text += ("," if i else "") + _quote(k) + ":"
+        if fk is None:
+            text += _quote(kind)
+        elif not fk.part:
+            text += "{" + fk.code.format(v=v) + "}"
+        elif fk.splice:
+            runs += [_tuple(items + [f"f'{text}'"]), fk.part.format(v=v)]
+            items, text = [], ""
+        else:
+            items += [f"f'{text}'", fk.part.format(v=v)]
+            text = ""
+    parts = _tuple(items + [f"f'{text}}}}}'"])
+    if runs:
+        parts = "_splice" + _tuple(runs + [parts])
+    return f"def _sort_parts(self, key): return {parts}"
+
+
+def _splice(*runs):
+    """Join runs of sort parts, each starting and ending with text, merging
+    the texts where two runs meet."""
+    out = list(runs[0])
+    for run in runs[1:]:
+        out[-1] += run[0]
+        out += run[1:]
+    return tuple(out)
+
+
+def _assign_text(assign, text):
+    return "[" + ", ".join(
+        f"[{_DUMPS(_labels_json(block.members))}, {text(inner)}]"
+        for block, inner in assign
+    ) + "]"
+
+
+def _assign_parts(assign, key):
+    parts, text, sep = [], "[", ""
+    for block, inner in assign:
+        parts += (text + sep + "[" + block.code() + ",", key(inner))
+        text, sep = "]", ","
+    return (*parts, text + "]")
+
+
 class Structure:
     """Base class: canonical term with equality, ordering key, and JSON."""
 
     __slots__ = ("_labels",)
-    kind = ""
 
-    def _key(self):
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "fields" in cls.__dict__:
+            _CLASSES[cls.kind] = cls
+            cls._attrs = attrgetter(*[attr for _, attr, _ in cls.fields])
+            if issubclass(cls, _Composite):
+                for name, method in _compile(cls).items():
+                    setattr(cls, name, method)
 
     def labels(self):
         """The underlying label set (derivative stars excluded), computed on
@@ -222,25 +418,20 @@ class Structure:
             self._labels = found = self._label_set()
             return found
 
-    def _label_set(self):
-        raise NotImplementedError
-
     def relabel(self, f):
         """A copy with f applied to every label; stars stay fixed by the
         transport wrapper, not here."""
-        raise NotImplementedError
+        return type(self)(*[
+            fk.relabel(getattr(self, attr), f) for _, attr, fk in self.fields
+        ])
 
     def to_json(self):
-        """The term as a JSON-ready dict, for API callers: listing and
-        `enumerate --json` build none for a composite term.
-
-        Composite terms (sum, prod, comp, deriv, point, named) build it once
-        and return that same dict on every call, nested inside the JSON of
-        every term that contains them: callers must not mutate it.
-        Primitive terms build a fresh dict per call, because one kept dict
-        per listed set, map or graph costs more memory than rebuilding it.
-        """
-        raise NotImplementedError
+        """The term as a JSON-ready dict, for API callers; a primitive term
+        builds a fresh one per call."""
+        tree = {"kind": self.kind}
+        for key, attr, fk in self.fields:
+            tree[key] = fk.json(getattr(self, attr))
+        return tree
 
     def _text(self, text):
         """json.dumps(self.to_json()): default separators, keys in
@@ -249,9 +440,6 @@ class Structure:
         decides which children's texts to keep; a term with no child
         dumps its dict."""
         return _DUMPS(self.to_json())
-
-    def render(self):
-        raise NotImplementedError
 
     def encode(self):
         """Canonical encoding; byte-stable, and it fixes the enumeration
@@ -269,6 +457,9 @@ class Structure:
         literal."""
         return (self.encode(),)
 
+    def _key(self):
+        return self._attrs(self)
+
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -281,10 +472,13 @@ class Structure:
 
 class _Composite(Structure):
     """A term built from other terms.  Enumeration shares one subterm among
-    many parents, so the JSON tree is built once, on the first to_json()
-    call, and kept.  That tree serves API callers only: enumeration
-    compares _sort_parts and `enumerate --json` writes _text, neither of
-    which builds it."""
+    many parents, so its to_json() tree is built on the first call and
+    kept, and every later call, and the JSON of every term containing it,
+    returns that same dict: callers must not mutate it.  (A primitive term
+    builds a fresh dict per call: one kept dict per listed set, map or
+    graph costs more memory than rebuilding it.)  The tree serves API
+    callers only: enumeration compares _sort_parts and `enumerate --json`
+    writes _text, neither of which builds it."""
 
     __slots__ = ("_json",)
 
@@ -292,11 +486,8 @@ class _Composite(Structure):
         try:
             return self._json
         except AttributeError:
-            self._json = tree = self._json_tree()
+            self._json = tree = super().to_json()
             return tree
-
-    def _json_tree(self):
-        raise NotImplementedError
 
 
 class SetTerm(Structure):
@@ -305,21 +496,13 @@ class SetTerm(Structure):
 
     __slots__ = ("members",)
     kind = "set"
+    fields = (("labels", "members", _LABELS),)
 
     def __init__(self, members):
         self.members = _sorted_labels(members)
 
-    def _key(self):
-        return self.members
-
     def _label_set(self):
         return frozenset(self.members)
-
-    def relabel(self, f):
-        return SetTerm(f(m) for m in self.members)
-
-    def to_json(self):
-        return {"kind": "set", "labels": _labels_json(self.members)}
 
     def render(self):
         return _brace(self.members)
@@ -331,6 +514,7 @@ class SubsetTerm(Structure):
 
     __slots__ = ("members", "rest")
     kind = "subset"
+    fields = (("members", "members", _LABELS), ("rest", "rest", _LABELS))
 
     def __init__(self, members, rest):
         self.members = _sorted_labels(members)
@@ -338,21 +522,8 @@ class SubsetTerm(Structure):
         if set(self.members) & set(self.rest):
             raise ValueError("subset and complement overlap")
 
-    def _key(self):
-        return (self.members, self.rest)
-
     def _label_set(self):
         return frozenset(self.members) | frozenset(self.rest)
-
-    def relabel(self, f):
-        return SubsetTerm((f(m) for m in self.members), (f(r) for r in self.rest))
-
-    def to_json(self):
-        return {
-            "kind": "subset",
-            "members": _labels_json(self.members),
-            "rest": _labels_json(self.rest),
-        }
 
     def render(self):
         return _brace(self.members)
@@ -363,23 +534,15 @@ class ListTerm(Structure):
 
     __slots__ = ("seq",)
     kind = "list"
+    fields = (("labels", "seq", _LABELS),)
 
     def __init__(self, seq):
         self.seq = tuple(seq)
         if len(set(self.seq)) != len(self.seq):
             raise ValueError("duplicate label in list")
 
-    def _key(self):
-        return self.seq
-
     def _label_set(self):
         return frozenset(self.seq)
-
-    def relabel(self, f):
-        return ListTerm(f(x) for x in self.seq)
-
-    def to_json(self):
-        return {"kind": "list", "labels": _labels_json(self.seq)}
 
     def render(self):
         return "[" + ",".join(label_to_string(x) for x in self.seq) + "]"
@@ -390,6 +553,7 @@ class CycleTerm(Structure):
 
     __slots__ = ("seq",)
     kind = "cycle"
+    fields = (("labels", "seq", _LABELS),)
 
     def __init__(self, seq):
         seq = tuple(seq)
@@ -400,17 +564,8 @@ class CycleTerm(Structure):
         pivot = min(range(len(seq)), key=lambda i: label_sort_key(seq[i]))
         self.seq = seq[pivot:] + seq[:pivot]
 
-    def _key(self):
-        return self.seq
-
     def _label_set(self):
         return frozenset(self.seq)
-
-    def relabel(self, f):
-        return CycleTerm(f(x) for x in self.seq)
-
-    def to_json(self):
-        return {"kind": "cycle", "labels": _labels_json(self.seq)}
 
     def render(self):
         return "(" + " ".join(label_to_string(x) for x in self.seq) + ")"
@@ -425,6 +580,7 @@ class MapTerm(Structure):
 
     __slots__ = ("pairs",)
     kind = "map"
+    fields = (("pairs", "pairs", _PAIRS),)
 
     def __init__(self, pairs):
         items = sorted(
@@ -438,9 +594,6 @@ class MapTerm(Structure):
             raise ValueError("map target outside the label set")
         self.pairs = tuple(items)
 
-    def _key(self):
-        return self.pairs
-
     def _label_set(self):
         return frozenset(a for a, _ in self.pairs)
 
@@ -452,17 +605,6 @@ class MapTerm(Structure):
 
     def is_bijection(self):
         return {b for _, b in self.pairs} == {a for a, _ in self.pairs}
-
-    def relabel(self, f):
-        return MapTerm((f(a), f(b)) for a, b in self.pairs)
-
-    def to_json(self):
-        return {
-            "kind": "map",
-            "pairs": [
-                [label_to_string(a), label_to_string(b)] for a, b in self.pairs
-            ],
-        }
 
     def render(self):
         inner = ", ".join(
@@ -482,6 +624,7 @@ class GraphTerm(Structure):
 
     __slots__ = ("vertices", "edges")
     kind = "graph"
+    fields = (("vertices", "vertices", _LABELS), ("edges", "edges", _PAIRS))
 
     def __init__(self, vertices, edges):
         self.vertices = _sorted_labels(vertices)
@@ -498,26 +641,8 @@ class GraphTerm(Structure):
             raise ValueError("duplicate edge")
         self.edges = _sorted_pairs(norm)
 
-    def _key(self):
-        return (self.vertices, self.edges)
-
     def _label_set(self):
         return frozenset(self.vertices)
-
-    def relabel(self, f):
-        return GraphTerm(
-            (f(v) for v in self.vertices),
-            ((f(a), f(b)) for a, b in self.edges),
-        )
-
-    def to_json(self):
-        return {
-            "kind": "graph",
-            "vertices": _labels_json(self.vertices),
-            "edges": [
-                [label_to_string(a), label_to_string(b)] for a, b in self.edges
-            ],
-        }
 
     def render(self):
         edges = " ".join(_brace(e) for e in self.edges) or "-"
@@ -529,6 +654,7 @@ class DigraphTerm(Structure):
 
     __slots__ = ("vertices", "arcs")
     kind = "digraph"
+    fields = (("vertices", "vertices", _LABELS), ("arcs", "arcs", _PAIRS))
 
     def __init__(self, vertices, arcs):
         self.vertices = _sorted_labels(vertices)
@@ -541,26 +667,8 @@ class DigraphTerm(Structure):
             raise ValueError("duplicate arc")
         self.arcs = _sorted_pairs(arcs)
 
-    def _key(self):
-        return (self.vertices, self.arcs)
-
     def _label_set(self):
         return frozenset(self.vertices)
-
-    def relabel(self, f):
-        return DigraphTerm(
-            (f(v) for v in self.vertices),
-            ((f(a), f(b)) for a, b in self.arcs),
-        )
-
-    def to_json(self):
-        return {
-            "kind": "digraph",
-            "vertices": _labels_json(self.vertices),
-            "arcs": [
-                [label_to_string(a), label_to_string(b)] for a, b in self.arcs
-            ],
-        }
 
     def render(self):
         arcs = " ".join(
@@ -574,6 +682,7 @@ class PartitionTerm(Structure):
 
     __slots__ = ("blocks",)
     kind = "partition"
+    fields = (("blocks", "blocks", _BLOCKS),)
 
     def __init__(self, blocks):
         norm = [_sorted_labels(b) for b in blocks]
@@ -589,20 +698,8 @@ class PartitionTerm(Structure):
             sorted(norm, key=lambda b: label_sort_key(b[0]))
         )
 
-    def _key(self):
-        return self.blocks
-
     def _label_set(self):
         return frozenset(x for b in self.blocks for x in b)
-
-    def relabel(self, f):
-        return PartitionTerm(tuple(f(x) for x in b) for b in self.blocks)
-
-    def to_json(self):
-        return {
-            "kind": "partition",
-            "blocks": [_labels_json(b) for b in self.blocks],
-        }
 
     def render(self):
         return "{" + ",".join(_brace(b) for b in self.blocks) + "}"
@@ -613,6 +710,7 @@ class SumTerm(_Composite):
 
     __slots__ = ("side", "inner")
     kind = "sum"
+    fields = (("side", "side", _TEXT), ("inner", "inner", _CHILD))
 
     def __init__(self, side, inner):
         if side not in ("left", "right"):
@@ -620,30 +718,8 @@ class SumTerm(_Composite):
         self.side = side
         self.inner = inner
 
-    def _key(self):
-        return (self.side, self.inner)
-
     def _label_set(self):
         return self.inner.labels()
-
-    def relabel(self, f):
-        return SumTerm(self.side, self.inner.relabel(f))
-
-    def _json_tree(self):
-        return {"kind": "sum", "side": self.side, "inner": self.inner.to_json()}
-
-    def _sort_parts(self, key):
-        return (
-            '{"inner":',
-            key(self.inner),
-            ',"kind":"sum","side":' + _ENCODE(self.side) + "}",
-        )
-
-    def _text(self, text):
-        return (
-            f'{{"kind": "sum", "side": {_quote(self.side)}, '
-            f'"inner": {text(self.inner)}}}'
-        )
 
     def render(self):
         return f"{self.side}({self.inner.render()})"
@@ -654,6 +730,7 @@ class ProdTerm(_Composite):
 
     __slots__ = ("left", "right")
     kind = "prod"
+    fields = (("left", "left", _CHILD), ("right", "right", _CHILD))
 
     def __init__(self, left, right):
         if not left.labels().isdisjoint(right.labels()):
@@ -661,36 +738,8 @@ class ProdTerm(_Composite):
         self.left = left
         self.right = right
 
-    def _key(self):
-        return (self.left, self.right)
-
     def _label_set(self):
         return self.left.labels() | self.right.labels()
-
-    def relabel(self, f):
-        return ProdTerm(self.left.relabel(f), self.right.relabel(f))
-
-    def _json_tree(self):
-        return {
-            "kind": "prod",
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
-
-    def _sort_parts(self, key):
-        return (
-            '{"kind":"prod","left":',
-            key(self.left),
-            ',"right":',
-            key(self.right),
-            "}",
-        )
-
-    def _text(self, text):
-        return (
-            f'{{"kind": "prod", "left": {text(self.left)}, '
-            f'"right": {text(self.right)}}}'
-        )
 
     def render(self):
         return f"({self.left.render()}, {self.right.render()})"
@@ -702,6 +751,7 @@ class CompTerm(_Composite):
 
     __slots__ = ("outer", "assign")
     kind = "comp"
+    fields = (("outer", "outer", _ON_BLOCKS), ("assign", "assign", _ASSIGN))
 
     def __init__(self, outer, assign):
         assign = sorted(
@@ -724,53 +774,9 @@ class CompTerm(_Composite):
         self.outer = outer
         self.assign = tuple(assign)
 
-    def _key(self):
-        return (self.outer, self.assign)
-
     def _label_set(self):
         return frozenset(
             m for block, _ in self.assign for m in block.members
-        )
-
-    def relabel(self, f):
-        def on_block(b):
-            return Block(f(m) for m in b.members)
-
-        return CompTerm(
-            self.outer.relabel(on_block),
-            (
-                (on_block(block), inner.relabel(f))
-                for block, inner in self.assign
-            ),
-        )
-
-    def _json_tree(self):
-        return {
-            "kind": "comp",
-            "outer": self.outer.to_json(),
-            "assign": [
-                [_labels_json(block.members), inner.to_json()]
-                for block, inner in self.assign
-            ],
-        }
-
-    def _sort_parts(self, key):
-        parts = []
-        text, sep = '{"assign":[', ""
-        for block, inner in self.assign:
-            parts += (text + sep + "[" + block.code() + ",", key(inner))
-            text, sep = "]", ","
-        parts += (text + '],"kind":"comp","outer":', key(self.outer), "}")
-        return tuple(parts)
-
-    def _text(self, text):
-        assign = ", ".join(
-            f"[{_DUMPS(_labels_json(block.members))}, {text(inner)}]"
-            for block, inner in self.assign
-        )
-        return (
-            f'{{"kind": "comp", "outer": {text(self.outer)}, '
-            f'"assign": [{assign}]}}'
         )
 
     def render(self):
@@ -788,6 +794,7 @@ class DerivTerm(_Composite):
 
     __slots__ = ("inner",)
     kind = "deriv"
+    fields = (("inner", "inner", _CHILD),)
 
     def __init__(self, inner):
         if not any(is_star(l) for l in inner.labels()):
@@ -799,23 +806,8 @@ class DerivTerm(_Composite):
             (l for l in self.inner.labels() if is_star(l)), key=len
         )
 
-    def _key(self):
-        return (self.inner,)
-
     def _label_set(self):
         return self.inner.labels() - {self._star()}
-
-    def relabel(self, f):
-        return DerivTerm(self.inner.relabel(f))
-
-    def _json_tree(self):
-        return {"kind": "deriv", "inner": self.inner.to_json()}
-
-    def _sort_parts(self, key):
-        return ('{"inner":', key(self.inner), ',"kind":"deriv"}')
-
-    def _text(self, text):
-        return f'{{"kind": "deriv", "inner": {text(self.inner)}}}'
 
     def render(self):
         return f"D({self.inner.render()})"
@@ -826,6 +818,7 @@ class PointTerm(_Composite):
 
     __slots__ = ("at", "inner")
     kind = "point"
+    fields = (("at", "at", _LABEL), ("inner", "inner", _CHILD))
 
     def __init__(self, at, inner):
         if at not in inner.labels():
@@ -833,34 +826,8 @@ class PointTerm(_Composite):
         self.at = at
         self.inner = inner
 
-    def _key(self):
-        return (self.at, self.inner)
-
     def _label_set(self):
         return self.inner.labels()
-
-    def relabel(self, f):
-        return PointTerm(f(self.at), self.inner.relabel(f))
-
-    def _json_tree(self):
-        return {
-            "kind": "point",
-            "at": label_to_string(self.at),
-            "inner": self.inner.to_json(),
-        }
-
-    def _sort_parts(self, key):
-        return (
-            '{"at":' + label_code(self.at) + ',"inner":',
-            key(self.inner),
-            ',"kind":"point"}',
-        )
-
-    def _text(self, text):
-        return (
-            f'{{"kind": "point", "at": {_quote(label_to_string(self.at))}, '
-            f'"inner": {text(self.inner)}}}'
-        )
 
     def render(self):
         return f"pt[{label_to_string(self.at)}]{self.inner.render()}"
@@ -871,134 +838,17 @@ class NamedTerm(_Composite):
 
     __slots__ = ("name", "inner")
     kind = "named"
+    fields = (("name", "name", _TEXT), ("inner", "inner", _CHILD))
 
     def __init__(self, name, inner):
         self.name = name
         self.inner = inner
 
-    def _key(self):
-        return (self.name, self.inner)
-
     def _label_set(self):
         return self.inner.labels()
 
-    def relabel(self, f):
-        return NamedTerm(self.name, self.inner.relabel(f))
-
-    def _json_tree(self):
-        return {
-            "kind": "named",
-            "name": self.name,
-            "inner": self.inner.to_json(),
-        }
-
-    def _sort_parts(self, key):
-        return (
-            '{"inner":',
-            key(self.inner),
-            ',"kind":"named","name":' + _ENCODE(self.name) + "}",
-        )
-
-    def _text(self, text):
-        return (
-            f'{{"kind": "named", "name": {_quote(self.name)}, '
-            f'"inner": {text(self.inner)}}}'
-        )
-
     def render(self):
         return f"{self.name}:{self.inner.render()}"
-
-
-# -- JSON decoding ---------------------------------------------------------
-
-def _need(obj, field, types):
-    if not isinstance(obj, dict) or field not in obj:
-        raise ParseError(f"structure object is missing '{field}'")
-    value = obj[field]
-    if not isinstance(value, types):
-        raise ParseError(f"structure field '{field}' has the wrong shape")
-    return value
-
-
-def _decode_labels(values):
-    return [string_to_label(v) for v in values]
-
-
-def _decode_pairs(values):
-    out = []
-    for pair in values:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError("a pair must be a two-element list")
-        out.append((string_to_label(pair[0]), string_to_label(pair[1])))
-    return out
-
-
-def decode_structure(obj):
-    """Rebuild a Structure from its JSON form; raises ParseError when the
-    object does not describe a well-formed term."""
-    kind = _need(obj, "kind", str)
-    try:
-        if kind == "set":
-            return SetTerm(_decode_labels(_need(obj, "labels", list)))
-        if kind == "subset":
-            return SubsetTerm(
-                _decode_labels(_need(obj, "members", list)),
-                _decode_labels(_need(obj, "rest", list)),
-            )
-        if kind == "list":
-            return ListTerm(_decode_labels(_need(obj, "labels", list)))
-        if kind == "cycle":
-            return CycleTerm(_decode_labels(_need(obj, "labels", list)))
-        if kind == "map":
-            return MapTerm(_decode_pairs(_need(obj, "pairs", list)))
-        if kind == "graph":
-            return GraphTerm(
-                _decode_labels(_need(obj, "vertices", list)),
-                _decode_pairs(_need(obj, "edges", list)),
-            )
-        if kind == "digraph":
-            return DigraphTerm(
-                _decode_labels(_need(obj, "vertices", list)),
-                _decode_pairs(_need(obj, "arcs", list)),
-            )
-        if kind == "partition":
-            blocks = _need(obj, "blocks", list)
-            return PartitionTerm(_decode_labels(b) for b in blocks)
-        if kind == "sum":
-            return SumTerm(
-                _need(obj, "side", str),
-                decode_structure(_need(obj, "inner", dict)),
-            )
-        if kind == "prod":
-            return ProdTerm(
-                decode_structure(_need(obj, "left", dict)),
-                decode_structure(_need(obj, "right", dict)),
-            )
-        if kind == "comp":
-            outer = decode_structure(_need(obj, "outer", dict))
-            assign = []
-            for entry in _need(obj, "assign", list):
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise ParseError("an assignment must pair block and term")
-                assign.append(
-                    (Block(_decode_labels(entry[0])), decode_structure(entry[1]))
-                )
-            return CompTerm(outer, assign)
-        if kind == "deriv":
-            return DerivTerm(decode_structure(_need(obj, "inner", dict)))
-        if kind == "point":
-            return PointTerm(
-                string_to_label(_need(obj, "at", str)),
-                decode_structure(_need(obj, "inner", dict)),
-            )
-        if kind == "named":
-            return NamedTerm(
-                _need(obj, "name", str),
-                decode_structure(_need(obj, "inner", dict)),
-            )
-    except (ValueError, TypeError) as err:
-        raise ParseError(f"malformed '{kind}' structure: {err}") from None
-    raise ParseError(f"unknown structure kind {kind!r}")
 
 
 # -- bijections ------------------------------------------------------------

@@ -52,6 +52,14 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"n": 4, "count": 24}
 
+    def test_long_definition_chain(self, capsys, tmp_path):
+        # N0 = X^1500, reached through 1 500 names in one chain.
+        path = tmp_path / "chain.species"
+        lines = [f"N{i} = X*N{i + 1}" for i in range(1499)] + ["N1499 = X"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "count", "N0", "1", "--defs", str(path))
+        assert (code, out) == (0, "0\n")
+
 
 class TestSeries:
     def test_text_rows(self, capsys):
