@@ -732,3 +732,38 @@ class TestJsonListing:
         assert sum(built.values()) > factorial(5) * comb(10, 5) // 6
         assert max(built.values()) == 2
         assert trees == []
+
+
+# Digests of `enumerate EXPR LABELS [--json]` stdout for the primitives
+# listed by a walk over their edge, arc or member lists, pinned from the
+# listing that sorted them by encode().
+_SUBLIST_DIGESTS = {
+    ("Gra", 4, "int", True): "b5882d1f5e9fba5cd215f372b33d2de09d13adc889af12365314b727f09f574f",
+    ("Gra", 4, "int", False): "d2a8faa779b98284a39b1dca02a2c78832ed6eb6c522836fd7578336b36f9d0d",
+    ("Gra", 4, "str", True): "4e0e89535f0bd2f91499d8d2d32c49805af37e9bc2431f6bbd97e3a3f914ea43",
+    ("Gra", 4, "str", False): "1fe26f4731c176417d2a50dac5ff310fd78b2a2460596ef1dcc8a648792beac6",
+    ("Gro", 3, "int", True): "c439b564078fa0fb289bfe99c130ac91544ef176893b4dcb0f5c54c6c3b71611",
+    ("Gro", 3, "int", False): "c64d22f84829ad690e4cd540856aeb68ba6851ae5ae1fd39635d6fa223336e1a",
+    ("Gro", 3, "str", True): "6814eef8010dd1c1648c999ca435ec7d3313dcc0a2d210480b5796a1e1a69f89",
+    ("Gro", 3, "str", False): "71101e95a1dd5598435efa1d6884a00e7a3100c865ab5e896f13c26cf081079f",
+    ("P", 5, "int", True): "5069afc2884384577c2227da0dc37fa4ebac304f714ff9c43e2c6c828a768bb0",
+    ("P", 5, "int", False): "de729229c6d1f358f66ed0c2d734c4b83644c6c5e5bab4c6d4cb767defceb2e5",
+    ("P", 5, "str", True): "e76542a7df11a467392cab46b4c663b8116aa0ffbaa61dfa08994051bf48c7ad",
+    ("P", 5, "str", False): "8f6eb127c010c8624ab68b2684eefe6342f87553ffa5d2af9af5b759f5b08d8b",
+    ("Pk[2]", 5, "int", True): "a513ee7bc00497726d31a0fb52ab2aed4a30bd1f55b6ac0974a83f4e51a971ca",
+    ("Pk[2]", 5, "int", False): "b2352a7c0dd819a1cc26604bb772dd809b5f23788d872aa5a6082fffdd39ab72",
+    ("Pk[2]", 5, "str", True): "a9c5b56480af9e0b551998a381e15c561765d3ddedeb532bc0fc890c054d4566",
+    ("Pk[2]", 5, "str", False): "dfe058d9ad39913f713853579d5a91b087c9b1f0e58215539e970df46d252efe",
+}
+
+
+class TestSublistPrimitives:
+    @pytest.mark.parametrize("key", sorted(_SUBLIST_DIGESTS), ids=str)
+    def test_enumerate_stdout_digest(self, key):
+        text, n, kind, as_json = key
+        pool = _INT_LABELS if kind == "int" else _STR_LABELS
+        argv = ["enumerate", text, ",".join(pool[:n])]
+        code, out = _cli_stdout(argv + (["--json"] if as_json else []))
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == _SUBLIST_DIGESTS[key]
