@@ -11,7 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 parse/validation failure (also a failed verify run),
 2 non-integer or negative count, 3 enumeration budget exceeded, 4 label-set
 mismatch in transport.  A reader that closes stdout early is no failure:
-output stops and the exit code is 0.
+output stops and the exit code is 0.  An expression that nests deeper than
+parser.MAX_NESTING levels is a parse failure, and so is any other input
+that nests too deeply for Python's recursion limit (a long chain of names
+enumerated, a deeply nested JSON structure).
 """
 
 import argparse
@@ -321,6 +324,12 @@ def main(argv=None):
     except DomainMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print(
+            "error: the input nests too deeply for Python's recursion limit",
+            file=sys.stderr,
+        )
+        return 1
     except (
         ParseError,
         DuplicateName,

@@ -9,7 +9,7 @@ No listing is sorted at the end.  The encoding fixes the order child first,
 so every node builds its list in encode() order from its children's lists:
 a node that wraps one child keeps the child's order, a sum merges its two
 sides, a product orders its left factors, and primitives are generated in
-order or sorted once per label set.
+order.  Only partitions are still sorted by encode(), once per label set.
 
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
@@ -377,11 +377,44 @@ def _involutions(labels):
     return out
 
 
+def _sublists(items, code, build, size=None):
+    """build(chosen) for every sublist chosen of items, kept in items'
+    order, in the order of the JSON lists they are written as.
+
+    Those lists compare element by element, and elements compare by code.
+    A list that extends another comes before it, because "," sorts before
+    "]", so the empty list comes last.  A depth-first walk therefore takes
+    the next element of items in code order and emits a list after all of
+    its extensions.  With size, only the lists of that length are built.
+    """
+    n = len(items)
+    by_code = sorted(range(n), key=lambda i: code(items[i]))
+    after = [[i for i in by_code if i >= start] for start in range(n + 1)]
+    out = []
+
+    def walk(chosen, start):
+        if size is None or len(chosen) < size:
+            for i in after[start]:
+                walk(chosen + (items[i],), i + 1)
+        if size is None or len(chosen) == size:
+            out.append(build(chosen))
+
+    walk((), 0)
+    return out
+
+
 def _primitive_structures(expr, labels):
-    """The structures of a primitive on labels, in encode() order.  Lists,
-    cycles and maps hold their labels in fixed places (maps by source), so
-    they are generated from the labels in encoded order; the rest are
-    sorted by encode()."""
+    """The structures of a primitive on labels, in encode() order.
+
+    Lists, cycles and maps hold their labels in fixed places (maps by
+    source), so they are generated from the labels in encoded order.  On
+    one label set, subsets, graphs and digraphs differ only in their list
+    of members, edges or arcs, so _sublists walks those lists in order.
+    Partitions are still sorted by encode().  On the verify workload that
+    sort is the one call of Structure.encode, a boundary that
+    perfbench/tracing.py requires to be reached until the engine counts its
+    own work (ROADMAP item 1).
+    """
     kind = expr.kind
     n = len(labels)
     if kind is K.ZERO:
@@ -424,35 +457,36 @@ def _primitive_structures(expr, labels):
             MapTerm(zip(labels, image))
             for image in iproduct(by_code, repeat=n)
         ]
+    codes = {x: label_code(x) for x in labels}
+    if kind is K.SUBSET or kind is K.KSUBSET:
+
+        def subset(chosen):
+            taken = set(chosen)
+            return SubsetTerm(chosen, (x for x in labels if x not in taken))
+
+        size = expr.param if kind is K.KSUBSET else None
+        return _sublists(labels, codes.__getitem__, subset, size)
+
+    def pair_code(pair):
+        return codes[pair[0]], codes[pair[1]]
+
+    if kind is K.GRAPH:
+        return _sublists(
+            list(combinations(labels, 2)),
+            pair_code,
+            lambda edges: GraphTerm(labels, edges),
+        )
+    if kind is K.DIGRAPH:
+        return _sublists(
+            list(iproduct(labels, repeat=2)),
+            pair_code,
+            lambda arcs: DigraphTerm(labels, arcs),
+        )
     if kind is K.PARTITION:
         out = [PartitionTerm(p) for p in _set_partitions(labels)]
-    elif kind is K.SUBSET or kind is K.KSUBSET:
-        sizes = range(n + 1) if kind is K.SUBSET else [expr.param]
-        out = []
-        for k in sizes:
-            for chosen in combinations(labels, k):
-                taken = set(chosen)
-                out.append(
-                    SubsetTerm(chosen, (x for x in labels if x not in taken))
-                )
-    elif kind is K.GRAPH:
-        all_edges = list(combinations(labels, 2))
-        out = [
-            GraphTerm(labels, chosen)
-            for k in range(len(all_edges) + 1)
-            for chosen in combinations(all_edges, k)
-        ]
-    elif kind is K.DIGRAPH:
-        all_arcs = list(iproduct(labels, repeat=2))
-        out = [
-            DigraphTerm(labels, chosen)
-            for k in range(len(all_arcs) + 1)
-            for chosen in combinations(all_arcs, k)
-        ]
-    else:
-        raise TypeError(f"no structure rule for primitive {kind}")
-    out.sort(key=lambda s: s.encode())
-    return out
+        out.sort(key=lambda s: s.encode())
+        return out
+    raise TypeError(f"no structure rule for primitive {kind}")
 
 
 # -- transport -------------------------------------------------------------

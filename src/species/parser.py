@@ -16,6 +16,12 @@ Powers are sugar: F^k is expanded to a left-nested product at parse time, so
 there is no power node in the tree.  A definitions file holds one "Name =
 expr" per line; "#" starts a comment and definitions may reference names
 bound later in the file.
+
+An expression nests at most MAX_NESTING levels: no more brackets open at
+once, and no more nodes on a path from the root of its tree, where F^k
+counts as the k-1 products it expands to.  The parser and the walks over
+the tree recurse once or a few times per level, so deeper input is
+refused with a ParseError before it can exhaust Python's stack.
 """
 
 import re
@@ -38,7 +44,9 @@ from .expr import (
     TOKEN_TO_KIND,
 )
 
-__all__ = ["parse_expr", "parse_defs", "collect_names"]
+__all__ = ["MAX_NESTING", "parse_expr", "parse_defs", "collect_names"]
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s+|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<int>\d+)|(?P<sym>[-+*^'()\[\]=])"
@@ -75,6 +83,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.at = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.at]
@@ -112,53 +121,76 @@ class _Parser:
         self.at += 1
         return int(value)
 
+    def nested(self, depth):
+        """depth, checked against MAX_NESTING; deeper input is refused at
+        the token just read."""
+        if depth > MAX_NESTING:
+            raise ParseError(
+                f"the expression nests deeper than {MAX_NESTING} levels",
+                position=self.tokens[self.at - 1][2],
+            )
+        return depth
+
+    def bracketed(self, why):
+        """The (node, depth) of an expression inside brackets that are
+        open, up to the closing one."""
+        self.open = self.nested(self.open + 1)
+        found = self.expr()
+        self.expect_sym(")", why)
+        self.open -= 1
+        return found
+
     # -- grammar ----------------------------------------------------------
+    #
+    # Each rule returns (node, depth): the node and the number of nodes on
+    # the longest path down from it.
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.accept_sym("+"):
-            node = Sum(node, self.term())
-        return node
+            right, right_depth = self.term()
+            node = Sum(node, right)
+            depth = self.nested(1 + max(depth, right_depth))
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.accept_sym("*"):
-            node = Product(node, self.factor())
-        return node
+            right, right_depth = self.factor()
+            node = Product(node, right)
+            depth = self.nested(1 + max(depth, right_depth))
+        return node, depth
 
     def factor(self):
-        node = self.postfix()
+        node, depth = self.postfix()
         while self.accept_sym("^"):
             k = self.expect_int("the exponent")
-            node = self._power(node, k)
-        return node
-
-    @staticmethod
-    def _power(base, k):
-        if k == 0:
-            return Primitive(PrimitiveKind.ONE)
-        out = base
-        for _ in range(k - 1):
-            out = Product(out, base)
-        return out
+            if k == 0:
+                node, depth = Primitive(PrimitiveKind.ONE), 1
+                continue
+            # Checked before the k-1 products are built.
+            depth = self.nested(depth + k - 1)
+            base = node
+            for _ in range(k - 1):
+                node = Product(node, base)
+        return node, depth
 
     def postfix(self):
-        node = self.atom()
+        node, depth = self.atom()
         while self.accept_sym("'"):
+            depth = self.nested(depth + 1)
             node = Derivative(node)
-        return node
+        return node, depth
 
     def atom(self):
         kind, value, pos = self.next()
         if kind == "sym" and value == "(":
-            node = self.expr()
-            self.expect_sym(")", "a parenthesized expression")
-            return node
+            return self.bracketed("a parenthesized expression")
         if kind == "int":
             if value == "0":
-                return Primitive(PrimitiveKind.ZERO)
+                return Primitive(PrimitiveKind.ZERO), 1
             if value == "1":
-                return Primitive(PrimitiveKind.ONE)
+                return Primitive(PrimitiveKind.ONE), 1
             raise ParseError(
                 f"the number {value} is not a species",
                 position=pos,
@@ -176,13 +208,13 @@ class _Parser:
     def _ident_atom(self, ident, pos):
         if ident == "pt":
             self.expect_sym("(", "the argument of pt")
-            node = self.expr()
-            self.expect_sym(")", "the argument of pt")
-            return Pointing(node)
+            node, depth = self.bracketed("the argument of pt")
+            return Pointing(node), self.nested(depth + 1)
         if self.accept_sym("("):
-            inner = self.expr()
-            self.expect_sym(")", "a substitution argument")
-            return Substitute(self._callee(ident, pos), inner)
+            inner, depth = self.bracketed("a substitution argument")
+            return Substitute(self._callee(ident, pos), inner), self.nested(
+                depth + 1
+            )
         if self.accept_sym("["):
             k = self.expect_int("the parameter")
             self.expect_sym("]", "a parameter")
@@ -193,7 +225,7 @@ class _Parser:
                     position=pos,
                     expected=("Pk", "Ek"),
                 )
-            return Primitive(kind, k)
+            return Primitive(kind, k), 1
         kind = TOKEN_TO_KIND.get(ident)
         if kind is not None:
             if kind in PARAMETRIC:
@@ -202,8 +234,8 @@ class _Parser:
                     position=pos,
                     expected=("'['",),
                 )
-            return Primitive(kind)
-        return Name(ident)
+            return Primitive(kind), 1
+        return Name(ident), 1
 
     @staticmethod
     def _callee(ident, pos):
@@ -232,7 +264,8 @@ class _Parser:
 def parse_expr(text):
     """Parse one expression; raises ParseError with position on bad input."""
     p = _Parser(text)
-    return p.finish(p.expr())
+    node, _ = p.expr()
+    return p.finish(node)
 
 
 def collect_names(expr):

@@ -6,11 +6,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from species import semantics
 from species.cli import main
-from species.expr import PrimitiveKind
+from species.expr import RESERVED, PrimitiveKind, print_expr
+from species.parser import MAX_NESTING
 from species.series import CountSeries
+
+from strategies import grammar_exprs
 
 
 @pytest.fixture
@@ -288,4 +293,96 @@ class TestNegativeOrder:
         assert code == 1
         assert out == ""
         assert "error:" in err and "nonnegative" in err
+        assert "Traceback" not in err
+
+
+def _refused_as_too_deep(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestNestingLimit:
+    def test_a_deep_power_names_the_limit(self, capsys):
+        code, out, err = run(capsys, "count", "X^5000", "1")
+        _refused_as_too_deep(code, out, err)
+        assert f"nests deeper than {MAX_NESTING} levels" in err
+
+    def test_deep_brackets_name_the_limit(self, capsys):
+        text = "(" * 3000 + "X" + ")" * 3000
+        code, out, err = run(capsys, "count", text, "1")
+        _refused_as_too_deep(code, out, err)
+        assert f"nests deeper than {MAX_NESTING} levels" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"X^{MAX_NESTING}",
+            "+".join(["X"] * MAX_NESTING),
+            "(" * MAX_NESTING + "X" + ")" * MAX_NESTING,
+            "pt(" * (MAX_NESTING - 1) + "X" + ")" * (MAX_NESTING - 1),
+            "C(" * (MAX_NESTING - 1) + "X" + ")" * (MAX_NESTING - 1),
+            "E" + "'" * (MAX_NESTING - 1),
+        ],
+        ids=["power", "sum", "brackets", "pt", "substitution", "derivative"],
+    )
+    def test_the_limit_is_reached_and_not_passed(self, capsys, text):
+        for argv in (["count", text, "1"], ["enumerate", text, "1"]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+        deeper = "pt(" + text + ")"
+        code, out, err = run(capsys, "count", deeper, "1")
+        _refused_as_too_deep(code, out, err)
+        assert f"nests deeper than {MAX_NESTING} levels" in err
+
+    def test_a_long_chain_of_names_enumerated(self, capsys, tmp_path):
+        path = tmp_path / "chain.species"
+        lines = [f"N{i} = X + N{i + 1}" for i in range(1499)] + ["N1499 = X"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["N0", "1", "--defs", str(path)]
+        assert run(capsys, "count", *argv) == (0, "1500\n", "")
+        code, out, err = run(capsys, "enumerate", *argv)
+        _refused_as_too_deep(code, out, err)
+        assert "recursion limit" in err
+
+    def test_a_deeply_nested_structure(self, capsys):
+        text = "[" * 5000 + "]" * 5000
+        code, out, err = run(capsys, "transport", "X", "1->1", text)
+        _refused_as_too_deep(code, out, err)
+        assert "recursion limit" in err
+
+
+# Short count and series inputs over the grammar's alphabet: token runs,
+# nearly all refused, and printed well-formed expressions.
+_TOKENS = sorted(RESERVED) + list("0123456789()+*^'[]") + ["[2]"]
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join),
+    grammar_exprs(include_names=False, max_leaves=4).map(print_expr),
+)
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _TEXTS,
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_count_and_series_exit_with_a_contract_code(
+        self, text, order, as_series, as_json
+    ):
+        if as_series:
+            argv = ["series", text, "--order", str(order)]
+        else:
+            argv = ["count", text, str(order)]
+        code, err = _quiet_main(argv + (["--json"] if as_json else []))
+        assert code in {0, 1, 2, 3, 4}
         assert "Traceback" not in err

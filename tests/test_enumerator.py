@@ -39,6 +39,7 @@ from species.structures import (
     CompTerm,
     CycleTerm,
     DerivTerm,
+    DigraphTerm,
     GraphTerm,
     ListTerm,
     MapTerm,
@@ -767,3 +768,80 @@ class TestSublistPrimitives:
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == _SUBLIST_DIGESTS[key]
+
+    @pytest.mark.parametrize(
+        "text,labels",
+        [
+            ("Gra", [1, 2, 10, "a"]),
+            ("Gra", [2, 10, "a!", 'a"', "\u00e9"]),
+            ("Gro", [1, 10, "a'"]),
+            ("Gro", [10, "a", "a!"]),
+            ("P", [1, 2, 10, 11, "a", "a!", 'a"', "b"]),
+            ("Pk[2]", [1, 2, 10, "a", "a!", "\u00e9"]),
+            ("Pk[3]", [3, 10, 20, "a", "a'", "a!", "b"]),
+        ],
+    )
+    def test_listing_equals_the_sorted_listing(self, text, labels):
+        labs = enumerator._clean_labels(labels)
+        if text == "Gra":
+            pairs = list(itertools.combinations(labs, 2))
+            want = [GraphTerm(labs, c) for c in _all_sublists(pairs)]
+        elif text == "Gro":
+            pairs = list(itertools.product(labs, repeat=2))
+            want = [DigraphTerm(labs, c) for c in _all_sublists(pairs)]
+        else:
+            size = {"P": None, "Pk[2]": 2, "Pk[3]": 3}[text]
+            want = [
+                SubsetTerm(c, set(labs) - set(c))
+                for c in _all_sublists(labs)
+                if size is None or len(c) == size
+            ]
+        want.sort(key=lambda s: s.encode())
+        assert enum(text, labels) == want
+
+    @pytest.mark.parametrize("text", ["Gra", "Gro", "P", "Pk[2]"])
+    def test_listing_calls_no_encode(self, text, monkeypatch):
+        calls = []
+        encode = Structure.encode
+
+        def recorded(self):
+            calls.append(self)
+            return encode(self)
+
+        monkeypatch.setattr(Structure, "encode", recorded)
+        got = enum(text, [1, 10, "a"])
+        assert len(got) == {"Gra": 8, "Gro": 512, "P": 8, "Pk[2]": 3}[text]
+        assert calls == []
+
+    def test_small_and_empty_cases(self):
+        assert enum("Pk[0]", [1, 2, 3]) == [SubsetTerm((), (1, 2, 3))]
+        assert enum("Pk[4]", [1, 2, 3]) == []
+        assert enum("Pk[3]", [1, 2, 3]) == [SubsetTerm((1, 2, 3), ())]
+        assert enum("P", []) == [SubsetTerm((), ())]
+        assert enum("Gra", []) == [GraphTerm((), ())]
+        assert enum("Gra", ["a"]) == [GraphTerm(["a"], ())]
+        assert enum("Gro", []) == [DigraphTerm((), ())]
+        assert enum("Gro", [7]) == [
+            DigraphTerm([7], [(7, 7)]),
+            DigraphTerm([7], ()),
+        ]
+
+    def test_digraphs_on_four_labels_are_built_once_each(self, monkeypatch):
+        built = []
+        init = DigraphTerm.__init__
+
+        def counted(self, vertices, arcs):
+            built.append(1)
+            init(self, vertices, arcs)
+
+        monkeypatch.setattr(DigraphTerm, "__init__", counted)
+        got = enum("Gro", [1, 2, 3, 4])
+        assert len(got) == len(built) == 2**16
+
+
+def _all_sublists(items):
+    return [
+        chosen
+        for k in range(len(items) + 1)
+        for chosen in itertools.combinations(items, k)
+    ]
