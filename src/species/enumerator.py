@@ -302,6 +302,9 @@ def _compositions(expr, env, labels, active):
     n = len(labels)
     outer_counts = active.counts(expr.outer, env, n)
     listed = {}
+    # One block per member tuple, so every entry of listed and every term
+    # built on it share the block and what it keeps.
+    block_on = {}
 
     def assignments(rest, blocks):
         """The pair tuples on rest in order, using a number of blocks whose
@@ -318,7 +321,10 @@ def _compositions(expr, env, labels, active):
         heads = []
         for k in range(len(others) + 1):
             for chosen in combinations(others, k):
-                block = Block((first,) + chosen)
+                members = (first,) + chosen
+                block = block_on.get(members)
+                if block is None:
+                    block = block_on[members] = Block(members)
                 heads.append((block.code(), block, chosen))
         heads.sort(key=lambda head: head[0])
         out = []
@@ -340,11 +346,10 @@ def _compositions(expr, env, labels, active):
     out = []
     outers_on = {}
     for assign in assignments(labels, wanted):
-        members = tuple(block.members for block, _ in assign)
-        outers = outers_on.get(members)
+        blocks = tuple(block for block, _ in assign)
+        outers = outers_on.get(blocks)
         if outers is None:
-            blocks = tuple(block for block, _ in assign)
-            outers = outers_on[members] = _structures(
+            outers = outers_on[blocks] = _structures(
                 expr.outer, env, blocks, active
             )
         out.extend(CompTerm(outer, assign) for outer in outers)

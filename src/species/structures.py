@@ -18,7 +18,7 @@ domains.
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -68,8 +68,8 @@ def is_star(label):
     """True for the point tokens added by derivatives: ★, ★★, ..."""
     return (
         isinstance(label, str)
-        and len(label) > 0
-        and set(label) == {STAR}
+        and label[:1] == STAR
+        and label.count(STAR) == len(label)
     )
 
 
@@ -96,7 +96,7 @@ def label_sort_key(label):
     if isinstance(label, int):
         return (0, label)
     if isinstance(label, Block):
-        return (2, tuple(label_sort_key(m) for m in label.members))
+        return label.key
     if is_star(label):
         return (3, len(label))
     return (1, label)
@@ -161,30 +161,51 @@ class Block:
     Substitution structures place the outer structure on blocks; a block
     compares by its least member, which is well defined because blocks that
     meet in one structure are disjoint.
+
+    Enumeration shares one block among many terms, so a block keeps what
+    those terms ask of it.  At creation it sorts its members and keeps
+    them, its sort key (what label_sort_key returns for it), the frozenset
+    of its members and its hash.  On first use it keeps its member list's
+    encode() text (code()) and its json.dumps text (text()).
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "key", "member_set", "_hash", "_code", "_text")
 
     def __init__(self, members):
         ms = tuple(sorted(members, key=label_sort_key))
         if not ms:
             raise ValueError("a block needs at least one member")
-        if len(set(ms)) != len(ms):
+        self.member_set = frozenset(ms)
+        if len(self.member_set) != len(ms):
             raise ValueError("duplicate member in block")
         self.members = ms
+        self.key = (2, tuple(map(label_sort_key, ms)))
+        self._hash = hash(("Block", ms))
 
     def token(self):
         return "{" + ",".join(label_to_string(m) for m in self.members) + "}"
 
     def code(self):
         """The member list as encode() writes it in a substitution term."""
-        return _ENCODE(_labels_json(self.members))
+        try:
+            return self._code
+        except AttributeError:
+            self._code = found = _ENCODE(_labels_json(self.members))
+            return found
+
+    def text(self):
+        """The member list as json.dumps writes it, for `enumerate --json`."""
+        try:
+            return self._text
+        except AttributeError:
+            self._text = found = _DUMPS(_labels_json(self.members))
+            return found
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.members == other.members
 
     def __hash__(self):
-        return hash(("Block", self.members))
+        return self._hash
 
     def __repr__(self):
         return f"Block({self.token()})"
@@ -382,7 +403,7 @@ def _splice(*runs):
 
 def _assign_text(assign, text):
     return "[" + ", ".join(
-        f"[{_DUMPS(_labels_json(block.members))}, {text(inner)}]"
+        f"[{block.text()}, {text(inner)}]"
         for block, inner in assign
     ) + "]"
 
@@ -613,10 +634,28 @@ class MapTerm(Structure):
         return "{" + inner + "}"
 
 
-def _sorted_pairs(pairs):
-    return tuple(
-        sorted(pairs, key=lambda p: (label_sort_key(p[0]), label_sort_key(p[1])))
-    )
+def _positions(vertices):
+    return {v: i for i, v in enumerate(vertices)}
+
+
+def _sorted_pairs(pos, pairs, what):
+    """pairs of labels as a tuple in the order of their endpoints' places
+    pos[a], pos[b] among the sorted vertices, which is the order
+    label_sort_key gives; refused if a pair has an endpoint outside them or
+    two pairs are the same.  The tuple holds the caller's own pairs, so the
+    many graphs listed on one vertex set share theirs."""
+    pairs = tuple(pairs)
+    n = len(pos)
+    try:
+        keys = [pos[a] * n + pos[b] for a, b in pairs]
+    except KeyError:
+        raise ValueError(f"{what} endpoint outside the vertex set") from None
+    if len(set(pairs)) != len(pairs):
+        raise ValueError(f"duplicate {what}")
+    ordered = sorted(keys)
+    if ordered == keys:
+        return pairs
+    return tuple(map(dict(zip(keys, pairs)).__getitem__, ordered))
 
 
 class GraphTerm(Structure):
@@ -628,18 +667,21 @@ class GraphTerm(Structure):
 
     def __init__(self, vertices, edges):
         self.vertices = _sorted_labels(vertices)
-        vs = set(self.vertices)
-        norm = []
-        for a, b in edges:
+        pos = _positions(self.vertices)
+        turned = []
+        for edge in edges:
+            a, b = edge
             if a == b:
                 raise ValueError("a simple graph has no loops")
-            if a not in vs or b not in vs:
+            i, j = pos.get(a), pos.get(b)
+            if i is None or j is None:
                 raise ValueError("edge endpoint outside the vertex set")
-            x, y = sorted((a, b), key=label_sort_key)
-            norm.append((x, y))
-        if len(set(norm)) != len(norm):
-            raise ValueError("duplicate edge")
-        self.edges = _sorted_pairs(norm)
+            if i > j:
+                edge = (b, a)
+            elif type(edge) is not tuple:
+                edge = (a, b)
+            turned.append(edge)
+        self.edges = _sorted_pairs(pos, turned, "edge")
 
     def _label_set(self):
         return frozenset(self.vertices)
@@ -658,14 +700,7 @@ class DigraphTerm(Structure):
 
     def __init__(self, vertices, arcs):
         self.vertices = _sorted_labels(vertices)
-        vs = set(self.vertices)
-        arcs = list(arcs)
-        for a, b in arcs:
-            if a not in vs or b not in vs:
-                raise ValueError("arc endpoint outside the vertex set")
-        if len(set(arcs)) != len(arcs):
-            raise ValueError("duplicate arc")
-        self.arcs = _sorted_pairs(arcs)
+        self.arcs = _sorted_pairs(_positions(self.vertices), arcs, "arc")
 
     def _label_set(self):
         return frozenset(self.vertices)
@@ -745,6 +780,15 @@ class ProdTerm(_Composite):
         return f"({self.left.render()}, {self.right.render()})"
 
 
+def _block_key(pair):
+    """A substitution pair's place in its term, refusing a key that is not
+    a block."""
+    block, _ = pair
+    if not isinstance(block, Block):
+        raise TypeError("assignment keys must be blocks")
+    return block.key
+
+
 class CompTerm(_Composite):
     """A substitution structure: a partition into blocks, one inner
     structure per block, and an outer structure on the blocks themselves."""
@@ -754,29 +798,23 @@ class CompTerm(_Composite):
     fields = (("outer", "outer", _ON_BLOCKS), ("assign", "assign", _ASSIGN))
 
     def __init__(self, outer, assign):
-        assign = sorted(
-            ((block, inner) for block, inner in assign),
-            key=lambda pair: label_sort_key(pair[0]),
-        )
-        blocks = [block for block, _ in assign]
-        if any(not isinstance(b, Block) for b in blocks):
-            raise TypeError("assignment keys must be blocks")
-        if outer.labels() != frozenset(blocks):
+        assign = tuple(sorted(map(tuple, assign), key=_block_key))
+        if outer.labels() != frozenset(map(itemgetter(0), assign)):
             raise ValueError("outer structure is not on the block set")
         seen = set()
         for block, inner in assign:
-            if inner.labels() != frozenset(block.members):
+            members = block.member_set
+            if inner.labels() != members:
                 raise ValueError("inner structure is not on its block")
-            for m in block.members:
-                if m in seen:
-                    raise ValueError("blocks overlap")
-                seen.add(m)
+            if not seen.isdisjoint(members):
+                raise ValueError("blocks overlap")
+            seen |= members
         self.outer = outer
-        self.assign = tuple(assign)
+        self.assign = assign
 
     def _label_set(self):
-        return frozenset(
-            m for block, _ in self.assign for m in block.members
+        return frozenset().union(
+            *[block.member_set for block, _ in self.assign]
         )
 
     def render(self):

@@ -460,6 +460,13 @@ class TestSharing:
         got = enumerate_structures(expr, None, [1, 2, 3])
         assert len(got) == egf_of(expr, order=3).count(3) == 1 + 3 * 2 + 3 * 16 + 512
 
+    def test_substitution_terms_share_their_blocks(self):
+        """One block per member set in a listing, however many terms and
+        memo entries use it."""
+        listing = enum("E(C)", [1, 2, 3, 4, 5])
+        assert len(listing) == factorial(5)
+        assert len({id(b) for t in listing for b, _ in t.assign}) <= 2**5 - 1
+
     def test_cached_json_stays_intact(self):
         env = parse_defs("A = X*E(A)\n")
         for s in enumerate_structures(parse_expr("A"), env, [1, 2, 3, 4]):
@@ -837,6 +844,14 @@ class TestSublistPrimitives:
         monkeypatch.setattr(DigraphTerm, "__init__", counted)
         got = enum("Gro", [1, 2, 3, 4])
         assert len(got) == len(built) == 2**16
+
+    def test_graphs_share_their_pairs(self):
+        """Every term holds the generator's own pair objects, one per
+        possible arc or edge, which keeps a large listing's memory down."""
+        listing = enum("Gro", [1, 2, 3, 4])
+        assert len({id(p) for t in listing for p in t.arcs}) <= 16
+        listing = enum("Gra", [1, 2, 3, 4, 5])
+        assert len({id(p) for t in listing for p in t.edges}) <= 10
 
 
 def _all_sublists(items):

@@ -25,6 +25,8 @@ from species.structures import (
     SubsetTerm,
     SumTerm,
     decode_structure,
+    is_star,
+    label_sort_key,
     label_to_string,
     string_to_label,
 )
@@ -186,3 +188,194 @@ class TestLabelLists:
             decode_structure(obj)
         obj["assign"][0][0] = ["a", "b"]
         assert decode_structure(obj).assign[0][0] == Block(["a", "b"])
+
+
+def _set(*labels):
+    return {"kind": "set", "labels": list(labels)}
+
+
+def _comp(outer, *assign):
+    return {"kind": "comp", "outer": _set(*outer), "assign": list(assign)}
+
+
+# Each refusal: the message it names, the term built through its
+# constructor, and the same term as JSON for decode_structure.
+REFUSED = {
+    "graph loop": (
+        "no loops",
+        lambda: GraphTerm([1, 2], [(1, 2), (2, 2)]),
+        {"kind": "graph", "vertices": ["1", "2"], "edges": [["2", "2"]]},
+    ),
+    "graph endpoint": (
+        "edge endpoint outside",
+        lambda: GraphTerm([1, 2], [(1, 3)]),
+        {"kind": "graph", "vertices": ["1", "2"], "edges": [["3", "1"]]},
+    ),
+    "graph duplicate edge": (
+        "duplicate edge",
+        lambda: GraphTerm([1, 2, 3], [(1, 2), (2, 3), (1, 2)]),
+        {"kind": "graph", "vertices": ["1", "2"],
+         "edges": [["1", "2"], ["1", "2"]]},
+    ),
+    "graph duplicate edge turned": (
+        "duplicate edge",
+        lambda: GraphTerm([1, 2, "a"], [("a", 1), (1, "a")]),
+        {"kind": "graph", "vertices": ["1", "2"],
+         "edges": [["2", "1"], ["1", "2"]]},
+    ),
+    "digraph endpoint": (
+        "arc endpoint outside",
+        lambda: DigraphTerm([1, 2], [(1, 1), (2, 3)]),
+        {"kind": "digraph", "vertices": ["1"], "arcs": [["b", "1"]]},
+    ),
+    "digraph duplicate arc": (
+        "duplicate arc",
+        lambda: DigraphTerm([1, 2], [(2, 1), (1, 2), (2, 1)]),
+        {"kind": "digraph", "vertices": ["1", "2"],
+         "arcs": [["1", "1"], ["1", "1"]]},
+    ),
+    "comp blocks overlap": (
+        "blocks overlap",
+        lambda: CompTerm(
+            SetTerm([Block([1, 2]), Block([2, 3])]),
+            [(Block([2, 3]), SetTerm([2, 3])), (Block([1, 2]), SetTerm([1, 2]))],
+        ),
+        _comp(
+            ["{1,2}", "{2,3}"],
+            [["1", "2"], _set("1", "2")], [["2", "3"], _set("2", "3")],
+        ),
+    ),
+    "comp inner off its block": (
+        "inner structure is not on its block",
+        lambda: CompTerm(
+            SetTerm([Block([1]), Block([2, 3])]),
+            [(Block([1]), SetTerm([1])), (Block([2, 3]), SetTerm([2]))],
+        ),
+        _comp(["{1,2}"], [["1", "2"], _set("1", "2", "3")]),
+    ),
+    "comp outer off the block set": (
+        "outer structure is not on the block set",
+        lambda: CompTerm(
+            SetTerm([Block([1])]),
+            [(Block([1]), SetTerm([1])), (Block([2]), SetTerm([2]))],
+        ),
+        _comp(["{1}", "{3}"], [["1"], _set("1")], [["2"], _set("2")]),
+    ),
+    "empty block": (
+        "at least one member",
+        lambda: Block([]),
+        _comp(["{1}"], [[], _set()]),
+    ),
+    "duplicate block member": (
+        "duplicate member in block",
+        lambda: Block(["a", 1, "a"]),
+        _comp(["{1}"], [["1", "1"], _set("1")]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_constructor_refusals(case):
+    message, build, obj = REFUSED[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+    with pytest.raises(ParseError, match=message):
+        decode_structure(obj)
+
+
+def test_comp_refuses_a_key_that_is_not_a_block():
+    with pytest.raises(TypeError, match="must be blocks"):
+        CompTerm(SetTerm([]), [(1, SetTerm([1]))])
+
+
+def test_pairs_that_are_not_refused():
+    """Refusals look at whole pairs: the same arc in both directions, and
+    an edge given turned, are fine."""
+    assert DigraphTerm([1, 2], [(2, 1), (1, 2)]).arcs == ((1, 2), (2, 1))
+    assert GraphTerm([1, "a", 2], [("a", 1), (2, 1)]).edges == (
+        (1, 2), (1, "a"),
+    )
+    assert GraphTerm([1, 2], [[2, 1]]) == GraphTerm([1, 2], [(1, 2)])
+
+
+def _reference_key(label):
+    """label_sort_key as it was before blocks kept their keys: every call
+    rebuilds a block's key from its members."""
+    if isinstance(label, int):
+        return (0, label)
+    if isinstance(label, Block):
+        return (2, tuple(_reference_key(m) for m in label.members))
+    if isinstance(label, str) and label and set(label) == {STAR}:
+        return (3, len(label))
+    return (1, label)
+
+
+MIXED = [
+    10, 2, "b", "a", "10", STAR * 2, STAR, Block([3, "c"]), Block([1]),
+    Block(["a", 2]), Block([Block([2]), 1]), Block([Block([1, "x"])]),
+]
+
+
+class TestBlock:
+    def test_equal_members_make_equal_blocks(self):
+        a, b = Block([2, 1]), Block([1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert a.code() == b.code() == '["1","2"]'
+        assert a.text() == b.text() == '["1", "2"]'
+        assert a.members == (1, 2) and a.member_set == frozenset({1, 2})
+        assert Block([1]) != Block([1, 2]) and Block([1]) != (1,)
+
+    def test_members_sort_by_the_reference_key(self):
+        for labels in (MIXED, MIXED[::-1], MIXED[3:] + MIXED[:3]):
+            want = sorted(labels, key=_reference_key)
+            assert Block(labels).members == tuple(want)
+            assert sorted(labels, key=label_sort_key) == want
+
+    def test_key_is_the_reference_key(self):
+        for label in MIXED:
+            assert label_sort_key(label) == _reference_key(label)
+        for block in MIXED:
+            if isinstance(block, Block):
+                assert block.key == _reference_key(block)
+
+    def test_relabelled_block_is_resorted(self):
+        block = Block([1, "a", 2])
+        moved = Block(MOVE[m] for m in block.members)
+        assert moved.members == (10, "b", 'q"')
+        assert moved.key == _reference_key(moved)
+
+
+# (label, is_star, label_sort_key)
+STAR_TABLE = [
+    (STAR, True, (3, 1)),
+    (STAR * 2, True, (3, 2)),
+    ("", False, (1, "")),
+    ("a", False, (1, "a")),
+    (STAR + "a", False, (1, STAR + "a")),
+    ("a" + STAR, False, (1, "a" + STAR)),
+    (1, False, (0, 1)),
+    (Block([1]), False, (2, ((0, 1),))),
+    (Block([STAR]), False, (2, ((3, 1),))),
+]
+
+
+@pytest.mark.parametrize("label, star, key", STAR_TABLE)
+def test_is_star_and_label_sort_key(label, star, key):
+    assert is_star(label) is star
+    assert label_sort_key(label) == key
+
+
+@pytest.mark.parametrize("seq, first", [
+    ([STAR, "b", Block([1]), 3], 3),
+    ([STAR * 2, Block([2]), "b"], "b"),
+    ([STAR * 2, STAR, Block([2])], Block([2])),
+    ([STAR * 2, STAR], STAR),
+    (["b", 10, "a", 2], 2),
+])
+def test_cycle_rotates_from_the_least_label(seq, first):
+    """Integers, then strings, then blocks, then stars, the shortest
+    first."""
+    cycle = CycleTerm(seq)
+    assert cycle.seq[0] == first
+    start = seq.index(first)
+    assert cycle.seq == tuple(seq[start:] + seq[:start])
