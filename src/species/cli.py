@@ -10,11 +10,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse/validation failure (also a failed verify run),
 2 non-integer or negative count, 3 enumeration budget exceeded, 4 label-set
-mismatch in transport.  A reader that closes stdout early is no failure:
-output stops and the exit code is 0.  An expression that nests deeper than
-parser.MAX_NESTING levels is a parse failure, and so is any other input
-that nests too deeply for Python's recursion limit (a long chain of names
-enumerated, a deeply nested JSON structure).
+mismatch in transport.  transport first checks that the structure is one of
+the expression's structures on its labels: one that is not exits 1, and one
+whose listing would exceed the default budget exits 3.  A reader that
+closes stdout early is no failure: output stops and the exit code is 0.
+An expression that nests deeper than parser.MAX_NESTING levels is a parse
+failure, and so is any other input that nests too deeply for Python's
+recursion limit (a long chain of names enumerated, a deeply nested JSON
+structure).
 """
 
 import argparse
@@ -38,7 +41,7 @@ from .errors import (
     RecursionGuard,
     UnboundName,
 )
-from .expr import Name, RESERVED
+from .expr import Name, RESERVED, print_expr
 from .identities import SUITE_NOTE, run_suite
 from .parser import parse_defs, parse_expr
 from .semantics import DEFAULT_ORDER, egf_of
@@ -182,7 +185,12 @@ def _cmd_transport(args):
         obj = json.loads(text)
     except ValueError as exc:
         raise ParseError(f"structure is not valid JSON: {exc}") from exc
-    moved = transport(expr, env, decode_structure(obj), bijection)
+    structure = decode_structure(obj)
+    if structure not in enumerate_structures(expr, env, structure.labels()):
+        raise ParseError(
+            f"the structure is not one of {print_expr(expr)} on its labels"
+        )
+    moved = transport(expr, env, structure, bijection)
     if args.json:
         print(json.dumps(moved.to_json()))
     else:

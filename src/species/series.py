@@ -17,12 +17,15 @@ Every kernel is O(N^2) in the order N, except substitution into an outer
 series that is none of E, L or C; that one costs O(N^3).  Substituting into
 E, L and C follows the standard recurrences (Bergeron, Labelle and Leroux,
 Combinatorial Species and Tree-like Structures, ch. 1-3): exp for E,
-1/(1 - g) for L and log 1/(1 - g) for C.
+1/(1 - g) for L and log 1/(1 - g) for C.  The binomial kernels read
+C(n, k) from one module-level Pascal table, grown to the largest order
+asked for, rather than computing it once per term.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from operator import add
+from threading import Lock
 
 from .errors import (
     IllFoundedEquation,
@@ -33,6 +36,9 @@ from .errors import (
 )
 
 __all__ = ["CountSeries", "solve_system"]
+
+
+_INT = {int}  # the only count type a series keeps without normalising
 
 
 def _integral(c):
@@ -52,6 +58,25 @@ def _quotient(a, b):
     return _integral(Fraction(a) / b)
 
 
+# Rows 0 .. N of Pascal's triangle, _PASCAL[n][k] = C(n, k), grown on demand
+# to the largest order a kernel has asked for.  Rows are only appended, each
+# complete, so readers need no lock; growers take _GROWING, or two threads
+# could append the same row twice.
+_PASCAL = [[1]]
+_GROWING = Lock()
+
+
+def _binomials(order):
+    """Pascal's triangle through row order (the shared table itself)."""
+    rows = _PASCAL
+    if len(rows) <= order:
+        with _GROWING:
+            while len(rows) <= order:
+                row = rows[-1]
+                rows.append([1, *map(add, row, row[1:]), 1])
+    return rows
+
+
 def _nonzero(counts, start, stop):
     """(k, counts[k]) for the nonzero counts with start <= k < stop."""
     return [(k, counts[k]) for k in range(start, stop) if counts[k]]
@@ -60,15 +85,17 @@ def _nonzero(counts, start, stop):
 def _convolve(f, g, order):
     """Counts of the product f*g: h_n = sum_k C(n, k) f_k g_(n-k)."""
     terms = _nonzero(f, 0, order + 1)
+    rows = _binomials(order)
     out = []
     for n in range(order + 1):
+        row = rows[n]
         acc = 0
         for k, c in terms:
             if k > n:
                 break
             d = g[n - k]
             if d:
-                acc += comb(n, k) * c * d
+                acc += row[k] * c * d
         out.append(acc)
     return out
 
@@ -77,13 +104,15 @@ def _exp(g, order):
     """Counts of exp(g) from y' = g' y, i.e.
     y_(n+1) = sum_k C(n,k) g_(k+1) y_(n-k)."""
     slopes = _nonzero(g, 1, order + 1)
+    rows = _binomials(order)
     y = [1]
     for n in range(order):
+        row = rows[n]
         acc = 0
         for k, c in slopes:
             if k > n + 1:
                 break
-            acc += comb(n, k - 1) * c * y[n + 1 - k]
+            acc += row[k - 1] * c * y[n + 1 - k]
         y.append(acc)
     return y
 
@@ -92,13 +121,15 @@ def _divide(f, g, order):
     """Counts of f / g, from f = q g: q_n = (f_n - sum_(k>=1) C(n,k) g_k
     q_(n-k)) / g_0.  They stay ints when f's do and g_0 is 1."""
     terms = _nonzero(g, 1, order + 1)
+    rows = _binomials(order)
     quot = []
     for n in range(order + 1):
+        row = rows[n]
         acc = f[n]
         for k, c in terms:
             if k > n:
                 break
-            acc -= comb(n, k) * c * quot[n - k]
+            acc -= row[k] * c * quot[n - k]
         quot.append(_quotient(acc, g[0]))
     return quot
 
@@ -149,7 +180,9 @@ class CountSeries:
     __slots__ = ("_counts",)
 
     def __init__(self, counts):
-        counts = tuple(map(_integral, counts))
+        counts = tuple(counts)
+        if not _INT.issuperset(map(type, counts)):
+            counts = tuple(map(_integral, counts))
         if not counts:
             raise ValueError("a series needs at least its constant coefficient")
         self._counts = counts
@@ -334,8 +367,9 @@ class CountSeries:
 # -- implicit systems ------------------------------------------------------
 
 def _probe(order):
-    """A generic start with zero constant term: x + x^2 + ... + x^order."""
-    return CountSeries.from_coefficients([0] + [1] * order)
+    """A generic start with zero constant term: x + x^2 + ... + x^order,
+    whose counts are n!."""
+    return CountSeries([0] + [factorial(n) for n in range(1, order + 1)])
 
 
 def solve_system(equations, order, order_loss=0):
@@ -352,6 +386,11 @@ def solve_system(equations, order, order_loss=0):
     coefficient metric, so both runs stabilize on the same coefficients; if
     either run fails to stabilize, or the two runs disagree, the system does
     not determine its unknowns and IllFoundedEquation is raised.
+
+    Passes widen their truncation one band of len(equations) coefficients
+    at a time, and stabilization is tested only once a pass reaches order;
+    the ceil(order / len(equations)) passes that takes are added to the
+    pass budget.
     """
     names = [name for name, _ in equations]
     if len(set(names)) != len(names):
@@ -359,22 +398,30 @@ def solve_system(equations, order, order_loss=0):
     if not equations:
         return {}
 
-    cap = (order + 2) * len(equations)
+    width = len(equations)
+    warmup = -(-order // width)
+    cap = (order + 2) * width + warmup
     deep = order + cap * order_loss
 
     def run(start):
         approx = {name: start for name in names}
         for passno in range(1, cap + 1):
-            target = deep - passno * order_loss
+            # Pass p evaluates only through p * width, about as far as p
+            # passes can have fixed the unknowns; the coefficients above
+            # keep the previous approximation's values (the probe's, say)
+            # until a later pass reaches them.
+            target = min(deep - passno * order_loss, passno * width)
             current = dict(approx)
             for name, rhs in equations:
-                # Gauss-Seidel when no order is lost per pass: later
-                # equations see this pass's values, which speeds up chains.
-                # With order loss, stick to the previous snapshot so every
-                # lookup still has enough truncation headroom.
-                source = current if order_loss == 0 else approx
-                current[name] = rhs(dict(source), target)
-            if all(
+                # Gauss-Seidel: later equations see this pass's values,
+                # which speeds up chains.  Every value keeps order deep, so
+                # a lookup always has its truncation headroom.
+                value = rhs(dict(current), target)
+                above = approx[name]._counts[target + 1:]
+                if above:
+                    value = CountSeries(value._counts + above)
+                current[name] = value
+            if target >= order and all(
                 current[name].agrees_through(approx[name], order)
                 for name in names
             ):

@@ -90,5 +90,14 @@ def involution_table(n):
     return table[: n + 1]
 
 
+def factorial_product_table(n):
+    """m! * (m - 1)! for every 1 <= m <= n, and 0 at m = 0, from
+    m! (m - 1)! = m (m - 1) * (m - 1)! (m - 2)!."""
+    table = [0, 1]
+    for m in range(2, n + 1):
+        table.append(m * (m - 1) * table[m - 1])
+    return table[: n + 1]
+
+
 def catalan(n):
     return comb(2 * n, n) // (n + 1)

@@ -147,6 +147,47 @@ class TestTransport:
         code, _, err = run(capsys, "transport", "P", "1->a,2=>b", "{}")
         assert code == 1
 
+    def test_a_structure_of_another_species_is_refused(self, capsys):
+        # X has no structure on two labels, so no list of two is one of its
+        code, out, err = run(
+            capsys, "transport", "X", "1->2,2->1",
+            '{"kind": "list", "labels": ["1", "2"]}',
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "not one of X" in err
+
+    def test_a_member_still_transports(self, capsys):
+        code, out, _ = run(
+            capsys, "transport", "L", "1->2,2->1",
+            '{"kind": "list", "labels": ["1", "2"]}', "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {"kind": "list", "labels": ["2", "1"]}
+
+    def test_a_member_on_the_wrong_labels_is_still_exit_4(self, capsys):
+        # A subset on three labels, moved by a bijection that misses one.
+        code, out, err = run(
+            capsys, "transport", "P", "a->x,b->y",
+            '{"kind": "subset", "members": ["a"], "rest": ["b", "c"]}',
+        )
+        assert code == 4
+        assert out == ""
+        assert "bijection domain" in err
+
+    def test_the_membership_check_keeps_the_budget(self, capsys):
+        # Gro has 2^25 structures on five labels, more than the default
+        # budget, so the check is refused before it lists them.
+        labels = ["1", "2", "3", "4", "5"]
+        code, out, err = run(
+            capsys, "transport", "Gro", ",".join(f"{a}->{a}" for a in labels),
+            json.dumps({"kind": "digraph", "vertices": labels, "arcs": []}),
+        )
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
 
 class TestSolve:
     def test_series_of_a_defined_name(self, capsys, defs_file):

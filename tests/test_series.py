@@ -1,7 +1,9 @@
 """Arithmetic of truncated counting series."""
 
+import sys
+import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,13 @@ from species.errors import (
 )
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of
-from species.series import CountSeries, solve_system
+from species.series import CountSeries, _binomials, solve_system
 
 from oracles import (
     bell_table,
     binomial_convolution,
     catalan,
+    factorial_product_table,
     involution_table,
     partitional_composite,
     subfactorial_table,
@@ -187,6 +190,27 @@ class TestSolve:
             factorial(n) if n % 2 == 0 else 0 for n in range(7)
         ]
 
+    def test_binary_trees_at_order_60(self):
+        solution = solve_system([("B", self.binary_tree_rhs)], order=60)
+        assert solution["B"].counts() == [
+            catalan(n) * factorial(n) for n in range(61)
+        ]
+
+    def test_mutual_recursion_at_order_30(self):
+        def u_rhs(approx, order):
+            return CountSeries.one(order) + CountSeries.x(order) * approx["V"]
+
+        def v_rhs(approx, order):
+            return CountSeries.x(order) * approx["U"]
+
+        solution = solve_system([("U", u_rhs), ("V", v_rhs)], order=30)
+        assert solution["U"].counts() == [
+            factorial(n) if n % 2 == 0 else 0 for n in range(31)
+        ]
+        assert solution["V"].counts() == [
+            factorial(n) if n % 2 else 0 for n in range(31)
+        ]
+
     def test_self_identity_is_rejected(self):
         with pytest.raises(IllFoundedEquation):
             solve_system([("F", lambda approx, order: approx["F"])], order=4)
@@ -204,6 +228,23 @@ class TestSolve:
         g = CountSeries.from_counts([1, 2, 3, 9])
         assert f.agrees_through(g, 2)
         assert not f.agrees_through(g, 3)
+
+
+class TestOrderLoss:
+    """A derivative of an unknown inside its own cycle: each evaluation
+    consumes a truncation order."""
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_derivative_in_its_own_cycle(self, order):
+        env = parse_defs("F = X + X^2*F'")
+        got = egf_of(parse_expr("F"), env, order=order).counts()
+        assert got == factorial_product_table(order)
+
+    @pytest.mark.parametrize("order", [1, 6, 12])
+    @pytest.mark.parametrize("defs", ["F = X + X*F'", "F = X*G\nG = 1 + F'"])
+    def test_undetermined_systems_are_refused(self, defs, order):
+        with pytest.raises(IllFoundedEquation):
+            egf_of(parse_expr("F"), parse_defs(defs), order=order)
 
 
 def fraction_series(order, zero_constant=False):
@@ -328,3 +369,103 @@ class TestClosedFormsAtHighOrder:
 
     def test_derangements(self):
         assert self.counts("Der", 200) == subfactorial_table(200)
+
+
+# -- the kernels against references written with math.comb -----------------
+
+# Counts mixing ints, negative ones included, with fractions.
+_COUNT = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def _count_lists(draw, zero_constant=False, unit_constant=False):
+    """Raw counts f_0 .. f_N at an order N of 0 to 40."""
+    order = draw(st.integers(0, 40))
+    counts = draw(st.lists(_COUNT, min_size=order + 1, max_size=order + 1))
+    if zero_constant:
+        counts[0] = 0
+    elif unit_constant:
+        counts[0] = draw(_COUNT.filter(bool))
+    return counts
+
+
+def _ref_product(f, g):
+    n_max = min(len(f), len(g))
+    return [
+        sum(comb(n, k) * f[k] * g[n - k] for k in range(n + 1))
+        for n in range(n_max)
+    ]
+
+
+def _ref_quotient(f, g):
+    quot = []
+    for n in range(min(len(f), len(g))):
+        rest = sum(comb(n, k) * g[k] * quot[n - k] for k in range(1, n + 1))
+        quot.append((f[n] - rest) / Fraction(g[0]))
+    return quot
+
+
+def _ref_substitution(outer, g):
+    """sum_k outer(k) g^k / k!, with g^k from the reference product."""
+    out = [outer(0)] + [0] * (len(g) - 1)
+    power = [1] + [0] * (len(g) - 1)
+    for k in range(1, len(g)):
+        power = [Fraction(c, k) for c in _ref_product(power, g)]
+        out = [a + outer(k) * b for a, b in zip(out, power)]
+    return out
+
+
+class TestKernelsAgainstComb:
+    @settings(max_examples=30, deadline=None)
+    @given(_count_lists(), _count_lists())
+    def test_product(self, f, g):
+        got = CountSeries.from_counts(f) * CountSeries.from_counts(g)
+        assert raw_counts(got) == _ref_product(f, g)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_count_lists(), _count_lists(unit_constant=True))
+    def test_quotient(self, f, g):
+        got = CountSeries.from_counts(f) / CountSeries.from_counts(g)
+        assert raw_counts(got) == _ref_quotient(f, g)
+
+    @pytest.mark.parametrize("outer", ["E", "L", "C"])
+    @settings(max_examples=10, deadline=None)
+    @given(g=_count_lists(zero_constant=True))
+    def test_substitution(self, outer, g):
+        counts_at = CLOSED_FORM_OUTERS[outer]
+        table = [counts_at(k) for k in range(len(g))]
+        got = CountSeries.from_counts(table)(CountSeries.from_counts(g))
+        assert raw_counts(got) == _ref_substitution(counts_at, g)
+
+    def test_pascal_rows_are_binomials(self):
+        rows = _binomials(200)
+        assert len(rows) >= 201
+        for n, row in enumerate(rows):
+            assert row == [comb(n, k) for k in range(n + 1)]
+
+    def test_pascal_table_grown_from_many_threads(self):
+        # Threads that grow the shared table at once must not append a row
+        # twice, which would shift every later row.
+        rows = _binomials(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                del rows[1:]
+                threads = [
+                    threading.Thread(target=_binomials, args=(order,))
+                    for order in range(10, 170, 10)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(rows) == 161
+                for n, row in enumerate(rows):
+                    assert row == [comb(n, k) for k in range(n + 1)]
+        finally:
+            sys.setswitchinterval(interval)
