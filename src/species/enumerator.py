@@ -15,8 +15,20 @@ Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
 cycles re-rotate, partitions re-sort), transport is a uniform relabeling
 that fixes the reserved star points.
+
+The walk runs with Python's cyclic garbage collector paused.  A listing
+holds hundreds of thousands of terms that refer only to their children, so
+it has no reference cycles to find, yet each full collection would traverse
+all of them again.  enumerate_structures turns the collector back on when
+it returns or raises, if it was on when the call began; the few cycles the
+walk's recursive helper closures leave are collected then.  The switch is
+process-wide: another thread that turns the collector off during a walk
+finds it on again when the walk ends, and one that turns it on makes the
+rest of the walk collect as usual.  Walks that overlap in several threads
+leave it on if it was on before the first of them began.
 """
 
+import gc
 import random
 from itertools import combinations, permutations, product as iproduct
 
@@ -117,7 +129,8 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
     The series count is computed first; BudgetExceeded is raised before any
     structure is built when it is larger than the budget.  The result's
     length always equals that count.  The walk builds the list in order, so
-    it is returned as built.
+    it is returned as built.  The cyclic garbage collector is paused during
+    the walk and left as it was found (see the module docstring).
     """
     env = env or Environment()
     labs = _clean_labels(labels)
@@ -126,7 +139,13 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
         )
-    return _structures(expr, env, labs, _Walk())
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _structures(expr, env, labs, _Walk())
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class _Walk(set):

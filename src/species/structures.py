@@ -17,8 +17,9 @@ domains.
 """
 
 import json
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -634,17 +635,58 @@ class MapTerm(Structure):
         return "{" + inner + "}"
 
 
-def _positions(vertices):
-    return {v: i for i, v in enumerate(vertices)}
+#: The vertex table of one vertex tuple: given is the caller's object,
+#: vertices its sorted, checked copy, pos each vertex's place in it, and
+#: edge_ranks and arc_ranks the rank pos[a] * n + pos[b] of every pair a
+#: graph or a digraph on it has been built with.  The rank dicts start
+#: empty and learn a pair when a term first holds it, so a table costs
+#: O(n) to build however many pairs its vertices allow.  Edges are ranked
+#: apart from arcs because only a pair with a before b, and no loop, is an
+#: edge in its place.
+_VertexTable = namedtuple(
+    "_VertexTable", "given vertices pos edge_ranks arc_ranks"
+)
 
 
-def _sorted_pairs(pos, pairs, what):
-    """pairs of labels as a tuple in the order of their endpoints' places
+#: The table of the last vertex tuple a graph or digraph was built on.
+#: A listing builds all its graphs on one tuple, so they share one table.
+#: The record is replaced whole and read once per term, so two threads
+#: building terms at once never mix the fields of two tables.
+_last_table = _VertexTable((), (), {}, {}, {})
+
+
+def _vertex_table(vertices):
+    """The vertex table of vertices: the last one built when vertices is
+    that very tuple object, else a new one.  Only tuples are kept, because
+    a tuple cannot change between two terms while a list can."""
+    global _last_table
+    table = _last_table
+    if table.given is not vertices:
+        ordered = _sorted_labels(vertices)
+        pos = {v: i for i, v in enumerate(ordered)}
+        table = _VertexTable(vertices, ordered, pos, {}, {})
+        if type(vertices) is tuple:
+            _last_table = table
+    return table
+
+
+def _in_rank_order(ranks, pairs):
+    """True when every pair has a rank and the ranks strictly increase:
+    the pairs are then valid, distinct and already in order."""
+    try:
+        keys = list(map(ranks.__getitem__, pairs))
+    except (KeyError, TypeError):
+        return False
+    return all(map(lt, keys, keys[1:]))
+
+
+def _sorted_pairs(pos, ranks, pairs, what):
+    """A tuple of pairs of labels, in the order of their endpoints' places
     pos[a], pos[b] among the sorted vertices, which is the order
     label_sort_key gives; refused if a pair has an endpoint outside them or
     two pairs are the same.  The tuple holds the caller's own pairs, so the
-    many graphs listed on one vertex set share theirs."""
-    pairs = tuple(pairs)
+    many graphs listed on one vertex set share theirs.  Each pair's rank is
+    kept in ranks, for _in_rank_order to find next time."""
     n = len(pos)
     try:
         keys = [pos[a] * n + pos[b] for a, b in pairs]
@@ -652,36 +694,46 @@ def _sorted_pairs(pos, pairs, what):
         raise ValueError(f"{what} endpoint outside the vertex set") from None
     if len(set(pairs)) != len(pairs):
         raise ValueError(f"duplicate {what}")
-    ordered = sorted(keys)
-    if ordered == keys:
-        return pairs
-    return tuple(map(dict(zip(keys, pairs)).__getitem__, ordered))
+    ranks.update(zip(pairs, keys))
+    return tuple(map(dict(zip(keys, pairs)).__getitem__, sorted(keys)))
 
 
 class GraphTerm(Structure):
-    """A simple graph: vertex set plus sorted undirected edges."""
+    """A simple graph: vertex set plus sorted undirected edges.
+
+    The vertices are sorted and checked once per vertex table (see
+    _vertex_table), and every graph built on the same vertex tuple object
+    shares the table's sorted tuple.  Edges that the table has ranked
+    before, given each with its lesser end first and in order, are checked
+    by their ranks alone; any other edge list is turned, checked and sorted
+    in full, with the same refusals."""
 
     __slots__ = ("vertices", "edges")
     kind = "graph"
     fields = (("vertices", "vertices", _LABELS), ("edges", "edges", _PAIRS))
 
     def __init__(self, vertices, edges):
-        self.vertices = _sorted_labels(vertices)
-        pos = _positions(self.vertices)
-        turned = []
-        for edge in edges:
-            a, b = edge
-            if a == b:
-                raise ValueError("a simple graph has no loops")
-            i, j = pos.get(a), pos.get(b)
-            if i is None or j is None:
-                raise ValueError("edge endpoint outside the vertex set")
-            if i > j:
-                edge = (b, a)
-            elif type(edge) is not tuple:
-                edge = (a, b)
-            turned.append(edge)
-        self.edges = _sorted_pairs(pos, turned, "edge")
+        table = _vertex_table(vertices)
+        self.vertices = table.vertices
+        edges = tuple(edges)
+        ranks = table.edge_ranks
+        if not _in_rank_order(ranks, edges):
+            pos = table.pos
+            turned = []
+            for edge in edges:
+                a, b = edge
+                if a == b:
+                    raise ValueError("a simple graph has no loops")
+                i, j = pos.get(a), pos.get(b)
+                if i is None or j is None:
+                    raise ValueError("edge endpoint outside the vertex set")
+                if i > j:
+                    edge = (b, a)
+                elif type(edge) is not tuple:
+                    edge = (a, b)
+                turned.append(edge)
+            edges = _sorted_pairs(pos, ranks, tuple(turned), "edge")
+        self.edges = edges
 
     def _label_set(self):
         return frozenset(self.vertices)
@@ -692,15 +744,24 @@ class GraphTerm(Structure):
 
 
 class DigraphTerm(Structure):
-    """A directed graph on the label set; loops allowed."""
+    """A directed graph on the label set; loops allowed.
+
+    Like GraphTerm, it shares the vertex table of its vertex tuple: arcs
+    the table has ranked before, given in order, are checked by their ranks
+    alone, and any other arc list is checked and sorted in full."""
 
     __slots__ = ("vertices", "arcs")
     kind = "digraph"
     fields = (("vertices", "vertices", _LABELS), ("arcs", "arcs", _PAIRS))
 
     def __init__(self, vertices, arcs):
-        self.vertices = _sorted_labels(vertices)
-        self.arcs = _sorted_pairs(_positions(self.vertices), arcs, "arc")
+        table = _vertex_table(vertices)
+        self.vertices = table.vertices
+        arcs = tuple(arcs)
+        ranks = table.arc_ranks
+        if not _in_rank_order(ranks, arcs):
+            arcs = _sorted_pairs(table.pos, ranks, arcs, "arc")
+        self.arcs = arcs
 
     def _label_set(self):
         return frozenset(self.vertices)

@@ -1,6 +1,7 @@
 """Exhaustive listing of structures, transport, and permutation views."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -852,6 +853,56 @@ class TestSublistPrimitives:
         assert len({id(p) for t in listing for p in t.arcs}) <= 16
         listing = enum("Gra", [1, 2, 3, 4, 5])
         assert len({id(p) for t in listing for p in t.edges}) <= 10
+
+
+class TestCollectorPause:
+    """enumerate_structures walks with the cyclic garbage collector off and
+    leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        collecting = gc.isenabled()
+        yield
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """gc.isenabled() at each outermost walk."""
+        seen = []
+        walk = enumerator._structures
+
+        def recorded(expr, env, labels, active):
+            seen.append(gc.isenabled())
+            return walk(expr, env, labels, active)
+
+        monkeypatch.setattr(enumerator, "_structures", recorded)
+        return seen
+
+    def test_on_at_entry_is_on_after(self, seen):
+        gc.enable()
+        assert len(enum("Gra", [1, 2, 3])) == 8
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_off_at_entry_stays_off(self, seen):
+        gc.disable()
+        assert len(enum("Gra", [1, 2, 3])) == 8
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_a_walk_that_raises_turns_it_back_on(self, monkeypatch):
+        def failing(expr, env, labels, active):
+            assert not gc.isenabled()
+            raise RecursionGuard("failed walk")
+
+        monkeypatch.setattr(enumerator, "_structures", failing)
+        gc.enable()
+        with pytest.raises(RecursionGuard, match="failed walk"):
+            enum("Gra", [1, 2, 3])
+        assert gc.isenabled()
 
 
 def _all_sublists(items):

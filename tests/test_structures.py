@@ -2,8 +2,11 @@
 checked against one another on a hand-built term of every kind."""
 
 import json
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from species import structures
 from species.errors import ParseError
@@ -379,3 +382,147 @@ def test_cycle_rotates_from_the_least_label(seq, first):
     assert cycle.seq[0] == first
     start = seq.index(first)
     assert cycle.seq == tuple(seq[start:] + seq[:start])
+
+
+# -- graphs and digraphs against a brute-force reference -------------------
+
+def _reference_graph(vertices, pairs, directed):
+    """(vertices, pairs) as GraphTerm or DigraphTerm should store them, or
+    the exception they should raise, found without vertex tables or ranks:
+    sort the vertices, check every pair against the vertex list, turn each
+    edge to put its lesser end first, refuse repeats, sort by place."""
+    ordered = tuple(sorted(vertices, key=_reference_key))
+    if len(set(ordered)) != len(ordered):
+        raise ValueError(f"duplicate label in {ordered!r}")
+    place = list(ordered).index
+    what = "arc" if directed else "edge"
+    kept = []
+    for pair in pairs:
+        a, b = pair
+        if not directed and a == b:
+            raise ValueError("a simple graph has no loops")
+        if a not in ordered or b not in ordered:
+            raise ValueError(f"{what} endpoint outside the vertex set")
+        if not directed:
+            pair = (b, a) if place(a) > place(b) else (a, b)
+        kept.append(pair)
+    if len(set(kept)) != len(kept):
+        raise ValueError(f"duplicate {what}")
+    kept.sort(key=lambda p: (place(p[0]), place(p[1])))
+    return ordered, tuple(kept)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as err:  # the outcome compared is the exception
+        return type(err), str(err)
+
+
+def _stored(term):
+    pairs = term.arcs if isinstance(term, DigraphTerm) else term.edges
+    return term.vertices, pairs
+
+
+_GRAPH_LABELS = st.sampled_from([0, 1, 2, 7, 10, 12, "a", "b", "é", "a!"])
+_DISTURB = st.sampled_from(
+    ["shuffle", "reverse", "duplicate", "outside", "turn", "loop", "list"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    directed=st.booleans(),
+    vertices=st.lists(_GRAPH_LABELS, unique=True, max_size=5),
+    repeat_vertex=st.integers(0, 9),
+    picks=st.lists(st.booleans(), min_size=25, max_size=25),
+    disturbs=st.lists(_DISTURB, max_size=3),
+    data=st.data(),
+)
+def test_graph_terms_match_the_reference(
+    directed, vertices, repeat_vertex, picks, disturbs, data
+):
+    """GraphTerm and DigraphTerm store what the reference computes, or
+    raise its exception with its message, on vertex lists and tuples, for
+    pair lists that are in order or shuffled, reversed, repeated, turned,
+    looped, given as lists or reaching outside the vertices.  On a vertex
+    tuple, each term is built right after terms of both kinds on that same
+    tuple object, so its pairs meet a vertex table whose ranks are already
+    filled."""
+    if vertices and repeat_vertex == 0:
+        vertices.append(vertices[-1])
+    order = sorted(set(vertices), key=_reference_key)
+    arcs = list(product(order, repeat=2))
+    edges = list(combinations(order, 2))
+    cls, every, other, others = (
+        (DigraphTerm, arcs, GraphTerm, edges) if directed
+        else (GraphTerm, edges, DigraphTerm, arcs)
+    )
+    pairs = [p for p, keep in zip(every, picks) if keep]
+    start = pairs
+    for disturb in disturbs:
+        # Most changes touch one place, so the pairs around it stay in
+        # order and the rank check alone has to catch the change.
+        at = data.draw(st.integers(0, len(pairs)))
+        if disturb == "shuffle":
+            pairs = data.draw(st.permutations(pairs))
+        elif disturb == "reverse":
+            pairs = pairs[::-1]
+        elif disturb == "duplicate" and pairs:
+            at = min(at, len(pairs) - 1)
+            pairs = pairs[:at + 1] + pairs[at:]
+        elif disturb == "outside":
+            outside = data.draw(st.sampled_from([(99, 0), ("a", "zz")]))
+            pairs = pairs[:at] + [outside] + pairs[at:]
+        elif disturb == "turn" and pairs:
+            at = min(at, len(pairs) - 1)
+            a, b = pairs[at]
+            pairs = pairs[:at] + [(b, a)] + pairs[at + 1:]
+        elif disturb == "loop" and order:
+            loop = data.draw(st.sampled_from(order))
+            pairs = pairs[:at] + [(loop, loop)] + pairs[at:]
+        elif disturb == "list":
+            pairs = [list(p) for p in pairs]
+    for given_vertices in (tuple(vertices), list(vertices)):
+        # Rank every pair of the other kind, which shares a tuple's table,
+        # and the first picked pairs of this kind.
+        _outcome(lambda: other(given_vertices, others))
+        _outcome(lambda: cls(given_vertices, start))
+        want = _outcome(
+            lambda: _reference_graph(given_vertices, pairs, directed)
+        )
+        got = _outcome(lambda: _stored(cls(given_vertices, pairs)))
+        assert got == want
+        got = _outcome(lambda: _stored(cls(given_vertices, iter(pairs))))
+        assert got == want
+
+
+@pytest.mark.parametrize("cls", [GraphTerm, DigraphTerm])
+def test_a_vertex_list_is_checked_again_after_it_changes(cls):
+    """A vertex table is kept only for a tuple: a list may change between
+    two terms, and each term checks the list as it is then."""
+    vertices = [1, 2, 3]
+    assert cls(vertices, [(1, 2)]).vertices == (1, 2, 3)
+    vertices.append(1)
+    with pytest.raises(ValueError, match="duplicate label"):
+        cls(vertices, [(1, 2)])
+    vertices[:] = [2, 1]
+    with pytest.raises(ValueError, match="endpoint outside the vertex set"):
+        cls(vertices, [(1, 3)])
+    assert cls(vertices, [(1, 2)]).vertices == (1, 2)
+
+
+def test_ranked_pairs_are_still_refused_where_they_do_not_fit():
+    """Once every pair of a tuple's vertices is ranked, a repeated arc, a
+    repeated, turned or looped edge, still takes the full check."""
+    vertices = (1, 2)
+    arcs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert DigraphTerm(vertices, arcs).arcs == tuple(arcs)
+    assert GraphTerm(vertices, [(1, 2)]).edges == ((1, 2),)
+    with pytest.raises(ValueError, match="duplicate arc"):
+        DigraphTerm(vertices, [(1, 2), (1, 2)])
+    with pytest.raises(ValueError, match="duplicate edge"):
+        GraphTerm(vertices, [(1, 2), (1, 2)])
+    with pytest.raises(ValueError, match="no loops"):
+        GraphTerm(vertices, [(1, 1)])
+    assert GraphTerm(vertices, [(2, 1)]).edges == ((1, 2),)
