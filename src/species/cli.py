@@ -21,6 +21,7 @@ structure).
 """
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -45,7 +46,12 @@ from .expr import Name, RESERVED, print_expr
 from .identities import SUITE_NOTE, run_suite
 from .parser import parse_defs, parse_expr
 from .semantics import DEFAULT_ORDER, egf_of
-from .structures import Bijection, check_label, decode_structure
+from .structures import (
+    Bijection,
+    check_label,
+    clear_label_codes,
+    decode_structure,
+)
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _SIZE_RE = re.compile(r"\d+")
@@ -133,16 +139,30 @@ def _cmd_series(args):
 
 
 def _cmd_enumerate(args):
+    """List the structures.  The listing holds no reference cycles (see the
+    enumerator module), so the cyclic collector stays paused from the walk
+    through the last line written: otherwise the first collection after the
+    walk would traverse every listed term.  The collector's state is
+    restored however the call ends, a closed pipe included."""
     env = _load_env(args.defs)
     expr = parse_expr(args.expr)
     labels = _parse_labels(args.labels)
-    structures = enumerate_structures(expr, env, labels, budget=args.budget)
-    if args.json:
-        _write_json_listing(structures)
-    else:
-        for s in structures:
-            print(s.render())
-        print(len(structures))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        structures = enumerate_structures(
+            expr, env, labels, budget=args.budget
+        )
+        if args.json:
+            _write_json_listing(structures)
+        else:
+            for s in structures:
+                print(s.render())
+            print(len(structures))
+    finally:
+        clear_label_codes()
+        if collecting:
+            gc.enable()
     return 0
 
 
@@ -242,71 +262,102 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="species",
-        description="Count, list, and relabel the structures of a species expression.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, defs=True, order=None, as_json=True):
+    if defs:
+        p.add_argument("--defs", metavar="FILE", default=None,
+                       help="definitions file of name = expression lines")
+    if order is not None:
+        p.add_argument("--order", type=_order, default=order,
+                       help="truncation order")
+    if as_json:
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output")
 
-    def common(p, defs=True, order=None, as_json=True):
-        if defs:
-            p.add_argument("--defs", metavar="FILE", default=None,
-                           help="definitions file of name = expression lines")
-        if order is not None:
-            p.add_argument("--order", type=_order, default=order,
-                           help="truncation order")
-        if as_json:
-            p.add_argument("--json", action="store_true",
-                           help="machine-readable output")
 
-    p = sub.add_parser("count", help="number of structures on a label set")
+def _count_arguments(p):
     p.add_argument("expr")
     p.add_argument("labels", help="a size n (labels 1..n) or a comma list")
-    common(p)
-    p.set_defaults(func=_cmd_count)
+    _common(p)
 
-    p = sub.add_parser("series", help="counting series of an expression")
+
+def _series_arguments(p):
     p.add_argument("expr")
-    common(p, order=DEFAULT_ORDER)
-    p.set_defaults(func=_cmd_series)
+    _common(p, order=DEFAULT_ORDER)
 
-    p = sub.add_parser("enumerate", help="list every structure on a label set")
+
+def _enumerate_arguments(p):
     p.add_argument("expr")
     p.add_argument("labels", help="a size n (labels 1..n) or a comma list")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="refuse to list more than this many structures")
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
+    _common(p)
 
-    p = sub.add_parser("transport",
-                       help="relabel a structure along a bijection")
+
+def _transport_arguments(p):
     p.add_argument("expr")
     p.add_argument("bijection", help="comma list of a->b entries")
     p.add_argument("structure", nargs="?", default=None,
                    help="structure as JSON (read from stdin when omitted)")
-    common(p)
-    p.set_defaults(func=_cmd_transport)
+    _common(p)
 
-    p = sub.add_parser("solve",
-                       help="series of a name from a definitions file")
+
+def _solve_arguments(p):
     p.add_argument("name")
-    common(p, order=DEFAULT_ORDER)
-    p.set_defaults(func=_cmd_solve)
+    _common(p, order=DEFAULT_ORDER)
 
-    p = sub.add_parser("verify", help="run the built-in identity suite")
+
+def _verify_arguments(p):
     p.add_argument("--case", action="append", default=None, metavar="NAME",
                    help="run only this case (repeatable)")
     p.add_argument("--order", type=_order, default=None,
                    help="cap both series order and enumeration size")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    _common(p)
 
+
+#: Every subcommand: (help, the function adding its arguments, the function
+#: running it), in the order `species --help` lists them.
+_COMMANDS = {
+    "count": ("number of structures on a label set", _count_arguments,
+              _cmd_count),
+    "series": ("counting series of an expression", _series_arguments,
+               _cmd_series),
+    "enumerate": ("list every structure on a label set",
+                  _enumerate_arguments, _cmd_enumerate),
+    "transport": ("relabel a structure along a bijection",
+                  _transport_arguments, _cmd_transport),
+    "solve": ("series of a name from a definitions file", _solve_arguments,
+              _cmd_solve),
+    "verify": ("run the built-in identity suite", _verify_arguments,
+               _cmd_verify),
+}
+
+
+def _build_parser(command=None):
+    """The argument parser: with command, a subcommand name, the top parser
+    with that one subparser, else with all of them.  The one-subcommand
+    parser names every subcommand in its usage, as the full one does, so
+    its messages are the same."""
+    parser = argparse.ArgumentParser(
+        prog="species",
+        description="Count, list, and relabel the structures of a species expression.",
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments, run) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    """Run one command line and return its exit code.  Only the subparser of
+    the subcommand named first is built; any other first word (an option,
+    an unknown name, nothing) gets the full parser and its messages."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

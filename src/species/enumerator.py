@@ -19,13 +19,15 @@ that fixes the reserved star points.
 The walk runs with Python's cyclic garbage collector paused.  A listing
 holds hundreds of thousands of terms that refer only to their children, so
 it has no reference cycles to find, yet each full collection would traverse
-all of them again.  enumerate_structures turns the collector back on when
-it returns or raises, if it was on when the call began; the few cycles the
-walk's recursive helper closures leave are collected then.  The switch is
-process-wide: another thread that turns the collector off during a walk
-finds it on again when the walk ends, and one that turns it on makes the
-rest of the walk collect as usual.  Walks that overlap in several threads
-leave it on if it was on before the first of them began.
+all of them again.  The walk itself makes no cycle either: its recursive
+helpers are module functions that get their state as arguments, not
+closures that refer to themselves.  enumerate_structures turns the
+collector back on when it returns or raises, if it was on when the call
+began.  The switch is process-wide: another thread that turns the
+collector off during a walk finds it on again when the walk ends, and one
+that turns it on makes the rest of the walk collect as usual.  Walks that
+overlap in several threads leave it on if it was on before the first of
+them began.
 """
 
 import gc
@@ -71,6 +73,7 @@ from .structures import (
     SubsetTerm,
     SumTerm,
     check_label,
+    clear_label_codes,
     is_star,
     label_code,
     label_sort_key,
@@ -130,7 +133,8 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
     structure is built when it is larger than the budget.  The result's
     length always equals that count.  The walk builds the list in order, so
     it is returned as built.  The cyclic garbage collector is paused during
-    the walk and left as it was found (see the module docstring).
+    the walk and left as it was found (see the module docstring), and the
+    table of label codes the walk filled is emptied at the end.
     """
     env = env or Environment()
     labs = _clean_labels(labels)
@@ -144,6 +148,7 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
     try:
         return _structures(expr, env, labs, _Walk())
     finally:
+        clear_label_codes()
         if collecting:
             gc.enable()
 
@@ -320,51 +325,11 @@ def _compositions(expr, env, labels, active):
     """
     n = len(labels)
     outer_counts = active.counts(expr.outer, env, n)
-    listed = {}
-    # One block per member tuple, so every entry of listed and every term
-    # built on it share the block and what it keeps.
-    block_on = {}
-
-    def assignments(rest, blocks):
-        """The pair tuples on rest in order, using a number of blocks whose
-        bit is set in blocks."""
-        if not rest:
-            return [()] if blocks & 1 else []
-        blocks &= (2 << len(rest)) - 2
-        if not blocks:
-            return []
-        found = listed.get((rest, blocks))
-        if found is not None:
-            return found
-        first, others = rest[0], rest[1:]
-        heads = []
-        for k in range(len(others) + 1):
-            for chosen in combinations(others, k):
-                members = (first,) + chosen
-                block = block_on.get(members)
-                if block is None:
-                    block = block_on[members] = Block(members)
-                heads.append((block.code(), block, chosen))
-        heads.sort(key=lambda head: head[0])
-        out = []
-        for _, block, chosen in heads:
-            inners = _structures(expr.inner, env, block.members, active)
-            if not inners:
-                continue
-            taken = set(chosen)
-            tails = assignments(
-                tuple(x for x in others if x not in taken), blocks >> 1
-            )
-            for inner in inners:
-                pair = ((block, inner),)
-                out.extend(pair + tail for tail in tails)
-        listed[(rest, blocks)] = out
-        return out
-
+    state = (expr, env, active, {}, {})
     wanted = sum(1 << k for k in range(n + 1) if outer_counts[k])
     out = []
     outers_on = {}
-    for assign in assignments(labels, wanted):
+    for assign in _assignments(state, labels, wanted):
         blocks = tuple(block for block, _ in assign)
         outers = outers_on.get(blocks)
         if outers is None:
@@ -375,30 +340,73 @@ def _compositions(expr, env, labels, active):
     return out
 
 
+def _assignments(state, rest, blocks):
+    """The (block, inner) pair tuples on rest in order, using a number of
+    blocks whose bit is set in blocks.  state is (expr, env, active,
+    listed, block_on): listed keeps every finished tuple list by (rest,
+    blocks), and block_on one block per member tuple, so every entry of
+    listed and every term built on it share the block and what it keeps."""
+    if not rest:
+        return [()] if blocks & 1 else []
+    blocks &= (2 << len(rest)) - 2
+    if not blocks:
+        return []
+    expr, env, active, listed, block_on = state
+    found = listed.get((rest, blocks))
+    if found is not None:
+        return found
+    first, others = rest[0], rest[1:]
+    heads = []
+    for k in range(len(others) + 1):
+        for chosen in combinations(others, k):
+            members = (first,) + chosen
+            block = block_on.get(members)
+            if block is None:
+                block = block_on[members] = Block(members)
+            heads.append((block.code(), block, chosen))
+    heads.sort(key=lambda head: head[0])
+    out = []
+    for _, block, chosen in heads:
+        inners = _structures(expr.inner, env, block.members, active)
+        if not inners:
+            continue
+        taken = set(chosen)
+        tails = _assignments(
+            state, tuple(x for x in others if x not in taken), blocks >> 1
+        )
+        for inner in inners:
+            pair = ((block, inner),)
+            out.extend(pair + tail for tail in tails)
+    listed[(rest, blocks)] = out
+    return out
+
+
 def _involutions(labels):
     """Every involution of labels, in encode() order: a depth-first fill of
     the sources in order, where each free source maps, by encoded label,
     to itself or to a later free source."""
     n = len(labels)
     by_code = sorted(range(n), key=lambda i: label_code(labels[i]))
-    image = [None] * n
     out = []
-
-    def fill(i):
-        while i < n and image[i] is not None:
-            i += 1
-        if i == n:
-            out.append(MapTerm(zip(labels, [labels[j] for j in image])))
-            return
-        for j in by_code:
-            if j == i or (j > i and image[j] is None):
-                image[i] = j
-                image[j] = i
-                fill(i + 1)
-                image[i] = image[j] = None
-
-    fill(0)
+    _fill(labels, by_code, [None] * n, out, 0)
     return out
+
+
+def _fill(labels, by_code, image, out, i):
+    """Append to out every involution that extends the partial one in
+    image, whose sources before i are all mapped."""
+    n = len(labels)
+    while i < n and image[i] is not None:
+        i += 1
+    if i == n:
+        out.append(MapTerm(zip(labels, [labels[j] for j in image])))
+        return
+    for j in by_code:
+        if j == i or (j > i and image[j] is None):
+            image[i] = j
+            image[j] = i
+            _fill(labels, by_code, image, out, i + 1)
+            image[i] = image[j] = None
 
 
 def _sublists(items, code, build, size=None):
@@ -415,16 +423,21 @@ def _sublists(items, code, build, size=None):
     by_code = sorted(range(n), key=lambda i: code(items[i]))
     after = [[i for i in by_code if i >= start] for start in range(n + 1)]
     out = []
-
-    def walk(chosen, start):
-        if size is None or len(chosen) < size:
-            for i in after[start]:
-                walk(chosen + (items[i],), i + 1)
-        if size is None or len(chosen) == size:
-            out.append(build(chosen))
-
-    walk((), 0)
+    _sublist_walk((items, after, build, size, out), (), 0)
     return out
+
+
+def _sublist_walk(state, chosen, start):
+    """Append to out every sublist that extends chosen with items from
+    start on, then chosen itself; state is (items, after, build, size,
+    out), where after[start] lists the places from start on in code
+    order."""
+    items, after, build, size, out = state
+    if size is None or len(chosen) < size:
+        for i in after[start]:
+            _sublist_walk(state, chosen + (items[i],), i + 1)
+    if size is None or len(chosen) == size:
+        out.append(build(chosen))
 
 
 def _primitive_structures(expr, labels):

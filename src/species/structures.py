@@ -16,8 +16,6 @@ graphs their isolated vertices — which is what transport needs to check
 domains.
 """
 
-import json
-from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter, lt
 
@@ -56,14 +54,6 @@ STAR = "★"
 #: Characters that cannot appear in a user label: they would collide with
 #: the textual renderings and the star token.
 _FORBIDDEN = set(" \t\r\n,{}()[]<>|" + STAR)
-
-#: The canonical encoder, built once: json.dumps with keyword arguments
-#: builds a new encoder on every call.
-_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-
-#: json.dumps with its defaults, built once: the form of `enumerate --json`.
-_DUMPS = json.JSONEncoder().encode
-
 
 def is_star(label):
     """True for the point tokens added by derivatives: ★, ★★, ..."""
@@ -110,10 +100,40 @@ def label_to_string(label):
 
 
 def label_code(label):
-    """A label as encode() writes it: its JSON-quoted, ASCII-escaped string.
-    Where terms hold labels in the same places, these codes order them as
-    their encodings do (no code is a prefix of another)."""
-    return _quote(label_to_string(label))
+    """A label as encode() and json.dumps write it: its JSON-quoted,
+    ASCII-escaped string.  Where terms hold labels in the same places, these
+    codes order them as their encodings do (no code is a prefix of
+    another)."""
+    return _CODES[label]
+
+
+class _Codes(dict):
+    """label -> label_code(label), each label quoted when it is first
+    written.  Labels are integers and strings, where equal labels have
+    equal codes, which a dict key needs.  A block is not kept here but
+    keeps its own (Block.quoted), so the table never keeps a block alive.
+    Listings empty it when they end (clear_label_codes), so it holds the
+    labels of at most one listing and whatever was encoded since."""
+
+    __slots__ = ()
+
+    def __missing__(self, label):
+        if isinstance(label, Block):
+            return label.quoted()
+        self[label] = found = _quote(str(label))
+        return found
+
+
+#: The one table of label codes.  It only ever maps a label to its own
+#: code, so threads share it safely: a listing that empties it while
+#: another thread writes costs that thread a few quotings again.
+_CODES = _Codes()
+_CODE = _CODES.__getitem__
+
+
+def clear_label_codes():
+    """Forget every quoted label; a listing calls this when it ends."""
+    _CODES.clear()
 
 
 def string_to_label(text):
@@ -167,10 +187,13 @@ class Block:
     those terms ask of it.  At creation it sorts its members and keeps
     them, its sort key (what label_sort_key returns for it), the frozenset
     of its members and its hash.  On first use it keeps its member list's
-    encode() text (code()) and its json.dumps text (text()).
+    encode() text (code()), its json.dumps text (text()) and its own code
+    as a label of an outer term (quoted()).
     """
 
-    __slots__ = ("members", "key", "member_set", "_hash", "_code", "_text")
+    __slots__ = (
+        "members", "key", "member_set", "_hash", "_code", "_text", "_quoted",
+    )
 
     def __init__(self, members):
         ms = tuple(sorted(members, key=label_sort_key))
@@ -191,7 +214,7 @@ class Block:
         try:
             return self._code
         except AttributeError:
-            self._code = found = _ENCODE(_labels_json(self.members))
+            self._code = found = "[" + ",".join(map(_CODE, self.members)) + "]"
             return found
 
     def text(self):
@@ -199,7 +222,17 @@ class Block:
         try:
             return self._text
         except AttributeError:
-            self._text = found = _DUMPS(_labels_json(self.members))
+            self._text = found = (
+                "[" + ", ".join(map(_CODE, self.members)) + "]"
+            )
+            return found
+
+    def quoted(self):
+        """label_code(self): the block's token, JSON-quoted."""
+        try:
+            return self._quoted
+        except AttributeError:
+            self._quoted = found = _quote(self.token())
             return found
 
     def __eq__(self, other):
@@ -270,23 +303,27 @@ def decode_structure(obj):
 #
 # Every term class declares `fields`: one (JSON key, attribute, field kind)
 # entry per constructor argument, in constructor order, which is also the
-# key order of to_json().  to_json(), the decoder, the equality key and
-# relabelling read the table.  A composite term's _text and _sort_parts,
-# which `enumerate --json` and listing call once per term, are compiled
-# from it when the class is created, with the literal JSON text around
-# each field fixed then.
+# key order of to_json().  The decoder, the equality key, relabelling and
+# to_json() read the table.  Every class's _text and _sort_parts, which
+# `enumerate --json`, listing and encode() call once per term, are compiled
+# from it, for all classes in one compile() call when the module is
+# loaded: f-strings with the literal JSON text around each field fixed
+# then, and every label written as its code from the one table of label
+# codes.  No writer builds a to_json() tree.
 
 
 class _FieldKind:
     """How one kind of field is read, written and relabelled.  decode turns
     its JSON value, checked to be a shape, into a constructor argument,
     json turns the attribute back into that value, and relabel(value, f)
-    applies f to its labels.  For a composite term's compiled writers, the
-    rest are templates of Python expressions in which {v} is the value:
-    code is the JSON text of a value that holds no term, and a value that
-    holds terms has its text in _text(text) and its part of
-    _sort_parts(key): one child's key or, when splice is set, a run of
-    texts and keys that starts and ends with text."""
+    applies f to its labels.  The rest are templates of the compiled
+    writers, in which @ is the value: code is a piece of f-string writing
+    the encode() text of a value that holds no term, and text its
+    json.dumps text when that differs (a list's separators do).  A value
+    that holds terms has its text, a piece of f-string, in _text(text),
+    and its part of _sort_parts(key), a Python expression: one child's key
+    or, when splice is set, a run of texts and keys that starts and ends
+    with text."""
 
     def __init__(self, shape, decode, json, relabel, code="", text="",
                  part="", splice=False):
@@ -295,37 +332,53 @@ class _FieldKind:
         self.part, self.splice = part, splice
 
 
+def _pair_list(pairs, sep):
+    """A pair list as JSON text, with sep between items."""
+    items = [f"[{_CODE(a)}{sep}{_CODE(b)}]" for a, b in pairs]
+    return "[" + sep.join(items) + "]"
+
+
+def _block_list(blocks, sep):
+    """A list of label lists as JSON text, with sep between items."""
+    items = ["[" + sep.join(map(_CODE, b)) + "]" for b in blocks]
+    return "[" + sep.join(items) + "]"
+
+
+# A string that is not a label has the same code as the label it spells.
 _TEXT = _FieldKind(
-    str, lambda v: v, lambda v: v, lambda v, f: v, code="_quote({v})"
+    str, lambda v: v, lambda v: v, lambda v, f: v, code="{_CODE(@)}"
 )
 _LABEL = _FieldKind(
     str, string_to_label, label_to_string, lambda v, f: f(v),
-    code="label_code({v})",
+    code="{_CODE(@)}",
 )
 _LABELS = _FieldKind(
-    list, _decode_labels, _labels_json, lambda v, f: [f(x) for x in v]
+    list, _decode_labels, _labels_json, lambda v, f: [f(x) for x in v],
+    code='[{",".join(map(_CODE, @))}]', text='[{", ".join(map(_CODE, @))}]',
 )
 _PAIRS = _FieldKind(
     list,
     lambda v: [(string_to_label(a), string_to_label(b)) for a, b in _pairs(v)],
     lambda v: [[label_to_string(a), label_to_string(b)] for a, b in v],
     lambda v, f: [(f(a), f(b)) for a, b in v],
+    code='{_pair_list(@, ",")}', text='{_pair_list(@, ", ")}',
 )
 _BLOCKS = _FieldKind(
     list,
     lambda v: [_decode_labels(b) for b in v],
     lambda v: [_labels_json(b) for b in v],
     lambda v, f: [[f(x) for x in b] for b in v],
+    code='{_block_list(@, ",")}', text='{_block_list(@, ", ")}',
 )
 _CHILD = _FieldKind(
     dict, decode_structure, lambda v: v.to_json(), lambda v, f: v.relabel(f),
-    text="text({v})", part="key({v})",
+    text="{text(@)}", part="key(@)",
 )
 #: A child whose labels are blocks, relabelled by each block's image.
 _ON_BLOCKS = _FieldKind(
     dict, decode_structure, lambda v: v.to_json(),
     lambda v, f: v.relabel(lambda b: Block(f(m) for m in b.members)),
-    text="text({v})", part="key({v})",
+    text="{text(@)}", part="key(@)",
 )
 #: A substitution's (block, inner term) pairs.
 _ASSIGN = _FieldKind(
@@ -337,8 +390,8 @@ _ASSIGN = _FieldKind(
     lambda v, f: [
         (Block(f(m) for m in b.members), t.relabel(f)) for b, t in v
     ],
-    text="_assign_text({v}, text)",
-    part="_assign_parts({v}, key)",
+    text="{_assign_text(@, text)}",
+    part="_assign_parts(@, key)",
     splice=True,
 )
 
@@ -350,46 +403,49 @@ def _tuple(items):
     return "(" + "".join(item + ", " for item in items) + ")"
 
 
-def _compile(cls):
-    """A composite class's _text and _sort_parts, by name."""
-    fields = [(key, "self." + attr, fk) for key, attr, fk in cls.fields]
-    src = [_text_source(cls.kind, fields), _parts_source(cls.kind, fields)]
+def _compile_writers(classes):
+    """Set every class's _text and _sort_parts, compiled from the field
+    tables in one go."""
+    src = []
+    for cls in classes:
+        fields = [(key, "self." + attr, fk) for key, attr, fk in cls.fields]
+        src += [_text_source(cls, fields), _parts_source(cls, fields)]
     methods = {}
-    code = compile("\n".join(src), f"<fields of {cls.__name__}>", "exec")
-    exec(code, globals(), methods)
-    return methods
+    exec(compile("\n".join(src), "<field tables>", "exec"), globals(), methods)
+    for cls in classes:
+        cls._text = methods[cls.__name__ + "_text"]
+        cls._sort_parts = methods[cls.__name__ + "_sort_parts"]
 
 
-def _text_source(kind, fields):
+def _text_source(cls, fields):
     """_text: keys in insertion order, json.dumps's separators.  Here and in
     _sort_parts, the keys and kinds written into the generated f-strings
     have no brace, quote or backslash to escape."""
-    text = '{{"kind": ' + _quote(kind)
+    text = '{{"kind": ' + _quote(cls.kind)
     for k, v, fk in fields:
-        value = (fk.text or fk.code).format(v=v)
-        text += f", {_quote(k)}: {{{value}}}"
-    return f"def _text(self, text): return f'{text}}}}}'"
+        text += f", {_quote(k)}: " + (fk.text or fk.code).replace("@", v)
+    return f"def {cls.__name__}_text(self, text): return f'{text}}}}}'"
 
 
-def _parts_source(kind, fields):
+def _parts_source(cls, fields):
     """_sort_parts: keys sorted, encode()'s separators, cut at each child."""
     runs, items, text = [], [], "{{"
     for i, (k, v, fk) in enumerate(sorted(fields + [("kind", "", None)])):
         text += ("," if i else "") + _quote(k) + ":"
         if fk is None:
-            text += _quote(kind)
+            text += _quote(cls.kind)
         elif not fk.part:
-            text += "{" + fk.code.format(v=v) + "}"
+            text += fk.code.replace("@", v)
         elif fk.splice:
-            runs += [_tuple(items + [f"f'{text}'"]), fk.part.format(v=v)]
+            runs += [_tuple(items + [f"f'{text}'"]), fk.part.replace("@", v)]
             items, text = [], ""
         else:
-            items += [f"f'{text}'", fk.part.format(v=v)]
+            items += [f"f'{text}'", fk.part.replace("@", v)]
             text = ""
     parts = _tuple(items + [f"f'{text}}}}}'"])
     if runs:
         parts = "_splice" + _tuple(runs + [parts])
-    return f"def _sort_parts(self, key): return {parts}"
+    return f"def {cls.__name__}_sort_parts(self, key): return {parts}"
 
 
 def _splice(*runs):
@@ -417,6 +473,11 @@ def _assign_parts(assign, key):
     return (*parts, text + "]")
 
 
+def _encoded(term):
+    """term.encode(), its children written without calling encode()."""
+    return "".join(term._sort_parts(_encoded))
+
+
 class Structure:
     """Base class: canonical term with equality, ordering key, and JSON."""
 
@@ -427,9 +488,6 @@ class Structure:
         if "fields" in cls.__dict__:
             _CLASSES[cls.kind] = cls
             cls._attrs = attrgetter(*[attr for _, attr, _ in cls.fields])
-            if issubclass(cls, _Composite):
-                for name, method in _compile(cls).items():
-                    setattr(cls, name, method)
 
     def labels(self):
         """The underlying label set (derivative stars excluded), computed on
@@ -448,8 +506,9 @@ class Structure:
         ])
 
     def to_json(self):
-        """The term as a JSON-ready dict, for API callers; a primitive term
-        builds a fresh one per call."""
+        """The term as a JSON-ready dict, for API callers; no writer of
+        this module builds it.  A primitive term builds a fresh one per
+        call."""
         tree = {"kind": self.kind}
         for key, attr, fk in self.fields:
             tree[key] = fk.json(getattr(self, attr))
@@ -457,16 +516,17 @@ class Structure:
 
     def _text(self, text):
         """json.dumps(self.to_json()): default separators, keys in
-        insertion order, non-ASCII escaped.  A composite term writes its
-        own literals around text(child) for each child, so the caller
-        decides which children's texts to keep; a term with no child
-        dumps its dict."""
-        return _DUMPS(self.to_json())
+        insertion order, non-ASCII escaped.  A term writes its own literals
+        and labels around text(child) for each child, so the caller decides
+        which children's texts to keep.  Every class compiles its own from
+        its field table."""
+        raise NotImplementedError
 
     def encode(self):
-        """Canonical encoding; byte-stable, and it fixes the enumeration
-        order."""
-        return _ENCODE(self.to_json())
+        """Canonical encoding, json.dumps(self.to_json(), separators=(",",
+        ":"), sort_keys=True), written from the field tables; byte-stable,
+        and it fixes the enumeration order."""
+        return _encoded(self)
 
     def _sort_parts(self, key):
         """encode() cut at every child term: a tuple that alternates literal
@@ -475,9 +535,9 @@ class Structure:
         a different literal at the same position, and comparing these tuples
         (with key giving the children's tuples) orders terms exactly as
         comparing their encodings does.  Enumeration compares terms this way
-        where it merges sorted lists.  A term with no child is one
-        literal."""
-        return (self.encode(),)
+        where it merges sorted lists.  A term with no child is one literal,
+        its encode().  Every class compiles its own from its field table."""
+        raise NotImplementedError
 
     def _key(self):
         return self._attrs(self)
@@ -499,8 +559,10 @@ class _Composite(Structure):
     returns that same dict: callers must not mutate it.  (A primitive term
     builds a fresh dict per call: one kept dict per listed set, map or
     graph costs more memory than rebuilding it.)  The tree serves API
-    callers only: enumeration compares _sort_parts and `enumerate --json`
-    writes _text, neither of which builds it."""
+    callers only.  Like every term class, a composite's _text and
+    _sort_parts are compiled from its field table, and encode() joins its
+    _sort_parts: enumeration, `enumerate --json` and encode() build no
+    tree."""
 
     __slots__ = ("_json",)
 
@@ -635,24 +697,29 @@ class MapTerm(Structure):
         return "{" + inner + "}"
 
 
-#: The vertex table of one vertex tuple: given is the caller's object,
-#: vertices its sorted, checked copy, pos each vertex's place in it, and
-#: edge_ranks and arc_ranks the rank pos[a] * n + pos[b] of every pair a
-#: graph or a digraph on it has been built with.  The rank dicts start
-#: empty and learn a pair when a term first holds it, so a table costs
-#: O(n) to build however many pairs its vertices allow.  Edges are ranked
-#: apart from arcs because only a pair with a before b, and no loop, is an
-#: edge in its place.
-_VertexTable = namedtuple(
-    "_VertexTable", "given vertices pos edge_ranks arc_ranks"
-)
+class _VertexTable:
+    """The vertex table of one vertex tuple: given is the caller's object,
+    vertices its sorted, checked copy, pos each vertex's place in it, and
+    edge_ranks and arc_ranks the rank pos[a] * n + pos[b] of every pair a
+    graph or a digraph on it has been built with.  The rank dicts start
+    empty and learn a pair when a term first holds it, so a table costs
+    O(n) to build however many pairs its vertices allow.  Edges are ranked
+    apart from arcs because only a pair with a before b, and no loop, is an
+    edge in its place.  (A plain class: creating a namedtuple class costs
+    more at import.)"""
+
+    __slots__ = ("given", "vertices", "pos", "edge_ranks", "arc_ranks")
+
+    def __init__(self, given, vertices, pos):
+        self.given, self.vertices, self.pos = given, vertices, pos
+        self.edge_ranks, self.arc_ranks = {}, {}
 
 
 #: The table of the last vertex tuple a graph or digraph was built on.
 #: A listing builds all its graphs on one tuple, so they share one table.
 #: The record is replaced whole and read once per term, so two threads
 #: building terms at once never mix the fields of two tables.
-_last_table = _VertexTable((), (), {}, {}, {})
+_last_table = _VertexTable((), (), {})
 
 
 def _vertex_table(vertices):
@@ -664,7 +731,7 @@ def _vertex_table(vertices):
     if table.given is not vertices:
         ordered = _sorted_labels(vertices)
         pos = {v: i for i, v in enumerate(ordered)}
-        table = _VertexTable(vertices, ordered, pos, {}, {})
+        table = _VertexTable(vertices, ordered, pos)
         if type(vertices) is tuple:
             _last_table = table
     return table
@@ -948,6 +1015,9 @@ class NamedTerm(_Composite):
 
     def render(self):
         return f"{self.name}:{self.inner.render()}"
+
+
+_compile_writers(list(_CLASSES.values()))
 
 
 # -- bijections ------------------------------------------------------------

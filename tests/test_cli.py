@@ -1,6 +1,7 @@
 """The command-line interface, driven in process through main()."""
 
 import contextlib
+import gc
 import io
 import json
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from species import semantics
+from species import cli, semantics
 from species.cli import main
 from species.expr import RESERVED, PrimitiveKind, print_expr
 from species.parser import MAX_NESTING
@@ -280,6 +281,104 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         out, _ = capsys.readouterr()
         assert "count" in out and "verify" in out
+
+
+def _captured(call, argv):
+    """(exit code, stdout, stderr) of call(argv); a SystemExit from argparse
+    gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneSubcommandParser:
+    """main builds only the subparser of the subcommand it runs; its exit
+    codes, output and messages are those of the full parser."""
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 1),
+        (["--help"], 0),
+        (["bogus"], 1),
+        (["count", "--help"], 0),
+        (["count", "X"], 1),
+        (["count", "X", "3", "--bogus"], 1),
+        (["enumerate", "X", "1", "--budget", "many"], 1),
+        (["verify", "--order", "-1"], 1),
+    ])
+    def test_same_as_the_full_parser(self, argv, code):
+        full = _captured(cli._build_parser().parse_args, argv)
+        got = _captured(main, argv)
+        assert got[0] == code
+        assert got[1:] == full[1:]
+        if code == 0:
+            assert got[1].startswith("usage: species ")
+        else:
+            assert got[1] == "" and "error:" in got[2]
+
+    def test_help_of_a_subcommand(self):
+        code, out, _ = _captured(main, ["count", "--help"])
+        assert code == 0
+        assert out.startswith("usage: species count [-h] ")
+        assert "--defs FILE" in out and "--json" in out
+
+    def test_only_the_named_subparser_is_built(self):
+        sub = cli._build_parser("series")._subparsers._group_actions[0]
+        assert list(sub.choices) == ["series"]
+        full = cli._build_parser()._subparsers._group_actions[0]
+        assert list(full.choices) == list(cli._COMMANDS)
+
+
+class TestCollectorAroundTheListing:
+    """enumerate keeps the cyclic collector paused through its output and
+    leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        collecting = gc.isenabled()
+        yield
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("as_json", [["--json"], []])
+    def test_paused_while_writing_and_restored(self, collecting, as_json):
+        out = _Recording()
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+        with contextlib.redirect_stdout(out):
+            code = main(["enumerate", "Part", "4", *as_json])
+        assert code == 0
+        assert out.getvalue().endswith("\n")
+        assert out.collecting == {False}
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("on", ["write", "flush"])
+    def test_restored_on_a_closed_pipe(self, on):
+        gc.enable()
+        with contextlib.redirect_stdout(_ClosedPipe(on)), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["enumerate", "Part", "5", "--json"]) == 0
+        assert gc.isenabled()
+
+
+class _Recording(io.StringIO):
+    """A stdout that notes whether the collector was on at each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.collecting = set()
+
+    def write(self, text):
+        self.collecting.add(gc.isenabled())
+        return super().write(text)
 
 
 class _ClosedPipe(io.StringIO):

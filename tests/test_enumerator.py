@@ -743,6 +743,33 @@ class TestJsonListing:
         assert trees == []
 
 
+    @pytest.mark.parametrize("text", ["S", "Part", "Gra", "E(C)", "B"])
+    def test_no_term_builds_its_json_tree(self, text, tmp_path, monkeypatch):
+        """Every term class writes its --json text from its field table, so
+        no listed term, primitive or composite, calls to_json()."""
+        calls = []
+        to_json = Structure.to_json
+
+        def recorded(self):
+            calls.append(type(self).__name__)
+            return to_json(self)
+
+        monkeypatch.setattr(Structure, "to_json", recorded)
+        defs = tmp_path / "defs.species"
+        defs.write_text(_DIGEST_DEFS, encoding="utf-8")
+        code, out = _cli_stdout(
+            ["enumerate", text, "4", "--defs", str(defs), "--json"]
+        )
+        assert code == 0
+        assert calls == []
+        got = enumerate_structures(
+            parse_expr(text), parse_defs(_DIGEST_DEFS), [1, 2, 3, 4]
+        )
+        assert calls == []
+        assert out == _dumped(got)
+        assert calls
+
+
 # Digests of `enumerate EXPR LABELS [--json]` stdout for the primitives
 # listed by a walk over their edge, arc or member lists, pinned from the
 # listing that sorted them by encode().
@@ -903,6 +930,18 @@ class TestCollectorPause:
         with pytest.raises(RecursionGuard, match="failed walk"):
             enum("Gra", [1, 2, 3])
         assert gc.isenabled()
+
+    def test_the_walk_leaves_no_reference_cycles(self):
+        """Nothing a walk makes needs the collector: with it off, a
+        collection after each listing finds no garbage."""
+        env = parse_defs("A = X*E(A)\n")
+        for text in ("A", "E(C)", "Inv", "Gra", "P"):
+            expr = parse_expr(text)
+            gc.collect()
+            gc.disable()
+            got = enumerate_structures(expr, env, [1, 2, 3, 4])
+            assert got
+            assert gc.collect() == 0, text
 
 
 def _all_sublists(items):

@@ -526,3 +526,128 @@ def test_ranked_pairs_are_still_refused_where_they_do_not_fit():
     with pytest.raises(ValueError, match="no loops"):
         GraphTerm(vertices, [(1, 1)])
     assert GraphTerm(vertices, [(2, 1)]).edges == ((1, 2),)
+
+
+# -- compiled writers against to_json() -------------------------------------
+
+# Integers, and strings with characters JSON escapes (the quote, the
+# backslash, e acute) or that sit next to the quote in code order (!, ').
+_LABEL = st.one_of(
+    st.integers(min_value=0, max_value=20),
+    st.text(alphabet='ab!"\\é\'', min_size=1, max_size=3),
+)
+_LEAVES = ["set", "subset", "list", "cycle", "map", "graph", "digraph",
+           "partition"]
+
+
+def _star_after(labels):
+    """A star token longer than every star among labels."""
+    return STAR * (1 + max((len(l) for l in labels if is_star(l)), default=0))
+
+
+@st.composite
+def _split(draw, labels):
+    """labels cut in two, each part in labels' order."""
+    mask = draw(st.lists(st.booleans(), min_size=len(labels),
+                         max_size=len(labels)))
+    left = tuple(l for l, m in zip(labels, mask) if m)
+    right = tuple(l for l, m in zip(labels, mask) if not m)
+    return left, right
+
+
+@st.composite
+def _blocks(draw, labels):
+    """A partition of labels into nonempty label tuples."""
+    place = draw(st.lists(st.integers(0, max(len(labels) - 1, 0)),
+                          min_size=len(labels), max_size=len(labels)))
+    parts = {}
+    for label, i in zip(labels, place):
+        parts.setdefault(i, []).append(label)
+    return [tuple(p) for p in parts.values()]
+
+
+@st.composite
+def _term(draw, labels, kind=None, depth=2):
+    """A term of kind (drawn when None) on exactly labels, whose children
+    are drawn to depth more levels."""
+    labels = tuple(labels)
+    if kind is None:
+        kinds = [k for k in _LEAVES if k != "cycle" or labels]
+        if depth > 0:
+            kinds += ["sum", "prod", "comp", "deriv", "named"]
+            kinds += ["point"] if labels else []
+        kind = draw(st.sampled_from(kinds))
+    child = lambda on: _term(on, depth=depth - 1)  # noqa: E731
+    if kind == "set":
+        return SetTerm(labels)
+    if kind == "subset":
+        return SubsetTerm(*draw(_split(labels)))
+    if kind == "list":
+        return ListTerm(draw(st.permutations(labels)))
+    if kind == "cycle":
+        return CycleTerm(draw(st.permutations(labels)))
+    if kind == "map":
+        images = st.sampled_from(labels) if labels else st.nothing()
+        return MapTerm(zip(labels, draw(st.lists(
+            images, min_size=len(labels), max_size=len(labels)))))
+    if kind == "graph":
+        edges = draw(st.lists(st.sampled_from(list(combinations(labels, 2))),
+                              unique=True)) if len(labels) > 1 else []
+        return GraphTerm(labels, draw(st.permutations(edges)))
+    if kind == "digraph":
+        arcs = draw(st.lists(st.sampled_from(list(product(labels, labels))),
+                             unique=True)) if labels else []
+        return DigraphTerm(labels, arcs)
+    if kind == "partition":
+        return PartitionTerm(draw(_blocks(labels)))
+    if kind == "sum":
+        return SumTerm(draw(st.sampled_from(["left", "right"])),
+                       draw(child(labels)))
+    if kind == "prod":
+        left, right = draw(_split(labels))
+        return ProdTerm(draw(child(left)), draw(child(right)))
+    if kind == "comp":
+        blocks = [Block(b) for b in draw(_blocks(labels))] if labels else []
+        assign = [(b, draw(child(b.members))) for b in blocks]
+        return CompTerm(draw(child(blocks)), assign)
+    if kind == "deriv":
+        return DerivTerm(draw(child(labels + (_star_after(labels),))))
+    if kind == "point":
+        return PointTerm(draw(st.sampled_from(labels)), draw(child(labels)))
+    assert kind == "named"
+    return NamedTerm(draw(st.sampled_from(["B", "Tree", "F2"])),
+                     draw(child(labels)))
+
+
+class TestCompiledWriters:
+    """Every class's compiled _text and encode() against json.dumps of its
+    to_json() tree."""
+
+    @pytest.mark.parametrize("kind", sorted(TERMS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), labels=st.lists(_LABEL, max_size=5, unique=True),
+           stars=st.integers(0, 2))
+    def test_text_and_encode_equal_json_dumps(self, kind, data, labels,
+                                              stars):
+        labels = labels + [STAR * k for k in range(1, stars + 1)]
+        if not labels and kind in ("cycle", "point"):
+            labels = [1]
+        term = data.draw(_term(labels, kind))
+        assert term.kind == kind
+        tree = term.to_json()
+        assert _dumped(term) == json.dumps(tree)
+        assert term.encode() == json.dumps(
+            tree, separators=(",", ":"), sort_keys=True
+        )
+        assert _joined(term) == term.encode()
+
+    def test_block_labels_of_an_outer_term(self):
+        """A comp term's outer writes each block as its quoted token."""
+        blocks = [Block([1, 'q"']), Block(["é", "\\"]),
+                  Block([Block([2]), 3])]
+        outer = GraphTerm(blocks, [(blocks[0], blocks[2])])
+        for term in (outer, PointTerm(blocks[1], SetTerm(blocks))):
+            assert _dumped(term) == json.dumps(term.to_json())
+            assert term.encode() == json.dumps(
+                term.to_json(), separators=(",", ":"), sort_keys=True
+            )
