@@ -21,14 +21,13 @@ structure).
 """
 
 import argparse
-import gc
 import json
 import os
 import re
 import sys
 from pathlib import Path
 
-from .enumerator import DEFAULT_BUDGET, enumerate_structures, transport
+from .enumerator import DEFAULT_BUDGET, enumerate_structures, listing, transport
 from .errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -44,16 +43,10 @@ from .errors import (
 )
 from .expr import Name, RESERVED, print_expr
 from .identities import SUITE_NOTE, run_suite
-from .parser import parse_defs, parse_expr
+from .parser import _IDENT_RE, parse_defs, parse_expr
 from .semantics import DEFAULT_ORDER, egf_of
-from .structures import (
-    Bijection,
-    check_label,
-    clear_label_codes,
-    decode_structure,
-)
+from .structures import Bijection, check_label, decode_structure
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _SIZE_RE = re.compile(r"\d+")
 
 
@@ -140,16 +133,14 @@ def _cmd_series(args):
 
 def _cmd_enumerate(args):
     """List the structures.  The listing holds no reference cycles (see the
-    enumerator module), so the cyclic collector stays paused from the walk
-    through the last line written: otherwise the first collection after the
-    walk would traverse every listed term.  The collector's state is
-    restored however the call ends, a closed pipe included."""
+    enumerator module), so one listing() scope keeps the collector paused
+    from the walk through the last line written: otherwise the first
+    collection after the walk would traverse every listed term.  The scope
+    restores it however the call ends, a closed pipe included."""
     env = _load_env(args.defs)
     expr = parse_expr(args.expr)
     labels = _parse_labels(args.labels)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with listing():
         structures = enumerate_structures(
             expr, env, labels, budget=args.budget
         )
@@ -159,10 +150,6 @@ def _cmd_enumerate(args):
             for s in structures:
                 print(s.render())
             print(len(structures))
-    finally:
-        clear_label_codes()
-        if collecting:
-            gc.enable()
     return 0
 
 

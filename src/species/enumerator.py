@@ -21,9 +21,9 @@ holds hundreds of thousands of terms that refer only to their children, so
 it has no reference cycles to find, yet each full collection would traverse
 all of them again.  The walk itself makes no cycle either: its recursive
 helpers are module functions that get their state as arguments, not
-closures that refer to themselves.  enumerate_structures turns the
-collector back on when it returns or raises, if it was on when the call
-began.  The switch is process-wide: another thread that turns the
+closures that refer to themselves.  listing() pauses the collector and
+turns it back on when the listing returns or raises, if it was on when the
+listing began.  The switch is process-wide: another thread that turns the
 collector off during a walk finds it on again when the walk ends, and one
 that turns it on makes the rest of the walk collect as usual.  Walks that
 overlap in several threads leave it on if it was on before the first of
@@ -132,9 +132,7 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
     The series count is computed first; BudgetExceeded is raised before any
     structure is built when it is larger than the budget.  The result's
     length always equals that count.  The walk builds the list in order, so
-    it is returned as built.  The cyclic garbage collector is paused during
-    the walk and left as it was found (see the module docstring), and the
-    table of label codes the walk filled is emptied at the end.
+    it is returned as built.  It runs in the scope of one listing().
     """
     env = env or Environment()
     labs = _clean_labels(labels)
@@ -143,13 +141,27 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
         )
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with listing():
         return _structures(expr, env, labs, _Walk())
-    finally:
+
+
+class listing:
+    """The scope of a listing: the cyclic garbage collector is paused in it
+    and left as it was found (see the module docstring), and the table of
+    label codes the listing filled is emptied when it ends.  Scopes nest.
+
+    Not a generator: its exit would allocate a StopIteration after turning
+    the collector back on, and that allocation starts a young collection
+    that traverses every term the caller still holds.
+    """
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
         clear_label_codes()
-        if collecting:
+        if self.collecting:
             gc.enable()
 
 

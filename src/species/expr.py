@@ -5,8 +5,8 @@ operations: sum, product, substitution, derivative, pointing, and cardinality
 restriction.  Trees are immutable values; equal trees compare and hash equal.
 """
 
-from dataclasses import dataclass
 from enum import Enum, unique
+from types import MappingProxyType
 
 from .errors import DuplicateName, UnboundName
 
@@ -62,73 +62,131 @@ RESERVED = frozenset(TOKEN_TO_KIND) | {"pt"}
 
 
 class SpeciesExpr:
-    """Abstract base for expression nodes."""
+    """Base of the expression nodes: immutable values.
 
-    __slots__ = ()
+    Each node class lists its fields in constructor order, as
+    ``__slots__ = fields = (...)``.  Two nodes are equal when they have the
+    same class and equal fields.  height, the number of nodes on the longest
+    path down, is set at construction, and _values keeps the fields in
+    order; the hash and depths are computed the first time they are asked
+    for and kept, so a tree is walked for them once however often it is
+    looked up.
+    """
+
+    __slots__ = ("height", "_values", "_hash", "_depths")
+
+    def __init__(self, *values):
+        height = 0
+        for field, value in zip(self.fields, values, strict=True):
+            _set(self, field, value)
+            if isinstance(value, SpeciesExpr) and value.height > height:
+                height = value.height
+        _set(self, "height", height + 1)
+        _set(self, "_values", values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self):
+        found = getattr(self, "_hash", None)
+        if found is None:
+            found = hash((type(self), *self._values))
+            _set(self, "_hash", found)
+        return found
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self):
+        args = ", ".join(map("{}={!r}".format, self.fields, self._values))
+        return f"{type(self).__name__}({args})"
+
+    @property
+    def depths(self):
+        """A read-only map from each name the tree references to the most
+        derivatives stacked above any of its occurrences: evaluating the
+        tree to order n needs that name to order n + depth."""
+        found = getattr(self, "_depths", None)
+        if found is None:
+            found = MappingProxyType(self._name_depths())
+            _set(self, "_depths", found)
+        return found
+
+    def _name_depths(self):
+        out = {}
+        for child in self._values:
+            if isinstance(child, SpeciesExpr):
+                for name, depth in child.depths.items():
+                    out[name] = max(depth, out.get(name, 0))
+        return out
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
 class Primitive(SpeciesExpr):
-    kind: PrimitiveKind
-    param: int | None = None
+    __slots__ = fields = ("kind", "param")
 
-    def __post_init__(self):
-        if self.kind in PARAMETRIC:
-            if self.param is None or self.param < 0:
+    def __init__(self, kind, param=None):
+        if kind in PARAMETRIC:
+            if param is None or param < 0:
                 raise ValueError(
-                    f"{self.kind.value} requires a nonnegative integer parameter"
+                    f"{kind.value} requires a nonnegative integer parameter"
                 )
-        elif self.param is not None:
-            raise ValueError(f"{self.kind.value} takes no parameter")
+        elif param is not None:
+            raise ValueError(f"{kind.value} takes no parameter")
+        super().__init__(kind, param)
 
 
-@dataclass(frozen=True, slots=True)
 class Name(SpeciesExpr):
-    ident: str
+    __slots__ = fields = ("ident",)
+
+    def _name_depths(self):
+        return {self.ident: 0}
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(SpeciesExpr):
-    left: SpeciesExpr
-    right: SpeciesExpr
+    __slots__ = fields = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Product(SpeciesExpr):
-    left: SpeciesExpr
-    right: SpeciesExpr
+    __slots__ = fields = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Substitute(SpeciesExpr):
-    outer: SpeciesExpr
-    inner: SpeciesExpr
+    __slots__ = fields = ("outer", "inner")
 
 
-@dataclass(frozen=True, slots=True)
 class Derivative(SpeciesExpr):
-    inner: SpeciesExpr
+    __slots__ = fields = ("inner",)
+
+    def _name_depths(self):
+        return {name: d + 1 for name, d in self.inner.depths.items()}
 
 
-@dataclass(frozen=True, slots=True)
 class Pointing(SpeciesExpr):
-    inner: SpeciesExpr
+    __slots__ = fields = ("inner",)
 
 
-@dataclass(frozen=True, slots=True)
 class RestrictCard(SpeciesExpr):
     """The same structures, kept only on label sets whose size satisfies
     |A| <relation> bound, with relation one of '==', '>=', '<='."""
 
-    inner: SpeciesExpr
-    relation: str
-    bound: int
+    __slots__ = fields = ("inner", "relation", "bound")
 
-    def __post_init__(self):
-        if self.relation not in ("==", ">=", "<="):
-            raise ValueError(f"unknown cardinality relation {self.relation!r}")
-        if self.bound < 0:
+    def __init__(self, inner, relation, bound):
+        if relation not in ("==", ">=", "<="):
+            raise ValueError(f"unknown cardinality relation {relation!r}")
+        if bound < 0:
             raise ValueError("cardinality bound must be nonnegative")
+        super().__init__(inner, relation, bound)
 
     def admits(self, n):
         if self.relation == "==":
@@ -178,9 +236,6 @@ class Environment:
 
     def items(self):
         return self._defs.items()
-
-    def names(self):
-        return list(self._defs)
 
     def merged(self, other):
         """A new environment holding both sets of definitions."""

@@ -10,7 +10,6 @@ attempts to exhibit a natural isomorphism between the two sides, and the
 report header says so.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -47,14 +46,17 @@ V = pt(A)           # a tree with one distinguished vertex
 """
 
 
-@dataclass
 class VerificationReport:
-    name: str
-    passed: bool
-    witness: str | None = None
-    witness_n: int | None = None
-    lhs_count: object = None
-    rhs_count: object = None
+    """The outcome of one case and, if it failed, its first witness."""
+
+    def __init__(self, name, passed, witness=None, witness_n=None,
+                 lhs_count=None, rhs_count=None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.witness_n = witness_n
+        self.lhs_count = lhs_count
+        self.rhs_count = rhs_count
 
     def to_json(self):
         """Stable machine-readable form, byte-identical across runs."""

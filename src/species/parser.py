@@ -26,7 +26,7 @@ refused with a ParseError before it can exhaust Python's stack.
 
 import re
 
-from .errors import DuplicateName, ParseError, UnboundName
+from .errors import ParseError, UnboundName
 from .expr import (
     Derivative,
     Environment,
@@ -36,15 +36,12 @@ from .expr import (
     Primitive,
     PrimitiveKind,
     Product,
-    RESERVED,
-    RestrictCard,
     Sum,
     Substitute,
-    SpeciesExpr,
     TOKEN_TO_KIND,
 )
 
-__all__ = ["MAX_NESTING", "parse_expr", "parse_defs", "collect_names"]
+__all__ = ["MAX_NESTING", "parse_expr", "parse_defs"]
 
 MAX_NESTING = 100
 
@@ -53,6 +50,9 @@ _TOKEN_RE = re.compile(
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+
+#: Nodes are values, so parses share one node per unparametrised primitive.
+_PRIMITIVES = {k: Primitive(k) for k in PrimitiveKind if k not in PARAMETRIC}
 
 
 def _tokenize(text):
@@ -67,12 +67,8 @@ def _tokenize(text):
                 position=pos,
                 expected=("identifier", "number", "operator"),
             )
-        if m.lastgroup == "ident":
-            out.append(("ident", m.group(), pos))
-        elif m.lastgroup == "int":
-            out.append(("int", m.group(), pos))
-        elif m.lastgroup == "sym":
-            out.append(("sym", m.group(), pos))
+        if m.lastgroup:  # whitespace matches no group
+            out.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     out.append(("end", "", len(text)))
     return out
@@ -80,29 +76,20 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.at = 0
         self.open = 0
 
-    def peek(self):
-        return self.tokens[self.at]
-
-    def next(self):
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
-
     def accept_sym(self, symbol):
-        kind, value, _ = self.peek()
-        if kind == "sym" and value == symbol:
+        # Only a "sym" token's text is a symbol.
+        if self.tokens[self.at][1] == symbol:
             self.at += 1
             return True
         return False
 
     def expect_sym(self, symbol, why):
         if not self.accept_sym(symbol):
-            kind, value, pos = self.peek()
+            kind, value, pos = self.tokens[self.at]
             raise ParseError(
                 f"found {value!r} while reading {why}" if value
                 else f"input ended while reading {why}",
@@ -111,7 +98,7 @@ class _Parser:
             )
 
     def expect_int(self, why):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.at]
         if kind != "int":
             raise ParseError(
                 f"expected an integer for {why}",
@@ -122,75 +109,70 @@ class _Parser:
         return int(value)
 
     def nested(self, depth):
-        """depth, checked against MAX_NESTING; deeper input is refused at
-        the token just read."""
+        """Refuse a depth over MAX_NESTING at the token just read."""
         if depth > MAX_NESTING:
             raise ParseError(
                 f"the expression nests deeper than {MAX_NESTING} levels",
                 position=self.tokens[self.at - 1][2],
             )
-        return depth
 
     def bracketed(self, why):
-        """The (node, depth) of an expression inside brackets that are
-        open, up to the closing one."""
-        self.open = self.nested(self.open + 1)
+        """An expression inside brackets that are open, up to the closing
+        one."""
+        self.open += 1
+        self.nested(self.open)
         found = self.expr()
         self.expect_sym(")", why)
         self.open -= 1
         return found
 
     # -- grammar ----------------------------------------------------------
-    #
-    # Each rule returns (node, depth): the node and the number of nodes on
-    # the longest path down from it.
 
     def expr(self):
-        node, depth = self.term()
+        node = self.term()
         while self.accept_sym("+"):
-            right, right_depth = self.term()
-            node = Sum(node, right)
-            depth = self.nested(1 + max(depth, right_depth))
-        return node, depth
+            node = Sum(node, self.term())
+            self.nested(node.height)
+        return node
 
     def term(self):
-        node, depth = self.factor()
+        node = self.factor()
         while self.accept_sym("*"):
-            right, right_depth = self.factor()
-            node = Product(node, right)
-            depth = self.nested(1 + max(depth, right_depth))
-        return node, depth
+            node = Product(node, self.factor())
+            self.nested(node.height)
+        return node
 
     def factor(self):
-        node, depth = self.postfix()
+        node = self.postfix()
         while self.accept_sym("^"):
             k = self.expect_int("the exponent")
             if k == 0:
-                node, depth = Primitive(PrimitiveKind.ONE), 1
+                node = _PRIMITIVES[PrimitiveKind.ONE]
                 continue
             # Checked before the k-1 products are built.
-            depth = self.nested(depth + k - 1)
+            self.nested(node.height + k - 1)
             base = node
             for _ in range(k - 1):
                 node = Product(node, base)
-        return node, depth
+        return node
 
     def postfix(self):
-        node, depth = self.atom()
+        node = self.atom()
         while self.accept_sym("'"):
-            depth = self.nested(depth + 1)
             node = Derivative(node)
-        return node, depth
+            self.nested(node.height)
+        return node
 
     def atom(self):
-        kind, value, pos = self.next()
+        kind, value, pos = self.tokens[self.at]
+        self.at += 1
         if kind == "sym" and value == "(":
             return self.bracketed("a parenthesized expression")
         if kind == "int":
             if value == "0":
-                return Primitive(PrimitiveKind.ZERO), 1
+                return _PRIMITIVES[PrimitiveKind.ZERO]
             if value == "1":
-                return Primitive(PrimitiveKind.ONE), 1
+                return _PRIMITIVES[PrimitiveKind.ONE]
             raise ParseError(
                 f"the number {value} is not a species",
                 position=pos,
@@ -208,13 +190,14 @@ class _Parser:
     def _ident_atom(self, ident, pos):
         if ident == "pt":
             self.expect_sym("(", "the argument of pt")
-            node, depth = self.bracketed("the argument of pt")
-            return Pointing(node), self.nested(depth + 1)
+            node = Pointing(self.bracketed("the argument of pt"))
+            self.nested(node.height)
+            return node
         if self.accept_sym("("):
-            inner, depth = self.bracketed("a substitution argument")
-            return Substitute(self._callee(ident, pos), inner), self.nested(
-                depth + 1
-            )
+            inner = self.bracketed("a substitution argument")
+            node = Substitute(self._callee(ident, pos), inner)
+            self.nested(node.height)
+            return node
         if self.accept_sym("["):
             k = self.expect_int("the parameter")
             self.expect_sym("]", "a parameter")
@@ -225,7 +208,7 @@ class _Parser:
                     position=pos,
                     expected=("Pk", "Ek"),
                 )
-            return Primitive(kind, k), 1
+            return Primitive(kind, k)
         kind = TOKEN_TO_KIND.get(ident)
         if kind is not None:
             if kind in PARAMETRIC:
@@ -234,8 +217,8 @@ class _Parser:
                     position=pos,
                     expected=("'['",),
                 )
-            return Primitive(kind), 1
-        return Name(ident), 1
+            return _PRIMITIVES[kind]
+        return Name(ident)
 
     @staticmethod
     def _callee(ident, pos):
@@ -248,10 +231,10 @@ class _Parser:
                 position=pos,
                 expected=("'['",),
             )
-        return Primitive(kind)
+        return _PRIMITIVES[kind]
 
     def finish(self, node):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.at]
         if kind != "end":
             raise ParseError(
                 f"trailing input {value!r}",
@@ -264,24 +247,7 @@ class _Parser:
 def parse_expr(text):
     """Parse one expression; raises ParseError with position on bad input."""
     p = _Parser(text)
-    node, _ = p.expr()
-    return p.finish(node)
-
-
-def collect_names(expr):
-    """Every Name identifier referenced anywhere in the tree."""
-    found = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Name):
-            found.add(e.ident)
-        elif isinstance(e, (Sum, Product, Substitute)):
-            stack.append(e.left if isinstance(e, (Sum, Product)) else e.outer)
-            stack.append(e.right if isinstance(e, (Sum, Product)) else e.inner)
-        elif isinstance(e, (Derivative, Pointing, RestrictCard)):
-            stack.append(e.inner)
-    return found
+    return p.finish(p.expr())
 
 
 def parse_defs(text):
@@ -314,7 +280,7 @@ def parse_defs(text):
             ) from None
         env.bind(name, rhs)
     for name, rhs in env.items():
-        for ref in sorted(collect_names(rhs)):
+        for ref in sorted(rhs.depths):
             if ref not in env:
                 raise UnboundName(
                     f"'{ref}' (referenced by '{name}') is never defined"

@@ -32,7 +32,6 @@ from .expr import (
     Sum,
     print_expr,
 )
-from .parser import collect_names
 from .series import CountSeries, solve_system
 
 __all__ = [
@@ -122,28 +121,6 @@ def primitive_series(kind, order, param=None):
     return _SERIES_BUILDERS[kind](order, param)
 
 
-def _name_depths(expr):
-    """Map every referenced name to the most derivatives stacked above any
-    of its occurrences; that many extra orders are needed to evaluate it."""
-    depths = {}
-    stack = [(expr, 0)]
-    while stack:
-        e, d = stack.pop()
-        if isinstance(e, Name):
-            depths[e.ident] = max(depths.get(e.ident, 0), d)
-        elif isinstance(e, (Sum, Product)):
-            stack.append((e.left, d))
-            stack.append((e.right, d))
-        elif isinstance(e, Substitute):
-            stack.append((e.outer, d))
-            stack.append((e.inner, d))
-        elif isinstance(e, Derivative):
-            stack.append((e.inner, d + 1))
-        elif isinstance(e, (Pointing, RestrictCard)):
-            stack.append((e.inner, d))
-    return depths
-
-
 def _sccs(nodes, edges):
     """Tarjan's algorithm; components come out dependencies-first.  The
     depth-first walk keeps its own stack of (node, unread edges), so a long
@@ -199,7 +176,7 @@ class _Evaluator:
         return self._eval(expr, order)
 
     def _resolve_names(self, expr, order):
-        seeds = _name_depths(expr)
+        seeds = expr.depths
         if not seeds:
             return
         edges = {}
@@ -208,7 +185,7 @@ class _Evaluator:
             name = todo.pop()
             if name in edges:
                 continue
-            edges[name] = _name_depths(self.env[name])
+            edges[name] = self.env[name].depths
             todo.extend(edges[name])
 
         components = _sccs(set(edges), edges)
@@ -255,15 +232,15 @@ class _Evaluator:
         return evaluate
 
     def _eval(self, expr, order, overlay=None):
-        if overlay is None:
-            key = (expr, order)
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-            value = self._eval_node(expr, order, None)
-            self.memo[key] = value
-            return value
-        return self._eval_node(expr, order, overlay)
+        """The series of expr to order.  A node that references no name
+        has the same series under every overlay, so those are memoised."""
+        if expr.depths:
+            return self._eval_node(expr, order, overlay)
+        key = (expr, order)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self._eval_node(expr, order, overlay)
+        return hit
 
     def _eval_node(self, expr, order, overlay):
         if isinstance(expr, Primitive):
@@ -347,7 +324,7 @@ def validate(expr, env=None, order=DEFAULT_ORDER):
     env = env or Environment()
     problems = []
     seen = set()
-    todo = sorted(collect_names(expr))
+    todo = sorted(expr.depths)
     while todo:
         name = todo.pop()
         if name in seen:
@@ -356,7 +333,7 @@ def validate(expr, env=None, order=DEFAULT_ORDER):
         if name not in env:
             problems.append(UnboundName(f"no definition for '{name}'"))
             continue
-        todo.extend(collect_names(env[name]))
+        todo.extend(env[name].depths)
     if not problems:
         try:
             egf_of(expr, env, order)

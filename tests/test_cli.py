@@ -4,12 +4,16 @@ import contextlib
 import gc
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import species
 from species import cli, semantics
 from species.cli import main
 from species.expr import RESERVED, PrimitiveKind, print_expr
@@ -30,6 +34,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter, isolated from the environment, imports the CLI
+    from this checkout without either module, each a few milliseconds of
+    every command's start-up."""
+    src = Path(species.__file__).resolve().parent.parent
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import species.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 class TestCount:

@@ -1,6 +1,8 @@
 """The expression language: parsing, printing, definitions, validation,
 and the counting series of the built-in species."""
 
+import copy
+import pickle
 from math import comb, factorial
 
 import pytest
@@ -123,6 +125,68 @@ class TestRoundTrip:
     @given(grammar_exprs())
     def test_print_then_parse_is_identity(self, expr):
         assert parse_expr(print_expr(expr)) == expr
+
+
+def _height(e):
+    """The number of nodes on the longest path down from e, counted by
+    recursion over the node kinds."""
+    if isinstance(e, (Primitive, Name)):
+        return 1
+    if isinstance(e, (Sum, Product)):
+        return 1 + max(_height(e.left), _height(e.right))
+    if isinstance(e, Substitute):
+        return 1 + max(_height(e.outer), _height(e.inner))
+    assert isinstance(e, (Derivative, Pointing, RestrictCard))
+    return 1 + _height(e.inner)
+
+
+class TestNodeValues:
+    def test_separate_parses_are_equal_values(self):
+        text = "1 + X*E(A)' + pt(C(B))^2 + Pk[3]"
+        first, second = parse_expr(text), parse_expr(text)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+
+    def test_the_node_kind_is_part_of_the_value(self):
+        a, b = Name("A"), Name("B")
+        assert Sum(a, b) != Product(a, b)
+        assert Sum(a, b) != Sum(b, a)
+        assert Derivative(a) != Pointing(a)
+        assert Name("A") != "A"
+
+    @pytest.mark.parametrize("field", ["left", "height", "unknown"])
+    def test_nodes_are_immutable(self, field):
+        node = parse_expr("X + E")
+        with pytest.raises(AttributeError):
+            setattr(node, field, Name("A"))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        assert node == Sum(Primitive(K.SINGLETON), Primitive(K.SET))
+
+    @given(grammar_exprs())
+    def test_height_is_the_longest_path_down(self, expr):
+        assert expr.height == _height(expr)
+
+    @given(grammar_exprs())
+    def test_copies_and_pickles_are_equal_values(self, expr):
+        for other in (copy.deepcopy(expr), pickle.loads(pickle.dumps(expr))):
+            assert other == expr and hash(other) == hash(expr)
+            assert other.height == expr.height
+
+    def test_depths_count_the_derivatives_above_each_name(self):
+        assert parse_defs("F = X + X^2*F'")["F"].depths == {"F": 1}
+        assert parse_expr("A''*pt(A)' + B + C(A)").depths == {"A": 2, "B": 0}
+        assert parse_expr("E(X)'' + 1").depths == {}
+        restricted = RestrictCard(Derivative(Name("A")), ">=", 2)
+        assert restricted.depths == {"A": 1}
+
+    def test_depths_are_read_only(self):
+        depths = parse_expr("A'").depths
+        with pytest.raises(TypeError):
+            depths["A"] = 0
+        assert parse_expr("A'").depths == {"A": 1}
 
 
 class TestDefinitions:
