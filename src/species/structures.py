@@ -5,7 +5,10 @@ from the constructors below.  Construction canonicalizes (sets sort their
 labels, cycles rotate their smallest label first, partitions order blocks by
 least member, mappings sort by key), so two terms are equal exactly when they
 denote the same structure, and the compact JSON encoding of a term fixes
-the order of enumeration output.
+the order of enumeration output.  Enumeration hands the constructors their
+input in canonical order already, so each constructor reads the labels'
+sort keys from one table and keeps its input as given when the keys
+strictly increase; only other input is sorted and checked in full.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -131,9 +134,35 @@ _CODES = _Codes()
 _CODE = _CODES.__getitem__
 
 
+class _Keys(dict):
+    """label -> label_sort_key(label), each label keyed when it is first
+    looked up.  Only labels whose type is exactly int or str are kept: a
+    block's key is its own Block.key, so, like _Codes, the table never
+    keeps a block alive, and a bool or another type is keyed again on every
+    lookup.  Listings empty it with the codes (clear_label_codes)."""
+
+    __slots__ = ()
+
+    def __missing__(self, label):
+        if type(label) is Block:
+            return label.key
+        found = label_sort_key(label)
+        if type(label) is int or type(label) is str:
+            self[label] = found
+        return found
+
+
+#: The one table of label sort keys.  Like _CODES, it only ever maps a
+#: label to its own key, so threads share it safely.
+_KEYS = _Keys()
+_KEY = _KEYS.__getitem__
+
+
 def clear_label_codes():
-    """Forget every quoted label; a listing calls this when it ends."""
+    """Forget every quoted label and every label key; a listing calls this
+    when it ends."""
     _CODES.clear()
+    _KEYS.clear()
 
 
 def string_to_label(text):
@@ -184,26 +213,33 @@ class Block:
     meet in one structure are disjoint.
 
     Enumeration shares one block among many terms, so a block keeps what
-    those terms ask of it.  At creation it sorts its members and keeps
-    them, its sort key (what label_sort_key returns for it), the frozenset
-    of its members and its hash.  On first use it keeps its member list's
-    encode() text (code()), its json.dumps text (text()) and its own code
-    as a label of an outer term (quoted()).
+    those terms ask of it.  At creation it sorts its members (members
+    given in order are kept as given) and keeps them, its sort key (what
+    label_sort_key returns for it), the frozenset of its members and its
+    hash.  On first use it keeps its member list's encode() text (code()),
+    its json.dumps text (text()) and its own code as a label of an outer
+    term (quoted()).  Neither label table keeps a block, and a block can be
+    weakly referenced, so that can be checked.
     """
 
     __slots__ = (
         "members", "key", "member_set", "_hash", "_code", "_text", "_quoted",
+        "__weakref__",
     )
 
     def __init__(self, members):
-        ms = tuple(sorted(members, key=label_sort_key))
+        ms = tuple(members)
+        keys = _label_keys(ms)
+        if not _increasing(keys):
+            ms = tuple(_in_key_order(ms, keys))
+            keys.sort()
         if not ms:
             raise ValueError("a block needs at least one member")
         self.member_set = frozenset(ms)
         if len(self.member_set) != len(ms):
             raise ValueError("duplicate member in block")
         self.members = ms
-        self.key = (2, tuple(map(label_sort_key, ms)))
+        self.key = (2, tuple(keys))
         self._hash = hash(("Block", ms))
 
     def token(self):
@@ -249,8 +285,41 @@ def _labels_json(labels):
     return [label_to_string(l) for l in labels]
 
 
+#: The label types whose keys are read through the key table.  A label of
+#: another type may equal a kept one (1.0 and True equal 1) while its key
+#: differs, so it is keyed by label_sort_key itself.
+_KEYED_TYPES = frozenset((int, str, Block))
+
+
+def _label_keys(labels):
+    """[label_sort_key(l) for l in labels], read through the key table in
+    one pass when every label is an integer, a string or a block."""
+    if _KEYED_TYPES.issuperset(map(type, labels)):
+        return list(map(_KEY, labels))
+    return list(map(label_sort_key, labels))
+
+
+def _increasing(keys):
+    """True when keys strictly increase.  Every constructor checks the
+    order its input arrives in with this, and keeps the input as given when
+    it holds: the items are then distinct and already in canonical order."""
+    return all(map(lt, keys, keys[1:]))
+
+
+def _in_key_order(items, keys):
+    """items as sorted(items, key=...) orders them, keys holding the key of
+    each item: a stable sort of the keys already read."""
+    return [items[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
 def _sorted_labels(labels):
-    out = tuple(sorted(labels, key=label_sort_key))
+    """The labels as a tuple in label_sort_key order, refused if two are
+    the same; a tuple already in that order is returned as given."""
+    labels = tuple(labels)
+    keys = _label_keys(labels)
+    if _increasing(keys):
+        return labels
+    out = tuple(_in_key_order(labels, keys))
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate label in {out!r}")
     return out
@@ -645,8 +714,9 @@ class CycleTerm(Structure):
             raise ValueError("a cycle needs at least one label")
         if len(set(seq)) != len(seq):
             raise ValueError("duplicate label in cycle")
-        pivot = min(range(len(seq)), key=lambda i: label_sort_key(seq[i]))
-        self.seq = seq[pivot:] + seq[:pivot]
+        keys = _label_keys(seq)
+        pivot = keys.index(min(keys))
+        self.seq = seq[pivot:] + seq[:pivot] if pivot else seq
 
     def _label_set(self):
         return frozenset(self.seq)
@@ -667,14 +737,15 @@ class MapTerm(Structure):
     fields = (("pairs", "pairs", _PAIRS),)
 
     def __init__(self, pairs):
-        items = sorted(
-            ((a, b) for a, b in pairs), key=lambda p: label_sort_key(p[0])
-        )
-        keys = [a for a, _ in items]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate source in map")
-        targets = {b for _, b in items}
-        if not targets <= set(keys):
+        items = [(a, b) for a, b in pairs]
+        sources = [a for a, _ in items]
+        keys = _label_keys(sources)
+        if not _increasing(keys):
+            items = _in_key_order(items, keys)
+            sources = [a for a, _ in items]
+            if len(set(sources)) != len(sources):
+                raise ValueError("duplicate source in map")
+        if not set(map(itemgetter(1), items)) <= set(sources):
             raise ValueError("map target outside the label set")
         self.pairs = tuple(items)
 
@@ -744,7 +815,7 @@ def _in_rank_order(ranks, pairs):
         keys = list(map(ranks.__getitem__, pairs))
     except (KeyError, TypeError):
         return False
-    return all(map(lt, keys, keys[1:]))
+    return _increasing(keys)
 
 
 def _sorted_pairs(pos, ranks, pairs, what):
@@ -849,17 +920,14 @@ class PartitionTerm(Structure):
 
     def __init__(self, blocks):
         norm = [_sorted_labels(b) for b in blocks]
-        if any(not b for b in norm):
+        if not all(norm):
             raise ValueError("empty block in partition")
-        seen = set()
-        for b in norm:
-            for x in b:
-                if x in seen:
-                    raise ValueError("blocks overlap")
-                seen.add(x)
-        self.blocks = tuple(
-            sorted(norm, key=lambda b: label_sort_key(b[0]))
-        )
+        if len(set().union(*norm)) != sum(map(len, norm)):
+            raise ValueError("blocks overlap")
+        keys = _label_keys([b[0] for b in norm])
+        if not _increasing(keys):
+            norm = _in_key_order(norm, keys)
+        self.blocks = tuple(norm)
 
     def _label_set(self):
         return frozenset(x for b in self.blocks for x in b)
@@ -1061,7 +1129,7 @@ class Bijection:
         return Bijection({b: a for a, b in self._map.items()})
 
     def items(self):
-        return sorted(self._map.items(), key=lambda p: label_sort_key(p[0]))
+        return _in_key_order(list(self._map.items()), _label_keys(self._map))
 
     def __eq__(self, other):
         return isinstance(other, Bijection) and self._map == other._map

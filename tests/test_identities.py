@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from species import semantics
+from species import identities, semantics
+from species.errors import DuplicateName
 from species.expr import PrimitiveKind
 from species.identities import (
     IdentityCase,
@@ -16,6 +17,7 @@ from species.identities import (
     verify_enumerative,
     verify_series,
 )
+from species.parser import parse_defs
 from species.semantics import validate
 from species.series import CountSeries
 
@@ -107,3 +109,34 @@ def test_fault_injection_is_localized(monkeypatch):
     assert sorted(failed) == ["Der-alternating-sum", "S=E*Der", "counts-Der"]
     for report in failed.values():
         assert report.witness_n == 4
+
+
+# -- naming cases builds only those ----------------------------------------
+
+def test_each_named_case_reports_as_in_the_full_suite():
+    """At order 2, so the whole suite runs quickly; every case in turn."""
+    full = run_suite(order=2)
+    assert [r.name for r in full] == [case.name for case in catalog()]
+    assert len(full) == 33
+    for report in full:
+        [alone] = run_suite(order=2, names={report.name})
+        assert alone.to_json() == report.to_json()
+
+
+def test_a_clashing_definition_is_refused_when_cases_are_named():
+    with pytest.raises(DuplicateName, match="'A' is defined twice"):
+        run_suite(names={"counts-X"}, extra_env=parse_defs("A = X"))
+
+
+def test_naming_a_case_parses_only_that_case(monkeypatch):
+    parsed = []
+    real = identities.parse_expr
+
+    def counted(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(identities, "parse_expr", counted)
+    [report] = run_suite(names={"counts-X"})
+    assert report.passed
+    assert len(parsed) < 10, parsed

@@ -2,13 +2,14 @@
 checked against one another on a hand-built term of every kind."""
 
 import json
+import weakref
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from species import structures
+from species import enumerate_structures, parse_expr, structures
 from species.errors import ParseError
 from species.structures import (
     STAR,
@@ -651,3 +652,230 @@ class TestCompiledWriters:
             assert term.encode() == json.dumps(
                 term.to_json(), separators=(",", ":"), sort_keys=True
             )
+
+
+# -- constructors: input in canonical order against a full sort ------------
+
+def _reference_labels(labels):
+    """A label tuple as the constructors stored it when they sorted every
+    input in full."""
+    out = tuple(sorted(labels, key=_reference_key))
+    if len(set(out)) != len(out):
+        raise ValueError(f"duplicate label in {out!r}")
+    return out
+
+
+def _reference_subset(members, rest):
+    members, rest = _reference_labels(members), _reference_labels(rest)
+    if set(members) & set(rest):
+        raise ValueError("subset and complement overlap")
+    return members, rest
+
+
+def _reference_cycle(seq):
+    seq = tuple(seq)
+    if not seq:
+        raise ValueError("a cycle needs at least one label")
+    if len(set(seq)) != len(seq):
+        raise ValueError("duplicate label in cycle")
+    pivot = min(range(len(seq)), key=lambda i: _reference_key(seq[i]))
+    return (seq[pivot:] + seq[:pivot],)
+
+
+def _reference_map(pairs):
+    items = sorted(pairs, key=lambda p: _reference_key(p[0]))
+    sources = [a for a, _ in items]
+    if len(set(sources)) != len(sources):
+        raise ValueError("duplicate source in map")
+    if not {b for _, b in items} <= set(sources):
+        raise ValueError("map target outside the label set")
+    return (tuple(items),)
+
+
+def _reference_partition(blocks):
+    norm = [_reference_labels(b) for b in blocks]
+    if any(not b for b in norm):
+        raise ValueError("empty block in partition")
+    seen = set()
+    for b in norm:
+        for x in b:
+            if x in seen:
+                raise ValueError("blocks overlap")
+            seen.add(x)
+    return (tuple(sorted(norm, key=lambda b: _reference_key(b[0]))),)
+
+
+def _reference_block(members):
+    ms = tuple(sorted(members, key=_reference_key))
+    if not ms:
+        raise ValueError("a block needs at least one member")
+    if len(set(ms)) != len(ms):
+        raise ValueError("duplicate member in block")
+    return ms, (2, tuple(map(_reference_key, ms)))
+
+
+#: kind: (constructor, what a full sort stored for its arguments)
+_BUILT = {
+    "set": (SetTerm, lambda labels: (_reference_labels(labels),)),
+    "subset": (SubsetTerm, _reference_subset),
+    "cycle": (CycleTerm, _reference_cycle),
+    "map": (MapTerm, _reference_map),
+    "partition": (PartitionTerm, _reference_partition),
+    "block": (Block, _reference_block),
+}
+
+
+# Integers whose codes sort apart from their values, strings, stars and
+# blocks (one nested): every class of label_sort_key.
+_ORDERED_POOL = [9, 10, 100, 11, 0, "a", "b", "é", 'q"', "a!", STAR,
+                 STAR * 2, Block([9, 10]), Block(["x"]),
+                 Block([Block([100]), "y"])]
+
+
+@st.composite
+def _constructor_input(draw, kind, labels, fault):
+    """Arguments for kind's constructor on labels in canonical order, with
+    fault (duplicate, outside, overlap, empty) worked in when one is drawn
+    that kind can refuse."""
+    labels = sorted(labels, key=_reference_key)
+    if kind in ("set", "block"):
+        if fault == "duplicate" and labels:
+            at = draw(st.integers(0, len(labels) - 1))
+            labels.insert(at, labels[at])
+        return (labels,)
+    if kind == "subset":
+        members, rest = draw(_split(labels))
+        members, rest = list(members), list(rest)
+        if fault in ("duplicate", "overlap") and members:
+            rest = sorted(rest + [members[0]], key=_reference_key)
+        return members, rest
+    if kind == "cycle":
+        seq = labels[:1] + draw(st.permutations(labels[1:]))
+        if fault == "duplicate" and seq:
+            seq.append(draw(st.sampled_from(seq)))
+        return (seq,)
+    if kind == "map":
+        images = st.sampled_from(labels) if labels else st.nothing()
+        pairs = list(zip(labels, draw(st.lists(
+            images, min_size=len(labels), max_size=len(labels)))))
+        if fault == "duplicate" and pairs:
+            at = draw(st.integers(0, len(pairs) - 1))
+            pairs.insert(at + 1, (pairs[at][0], pairs[0][1]))
+        elif fault == "outside" and pairs:
+            at = draw(st.integers(0, len(pairs) - 1))
+            pairs[at] = (pairs[at][0], "zz")
+        return (pairs,)
+    blocks = [list(b) for b in draw(_blocks(labels))] if labels else []
+    blocks.sort(key=lambda b: _reference_key(b[0]))
+    if fault == "overlap" and len(blocks) > 1:
+        blocks[1] = sorted(blocks[1] + [blocks[0][0]], key=_reference_key)
+    elif fault == "duplicate" and blocks:
+        blocks[0].append(blocks[0][-1])
+    elif fault == "empty":
+        blocks.insert(draw(st.integers(0, len(blocks))), [])
+    return (blocks,)
+
+
+@st.composite
+def _shuffled(draw, kind, args):
+    """The same arguments in another order: each list shuffled, a cycle
+    rotated."""
+    if kind == "cycle":
+        [seq] = args
+        at = draw(st.integers(0, max(len(seq) - 1, 0)))
+        return (seq[at:] + seq[:at],)
+    if kind == "partition":
+        [blocks] = args
+        blocks = [draw(st.permutations(b)) for b in blocks]
+        return (draw(st.permutations(blocks)),)
+    return tuple(draw(st.permutations(arg)) for arg in args)
+
+
+def _fields(made):
+    if isinstance(made, Block):
+        return made.members, made.key
+    return tuple(getattr(made, attr) for _, attr, _ in made.fields)
+
+
+def _written(made):
+    """What made stores, its encode() and its --json text (a block's
+    member list texts)."""
+    if isinstance(made, Block):
+        return _fields(made), made.code(), made.text()
+    return _fields(made), made.encode(), _dumped(made)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_BUILT)),
+    labels=st.lists(st.sampled_from(_ORDERED_POOL), unique=True, max_size=6),
+    fault=st.sampled_from([None, None, "duplicate", "outside", "overlap",
+                           "empty"]),
+    forget=st.booleans(),
+    data=st.data(),
+)
+def test_canonical_and_shuffled_input_build_the_same_term(
+    kind, labels, fault, forget, data
+):
+    """Each constructor stores what a full sort of its input stored, or
+    raises the same exception with the same message, whether the input
+    arrives in canonical order (checked and kept) or shuffled (sorted),
+    with the label-key table empty or already holding the labels; and the
+    terms built both ways write the same encode() and --json text."""
+    cls, reference = _BUILT[kind]
+    args = data.draw(_constructor_input(kind, labels, fault))
+    shuffled = data.draw(_shuffled(kind, args))
+    if forget:
+        structures.clear_label_codes()
+    want = _outcome(lambda: reference(*args))
+    for given_args in (args, shuffled):
+        assert _outcome(lambda: _fields(cls(*given_args))) == want
+    assert _outcome(lambda: _written(cls(*args))) == _outcome(
+        lambda: _written(cls(*shuffled))
+    )
+
+
+def test_a_tuple_in_canonical_order_is_kept_as_given():
+    labels = (9, 10, 100, "a", Block(["x"]), STAR)
+    assert SetTerm(labels).members is labels
+    assert CycleTerm(labels).seq is labels
+    first, second = (9, 100), (10, "a")
+    assert PartitionTerm([second, first]).blocks == (first, second)
+    assert PartitionTerm([first, second]).blocks[0] is first
+
+
+# -- the label-key table ---------------------------------------------------
+
+def test_the_key_table_is_empty_after_a_listing():
+    found = enumerate_structures(parse_expr("E(C) + S"), None,
+                                 [9, 10, "a"])
+    assert found and not structures._KEYS and not structures._CODES
+
+
+def test_the_key_table_keeps_no_block_alive():
+    block = Block([1, "a"])
+    alive = weakref.ref(block)
+    assert structures._KEYS[block] == block.key
+    SetTerm([Block([2]), block]).encode()
+    PartitionTerm([[block, 3]]).encode()
+    CycleTerm([block, Block([0])])
+    assert all(type(label) in (int, str) for label in structures._KEYS)
+    del block
+    assert alive() is None
+
+
+def test_the_key_table_keys_each_label_as_its_own_type():
+    """1.0 and True equal 1, which the table keeps; each is still keyed
+    as itself, and only exact integers and strings are kept."""
+    structures.clear_label_codes()
+    assert structures._KEYS[True] == label_sort_key(True)
+    assert structures._KEYS[1.0] == label_sort_key(1.0)
+    assert not structures._KEYS
+    assert structures._KEYS[1] == (0, 1)
+    keys = structures._label_keys([1.0, True, 1])
+    assert keys == [label_sort_key(1.0), label_sort_key(True), (0, 1)]
+    assert [type(key[1]) for key in keys] == [float, bool, int]
+    assert all(type(label) in (int, str) for label in structures._KEYS)
+    # 1.0 sorts as a string-class label, after every integer.
+    assert SetTerm([1.0, 2]).members == (2, 1.0)
+    assert CycleTerm([1.0, 2]).seq == (2, 1.0)
