@@ -25,6 +25,7 @@ import json
 import os
 import re
 import sys
+from math import gcd
 from pathlib import Path
 
 from .enumerator import DEFAULT_BUDGET, enumerate_structures, listing, transport
@@ -97,18 +98,33 @@ def _checked_count(series, n):
     return value
 
 
+def _coefficient_texts(counts):
+    """Each a_n = f_n / n! written as str(Fraction(f_n, n!)) writes it, "p/q"
+    or "p" when q is 1, from a running factorial and one gcd per count."""
+    texts = []
+    fact = 1
+    for n, count in enumerate(counts):
+        if n:
+            fact *= n
+        common = gcd(count, fact)
+        p, q = count // common, fact // common
+        texts.append(f"{p}/{q}" if q != 1 else str(p))
+    return texts
+
+
 def _print_series(series, as_json):
     counts = [_checked_count(series, n) for n in range(series.order + 1)]
+    coefficients = _coefficient_texts(counts)
     if as_json:
         payload = {
             "order": series.order,
             "counts": counts,
-            "coefficients": [str(series.coefficient(n)) for n in range(series.order + 1)],
+            "coefficients": coefficients,
         }
         print(json.dumps(payload))
     else:
         for n, value in enumerate(counts):
-            print(n, value, series.coefficient(n))
+            print(n, value, coefficients[n])
 
 
 def _cmd_count(args):

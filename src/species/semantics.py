@@ -9,9 +9,18 @@ keeps a single source of truth for those counts.
 Named species may be mutually recursive.  Evaluation groups the reachable
 names into strongly connected components, resolves acyclic names directly,
 and hands every genuine cycle to series.solve_system.
+
+Each egf_of call compiles the expression, and every definition it reaches,
+once into a tree of closures.  Inside a solve, product and substitution
+nodes resume from the counts their operands kept since the previous pass
+(the kernels' known prefix), and name-free nodes are built once and
+sliced, so one solve costs O(N^2) kernel work in the order N instead of
+O(N^3).
 """
 
+from itertools import compress, count
 from math import comb, factorial
+from operator import ne
 
 from .errors import (
     IllFoundedEquation,
@@ -165,15 +174,60 @@ def _sccs(nodes, edges):
     return out
 
 
+def _resumed(kernel):
+    """kernel(f, g, known), a product or a substitution, as a function of
+    f and g that keeps its last operands' counts and result.  Count n of
+    either reads its operands' counts 0 .. n only, so each call hands the
+    kernel the previous result's counts below the first count where f or g
+    changed.  Tuple-slice compares and the scan for the first change both
+    run in C."""
+    was_f = was_g = was_h = ()
+
+    def run(f, g):
+        nonlocal was_f, was_g, was_h
+        now_f, now_g = f._counts, g._counts
+        n = min(len(was_h), len(now_f), len(now_g))
+        if was_f[:n] != now_f[:n]:
+            n = next(compress(count(), map(ne, was_f, now_f)))
+        if was_g[:n] != now_g[:n]:
+            n = next(compress(count(), map(ne, was_g, now_g)))
+        h = kernel(f, g, was_h[:n])
+        was_f, was_g, was_h = now_f, now_g, h._counts
+        return h
+
+    return run
+
+
 class _Evaluator:
+    """One egf_of call.  Every node of the expression, and of each
+    definition it reaches, is compiled once into a closure order ->
+    CountSeries; _compile is the one place that dispatches on node kind.
+
+    A node that references no name has the same series under every
+    overlay: it is built once, at the deepest order asked for so far but at
+    least the order of the solve running, and sliced for lower ones.  A
+    product or substitution node keeps its operands' counts and its result
+    from its last evaluation, and hands the kernel the part of that result
+    its new operands leave valid.  Solver passes change only the counts
+    above what earlier passes fixed, so a pass computes only those, and a
+    solve costs O(N^2) kernel work instead of O(N^3).
+    """
+
     def __init__(self, env):
         self.env = env
         self.resolved = {}
-        self.memo = {}
+        self.overlay = {}
+        self.horizon = 0
+        self.compiled = {}
 
     def eval(self, expr, order):
-        self._resolve_names(expr, order)
-        return self._eval(expr, order)
+        try:
+            self._resolve_names(expr, order)
+            return self._compile(expr)(order)
+        finally:
+            # Compiled nodes refer back to the evaluator; once they are
+            # dropped, the call leaves no reference cycle behind.
+            self.compiled.clear()
 
     def _resolve_names(self, expr, order):
         seeds = expr.depths
@@ -206,7 +260,7 @@ class _Evaluator:
             comp_order = need[comp[0]]
             if len(comp) == 1 and comp[0] not in edges[comp[0]]:
                 name = comp[0]
-                self.resolved[name] = self._eval(self.env[name], comp_order)
+                self.resolved[name] = self._compile(self.env[name])(comp_order)
                 continue
             in_cycle = set(comp)
             loss = max(
@@ -221,66 +275,116 @@ class _Evaluator:
             equations = [
                 (name, self._equation(self.env[name])) for name in comp
             ]
-            self.resolved.update(
-                solve_system(equations, comp_order, order_loss=loss)
-            )
+            self.horizon = comp_order
+            try:
+                solution = solve_system(equations, comp_order, order_loss=loss)
+            finally:
+                self.horizon = 0
+                self.overlay = {}
+            self.resolved.update(solution)
 
     def _equation(self, rhs):
+        node = self._compile(rhs)
+
         def evaluate(approx, target):
-            return self._eval(rhs, target, overlay=approx)
+            self.overlay = approx
+            return node(target)
 
         return evaluate
 
-    def _eval(self, expr, order, overlay=None):
-        """The series of expr to order.  A node that references no name
-        has the same series under every overlay, so those are memoised."""
-        if expr.depths:
-            return self._eval_node(expr, order, overlay)
-        key = (expr, order)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = self._eval_node(expr, order, overlay)
-        return hit
+    def _compile(self, expr):
+        node = self.compiled.get(expr)
+        if node is None:
+            kind = _COMPILE.get(type(expr))
+            if kind is None:
+                raise TypeError(f"not a species expression: {expr!r}")
+            node = kind(self, expr)
+            if not expr.depths:
+                node = self._built_once(node)
+            self.compiled[expr] = node
+        return node
 
-    def _eval_node(self, expr, order, overlay):
-        if isinstance(expr, Primitive):
-            return primitive_series(expr.kind, order, expr.param)
-        if isinstance(expr, Name):
-            if overlay is not None and expr.ident in overlay:
-                return overlay[expr.ident].truncate(order)
-            if expr.ident in self.resolved:
-                return self.resolved[expr.ident].truncate(order)
-            # Force the UnboundName error if truly absent.
-            self.env[expr.ident]
-            raise AssertionError(f"name {expr.ident} was never resolved")
-        if isinstance(expr, Sum):
-            return self._eval(expr.left, order, overlay) + self._eval(
-                expr.right, order, overlay
-            )
-        if isinstance(expr, Product):
-            return self._eval(expr.left, order, overlay) * self._eval(
-                expr.right, order, overlay
-            )
-        if isinstance(expr, Substitute):
-            inner = self._eval(expr.inner, order, overlay)
-            if inner.coefficient(0) != 0:
+    def _built_once(self, build):
+        built = None
+
+        def node(order):
+            nonlocal built
+            if built is None or built.order < order:
+                built = build(max(order, self.horizon))
+            return built if built.order == order else built.truncate(order)
+
+        return node
+
+    def _primitive(self, expr):
+        build = _SERIES_BUILDERS[expr.kind]
+        param = expr.param
+        return lambda order: build(order, param)
+
+    def _name(self, expr):
+        ident = expr.ident
+        resolved = self.resolved
+
+        def node(order):
+            found = resolved.get(ident)
+            if found is None:
+                found = self.overlay[ident]
+            return found.truncate(order)
+
+        return node
+
+    def _sum(self, expr):
+        left = self._compile(expr.left)
+        right = self._compile(expr.right)
+        return lambda order: left(order) + right(order)
+
+    def _product(self, expr):
+        left = self._compile(expr.left)
+        right = self._compile(expr.right)
+        multiply = _resumed(lambda f, g, known: f.__mul__(g, known))
+        return lambda order: multiply(left(order), right(order))
+
+    def _substitute(self, expr):
+        outer = self._compile(expr.outer)
+        inner = self._compile(expr.inner)
+        substitute = _resumed(lambda f, g, known: f(g, known))
+
+        def node(order):
+            g = inner(order)
+            if g._counts[0] != 0:
                 raise NonemptyInnerOnEmptySet(
                     "substitution inner species "
                     f"{print_expr(expr.inner)} has a structure on the empty set"
                 )
-            outer = self._eval(expr.outer, order, overlay)
-            return outer(inner)
-        if isinstance(expr, Derivative):
-            return self._eval(expr.inner, order + 1, overlay).derive()
-        if isinstance(expr, Pointing):
-            return self._eval(expr.inner, order, overlay).point()
-        if isinstance(expr, RestrictCard):
-            inner = self._eval(expr.inner, order, overlay)
-            return CountSeries(
-                c if expr.admits(n) else 0
-                for n, c in enumerate(inner.counts())
-            )
-        raise TypeError(f"not a species expression: {expr!r}")
+            return substitute(outer(order), g)
+
+        return node
+
+    def _derivative(self, expr):
+        inner = self._compile(expr.inner)
+        return lambda order: inner(order + 1).derive()
+
+    def _pointing(self, expr):
+        inner = self._compile(expr.inner)
+        return lambda order: inner(order).point()
+
+    def _restrict(self, expr):
+        inner = self._compile(expr.inner)
+        admits = expr.admits
+        return lambda order: CountSeries(
+            c if admits(n) else 0 for n, c in enumerate(inner(order).counts())
+        )
+
+
+_COMPILE = {
+    Primitive: _Evaluator._primitive,
+    Name: _Evaluator._name,
+    Sum: _Evaluator._sum,
+    Product: _Evaluator._product,
+    Substitute: _Evaluator._substitute,
+    Derivative: _Evaluator._derivative,
+    Pointing: _Evaluator._pointing,
+    RestrictCard: _Evaluator._restrict,
+}
 
 
 def egf_of(expr, env=None, order=DEFAULT_ORDER):

@@ -14,7 +14,14 @@ through negative intermediate values).  Only count() insists on integrality,
 and only the CLI insists on nonnegativity.
 
 Every kernel is O(N^2) in the order N, except substitution into an outer
-series that is none of E, L or C; that one costs O(N^3).  Substituting into
+series that is none of E, L or C; that one costs O(N^3).  The product,
+quotient and E, L, C substitution kernels also resume: given the leading
+counts of the result that are already known (``known``), they compute only
+the counts after them.  Count n of each of those results reads the
+operands' counts 0 .. n only, so a caller whose operands changed only above
+some index may keep the result's counts below it.  The evaluator in
+semantics does that on every solver pass, which makes one solve O(N^2)
+kernel work instead of O(N^3).  Substituting into
 E, L and C follows the standard recurrences (Bergeron, Labelle and Leroux,
 Combinatorial Species and Tree-like Structures, ch. 1-3): exp for E,
 1/(1 - g) for L and log 1/(1 - g) for C.  The binomial kernels read
@@ -82,12 +89,13 @@ def _nonzero(counts, start, stop):
     return [(k, counts[k]) for k in range(start, stop) if counts[k]]
 
 
-def _convolve(f, g, order):
-    """Counts of the product f*g: h_n = sum_k C(n, k) f_k g_(n-k)."""
+def _convolve(f, g, order, known=()):
+    """Counts of the product f*g: h_n = sum_k C(n, k) f_k g_(n-k), after
+    the known leading ones."""
     terms = _nonzero(f, 0, order + 1)
     rows = _binomials(order)
-    out = []
-    for n in range(order + 1):
+    out = list(known)
+    for n in range(len(out), order + 1):
         row = rows[n]
         acc = 0
         for k, c in terms:
@@ -100,13 +108,15 @@ def _convolve(f, g, order):
     return out
 
 
-def _exp(g, order):
+def _exp(g, order, known=()):
     """Counts of exp(g) from y' = g' y, i.e.
-    y_(n+1) = sum_k C(n,k) g_(k+1) y_(n-k)."""
+    y_(n+1) = sum_k C(n,k) g_(k+1) y_(n-k), after the known leading ones.
+    Like _inv and _log, it does not read known[0]: the constant term is
+    the closed form's own."""
     slopes = _nonzero(g, 1, order + 1)
     rows = _binomials(order)
-    y = [1]
-    for n in range(order):
+    y = [1, *known[1:]]
+    for n in range(len(y) - 1, order):
         row = rows[n]
         acc = 0
         for k, c in slopes:
@@ -117,13 +127,14 @@ def _exp(g, order):
     return y
 
 
-def _divide(f, g, order):
+def _divide(f, g, order, known=()):
     """Counts of f / g, from f = q g: q_n = (f_n - sum_(k>=1) C(n,k) g_k
-    q_(n-k)) / g_0.  They stay ints when f's do and g_0 is 1."""
+    q_(n-k)) / g_0, after the known leading ones.  They stay ints when f's
+    do and g_0 is 1."""
     terms = _nonzero(g, 1, order + 1)
     rows = _binomials(order)
-    quot = []
-    for n in range(order + 1):
+    quot = list(known)
+    for n in range(len(quot), order + 1):
         row = rows[n]
         acc = f[n]
         for k, c in terms:
@@ -134,14 +145,19 @@ def _divide(f, g, order):
     return quot
 
 
-def _inv(g, order):
+def _inv(g, order, known=()):
     """Counts of 1/(1 - g)."""
-    return _divide([1] + [0] * order, [1] + [-c for c in g[1:order + 1]], order)
+    return _divide(
+        [1] + [0] * order, [1] + [-c for c in g[1:order + 1]], order,
+        (1, *known[1:]) if known else (),
+    )
 
 
-def _log(g, order):
+def _log(g, order, known=()):
     """Counts of log 1/(1 - g), whose derivative is g'/(1 - g)."""
-    return [0] + _divide(g[1:], [1] + [-c for c in g[1:order]], order - 1)
+    return [0] + _divide(
+        g[1:], [1] + [-c for c in g[1:order]], order - 1, known[1:]
+    )
 
 
 def _closed_form(f, order):
@@ -250,11 +266,11 @@ class CountSeries:
         return [self.coefficient(n) for n in range(self.order + 1)]
 
     def truncate(self, order):
-        if order > self.order:
+        if order >= len(self._counts):
             raise OrderExceeded(
                 f"cannot truncate an order-{self.order} series to order {order}"
             )
-        return CountSeries(self._counts[: order + 1])
+        return _series(self._counts[: order + 1])
 
     def agrees_through(self, other, order):
         """True when self and other share counts f_0 .. f_order."""
@@ -297,13 +313,16 @@ class CountSeries:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other):
+    def __mul__(self, other, known=()):
+        """The product; known, when given, holds its leading counts."""
         if isinstance(other, (int, Fraction)):
             return CountSeries(c * other for c in self._counts)
         if not isinstance(other, CountSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        return CountSeries(_convolve(self._counts, other._counts, order))
+        return CountSeries(
+            _convolve(self._counts, other._counts, order, known)
+        )
 
     __rmul__ = __mul__
 
@@ -319,8 +338,10 @@ class CountSeries:
         order = min(self.order, other.order)
         return CountSeries(_divide(self._counts, other._counts, order))
 
-    def __call__(self, inner):
-        """Substitution self(inner); inner must have zero constant term."""
+    def __call__(self, inner, known=()):
+        """Substitution self(inner); inner must have zero constant term.
+        known, when given, holds the leading counts of the result; an outer
+        that is none of E, L or C recomputes them all."""
         if not isinstance(inner, CountSeries):
             raise TypeError("substitution needs a CountSeries argument")
         if inner._counts[0] != 0:
@@ -335,7 +356,7 @@ class CountSeries:
             return CountSeries(_power_sum(f, g, order))
         # The outer is f_0 - 1 + e^x, f_0 - 1 + 1/(1 - x) or f_0 + log
         # 1/(1 - x), so past the constant term it is the bare closed form.
-        h = recurrence(g, order)
+        h = recurrence(g, order, known)
         h[0] = f[0]
         return CountSeries(h)
 
@@ -343,7 +364,7 @@ class CountSeries:
         """The derivative: counts shift down one place; order drops by one."""
         if self.order < 1:
             raise OrderExceeded("cannot differentiate an order-0 series")
-        return CountSeries(self._counts[1:])
+        return _series(self._counts[1:])
 
     def point(self):
         """Pointing: f_n becomes n f_n, i.e. x * d/dx, at the same order."""
@@ -362,6 +383,14 @@ class CountSeries:
         if self.order > 7:
             shown += ", ..."
         return f"CountSeries(order={self.order}, counts=[{shown}])"
+
+
+def _series(counts):
+    """A series on a tuple of counts cut from another series, which are
+    normalised already."""
+    cut = object.__new__(CountSeries)
+    cut._counts = counts
+    return cut
 
 
 # -- implicit systems ------------------------------------------------------

@@ -158,11 +158,20 @@ _KEYS = _Keys()
 _KEY = _KEYS.__getitem__
 
 
+#: The one frozenset of each set of labels that Structure.labels() or
+#: Block.member_set has returned: terms of a listing that cover the same
+#: labels share one set instead of keeping a copy each.  Like _CODES, it
+#: only ever maps a set to an equal set, so threads share it safely; sets
+#: of blocks it holds keep those blocks alive until it is emptied.
+_SETS = {}
+
+
 def clear_label_codes():
-    """Forget every quoted label and every label key; a listing calls this
-    when it ends."""
+    """Forget every quoted label, every label key and every kept label set;
+    a listing calls this when it ends."""
     _CODES.clear()
     _KEYS.clear()
+    _SETS.clear()
 
 
 def string_to_label(text):
@@ -215,11 +224,12 @@ class Block:
     Enumeration shares one block among many terms, so a block keeps what
     those terms ask of it.  At creation it sorts its members (members
     given in order are kept as given) and keeps them, its sort key (what
-    label_sort_key returns for it), the frozenset of its members and its
-    hash.  On first use it keeps its member list's encode() text (code()),
-    its json.dumps text (text()) and its own code as a label of an outer
-    term (quoted()).  Neither label table keeps a block, and a block can be
-    weakly referenced, so that can be checked.
+    label_sort_key returns for it), the frozenset of its members (the one
+    _SETS holds for that set) and its hash.  On first use it keeps its
+    member list's encode() text (code()), its json.dumps text (text()) and
+    its own code as a label of an outer term (quoted()).  Neither the code
+    nor the key table keeps a block, and a block can be weakly referenced,
+    so that can be checked.
     """
 
     __slots__ = (
@@ -235,9 +245,10 @@ class Block:
             keys.sort()
         if not ms:
             raise ValueError("a block needs at least one member")
-        self.member_set = frozenset(ms)
-        if len(self.member_set) != len(ms):
+        member_set = frozenset(ms)
+        if len(member_set) != len(ms):
             raise ValueError("duplicate member in block")
+        self.member_set = _SETS.setdefault(member_set, member_set)
         self.members = ms
         self.key = (2, tuple(keys))
         self._hash = hash(("Block", ms))
@@ -560,11 +571,12 @@ class Structure:
 
     def labels(self):
         """The underlying label set (derivative stars excluded), computed on
-        first use and kept."""
+        first use and kept: the one frozenset _SETS holds for it."""
         try:
             return self._labels
         except AttributeError:
-            self._labels = found = self._label_set()
+            found = self._label_set()
+            self._labels = found = _SETS.setdefault(found, found)
             return found
 
     def relabel(self, f):

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -546,3 +547,37 @@ class TestExitCodeContract:
         code, err = _quiet_main(argv + (["--json"] if as_json else []))
         assert code in {0, 1, 2, 3, 4}
         assert "Traceback" not in err
+
+
+# -- series output ------------------------------------------------------------
+
+class TestCoefficientText:
+    """Each printed coefficient is str(series.coefficient(n)), written
+    without a Fraction per coefficient."""
+
+    @pytest.mark.parametrize("text,order", [
+        ("1", 0), ("E", 0), ("X", 1), ("L", 12), ("P", 20), ("End", 16),
+        ("Part", 54), ("Der", 160), ("A", 30), ("B", 38), ("pt(A)", 15),
+    ])
+    def test_json_and_text_forms(self, capsys, defs_file, text, order):
+        env = species.parse_defs(Path(defs_file).read_text(encoding="utf-8"))
+        series = species.egf_of(species.parse_expr(text), env, order=order)
+        want = [str(series.coefficient(n)) for n in range(order + 1)]
+        argv = ["series", text, "--order", str(order), "--defs", defs_file]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == want
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            f"{n} {series.count(n)} {want[n]}" for n in range(order + 1)
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.one_of(st.integers(0, 10**6), st.integers(0, 40).map(factorial)),
+        max_size=25,
+    ))
+    def test_each_text_is_the_fraction_text(self, counts):
+        want = [str(Fraction(c, factorial(n))) for n, c in enumerate(counts)]
+        assert cli._coefficient_texts(counts) == want

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from species import enumerate_structures, parse_expr, structures
+from species import enumerate_structures, parse_defs, parse_expr, structures
 from species.errors import ParseError
 from species.structures import (
     STAR,
@@ -879,3 +879,58 @@ def test_the_key_table_keys_each_label_as_its_own_type():
     # 1.0 sorts as a string-class label, after every integer.
     assert SetTerm([1.0, 2]).members == (2, 1.0)
     assert CycleTerm([1.0, 2]).seq == (2, 1.0)
+
+
+# -- one label-set object per set ---------------------------------------------
+
+def _subterms(term):
+    """Every term and block a term holds, itself included."""
+    todo = [term]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, structures.Structure):
+            yield item
+            todo.extend(getattr(item, attr) for _, attr, _ in item.fields)
+        elif isinstance(item, Block):
+            yield item
+            todo.extend(item.members)
+        elif isinstance(item, tuple):
+            todo.extend(item)
+
+
+class TestSharedLabelSets:
+    @pytest.mark.parametrize("text,labels", [
+        ("A", range(1, 6)), ("B", range(1, 5)), ("C'", range(1, 6)),
+        ("E(C)", ["a", "b", "c", "d"]), ("L*Part", range(1, 6)),
+    ])
+    def test_equal_sets_are_one_object_within_a_listing(self, text, labels):
+        env = parse_defs("A = X*E(A)\nB = 1 + X*B^2\n")
+        found = enumerate_structures(parse_expr(text), env, labels)
+        assert found
+        assert not structures._SETS
+        kept = {}
+        for term in found:
+            for sub in _subterms(term):
+                if isinstance(sub, Block):
+                    got = sub.member_set
+                else:
+                    got = getattr(sub, "_labels", None)
+                    if got is None:
+                        continue
+                kept.setdefault(got, set()).add(id(got))
+        assert kept
+        assert all(len(ids) == 1 for ids in kept.values())
+
+    def test_labels_equal_the_set_built_from_scratch(self):
+        env = parse_defs("A = X*E(A)\n")
+        expr = parse_expr("pt(A)+E(C)'")
+        found = enumerate_structures(expr, env, range(1, 5))
+        for term in found:
+            for sub in _subterms(term):
+                if isinstance(sub, Block):
+                    assert sub.member_set == frozenset(sub.members)
+                else:
+                    fresh = decode_structure(sub.to_json())
+                    assert sub.labels() == fresh.labels()
+        structures.clear_label_codes()
+        assert not structures._SETS
