@@ -357,7 +357,23 @@ def _build_parser(command=None):
 def main(argv=None):
     """Run one command line and return its exit code.  Only the subparser of
     the subcommand named first is built; any other first word (an option,
-    an unknown name, nothing) gets the full parser and its messages."""
+    an unknown name, nothing) gets the full parser and its messages.
+
+    Exact counts print in full however many digits they have: CPython's
+    limit on converting integers to text (4 300 digits by default) is
+    lifted while main runs, and the caller's limit is restored when it
+    returns."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # CPython before 3.10.7
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv):
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)

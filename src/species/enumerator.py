@@ -11,6 +11,11 @@ a node that wraps one child keeps the child's order, a sum merges its two
 sides, a product orders its left factors, and primitives are generated in
 order.  Only partitions are still sorted by encode(), once per label set.
 
+Listed subsets, graphs and digraphs, and the pair tuples of substitution
+terms, are built by extending terms already checked: each step checks only
+the member, edge, arc or (block, inner) pair it adds, so every invariant
+is still checked once for every part of every listed term.
+
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
 cycles re-rotate, partitions re-sort), transport is a uniform relabeling
@@ -55,6 +60,7 @@ from .expr import (
 )
 from .semantics import egf_of
 from .structures import (
+    Assignment,
     Bijection,
     Block,
     CompTerm,
@@ -333,37 +339,41 @@ def _compositions(expr, env, labels, active):
     terms order by that block's encoded label list, then its inner term,
     then the pairs on the remaining labels (listed once per remaining label
     set), and last by outer term.  The outer's counts say on how many
-    blocks it has structures; other partitions are not listed.
+    blocks it has structures; other partitions are not listed.  Each
+    assignment is checked once, when _assignments builds it, and each term
+    checks only that its outer lives on the assignment's blocks.
     """
     n = len(labels)
     outer_counts = active.counts(expr.outer, env, n)
-    state = (expr, env, active, {}, {})
+    state = (expr, env, active, {}, {}, {}, Assignment())
     wanted = sum(1 << k for k in range(n + 1) if outer_counts[k])
     out = []
     outers_on = {}
     for assign in _assignments(state, labels, wanted):
-        blocks = tuple(block for block, _ in assign)
-        outers = outers_on.get(blocks)
+        outers = outers_on.get(assign.blocks)
         if outers is None:
-            outers = outers_on[blocks] = _structures(
-                expr.outer, env, blocks, active
+            outers = outers_on[assign.blocks] = _structures(
+                expr.outer, env, tuple(b for b, _ in assign.pairs), active
             )
-        out.extend(CompTerm(outer, assign) for outer in outers)
+        out += [CompTerm(outer, assign) for outer in outers]
     return out
 
 
 def _assignments(state, rest, blocks):
-    """The (block, inner) pair tuples on rest in order, using a number of
-    blocks whose bit is set in blocks.  state is (expr, env, active,
-    listed, block_on): listed keeps every finished tuple list by (rest,
-    blocks), and block_on one block per member tuple, so every entry of
-    listed and every term built on it share the block and what it keeps."""
+    """The Assignments on rest in order, using a number of blocks whose
+    bit is set in blocks, each built by putting one pair before a tail
+    listed on the labels left.  state is (expr, env, active, listed,
+    block_on, pairs_on, empty): listed keeps every finished list by (rest,
+    blocks), block_on one block per member tuple and pairs_on its checked
+    (block, inner) pairs, so every entry of listed and every term built on
+    it share the block, what it keeps and its pairs; empty is the
+    Assignment with no pair."""
+    expr, env, active, listed, block_on, pairs_on, empty = state
     if not rest:
-        return [()] if blocks & 1 else []
+        return [empty] if blocks & 1 else []
     blocks &= (2 << len(rest)) - 2
     if not blocks:
         return []
-    expr, env, active, listed, block_on = state
     found = listed.get((rest, blocks))
     if found is not None:
         return found
@@ -379,16 +389,22 @@ def _assignments(state, rest, blocks):
     heads.sort(key=lambda head: head[0])
     out = []
     for _, block, chosen in heads:
-        inners = _structures(expr.inner, env, block.members, active)
-        if not inners:
+        pairs = pairs_on.get(block.members)
+        if pairs is None:
+            pairs = pairs_on[block.members] = [
+                Assignment.pair(block, inner)
+                for inner in _structures(
+                    expr.inner, env, block.members, active
+                )
+            ]
+        if not pairs:
             continue
         taken = set(chosen)
         tails = _assignments(
             state, tuple(x for x in others if x not in taken), blocks >> 1
         )
-        for inner in inners:
-            pair = ((block, inner),)
-            out.extend(pair + tail for tail in tails)
+        for pair in pairs:
+            out += [Assignment(pair, tail) for tail in tails]
     listed[(rest, blocks)] = out
     return out
 
@@ -421,35 +437,41 @@ def _fill(labels, by_code, image, out, i):
             image[i] = image[j] = None
 
 
-def _sublists(items, code, build, size=None):
-    """build(chosen) for every sublist chosen of items, kept in items'
-    order, in the order of the JSON lists they are written as.
+def _sublists(first, items, code, size=None):
+    """Every term that extends first, a checked term holding none of items,
+    with a sublist of items kept in items' order, in the order of the JSON
+    lists those sublists are written as.  type(first)(term, item) is term
+    extended by item, a step that checks only item.
 
     Those lists compare element by element, and elements compare by code.
     A list that extends another comes before it, because "," sorts before
-    "]", so the empty list comes last.  A depth-first walk therefore takes
-    the next element of items in code order and emits a list after all of
-    its extensions.  With size, only the lists of that length are built.
+    "]", so the empty list comes last.  A depth-first walk therefore
+    extends each term by the next element of items in code order, and
+    emits a term after all of its extensions.  With size, only the terms of
+    that length are kept; shorter ones are still built, to be extended.
     """
     n = len(items)
     by_code = sorted(range(n), key=lambda i: code(items[i]))
-    after = [[i for i in by_code if i >= start] for start in range(n + 1)]
+    after = [
+        [(items[i], i + 1) for i in by_code if i >= start]
+        for start in range(n + 1)
+    ]
     out = []
-    _sublist_walk((items, after, build, size, out), (), 0)
+    _sublist_walk((after, type(first), size, out), first, 0, 0)
     return out
 
 
-def _sublist_walk(state, chosen, start):
-    """Append to out every sublist that extends chosen with items from
-    start on, then chosen itself; state is (items, after, build, size,
-    out), where after[start] lists the places from start on in code
-    order."""
-    items, after, build, size, out = state
-    if size is None or len(chosen) < size:
-        for i in after[start]:
-            _sublist_walk(state, chosen + (items[i],), i + 1)
-    if size is None or len(chosen) == size:
-        out.append(build(chosen))
+def _sublist_walk(state, term, start, length):
+    """Append to out every term that extends term, which holds length
+    items, with items from start on, then term itself; state is (after,
+    extend, size, out), where after[start] lists each item from start on,
+    in code order, with the start that follows it."""
+    after, extend, size, out = state
+    if size is None or length < size:
+        for item, follows in after[start]:
+            _sublist_walk(state, extend(term, item), follows, length + 1)
+    if size is None or length == size:
+        out.append(term)
 
 
 def _primitive_structures(expr, labels):
@@ -458,8 +480,8 @@ def _primitive_structures(expr, labels):
     Lists, cycles and maps hold their labels in fixed places (maps by
     source), so they are generated from the labels in encoded order.  On
     one label set, subsets, graphs and digraphs differ only in their list
-    of members, edges or arcs, so _sublists walks those lists in order.
-    Partitions are still sorted by encode().  On the verify workload that
+    of members, edges or arcs, so _sublists walks those lists in order,
+    building each term by extending a checked one by one item.  Partitions are still sorted by encode().  On the verify workload that
     sort is the one call of Structure.encode, a boundary that
     perfbench/tracing.py requires to be reached until the engine counts its
     own work (ROADMAP item 1).
@@ -508,28 +530,22 @@ def _primitive_structures(expr, labels):
         ]
     codes = {x: label_code(x) for x in labels}
     if kind is K.SUBSET or kind is K.KSUBSET:
-
-        def subset(chosen):
-            taken = set(chosen)
-            return SubsetTerm(chosen, (x for x in labels if x not in taken))
-
         size = expr.param if kind is K.KSUBSET else None
-        return _sublists(labels, codes.__getitem__, subset, size)
+        return _sublists(
+            SubsetTerm((), labels), labels, codes.__getitem__, size
+        )
 
     def pair_code(pair):
         return codes[pair[0]], codes[pair[1]]
 
     if kind is K.GRAPH:
         return _sublists(
-            list(combinations(labels, 2)),
-            pair_code,
-            lambda edges: GraphTerm(labels, edges),
+            GraphTerm(labels, ()), list(combinations(labels, 2)), pair_code
         )
     if kind is K.DIGRAPH:
         return _sublists(
-            list(iproduct(labels, repeat=2)),
+            DigraphTerm(labels, ()), list(iproduct(labels, repeat=2)),
             pair_code,
-            lambda arcs: DigraphTerm(labels, arcs),
         )
     if kind is K.PARTITION:
         out = [PartitionTerm(p) for p in _set_partitions(labels)]

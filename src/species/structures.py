@@ -9,6 +9,10 @@ the order of enumeration output.  Enumeration hands the constructors their
 input in canonical order already, so each constructor reads the labels'
 sort keys from one table and keeps its input as given when the keys
 strictly increase; only other input is sorted and checked in full.
+Listings build subsets, graphs, digraphs and substitution terms by
+extending terms already checked (SubsetTerm(subset, label),
+GraphTerm(graph, edge), DigraphTerm(digraph, arc), and Assignment for the
+pairs of a substitution), so each step checks only the part it adds.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -45,6 +49,7 @@ __all__ = [
     "SumTerm",
     "ProdTerm",
     "CompTerm",
+    "Assignment",
     "DerivTerm",
     "PointTerm",
     "NamedTerm",
@@ -571,13 +576,13 @@ class Structure:
 
     def labels(self):
         """The underlying label set (derivative stars excluded), computed on
-        first use and kept: the one frozenset _SETS holds for it."""
-        try:
-            return self._labels
-        except AttributeError:
+        first use and kept: the one frozenset _SETS holds for it.  Every
+        constructor sets _labels, to None when it leaves the set for later."""
+        found = self._labels
+        if found is None:
             found = self._label_set()
             self._labels = found = _SETS.setdefault(found, found)
-            return found
+        return found
 
     def relabel(self, f):
         """A copy with f applied to every label; stars stay fixed by the
@@ -665,6 +670,7 @@ class SetTerm(Structure):
 
     def __init__(self, members):
         self.members = _sorted_labels(members)
+        self._labels = None
 
     def _label_set(self):
         return frozenset(self.members)
@@ -675,17 +681,38 @@ class SetTerm(Structure):
 
 class SubsetTerm(Structure):
     """A chosen subset; the complement is kept so the underlying set is
-    still recoverable."""
+    still recoverable.
+
+    SubsetTerm(subset, label), subset a SubsetTerm, is subset with label
+    moved from its complement to its members, as listings build subsets:
+    only label is checked, which must be in the complement and follow
+    every member."""
 
     __slots__ = ("members", "rest")
     kind = "subset"
     fields = (("members", "members", _LABELS), ("rest", "rest", _LABELS))
 
     def __init__(self, members, rest):
+        if type(members) is SubsetTerm:
+            self._grow(members, rest)
+            return
         self.members = _sorted_labels(members)
         self.rest = _sorted_labels(rest)
         if set(self.members) & set(self.rest):
             raise ValueError("subset and complement overlap")
+        self._labels = None
+
+    def _grow(self, subset, label):
+        members, rest = subset.members, subset.rest
+        try:
+            at = rest.index(label)
+        except ValueError:
+            raise ValueError("subset member outside the complement") from None
+        if members and not _KEY(members[-1]) < _KEY(label):
+            raise ValueError("subset members out of order")
+        self.members = members + (label,)
+        self.rest = rest[:at] + rest[at + 1:]
+        self._labels = subset.labels()
 
     def _label_set(self):
         return frozenset(self.members) | frozenset(self.rest)
@@ -705,6 +732,7 @@ class ListTerm(Structure):
         self.seq = tuple(seq)
         if len(set(self.seq)) != len(self.seq):
             raise ValueError("duplicate label in list")
+        self._labels = None
 
     def _label_set(self):
         return frozenset(self.seq)
@@ -729,6 +757,7 @@ class CycleTerm(Structure):
         keys = _label_keys(seq)
         pivot = keys.index(min(keys))
         self.seq = seq[pivot:] + seq[:pivot] if pivot else seq
+        self._labels = None
 
     def _label_set(self):
         return frozenset(self.seq)
@@ -760,6 +789,7 @@ class MapTerm(Structure):
         if not set(map(itemgetter(1), items)) <= set(sources):
             raise ValueError("map target outside the label set")
         self.pairs = tuple(items)
+        self._labels = None
 
     def _label_set(self):
         return frozenset(a for a, _ in self.pairs)
@@ -783,26 +813,24 @@ class MapTerm(Structure):
 class _VertexTable:
     """The vertex table of one vertex tuple: given is the caller's object,
     vertices its sorted, checked copy, pos each vertex's place in it, and
-    edge_ranks and arc_ranks the rank pos[a] * n + pos[b] of every pair a
-    graph or a digraph on it has been built with.  The rank dicts start
-    empty and learn a pair when a term first holds it, so a table costs
-    O(n) to build however many pairs its vertices allow.  Edges are ranked
-    apart from arcs because only a pair with a before b, and no loop, is an
-    edge in its place.  (A plain class: creating a namedtuple class costs
-    more at import.)"""
+    labels the one set of them _SETS holds, which is the label set of every
+    graph and digraph on the table.  (A plain class: creating a namedtuple
+    class costs more at import.)"""
 
-    __slots__ = ("given", "vertices", "pos", "edge_ranks", "arc_ranks")
+    __slots__ = ("given", "vertices", "pos", "labels")
 
-    def __init__(self, given, vertices, pos):
-        self.given, self.vertices, self.pos = given, vertices, pos
-        self.edge_ranks, self.arc_ranks = {}, {}
+    def __init__(self, given, vertices):
+        self.given, self.vertices = given, vertices
+        self.pos = {v: i for i, v in enumerate(vertices)}
+        found = frozenset(vertices)
+        self.labels = _SETS.setdefault(found, found)
 
 
 #: The table of the last vertex tuple a graph or digraph was built on.
 #: A listing builds all its graphs on one tuple, so they share one table.
 #: The record is replaced whole and read once per term, so two threads
 #: building terms at once never mix the fields of two tables.
-_last_table = _VertexTable((), (), {})
+_last_table = _VertexTable((), ())
 
 
 def _vertex_table(vertices):
@@ -812,31 +840,17 @@ def _vertex_table(vertices):
     global _last_table
     table = _last_table
     if table.given is not vertices:
-        ordered = _sorted_labels(vertices)
-        pos = {v: i for i, v in enumerate(ordered)}
-        table = _VertexTable(vertices, ordered, pos)
+        table = _VertexTable(vertices, _sorted_labels(vertices))
         if type(vertices) is tuple:
             _last_table = table
     return table
 
 
-def _in_rank_order(ranks, pairs):
-    """True when every pair has a rank and the ranks strictly increase:
-    the pairs are then valid, distinct and already in order."""
-    try:
-        keys = list(map(ranks.__getitem__, pairs))
-    except (KeyError, TypeError):
-        return False
-    return _increasing(keys)
-
-
-def _sorted_pairs(pos, ranks, pairs, what):
+def _sorted_pairs(pos, pairs, what):
     """A tuple of pairs of labels, in the order of their endpoints' places
     pos[a], pos[b] among the sorted vertices, which is the order
     label_sort_key gives; refused if a pair has an endpoint outside them or
-    two pairs are the same.  The tuple holds the caller's own pairs, so the
-    many graphs listed on one vertex set share theirs.  Each pair's rank is
-    kept in ranks, for _in_rank_order to find next time."""
+    two pairs are the same.  The tuple holds the caller's own pairs."""
     n = len(pos)
     try:
         keys = [pos[a] * n + pos[b] for a, b in pairs]
@@ -844,8 +858,39 @@ def _sorted_pairs(pos, ranks, pairs, what):
         raise ValueError(f"{what} endpoint outside the vertex set") from None
     if len(set(pairs)) != len(pairs):
         raise ValueError(f"duplicate {what}")
-    ranks.update(zip(pairs, keys))
     return tuple(map(dict(zip(keys, pairs)).__getitem__, sorted(keys)))
+
+
+def _one_more_pair(table, pairs, pair, what):
+    """pairs + (pair,), where pairs are the checked, ordered edges or arcs
+    (what says which) of a term on table, as listings extend them: pair is
+    refused unless both its ends are vertices of the table and its rank
+    pos[a] * n + pos[b] is above the rank of the last of pairs.  An edge
+    also has to be no loop and to have its lesser end first."""
+    pos = table.pos
+    a, b = pair
+    if what == "edge" and a == b:
+        raise ValueError("a simple graph has no loops")
+    try:
+        i, j = pos[a], pos[b]
+    except KeyError:
+        raise ValueError(f"{what} endpoint outside the vertex set") from None
+    n = len(pos)
+    rank = i * n + j
+    if pairs:
+        c, d = pairs[-1]
+        last = pos[c] * n + pos[d]
+        if rank <= last:
+            raise ValueError(
+                f"duplicate {what}" if rank == last else f"{what} out of order"
+            )
+    if what == "edge" and i > j:
+        raise ValueError("edge out of order")
+    return pairs + ((a, b) if type(pair) is not tuple else pair,)
+
+
+#: The sorted vertex tuple of a graph or digraph, read from its table.
+_VERTICES = property(attrgetter("_table.vertices"))
 
 
 class GraphTerm(Structure):
@@ -853,40 +898,41 @@ class GraphTerm(Structure):
 
     The vertices are sorted and checked once per vertex table (see
     _vertex_table), and every graph built on the same vertex tuple object
-    shares the table's sorted tuple.  Edges that the table has ranked
-    before, given each with its lesser end first and in order, are checked
-    by their ranks alone; any other edge list is turned, checked and sorted
-    in full, with the same refusals."""
+    shares the table.  The edges are turned, checked and sorted in full.
+    GraphTerm(graph, edge), graph a GraphTerm, is graph with one more edge,
+    as listings build graphs: only that edge is checked (_one_more_pair),
+    and the new graph shares graph's table."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("_table", "edges")
     kind = "graph"
     fields = (("vertices", "vertices", _LABELS), ("edges", "edges", _PAIRS))
 
     def __init__(self, vertices, edges):
+        if type(vertices) is GraphTerm:
+            self._table = table = vertices._table
+            self.edges = _one_more_pair(table, vertices.edges, edges, "edge")
+            self._labels = table.labels
+            return
         table = _vertex_table(vertices)
-        self.vertices = table.vertices
-        edges = tuple(edges)
-        ranks = table.edge_ranks
-        if not _in_rank_order(ranks, edges):
-            pos = table.pos
-            turned = []
-            for edge in edges:
-                a, b = edge
-                if a == b:
-                    raise ValueError("a simple graph has no loops")
-                i, j = pos.get(a), pos.get(b)
-                if i is None or j is None:
-                    raise ValueError("edge endpoint outside the vertex set")
-                if i > j:
-                    edge = (b, a)
-                elif type(edge) is not tuple:
-                    edge = (a, b)
-                turned.append(edge)
-            edges = _sorted_pairs(pos, ranks, tuple(turned), "edge")
-        self.edges = edges
+        pos = table.pos
+        turned = []
+        for edge in edges:
+            a, b = edge
+            if a == b:
+                raise ValueError("a simple graph has no loops")
+            i, j = pos.get(a), pos.get(b)
+            if i is None or j is None:
+                raise ValueError("edge endpoint outside the vertex set")
+            if i > j:
+                edge = (b, a)
+            elif type(edge) is not tuple:
+                edge = (a, b)
+            turned.append(edge)
+        self._table = table
+        self.edges = _sorted_pairs(pos, tuple(turned), "edge")
+        self._labels = table.labels
 
-    def _label_set(self):
-        return frozenset(self.vertices)
+    vertices = _VERTICES
 
     def render(self):
         edges = " ".join(_brace(e) for e in self.edges) or "-"
@@ -896,25 +942,24 @@ class GraphTerm(Structure):
 class DigraphTerm(Structure):
     """A directed graph on the label set; loops allowed.
 
-    Like GraphTerm, it shares the vertex table of its vertex tuple: arcs
-    the table has ranked before, given in order, are checked by their ranks
-    alone, and any other arc list is checked and sorted in full."""
+    Like GraphTerm, it shares the vertex table of its vertex tuple, and
+    DigraphTerm(digraph, arc), digraph a DigraphTerm, is digraph with one
+    more arc, of which only that arc is checked."""
 
-    __slots__ = ("vertices", "arcs")
+    __slots__ = ("_table", "arcs")
     kind = "digraph"
     fields = (("vertices", "vertices", _LABELS), ("arcs", "arcs", _PAIRS))
 
     def __init__(self, vertices, arcs):
-        table = _vertex_table(vertices)
-        self.vertices = table.vertices
-        arcs = tuple(arcs)
-        ranks = table.arc_ranks
-        if not _in_rank_order(ranks, arcs):
-            arcs = _sorted_pairs(table.pos, ranks, arcs, "arc")
-        self.arcs = arcs
+        if type(vertices) is DigraphTerm:
+            self._table = table = vertices._table
+            self.arcs = _one_more_pair(table, vertices.arcs, arcs, "arc")
+        else:
+            self._table = table = _vertex_table(vertices)
+            self.arcs = _sorted_pairs(table.pos, tuple(arcs), "arc")
+        self._labels = table.labels
 
-    def _label_set(self):
-        return frozenset(self.vertices)
+    vertices = _VERTICES
 
     def render(self):
         arcs = " ".join(
@@ -931,15 +976,32 @@ class PartitionTerm(Structure):
     fields = (("blocks", "blocks", _BLOCKS),)
 
     def __init__(self, blocks):
-        norm = [_sorted_labels(b) for b in blocks]
-        if not all(norm):
+        """Every label's key is read in one pass; each block is then kept
+        as given when its keys increase, and sorted otherwise, as
+        _sorted_labels does."""
+        norm = [tuple(b) for b in blocks]
+        keys = _label_keys([x for b in norm for x in b])
+        firsts = []
+        end = 0
+        for i, block in enumerate(norm):
+            start = end
+            end += len(block)
+            if not block:
+                continue
+            block_keys = keys[start:end]
+            if not _increasing(block_keys):
+                norm[i] = block = tuple(_in_key_order(block, block_keys))
+                if len(set(block)) != len(block):
+                    raise ValueError(f"duplicate label in {block!r}")
+            firsts.append(min(block_keys))
+        if len(firsts) != len(norm):
             raise ValueError("empty block in partition")
-        if len(set().union(*norm)) != sum(map(len, norm)):
+        if len(set().union(*norm)) != len(keys):
             raise ValueError("blocks overlap")
-        keys = _label_keys([b[0] for b in norm])
-        if not _increasing(keys):
-            norm = _in_key_order(norm, keys)
+        if not _increasing(firsts):
+            norm = _in_key_order(norm, firsts)
         self.blocks = tuple(norm)
+        self._labels = None
 
     def _label_set(self):
         return frozenset(x for b in self.blocks for x in b)
@@ -960,6 +1022,7 @@ class SumTerm(_Composite):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
         self.inner = inner
+        self._labels = None
 
     def _label_set(self):
         return self.inner.labels()
@@ -980,6 +1043,7 @@ class ProdTerm(_Composite):
             raise ValueError("product parts share labels")
         self.left = left
         self.right = right
+        self._labels = None
 
     def _label_set(self):
         return self.left.labels() | self.right.labels()
@@ -997,15 +1061,70 @@ def _block_key(pair):
     return block.key
 
 
+class Assignment:
+    """The (block, inner) pairs of a substitution, checked as listings
+    build them, one part at a time.
+
+    Assignment.pair(block, inner) forms a pair, checking that inner lives
+    on block; a listing forms each pair once, however many assignments
+    share it.  Assignment() holds no pair, and Assignment(pair, tail) puts
+    a pair so formed before the pairs of the assignment tail, checking
+    only its block: the block must not meet tail's labels, and its key must
+    be below the key of tail's first block.  pairs is the tuple of pairs
+    in block order, blocks the set of their blocks and labels the set of
+    their members, each the one set _SETS holds for it.  CompTerm(outer,
+    assignment) checks only that outer lives on the blocks."""
+
+    __slots__ = ("pairs", "blocks", "labels")
+
+    def __init__(self, pair=None, tail=None):
+        if pair is None:
+            empty = frozenset()
+            self.pairs = ()
+            self.blocks = self.labels = _SETS.setdefault(empty, empty)
+            return
+        block = pair[0]
+        members = block.member_set
+        if not members.isdisjoint(tail.labels):
+            raise ValueError("blocks overlap")
+        pairs = tail.pairs
+        if pairs and not block.key < pairs[0][0].key:
+            raise ValueError("blocks out of order")
+        self.pairs = (pair,) + pairs
+        found = tail.blocks.union((block,))
+        self.blocks = _SETS.setdefault(found, found)
+        found = tail.labels | members
+        self.labels = _SETS.setdefault(found, found)
+
+    @staticmethod
+    def pair(block, inner):
+        """The pair (block, inner), refused unless inner lives on block."""
+        if not isinstance(block, Block):
+            raise TypeError("assignment keys must be blocks")
+        if inner.labels() != block.member_set:
+            raise ValueError("inner structure is not on its block")
+        return block, inner
+
+
 class CompTerm(_Composite):
     """A substitution structure: a partition into blocks, one inner
-    structure per block, and an outer structure on the blocks themselves."""
+    structure per block, and an outer structure on the blocks themselves.
+
+    assign is the (block, inner) pairs in any order, sorted and checked in
+    full, or an Assignment, whose pairs are checked already: then only the
+    outer term is checked against its blocks."""
 
     __slots__ = ("outer", "assign")
     kind = "comp"
     fields = (("outer", "outer", _ON_BLOCKS), ("assign", "assign", _ASSIGN))
 
     def __init__(self, outer, assign):
+        if type(assign) is Assignment:
+            if outer.labels() != assign.blocks:
+                raise ValueError("outer structure is not on the block set")
+            self.outer, self.assign = outer, assign.pairs
+            self._labels = assign.labels
+            return
         assign = tuple(sorted(map(tuple, assign), key=_block_key))
         if outer.labels() != frozenset(map(itemgetter(0), assign)):
             raise ValueError("outer structure is not on the block set")
@@ -1019,11 +1138,8 @@ class CompTerm(_Composite):
             seen |= members
         self.outer = outer
         self.assign = assign
-
-    def _label_set(self):
-        return frozenset().union(
-            *[block.member_set for block, _ in self.assign]
-        )
+        seen = frozenset(seen)
+        self._labels = _SETS.setdefault(seen, seen)
 
     def render(self):
         parts = ", ".join(
@@ -1046,6 +1162,7 @@ class DerivTerm(_Composite):
         if not any(is_star(l) for l in inner.labels()):
             raise ValueError("derivative structure is missing its star point")
         self.inner = inner
+        self._labels = None
 
     def _star(self):
         return max(
@@ -1071,6 +1188,7 @@ class PointTerm(_Composite):
             raise ValueError("distinguished point is not a label")
         self.at = at
         self.inner = inner
+        self._labels = None
 
     def _label_set(self):
         return self.inner.labels()
@@ -1089,6 +1207,7 @@ class NamedTerm(_Composite):
     def __init__(self, name, inner):
         self.name = name
         self.inner = inner
+        self._labels = None
 
     def _label_set(self):
         return self.inner.labels()

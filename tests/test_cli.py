@@ -581,3 +581,46 @@ class TestCoefficientText:
     def test_each_text_is_the_fraction_text(self, counts):
         want = [str(Fraction(c, factorial(n))) for n, c in enumerate(counts)]
         assert cli._coefficient_texts(counts) == want
+
+
+@pytest.fixture
+def int_digits():
+    """The interpreter's int-to-str digit limit, restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    yield limit
+    sys.set_int_max_str_digits(limit)
+
+
+class TestExactOutputPastTheDigitLimit:
+    """Counts with more digits than CPython converts by default (4 300)
+    print in full, and main hands its caller the limit it found."""
+
+    def test_count_prints_every_digit(self, capsys, int_digits):
+        code, out, err = run(capsys, "count", "S", "2000")
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        want = str(factorial(2000))
+        assert len(want) == 5736
+        assert out == want + "\n"
+
+    def test_series_json_parses(self, capsys, int_digits):
+        code, out, err = run(capsys, "series", "L", "--order", "3000",
+                             "--json")
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        got = json.loads(out)
+        assert got["order"] == 3000
+        assert got["counts"][3000] == factorial(3000)
+        assert got["coefficients"][3000] == "1"
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "S", "5"],
+        ["count", "S", "2000", "--json"],
+        ["count", "X*", "3"],
+        ["enumerate", "Part", "9", "--budget", "1"],
+    ])
+    def test_the_callers_limit_is_restored(self, capsys, int_digits, argv):
+        sys.set_int_max_str_digits(5000)
+        main(argv)
+        capsys.readouterr()
+        assert sys.get_int_max_str_digits() == 5000

@@ -37,6 +37,7 @@ from species.semantics import egf_of, validate
 from species.structures import (
     STAR,
     Bijection,
+    Block,
     CompTerm,
     CycleTerm,
     DerivTerm,
@@ -950,3 +951,107 @@ def _all_sublists(items):
         for k in range(len(items) + 1)
         for chosen in itertools.combinations(items, k)
     ]
+
+
+# -- listings built by extending checked terms, against public constructors --
+
+# Integers whose codes sort apart from their values ("10" < "100" < "9"),
+# strings, and strings that sit next to the quote in code order.
+_EXTENSION_LABELS = st.sampled_from(
+    [1, 2, 9, 10, 100, "a", "b", "a!", 'a"', "é"]
+)
+
+
+def _publicly_built(term):
+    """term rebuilt through the public constructors, children included."""
+    return decode_structure(term.to_json())
+
+
+def _assert_same_listing(got, want):
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert mine == theirs
+        assert mine.encode() == theirs.encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(["P", "Pk[0]", "Pk[1]", "Pk[2]", "Pk[3]", "Gra",
+                          "Gro"]),
+    labels=st.lists(_EXTENSION_LABELS, unique=True, max_size=5),
+)
+def test_extended_sublist_listings_equal_the_public_ones(text, labels):
+    """Subsets, graphs and digraphs listed by extending checked terms equal,
+    in order and encoding, the terms the public constructors build from
+    every sublist, given in another order, sorted by encoding."""
+    labels = labels[:{"Gra": 4, "Gro": 3}.get(text, 5)]
+    got = enum(text, labels)
+    labs = enumerator._clean_labels(labels)
+    if text == "Gra":
+        want = [
+            GraphTerm(labs[::-1], [(b, a) for a, b in chosen][::-1])
+            for chosen in _all_sublists(list(itertools.combinations(labs, 2)))
+        ]
+    elif text == "Gro":
+        want = [
+            DigraphTerm(list(labs), chosen[::-1])
+            for chosen in _all_sublists(list(itertools.product(labs,
+                                                               repeat=2)))
+        ]
+    else:
+        size = None if text == "P" else int(text[3])
+        want = [
+            SubsetTerm(chosen[::-1], set(labs) - set(chosen))
+            for chosen in _all_sublists(labs)
+            if size is None or len(chosen) == size
+        ]
+    want.sort(key=lambda s: s.encode())
+    _assert_same_listing(got, want)
+    _assert_same_listing(got, [_publicly_built(t) for t in got])
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for k in range(len(rest) + 1):
+        for others in itertools.combinations(rest, k):
+            block = (first,) + others
+            left = tuple(x for x in rest if x not in others)
+            for tail in _set_partitions(left):
+                yield [block] + tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outer=st.sampled_from(["E", "L", "Lp", "S", "C"]),
+    inner=st.sampled_from(["A", "C"]),
+    labels=st.lists(_EXTENSION_LABELS, unique=True, max_size=4),
+)
+def test_extended_substitution_listings_equal_the_public_ones(
+    outer, inner, labels
+):
+    """Substitution terms listed on checked assignments equal, in order and
+    encoding, the terms CompTerm builds from every partition, inner terms
+    and outer term, with the pairs given in reverse block order, sorted by
+    encoding."""
+    env = parse_defs("A = X*E(A)\n")
+    got = enum(f"{outer}({inner})", labels, env)
+    labs = enumerator._clean_labels(labels)
+    outer_expr, inner_expr = parse_expr(outer), parse_expr(inner)
+    want = []
+    for partition in _set_partitions(labs):
+        blocks = sorted(map(Block, partition), key=lambda b: b.key)
+        outers = _structures(outer_expr, env, tuple(blocks), set())
+        inners = [
+            [_publicly_built(t)
+             for t in enumerate_structures(inner_expr, env, b.members)]
+            for b in blocks
+        ]
+        for chosen in itertools.product(*inners):
+            pairs = list(zip(blocks, chosen))[::-1]
+            want += [CompTerm(_publicly_built(o), pairs) for o in outers]
+    want.sort(key=lambda s: s.encode())
+    _assert_same_listing(got, want)
+    _assert_same_listing(got, [_publicly_built(t) for t in got])

@@ -934,3 +934,173 @@ class TestSharedLabelSets:
                     assert sub.labels() == fresh.labels()
         structures.clear_label_codes()
         assert not structures._SETS
+
+
+# -- terms built by extending checked terms --------------------------------
+
+def _digraph(*arcs):
+    return DigraphTerm((1, 2, "a"), arcs)
+
+
+def _graph(*edges):
+    return GraphTerm((1, 2, "a"), edges)
+
+
+def _assignment(*pairs):
+    """The Assignment of pairs, each formed by Assignment.pair, given in
+    block order."""
+    found = structures.Assignment()
+    for block, inner in reversed(pairs):
+        found = structures.Assignment(
+            structures.Assignment.pair(block, inner), found
+        )
+    return found
+
+
+_B1, _B23, _B2 = Block([1]), Block([2, 3]), Block([2])
+
+# Each refusal of an extension step: the step, the public constructor on
+# the same parts (None where it has no such refusal: it sorts or turns
+# what the step refuses), and the exception type and message both raise.
+EXTENSION_REFUSED = {
+    "duplicate arc": (
+        lambda: DigraphTerm(_digraph((1, 2)), (1, 2)),
+        lambda: _digraph((1, 2), (1, 2)),
+        ValueError, "duplicate arc",
+    ),
+    "unordered arc": (
+        lambda: DigraphTerm(_digraph((2, 1)), (1, 2)),
+        None, ValueError, "arc out of order",
+    ),
+    "arc endpoint outside": (
+        lambda: DigraphTerm(_digraph((1, 2)), (2, 3)),
+        lambda: _digraph((1, 2), (2, 3)),
+        ValueError, "arc endpoint outside the vertex set",
+    ),
+    "duplicate edge": (
+        lambda: GraphTerm(_graph((1, 2)), (1, 2)),
+        lambda: _graph((1, 2), (1, 2)),
+        ValueError, "duplicate edge",
+    ),
+    "unordered edge": (
+        lambda: GraphTerm(_graph((2, "a")), (1, "a")),
+        None, ValueError, "edge out of order",
+    ),
+    "turned edge": (
+        lambda: GraphTerm(_graph(), (2, 1)),
+        None, ValueError, "edge out of order",
+    ),
+    "edge loop": (
+        lambda: GraphTerm(_graph((1, 2)), (2, 2)),
+        lambda: _graph((1, 2), (2, 2)),
+        ValueError, "a simple graph has no loops",
+    ),
+    "edge endpoint outside": (
+        lambda: GraphTerm(_graph((1, 2)), (2, 3)),
+        lambda: _graph((1, 2), (2, 3)),
+        ValueError, "edge endpoint outside the vertex set",
+    ),
+    "subset member outside the complement": (
+        lambda: SubsetTerm(SubsetTerm([1], [2]), 1),
+        None, ValueError, "subset member outside the complement",
+    ),
+    "unordered subset member": (
+        lambda: SubsetTerm(SubsetTerm([2], [1]), 1),
+        None, ValueError, "subset members out of order",
+    ),
+    "unordered block": (
+        lambda: _assignment((_B23, SetTerm([2, 3])), (_B1, SetTerm([1]))),
+        None, ValueError, "blocks out of order",
+    ),
+    "overlapping block": (
+        lambda: _assignment((_B1, SetTerm([1])), (Block([1, 2]),
+                                                  SetTerm([1, 2]))),
+        lambda: CompTerm(
+            SetTerm([_B1, Block([1, 2])]),
+            [(_B1, SetTerm([1])), (Block([1, 2]), SetTerm([1, 2]))],
+        ),
+        ValueError, "blocks overlap",
+    ),
+    "inner term not on its block": (
+        lambda: structures.Assignment.pair(_B23, SetTerm([2])),
+        lambda: CompTerm(SetTerm([_B23]), [(_B23, SetTerm([2]))]),
+        ValueError, "inner structure is not on its block",
+    ),
+    "key that is not a block": (
+        lambda: structures.Assignment.pair(1, SetTerm([1])),
+        lambda: CompTerm(SetTerm([1]), [(1, SetTerm([1]))]),
+        TypeError, "assignment keys must be blocks",
+    ),
+    "outer term off the blocks": (
+        lambda: CompTerm(SetTerm([_B1]), _assignment(
+            (_B1, SetTerm([1])), (_B2, SetTerm([2])))),
+        lambda: CompTerm(SetTerm([_B1]), [
+            (_B1, SetTerm([1])), (_B2, SetTerm([2]))]),
+        ValueError, "outer structure is not on the block set",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTENSION_REFUSED))
+def test_extension_refusals(case):
+    """Each extension step refuses what it must, with the exception type
+    and message of the public constructor where that refuses the same
+    parts."""
+    step, public, error, message = EXTENSION_REFUSED[case]
+    with pytest.raises(error) as refused:
+        step()
+    assert str(refused.value) == message
+    if public is not None:
+        with pytest.raises(error) as refused:
+            public()
+        assert str(refused.value) == message
+
+
+def test_what_a_step_refuses_the_public_constructor_puts_in_order():
+    assert _digraph((2, 1), (1, 2)).arcs == ((1, 2), (2, 1))
+    assert _graph((2, "a"), (1, "a")).edges == ((1, "a"), (2, "a"))
+    assert _graph((2, 1)).edges == ((1, 2),)
+    assert SubsetTerm([2, 1], []).members == (1, 2)
+    term = CompTerm(SetTerm([_B1, _B23]),
+                    [(_B23, SetTerm([2, 3])), (_B1, SetTerm([1]))])
+    assert term.assign == ((_B1, SetTerm([1])), (_B23, SetTerm([2, 3])))
+
+
+@pytest.mark.parametrize("cls,first,items", [
+    (SubsetTerm, lambda: SubsetTerm((), (1, 10, 9, "a!")), [1, 9, "a!"]),
+    (GraphTerm, lambda: _graph(), [(1, 2), (1, "a"), (2, "a")]),
+    (DigraphTerm, lambda: _digraph(), [(1, 1), (2, 1), ("a", 2)]),
+])
+def test_extended_terms_equal_the_publicly_built_ones(cls, first, items):
+    """Extending a checked term one item at a time builds the term the
+    public constructor builds from all the items at once, with the same
+    encoding and the label set of the term it extends."""
+    term = first()
+    for at, item in enumerate(items):
+        term = cls(term, item)
+        chosen = items[:at + 1]
+        if cls is SubsetTerm:
+            want = SubsetTerm(chosen, {1, 10, 9, "a!"} - set(chosen))
+        else:
+            want = cls((1, 2, "a"), chosen)
+        assert term == want
+        assert term.encode() == want.encode()
+        assert term.labels() == want.labels()
+
+
+def test_a_comp_term_on_an_assignment_equals_the_public_one():
+    inners = [(_B1, ListTerm([1])), (_B23, CycleTerm([3, 2]))]
+    outer = ListTerm([_B23, _B1])
+    built = CompTerm(outer, _assignment(*inners))
+    want = CompTerm(outer, inners[::-1])
+    assert built == want and built.encode() == want.encode()
+    assert built.labels() == want.labels() == frozenset({1, 2, 3})
+
+
+def test_every_term_has_its_label_slot_set():
+    """Every constructor sets _labels, to None or to the set, so labels()
+    never reads an unset slot."""
+    for kind, term in TERMS.items():
+        fresh = decode_structure(term.to_json())
+        assert fresh._labels is None or fresh._labels == fresh.labels(), kind
+        assert fresh.labels() == term.labels()
