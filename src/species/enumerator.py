@@ -14,7 +14,12 @@ order.  Only partitions are still sorted by encode(), once per label set.
 Listed subsets, graphs and digraphs, and the pair tuples of substitution
 terms, are built by extending terms already checked: each step checks only
 the member, edge, arc or (block, inner) pair it adds, so every invariant
-is still checked once for every part of every listed term.
+is still checked once for every part of every listed term.  Products and
+maps are built from parts checked once: a ProductSplit checks a split's
+two label sets, each left factor and each right factor once for all the
+products on that split, and MapSources checks a sorted label tuple once
+for all the permutations, derangements, involutions or endofunctions on
+it, each map checking only that its targets are among the labels.
 
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
@@ -38,6 +43,7 @@ them began.
 import gc
 import random
 from itertools import combinations, permutations, product as iproduct
+from operator import ne
 
 from .errors import (
     BudgetExceeded,
@@ -69,11 +75,12 @@ from .structures import (
     DigraphTerm,
     GraphTerm,
     ListTerm,
+    MapSources,
     MapTerm,
     NamedTerm,
     PartitionTerm,
     PointTerm,
-    ProdTerm,
+    ProductSplit,
     SetTerm,
     STAR,
     SubsetTerm,
@@ -285,7 +292,7 @@ def _build(expr, env, labels, active):
         n = len(labels)
         left_counts = active.counts(expr.left, env, n)
         right_counts = active.counts(expr.right, env, n)
-        pairs = []
+        rows = []
         splits = 0
         for k in range(n + 1):
             if not left_counts[k] or not right_counts[n - k]:
@@ -294,15 +301,20 @@ def _build(expr, env, labels, active):
                 lefts = _structures(expr.left, env, chosen, active)
                 taken = set(chosen)
                 rest = tuple(x for x in labels if x not in taken)
-                rights = _structures(expr.right, env, rest, active)
-                pairs.extend((l, rights) for l in lefts)
+                split = ProductSplit(
+                    chosen, rest, _structures(expr.right, env, rest, active)
+                )
+                rows.extend((l, split) for l in lefts)
                 splits += 1
         if splits > 1:
             # One sorted run of left factors per split; each left factor's
             # rights are already in order.
             key = active.key
-            pairs.sort(key=lambda pair: key(pair[0]))
-        return [ProdTerm(l, r) for l, rights in pairs for r in rights]
+            rows.sort(key=lambda row: key(row[0]))
+        out = []
+        for left, split in rows:
+            out += split.products(left)
+        return out
     if isinstance(expr, Substitute):
         return _compositions(expr, env, labels, active)
     if isinstance(expr, Derivative):
@@ -415,19 +427,20 @@ def _involutions(labels):
     to itself or to a later free source."""
     n = len(labels)
     by_code = sorted(range(n), key=lambda i: label_code(labels[i]))
-    out = []
-    _fill(labels, by_code, [None] * n, out, 0)
-    return out
+    images = []
+    _fill(labels, by_code, [None] * n, images, 0)
+    return MapSources(labels).maps(images)
 
 
 def _fill(labels, by_code, image, out, i):
-    """Append to out every involution that extends the partial one in
-    image, whose sources before i are all mapped."""
+    """Append to out the targets, one per source, of every involution that
+    extends the partial one in image, whose sources before i are all
+    mapped."""
     n = len(labels)
     while i < n and image[i] is not None:
         i += 1
     if i == n:
-        out.append(MapTerm(zip(labels, [labels[j] for j in image])))
+        out.append(tuple(map(labels.__getitem__, image)))
         return
     for j in by_code:
         if j == i or (j > i and image[j] is None):
@@ -478,13 +491,15 @@ def _primitive_structures(expr, labels):
     """The structures of a primitive on labels, in encode() order.
 
     Lists, cycles and maps hold their labels in fixed places (maps by
-    source), so they are generated from the labels in encoded order.  On
-    one label set, subsets, graphs and digraphs differ only in their list
-    of members, edges or arcs, so _sublists walks those lists in order,
-    building each term by extending a checked one by one item.  Partitions are still sorted by encode().  On the verify workload that
-    sort is the one call of Structure.encode, a boundary that
-    perfbench/tracing.py requires to be reached until the engine counts its
-    own work (ROADMAP item 1).
+    source), so they are generated from the labels in encoded order.  All
+    maps on labels are built on one MapSources, which checks the source
+    tuple once.  On one label set, subsets, graphs and digraphs differ
+    only in their list of members, edges or arcs, so _sublists walks those
+    lists in order, building each term by extending a checked one by one
+    item.  Partitions are still sorted by encode().  On the verify
+    workload that sort is the one call of Structure.encode, a boundary
+    that perfbench/tracing.py requires to be reached until the engine
+    counts its own work (ROADMAP item 1).
     """
     kind = expr.kind
     n = len(labels)
@@ -511,23 +526,16 @@ def _primitive_structures(expr, labels):
         rest = [x for x in by_code if x != labels[0]]
         return [CycleTerm((labels[0],) + p) for p in permutations(rest)]
     if kind is K.PERMUTATION:
-        return [
-            MapTerm(zip(labels, image)) for image in permutations(by_code)
-        ]
+        return MapSources(labels).maps(permutations(by_code))
     if kind is K.DERANGEMENT:
-        out = []
-        for image in permutations(by_code):
-            pairs = tuple(zip(labels, image))
-            if all(a != b for a, b in pairs):
-                out.append(MapTerm(pairs))
-        return out
+        return MapSources(labels).maps(
+            image for image in permutations(by_code)
+            if all(map(ne, labels, image))
+        )
     if kind is K.INVOLUTION:
         return _involutions(labels)
     if kind is K.ENDOFUNCTION:
-        return [
-            MapTerm(zip(labels, image))
-            for image in iproduct(by_code, repeat=n)
-        ]
+        return MapSources(labels).maps(iproduct(by_code, repeat=n))
     codes = {x: label_code(x) for x in labels}
     if kind is K.SUBSET or kind is K.KSUBSET:
         size = expr.param if kind is K.KSUBSET else None

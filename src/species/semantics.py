@@ -341,6 +341,13 @@ class _Evaluator:
         left = self._compile(expr.left)
         right = self._compile(expr.right)
         multiply = _resumed(lambda f, g, known: f.__mul__(g, known))
+        if left is right:
+            # One series passed twice, so that the product squares it.
+            def square(order):
+                f = left(order)
+                return multiply(f, f)
+
+            return square
         return lambda order: multiply(left(order), right(order))
 
     def _substitute(self, expr):

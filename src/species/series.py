@@ -26,7 +26,10 @@ E, L and C follows the standard recurrences (Bergeron, Labelle and Leroux,
 Combinatorial Species and Tree-like Structures, ch. 1-3): exp for E,
 1/(1 - g) for L and log 1/(1 - g) for C.  The binomial kernels read
 C(n, k) from one module-level Pascal table, grown to the largest order
-asked for, rather than computing it once per term.
+asked for, rather than computing it once per term, and a substitution
+recognises those three outers by comparing its counts with a module-level
+table of factorials.  A series times itself is squared in half the
+products, because C(n, k) = C(n, n - k).
 """
 
 from fractions import Fraction
@@ -72,6 +75,12 @@ def _quotient(a, b):
 _PASCAL = [[1]]
 _GROWING = Lock()
 
+# 0!, 1!, .., N!, the counts of L (and, shifted one place, of C) that
+# _closed_form compares outer counts with.  Grown like _PASCAL, under the
+# same lock; a tuple, so that the comparisons run in C, replaced whole
+# when it grows, so readers need no lock.
+_FACTORIALS = (1,)
+
 
 def _binomials(order):
     """Pascal's triangle through row order (the shared table itself)."""
@@ -104,6 +113,31 @@ def _convolve(f, g, order, known=()):
             d = g[n - k]
             if d:
                 acc += row[k] * c * d
+        out.append(acc)
+    return out
+
+
+def _square(f, order, known=()):
+    """Counts of f*f, after the known leading ones.  C(n, k) = C(n, n-k)
+    makes the sum of _convolve(f, f) symmetric, so each pair k < n-k is
+    multiplied once and doubled, and the middle term k = n/2 added."""
+    terms = _nonzero(f, 0, order + 1)
+    rows = _binomials(order)
+    out = list(known)
+    for n in range(len(out), order + 1):
+        row = rows[n]
+        acc = 0
+        for k, c in terms:
+            if 2 * k >= n:
+                break
+            d = f[n - k]
+            if d:
+                acc += row[k] * c * d
+        acc *= 2
+        if not n % 2:
+            c = f[n // 2]
+            if c:
+                acc += row[n // 2] * c * c
         out.append(acc)
     return out
 
@@ -160,20 +194,33 @@ def _log(g, order, known=()):
     )
 
 
+def _factorials(order):
+    """The tuple (0!, 1!, .., N!) for some N >= order (the shared table
+    itself)."""
+    global _FACTORIALS
+    facts = _FACTORIALS
+    if len(facts) <= order:
+        with _GROWING:
+            grown = list(_FACTORIALS)
+            for n in range(len(grown), order + 1):
+                grown.append(grown[-1] * n)
+            _FACTORIALS = facts = tuple(grown)
+    return facts
+
+
 def _closed_form(f, order):
     """The O(N^2) recurrence for an outer series whose counts f_1 .. f_order
-    are those of E (all 1), L (n!) or C ((n-1)!); None for any other."""
-    exp = inv = log = True
-    fact = 1
-    for n in range(1, order + 1):
-        c = f[n]
-        exp = exp and c == 1
-        log = log and c == fact
-        fact *= n
-        inv = inv and c == fact
-        if not (exp or inv or log):
-            return None
-    return _exp if exp else _inv if inv else _log
+    are those of E (all 1), L (n!) or C ((n-1)!); None for any other.  f is
+    a tuple, compared in C with those counts."""
+    head = f[1:order + 1]
+    if head == (1,) * order:
+        return _exp
+    facts = _factorials(order)
+    if head == facts[1:order + 1]:
+        return _inv
+    if head == facts[:order]:
+        return _log
+    return None
 
 
 def _power_sum(f, g, order):
@@ -314,11 +361,14 @@ class CountSeries:
         return other + (-self)
 
     def __mul__(self, other, known=()):
-        """The product; known, when given, holds its leading counts."""
+        """The product; known, when given, holds its leading counts.  A
+        series times itself is squared in half the products."""
         if isinstance(other, (int, Fraction)):
             return CountSeries(c * other for c in self._counts)
         if not isinstance(other, CountSeries):
             return NotImplemented
+        if other is self:
+            return CountSeries(_square(self._counts, self.order, known))
         order = min(self.order, other.order)
         return CountSeries(
             _convolve(self._counts, other._counts, order, known)

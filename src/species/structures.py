@@ -13,6 +13,10 @@ Listings build subsets, graphs, digraphs and substitution terms by
 extending terms already checked (SubsetTerm(subset, label),
 GraphTerm(graph, edge), DigraphTerm(digraph, arc), and Assignment for the
 pairs of a substitution), so each step checks only the part it adds.
+They build products and maps from parts checked once: a ProductSplit
+checks a split's two label sets and each of its factors once for all the
+products of that split, and MapSources checks the source tuple once for
+all the maps on it.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -24,7 +28,8 @@ domains.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter, lt
+from itertools import repeat
+from operator import attrgetter, eq, itemgetter, lt, methodcaller
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -169,6 +174,25 @@ _KEY = _KEYS.__getitem__
 #: only ever maps a set to an equal set, so threads share it safely; sets
 #: of blocks it holds keep those blocks alive until it is emptied.
 _SETS = {}
+
+
+def _interned(labels):
+    """The one frozenset _SETS holds for the set of labels."""
+    found = frozenset(labels)
+    return _SETS.setdefault(found, found)
+
+
+_kept_labels = attrgetter("_labels")
+_label_set_of = methodcaller("labels")
+
+
+def _all_on(terms, labels):
+    """True when every term of terms lives on labels.  The label sets the
+    terms keep are compared in C; only when one has not kept its set yet is
+    every term asked for it."""
+    return all(map(eq, map(_kept_labels, terms), repeat(labels))) or all(
+        map(labels.__eq__, map(_label_set_of, terms))
+    )
 
 
 def clear_label_codes():
@@ -810,6 +834,42 @@ class MapTerm(Structure):
         return "{" + inner + "}"
 
 
+class MapSources:
+    """The source tuple a listing builds all its maps on, checked once for
+    every map built on it.
+
+    MapSources(labels) refuses labels whose keys do not strictly increase,
+    so they are distinct and in the order MapTerm keeps its pairs, and
+    keeps their one interned set.  sources.maps(images) is the list of
+    MapTerm(zip(labels, image)) for every image, a tuple of one target per
+    source: each map checks only that its targets lie in that set, and
+    takes the set as its label set."""
+
+    __slots__ = ("labels", "targets")
+
+    def __init__(self, labels):
+        labels = tuple(labels)
+        if not _increasing(_label_keys(labels)):
+            raise ValueError("map sources out of order")
+        self.labels, self.targets = labels, _interned(labels)
+
+    def maps(self, images):
+        labels, targets = self.labels, self.targets
+        images = list(images)
+        if not all(map(len(labels).__eq__, map(len, images))):
+            raise ValueError("map needs one target per source")
+        if not all(map(targets.issuperset, images)):
+            raise ValueError("map target outside the label set")
+        # Checks, pair tuples and bare terms (no __init__ run) are all made
+        # in C; the loop only fills the terms' slots.
+        terms = list(map(object.__new__, repeat(MapTerm, len(images))))
+        for term, pairs in zip(
+            terms, map(tuple, map(zip, repeat(labels), images))
+        ):
+            term.pairs, term._labels = pairs, targets
+        return terms
+
+
 class _VertexTable:
     """The vertex table of one vertex tuple: given is the caller's object,
     vertices its sorted, checked copy, pos each vertex's place in it, and
@@ -822,8 +882,7 @@ class _VertexTable:
     def __init__(self, given, vertices):
         self.given, self.vertices = given, vertices
         self.pos = {v: i for i, v in enumerate(vertices)}
-        found = frozenset(vertices)
-        self.labels = _SETS.setdefault(found, found)
+        self.labels = _interned(vertices)
 
 
 #: The table of the last vertex tuple a graph or digraph was built on.
@@ -1022,7 +1081,7 @@ class SumTerm(_Composite):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
         self.inner = inner
-        self._labels = None
+        self._labels = inner._labels
 
     def _label_set(self):
         return self.inner.labels()
@@ -1052,6 +1111,41 @@ class ProdTerm(_Composite):
         return f"({self.left.render()}, {self.right.render()})"
 
 
+class ProductSplit:
+    """A product's labels cut in two, as listings build products: the left
+    factors' labels and the right factors', checked once for every product
+    term built on them.
+
+    ProductSplit(chosen, rest, rights) refuses chosen and rest when they
+    meet, and any term of rights, the right factors, that does not live on
+    rest.  split.products(left) refuses left unless it lives on chosen, and
+    is the list of ProdTerm(left, right) for every right of rights, in
+    order: no pair is checked again, and every term takes the split's one
+    interned label set as its own."""
+
+    __slots__ = ("chosen", "rights", "labels")
+
+    def __init__(self, chosen, rest, rights):
+        chosen, rest = _interned(chosen), _interned(rest)
+        if not chosen.isdisjoint(rest):
+            raise ValueError("product parts share labels")
+        rights = tuple(rights)
+        if not _all_on(rights, rest):
+            raise ValueError("right factor is not on its labels")
+        self.chosen, self.rights = chosen, rights
+        self.labels = _interned(chosen | rest)
+
+    def products(self, left):
+        if left.labels() != self.chosen:
+            raise ValueError("left factor is not on its labels")
+        labels, rights = self.labels, self.rights
+        # Bare terms made in C, no __init__ run, filled from checked parts.
+        terms = list(map(object.__new__, repeat(ProdTerm, len(rights))))
+        for term, right in zip(terms, rights):
+            term.left, term.right, term._labels = left, right, labels
+        return terms
+
+
 def _block_key(pair):
     """A substitution pair's place in its term, refusing a key that is not
     a block."""
@@ -1079,9 +1173,8 @@ class Assignment:
 
     def __init__(self, pair=None, tail=None):
         if pair is None:
-            empty = frozenset()
             self.pairs = ()
-            self.blocks = self.labels = _SETS.setdefault(empty, empty)
+            self.blocks = self.labels = _interned(())
             return
         block = pair[0]
         members = block.member_set
@@ -1091,10 +1184,8 @@ class Assignment:
         if pairs and not block.key < pairs[0][0].key:
             raise ValueError("blocks out of order")
         self.pairs = (pair,) + pairs
-        found = tail.blocks.union((block,))
-        self.blocks = _SETS.setdefault(found, found)
-        found = tail.labels | members
-        self.labels = _SETS.setdefault(found, found)
+        self.blocks = _interned(tail.blocks.union((block,)))
+        self.labels = _interned(tail.labels | members)
 
     @staticmethod
     def pair(block, inner):
@@ -1138,8 +1229,7 @@ class CompTerm(_Composite):
             seen |= members
         self.outer = outer
         self.assign = assign
-        seen = frozenset(seen)
-        self._labels = _SETS.setdefault(seen, seen)
+        self._labels = _interned(seen)
 
     def render(self):
         parts = ", ".join(
@@ -1184,11 +1274,12 @@ class PointTerm(_Composite):
     fields = (("at", "at", _LABEL), ("inner", "inner", _CHILD))
 
     def __init__(self, at, inner):
-        if at not in inner.labels():
+        labels = inner.labels()
+        if at not in labels:
             raise ValueError("distinguished point is not a label")
         self.at = at
         self.inner = inner
-        self._labels = None
+        self._labels = labels
 
     def _label_set(self):
         return self.inner.labels()
@@ -1207,7 +1298,7 @@ class NamedTerm(_Composite):
     def __init__(self, name, inner):
         self.name = name
         self.inner = inner
-        self._labels = None
+        self._labels = inner._labels
 
     def _label_set(self):
         return self.inner.labels()

@@ -1055,3 +1055,91 @@ def test_extended_substitution_listings_equal_the_public_ones(
     want.sort(key=lambda s: s.encode())
     _assert_same_listing(got, want)
     _assert_same_listing(got, [_publicly_built(t) for t in got])
+
+
+# -- products and maps built from parts checked once, against public ones --
+
+_CHECKED_ONCE_ENV = parse_defs("A = X*E(A)\nB = 1 + X*B^2\n")
+
+
+def _maps_from_scratch(labs, keep):
+    """MapTerm of every image tuple keep accepts, pairs given in reverse."""
+    n = len(labs)
+    return [
+        MapTerm(list(zip(labs, image))[::-1])
+        for image in itertools.product(labs, repeat=n)
+        if keep(dict(zip(labs, image)))
+    ]
+
+
+def _products_from_scratch(labs, lefts, rights):
+    """ProdTerm(l, r) for every split of labs, l among lefts(chosen) and r
+    among rights(rest)."""
+    out = []
+    for k in range(len(labs) + 1):
+        for chosen in itertools.combinations(labs, k):
+            rest = [x for x in labs if x not in chosen]
+            out += [
+                ProdTerm(l, r)
+                for l in lefts(list(chosen))
+                for r in rights(rest)
+            ]
+    return out
+
+
+def _bijective(m):
+    return sorted(m.values(), key=str) == sorted(m, key=str)
+
+
+def _derangements(labs):
+    return _maps_from_scratch(
+        labs, lambda m: _bijective(m) and all(a != b for a, b in m.items())
+    )
+
+
+_FROM_SCRATCH = {
+    "S": lambda labs: _maps_from_scratch(labs, _bijective),
+    "Der": _derangements,
+    "Inv": lambda labs: _maps_from_scratch(
+        labs, lambda m: all(m[m[a]] == a for a in m)
+    ),
+    "End": lambda labs: _maps_from_scratch(labs, lambda m: True),
+    "L*L": lambda labs: _products_from_scratch(
+        labs,
+        lambda ls: [ListTerm(p) for p in itertools.permutations(ls)],
+        lambda ls: [ListTerm(p) for p in itertools.permutations(ls)],
+    ),
+    "E*Der": lambda labs: _products_from_scratch(
+        labs, lambda ls: [SetTerm(ls[::-1])], _derangements
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "labels", [[1, 2, 3, 4], ["d", "c", "b", "a"], [10, 9, 100]],
+    ids=["int", "str", "mixed-code"],
+)
+@pytest.mark.parametrize(
+    "text", ["S", "Der", "Inv", "End", "A", "B", "pt(A)", "L*L", "E*Der"]
+)
+def test_checked_once_listings_equal_the_public_terms(text, labels):
+    """Maps built on a source tuple checked once, and products built on a
+    split checked once, equal the terms the public constructors build: in
+    order, encoding, label set, equality and hash.  Maps and products are
+    also built from scratch, their pairs given out of order, and sorted by
+    encoding; the recursive species are rebuilt from their JSON."""
+    got = enum(text, labels, _CHECKED_ONCE_ENV)
+    labs = list(enumerator._clean_labels(labels))
+    rebuilt = [_publicly_built(t) for t in got]
+    wants = [rebuilt]
+    if text in _FROM_SCRATCH:
+        built = _FROM_SCRATCH[text](labs)
+        wants.append(sorted(built, key=lambda s: s.encode()))
+    assert got == sorted(got, key=lambda s: s.encode())
+    for want in wants:
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert mine == theirs
+            assert hash(mine) == hash(theirs)
+            assert mine.encode() == theirs.encode()
+            assert mine.labels() == theirs.labels() == frozenset(labs)

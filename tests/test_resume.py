@@ -224,3 +224,79 @@ def test_a_derivative_above_a_name_free_node_reads_one_count_more():
         [("H", lambda approx, target: _plain(body, approx, target))], 12
     )
     assert egf_of(Name("H"), env, order=12) == plain["H"]
+
+
+# -- squaring and the closed-form outers -------------------------------------
+
+_INT_COUNT = st.integers(-10**6, 10**6)
+_FRACTION_COUNT = st.fractions(
+    min_value=-50, max_value=50, max_denominator=9
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(_INT_COUNT, min_size=1, max_size=26),
+    st.lists(_FRACTION_COUNT, min_size=1, max_size=26),
+))
+def test_a_square_equals_the_product_at_every_cut(counts):
+    """A series times itself is squared in half the products, and resumes
+    from a known prefix cut anywhere, like _convolve."""
+    f = CountSeries(counts)
+    order = f.order
+    full = series._convolve(f._counts, f._counts, order)
+    for cut in range(order + 2):
+        known = tuple(full[:cut])
+        assert series._square(f._counts, order, known) == full
+        assert f.__mul__(f, known) == CountSeries(full)
+
+
+def test_a_product_of_one_node_with_itself_is_squared(monkeypatch):
+    """B^2 is Product(B, B): its two operands compile to one node, which
+    hands the product one series twice."""
+    squared = []
+    square = series._square
+
+    def counted(f, order, known=()):
+        squared.append(order)
+        return square(f, order, known)
+
+    monkeypatch.setattr(series, "_square", counted)
+    got = egf_of(parse_expr("B"), _ENV, order=30).counts()
+    assert got == [catalan(n) * factorial(n) for n in range(31)]
+    assert squared
+
+
+def _closed_form_by_scan(f, order):
+    """The recurrence _closed_form picks, found by scanning the counts."""
+    exp = inv = log = True
+    fact = 1
+    for n in range(1, order + 1):
+        c = f[n]
+        exp = exp and c == 1
+        log = log and c == fact
+        fact *= n
+        inv = inv and c == fact
+    return series._exp if exp else series._inv if inv else (
+        series._log if log else None
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.sampled_from(["E", "L", "C", "Ep", "S", "X"]),
+    st.one_of(st.none(), st.tuples(st.integers(0, 40), _COUNT)),
+    st.integers(0, 3),
+)
+def test_closed_forms_are_found_as_a_scan_finds_them(order, outer, change,
+                                                       constant):
+    """Comparing the outer's counts with the tables picks E, L and C (and
+    nothing else) exactly where a scan of the counts does, at any order and
+    with any constant term, also with one count changed."""
+    counts = list(primitive_series(parse_expr(outer).kind, order)._counts)
+    counts[0] = constant
+    if change is not None and change[0] <= order:
+        counts[change[0]] = change[1]
+    f = CountSeries(counts)._counts
+    assert series._closed_form(f, order) is _closed_form_by_scan(f, order)

@@ -1104,3 +1104,88 @@ def test_every_term_has_its_label_slot_set():
         fresh = decode_structure(term.to_json())
         assert fresh._labels is None or fresh._labels == fresh.labels(), kind
         assert fresh.labels() == term.labels()
+
+
+# -- products on a split and maps on a source tuple, checked once ----------
+
+# Each refusal of a builder that checks a shared part once: the step, the
+# public constructor given the same parts (None where it accepts them), the
+# exception type and the message.
+CHECKED_ONCE_REFUSED = {
+    "split parts that meet": (
+        lambda: structures.ProductSplit((1, 2), (2, 3), [SetTerm([2, 3])]),
+        lambda: ProdTerm(SetTerm([1, 2]), SetTerm([2, 3])),
+        ValueError, "product parts share labels",
+    ),
+    "right factor off its labels": (
+        lambda: structures.ProductSplit((1,), (2, 3), [
+            SetTerm([2, 3]), SetTerm([2])]),
+        None, ValueError, "right factor is not on its labels",
+    ),
+    "right factor that keeps no label set yet": (
+        lambda: structures.ProductSplit((1,), (2, 3), [ListTerm([3])]),
+        None, ValueError, "right factor is not on its labels",
+    ),
+    "left factor off its labels": (
+        lambda: structures.ProductSplit(
+            (1,), (2,), [SetTerm([2])]
+        ).products(SetTerm([1, 3])),
+        None, ValueError, "left factor is not on its labels",
+    ),
+    "sources out of order": (
+        lambda: structures.MapSources((2, 1)),
+        None, ValueError, "map sources out of order",
+    ),
+    "a source twice": (
+        lambda: structures.MapSources((1, 1)),
+        None, ValueError, "map sources out of order",
+    ),
+    "image outside the sources": (
+        lambda: structures.MapSources((1, 2)).maps([(2, 1), (1, 3)]),
+        lambda: MapTerm([(1, 1), (2, 3)]),
+        ValueError, "map target outside the label set",
+    ),
+    "image of another length": (
+        lambda: structures.MapSources((1, 2)).maps([(1,)]),
+        None, ValueError, "map needs one target per source",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_ONCE_REFUSED))
+def test_checked_once_refusals(case):
+    """Each check a split or a source tuple makes once refuses what it
+    must, with the exception type and message of the public constructor
+    where that refuses the same parts."""
+    step, public, error, message = CHECKED_ONCE_REFUSED[case]
+    with pytest.raises(error) as refused:
+        step()
+    assert str(refused.value) == message
+    if public is not None:
+        with pytest.raises(error) as refused:
+            public()
+        assert str(refused.value) == message
+
+
+def test_terms_on_a_split_or_sources_equal_the_public_ones():
+    """Products of a split and maps on a source tuple equal the terms the
+    public constructors build, and share one label set."""
+    rights = [ListTerm([3, "a"]), ListTerm(["a", 3])]
+    split = structures.ProductSplit((1, 10), (3, "a"), rights)
+    left = SetTerm([10, 1])
+    built = split.products(left)
+    assert built == [ProdTerm(left, r) for r in rights]
+    assert [t.encode() for t in built] == [
+        ProdTerm(left, r).encode() for r in rights
+    ]
+    assert built[0].labels() is built[1].labels() is split.labels
+    assert split.labels == frozenset({1, 10, 3, "a"})
+    sources = structures.MapSources((1, 10, "a"))
+    images = [(10, "a", 1), (1, 1, 1)]
+    maps = sources.maps(images)
+    assert maps == [MapTerm([("a", 1), (10, "a"), (1, 10)]),
+                    MapTerm([("a", 1), (10, 1), (1, 1)])]
+    assert [hash(m) for m in maps] == [
+        hash(MapTerm(list(zip((1, 10, "a"), image))[::-1])) for image in images
+    ]
+    assert maps[0].labels() is maps[1].labels() is sources.targets
