@@ -14,12 +14,20 @@ order.  Only partitions are still sorted by encode(), once per label set.
 Listed subsets, graphs and digraphs, and the pair tuples of substitution
 terms, are built by extending terms already checked: each step checks only
 the member, edge, arc or (block, inner) pair it adds, so every invariant
-is still checked once for every part of every listed term.  Products and
-maps are built from parts checked once: a ProductSplit checks a split's
-two label sets, each left factor and each right factor once for all the
-products on that split, and MapSources checks a sorted label tuple once
-for all the permutations, derangements, involutions or endofunctions on
-it, each map checking only that its targets are among the labels.
+is still checked once for every part of every listed term.  Every other
+listed term is built from parts checked once, with no constructor run.  A
+ProductSplit checks a split's two label sets, each left factor and each
+right factor once for all the products on that split.  A MapSources
+checks a sorted label tuple once for all the terms built on it: maps,
+each checking only that its targets are among the labels; lists and
+cycles, permutations of one order checked once to hold each label once;
+partitions, each block checked once and each partition for holding each
+label once, blocks in order; and the derivative and pointed terms around
+a listed child, the child list checked once to live on the tuple.  Sum
+and named terms check their side or name once per child list.  On fewer
+than _CHECK_ONCE_FROM labels, where checking a tuple once costs more than
+it saves, lists, cycles, partitions, derivatives and pointed terms are
+built by their public constructors instead.
 
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
@@ -42,8 +50,8 @@ them began.
 
 import gc
 import random
-from itertools import combinations, permutations, product as iproduct
-from operator import ne
+from itertools import combinations, permutations, product as iproduct, repeat
+from operator import add, ne
 
 from .errors import (
     BudgetExceeded,
@@ -77,19 +85,19 @@ from .structures import (
     ListTerm,
     MapSources,
     MapTerm,
-    NamedTerm,
     PartitionTerm,
     PointTerm,
     ProductSplit,
     SetTerm,
     STAR,
     SubsetTerm,
-    SumTerm,
     check_label,
     clear_label_codes,
     is_star,
     label_code,
     label_sort_key,
+    named_terms,
+    sum_terms,
 )
 
 __all__ = [
@@ -122,20 +130,29 @@ def _clean_labels(labels):
     return out
 
 
-def _set_partitions(items):
-    """All partitions of a tuple into nonempty blocks (the empty tuple has
-    exactly one partition: the empty one)."""
-    if not items:
-        yield []
-        return
+def _set_partitions(items, listed):
+    """All partitions of a tuple into nonempty blocks, as tuples of blocks,
+    each block a tuple of items in items' order (the empty tuple has
+    exactly one partition: the empty one).  The first block holds
+    items[0], so blocks are in order of their first item.  listed maps
+    each tuple of items left over to its partitions, so that each is
+    listed once however many first blocks leave it, and every partition
+    is one tuple built once, not rebuilt at each level."""
+    if len(items) < 2:
+        return [(items,)] if items else [()]
+    found = listed.get(items)
+    if found is not None:
+        return found
     first, rest = items[0], items[1:]
+    found = listed[items] = []
     for k in range(len(rest) + 1):
         for companions in combinations(rest, k):
-            block = (first,) + companions
             taken = set(companions)
-            remaining = tuple(x for x in rest if x not in taken)
-            for others in _set_partitions(remaining):
-                yield [block] + others
+            tails = _set_partitions(
+                tuple(x for x in rest if x not in taken), listed
+            )
+            found += map(add, repeat(((first,) + companions,)), tails)
+    return found
 
 
 def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
@@ -256,6 +273,13 @@ def _structures(expr, env, labels, active):
     return found
 
 
+#: The fewest labels on which a listing builds its lists, cycles,
+#: partitions, derivatives or pointed terms on one MapSources.  On fewer,
+#: checking the label tuple once costs more than it saves, so each term is
+#: built by its public constructor, which checks it in full.
+_CHECK_ONCE_FROM = 4
+
+
 def _build(expr, env, labels, active):
     """The structures of one node on labels, in encode() order, from its
     children's lists.
@@ -275,13 +299,11 @@ def _build(expr, env, labels, active):
             inner = _structures(env[expr.ident], env, labels, active)
         finally:
             active.discard(guard)
-        return [NamedTerm(expr.ident, s) for s in inner]
+        return named_terms(expr.ident, inner)
     if isinstance(expr, Sum):
         left = _structures(expr.left, env, labels, active)
         right = _structures(expr.right, env, labels, active)
-        out = [SumTerm("left", s) for s in left] + [
-            SumTerm("right", s) for s in right
-        ]
+        out = sum_terms("left", left) + sum_terms("right", right)
         if left and right:
             # A stable sort of two sorted runs is their merge, with the
             # left side first on equal inner terms.
@@ -318,24 +340,23 @@ def _build(expr, env, labels, active):
     if isinstance(expr, Substitute):
         return _compositions(expr, env, labels, active)
     if isinstance(expr, Derivative):
+        # The added point is one star longer than any star on labels, which
+        # sort last, longest last; DerivTerm takes its longest star as the
+        # added one.
         star = STAR
-        present = set(labels)
-        while star in present:
-            star += STAR
-        extended = tuple(
-            sorted(labels + (star,), key=label_sort_key)
-        )
-        return [
-            DerivTerm(s)
-            for s in _structures(expr.inner, env, extended, active)
-        ]
+        if labels and is_star(labels[-1]):
+            star += labels[-1]
+        extended = labels + (star,)
+        inner = _structures(expr.inner, env, extended, active)
+        if len(extended) < _CHECK_ONCE_FROM:
+            return list(map(DerivTerm, inner))
+        return MapSources(extended).derivatives(star, inner)
     if isinstance(expr, Pointing):
         inner = _structures(expr.inner, env, labels, active)
-        return [
-            PointTerm(at, s)
-            for at in sorted(labels, key=label_code)
-            for s in inner
-        ]
+        points = sorted(labels, key=label_code)
+        if len(labels) < _CHECK_ONCE_FROM:
+            return [PointTerm(at, s) for at in points for s in inner]
+        return MapSources(labels).pointed(points, inner)
     if isinstance(expr, RestrictCard):
         if not expr.admits(len(labels)):
             return []
@@ -492,14 +513,18 @@ def _primitive_structures(expr, labels):
 
     Lists, cycles and maps hold their labels in fixed places (maps by
     source), so they are generated from the labels in encoded order.  All
-    maps on labels are built on one MapSources, which checks the source
-    tuple once.  On one label set, subsets, graphs and digraphs differ
-    only in their list of members, edges or arcs, so _sublists walks those
-    lists in order, building each term by extending a checked one by one
-    item.  Partitions are still sorted by encode().  On the verify
-    workload that sort is the one call of Structure.encode, a boundary
-    that perfbench/tracing.py requires to be reached until the engine
-    counts its own work (ROADMAP item 1).
+    maps, lists, cycles or partitions on labels are built on one
+    MapSources, which checks the label tuple once (lists, cycles and
+    partitions only on _CHECK_ONCE_FROM labels or more).  Lists and
+    cycles are the permutations of one order it checks once; partitions,
+    from _set_partitions, are checked block by block and once each for
+    holding every label once.  On one label set, subsets, graphs and
+    digraphs differ only in their list of members, edges or arcs, so
+    _sublists walks those lists in order, building each term by extending
+    a checked one by one item.  Partitions are still sorted by encode().
+    On the verify workload that sort is the one call of Structure.encode,
+    a boundary that perfbench/tracing.py requires to be reached until the
+    engine counts its own work (ROADMAP item 1).
     """
     kind = expr.kind
     n = len(labels)
@@ -516,15 +541,20 @@ def _primitive_structures(expr, labels):
     if kind is K.KSET:
         return [SetTerm(labels)] if n == expr.param else []
     by_code = sorted(labels, key=label_code)
-    if kind is K.LIST:
-        return [ListTerm(p) for p in permutations(by_code)]
-    if kind is K.NONEMPTY_LIST:
-        return [ListTerm(p) for p in permutations(by_code)] if n >= 1 else []
+    few = n < _CHECK_ONCE_FROM
+    if kind is K.NONEMPTY_LIST and n == 0:
+        return []
+    if kind is K.LIST or kind is K.NONEMPTY_LIST:
+        if few:
+            return [ListTerm(p) for p in permutations(by_code)]
+        return MapSources(labels).lists(by_code)
     if kind is K.CYCLE:
         if n == 0:
             return []
         rest = [x for x in by_code if x != labels[0]]
-        return [CycleTerm((labels[0],) + p) for p in permutations(rest)]
+        if few:
+            return [CycleTerm((labels[0],) + p) for p in permutations(rest)]
+        return MapSources(labels).cycles(rest)
     if kind is K.PERMUTATION:
         return MapSources(labels).maps(permutations(by_code))
     if kind is K.DERANGEMENT:
@@ -556,7 +586,11 @@ def _primitive_structures(expr, labels):
             pair_code,
         )
     if kind is K.PARTITION:
-        out = [PartitionTerm(p) for p in _set_partitions(labels)]
+        parts = _set_partitions(labels, {})
+        if few:
+            out = list(map(PartitionTerm, parts))
+        else:
+            out = MapSources(labels).partitions(parts)
         out.sort(key=lambda s: s.encode())
         return out
     raise TypeError(f"no structure rule for primitive {kind}")

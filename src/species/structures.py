@@ -13,10 +13,12 @@ Listings build subsets, graphs, digraphs and substitution terms by
 extending terms already checked (SubsetTerm(subset, label),
 GraphTerm(graph, edge), DigraphTerm(digraph, arc), and Assignment for the
 pairs of a substitution), so each step checks only the part it adds.
-They build products and maps from parts checked once: a ProductSplit
-checks a split's two label sets and each of its factors once for all the
-products of that split, and MapSources checks the source tuple once for
-all the maps on it.
+They build every other term from parts checked once, with no constructor
+run: a ProductSplit checks a split's two label sets and each of its
+factors once for all the products of that split; MapSources checks a
+sorted label tuple once for all the maps, lists, cycles, partitions,
+derivatives and pointed terms on it; and sum_terms and named_terms check
+a side or a name once for every term wrapped around a list of children.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -28,8 +30,8 @@ domains.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
-from itertools import repeat
-from operator import attrgetter, eq, itemgetter, lt, methodcaller
+from itertools import chain, permutations, repeat
+from operator import add, attrgetter, eq, itemgetter, lt, methodcaller
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -193,6 +195,12 @@ def _all_on(terms, labels):
     return all(map(eq, map(_kept_labels, terms), repeat(labels))) or all(
         map(labels.__eq__, map(_label_set_of, terms))
     )
+
+
+def _bare(cls, count):
+    """count terms of cls made in C with no __init__ run, for a builder to
+    fill from parts it has checked."""
+    return list(map(object.__new__, repeat(cls, count)))
 
 
 def clear_label_codes():
@@ -835,15 +843,39 @@ class MapTerm(Structure):
 
 
 class MapSources:
-    """The source tuple a listing builds all its maps on, checked once for
-    every map built on it.
+    """A sorted label tuple that a listing builds its maps, lists, cycles,
+    partitions, derivatives or pointed terms on, checked once for every
+    term built on it.
 
     MapSources(labels) refuses labels whose keys do not strictly increase,
     so they are distinct and in the order MapTerm keeps its pairs, and
-    keeps their one interned set.  sources.maps(images) is the list of
-    MapTerm(zip(labels, image)) for every image, a tuple of one target per
-    source: each map checks only that its targets lie in that set, and
-    takes the set as its label set."""
+    keeps their one interned set, targets, which every term built on it
+    takes as its label set.  Each builder below returns the terms the
+    public constructor would build, in the order given, made bare (no
+    __init__ run), and checks only what each term adds:
+
+    - maps(images): MapTerm(zip(labels, image)) for every image, a tuple
+      of one target per source; each image's length, and that its targets
+      lie in targets.
+    - lists(order): ListTerm(p) for every permutation p of order, in
+      the order itertools.permutations gives them; order is checked once
+      to hold each label once, so every permutation does.
+    - cycles(rest): CycleTerm((labels[0],) + p) for every permutation p
+      of rest, in that order; labels[0] and rest are checked once to hold
+      each label once, and every cycle starts at labels[0], the least
+      label, so that no rotation is needed.
+    - partitions(parts): PartitionTerm(blocks) for every tuple of blocks,
+      each a tuple of labels; each distinct block is checked once, to be
+      nonempty with increasing keys, and each partition to hold each label
+      once, its blocks in order of their least keys.
+    - derivatives(star, inners): DerivTerm(inner) for every inner.  Two
+      things are checked once: that star is the tuple's last label, so
+      its longest star, which DerivTerm takes as the added point; and that
+      every inner lives on the tuple.  Each term takes the set of the
+      other labels.
+    - pointed(points, inners): PointTerm(at, inner) for every point, then
+      every inner: the points are checked once to be labels and the
+      inners to live on them."""
 
     __slots__ = ("labels", "targets")
 
@@ -860,14 +892,122 @@ class MapSources:
             raise ValueError("map needs one target per source")
         if not all(map(targets.issuperset, images)):
             raise ValueError("map target outside the label set")
-        # Checks, pair tuples and bare terms (no __init__ run) are all made
-        # in C; the loop only fills the terms' slots.
-        terms = list(map(object.__new__, repeat(MapTerm, len(images))))
+        # Checks and pair tuples are made in C; the loop only fills the
+        # terms' slots.
+        terms = _bare(MapTerm, len(images))
         for term, pairs in zip(
             terms, map(tuple, map(zip, repeat(labels), images))
         ):
             term.pairs, term._labels = pairs, targets
         return terms
+
+    def lists(self, order):
+        order = tuple(order)
+        self._check_order(order, "list")
+        return self._fill(ListTerm, permutations(order))
+
+    def cycles(self, rest):
+        if not self.labels:
+            raise ValueError("a cycle needs at least one label")
+        first = self.labels[:1]
+        rest = tuple(rest)
+        self._check_order(first + rest, "cycle")
+        return self._fill(
+            CycleTerm, map(add, repeat(first), permutations(rest))
+        )
+
+    def _check_order(self, order, what):
+        """Refuse order unless it holds each label once, so that every
+        permutation of it does."""
+        if len(order) != len(self.labels) or frozenset(order) != self.targets:
+            raise ValueError(f"{what} does not hold each label once")
+
+    def _fill(self, cls, seqs):
+        seqs, targets = list(seqs), self.targets
+        terms = _bare(cls, len(seqs))
+        for term, seq in zip(terms, seqs):
+            term.seq, term._labels = seq, targets
+        return terms
+
+    def partitions(self, parts):
+        parts = list(map(tuple, parts))
+        least = {}
+        for block in set(chain.from_iterable(parts)):
+            if type(block) is not tuple:
+                raise TypeError("a partition block must be a tuple")
+            keys = _label_keys(block)
+            if not keys:
+                raise ValueError("empty block in partition")
+            if not _increasing(keys):
+                raise ValueError("partition block out of order")
+            least[block] = keys[0]
+        targets = self.targets
+        flat = list(map(tuple, map(chain.from_iterable, parts)))
+        if not (
+            all(map(len(self.labels).__eq__, map(len, flat)))
+            and all(map(targets.__eq__, map(frozenset, flat)))
+        ):
+            raise ValueError("partition does not hold each label once")
+        # Blocks that hold each label once have distinct least keys, so
+        # the blocks are in order when the least keys equal their sorted
+        # list.
+        firsts = list(map(list, map(map, repeat(least.__getitem__), parts)))
+        if not all(map(eq, firsts, map(sorted, firsts))):
+            raise ValueError("partition blocks out of order")
+        terms = _bare(PartitionTerm, len(parts))
+        for term, blocks in zip(terms, parts):
+            term.blocks, term._labels = blocks, targets
+        return terms
+
+    def derivatives(self, star, inners):
+        targets = self.targets
+        if not (self.labels[-1:] == (star,) and is_star(star)):
+            raise ValueError("derivative star is not its longest label")
+        inners = tuple(inners)
+        if not _all_on(inners, targets):
+            raise ValueError("derivative structure is not on its labels")
+        labels = _interned(self.labels[:-1])
+        terms = _bare(DerivTerm, len(inners))
+        for term, inner in zip(terms, inners):
+            term.inner, term._labels = inner, labels
+        return terms
+
+    def pointed(self, points, inners):
+        targets = self.targets
+        points = tuple(points)
+        if not targets.issuperset(points):
+            raise ValueError("distinguished point is not a label")
+        inners = tuple(inners)
+        if not _all_on(inners, targets):
+            raise ValueError("pointed structure is not on its labels")
+        terms = _bare(PointTerm, len(points) * len(inners))
+        ats = chain.from_iterable(map(repeat, points, repeat(len(inners))))
+        for term, at, inner in zip(terms, ats, inners * len(points)):
+            term.at, term.inner, term._labels = at, inner, targets
+        return terms
+
+
+def sum_terms(side, inners):
+    """SumTerm(side, inner) for every inner, made bare: the side is checked
+    once, and each term takes its inner term's kept label set."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    terms = _bare(SumTerm, len(inners))
+    for term, inner in zip(terms, inners):
+        term.side, term.inner, term._labels = side, inner, inner._labels
+    return terms
+
+
+def named_terms(name, inners):
+    """NamedTerm(name, inner) for every inner, made bare: the name is
+    checked once to be a string, and each term takes its inner term's kept
+    label set."""
+    if not isinstance(name, str):
+        raise TypeError("a name must be a string")
+    terms = _bare(NamedTerm, len(inners))
+    for term, inner in zip(terms, inners):
+        term.name, term.inner, term._labels = name, inner, inner._labels
+    return terms
 
 
 class _VertexTable:
@@ -1139,8 +1279,7 @@ class ProductSplit:
         if left.labels() != self.chosen:
             raise ValueError("left factor is not on its labels")
         labels, rights = self.labels, self.rights
-        # Bare terms made in C, no __init__ run, filled from checked parts.
-        terms = list(map(object.__new__, repeat(ProdTerm, len(rights))))
+        terms = _bare(ProdTerm, len(rights))
         for term, right in zip(terms, rights):
             term.left, term.right, term._labels = left, right, labels
         return terms

@@ -1143,3 +1143,161 @@ def test_checked_once_listings_equal_the_public_terms(text, labels):
             assert hash(mine) == hash(theirs)
             assert mine.encode() == theirs.encode()
             assert mine.labels() == theirs.labels() == frozenset(labs)
+
+
+# -- lists, cycles, partitions and the terms wrapped around listed children,
+# -- built from parts checked once, against public ones ----------------------
+
+# Digests of `enumerate EXPR LABELS [--json]` stdout for templates that reach
+# partitions, lists, cycles on blocks, pointed derivatives and sums of
+# primitives, pinned from the listing that built every term through its
+# public constructor.
+_CHECKED_ONCE_DIGESTS = {
+    ("Part", 5, "int", True): "888d2dd8ecd84c52df2abb1efb1251e8960e052a7f9bd225a2495251ef125b22",
+    ("Part", 5, "int", False): "df00c64338fd0b9a730811b347509daea52f2b8ba12f44d572add5fd1878d025",
+    ("Part", 5, "str", True): "832e9093e1a3e58857a1f2f8d3db5e43e11abf7e66e7d3938073ae01a3f2b942",
+    ("Part", 5, "str", False): "c93c1a74b28b4939285413cb1c0c1c8400086f3ee9dbc0a2aaa9626d87ffd869",
+    ("L", 4, "int", True): "47baf068cfa25d109b5c8137db2c4f153b92c139be15d3ea105739a047f5da3b",
+    ("L", 4, "int", False): "86019a5aca67d48b6586f28988ea767f6ff8821b50f5aea468b774c289c352d7",
+    ("L", 4, "str", True): "5af3e73a18c8287162230c3305c6c5eede622f9ce5c3b8a56ad67fb6ef8a6754",
+    ("L", 4, "str", False): "350aa111624f19c274ea7b940f8e1252997c3ef12f8d905019716f9227246822",
+    ("Lp(C)", 4, "int", True): "082ed2153de65bd402531f28fb73f6349676aecc4cc2c59ef4d0035010b97935",
+    ("Lp(C)", 4, "int", False): "b2168cbc57adfde1e23513b5869c95e31364fedd59d59c784b7eb6c67e0b958b",
+    ("Lp(C)", 4, "str", True): "cbb540419c979ceaf09ff4ff193d7f46dbc48d9f70e1571dead3fe859ee1a2c8",
+    ("Lp(C)", 4, "str", False): "a3df49befb18becf5a27954d78e7d7f2899cdcc70960ae5c094bc3b2278e86c7",
+    ("pt(C')", 3, "int", True): "71974ac5a1629559f6be02537009dbe8e4eca614ff7c5861d650f3d40f38cfbe",
+    ("pt(C')", 3, "int", False): "94330f86e50068fd5daed16f97596eafa813f64545c293508dccc8bc7a7107ba",
+    ("pt(C')", 3, "str", True): "6d78d12effb52013a39e2c45b3f505d23308b45ec9a9e55d3b3ec3a52bb95910",
+    ("pt(C')", 3, "str", False): "877bc0f028f25f846376cdf8062317b8d8a70bea224432f41e500fd2f5f6fc26",
+    ("L+C", 3, "int", True): "b1cd1bb23f81f29548aa93f0f5c463beb887d9d29c9e170b2262e471f2f2518b",
+    ("L+C", 3, "int", False): "dac7456b2e79416e0bfd8d0e4ef73a486911a47fa0c624ca07fbf09ac36578dd",
+    ("L+C", 3, "str", True): "6defc5bc385b263188cb6b4f586c699208f0e8a862960019d92446a3ae32711d",
+    ("L+C", 3, "str", False): "25f0181cb955649d32c916e662f159821453dff6d3836ee666c20f7c1ed7374b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CHECKED_ONCE_DIGESTS), ids=str)
+def test_checked_once_stdout_digest(key):
+    text, n, kind, as_json = key
+    pool = _INT_LABELS if kind == "int" else _STR_LABELS
+    argv = ["enumerate", text, ",".join(pool[:n])]
+    code, out = _cli_stdout(argv + (["--json"] if as_json else []))
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _CHECKED_ONCE_DIGESTS[key]
+
+
+# Labels whose codes sort apart from their values, on either side of the
+# fewest labels that build terms on one checked tuple.
+_WRAPPED_LABELS = {
+    "int": [1, 2, 3, 4],
+    "str": ["d", "c", "b", "a", "é"],
+    "mixed-code": [10, 9, 100],
+    "mixed-code-4": [10, 9, 100, 11],
+}
+
+_PRIMITIVES_FROM_SCRATCH = {
+    "L": lambda labs: [ListTerm(p[::-1])
+                       for p in itertools.permutations(labs)],
+    "C": lambda labs: list({
+        CycleTerm(p).encode(): CycleTerm(p)
+        for p in itertools.permutations(labs)
+    }.values()) if labs else [],
+    "Part": lambda labs: [PartitionTerm(p[::-1])
+                          for p in _set_partitions(tuple(labs))],
+}
+
+
+def _assert_checked_once_listing(got, labels):
+    """Every listed term equals the term decode_structure rebuilds through
+    the public constructors, in equality, hash, encoding and label set; the
+    listing strictly increases by encoding; and the terms share one label
+    set."""
+    codes = [t.encode() for t in got]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    labs = frozenset(enumerator._clean_labels(labels))
+    for mine in got:
+        theirs = decode_structure(mine.to_json())
+        assert mine == theirs
+        assert hash(mine) == hash(theirs)
+        assert mine.encode() == theirs.encode()
+        assert mine.labels() == theirs.labels() == labs
+    if labels:
+        assert len({id(t.labels()) for t in got}) == 1
+
+
+@pytest.mark.parametrize(
+    "labels", list(_WRAPPED_LABELS.values()), ids=list(_WRAPPED_LABELS)
+)
+@pytest.mark.parametrize(
+    "text",
+    ["L", "Lp", "C", "C'", "L'", "Part", "E(C)", "pt(L)", "pt(A)", "B",
+     "L+C"],
+)
+def test_wrapped_and_primitive_listings_equal_the_public_terms(text, labels):
+    """Lists, cycles and partitions built on a label tuple checked once,
+    and the named, sum, derivative and pointed terms built around a child
+    list checked once, equal the terms the public constructors build; the
+    primitives are also built from scratch, out of order, and sorted."""
+    got = enum(text, labels, _CHECKED_ONCE_ENV)
+    _assert_checked_once_listing(got, labels)
+    if text in _PRIMITIVES_FROM_SCRATCH:
+        labs = list(enumerator._clean_labels(labels))
+        want = sorted(_PRIMITIVES_FROM_SCRATCH[text](labs),
+                      key=lambda s: s.encode())
+        assert got == want
+        assert [t.encode() for t in got] == [t.encode() for t in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(["L", "Lp", "C", "C'", "L'", "Part", "E(C)",
+                          "pt(L)", "pt(A)", "B", "L+C", "pt(C')"]),
+    labels=st.lists(_EXTENSION_LABELS, unique=True, max_size=5),
+)
+def test_checked_once_listings_equal_their_rebuilt_terms(text, labels):
+    labels = labels[:{"B": 4, "pt(A)": 4, "pt(C')": 4}.get(text, 5)]
+    got = enum(text, labels, _CHECKED_ONCE_ENV)
+    _assert_checked_once_listing(got, labels)
+
+
+_SEVEN = (ListTerm, CycleTerm, PartitionTerm, NamedTerm, SumTerm, DerivTerm,
+          PointTerm)
+
+
+@pytest.mark.parametrize("text,n", [("C'", 6), ("Part", 7), ("pt(L)", 4),
+                                    ("B", 5)])
+def test_listings_run_no_constructor_of_the_checked_once_terms(
+    text, n, monkeypatch
+):
+    built = Counter()
+    for cls in _SEVEN:
+        def counted(self, *args, cls=cls, original=cls.__init__):
+            built[cls.__name__] += 1
+            original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    got = enum(text, list(range(1, n + 1)), _CHECKED_ONCE_ENV)
+    assert len(got) == egf_of(
+        parse_expr(text), _CHECKED_ONCE_ENV, order=n
+    ).count(n)
+    assert built == Counter()
+    # Below the fewest labels checked once, the public constructors run.
+    enum(text, [1, 2], _CHECKED_ONCE_ENV)
+    assert built or text == "B"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_a_derivative_on_split_off_stars_adds_a_longer_star(n):
+    """Under a product, a derivative may be taken on labels that hold a
+    longer star but not a shorter one; the star it adds is longer than
+    both, so that DerivTerm, which takes its longest star as the added
+    point, keeps the labels the term lives on."""
+    text = "(X*L')''"
+    got = enum(text, list(range(1, n + 1)))
+    assert len(got) == egf_of(parse_expr(text), None, order=n).count(n)
+    _assert_checked_once_listing(got, list(range(1, n + 1)))
+    for term in got:
+        right = term.inner.inner.right
+        stars = {l for l in right.inner.labels() if isinstance(l, str)}
+        assert max(stars, key=len) not in right.labels()

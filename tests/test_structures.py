@@ -3,7 +3,7 @@ checked against one another on a hand-built term of every kind."""
 
 import json
 import weakref
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -1189,3 +1189,180 @@ def test_terms_on_a_split_or_sources_equal_the_public_ones():
         hash(MapTerm(list(zip((1, 10, "a"), image))[::-1])) for image in images
     ]
     assert maps[0].labels() is maps[1].labels() is sources.targets
+
+
+# -- lists, cycles, partitions and wrapped terms, checked once -------------
+
+_ON = structures.MapSources
+_KEPT_OFF = ListTerm([1, 3])  # keeps no label set until it is asked
+
+# Each refusal of a check made once for a list of terms: the step, the
+# public constructor given the same parts (None where it accepts them or
+# refuses them for another reason), the exception type and the message.
+WRAPPED_REFUSED = {
+    "list order missing a label": (
+        lambda: _ON((1, 2, 3)).lists((1, 2)),
+        None, ValueError, "list does not hold each label once",
+    ),
+    "list order with a label twice": (
+        lambda: _ON((1, 2)).lists((1, 1)),
+        None, ValueError, "list does not hold each label once",
+    ),
+    "list order that holds every label and one twice": (
+        lambda: _ON((1, 2)).lists((1, 2, 1)),
+        None, ValueError, "list does not hold each label once",
+    ),
+    "list order with a label off the tuple": (
+        lambda: _ON((1, 2)).lists((1, 3)),
+        None, ValueError, "list does not hold each label once",
+    ),
+    "cycle on no label": (
+        lambda: _ON(()).cycles(()),
+        lambda: CycleTerm(()),
+        ValueError, "a cycle needs at least one label",
+    ),
+    "cycle rest holding the least label": (
+        lambda: _ON((1, 2, 3)).cycles((1, 2)),
+        None, ValueError, "cycle does not hold each label once",
+    ),
+    "cycle rest missing a label": (
+        lambda: _ON((1, 2, 3)).cycles((2,)),
+        None, ValueError, "cycle does not hold each label once",
+    ),
+    "partition block not a tuple": (
+        lambda: _ON((1, 2)).partitions([("12",)]),
+        None, TypeError, "a partition block must be a tuple",
+    ),
+    "empty partition block": (
+        lambda: _ON((1,)).partitions([((1,), ())]),
+        lambda: PartitionTerm([(1,), ()]),
+        ValueError, "empty block in partition",
+    ),
+    "partition block out of order": (
+        lambda: _ON((1, 2)).partitions([((2, 1),)]),
+        None, ValueError, "partition block out of order",
+    ),
+    "partition missing a label": (
+        lambda: _ON((1, 2, 3)).partitions([((1,), (2,))]),
+        None, ValueError, "partition does not hold each label once",
+    ),
+    "partition with a label twice": (
+        lambda: _ON((1, 2)).partitions([((1, 2), (2,))]),
+        None, ValueError, "partition does not hold each label once",
+    ),
+    "partition with a label off the tuple": (
+        lambda: _ON((1, 2)).partitions([((1,), (3,))]),
+        None, ValueError, "partition does not hold each label once",
+    ),
+    "partition blocks out of order": (
+        lambda: _ON((1, 2)).partitions([((2,), (1,))]),
+        None, ValueError, "partition blocks out of order",
+    ),
+    "derivative star not the last label": (
+        lambda: _ON((1, STAR, STAR * 2)).derivatives(
+            STAR, [ListTerm([1, STAR, STAR * 2])]
+        ),
+        None, ValueError, "derivative star is not its longest label",
+    ),
+    "derivative point that is no star": (
+        lambda: _ON((1, 2)).derivatives(2, [ListTerm([1, 2])]),
+        None, ValueError, "derivative star is not its longest label",
+    ),
+    "derivative of a term off its labels": (
+        lambda: _ON((1, STAR)).derivatives(STAR, [
+            _ON((1, STAR)).lists((1, STAR))[0], SetTerm([2, STAR]),
+        ]),
+        None, ValueError, "derivative structure is not on its labels",
+    ),
+    "derivative of a term that keeps no label set yet": (
+        lambda: _ON((1, STAR)).derivatives(STAR, [ListTerm([1, 2])]),
+        None, ValueError, "derivative structure is not on its labels",
+    ),
+    "point off the labels": (
+        lambda: _ON((1, 2)).pointed((3,), [SetTerm([1, 2])]),
+        lambda: PointTerm(3, SetTerm([1, 2])),
+        ValueError, "distinguished point is not a label",
+    ),
+    "pointed term off its labels": (
+        lambda: _ON((1, 2)).pointed((1,), [SetTerm([1, 2]), SetTerm([1])]),
+        None, ValueError, "pointed structure is not on its labels",
+    ),
+    "pointed term that keeps no label set yet": (
+        lambda: _ON((1, 2)).pointed((1,), [_KEPT_OFF]),
+        None, ValueError, "pointed structure is not on its labels",
+    ),
+    "sum side": (
+        lambda: structures.sum_terms("middle", [SetTerm([1])]),
+        lambda: SumTerm("middle", SetTerm([1])),
+        ValueError, "side must be 'left' or 'right'",
+    ),
+    "name that is no string": (
+        lambda: structures.named_terms(7, [SetTerm([1])]),
+        None, TypeError, "a name must be a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRAPPED_REFUSED))
+def test_wrapped_and_primitive_refusals(case):
+    """Each check a label tuple or a child list makes once refuses what it
+    must, with the exception type and message of the public constructor
+    where that refuses the same parts."""
+    step, public, error, message = WRAPPED_REFUSED[case]
+    with pytest.raises(error) as refused:
+        step()
+    assert str(refused.value) == message
+    if public is not None:
+        with pytest.raises(error) as refused:
+            public()
+        assert str(refused.value) == message
+
+
+def _same_terms(built, want, labels):
+    """built equals want term by term, in equality, hash, encoding and
+    label set, and every built term keeps the one set labels."""
+    assert built == want
+    for mine, theirs in zip(built, want):
+        assert hash(mine) == hash(theirs)
+        assert mine.encode() == theirs.encode()
+        assert mine._labels is labels
+        assert mine.labels() == theirs.labels()
+
+
+def test_terms_on_a_label_tuple_equal_the_public_ones():
+    """Lists, cycles, partitions, derivatives and pointed terms built on a
+    label tuple checked once equal the terms the public constructors
+    build, and share the tuple's one label set."""
+    on = _ON((1, 10, "a"))
+    order = (10, 1, "a")
+    _same_terms(on.lists(order),
+                [ListTerm(p) for p in permutations(order)], on.targets)
+    # The public constructor rotates each cycle to start at 1.
+    _same_terms(on.cycles((10, "a")),
+                [CycleTerm(["a", 1, 10]), CycleTerm(["a", 10, 1])],
+                on.targets)
+    parts = [((1,), (10, "a")), ((1, 10, "a"),), ((1, "a"), (10,))]
+    _same_terms(on.partitions(parts),
+                [PartitionTerm([b[::-1] for b in p][::-1]) for p in parts],
+                on.targets)
+    pointed = on.pointed(("a", 1), [SetTerm([1, 10, "a"]), ListTerm(order)])
+    _same_terms(pointed, [
+        PointTerm(at, inner)
+        for at in ("a", 1)
+        for inner in (SetTerm([1, 10, "a"]), ListTerm(order))
+    ], on.targets)
+    starred = _ON((1, "a", STAR, STAR * 2))
+    inners = starred.lists((STAR * 2, 1, STAR, "a"))[:3]
+    derivs = starred.derivatives(STAR * 2, inners)
+    _same_terms(derivs, [DerivTerm(t) for t in inners], derivs[0]._labels)
+    assert derivs[0].labels() == frozenset({1, "a", STAR})
+
+
+def test_wrapped_terms_equal_the_public_ones():
+    inners = _ON((1, 2)).lists((1, 2))
+    for side in ("left", "right"):
+        _same_terms(structures.sum_terms(side, inners),
+                    [SumTerm(side, t) for t in inners], inners[0]._labels)
+    _same_terms(structures.named_terms("F", inners),
+                [NamedTerm("F", t) for t in inners], inners[0]._labels)
+    assert structures.sum_terms("left", []) == []
