@@ -18,15 +18,21 @@ An expression that nests deeper than parser.MAX_NESTING levels is a parse
 failure, and so is any other input that nests too deeply for Python's
 recursion limit (a long chain of names enumerated, a deeply nested JSON
 structure).
+
+A well-formed command line (a subcommand, its positionals, then its
+options spelled in full) is read straight from one argument table,
+_COMMANDS.  Everything else (help, usage errors, abbreviations,
+--opt=value, --) goes to an argparse parser built from the same table,
+with the same output and exit codes, so argparse is imported only then.
 """
 
-import argparse
 import json
 import os
 import re
 import sys
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 from .enumerator import DEFAULT_BUDGET, enumerate_structures, listing, transport
 from .errors import (
@@ -58,13 +64,17 @@ def _load_env(path):
 
 
 def _parse_labels(text):
-    """A label argument: either a size n (meaning 1..n) or a comma list."""
+    """A label argument: either a size n (meaning 1..n) or a comma list of
+    distinct labels ("1" and "01" are the same label)."""
     text = text.strip()
     if not text:
         return []
     if _SIZE_RE.fullmatch(text):
         return list(range(1, int(text) + 1))
-    return [check_label(tok.strip()) for tok in text.split(",")]
+    labels = [check_label(tok.strip()) for tok in text.split(",")]
+    if len(set(labels)) != len(labels):
+        raise ParseError(f"duplicate label in {labels!r}")
+    return labels
 
 
 def _order(text):
@@ -72,10 +82,14 @@ def _order(text):
     try:
         order = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if order < 0:
-        raise argparse.ArgumentTypeError(f"order must be nonnegative, got {order}")
-    return order
+        order = None
+    if order is not None and order >= 0:
+        return order
+    import argparse
+
+    if order is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    raise argparse.ArgumentTypeError(f"order must be nonnegative, got {order}")
 
 
 def _parse_bijection(text):
@@ -265,99 +279,148 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-def _common(p, defs=True, order=None, as_json=True):
-    if defs:
-        p.add_argument("--defs", metavar="FILE", default=None,
-                       help="definitions file of name = expression lines")
-    if order is not None:
-        p.add_argument("--order", type=_order, default=order,
-                       help="truncation order")
-    if as_json:
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+#: The options shared by several subcommands.  An option is (spelling,
+#: dest, action, type, default, metavar, help), its action being argparse's
+#: "store", "store_true" or "append".
+_DEFS = ("--defs", "defs", "store", None, None, "FILE",
+         "definitions file of name = expression lines")
+_ORDER = ("--order", "order", "store", _order, DEFAULT_ORDER, None,
+          "truncation order")
+_JSON = ("--json", "json", "store_true", None, False, None,
+         "machine-readable output")
 
+#: The positionals shared by several subcommands.  A positional is (dest,
+#: optional, help); only the last one of a subcommand may be optional, and
+#: it reads as None when omitted.
+_EXPR = ("expr", False, None)
+_LABELS = ("labels", False, "a size n (labels 1..n) or a comma list")
 
-def _count_arguments(p):
-    p.add_argument("expr")
-    p.add_argument("labels", help="a size n (labels 1..n) or a comma list")
-    _common(p)
-
-
-def _series_arguments(p):
-    p.add_argument("expr")
-    _common(p, order=DEFAULT_ORDER)
-
-
-def _enumerate_arguments(p):
-    p.add_argument("expr")
-    p.add_argument("labels", help="a size n (labels 1..n) or a comma list")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="refuse to list more than this many structures")
-    _common(p)
-
-
-def _transport_arguments(p):
-    p.add_argument("expr")
-    p.add_argument("bijection", help="comma list of a->b entries")
-    p.add_argument("structure", nargs="?", default=None,
-                   help="structure as JSON (read from stdin when omitted)")
-    _common(p)
-
-
-def _solve_arguments(p):
-    p.add_argument("name")
-    _common(p, order=DEFAULT_ORDER)
-
-
-def _verify_arguments(p):
-    p.add_argument("--case", action="append", default=None, metavar="NAME",
-                   help="run only this case (repeatable)")
-    p.add_argument("--order", type=_order, default=None,
-                   help="cap both series order and enumeration size")
-    _common(p)
-
-
-#: Every subcommand: (help, the function adding its arguments, the function
-#: running it), in the order `species --help` lists them.
+#: Every subcommand, in the order `species --help` lists them: its help,
+#: its positionals, its options in the order its help lists them, and the
+#: function running it.  This table is the one statement of the command
+#: line: _read reads well-formed lines from it and _build_parser builds the
+#: argparse parser from it.
 _COMMANDS = {
-    "count": ("number of structures on a label set", _count_arguments,
-              _cmd_count),
-    "series": ("counting series of an expression", _series_arguments,
-               _cmd_series),
-    "enumerate": ("list every structure on a label set",
-                  _enumerate_arguments, _cmd_enumerate),
+    "count": ("number of structures on a label set", (_EXPR, _LABELS),
+              (_DEFS, _JSON), _cmd_count),
+    "series": ("counting series of an expression", (_EXPR,),
+               (_DEFS, _ORDER, _JSON), _cmd_series),
+    "enumerate": ("list every structure on a label set", (_EXPR, _LABELS),
+                  (("--budget", "budget", "store", int, DEFAULT_BUDGET, None,
+                    "refuse to list more than this many structures"),
+                   _DEFS, _JSON), _cmd_enumerate),
     "transport": ("relabel a structure along a bijection",
-                  _transport_arguments, _cmd_transport),
-    "solve": ("series of a name from a definitions file", _solve_arguments,
-              _cmd_solve),
-    "verify": ("run the built-in identity suite", _verify_arguments,
-               _cmd_verify),
+                  (_EXPR, ("bijection", False, "comma list of a->b entries"),
+                   ("structure", True,
+                    "structure as JSON (read from stdin when omitted)")),
+                  (_DEFS, _JSON), _cmd_transport),
+    "solve": ("series of a name from a definitions file",
+              (("name", False, None),), (_DEFS, _ORDER, _JSON), _cmd_solve),
+    "verify": ("run the built-in identity suite", (),
+               (("--case", "case", "append", None, None, "NAME",
+                 "run only this case (repeatable)"),
+                ("--order", "order", "store", _order, None, None,
+                 "cap both series order and enumeration size"),
+                _DEFS, _JSON), _cmd_verify),
 }
 
 
+def _read(argv):
+    """The attributes parse_args gives argv, read straight from _COMMANDS
+    when argv is a well-formed line: a subcommand, its positionals, then
+    only its options, each spelled in full and each value option followed
+    by a value that does not start with "-".  None when argv is anything
+    else (help, a usage error, or a spelling that only argparse reads, such
+    as an abbreviation, --opt=value, -- or a positional after an option),
+    so that argparse parses it."""
+    if not argv or not all(isinstance(token, str) for token in argv):
+        return None
+    row = _COMMANDS.get(argv[0])
+    if row is None:
+        return None
+    _, positionals, options, run = row
+    end = 1
+    while end < len(argv) and not argv[end].startswith("-"):
+        end += 1
+    given = argv[1:end]
+    if len(given) > len(positionals):
+        return None
+    args = {"command": argv[0], "func": run}
+    for i, (dest, optional, _) in enumerate(positionals):
+        if i < len(given):
+            args[dest] = given[i]
+        elif optional:
+            args[dest] = None
+        else:
+            return None
+    spelled = {}
+    for option in options:
+        spelled[option[0]] = option
+        args[option[1]] = option[4]
+    i = end
+    while i < len(argv):
+        option = spelled.get(argv[i])
+        if option is None:
+            return None
+        _, dest, action, convert, _, _, _ = option
+        if action == "store_true":
+            args[dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if convert is not None:
+            # argparse reports a ValueError or ArgumentTypeError of the
+            # conversion as a usage error.  Declining on any exception lets
+            # argparse run the same conversion and report or raise it.
+            try:
+                value = convert(value)
+            except Exception:
+                return None
+        if action == "append":
+            value = [*(args[dest] or ()), value]
+        args[dest] = value
+        i += 2
+    return SimpleNamespace(**args)
+
+
 def _build_parser(command=None):
-    """The argument parser: with command, a subcommand name, the top parser
-    with that one subparser, else with all of them.  The one-subcommand
-    parser names every subcommand in its usage, as the full one does, so
-    its messages are the same."""
+    """The argparse parser of _COMMANDS: with command, a subcommand name,
+    the top parser with that one subparser, else with all of them.  The
+    one-subcommand parser names every subcommand in its usage, as the full
+    one does, so its messages are the same.  argparse is imported here, so
+    that a process whose line _read reads never imports it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="species",
         description="Count, list, and relabel the structures of a species expression.",
     )
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_arguments, run) in _COMMANDS.items():
+    for name, (help_text, positionals, options, run) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
+            for dest, optional, help_ in positionals:
+                p.add_argument(dest, nargs="?" if optional else None,
+                               help=help_)
+            for spelling, dest, action, convert, default, meta, help_ in options:
+                typed = {} if action == "store_true" else {
+                    "type": convert, "metavar": meta}
+                p.add_argument(spelling, dest=dest, action=action,
+                               default=default, help=help_, **typed)
             p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None):
-    """Run one command line and return its exit code.  Only the subparser of
-    the subcommand named first is built; any other first word (an option,
-    an unknown name, nothing) gets the full parser and its messages.
+    """Run one command line and return its exit code.  A well-formed line
+    is read straight from the argument table (_read) and builds no parser.
+    Any other line (help, a usage error, a spelling only argparse reads)
+    goes to argparse, with the subparser of the subcommand named first or,
+    for any other first word (an option, an unknown name, nothing), the
+    full parser and its messages.
 
     Exact counts print in full however many digits they have: CPython's
     limit on converting integers to text (4 300 digits by default) is
@@ -376,13 +439,15 @@ def main(argv=None):
 def _main(argv):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold that into the parse-failure
-        # code so 2 stays reserved for count integrality.
-        return 0 if exc.code == 0 else 1
+    args = _read(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            args = _build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors; fold that into the
+            # parse-failure code so 2 stays reserved for count integrality.
+            return 0 if exc.code == 0 else 1
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -624,3 +624,313 @@ class TestExactOutputPastTheDigitLimit:
         main(argv)
         capsys.readouterr()
         assert sys.get_int_max_str_digits() == 5000
+
+
+# -- argument reading ---------------------------------------------------------
+
+_USAGE = (
+    "usage: species [-h] {count,series,enumerate,transport,solve,verify} ...\n"
+)
+
+_HELP = {
+    (): _USAGE + """
+Count, list, and relabel the structures of a species expression.
+
+positional arguments:
+  {count,series,enumerate,transport,solve,verify}
+    count               number of structures on a label set
+    series              counting series of an expression
+    enumerate           list every structure on a label set
+    transport           relabel a structure along a bijection
+    solve               series of a name from a definitions file
+    verify              run the built-in identity suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("count",): """\
+usage: species count [-h] [--defs FILE] [--json] expr labels
+
+positional arguments:
+  expr
+  labels       a size n (labels 1..n) or a comma list
+
+options:
+  -h, --help   show this help message and exit
+  --defs FILE  definitions file of name = expression lines
+  --json       machine-readable output
+""",
+    ("series",): """\
+usage: species series [-h] [--defs FILE] [--order ORDER] [--json] expr
+
+positional arguments:
+  expr
+
+options:
+  -h, --help     show this help message and exit
+  --defs FILE    definitions file of name = expression lines
+  --order ORDER  truncation order
+  --json         machine-readable output
+""",
+    ("enumerate",): """\
+usage: species enumerate [-h] [--budget BUDGET] [--defs FILE] [--json]
+                         expr labels
+
+positional arguments:
+  expr
+  labels           a size n (labels 1..n) or a comma list
+
+options:
+  -h, --help       show this help message and exit
+  --budget BUDGET  refuse to list more than this many structures
+  --defs FILE      definitions file of name = expression lines
+  --json           machine-readable output
+""",
+    ("transport",): """\
+usage: species transport [-h] [--defs FILE] [--json]
+                         expr bijection [structure]
+
+positional arguments:
+  expr
+  bijection    comma list of a->b entries
+  structure    structure as JSON (read from stdin when omitted)
+
+options:
+  -h, --help   show this help message and exit
+  --defs FILE  definitions file of name = expression lines
+  --json       machine-readable output
+""",
+    ("solve",): """\
+usage: species solve [-h] [--defs FILE] [--order ORDER] [--json] name
+
+positional arguments:
+  name
+
+options:
+  -h, --help     show this help message and exit
+  --defs FILE    definitions file of name = expression lines
+  --order ORDER  truncation order
+  --json         machine-readable output
+""",
+    ("verify",): """\
+usage: species verify [-h] [--case NAME] [--order ORDER] [--defs FILE]
+                      [--json]
+
+options:
+  -h, --help     show this help message and exit
+  --case NAME    run only this case (repeatable)
+  --order ORDER  cap both series order and enumeration size
+  --defs FILE    definitions file of name = expression lines
+  --json         machine-readable output
+""",
+}
+
+_USAGE_ERRORS = [
+    ([], _USAGE + "species: error: the following arguments are required: "
+     "command\n"),
+    (["bogus"], _USAGE + "species: error: argument command: invalid choice: "
+     "'bogus' (choose from 'count', 'series', 'enumerate', 'transport', "
+     "'solve', 'verify')\n"),
+    (["count", "X"],
+     "usage: species count [-h] [--defs FILE] [--json] expr labels\n"
+     "species count: error: the following arguments are required: labels\n"),
+    (["count", "X", "3", "--bogus"],
+     _USAGE + "species: error: unrecognized arguments: --bogus\n"),
+    (["series", "X", "--order", "-1"],
+     "usage: species series [-h] [--defs FILE] [--order ORDER] [--json] "
+     "expr\n"
+     "species series: error: argument --order: order must be nonnegative, "
+     "got -1\n"),
+    (["enumerate", "X", "1", "--budget", "many"],
+     "usage: species enumerate [-h] [--budget BUDGET] [--defs FILE] "
+     "[--json]\n"
+     "                         expr labels\n"
+     "species enumerate: error: argument --budget: invalid int value: "
+     "'many'\n"),
+    (["verify", "--order", "x"],
+     "usage: species verify [-h] [--case NAME] [--order ORDER] [--defs FILE]\n"
+     "                      [--json]\n"
+     "species verify: error: argument --order: 'x' is not an integer\n"),
+    (["transport", "P"],
+     "usage: species transport [-h] [--defs FILE] [--json]\n"
+     "                         expr bijection [structure]\n"
+     "species transport: error: the following arguments are required: "
+     "bijection\n"),
+    (["count", "X", "3", "--json", "extra"],
+     _USAGE + "species: error: unrecognized arguments: extra\n"),
+    # The optional positional is matched, empty, before the option, so the
+    # structure after it is left over.
+    (["transport", "P", "a->b", "--json", "{}"],
+     _USAGE + "species: error: unrecognized arguments: {}\n"),
+]
+
+
+class TestPinnedParserBytes:
+    """The bytes and exit codes of help and of usage errors, at 80 columns."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", sorted(_HELP))
+    def test_help(self, command):
+        got = _captured(main, [*command, "--help"])
+        assert got == (0, _HELP[command], "")
+
+    @pytest.mark.parametrize("argv, err", _USAGE_ERRORS)
+    def test_usage_error(self, argv, err):
+        assert _captured(main, argv) == (1, "", err)
+
+
+_READER_VALUES = ["", " 3 ", "3", "1,2", "a->b", "{}", "X*E(X)", "bogus",
+                  "-", "-1"]
+_READER_OPTIONS = [
+    "--defs", "--order", "--json", "--budget", "--case",
+    "--de", "--ord", "--js", "--bud", "--ca",
+    "--defs=F", "--order=5", "--json=1", "--budget=3", "--case=counts-X",
+    "-h", "--help", "--",
+]
+_READER_TOKENS = st.sampled_from(
+    [*cli._COMMANDS, *_READER_VALUES, *_READER_OPTIONS])
+
+@st.composite
+def _near_well_formed(draw):
+    """A subcommand's line as its row of cli._COMMANDS shapes it, with its
+    positionals drawn from the values and its option values from all the
+    tokens, and half the time one token put in or over one of its own."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, positionals, options, _ = cli._COMMANDS[command]
+    least = sum(1 for _, optional, _ in positionals if not optional)
+    argv = [command, *draw(st.lists(st.sampled_from(_READER_VALUES),
+                                    min_size=least,
+                                    max_size=len(positionals)))]
+    for option in draw(st.lists(st.sampled_from(options), max_size=4)):
+        argv.append(option[0])
+        if option[2] != "store_true":
+            argv.append(draw(_READER_TOKENS))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(argv)))
+        token = draw(_READER_TOKENS)
+        if at < len(argv) and draw(st.booleans()):
+            argv[at] = token
+        else:
+            argv.insert(at, token)
+    return argv
+
+
+_READER_ARGVS = st.one_of(st.lists(_READER_TOKENS, max_size=8),
+                          _near_well_formed())
+
+
+class TestDirectReader:
+    """A well-formed line is read without argparse, into the attributes
+    argparse would give it; any other line is left to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_READER_ARGVS)
+    def test_declines_or_agrees_with_argparse(self, argv):
+        read = cli._read(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                parsed = cli._build_parser().parse_args(argv)
+            except SystemExit:
+                parsed = None
+        if parsed is None:
+            assert read is None
+        elif read is not None:
+            assert vars(read) == vars(parsed)
+
+    @pytest.mark.parametrize("argv, attributes", [
+        (["transport", "P", "a->b"],
+         {"expr": "P", "bijection": "a->b", "structure": None,
+          "defs": None, "json": False}),
+        (["verify", "--case", "a", "--order", "3", "--case", "b",
+          "--order", " 4 "],
+         {"case": ["a", "b"], "order": 4, "defs": None, "json": False}),
+        (["enumerate", "X", "", "--budget", "7", "--json", "--json"],
+         {"expr": "X", "labels": "", "budget": 7, "defs": None,
+          "json": True}),
+    ])
+    def test_reads_a_well_formed_line(self, argv, attributes):
+        read = vars(cli._read(argv))
+        assert read.pop("command") == argv[0]
+        assert read.pop("func") is cli._COMMANDS[argv[0]][3]
+        assert read == attributes
+
+    def test_each_call_gets_its_own_case_list(self):
+        first = cli._read(["verify", "--case", "a"])
+        first.case.append("b")
+        assert cli._read(["verify", "--case", "a"]).case == ["a"]
+
+
+def _refuse_to_build(command=None):
+    raise AssertionError("a well-formed line built a parser")
+
+
+class TestNoParserOnWellFormedCalls:
+    """Every argv form the benchmark issues runs without building a
+    parser."""
+
+    @pytest.fixture(autouse=True)
+    def no_parser(self, monkeypatch):
+        monkeypatch.setattr(cli, "_build_parser", _refuse_to_build)
+
+    @pytest.mark.parametrize("argv, out", [
+        (["count", "A", "4", "--defs", None, "--json"],
+         '{"n": 4, "count": 64}\n'),
+        (["series", "B", "--order", "3", "--defs", None, "--json"],
+         '{"order": 3, "counts": [1, 1, 4, 30], '
+         '"coefficients": ["1", "1", "2", "5"]}\n'),
+        (["solve", "A", "--order", "2", "--defs", None, "--json"],
+         '{"order": 2, "counts": [0, 1, 2], '
+         '"coefficients": ["0", "1", "1"]}\n'),
+        (["enumerate", "E", "a,b", "--json"],
+         '[{"kind": "set", "labels": ["a", "b"]}]\n'),
+        (["enumerate", "X", "1", "--json", "--defs", None],
+         '[{"kind": "set", "labels": ["1"]}]\n'),
+        (["transport", "E", "a->b", '{"kind": "set", "labels": ["a"]}',
+          "--defs", None],
+         "{b}\n"),
+    ])
+    def test_runs(self, capsys, defs_file, argv, out):
+        argv = [defs_file if token is None else token for token in argv]
+        assert run(capsys, *argv) == (0, out, "")
+
+    def test_verify_case(self, capsys, tmp_path):
+        path = tmp_path / "unused.species"
+        path.write_text("Fresh = X*L(Fresh)\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--case", "counts-X",
+                             "--json", "--defs", str(path))
+        assert (code, err) == (0, "")
+        assert [case["name"] for case in json.loads(out)["cases"]] == [
+            "counts-X"]
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_gettext():
+    """argparse, and gettext with it, is imported only when a line needs a
+    parser: help, a usage error, or a spelling the direct reader declines."""
+    src = Path(species.__file__).resolve().parent.parent
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import species.cli; "
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+class TestRepeatedLabels:
+    """A comma list names each label once; "1" and "01" are one label."""
+
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    @pytest.mark.parametrize("labels, shown", [
+        ("1,01", "[1, 1]"),
+        ("a,b,a", "['a', 'b', 'a']"),
+    ])
+    def test_is_exit_1(self, capsys, command, labels, shown):
+        code, out, err = run(capsys, command, "E", labels)
+        assert (code, out) == (1, "")
+        assert err == f"error: duplicate label in {shown}\n"
