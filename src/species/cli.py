@@ -191,7 +191,10 @@ def _write_json_listing(structures):
     subterm shared by many results is serialised at most twice, and the
     wrappers that belong to a single result are never kept.  The memo maps
     a term's id to "" once it has been asked for, then to its text; the
-    listing keeps every term alive, so ids stay unique.
+    listing keeps every term alive, so ids stay unique.  text refers to
+    itself through its closure, so the writer drops that reference when it
+    ends: text and the memo are then freed at once, not left as a cycle
+    for the cyclic collector to find.
     """
     kept = {}
 
@@ -205,12 +208,15 @@ def _write_json_listing(structures):
         return out
 
     write = sys.stdout.write
-    write("[")
-    for i, s in enumerate(structures):
-        if i:
-            write(", ")
-        write(s._text(text))
-    write("]\n")
+    try:
+        write("[")
+        for i, s in enumerate(structures):
+            if i:
+                write(", ")
+            write(s._text(text))
+        write("]\n")
+    finally:
+        text = None
 
 
 def _cmd_transport(args):

@@ -11,11 +11,15 @@ a node that wraps one child keeps the child's order, a sum merges its two
 sides, a product orders its left factors, and primitives are generated in
 order.  Only partitions are still sorted by encode(), once per label set.
 
-Listed subsets, graphs and digraphs, and the pair tuples of substitution
-terms, are built by extending terms already checked: each step checks only
-the member, edge, arc or (block, inner) pair it adds, so every invariant
-is still checked once for every part of every listed term.  Every other
-listed term is built from parts checked once, with no constructor run.  A
+Listed terms are built from parts checked once.  Subsets, graphs and
+digraphs are built bare from the sublists of one tuple, of the labels, of
+the possible edges or of the possible arcs, which SubsetTerm.listed,
+GraphTerm.listed and DigraphTerm.listed check once: every sublist their
+walk takes keeps its items distinct and in order.  The (block, inner)
+pairs of substitution terms are formed once each, and Assignment.listed
+puts the pairs on one block before each assignment of the labels left,
+checking that block once against each of them; a substitution term then
+checks only that its outer term lives on its assignment's blocks.  A
 ProductSplit checks a split's two label sets, each left factor and each
 right factor once for all the products on that split.  A MapSources
 checks a sorted label tuple once for all the terms built on it: maps,
@@ -394,8 +398,8 @@ def _compositions(expr, env, labels, active):
 
 def _assignments(state, rest, blocks):
     """The Assignments on rest in order, using a number of blocks whose
-    bit is set in blocks, each built by putting one pair before a tail
-    listed on the labels left.  state is (expr, env, active, listed,
+    bit is set in blocks, built by Assignment.listed from the pairs on
+    each first block and the tails listed on the labels left.  state is (expr, env, active, listed,
     block_on, pairs_on, empty): listed keeps every finished list by (rest,
     blocks), block_on one block per member tuple and pairs_on its checked
     (block, inner) pairs, so every entry of listed and every term built on
@@ -436,8 +440,7 @@ def _assignments(state, rest, blocks):
         tails = _assignments(
             state, tuple(x for x in others if x not in taken), blocks >> 1
         )
-        for pair in pairs:
-            out += [Assignment(pair, tail) for tail in tails]
+        out += Assignment.listed(pairs, tails)
     listed[(rest, blocks)] = out
     return out
 
@@ -471,46 +474,14 @@ def _fill(labels, by_code, image, out, i):
             image[i] = image[j] = None
 
 
-def _sublists(first, items, code, size=None):
-    """Every term that extends first, a checked term holding none of items,
-    with a sublist of items kept in items' order, in the order of the JSON
-    lists those sublists are written as.  type(first)(term, item) is term
-    extended by item, a step that checks only item.
-
-    Those lists compare element by element, and elements compare by code.
-    A list that extends another comes before it, because "," sorts before
-    "]", so the empty list comes last.  A depth-first walk therefore
-    extends each term by the next element of items in code order, and
-    emits a term after all of its extensions.  With size, only the terms of
-    that length are kept; shorter ones are still built, to be extended.
-    """
-    n = len(items)
-    by_code = sorted(range(n), key=lambda i: code(items[i]))
-    after = [
-        [(items[i], i + 1) for i in by_code if i >= start]
-        for start in range(n + 1)
-    ]
-    out = []
-    _sublist_walk((after, type(first), size, out), first, 0, 0)
-    return out
-
-
-def _sublist_walk(state, term, start, length):
-    """Append to out every term that extends term, which holds length
-    items, with items from start on, then term itself; state is (after,
-    extend, size, out), where after[start] lists each item from start on,
-    in code order, with the start that follows it."""
-    after, extend, size, out = state
-    if size is None or length < size:
-        for item, follows in after[start]:
-            _sublist_walk(state, extend(term, item), follows, length + 1)
-    if size is None or length == size:
-        out.append(term)
-
-
 def _primitive_structures(expr, labels):
     """The structures of a primitive on labels, in encode() order.
 
+    On one label set, subsets, graphs and digraphs differ only in their
+    list of members, edges or arcs, so SubsetTerm.listed, GraphTerm.listed
+    and DigraphTerm.listed walk the sublists of the labels, of the
+    possible edges, or of the possible arcs in order.  Each checks those
+    items once and builds every term bare from the sublists it walks.
     Lists, cycles and maps hold their labels in fixed places (maps by
     source), so they are generated from the labels in encoded order.  All
     maps, lists, cycles or partitions on labels are built on one
@@ -518,10 +489,7 @@ def _primitive_structures(expr, labels):
     partitions only on _CHECK_ONCE_FROM labels or more).  Lists and
     cycles are the permutations of one order it checks once; partitions,
     from _set_partitions, are checked block by block and once each for
-    holding every label once.  On one label set, subsets, graphs and
-    digraphs differ only in their list of members, edges or arcs, so
-    _sublists walks those lists in order, building each term by extending
-    a checked one by one item.  Partitions are still sorted by encode().
+    holding every label once.  Partitions are still sorted by encode().
     On the verify workload that sort is the one call of Structure.encode,
     a boundary that perfbench/tracing.py requires to be reached until the
     engine counts its own work (ROADMAP item 1).
@@ -540,6 +508,13 @@ def _primitive_structures(expr, labels):
         return [SetTerm(labels)] if n >= 1 else []
     if kind is K.KSET:
         return [SetTerm(labels)] if n == expr.param else []
+    if kind is K.SUBSET or kind is K.KSUBSET:
+        size = expr.param if kind is K.KSUBSET else None
+        return SubsetTerm.listed(labels, size)
+    if kind is K.GRAPH:
+        return GraphTerm.listed(labels, combinations(labels, 2))
+    if kind is K.DIGRAPH:
+        return DigraphTerm.listed(labels, iproduct(labels, repeat=2))
     by_code = sorted(labels, key=label_code)
     few = n < _CHECK_ONCE_FROM
     if kind is K.NONEMPTY_LIST and n == 0:
@@ -566,25 +541,6 @@ def _primitive_structures(expr, labels):
         return _involutions(labels)
     if kind is K.ENDOFUNCTION:
         return MapSources(labels).maps(iproduct(by_code, repeat=n))
-    codes = {x: label_code(x) for x in labels}
-    if kind is K.SUBSET or kind is K.KSUBSET:
-        size = expr.param if kind is K.KSUBSET else None
-        return _sublists(
-            SubsetTerm((), labels), labels, codes.__getitem__, size
-        )
-
-    def pair_code(pair):
-        return codes[pair[0]], codes[pair[1]]
-
-    if kind is K.GRAPH:
-        return _sublists(
-            GraphTerm(labels, ()), list(combinations(labels, 2)), pair_code
-        )
-    if kind is K.DIGRAPH:
-        return _sublists(
-            DigraphTerm(labels, ()), list(iproduct(labels, repeat=2)),
-            pair_code,
-        )
     if kind is K.PARTITION:
         parts = _set_partitions(labels, {})
         if few:

@@ -9,16 +9,20 @@ the order of enumeration output.  Enumeration hands the constructors their
 input in canonical order already, so each constructor reads the labels'
 sort keys from one table and keeps its input as given when the keys
 strictly increase; only other input is sorted and checked in full.
-Listings build subsets, graphs, digraphs and substitution terms by
-extending terms already checked (SubsetTerm(subset, label),
-GraphTerm(graph, edge), DigraphTerm(digraph, arc), and Assignment for the
-pairs of a substitution), so each step checks only the part it adds.
-They build every other term from parts checked once, with no constructor
-run: a ProductSplit checks a split's two label sets and each of its
-factors once for all the products of that split; MapSources checks a
+Listings build their terms from parts checked once, with no constructor
+run but CompTerm's, which checks only its outer term against a checked
+Assignment.  SubsetTerm.listed, GraphTerm.listed and DigraphTerm.listed
+check a tuple of labels, possible edges or possible arcs once for all
+the terms built from its sublists; Assignment.listed checks the one
+block of many (block, inner) pairs once against each assignment it is
+put before; a ProductSplit checks a split's two label sets and each of
+its factors once for all the products of that split; MapSources checks a
 sorted label tuple once for all the maps, lists, cycles, partitions,
 derivatives and pointed terms on it; and sum_terms and named_terms check
 a side or a name once for every term wrapped around a list of children.
+The one-item steps SubsetTerm(subset, label), GraphTerm(graph, edge),
+DigraphTerm(digraph, arc) and Assignment(pair, tail), which check only
+the part they add, remain for API callers.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -31,7 +35,7 @@ domains.
 
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import chain, permutations, repeat
-from operator import add, attrgetter, eq, itemgetter, lt, methodcaller
+from operator import add, attrgetter, eq, is_, itemgetter, lt, methodcaller
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -197,10 +201,90 @@ def _all_on(terms, labels):
     )
 
 
+_new = object.__new__
+
+
 def _bare(cls, count):
     """count terms of cls made in C with no __init__ run, for a builder to
     fill from parts it has checked."""
-    return list(map(object.__new__, repeat(cls, count)))
+    return list(map(_new, repeat(cls, count)))
+
+
+def _list_order(items, code, size=None, complements=False):
+    """Every sublist of items (a tuple), each a tuple in items' order, in
+    the order of the JSON lists they are written as; with size, only those
+    of that length.  With complements, also each one's complement in items,
+    as a second list in the same order.  The lists are new, for a builder
+    to turn into its terms in place.
+
+    Those lists compare element by element, elements by code, and a list
+    comes before its proper prefixes ("," sorts before "]").  So a
+    depth-first walk extends each sublist by every later item in code order
+    and emits it after its extensions.  A node of the walk is the place
+    where the next item may start, with the sublist's length when size is
+    given.  plan gives each node its steps, each an item's place and the
+    next node (None for a leaf, emitted at once), and whether it emits its
+    own sublist; with size, an item is taken only when enough items follow
+    it, and only the leaves emit.  rows give each step the part it adds:
+    the item or, for complements, the items it skips (for a leaf, all the
+    items after it too).
+    """
+    n = len(items)
+    if size is not None and not 0 <= size <= n:
+        return ([], []) if complements else []
+    by_code = sorted(range(n), key=list(map(code, items)).__getitem__)
+    if size is None:
+        plan = [
+            (start, start, [(i, i + 1 if i + 1 < n else None)
+                            for i in by_code if i >= start], True)
+            for start in range(n + 1)
+        ]
+        root = 0
+    else:
+        # Only the root has length 0; a sublist of length k with its next
+        # item at start needs size - k more items from start on.
+        plan = [((0, 0), 0, [], True)] if size == 0 else []
+        for start in range(n):
+            for length in range(max(start and 1, size - n + start),
+                                min(start, size - 1) + 1):
+                last = length + 1 == size
+                plan.append(((start, length), start, [
+                    (i, None if last else (i + 1, length + 1))
+                    for i in by_code if start <= i <= n - size + length
+                ], False))
+        root = (0, 0)
+    singles = list(zip(items))
+    rows = {
+        node: [(singles[i], follows) for i, follows in steps]
+        + ([((), None)] if emits else [])
+        for node, _, steps, emits in plan
+    }
+    found = []
+    _list_walk((rows, found.append), (), root)
+    if not complements:
+        return found
+    rows = {
+        node: [
+            (items[start:i] + (items[i + 1:] if follows is None else ()),
+             follows)
+            for i, follows in steps
+        ] + ([(items[start:], None)] if emits else [])
+        for node, start, steps, emits in plan
+    }
+    rests = []
+    _list_walk((rows, rests.append), (), root)
+    return found, rests
+
+
+def _list_walk(state, head, node):
+    """Append what the walk emits from node on, head being what the path to
+    node has added; state is (rows, append), as _list_order makes it."""
+    rows, append = state
+    for part, follows in rows[node]:
+        if follows is None:
+            append(head + part)
+        else:
+            _list_walk(state, head + part, follows)
 
 
 def clear_label_codes():
@@ -609,7 +693,8 @@ class Structure:
     def labels(self):
         """The underlying label set (derivative stars excluded), computed on
         first use and kept: the one frozenset _SETS holds for it.  Every
-        constructor sets _labels, to None when it leaves the set for later."""
+        constructor sets _labels, to None when it leaves the set for later;
+        a graph reads it from its vertex table."""
         found = self._labels
         if found is None:
             found = self._label_set()
@@ -711,14 +796,21 @@ class SetTerm(Structure):
         return _brace(self.members)
 
 
+def _members_in_order(members):
+    """Refuse members unless their keys strictly increase, so that they
+    are distinct and in the order a subset keeps them."""
+    if not _increasing(_label_keys(members)):
+        raise ValueError("subset members out of order")
+
+
 class SubsetTerm(Structure):
     """A chosen subset; the complement is kept so the underlying set is
     still recoverable.
 
     SubsetTerm(subset, label), subset a SubsetTerm, is subset with label
-    moved from its complement to its members, as listings build subsets:
-    only label is checked, which must be in the complement and follow
-    every member."""
+    moved from its complement to its members: only label is checked, which
+    must be in the complement and follow every member.  Listings build
+    subsets with SubsetTerm.listed instead."""
 
     __slots__ = ("members", "rest")
     kind = "subset"
@@ -740,11 +832,26 @@ class SubsetTerm(Structure):
             at = rest.index(label)
         except ValueError:
             raise ValueError("subset member outside the complement") from None
-        if members and not _KEY(members[-1]) < _KEY(label):
-            raise ValueError("subset members out of order")
+        _members_in_order(members[-1:] + (label,))
         self.members = members + (label,)
         self.rest = rest[:at] + rest[at + 1:]
         self._labels = subset.labels()
+
+    @classmethod
+    def listed(cls, labels, size=None):
+        """SubsetTerm(chosen, rest) for every sublist chosen of labels (only
+        those of length size, when given), rest the other labels, in
+        encode() order (see _list_order), made bare.  labels is checked
+        once to be distinct and in key order, so every sublist is, and
+        every term takes its one interned set."""
+        labels = tuple(labels)
+        _members_in_order(labels)
+        found, rests = _list_order(labels, _CODE, size, complements=True)
+        every = _interned(labels)
+        for at, (members, rest) in enumerate(zip(found, rests)):
+            found[at] = term = _new(cls)
+            term.members, term.rest, term._labels = members, rest, every
+        return found
 
     def _label_set(self):
         return frozenset(self.members) | frozenset(self.rest)
@@ -1060,57 +1167,97 @@ def _sorted_pairs(pos, pairs, what):
     return tuple(map(dict(zip(keys, pairs)).__getitem__, sorted(keys)))
 
 
-def _one_more_pair(table, pairs, pair, what):
-    """pairs + (pair,), where pairs are the checked, ordered edges or arcs
-    (what says which) of a term on table, as listings extend them: pair is
-    refused unless both its ends are vertices of the table and its rank
-    pos[a] * n + pos[b] is above the rank of the last of pairs.  An edge
-    also has to be no loop and to have its lesser end first."""
+def _pair_ranks(table, pairs, what):
+    """Refuse pairs, the edges or arcs (what says which) of a term on table
+    in the order the term keeps them, unless both ends of each pair are
+    vertices of the table and the ranks pos[a] * n + pos[b] strictly
+    increase.  An edge also has to be no loop and to have its lesser end
+    first.  Every pair is checked on its own before any two are compared."""
     pos = table.pos
-    a, b = pair
-    if what == "edge" and a == b:
-        raise ValueError("a simple graph has no loops")
-    try:
-        i, j = pos[a], pos[b]
-    except KeyError:
-        raise ValueError(f"{what} endpoint outside the vertex set") from None
     n = len(pos)
-    rank = i * n + j
-    if pairs:
-        c, d = pairs[-1]
-        last = pos[c] * n + pos[d]
+    ranks = []
+    for a, b in pairs:
+        if what == "edge" and a == b:
+            raise ValueError("a simple graph has no loops")
+        try:
+            i, j = pos[a], pos[b]
+        except KeyError:
+            raise ValueError(f"{what} endpoint outside the vertex set") from None
+        if what == "edge" and i > j:
+            raise ValueError("edge out of order")
+        ranks.append(i * n + j)
+    for last, rank in zip(ranks, ranks[1:]):
         if rank <= last:
             raise ValueError(
                 f"duplicate {what}" if rank == last else f"{what} out of order"
             )
-    if what == "edge" and i > j:
-        raise ValueError("edge out of order")
-    return pairs + ((a, b) if type(pair) is not tuple else pair,)
 
 
-#: The sorted vertex tuple of a graph or digraph, read from its table.
-_VERTICES = property(attrgetter("_table.vertices"))
+def _one_more_pair(table, pairs, pair, what):
+    """pairs + (pair,), where pairs are the checked, ordered edges or arcs
+    (what says which) of a term on table: pair is checked after the last of
+    pairs by _pair_ranks."""
+    if type(pair) is not tuple:
+        pair = tuple(pair)
+    _pair_ranks(table, pairs[-1:] + (pair,), what)
+    return pairs + (pair,)
 
 
-class GraphTerm(Structure):
+def _pair_code(pair):
+    """The codes of a pair's two labels, which order pairs as their JSON
+    lists do."""
+    return _CODE(pair[0]), _CODE(pair[1])
+
+
+class _Graph(Structure):
+    """A graph or digraph on a vertex table (see _vertex_table): every term
+    built on the same vertex tuple object shares the table, and with it the
+    sorted, checked vertices and their one interned set, which is the
+    term's label set.  pairs holds the edges or arcs; each class names the
+    slot after its JSON key and says what one pair is called (what)."""
+
+    __slots__ = ("_table", "pairs")
+
+    vertices = property(attrgetter("_table.vertices"))
+    _labels = property(attrgetter("_table.labels"))
+
+    @classmethod
+    def listed(cls, vertices, pairs):
+        """cls(vertices, chosen) for every sublist chosen of pairs, in
+        encode() order (see _list_order), made bare.  pairs, the possible
+        edges or arcs in the order of their ranks, are checked once by
+        _pair_ranks, so every sublist holds them in order, and every term
+        shares the table."""
+        table = _vertex_table(vertices)
+        pairs = tuple(p if type(p) is tuple else tuple(p) for p in pairs)
+        _pair_ranks(table, pairs, cls.what)
+        found = _list_order(pairs, _pair_code)
+        for at, chosen in enumerate(found):
+            found[at] = term = _new(cls)
+            term._table = table
+            term.pairs = chosen
+        return found
+
+
+class GraphTerm(_Graph):
     """A simple graph: vertex set plus sorted undirected edges.
 
-    The vertices are sorted and checked once per vertex table (see
-    _vertex_table), and every graph built on the same vertex tuple object
-    shares the table.  The edges are turned, checked and sorted in full.
-    GraphTerm(graph, edge), graph a GraphTerm, is graph with one more edge,
-    as listings build graphs: only that edge is checked (_one_more_pair),
-    and the new graph shares graph's table."""
+    The vertices are sorted and checked once per vertex table.  The edges
+    are turned, checked and sorted in full.  GraphTerm(graph, edge), graph
+    a GraphTerm, is graph with one more edge: only that edge is checked
+    (_one_more_pair), and the new graph shares graph's table.  Listings
+    build graphs with GraphTerm.listed instead."""
 
-    __slots__ = ("_table", "edges")
+    __slots__ = ()
     kind = "graph"
+    what = "edge"
     fields = (("vertices", "vertices", _LABELS), ("edges", "edges", _PAIRS))
+    edges = _Graph.pairs
 
     def __init__(self, vertices, edges):
         if type(vertices) is GraphTerm:
             self._table = table = vertices._table
             self.edges = _one_more_pair(table, vertices.edges, edges, "edge")
-            self._labels = table.labels
             return
         table = _vertex_table(vertices)
         pos = table.pos
@@ -1129,25 +1276,24 @@ class GraphTerm(Structure):
             turned.append(edge)
         self._table = table
         self.edges = _sorted_pairs(pos, tuple(turned), "edge")
-        self._labels = table.labels
-
-    vertices = _VERTICES
 
     def render(self):
         edges = " ".join(_brace(e) for e in self.edges) or "-"
         return f"graph(V={_brace(self.vertices)}, E: {edges})"
 
 
-class DigraphTerm(Structure):
+class DigraphTerm(_Graph):
     """A directed graph on the label set; loops allowed.
 
     Like GraphTerm, it shares the vertex table of its vertex tuple, and
     DigraphTerm(digraph, arc), digraph a DigraphTerm, is digraph with one
     more arc, of which only that arc is checked."""
 
-    __slots__ = ("_table", "arcs")
+    __slots__ = ()
     kind = "digraph"
+    what = "arc"
     fields = (("vertices", "vertices", _LABELS), ("arcs", "arcs", _PAIRS))
+    arcs = _Graph.pairs
 
     def __init__(self, vertices, arcs):
         if type(vertices) is DigraphTerm:
@@ -1156,9 +1302,6 @@ class DigraphTerm(Structure):
         else:
             self._table = table = _vertex_table(vertices)
             self.arcs = _sorted_pairs(table.pos, tuple(arcs), "arc")
-        self._labels = table.labels
-
-    vertices = _VERTICES
 
     def render(self):
         arcs = " ".join(
@@ -1294,6 +1437,21 @@ def _block_key(pair):
     return block.key
 
 
+def _before(block, tail):
+    """The interned block set and label set of the assignment tail with
+    block put before its pairs, refused unless block meets none of tail's
+    labels and its key is below the key of tail's first block."""
+    members = block.member_set
+    if not members.isdisjoint(tail.labels):
+        raise ValueError("blocks overlap")
+    pairs = tail.pairs
+    if pairs and not block.key < pairs[0][0].key:
+        raise ValueError("blocks out of order")
+    return (
+        _interned(tail.blocks.union((block,))), _interned(tail.labels | members)
+    )
+
+
 class Assignment:
     """The (block, inner) pairs of a substitution, checked as listings
     build them, one part at a time.
@@ -1302,11 +1460,12 @@ class Assignment:
     on block; a listing forms each pair once, however many assignments
     share it.  Assignment() holds no pair, and Assignment(pair, tail) puts
     a pair so formed before the pairs of the assignment tail, checking
-    only its block: the block must not meet tail's labels, and its key must
-    be below the key of tail's first block.  pairs is the tuple of pairs
-    in block order, blocks the set of their blocks and labels the set of
-    their members, each the one set _SETS holds for it.  CompTerm(outer,
-    assignment) checks only that outer lives on the blocks."""
+    only its block (_before).  Assignment.listed(pairs, tails) does so for
+    many pairs on one block and many tails at once.  pairs is the tuple of
+    pairs in block order, blocks the set of their blocks and labels the
+    set of their members, each the one set _SETS holds for it.
+    CompTerm(outer, assignment) checks only that outer lives on the
+    blocks."""
 
     __slots__ = ("pairs", "blocks", "labels")
 
@@ -1315,16 +1474,8 @@ class Assignment:
             self.pairs = ()
             self.blocks = self.labels = _interned(())
             return
-        block = pair[0]
-        members = block.member_set
-        if not members.isdisjoint(tail.labels):
-            raise ValueError("blocks overlap")
-        pairs = tail.pairs
-        if pairs and not block.key < pairs[0][0].key:
-            raise ValueError("blocks out of order")
-        self.pairs = (pair,) + pairs
-        self.blocks = _interned(tail.blocks.union((block,)))
-        self.labels = _interned(tail.labels | members)
+        self.blocks, self.labels = _before(pair[0], tail)
+        self.pairs = (pair,) + tail.pairs
 
     @staticmethod
     def pair(block, inner):
@@ -1334,6 +1485,30 @@ class Assignment:
         if inner.labels() != block.member_set:
             raise ValueError("inner structure is not on its block")
         return block, inner
+
+    @staticmethod
+    def listed(pairs, tails):
+        """Assignment(pair, tail) for every pair of pairs, then every tail
+        of tails, made bare.  The pairs, formed by Assignment.pair, are
+        checked once to share one block object, which is checked against
+        each tail once (_before); the block and label sets it makes with a
+        tail are formed once for all the pairs."""
+        pairs = tuple(pairs)
+        if not pairs:
+            return []
+        block = pairs[0][0]
+        if not isinstance(block, Block):
+            raise TypeError("assignment keys must be blocks")
+        if not all(map(is_, map(itemgetter(0), pairs), repeat(block))):
+            raise ValueError("assignment pairs do not share one block")
+        joined = [(tail.pairs, *_before(block, tail)) for tail in tails]
+        terms = _bare(Assignment, len(pairs) * len(joined))
+        made = iter(terms)
+        for pair in pairs:
+            head = (pair,)
+            for (rest, blocks, labels), term in zip(joined, made):
+                term.pairs, term.blocks, term.labels = head + rest, blocks, labels
+        return terms
 
 
 class CompTerm(_Composite):

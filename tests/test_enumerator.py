@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from species import cli, enumerator
+from species import cli, enumerator, structures
 from species.enumerator import (
     _structures,
     check_functoriality,
@@ -744,6 +744,26 @@ class TestJsonListing:
         assert trees == []
 
 
+    def test_the_writer_leaves_no_reference_cycle(self):
+        """The --json writer's memo is freed when the writer returns, so a
+        collection right after it, with the collector paused, finds
+        nothing."""
+        got = enumerate_structures(
+            parse_expr("B"), parse_defs(_DIGEST_DEFS), [1, 2, 3, 4, 5]
+        )
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                cli._write_json_listing(got)
+            found = gc.collect()
+        finally:
+            if collecting:
+                gc.enable()
+        assert out.getvalue() == _dumped(got)
+        assert found == 0
+
     @pytest.mark.parametrize("text", ["S", "Part", "Gra", "E(C)", "B"])
     def test_no_term_builds_its_json_tree(self, text, tmp_path, monkeypatch):
         """Every term class writes its --json text from its field table, so
@@ -863,16 +883,27 @@ class TestSublistPrimitives:
         ]
 
     def test_digraphs_on_four_labels_are_built_once_each(self, monkeypatch):
-        built = []
-        init = DigraphTerm.__init__
+        """The builder makes every listed digraph exactly once, 2^16
+        distinct terms, with no constructor and no one-arc step run."""
+        made = []
+        listed = DigraphTerm.listed.__func__
 
-        def counted(self, vertices, arcs):
-            built.append(1)
-            init(self, vertices, arcs)
+        def counted(cls, vertices, arcs):
+            found = listed(cls, vertices, arcs)
+            made.extend(found)
+            return found
 
-        monkeypatch.setattr(DigraphTerm, "__init__", counted)
+        def refused(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(DigraphTerm, "listed", classmethod(counted))
+        monkeypatch.setattr(DigraphTerm, "__init__", refused)
+        monkeypatch.setattr(structures, "_one_more_pair", refused)
         got = enum("Gro", [1, 2, 3, 4])
-        assert len(got) == len(built) == 2**16
+        assert len(got) == len(made) == 2**16
+        assert len({id(t) for t in made}) == 2**16
+        assert {id(t) for t in got} == {id(t) for t in made}
+        assert len(set(got)) == 2**16
 
     def test_graphs_share_their_pairs(self):
         """Every term holds the generator's own pair objects, one per
@@ -1301,3 +1332,41 @@ def test_a_derivative_on_split_off_stars_adds_a_longer_star(n):
         right = term.inner.inner.right
         stars = {l for l in right.inner.labels() if isinstance(l, str)}
         assert max(stars, key=len) not in right.labels()
+
+
+# -- subsets, graphs, digraphs and substitution pairs built in bulk --------
+
+# Digests of `enumerate EXPR LABELS --defs <_DIGEST_DEFS> [--json]` stdout
+# for listings that build many substitution assignments, pinned from the
+# listing that built each assignment by one step.
+_BULK_DIGESTS = {
+    ("A", 5, "int", True): "17107d2e6d7cc138874cb8c1635ccfabd83461a54bcd66bb1759a52948427037",
+    ("A", 5, "int", False): "90975cf24825b6f327355ace3c82fc06f4ec2c1e91bb7ee60b311f6de71bcbc7",
+    ("A", 5, "str", True): "d5a81ea64737e21a4207165daaafdadc4354b3cef811ddd0021517e8b2b1fb37",
+    ("A", 5, "str", False): "fcf282e4a5f1bd97db0a2481ca08195e4e437f0281be2dbe1df14d304939ec1c",
+    ("S(A)", 4, "int", True): "1e11fae068e46662b52332241fad165a14300dbafaa618b5a31feb4785c83f22",
+    ("S(A)", 4, "int", False): "f77120164edc6e3c502b85e5f973da040511a9b3031d13b1dbb590cdbd15e4ac",
+    ("S(A)", 4, "str", True): "6cb3d3357ffcca4ae12e53e818089478108a96273f1dd968e03b6ee49410943b",
+    ("S(A)", 4, "str", False): "0b0551763de17461b7842a45153fdd757179243a4347dd9c8ad2df6dcc7178dc",
+    ("Lp(A)", 4, "int", True): "4d668a27f463815e3376a061201d1f43c891504c020e42420e173f241178fa0f",
+    ("Lp(A)", 4, "int", False): "5d0d2f3e72acc3ba4eefd24002a1d8d13d07ffdbf16e59646d0627fc0d4f6094",
+    ("Lp(A)", 4, "str", True): "bb4be305b95651521097834822380771aa4e6d550c31c98baad2671d6c456575",
+    ("Lp(A)", 4, "str", False): "6f66a57da7e9316975d51ce1cb7640e7fef2cbcf340f547cc8d315fa9579d435",
+    ("E(C)", 5, "int", True): "b93fa104d3728a1705126353e113292cf797b27afea615c03d1cbdf84a5219c9",
+    ("E(C)", 5, "int", False): "1ee6234466c1dced58d9f6d0d3ac308ed60a0946795777ac7233ccdfbb8912f3",
+    ("E(C)", 5, "str", True): "9c1d74fc4df142cd6575a783464b84a2cdec56bad715782ad27d2e2b64018e90",
+    ("E(C)", 5, "str", False): "c3e0f6e7eba68eb3b8eb94587a09c475e46f203686ad1c10f57bff1d94fec6a3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BULK_DIGESTS), ids=str)
+def test_bulk_built_stdout_digest(key, tmp_path):
+    text, n, kind, as_json = key
+    defs = tmp_path / "defs.species"
+    defs.write_text(_DIGEST_DEFS, encoding="utf-8")
+    pool = _INT_LABELS if kind == "int" else _STR_LABELS
+    argv = ["enumerate", text, ",".join(pool[:n]), "--defs", str(defs)]
+    code, out = _cli_stdout(argv + (["--json"] if as_json else []))
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _BULK_DIGESTS[key]

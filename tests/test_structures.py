@@ -1097,6 +1097,220 @@ def test_a_comp_term_on_an_assignment_equals_the_public_one():
     assert built.labels() == want.labels() == frozenset({1, 2, 3})
 
 
+# -- subsets, graphs, digraphs and assignments built in bulk ---------------
+
+_VERTS = (1, 2, "a")
+_B3 = Block([3])
+
+# Each refusal of a check a bulk builder makes once: the builder, the
+# one-item step given the same parts (None where the step has no such
+# check), the exception type and the message both raise.
+BULK_REFUSED = {
+    "listed arc endpoint outside": (
+        lambda: DigraphTerm.listed(_VERTS, [(1, 2), (2, 3)]),
+        lambda: DigraphTerm(_digraph((1, 2)), (2, 3)),
+        ValueError, "arc endpoint outside the vertex set",
+    ),
+    "listed duplicate arc": (
+        lambda: DigraphTerm.listed(_VERTS, [(1, 2), (1, 2)]),
+        lambda: DigraphTerm(_digraph((1, 2)), (1, 2)),
+        ValueError, "duplicate arc",
+    ),
+    "listed arcs out of order": (
+        lambda: DigraphTerm.listed(_VERTS, [(2, 1), (1, 2)]),
+        lambda: DigraphTerm(_digraph((2, 1)), (1, 2)),
+        ValueError, "arc out of order",
+    ),
+    "listed edge loop": (
+        lambda: GraphTerm.listed(_VERTS, [(1, 2), (2, 2)]),
+        lambda: GraphTerm(_graph((1, 2)), (2, 2)),
+        ValueError, "a simple graph has no loops",
+    ),
+    "listed edge endpoint outside": (
+        lambda: GraphTerm.listed(_VERTS, [(1, 2), (2, 3)]),
+        lambda: GraphTerm(_graph((1, 2)), (2, 3)),
+        ValueError, "edge endpoint outside the vertex set",
+    ),
+    "listed turned edge": (
+        lambda: GraphTerm.listed(_VERTS, [(2, 1)]),
+        lambda: GraphTerm(_graph(), (2, 1)),
+        ValueError, "edge out of order",
+    ),
+    "listed duplicate edge": (
+        lambda: GraphTerm.listed(_VERTS, [(1, 2), (1, 2)]),
+        lambda: GraphTerm(_graph((1, 2)), (1, 2)),
+        ValueError, "duplicate edge",
+    ),
+    "listed edges out of order": (
+        lambda: GraphTerm.listed(_VERTS, [(2, "a"), (1, "a")]),
+        lambda: GraphTerm(_graph((2, "a")), (1, "a")),
+        ValueError, "edge out of order",
+    ),
+    "listed subset labels out of order": (
+        lambda: SubsetTerm.listed([2, 1]),
+        lambda: SubsetTerm(SubsetTerm([2], [1]), 1),
+        ValueError, "subset members out of order",
+    ),
+    "listed subset label twice": (
+        lambda: SubsetTerm.listed([1, "a", "a"]),
+        None, ValueError, "subset members out of order",
+    ),
+    "listed key that is not a block": (
+        lambda: structures.Assignment.listed(
+            [(1, SetTerm([1]))], [structures.Assignment()]
+        ),
+        lambda: structures.Assignment.pair(1, SetTerm([1])),
+        TypeError, "assignment keys must be blocks",
+    ),
+    "listed pairs on two blocks": (
+        lambda: structures.Assignment.listed(
+            [(_B1, SetTerm([1])), (_B2, SetTerm([2]))],
+            [structures.Assignment()],
+        ),
+        None, ValueError, "assignment pairs do not share one block",
+    ),
+    "listed block meeting a tail": (
+        lambda: structures.Assignment.listed(
+            [(_B1, SetTerm([1]))],
+            [_assignment((_B2, SetTerm([2]))),
+             _assignment((Block([1, 2]), SetTerm([1, 2])))],
+        ),
+        lambda: _assignment((_B1, SetTerm([1])), (Block([1, 2]),
+                                                  SetTerm([1, 2]))),
+        ValueError, "blocks overlap",
+    ),
+    "listed block after a tail's first": (
+        lambda: structures.Assignment.listed(
+            [(_B23, SetTerm([2, 3]))],
+            [_assignment((_B1, SetTerm([1])))],
+        ),
+        lambda: _assignment((_B23, SetTerm([2, 3])), (_B1, SetTerm([1]))),
+        ValueError, "blocks out of order",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BULK_REFUSED))
+def test_bulk_refusals(case):
+    """Each check a bulk builder makes once refuses what it must, with the
+    exception type and message of the one-item step where that checks the
+    same parts."""
+    bulk, step, error, message = BULK_REFUSED[case]
+    with pytest.raises(error) as refused:
+        bulk()
+    assert str(refused.value) == message
+    if step is not None:
+        with pytest.raises(error) as refused:
+            step()
+        assert str(refused.value) == message
+
+
+def _step_built(first, items, size=None):
+    """The listing of the one-item steps: a depth-first walk that extends
+    each term by every later item in code order and keeps a term after its
+    extensions (only those holding size items, when given)."""
+    def code(item):
+        if isinstance(item, tuple):
+            return tuple(map(structures.label_code, item))
+        return structures.label_code(item)
+
+    by_code = sorted(range(len(items)), key=lambda i: code(items[i]))
+    out = []
+
+    def walk(term, start, length):
+        if size is None or length < size:
+            for i in by_code:
+                if i >= start:
+                    walk(type(first)(term, items[i]), i + 1, length + 1)
+        if size is None or length == size:
+            out.append(term)
+
+    walk(first, 0, 0)
+    return out
+
+
+def _same_bulk_terms(built, want):
+    """built equals want term by term, in order, equality, hash, encoding
+    and label set."""
+    assert len(built) == len(want)
+    for mine, theirs in zip(built, want):
+        assert mine == theirs
+        assert hash(mine) == hash(theirs)
+        assert mine.encode() == theirs.encode()
+        assert mine.labels() == theirs.labels()
+
+
+@pytest.mark.parametrize("labels", [
+    (1, 2, 3, 4), ("a", "b", "c", "d"), (9, 10, 100),
+], ids=["int", "str", "mixed-code"])
+@pytest.mark.parametrize("text", ["Gra", "Gro", "P", "Pk[2]"])
+def test_bulk_built_terms_equal_the_step_built_ones(text, labels):
+    """The bulk builders list the terms the one-item steps build, in the
+    same order, and every term shares one label set."""
+    if text == "Gro":
+        labels = labels[:3]
+    if text == "Gra":
+        edges = list(combinations(labels, 2))
+        built = GraphTerm.listed(labels, edges)
+        want = _step_built(GraphTerm(labels, ()), edges)
+    elif text == "Gro":
+        arcs = list(product(labels, repeat=2))
+        built = DigraphTerm.listed(labels, arcs)
+        want = _step_built(DigraphTerm(labels, ()), arcs)
+    else:
+        size = 2 if text == "Pk[2]" else None
+        built = SubsetTerm.listed(labels, size)
+        want = _step_built(SubsetTerm((), labels), list(labels), size)
+    _same_bulk_terms(built, want)
+    assert len({id(t.labels()) for t in built}) == 1
+    listed = enumerate_structures(parse_expr(text), None, labels)
+    _same_bulk_terms(listed, want)
+
+
+@pytest.mark.parametrize("size,members", [
+    (-1, []), (0, [()]), (2, [(1, 2), (1, 3), (2, 3)]), (3, [(1, 2, 3)]),
+    (4, []),
+])
+def test_bulk_built_subsets_of_one_size(size, members):
+    """Subsets of a size out of reach are none, not a failed walk."""
+    assert SubsetTerm.listed((1, 2, 3), size) == [
+        SubsetTerm(m, {1, 2, 3} - set(m)) for m in members
+    ]
+
+
+def test_bulk_built_assignments_equal_the_step_built_ones():
+    """Assignment.listed builds, pair by pair and tail by tail, the
+    assignments Assignment(pair, tail) builds, each tail's block and label
+    sets with the block formed once for all the pairs."""
+    pairs = [
+        structures.Assignment.pair(_B1, inner)
+        for inner in (SetTerm([1]), ListTerm([1]), CycleTerm([1]))
+    ]
+    tails = [
+        structures.Assignment(),
+        _assignment((_B2, SetTerm([2]))),
+        _assignment((_B23, CycleTerm([3, 2]))),
+        _assignment((_B2, SetTerm([2])), (_B3, ListTerm([3]))),
+    ]
+    built = structures.Assignment.listed(pairs, tails)
+    want = [structures.Assignment(pair, tail)
+            for pair in pairs for tail in tails]
+    assert len(built) == len(want) == 12
+    for mine, theirs in zip(built, want):
+        assert mine.pairs == theirs.pairs
+        assert mine.blocks == theirs.blocks
+        assert mine.labels == theirs.labels
+        outer = SetTerm(mine.blocks)
+        assert CompTerm(outer, mine) == CompTerm(outer, theirs)
+        assert CompTerm(outer, mine).encode() == CompTerm(outer, theirs).encode()
+    for at in range(len(tails)):
+        column = built[at::len(tails)]
+        assert len({id(a.blocks) for a in column}) == 1
+        assert len({id(a.labels) for a in column}) == 1
+    assert structures.Assignment.listed([], tails) == []
+    assert structures.Assignment.listed(pairs, []) == []
+
+
 def test_every_term_has_its_label_slot_set():
     """Every constructor sets _labels, to None or to the set, so labels()
     never reads an unset slot."""
