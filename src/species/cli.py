@@ -9,8 +9,10 @@ Subcommands:
     verify     run the built-in identity suite
 
 Exit codes: 0 success, 1 parse/validation failure (also a failed verify run),
-2 non-integer or negative count, 3 enumeration budget exceeded, 4 label-set
-mismatch in transport.  transport first checks that the structure is one of
+2 non-integer or negative count, 3 enumeration budget exceeded (or a
+label set larger than MAX_LABELS, 10 000, given to count or enumerate,
+refused before any label list is built), 4 label-set mismatch in
+transport.  transport first checks that the structure is one of
 the expression's structures on its labels: one that is not exits 1, and one
 whose listing would exceed the default budget exits 3.  A reader that
 closes stdout early is no failure: output stops and the exit code is 0.
@@ -56,6 +58,11 @@ from .structures import Bijection, check_label, decode_structure
 
 _SIZE_RE = re.compile(r"\d+")
 
+#: The most labels a count or enumerate call takes, given as a size or as
+#: a comma list.  A larger label set is refused with exit 3 before any
+#: label list is built.
+MAX_LABELS = 10_000
+
 
 def _load_env(path):
     if path is None:
@@ -65,12 +72,24 @@ def _load_env(path):
 
 def _parse_labels(text):
     """A label argument: either a size n (meaning 1..n) or a comma list of
-    distinct labels ("1" and "01" are the same label)."""
+    distinct labels ("1" and "01" are the same label), of at most
+    MAX_LABELS labels.  A size's digits are counted before int() reads
+    them, so a size of any length is refused at once."""
     text = text.strip()
     if not text:
         return []
     if _SIZE_RE.fullmatch(text):
-        return list(range(1, int(text) + 1))
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_LABELS)) or int(digits) > MAX_LABELS:
+            raise BudgetExceeded(
+                f"size {text} exceeds the limit of {MAX_LABELS} labels"
+            )
+        return list(range(1, int(digits) + 1))
+    if text.count(",") >= MAX_LABELS:
+        raise BudgetExceeded(
+            f"{text.count(',') + 1} labels exceed the limit of "
+            f"{MAX_LABELS} labels"
+        )
     labels = [check_label(tok.strip()) for tok in text.split(",")]
     if len(set(labels)) != len(labels):
         raise ParseError(f"duplicate label in {labels!r}")

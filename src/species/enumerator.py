@@ -33,6 +33,18 @@ than _CHECK_ONCE_FROM labels, where checking a tuple once costs more than
 it saves, lists, cycles, partitions, derivatives and pointed terms are
 built by their public constructors instead.
 
+A walk is the state of a listing: its guards, and its memos of lists,
+sort keys and series counts.  enumerate_structures makes a fresh one per
+call unless the caller passes one in (walk=), which several calls then
+share, so that each subexpression is listed once per label set and its
+series counted once for all of them.  A walk is bound to the env it was
+made with, since its memo is keyed by node and names resolve through env;
+a call with another env is refused.  Lists from a shared walk are its memo
+lists, shared with every later call, and must not be mutated.  A caller
+that shares a walk holds one listing() scope around all of its calls
+(see below) and drops the walk when it is done, so no cache outlives it;
+the identity suite makes one walk per case.
+
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
 cycles re-rotate, partitions re-sort), transport is a uniform relabeling
@@ -159,7 +171,8 @@ def _set_partitions(items, listed):
     return found
 
 
-def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
+def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
+                         *, walk=None):
     """All structures of the species on the given labels, in the order of
     their canonical encoding.
 
@@ -167,16 +180,32 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET):
     structure is built when it is larger than the budget.  The result's
     length always equals that count.  The walk builds the list in order, so
     it is returned as built.  It runs in the scope of one listing().
+
+    walk, a _Walk(env=env), lets several calls share one walk: each
+    subexpression is then listed once per label set, and its series counts
+    computed once, for all of them.  A walk is bound to the env it was made
+    with, since its memo is keyed by node and names resolve through env; a
+    call with another env raises ValueError.  On a shared walk the result
+    is the walk's own memo list, shared with later calls: callers must not
+    mutate it.  Calls at the largest size first compute every series once.
+    A caller sharing a walk should also hold one listing() scope around
+    all of its calls, so that the collector stays paused between them.
+    Without walk, each call lists on a fresh walk of its own.
     """
+    if walk is None:
+        walk = _Walk(env=env)
+    elif walk.env is not env:
+        raise ValueError("a walk lists only on the env it was made with")
     env = env or Environment()
     labs = _clean_labels(labels)
-    expected = egf_of(expr, env, order=len(labs)).count(len(labs))
+    n = len(labs)
+    expected = walk.counts(expr, env, n)[n]
     if expected > budget:
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
         )
     with listing():
-        return _structures(expr, env, labs, _Walk())
+        return _structures(expr, env, labs, walk)
 
 
 class listing:
@@ -200,25 +229,29 @@ class listing:
 
 
 class _Walk(set):
-    """The guard set of one enumerate_structures call, carrying that
-    call's memos.
+    """The guard set of a walk, carrying its memos: one
+    enumerate_structures call's, or those of every call that shares it.
 
     memo maps (id(node), labels) to a finished list, so that each
     subexpression is enumerated once per label set and its terms are shared
     by every term built on them.  Node ids are stable because the
-    expression and env outlive the call; term ids are stable because the
-    memo keeps every term alive.  The memos ride on the guard set because
-    _structures keeps its four-argument signature, which
-    perfbench/tracing.py wraps to count every node visit.
+    expression and env outlive the walk; term ids are stable because the
+    memo keeps every term alive.  env is the env the walk was made with
+    (None for none), the only one its calls may use.  The memos ride on
+    the guard set because _structures keeps its four-argument signature,
+    which perfbench/tracing.py wraps to count every node visit.  A refused
+    call leaves only finished lists and counts in the walk, and a
+    RecursionGuard no guard, so the walk stays usable.
     """
 
-    __slots__ = ("memo", "keys", "series_counts")
+    __slots__ = ("memo", "keys", "series_counts", "env")
 
-    def __init__(self, guards=()):
+    def __init__(self, guards=(), env=None):
         super().__init__(guards)
         self.memo = {}
         self.keys = {}
         self.series_counts = {}
+        self.env = env
 
     def key(self, term):
         """term's _sort_parts tuple, built once per walk: comparing keys

@@ -71,7 +71,8 @@ class UnboundName(SpeciesError):
 
 
 class BudgetExceeded(SpeciesError):
-    """An enumeration would produce more structures than the allowed budget."""
+    """An enumeration would produce more structures than the allowed budget,
+    or a command line asks for more labels than the CLI takes."""
 
 
 class RecursionGuard(SpeciesError):

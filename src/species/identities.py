@@ -5,6 +5,16 @@ table, or a closed-form count law, and checks it two ways: exact equality of
 series counts up to a truncation order, and (where tractable) cardinality of
 the exhaustive enumerations on small label sets.
 
+The enumerations of one case share one walk (enumerator._Walk): every
+side is listed on [n] for n from the largest order down to 0, on that walk
+and inside one listing() scope, so each subexpression is listed once per
+label set, and its series counted once, for the whole case.  The smallest
+n at which the sides differ is the witness, as if the orders were tried
+from 0 up; but every order is listed, so a refusal at a larger order
+(a budget, say) is raised even when a smaller one already differs.  The
+walk is dropped when the case's enumerative check returns, so no listing
+outlives it.
+
 Identities are verified by comparing structure counts; the suite never
 attempts to exhibit a natural isomorphism between the two sides, and the
 report header says so.
@@ -14,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
-from .enumerator import enumerate_structures
+from .enumerator import _Walk, enumerate_structures, listing
 from .expr import Name, PrimitiveKind, Primitive, RestrictCard
 from .parser import parse_defs, parse_expr
 from .semantics import egf_of
@@ -87,6 +97,29 @@ def _report(name, check):
     return VerificationReport(name, witness is None, *(witness or ()))
 
 
+def _listing_sizes(exprs, env, max_n):
+    """For n = 0 .. max_n, the number of structures of each of exprs on
+    [n], as one list per n.
+
+    Every listing runs on one walk, largest n first, so the listings on
+    fewer labels reuse the lists and series counts of the first, and inside
+    one listing() scope, so the collector stays paused between the
+    listings.  The walk is freed before the scope ends, while the collector
+    is still paused.
+    """
+    walk = _Walk(env=env)
+    sizes = [None] * (max_n + 1)
+    with listing():
+        for n in range(max_n, -1, -1):
+            labels = list(range(1, n + 1))
+            sizes[n] = [
+                len(enumerate_structures(expr, env, labels, walk=walk))
+                for expr in exprs
+            ]
+        del walk
+    return sizes
+
+
 class _Case:
     """One suite entry; subclasses supply the actual comparison."""
 
@@ -134,10 +167,10 @@ class IdentityCase(_Case):
         return None
 
     def _enum_witness(self, max_n):
-        for n in range(max_n + 1):
-            labels = list(range(1, n + 1))
-            lhs = len(enumerate_structures(self.lhs, self.env, labels))
-            rhs = len(enumerate_structures(self.rhs, self.env, labels))
+        """The smallest n <= max_n at which the two sides have different
+        numbers of structures on [n], both sides listed on one walk."""
+        sizes = _listing_sizes((self.lhs, self.rhs), self.env, max_n)
+        for n, (lhs, rhs) in enumerate(sizes):
             if lhs != rhs:
                 return (f"enumerations differ on [{n}]", n, lhs, rhs)
         return None
@@ -169,10 +202,12 @@ class TableCase(_Case):
         return None
 
     def _enum_witness(self, max_n):
+        """The smallest n <= max_n (and within the table) at which the
+        number of structures on [n] differs from the table, every order
+        listed on one walk."""
         max_n = min(max_n, len(self.expected) - 1)
-        for n in range(max_n + 1):
-            labels = list(range(1, n + 1))
-            got = len(enumerate_structures(self.expr, self.env, labels))
+        sizes = _listing_sizes((self.expr,), self.env, max_n)
+        for n, (got,) in enumerate(sizes):
             if got != self.expected[n]:
                 return (f"enumeration differs on [{n}]", n, got, self.expected[n])
         return None

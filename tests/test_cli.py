@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -934,3 +935,57 @@ class TestRepeatedLabels:
         code, out, err = run(capsys, command, "E", labels)
         assert (code, out) == (1, "")
         assert err == f"error: duplicate label in {shown}\n"
+
+
+class TestLabelSetBound:
+    """A label set larger than cli.MAX_LABELS is refused with exit 3, naming
+    the bound, before any label list is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "E", "99999999999999999999"],
+        ["enumerate", "X", "99999999999999999999"],
+        ["count", "E", "9999999999"],
+    ])
+    def test_an_oversized_size_exits_3_at_once(self, argv):
+        src = Path(species.__file__).resolve().parent.parent
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from species.cli import main; sys.exit(main(sys.argv[2:]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", probe, str(src), *argv],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.startswith("error: ")
+        assert str(cli.MAX_LABELS) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("size", [
+        "99999999999999999999", "9999999999", "1" + "0" * 100_000,
+    ], ids=["20-digits", "10-digits", "100001-digits"])
+    def test_the_refusal_takes_under_a_second(self, capsys, size):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "count", "E", size)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert f"limit of {cli.MAX_LABELS} labels" in err
+
+    def test_the_bound_itself_is_taken(self, capsys):
+        size = str(cli.MAX_LABELS)
+        assert run(capsys, "count", "E", size) == (0, "1\n", "")
+        assert run(capsys, "count", "E", "000" + size) == (0, "1\n", "")
+        code, _, err = run(capsys, "count", "E", str(cli.MAX_LABELS + 1))
+        assert code == 3 and "error:" in err
+
+    def test_a_comma_list_past_the_bound_exits_3(self, capsys):
+        labels = ",".join(map(str, range(1, cli.MAX_LABELS + 2)))
+        code, out, err = run(capsys, "count", "E", labels)
+        assert (code, out) == (3, "")
+        assert f"limit of {cli.MAX_LABELS} labels" in err
+
+    def test_count_s_2000_still_prints_2000_factorial(self, capsys, int_digits):
+        code, out, err = run(capsys, "count", "S", "2000")
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        assert out == f"{factorial(2000)}\n"

@@ -27,6 +27,7 @@ from species.enumerator import (
 from species.errors import (
     BudgetExceeded,
     DomainMismatch,
+    IllFoundedEquation,
     NotABijection,
     ParseError,
     RecursionGuard,
@@ -984,7 +985,7 @@ def _all_sublists(items):
     ]
 
 
-# -- listings built by extending checked terms, against public constructors --
+# -- bulk listings from parts checked once, against public constructors ----
 
 # Integers whose codes sort apart from their values ("10" < "100" < "9"),
 # strings, and strings that sit next to the quote in code order.
@@ -1012,9 +1013,9 @@ def _assert_same_listing(got, want):
     labels=st.lists(_EXTENSION_LABELS, unique=True, max_size=5),
 )
 def test_extended_sublist_listings_equal_the_public_ones(text, labels):
-    """Subsets, graphs and digraphs listed by extending checked terms equal,
-    in order and encoding, the terms the public constructors build from
-    every sublist, given in another order, sorted by encoding."""
+    """Subsets, graphs and digraphs listed in bulk from parts checked once
+    equal, in order and encoding, the terms the public constructors build
+    from every sublist, given in another order, sorted by encoding."""
     labels = labels[:{"Gra": 4, "Gro": 3}.get(text, 5)]
     got = enum(text, labels)
     labs = enumerator._clean_labels(labels)
@@ -1370,3 +1371,76 @@ def test_bulk_built_stdout_digest(key, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == _BULK_DIGESTS[key]
+
+
+# -- one walk shared by several calls -----------------------------------------
+
+_SHARED_ENV = parse_defs("A = X*E(A)\nF = E*F\nG = Ep(G)\n")
+
+
+def _encodings(found):
+    return [s.encode() for s in found]
+
+
+class TestSharedWalk:
+    def test_a_call_with_another_env_is_refused(self):
+        walk = enumerator._Walk(env=_SHARED_ENV)
+        other = parse_defs("A = X*E(A)\n")
+        with pytest.raises(ValueError, match="env"):
+            enumerate_structures(parse_expr("A"), other, [1, 2], walk=walk)
+        with pytest.raises(ValueError, match="env"):
+            enumerate_structures(parse_expr("X"), None, [1], walk=walk)
+        with pytest.raises(ValueError, match="env"):
+            enumerate_structures(parse_expr("X"), other, [1],
+                                 walk=enumerator._Walk())
+        assert not walk.memo
+
+    def test_refused_calls_leave_the_walk_usable(self):
+        a = parse_expr("A")
+        walk = enumerator._Walk(env=_SHARED_ENV)
+        with pytest.raises(BudgetExceeded):
+            enumerate_structures(a, _SHARED_ENV, [1, 2, 3, 4], budget=1,
+                                 walk=walk)
+        with pytest.raises(IllFoundedEquation):
+            enumerate_structures(parse_expr("F"), _SHARED_ENV, [1, 2],
+                                 walk=walk)
+        with pytest.raises(RecursionGuard):
+            _structures(parse_expr("G"), _SHARED_ENV, (1, 2), walk)
+        assert not walk  # no guard is left behind
+        for n in (4, 2, 3):
+            labels = list(range(1, n + 1))
+            got = enumerate_structures(a, _SHARED_ENV, labels, walk=walk)
+            want = enumerate_structures(a, _SHARED_ENV, labels)
+            assert _encodings(got) == _encodings(want)
+        assert not walk
+
+    def test_a_shared_walk_returns_its_memo_lists(self):
+        a = parse_expr("A")
+        walk = enumerator._Walk(env=_SHARED_ENV)
+        first = enumerate_structures(a, _SHARED_ENV, [1, 2, 3], walk=walk)
+        again = enumerate_structures(a, _SHARED_ENV, [3, 2, 1], walk=walk)
+        assert again is first
+        assert enumerate_structures(a, _SHARED_ENV, [1, 2, 3]) is not first
+
+    def test_calls_after_the_largest_size_count_no_series(self, monkeypatch):
+        """The first call counts every node it reaches at the size it
+        reaches it on; calls on fewer labels read those counts, budget
+        check included."""
+        counted = []
+        real = enumerator.egf_of
+
+        def recorded(expr, env=None, order=None):
+            counted.append(expr)
+            return real(expr, env, order=order)
+
+        monkeypatch.setattr(enumerator, "egf_of", recorded)
+        expr = parse_expr("E(C) * pt(A) + L'")
+        walk = enumerator._Walk(env=_SHARED_ENV)
+        enumerate_structures(expr, _SHARED_ENV, range(1, 5), walk=walk)
+        assert expr in counted
+        del counted[:]
+        for n in range(3, -1, -1):
+            got = enumerate_structures(expr, _SHARED_ENV, range(1, n + 1),
+                                       walk=walk)
+            assert len(got) == real(expr, _SHARED_ENV, order=n).count(n)
+        assert counted == []

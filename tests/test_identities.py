@@ -1,17 +1,21 @@
 """The built-in verification suite: green as shipped, and sharp enough to
 localize an injected fault."""
 
+import gc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from species import identities, semantics
+from species import enumerator, identities, semantics
+from species.enumerator import enumerate_structures
 from species.errors import DuplicateName
 from species.expr import PrimitiveKind
 from species.identities import (
     IdentityCase,
     SUITE_NOTE,
+    TableCase,
     catalog,
     run_suite,
     verify_enumerative,
@@ -140,3 +144,92 @@ def test_naming_a_case_parses_only_that_case(monkeypatch):
     [report] = run_suite(names={"counts-X"})
     assert report.passed
     assert len(parsed) < 10, parsed
+
+
+# -- one walk per case ---------------------------------------------------------
+
+def _listed_cases():
+    """(name, env, expressions, largest n) of every suite case that lists
+    its expressions."""
+    for case in catalog():
+        if isinstance(case, IdentityCase):
+            yield case.name, case.env, (case.lhs, case.rhs), case.enum_max
+        elif isinstance(case, TableCase):
+            yield case.name, case.env, (case.expr,), case.enum_max
+
+
+_LISTED = {name: rest for name, *rest in _listed_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(_LISTED))
+def test_a_shared_walk_lists_what_fresh_calls_list(name):
+    """Every side of every listed suite case, with its env, on [n] for n
+    from the case's largest order down to 0 and back up, the sides
+    interleaved, all on one walk: the same lengths and encodings as a
+    fresh call each."""
+    env, exprs, max_n = _LISTED[name]
+    assert max_n >= 4
+    fresh = {
+        (i, n): [s.encode() for s in enumerate_structures(
+            expr, env, range(1, n + 1))]
+        for i, expr in enumerate(exprs)
+        for n in range(max_n + 1)
+    }
+    walk = enumerator._Walk(env=env)
+    order = list(range(max_n, -1, -1)) + list(range(max_n + 1))
+    for n in order:
+        for i, expr in enumerate(exprs):
+            got = enumerate_structures(expr, env, range(1, n + 1), walk=walk)
+            assert len(got) == len(fresh[i, n])
+            assert [s.encode() for s in got] == fresh[i, n]
+
+
+def test_the_witness_is_the_smallest_failing_n():
+    report = verify_enumerative(IdentityCase("x", "Ek[2] + Ek[4]", "0"))
+    assert not report.passed
+    assert (report.witness_n, report.lhs_count, report.rhs_count) == (2, 1, 0)
+    table = TableCase("t", "E", [1, 1, 2, 1, 2, 1])
+    report = verify_enumerative(table)
+    assert (report.witness_n, report.lhs_count, report.rhs_count) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("name", ["pt(A)=Lp(A)", "End=S(A)", "B=1+X*B^2"])
+def test_each_node_is_built_once_per_label_set_in_a_case(monkeypatch, name):
+    built = Counter()
+    real = enumerator._build
+
+    def counted(expr, env, labels, active):
+        built[id(expr), labels] += 1
+        return real(expr, env, labels, active)
+
+    monkeypatch.setattr(enumerator, "_build", counted)
+    [report] = run_suite(names={name})
+    assert report.passed
+    assert built
+    assert max(built.values()) == 1
+
+
+def test_the_collector_stays_paused_between_the_listings_of_a_case(
+    monkeypatch,
+):
+    paused = []
+    real = identities.enumerate_structures
+
+    def recorded(*args, **kwargs):
+        paused.append(gc.isenabled())
+        found = real(*args, **kwargs)
+        paused.append(gc.isenabled())
+        return found
+
+    monkeypatch.setattr(identities, "enumerate_structures", recorded)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        [report] = run_suite(names={"S=E(C)"})
+        assert gc.isenabled()
+    finally:
+        if not was:
+            gc.disable()
+    assert report.passed
+    assert len(paused) == 2 * 2 * 6
+    assert not any(paused)

@@ -936,7 +936,7 @@ class TestSharedLabelSets:
         assert not structures._SETS
 
 
-# -- terms built by extending checked terms --------------------------------
+# -- the one-item steps, against the public constructors ------------------
 
 def _digraph(*arcs):
     return DigraphTerm((1, 2, "a"), arcs)
