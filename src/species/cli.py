@@ -11,15 +11,16 @@ Subcommands:
 Exit codes: 0 success, 1 parse/validation failure (also a failed verify run),
 2 non-integer or negative count, 3 enumeration budget exceeded (or a
 label set larger than MAX_LABELS, 10 000, given to count or enumerate,
-refused before any label list is built), 4 label-set mismatch in
-transport.  transport first checks that the structure is one of
-the expression's structures on its labels: one that is not exits 1, and one
-whose listing would exceed the default budget exits 3.  A reader that
-closes stdout early is no failure: output stops and the exit code is 0.
-An expression that nests deeper than parser.MAX_NESTING levels is a parse
-failure, and so is any other input that nests too deeply for Python's
-recursion limit (a long chain of names enumerated, a deeply nested JSON
-structure).
+refused before any label list is built, or an --order above MAX_ORDER,
+10 000, given to series, solve or verify, refused before any series is
+computed), 4 label-set mismatch in transport.  transport first checks that
+the structure is one of the expression's structures on its labels: one
+that is not exits 1, and one whose listing would exceed the default budget
+exits 3.  A reader that closes stdout early is no failure: output stops
+and the exit code is 0.  An expression that nests deeper than
+parser.MAX_NESTING levels is a parse failure, and so is any other input
+that nests too deeply for Python's recursion limit (a long chain of names
+enumerated, a deeply nested JSON structure).
 
 A well-formed command line (a subcommand, its positionals, then its
 options spelled in full) is read straight from one argument table,
@@ -36,7 +37,13 @@ from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
-from .enumerator import DEFAULT_BUDGET, enumerate_structures, listing, transport
+from .enumerator import (
+    DEFAULT_BUDGET,
+    _Walk,
+    enumerate_structures,
+    listing,
+    transport,
+)
 from .errors import (
     BudgetExceeded,
     DomainMismatch,
@@ -62,6 +69,10 @@ _SIZE_RE = re.compile(r"\d+")
 #: a comma list.  A larger label set is refused with exit 3 before any
 #: label list is built.
 MAX_LABELS = 10_000
+
+#: The largest --order that series, solve and verify take.  A larger order
+#: is refused with exit 3 before any series is computed.
+MAX_ORDER = 10_000
 
 
 def _load_env(path):
@@ -97,11 +108,23 @@ def _parse_labels(text):
 
 
 def _order(text):
-    """An --order argument: a nonnegative truncation order."""
-    try:
-        order = int(text)
-    except ValueError:
-        order = None
+    """An --order argument: a nonnegative truncation order of at most
+    MAX_ORDER.  A larger order raises BudgetExceeded, naming the bound; an
+    order written as plain digits has its digits counted before int()
+    reads them, so an order of any length is refused at once."""
+    shown = text.strip()
+    if (_SIZE_RE.fullmatch(shown)
+            and len(shown.lstrip("0")) > len(str(MAX_ORDER))):
+        order = MAX_ORDER + 1  # too many digits to read
+    else:
+        try:
+            order = int(text)
+        except ValueError:
+            order = None
+    if order is not None and order > MAX_ORDER:
+        raise BudgetExceeded(
+            f"order {shown} exceeds the limit of {MAX_ORDER}"
+        )
     if order is not None and order >= 0:
         return order
     import argparse
@@ -185,16 +208,23 @@ def _cmd_enumerate(args):
     enumerator module), so one listing() scope keeps the collector paused
     from the walk through the last line written: otherwise the first
     collection after the walk would traverse every listed term.  The scope
-    restores it however the call ends, a closed pipe included."""
+    restores it however the call ends, a closed pipe included.
+
+    For --json the walk gives the ids of the subterms held in two or more
+    places, and is then dropped, memos and all, before the first byte is
+    written: the listing keeps every term it reaches alive."""
     env = _load_env(args.defs)
     expr = parse_expr(args.expr)
     labels = _parse_labels(args.labels)
+    walk = _Walk(env=env)
     with listing():
         structures = enumerate_structures(
-            expr, env, labels, budget=args.budget
+            expr, env, labels, budget=args.budget, walk=walk
         )
         if args.json:
-            _write_json_listing(structures)
+            shared = walk.shared()
+            walk = None
+            _write_json_listing(structures, shared)
         else:
             for s in structures:
                 print(s.render())
@@ -202,29 +232,29 @@ def _cmd_enumerate(args):
     return 0
 
 
-def _write_json_listing(structures):
+def _write_json_listing(structures, shared=frozenset()):
     """Write json.dumps([s.to_json() for s in structures]) + "\n", one
     structure at a time.
 
-    A subterm's text is kept from the second time it is asked for: a
-    subterm shared by many results is serialised at most twice, and the
-    wrappers that belong to a single result are never kept.  The memo maps
-    a term's id to "" once it has been asked for, then to its text; the
-    listing keeps every term alive, so ids stay unique.  text refers to
-    itself through its closure, so the writer drops that reference when it
-    ends: text and the memo are then freed at once, not left as a cycle
-    for the cyclic collector to find.
+    shared holds the ids of the subterms to keep the text of, from their
+    first ask on: those held in two or more places (_Walk.shared()).  Then
+    every subterm is serialised exactly once, and the writer stores
+    nothing for any other subterm.  Without shared it keeps nothing, and
+    writes the same bytes.  The listing keeps every term alive, so ids stay
+    unique.  text refers to itself through its closure, so the writer
+    drops that reference when it ends: text and the memo are then freed at
+    once, not left as a cycle for the cyclic collector to find.
     """
     kept = {}
 
     def text(term):
         key = id(term)
+        if key not in shared:
+            return term._text(text)
         found = kept.get(key)
-        if found:
-            return found
-        out = term._text(text)
-        kept[key] = "" if found is None else out
-        return out
+        if found is None:
+            found = kept[key] = term._text(text)
+        return found
 
     write = sys.stdout.write
     try:
@@ -397,10 +427,13 @@ def _read(argv):
         value = argv[i + 1]
         if convert is not None:
             # argparse reports a ValueError or ArgumentTypeError of the
-            # conversion as a usage error.  Declining on any exception lets
-            # argparse run the same conversion and report or raise it.
+            # conversion as a usage error.  Declining on any other exception
+            # lets argparse run the same conversion and report or raise it;
+            # a refused bound is raised at once, as argparse would raise it.
             try:
                 value = convert(value)
+            except BudgetExceeded:
+                raise
             except Exception:
                 return None
         if action == "append":
@@ -464,16 +497,19 @@ def main(argv=None):
 def _main(argv):
     if argv is None:
         argv = sys.argv[1:]
-    args = _read(argv)
-    if args is None:
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        try:
-            args = _build_parser(command).parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on usage errors; fold that into the
-            # parse-failure code so 2 stays reserved for count integrality.
-            return 0 if exc.code == 0 else 1
     try:
+        # Reading the line converts --order, which refuses an order past
+        # its bound with BudgetExceeded, exit 3 like any other bound.
+        args = _read(argv)
+        if args is None:
+            command = argv[0] if argv and argv[0] in _COMMANDS else None
+            try:
+                args = _build_parser(command).parse_args(argv)
+            except SystemExit as exc:
+                # argparse exits 2 on usage errors; fold that into the
+                # parse-failure code so 2 stays reserved for count
+                # integrality.
+                return 0 if exc.code == 0 else 1
         code = args.func(args)
         sys.stdout.flush()
         return code

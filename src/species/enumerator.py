@@ -45,6 +45,18 @@ that shares a walk holds one listing() scope around all of its calls
 (see below) and drops the walk when it is done, so no cache outlives it;
 the identity suite makes one walk per case.
 
+A walk also counts, for each memo list, the places in parent terms that
+hold its terms.  Every parent build holds each term of a child list the
+same number of times: a named, sum or derivative term holds its child
+once, a pointed term once per point, a product's left factors once per
+right factor of their split and its right factors once per left factor,
+and a substitution's outer terms once per assignment on their blocks and
+each inner term once per assignment holding it times the outers on those
+blocks.  A restriction returns its child's list and adds nothing.  So one
+count per list is exact, and walk.shared() gives the ids of the terms held
+in two or more places, the only ones a writer that writes each subterm
+once needs to keep the text of (`enumerate --json`).
+
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
 cycles re-rotate, partitions re-sort), transport is a uniform relabeling
@@ -67,6 +79,7 @@ them began.
 import gc
 import random
 from itertools import combinations, permutations, product as iproduct, repeat
+from math import prod
 from operator import add, ne
 
 from .errors import (
@@ -234,7 +247,10 @@ class _Walk(set):
 
     memo maps (id(node), labels) to a finished list, so that each
     subexpression is enumerated once per label set and its terms are shared
-    by every term built on them.  Node ids are stable because the
+    by every term built on them.  holders maps the id of a memo list to
+    the number of places in the walk's parent terms that hold each of its
+    terms (see the module docstring); a product of a term with itself holds
+    it in two places.  Node ids are stable because the
     expression and env outlive the walk; term ids are stable because the
     memo keeps every term alive.  env is the env the walk was made with
     (None for none), the only one its calls may use.  The memos ride on
@@ -244,14 +260,33 @@ class _Walk(set):
     RecursionGuard no guard, so the walk stays usable.
     """
 
-    __slots__ = ("memo", "keys", "series_counts", "env")
+    __slots__ = ("memo", "keys", "series_counts", "holders", "env")
 
     def __init__(self, guards=(), env=None):
         super().__init__(guards)
         self.memo = {}
         self.keys = {}
         self.series_counts = {}
+        self.holders = {}
         self.env = env
+
+    def hold(self, terms, times):
+        """Count times more places that hold each term of terms, a memo
+        list, in a parent list just built."""
+        key = id(terms)
+        holders = self.holders
+        holders[key] = holders.get(key, 0) + times
+
+    def shared(self):
+        """The ids of the terms held in two or more places in the walk's
+        terms: every term of each memo list held that often.  Over a walk
+        shared by several calls, it counts the parents of all of them."""
+        holders = self.holders
+        found = set()
+        for terms in self.memo.values():
+            if holders.get(id(terms), 0) > 1:
+                found.update(map(id, terms))
+        return found
 
     def key(self, term):
         """term's _sort_parts tuple, built once per walk: comparing keys
@@ -325,7 +360,8 @@ def _build(expr, env, labels, active):
     derivative term, like a restriction, keeps its child's order; a sum
     term orders by its inner term, then left before right; a product term
     by its left factor, then its right; a pointed term by its point, then
-    its inner term.
+    its inner term.  Each branch counts the holders of every child list it
+    reads (_Walk.hold).
     """
     if isinstance(expr, Primitive):
         return _primitive_structures(expr, labels)
@@ -336,10 +372,13 @@ def _build(expr, env, labels, active):
             inner = _structures(env[expr.ident], env, labels, active)
         finally:
             active.discard(guard)
+        active.hold(inner, 1)
         return named_terms(expr.ident, inner)
     if isinstance(expr, Sum):
         left = _structures(expr.left, env, labels, active)
         right = _structures(expr.right, env, labels, active)
+        active.hold(left, 1)
+        active.hold(right, 1)
         out = sum_terms("left", left) + sum_terms("right", right)
         if left and right:
             # A stable sort of two sorted runs is their merge, with the
@@ -360,9 +399,10 @@ def _build(expr, env, labels, active):
                 lefts = _structures(expr.left, env, chosen, active)
                 taken = set(chosen)
                 rest = tuple(x for x in labels if x not in taken)
-                split = ProductSplit(
-                    chosen, rest, _structures(expr.right, env, rest, active)
-                )
+                rights = _structures(expr.right, env, rest, active)
+                active.hold(lefts, len(rights))
+                active.hold(rights, len(lefts))
+                split = ProductSplit(chosen, rest, rights)
                 rows.extend((l, split) for l in lefts)
                 splits += 1
         if splits > 1:
@@ -385,12 +425,14 @@ def _build(expr, env, labels, active):
             star += labels[-1]
         extended = labels + (star,)
         inner = _structures(expr.inner, env, extended, active)
+        active.hold(inner, 1)
         if len(extended) < _CHECK_ONCE_FROM:
             return list(map(DerivTerm, inner))
         return MapSources(extended).derivatives(star, inner)
     if isinstance(expr, Pointing):
         inner = _structures(expr.inner, env, labels, active)
         points = sorted(labels, key=label_code)
+        active.hold(inner, len(points))
         if len(labels) < _CHECK_ONCE_FROM:
             return [PointTerm(at, s) for at in points for s in inner]
         return MapSources(labels).pointed(points, inner)
@@ -412,6 +454,11 @@ def _compositions(expr, env, labels, active):
     blocks it has structures; other partitions are not listed.  Each
     assignment is checked once, when _assignments builds it, and each term
     checks only that its outer lives on the assignment's blocks.
+
+    Holders are counted once per block set, not per term: the assignments
+    on a block set are every choice of one inner term per block, so there
+    are as many as the product of the inner lists' lengths, and each inner
+    term is in that product divided by its list's length of them.
     """
     n = len(labels)
     outer_counts = active.counts(expr.outer, env, n)
@@ -426,6 +473,13 @@ def _compositions(expr, env, labels, active):
                 expr.outer, env, tuple(b for b, _ in assign.pairs), active
             )
         out += [CompTerm(outer, assign) for outer in outers]
+    memo, inner = active.memo, id(expr.inner)
+    for blocks, outers in outers_on.items():
+        inners = [memo[inner, block.members] for block in blocks]
+        count = prod(map(len, inners))
+        active.hold(outers, count)
+        for terms in inners:
+            active.hold(terms, count // len(terms) * len(outers))
     return out
 
 

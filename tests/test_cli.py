@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import species
 from species import cli, semantics
 from species.cli import main
+from species.errors import BudgetExceeded
 from species.expr import RESERVED, PrimitiveKind, print_expr
 from species.parser import MAX_NESTING
 from species.series import CountSeries
@@ -989,3 +990,69 @@ class TestLabelSetBound:
         assert (code, err) == (0, "")
         sys.set_int_max_str_digits(0)
         assert out == f"{factorial(2000)}\n"
+
+
+class TestOrderBound:
+    """An --order above cli.MAX_ORDER is refused with exit 3, naming the
+    bound, before any series is computed."""
+
+    @staticmethod
+    def _run_apart(*argv):
+        src = Path(species.__file__).resolve().parent.parent
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from species.cli import main; sys.exit(main(sys.argv[2:]))"
+        )
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", probe, str(src), *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        return done, time.perf_counter() - started
+
+    @pytest.mark.parametrize("order", ["100000", "99999999999999999999"])
+    def test_a_large_order_exits_3_within_a_second(self, order):
+        done, seconds = self._run_apart("series", "E", "--order", order)
+        assert seconds < 1.0
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: order {order} exceeds the limit of {cli.MAX_ORDER}\n"
+        )
+        assert "Traceback" not in done.stderr
+
+    def test_series_l_at_order_3000_still_prints(self, int_digits):
+        done, _ = self._run_apart("series", "L", "--order", "3000")
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert len(lines) == 3001
+        sys.set_int_max_str_digits(0)
+        assert lines[-1] == f"3000 {factorial(3000)} 1"
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "X", "--order", "10001"],
+        ["series", "X", "--order=10001"],
+        ["series", "X", "--order", "1" + "0" * 100_000],
+        ["solve", "A", "--order", "10001"],
+        ["verify", "--order", "10001"],
+        ["verify", "--case", "counts-X", "--order", "00010001"],
+    ], ids=["series", "series-argparse", "100001-digits", "solve", "verify",
+            "verify-zeros"])
+    def test_every_order_option_is_bounded(self, capsys, defs_file,
+                                           monkeypatch, argv):
+        def computed(*args, **kwargs):
+            raise AssertionError("a series was computed")
+
+        monkeypatch.setattr(cli, "egf_of", computed)
+        monkeypatch.setattr(cli, "run_suite", computed)
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--defs", defs_file)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: order ")
+        assert err.endswith(f" exceeds the limit of {cli.MAX_ORDER}\n")
+
+    def test_the_bound_itself_is_taken(self):
+        assert cli._order(str(cli.MAX_ORDER)) == cli.MAX_ORDER
+        assert cli._order(" 000" + str(cli.MAX_ORDER)) == cli.MAX_ORDER
+        with pytest.raises(BudgetExceeded, match="limit of 10000"):
+            cli._order(str(cli.MAX_ORDER + 1))

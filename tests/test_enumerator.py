@@ -6,6 +6,8 @@ import hashlib
 import io
 import itertools
 import json
+import sys
+import tracemalloc
 from collections import Counter
 from math import comb, factorial
 
@@ -668,6 +670,23 @@ def _dumped(structures):
     return json.dumps([s.to_json() for s in structures]) + "\n"
 
 
+class _Digest:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+
+    def write(self, text):
+        self._sha.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def hexdigest(self):
+        return self._sha.hexdigest()
+
+
 # `enumerate B LABELS --defs <_DIGEST_DEFS> --json` stdout, pinned from the
 # json.dumps listing.
 _B5_DIGESTS = {
@@ -710,9 +729,7 @@ class TestJsonListing:
         assert _cli_stdout(["enumerate", "0", "2", "--json"]) == (0, "[]\n")
 
     @pytest.mark.parametrize("kind", sorted(_B5_DIGESTS))
-    def test_each_subterm_is_written_at_most_twice(
-        self, kind, tmp_path, monkeypatch
-    ):
+    def test_each_subterm_is_written_once(self, kind, tmp_path, monkeypatch):
         built = Counter()
         for cls in (Structure, SumTerm, ProdTerm, CompTerm, DerivTerm,
                     PointTerm, NamedTerm):
@@ -738,11 +755,72 @@ class TestJsonListing:
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == _B5_DIGESTS[kind]
-        # Every listed tree is written, and shared subtrees are written
-        # twice before their text is reused.
+        # Every listed tree is written, and each subtree exactly once: the
+        # text of one held in two or more places is kept from its first
+        # write.
         assert sum(built.values()) > factorial(5) * comb(10, 5) // 6
-        assert max(built.values()) == 2
+        assert max(built.values()) == 1
         assert trees == []
+
+    def test_the_writer_keeps_only_shared_texts(self):
+        """With the walk's shared ids the writer's memory is the kept texts
+        of the shared subterms; without them it keeps nothing.  A memo
+        entry per unshared subterm (24 000 of them here) would add more
+        than a megabyte."""
+        env = parse_defs(_DIGEST_DEFS)
+        walk = enumerator._Walk(env=env)
+        with enumerator.listing():
+            got = enumerate_structures(parse_expr("B"), env, range(1, 6),
+                                       walk=walk)
+            shared = walk.shared()
+            terms = {id(t): t for found in walk.memo.values() for t in found}
+            walk = None
+            assert len(terms) - len(shared) > 24_000
+
+            def full(term):
+                return term._text(full)
+
+            texts = sum(sys.getsizeof(full(terms[key])) for key in shared)
+            memo = sys.getsizeof(dict.fromkeys(shared))
+            terms = None
+            want = hashlib.sha256(_dumped(got).encode("utf-8")).hexdigest()
+            for given, bound in ((frozenset(), 64_000),
+                                 (shared, texts + memo + 256_000)):
+                sink = _Digest()
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(sink):
+                        cli._write_json_listing(got, given)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert sink.hexdigest() == want
+                assert peak < bound
+
+    @pytest.mark.parametrize("text, n, bound_mb", [
+        ("B", 5, 8.0), ("pt(A)", 5, 2.5),
+    ])
+    def test_peak_memory_of_one_json_listing(self, text, n, bound_mb,
+                                             tmp_path):
+        """The traced peak of one `enumerate --json` call, walk and writer,
+        to a stdout that keeps no copy of what is written."""
+        defs = tmp_path / "defs.species"
+        defs.write_text(_DIGEST_DEFS, encoding="utf-8")
+        sink = _Digest()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = cli.main(["enumerate", text, str(n), "--defs",
+                                 str(defs), "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        got = enumerate_structures(parse_expr(text), parse_defs(_DIGEST_DEFS),
+                                   range(1, n + 1))
+        assert sink.hexdigest() == hashlib.sha256(
+            _dumped(got).encode("utf-8")).hexdigest()
+        assert peak < bound_mb * 1e6
 
 
     def test_the_writer_leaves_no_reference_cycle(self):
@@ -1444,3 +1522,59 @@ class TestSharedWalk:
                                        walk=walk)
             assert len(got) == real(expr, _SHARED_ENV, order=n).count(n)
         assert counted == []
+
+
+# -- holder counts -----------------------------------------------------------
+
+# The enumerate workload's templates; listings that substitute into, point
+# at and differentiate recursive species; and a product whose right factors
+# are each held by several left factors.  On int and str labels.
+_HOLDER_CASES = [
+    ("B", 5), ("A", 6), ("pt(A)", 5), ("E(C)", 7), ("Part", 8), ("C'", 7),
+    ("S", 7), ("Gra", 5), ("Inv", 8), ("S(A)", 5), ("Lp(A)", 4),
+    ("pt(pt(A))", 4), ("B''", 3), ("L*C", 5),
+]
+_HOLDER_LABELS = {
+    "int": [8, 9, 10, 11, 12, 13, 14, 15],
+    "str": ["q", "ab", "b", "zz", "c", "a'", "d", "é"],
+}
+
+
+def _children(term):
+    """Every place in term that holds a child term, one per place."""
+    for _, attr, fk in term.fields:
+        value = getattr(term, attr)
+        if fk is structures._CHILD or fk is structures._ON_BLOCKS:
+            yield value
+        elif fk is structures._ASSIGN:
+            for _, inner in value:
+                yield inner
+
+
+class TestHolders:
+    @pytest.mark.parametrize("kind", sorted(_HOLDER_LABELS))
+    @pytest.mark.parametrize("text, n", _HOLDER_CASES,
+                             ids=[f"{t}-{n}" for t, n in _HOLDER_CASES])
+    def test_shared_ids_equal_a_brute_force_count(self, text, n, kind):
+        """walk.shared() is every term held in two or more places by the
+        terms of the walk's memo lists, counted term by term."""
+        env = parse_defs(_DIGEST_DEFS)
+        walk = enumerator._Walk(env=env)
+        with enumerator.listing():
+            got = enumerate_structures(parse_expr(text), env,
+                                       _HOLDER_LABELS[kind][:n], walk=walk)
+            held = Counter()
+            lists = {id(found): found for found in walk.memo.values()}
+            for found in lists.values():
+                for term in found:
+                    held.update(map(id, _children(term)))
+            assert got
+            assert walk.shared() == {k for k, c in held.items() if c > 1}
+
+    def test_a_product_of_a_term_with_itself_holds_it_twice(self):
+        walk = enumerator._Walk()
+        expr = parse_expr("E*E")
+        with enumerator.listing():
+            (term,) = enumerate_structures(expr, None, [], walk=walk)
+            assert term.left is term.right
+            assert walk.shared() == {id(term.left)}
