@@ -15,16 +15,22 @@ from 0 up; but every order is listed, so a refusal at a larger order
 walk is dropped when the case's enumerative check returns, so no listing
 outlives it.
 
+The catalogue is one table of makers (_CASES), and a call builds only the
+cases it names, afresh: their expressions are parsed then, and the shared
+definitions of the recursive cases (_SUITE_DEFS) only when a named case
+reads them.  A definitions file that rebinds one of those names is refused
+whichever cases are named, checked against the names alone.
+
 Identities are verified by comparing structure counts; the suite never
 attempts to exhibit a natural isomorphism between the two sides, and the
 report header says so.
 """
 
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial
 
 from .enumerator import _Walk, enumerate_structures, listing
+from .errors import DuplicateName, ParseError
 from .expr import Name, PrimitiveKind, Primitive, RestrictCard
 from .parser import parse_defs, parse_expr
 from .semantics import egf_of
@@ -55,6 +61,13 @@ A = X*E(A)          # rooted trees
 B = 1 + X*B^2       # binary trees, counted with labels
 V = pt(A)           # a tree with one distinguished vertex
 """
+
+#: The names _SUITE_DEFS binds, read off its lines without parsing them.
+_SUITE_NAMES = frozenset(
+    line.partition("=")[0].strip()
+    for line in _SUITE_DEFS.splitlines()
+    if line.strip()
+)
 
 
 class VerificationReport:
@@ -327,108 +340,136 @@ def _tree_quotient(n, count):
     return None
 
 
-def _suite_env(extra_env):
-    """The shared definitions merged with extra_env; a name defined in
-    both raises DuplicateName."""
-    env = parse_defs(_SUITE_DEFS)
-    if extra_env is not None:
-        env = env.merged(extra_env)
-    return env
+def _reads_shared(make):
+    """Whether the case a _CASES maker builds reads the shared definitions:
+    such a maker takes their env as its second argument."""
+    return make.__code__.co_argcount == 2
 
 
-def _makers(env):
-    """One maker per suite case, in catalogue order: a partial of the case
-    class whose first argument is the case's name.  Nothing is parsed
-    until a maker is called."""
-    end_positive = RestrictCard(
-        Primitive(PrimitiveKind.ENDOFUNCTION), ">=", 1
-    )
+#: The suite, in catalogue order: each case's name and the maker that
+#: builds the case from that name.  A maker of two arguments builds a case
+#: that reads the shared definitions and is given their env, merged with
+#: any extra definitions, as the second.  Every call of a maker parses and
+#: builds its case afresh.
+_CASES = (
+    # Count tables for every catalogued species.
+    ("counts-O", lambda name: TableCase(name, "0", [0, 0, 0, 0, 0, 0])),
+    ("counts-1", lambda name: TableCase(name, "1", [1, 0, 0, 0, 0, 0])),
+    ("counts-X", lambda name: TableCase(name, "X", [0, 1, 0, 0, 0, 0])),
+    ("counts-E", lambda name: TableCase(name, "E", [1] * 13)),
+    ("counts-Ep", lambda name: TableCase(name, "Ep", [0] + [1] * 12)),
+    ("counts-Ek2", lambda name: TableCase(name, "Ek[2]", [0, 0, 1, 0, 0, 0])),
+    ("counts-L", lambda name: TableCase(
+        name, "L", [factorial(n) for n in range(13)])),
+    ("counts-Lp", lambda name: TableCase(
+        name, "Lp", [0] + [factorial(n) for n in range(1, 13)])),
+    ("counts-C", lambda name: TableCase(name, "C", [0, 1, 1, 2, 6, 24])),
+    ("counts-S", lambda name: TableCase(
+        name, "S", [factorial(n) for n in range(13)])),
+    ("counts-P", lambda name: TableCase(
+        name, "P", [1, 2, 4, 8, 16], enum_max=4)),
+    ("counts-Pk2", lambda name: TableCase(
+        name, "Pk[2]", [0, 0, 1, 3, 6, 10])),
+    ("counts-Gra", lambda name: TableCase(
+        name, "Gra", [1, 1, 2, 8, 64, 1024])),
+    ("counts-Gro", lambda name: TableCase(
+        name, "Gro", [1, 2, 16, 512, 65536, 33554432], enum_max=4)),
+    ("counts-Inv", lambda name: TableCase(name, "Inv", [1, 1, 2, 4, 10, 26])),
+    ("counts-Der", lambda name: TableCase(name, "Der", [1, 0, 1, 2, 9, 44])),
+    ("counts-End", lambda name: TableCase(
+        name, "End", [1, 1, 4, 27, 256, 3125])),
+    ("counts-Part", lambda name: TableCase(
+        name, "Part", [1, 1, 2, 5, 15, 52, 203, 877, 4140])),
+    # Structural identities.
+    ("S=E*Der", lambda name: IdentityCase(name, "S", "E*Der")),
+    ("S=E(C)", lambda name: IdentityCase(name, "S", "E(C)")),
+    ("Part=E(Ep)", lambda name: IdentityCase(name, "Part", "E(Ep)")),
+    ("C'=L", lambda name: IdentityCase(name, "C'", "L")),
+    ("Inv=E(X+Ek[2])", lambda name: IdentityCase(name, "Inv", "E(X + Ek[2])")),
+    ("P=E*E", lambda name: IdentityCase(name, "P", "E*E", enum_max=4)),
+    # Recursive species and the laws of their counts.
+    ("B=1+X*B^2", lambda name, env: TableCase(
+        name,
+        Name("B"),
+        [factorial(n) * comb(2 * n, n) // (n + 1) for n in range(13)],
+        env=env,
+    )),
+    ("A=X*E(A)", lambda name, env: TableCase(
+        name,
+        Name("A"),
+        [0] + [n ** (n - 1) for n in range(1, 13)],
+        env=env,
+    )),
+    ("pt(A)=n^n", lambda name, env: TableCase(
+        name, "pt(A)", [0] + [n**n for n in range(1, 13)], env=env)),
+    ("End=S(A)", lambda name, env: IdentityCase(
+        name, "End", "S(A)", env=env, series_order=10)),
+    ("pt(A)=Lp(A)", lambda name, env: IdentityCase(
+        name, "pt(A)", "Lp(A)", env=env, series_order=10)),
+    ("End+=pt(A)", lambda name, env: IdentityCase(
+        name,
+        RestrictCard(Primitive(PrimitiveKind.ENDOFUNCTION), ">=", 1),
+        "pt(A)",
+        env=env,
+        series_order=10,
+    )),
+    ("trees=n^(n-2)", lambda name, env: FormulaCase(
+        name, Name("A"), _tree_quotient, 1, 10, env=env)),
+    # Count laws.
+    ("Der-alternating-sum", lambda name: FormulaCase(
+        name,
+        "Der",
+        lambda n, c: None if c == _alternating_count(n) else
+        (c, _alternating_count(n)),
+        0,
+        12,
+    )),
+    ("substitution-x4", lambda name: SubstitutionCase(name)),
+)
 
-    return [
-        # Count tables for every catalogued species.
-        partial(TableCase, "counts-O", "0", [0, 0, 0, 0, 0, 0]),
-        partial(TableCase, "counts-1", "1", [1, 0, 0, 0, 0, 0]),
-        partial(TableCase, "counts-X", "X", [0, 1, 0, 0, 0, 0]),
-        partial(TableCase, "counts-E", "E", [1] * 13),
-        partial(TableCase, "counts-Ep", "Ep", [0] + [1] * 12),
-        partial(TableCase, "counts-Ek2", "Ek[2]", [0, 0, 1, 0, 0, 0]),
-        partial(TableCase, "counts-L", "L", [factorial(n) for n in range(13)]),
-        partial(TableCase, "counts-Lp", "Lp",
-                [0] + [factorial(n) for n in range(1, 13)]),
-        partial(TableCase, "counts-C", "C", [0, 1, 1, 2, 6, 24]),
-        partial(TableCase, "counts-S", "S", [factorial(n) for n in range(13)]),
-        partial(TableCase, "counts-P", "P", [1, 2, 4, 8, 16], enum_max=4),
-        partial(TableCase, "counts-Pk2", "Pk[2]", [0, 0, 1, 3, 6, 10]),
-        partial(TableCase, "counts-Gra", "Gra", [1, 1, 2, 8, 64, 1024]),
-        partial(TableCase, "counts-Gro", "Gro",
-                [1, 2, 16, 512, 65536, 33554432], enum_max=4),
-        partial(TableCase, "counts-Inv", "Inv", [1, 1, 2, 4, 10, 26]),
-        partial(TableCase, "counts-Der", "Der", [1, 0, 1, 2, 9, 44]),
-        partial(TableCase, "counts-End", "End", [1, 1, 4, 27, 256, 3125]),
-        partial(TableCase, "counts-Part", "Part",
-                [1, 1, 2, 5, 15, 52, 203, 877, 4140]),
-        # Structural identities.
-        partial(IdentityCase, "S=E*Der", "S", "E*Der"),
-        partial(IdentityCase, "S=E(C)", "S", "E(C)"),
-        partial(IdentityCase, "Part=E(Ep)", "Part", "E(Ep)"),
-        partial(IdentityCase, "C'=L", "C'", "L"),
-        partial(IdentityCase, "Inv=E(X+Ek[2])", "Inv", "E(X + Ek[2])"),
-        partial(IdentityCase, "P=E*E", "P", "E*E", enum_max=4),
-        # Recursive species and the laws of their counts.
-        partial(
-            TableCase,
-            "B=1+X*B^2",
-            Name("B"),
-            [factorial(n) * comb(2 * n, n) // (n + 1) for n in range(13)],
-            env=env,
-        ),
-        partial(
-            TableCase,
-            "A=X*E(A)",
-            Name("A"),
-            [0] + [n ** (n - 1) for n in range(1, 13)],
-            env=env,
-        ),
-        partial(
-            TableCase,
-            "pt(A)=n^n",
-            "pt(A)",
-            [0] + [n**n for n in range(1, 13)],
-            env=env,
-        ),
-        partial(IdentityCase, "End=S(A)", "End", "S(A)", env=env,
-                series_order=10),
-        partial(IdentityCase, "pt(A)=Lp(A)", "pt(A)", "Lp(A)", env=env,
-                series_order=10),
-        partial(IdentityCase, "End+=pt(A)", end_positive, "pt(A)", env=env,
-                series_order=10),
-        partial(FormulaCase, "trees=n^(n-2)", Name("A"), _tree_quotient, 1,
-                10, env=env),
-        # Count laws.
-        partial(
-            FormulaCase,
-            "Der-alternating-sum",
-            "Der",
-            lambda n, c: None if c == _alternating_count(n) else
-            (c, _alternating_count(n)),
-            0,
-            12,
-        ),
-        partial(SubstitutionCase, "substitution-x4"),
-    ]
+
+def _cases(names, extra_env):
+    """The cases named (every case when names is None), built afresh in
+    catalogue order.
+
+    Before anything is built, a name that extra_env shares with the shared
+    definitions raises DuplicateName, as merging the two would, checked
+    against _SUITE_NAMES without parsing; then a name no case has raises
+    ParseError.  The shared definitions are parsed, and merged with
+    extra_env, once and only if a named case reads them."""
+    for name in extra_env or ():
+        if name in _SUITE_NAMES:
+            raise DuplicateName(f"'{name}' is defined twice")
+    rows = _CASES
+    if names is not None:
+        rows = [row for row in _CASES if row[0] in names]
+        missing = set(names).difference(name for name, _ in rows)
+        if missing:
+            raise ParseError("no such case: " + ", ".join(sorted(missing)))
+    env = None
+    cases = []
+    for name, make in rows:
+        if not _reads_shared(make):
+            cases.append(make(name))
+            continue
+        if env is None:
+            env = parse_defs(_SUITE_DEFS)
+            if extra_env is not None:
+                env = env.merged(extra_env)
+        cases.append(make(name, env))
+    return cases
 
 
 def catalog(extra_env=None):
     """Build the full list of suite cases (fresh on every call)."""
-    return [make() for make in _makers(_suite_env(extra_env))]
+    return _cases(None, extra_env)
 
 
 def run_suite(order=None, names=None, extra_env=None):
-    """Run the catalogue; returns one VerificationReport per selected case.
-    Only the selected cases are built, so only their expressions are
-    parsed; the shared definitions and extra_env are still parsed and
-    merged, with the same refusals."""
-    makers = _makers(_suite_env(extra_env))
-    if names is not None:
-        makers = [make for make in makers if make.args[0] in names]
-    return [make().run(order=order) for make in makers]
+    """Run the catalogue; returns one VerificationReport per selected case,
+    in catalogue order.  With names, only the named cases are built, so
+    only their expressions are parsed, and the shared definitions only if
+    one of them reads them.  A clash between extra_env and the shared
+    definitions (DuplicateName), and then an unknown name (ParseError),
+    are refused before any case is built."""
+    return [case.run(order=order) for case in _cases(names, extra_env)]

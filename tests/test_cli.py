@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import species
-from species import cli, semantics
+from species import cli, identities, semantics
 from species.cli import main
 from species.errors import BudgetExceeded
 from species.expr import RESERVED, PrimitiveKind, print_expr
@@ -281,6 +281,25 @@ class TestVerify:
         assert "FAIL  counts-Der" in out
         assert "n=4" in out
         assert out.splitlines()[-1] == "0 passed, 1 failed"
+
+    def test_an_unknown_case_is_refused_before_any_case_runs(
+        self, capsys, monkeypatch
+    ):
+        def ran(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(identities._Case, "run", ran)
+        code, out, err = run(capsys, "verify", "--case", "counts-Gro",
+                             "--case", "nope")
+        assert (code, out, err) == (1, "", "error: no such case: nope\n")
+
+    def test_a_clash_is_reported_before_an_unknown_case(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "clash.species"
+        path.write_text("V = X\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--case", "counts-X",
+                             "--case", "nope", "--defs", str(path))
+        assert (code, out, err) == (1, "", "error: 'V' is defined twice\n")
 
 
 class TestExitCodes:

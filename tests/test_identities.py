@@ -10,12 +10,18 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from species import enumerator, identities, semantics
 from species.enumerator import enumerate_structures
-from species.errors import DuplicateName
+from species.errors import DuplicateName, ParseError
 from species.expr import PrimitiveKind
 from species.identities import (
+    _CASES,
+    _SUITE_DEFS,
+    _SUITE_NAMES,
+    FormulaCase,
     IdentityCase,
     SUITE_NOTE,
+    SubstitutionCase,
     TableCase,
+    _reads_shared,
     catalog,
     run_suite,
     verify_enumerative,
@@ -144,6 +150,110 @@ def test_naming_a_case_parses_only_that_case(monkeypatch):
     [report] = run_suite(names={"counts-X"})
     assert report.passed
     assert len(parsed) < 10, parsed
+
+
+def _counting_builds(monkeypatch):
+    """Record each parse_defs text and each case built through identities."""
+    parsed, built = [], []
+    real_parse_defs = identities.parse_defs
+
+    def counted_parse_defs(text):
+        parsed.append(text)
+        return real_parse_defs(text)
+
+    def counted(cls):
+        def __init__(self, name, *args, **kwargs):
+            built.append(name)
+            cls.__init__(self, name, *args, **kwargs)
+        return type(cls.__name__, (cls,), {"__init__": __init__})
+
+    monkeypatch.setattr(identities, "parse_defs", counted_parse_defs)
+    for cls in (TableCase, IdentityCase, FormulaCase, SubstitutionCase):
+        monkeypatch.setattr(identities, cls.__name__, counted(cls))
+    return parsed, built
+
+
+_RECURSIVE = ["B=1+X*B^2", "A=X*E(A)", "pt(A)=n^n", "End=S(A)",
+              "pt(A)=Lp(A)", "End+=pt(A)", "trees=n^(n-2)"]
+
+
+def test_exactly_the_cases_with_an_env_read_the_shared_definitions():
+    cases = catalog()
+    assert [case.name for case in cases] == [name for name, _ in _CASES]
+    assert [case.name for case in cases if case.env is not None] == _RECURSIVE
+    assert [name for name, make in _CASES if _reads_shared(make)] == _RECURSIVE
+
+
+def test_the_suite_names_are_those_its_definitions_bind():
+    assert _SUITE_NAMES == set(parse_defs(_SUITE_DEFS))
+
+
+def test_no_two_catalogues_share_a_case_an_env_or_a_table():
+    first, second = catalog(), catalog()
+    for a, b in zip(first, second):
+        assert a is not b
+        assert a.env is None or a.env is not b.env
+        if isinstance(a, TableCase):
+            assert a.expected is not b.expected
+
+
+@pytest.mark.parametrize("name", ["counts-X", "C'=L", "Der-alternating-sum",
+                                  "substitution-x4"])
+def test_a_case_reading_no_definitions_parses_none(monkeypatch, name):
+    parsed, built = _counting_builds(monkeypatch)
+    [report] = run_suite(order=2, names={name})
+    assert report.passed
+    assert (parsed, built) == ([], [name])
+
+
+@pytest.mark.parametrize("name", _RECURSIVE)
+def test_a_recursive_case_parses_the_shared_definitions_once(monkeypatch,
+                                                             name):
+    parsed, built = _counting_builds(monkeypatch)
+    [report] = run_suite(order=2, names={name})
+    assert report.passed
+    assert (parsed, built) == ([_SUITE_DEFS], [name])
+
+
+def test_the_catalogue_parses_the_shared_definitions_once(monkeypatch):
+    parsed, built = _counting_builds(monkeypatch)
+    catalog()
+    assert parsed == [_SUITE_DEFS]
+    assert built == [name for name, _ in _CASES]
+
+
+def test_unknown_names_reach_no_case(monkeypatch):
+    parsed, built = _counting_builds(monkeypatch)
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(identities._Case, "run", ran)
+    with pytest.raises(ParseError) as info:
+        run_suite(names={"counts-Gro", "A=X*E(A)", "nope", "also-nope"})
+    assert str(info.value) == "no such case: also-nope, nope"
+    assert (parsed, built) == ([], [])
+
+
+@pytest.mark.parametrize("names", [{"counts-X"}, {"A=X*E(A)"}, None],
+                         ids=["non-recursive", "recursive", "full-suite"])
+@pytest.mark.parametrize("clash", ["A", "B", "V"])
+def test_a_clash_is_refused_with_the_merge_message(monkeypatch, clash,
+                                                    names):
+    extra = parse_defs(f"Fresh = X\n{clash} = X\n")
+    with pytest.raises(DuplicateName) as merged:
+        parse_defs(_SUITE_DEFS).merged(extra)
+    parsed, built = _counting_builds(monkeypatch)
+    with pytest.raises(DuplicateName) as refused:
+        run_suite(names=names, extra_env=extra)
+    assert str(refused.value) == str(merged.value)
+    assert str(refused.value) == f"'{clash}' is defined twice"
+    assert (parsed, built) == ([], [])
+
+
+def test_a_clash_is_refused_before_an_unknown_name():
+    with pytest.raises(DuplicateName, match="'B' is defined twice"):
+        run_suite(names={"counts-X", "nope"}, extra_env=parse_defs("B = X"))
 
 
 # -- one walk per case ---------------------------------------------------------
