@@ -18,20 +18,19 @@ GraphTerm.listed and DigraphTerm.listed check once: every sublist their
 walk takes keeps its items distinct and in order.  The (block, inner)
 pairs of substitution terms are formed once each, and Assignment.listed
 puts the pairs on one block before each assignment of the labels left,
-checking that block once against each of them; a substitution term then
-checks only that its outer term lives on its assignment's blocks.  A
-ProductSplit checks a split's two label sets, each left factor and each
-right factor once for all the products on that split.  A MapSources
+checking that block once against each of them; _comp_terms then builds
+the substitution terms on every assignment, checking each list of outer
+terms once against its block set.  A ProductSplit checks a split's two
+label sets, each left factor and each right factor once for all the
+products on that split.  A MapSources
 checks a sorted label tuple once for all the terms built on it: maps,
 each checking only that its targets are among the labels; lists and
 cycles, permutations of one order checked once to hold each label once;
 partitions, each block checked once and each partition for holding each
 label once, blocks in order; and the derivative and pointed terms around
 a listed child, the child list checked once to live on the tuple.  Sum
-and named terms check their side or name once per child list.  On fewer
-than _CHECK_ONCE_FROM labels, where checking a tuple once costs more than
-it saves, lists, cycles, partitions, derivatives and pointed terms are
-built by their public constructors instead.
+and named terms check their side or name once per child list.  No listing
+runs a public constructor but SetTerm's, on any number of labels.
 
 A walk is the state of a listing: its guards, and its memos of lists,
 sort keys and series counts.  enumerate_structures makes a fresh one per
@@ -108,18 +107,15 @@ from .structures import (
     Block,
     CompTerm,
     CycleTerm,
-    DerivTerm,
     DigraphTerm,
     GraphTerm,
-    ListTerm,
     MapSources,
     MapTerm,
-    PartitionTerm,
-    PointTerm,
     ProductSplit,
     SetTerm,
     STAR,
     SubsetTerm,
+    _comp_terms,
     check_label,
     clear_label_codes,
     is_star,
@@ -345,13 +341,6 @@ def _structures(expr, env, labels, active):
     return found
 
 
-#: The fewest labels on which a listing builds its lists, cycles,
-#: partitions, derivatives or pointed terms on one MapSources.  On fewer,
-#: checking the label tuple once costs more than it saves, so each term is
-#: built by its public constructor, which checks it in full.
-_CHECK_ONCE_FROM = 4
-
-
 def _build(expr, env, labels, active):
     """The structures of one node on labels, in encode() order, from its
     children's lists.
@@ -426,15 +415,11 @@ def _build(expr, env, labels, active):
         extended = labels + (star,)
         inner = _structures(expr.inner, env, extended, active)
         active.hold(inner, 1)
-        if len(extended) < _CHECK_ONCE_FROM:
-            return list(map(DerivTerm, inner))
         return MapSources(extended).derivatives(star, inner)
     if isinstance(expr, Pointing):
         inner = _structures(expr.inner, env, labels, active)
         points = sorted(labels, key=label_code)
         active.hold(inner, len(points))
-        if len(labels) < _CHECK_ONCE_FROM:
-            return [PointTerm(at, s) for at in points for s in inner]
         return MapSources(labels).pointed(points, inner)
     if isinstance(expr, RestrictCard):
         if not expr.admits(len(labels)):
@@ -452,8 +437,8 @@ def _compositions(expr, env, labels, active):
     then the pairs on the remaining labels (listed once per remaining label
     set), and last by outer term.  The outer's counts say on how many
     blocks it has structures; other partitions are not listed.  Each
-    assignment is checked once, when _assignments builds it, and each term
-    checks only that its outer lives on the assignment's blocks.
+    assignment is checked once, when _assignments builds it, and
+    _comp_terms checks each block set's outers once against it.
 
     Holders are counted once per block set, not per term: the assignments
     on a block set are every choice of one inner term per block, so there
@@ -464,15 +449,14 @@ def _compositions(expr, env, labels, active):
     outer_counts = active.counts(expr.outer, env, n)
     state = (expr, env, active, {}, {}, {}, Assignment())
     wanted = sum(1 << k for k in range(n + 1) if outer_counts[k])
-    out = []
+    assigns = _assignments(state, labels, wanted)
     outers_on = {}
-    for assign in _assignments(state, labels, wanted):
-        outers = outers_on.get(assign.blocks)
-        if outers is None:
-            outers = outers_on[assign.blocks] = _structures(
+    for assign in assigns:
+        if assign.blocks not in outers_on:
+            outers_on[assign.blocks] = _structures(
                 expr.outer, env, tuple(b for b, _ in assign.pairs), active
             )
-        out += [CompTerm(outer, assign) for outer in outers]
+    out = _comp_terms(assigns, outers_on)
     memo, inner = active.memo, id(expr.inner)
     for blocks, outers in outers_on.items():
         inners = [memo[inner, block.members] for block in blocks]
@@ -572,8 +556,7 @@ def _primitive_structures(expr, labels):
     Lists, cycles and maps hold their labels in fixed places (maps by
     source), so they are generated from the labels in encoded order.  All
     maps, lists, cycles or partitions on labels are built on one
-    MapSources, which checks the label tuple once (lists, cycles and
-    partitions only on _CHECK_ONCE_FROM labels or more).  Lists and
+    MapSources, which checks the label tuple once.  Lists and
     cycles are the permutations of one order it checks once; partitions,
     from _set_partitions, are checked block by block and once each for
     holding every label once.  Partitions are still sorted by encode().
@@ -603,19 +586,14 @@ def _primitive_structures(expr, labels):
     if kind is K.DIGRAPH:
         return DigraphTerm.listed(labels, iproduct(labels, repeat=2))
     by_code = sorted(labels, key=label_code)
-    few = n < _CHECK_ONCE_FROM
     if kind is K.NONEMPTY_LIST and n == 0:
         return []
     if kind is K.LIST or kind is K.NONEMPTY_LIST:
-        if few:
-            return [ListTerm(p) for p in permutations(by_code)]
         return MapSources(labels).lists(by_code)
     if kind is K.CYCLE:
         if n == 0:
             return []
         rest = [x for x in by_code if x != labels[0]]
-        if few:
-            return [CycleTerm((labels[0],) + p) for p in permutations(rest)]
         return MapSources(labels).cycles(rest)
     if kind is K.PERMUTATION:
         return MapSources(labels).maps(permutations(by_code))
@@ -629,11 +607,7 @@ def _primitive_structures(expr, labels):
     if kind is K.ENDOFUNCTION:
         return MapSources(labels).maps(iproduct(by_code, repeat=n))
     if kind is K.PARTITION:
-        parts = _set_partitions(labels, {})
-        if few:
-            out = list(map(PartitionTerm, parts))
-        else:
-            out = MapSources(labels).partitions(parts)
+        out = MapSources(labels).partitions(_set_partitions(labels, {}))
         out.sort(key=lambda s: s.encode())
         return out
     raise TypeError(f"no structure rule for primitive {kind}")

@@ -5,24 +5,23 @@ from the constructors below.  Construction canonicalizes (sets sort their
 labels, cycles rotate their smallest label first, partitions order blocks by
 least member, mappings sort by key), so two terms are equal exactly when they
 denote the same structure, and the compact JSON encoding of a term fixes
-the order of enumeration output.  Enumeration hands the constructors their
-input in canonical order already, so each constructor reads the labels'
-sort keys from one table and keeps its input as given when the keys
-strictly increase; only other input is sorted and checked in full.
-Listings build their terms from parts checked once, with no constructor
-run but CompTerm's, which checks only its outer term against a checked
-Assignment.  SubsetTerm.listed, GraphTerm.listed and DigraphTerm.listed
-check a tuple of labels, possible edges or possible arcs once for all
-the terms built from its sublists; Assignment.listed checks the one
-block of many (block, inner) pairs once against each assignment it is
-put before; a ProductSplit checks a split's two label sets and each of
-its factors once for all the products of that split; MapSources checks a
-sorted label tuple once for all the maps, lists, cycles, partitions,
-derivatives and pointed terms on it; and sum_terms and named_terms check
-a side or a name once for every term wrapped around a list of children.
-The one-item steps SubsetTerm(subset, label), GraphTerm(graph, edge),
-DigraphTerm(digraph, arc) and Assignment(pair, tail), which check only
-the part they add, remain for API callers.
+the order of enumeration output.  Each constructor reads the labels' sort
+keys from one table and keeps its input as given when the keys strictly
+increase; only other input is sorted.
+
+Every term class is built in two ways: by its public constructor, which
+normalizes and checks its input in full, and by one bulk builder, which
+listings use.  SubsetTerm.listed, GraphTerm.listed and DigraphTerm.listed
+check a tuple of labels, possible edges or possible arcs once for all the
+terms built from its sublists; Assignment.listed checks the one block of
+many (block, inner) pairs once against each assignment it is put before,
+and _comp_terms each list of outer terms once against its block set; a
+ProductSplit checks a split's two label sets and each of its factors once
+for all the products of that split; MapSources checks a sorted label tuple
+once for all the maps, lists, cycles, partitions, derivatives and pointed
+terms on it; and sum_terms and named_terms check a side or a name once for
+every term wrapped around a list of children.  Where both ways check the
+same thing they call one check, which raises that refusal.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -796,46 +795,20 @@ class SetTerm(Structure):
         return _brace(self.members)
 
 
-def _members_in_order(members):
-    """Refuse members unless their keys strictly increase, so that they
-    are distinct and in the order a subset keeps them."""
-    if not _increasing(_label_keys(members)):
-        raise ValueError("subset members out of order")
-
-
 class SubsetTerm(Structure):
     """A chosen subset; the complement is kept so the underlying set is
-    still recoverable.
-
-    SubsetTerm(subset, label), subset a SubsetTerm, is subset with label
-    moved from its complement to its members: only label is checked, which
-    must be in the complement and follow every member.  Listings build
-    subsets with SubsetTerm.listed instead."""
+    still recoverable.  Listings build subsets with SubsetTerm.listed."""
 
     __slots__ = ("members", "rest")
     kind = "subset"
     fields = (("members", "members", _LABELS), ("rest", "rest", _LABELS))
 
     def __init__(self, members, rest):
-        if type(members) is SubsetTerm:
-            self._grow(members, rest)
-            return
         self.members = _sorted_labels(members)
         self.rest = _sorted_labels(rest)
         if set(self.members) & set(self.rest):
             raise ValueError("subset and complement overlap")
         self._labels = None
-
-    def _grow(self, subset, label):
-        members, rest = subset.members, subset.rest
-        try:
-            at = rest.index(label)
-        except ValueError:
-            raise ValueError("subset member outside the complement") from None
-        _members_in_order(members[-1:] + (label,))
-        self.members = members + (label,)
-        self.rest = rest[:at] + rest[at + 1:]
-        self._labels = subset.labels()
 
     @classmethod
     def listed(cls, labels, size=None):
@@ -845,7 +818,8 @@ class SubsetTerm(Structure):
         once to be distinct and in key order, so every sublist is, and
         every term takes its one interned set."""
         labels = tuple(labels)
-        _members_in_order(labels)
+        if not _increasing(_label_keys(labels)):
+            raise ValueError("subset members out of order")
         found, rests = _list_order(labels, _CODE, size, complements=True)
         every = _interned(labels)
         for at, (members, rest) in enumerate(zip(found, rests)):
@@ -889,8 +863,7 @@ class CycleTerm(Structure):
 
     def __init__(self, seq):
         seq = tuple(seq)
-        if not seq:
-            raise ValueError("a cycle needs at least one label")
+        _check_cycle(seq)
         if len(set(seq)) != len(seq):
             raise ValueError("duplicate label in cycle")
         keys = _label_keys(seq)
@@ -903,6 +876,11 @@ class CycleTerm(Structure):
 
     def render(self):
         return "(" + " ".join(label_to_string(x) for x in self.seq) + ")"
+
+
+def _check_cycle(labels):
+    if not labels:
+        raise ValueError("a cycle needs at least one label")
 
 
 class MapTerm(Structure):
@@ -925,8 +903,7 @@ class MapTerm(Structure):
             sources = [a for a, _ in items]
             if len(set(sources)) != len(sources):
                 raise ValueError("duplicate source in map")
-        if not set(map(itemgetter(1), items)) <= set(sources):
-            raise ValueError("map target outside the label set")
+        _check_targets([map(itemgetter(1), items)], frozenset(sources))
         self.pairs = tuple(items)
         self._labels = None
 
@@ -949,6 +926,12 @@ class MapTerm(Structure):
         return "{" + inner + "}"
 
 
+def _check_targets(images, labels):
+    """Refuse images, iterables of map targets, unless all are labels."""
+    if not all(map(labels.issuperset, images)):
+        raise ValueError("map target outside the label set")
+
+
 class MapSources:
     """A sorted label tuple that a listing builds its maps, lists, cycles,
     partitions, derivatives or pointed terms on, checked once for every
@@ -957,9 +940,10 @@ class MapSources:
     MapSources(labels) refuses labels whose keys do not strictly increase,
     so they are distinct and in the order MapTerm keeps its pairs, and
     keeps their one interned set, targets, which every term built on it
-    takes as its label set.  Each builder below returns the terms the
-    public constructor would build, in the order given, made bare (no
-    __init__ run), and checks only what each term adds:
+    takes as its label set.  Listings build every such term on one, on any
+    number of labels.  Each builder below returns the terms the public
+    constructor would build, in the order given, made bare (no __init__
+    run), and checks only what each term adds:
 
     - maps(images): MapTerm(zip(labels, image)) for every image, a tuple
       of one target per source; each image's length, and that its targets
@@ -997,8 +981,7 @@ class MapSources:
         images = list(images)
         if not all(map(len(labels).__eq__, map(len, images))):
             raise ValueError("map needs one target per source")
-        if not all(map(targets.issuperset, images)):
-            raise ValueError("map target outside the label set")
+        _check_targets(images, targets)
         # Checks and pair tuples are made in C; the loop only fills the
         # terms' slots.
         terms = _bare(MapTerm, len(images))
@@ -1014,8 +997,7 @@ class MapSources:
         return self._fill(ListTerm, permutations(order))
 
     def cycles(self, rest):
-        if not self.labels:
-            raise ValueError("a cycle needs at least one label")
+        _check_cycle(self.labels)
         first = self.labels[:1]
         rest = tuple(rest)
         self._check_order(first + rest, "cycle")
@@ -1042,9 +1024,7 @@ class MapSources:
         for block in set(chain.from_iterable(parts)):
             if type(block) is not tuple:
                 raise TypeError("a partition block must be a tuple")
-            keys = _label_keys(block)
-            if not keys:
-                raise ValueError("empty block in partition")
+            keys = _block_keys(block)
             if not _increasing(keys):
                 raise ValueError("partition block out of order")
             least[block] = keys[0]
@@ -1082,8 +1062,7 @@ class MapSources:
     def pointed(self, points, inners):
         targets = self.targets
         points = tuple(points)
-        if not targets.issuperset(points):
-            raise ValueError("distinguished point is not a label")
+        _check_points(points, targets)
         inners = tuple(inners)
         if not _all_on(inners, targets):
             raise ValueError("pointed structure is not on its labels")
@@ -1097,8 +1076,7 @@ class MapSources:
 def sum_terms(side, inners):
     """SumTerm(side, inner) for every inner, made bare: the side is checked
     once, and each term takes its inner term's kept label set."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    _check_side(side)
     terms = _bare(SumTerm, len(inners))
     for term, inner in zip(terms, inners):
         term.side, term.inner, term._labels = side, inner, inner._labels
@@ -1109,8 +1087,7 @@ def named_terms(name, inners):
     """NamedTerm(name, inner) for every inner, made bare: the name is
     checked once to be a string, and each term takes its inner term's kept
     label set."""
-    if not isinstance(name, str):
-        raise TypeError("a name must be a string")
+    _check_name(name)
     terms = _bare(NamedTerm, len(inners))
     for term, inner in zip(terms, inners):
         term.name, term.inner, term._labels = name, inner, inner._labels
@@ -1118,89 +1095,59 @@ def named_terms(name, inners):
 
 
 class _VertexTable:
-    """The vertex table of one vertex tuple: given is the caller's object,
-    vertices its sorted, checked copy, pos each vertex's place in it, and
-    labels the one set of them _SETS holds, which is the label set of every
-    graph and digraph on the table.  (A plain class: creating a namedtuple
-    class costs more at import.)"""
+    """The vertex table of one vertex list: vertices its sorted, checked
+    tuple, pos each vertex's place in it, and labels the one set of them
+    _SETS holds, which is the label set of every graph and digraph on the
+    table.  (A plain class: creating a namedtuple class costs more at
+    import.)"""
 
-    __slots__ = ("given", "vertices", "pos", "labels")
+    __slots__ = ("vertices", "pos", "labels")
 
-    def __init__(self, given, vertices):
-        self.given, self.vertices = given, vertices
+    def __init__(self, vertices):
+        self.vertices = vertices = _sorted_labels(vertices)
         self.pos = {v: i for i, v in enumerate(vertices)}
         self.labels = _interned(vertices)
 
 
-#: The table of the last vertex tuple a graph or digraph was built on.
-#: A listing builds all its graphs on one tuple, so they share one table.
-#: The record is replaced whole and read once per term, so two threads
-#: building terms at once never mix the fields of two tables.
-_last_table = _VertexTable((), ())
-
-
-def _vertex_table(vertices):
-    """The vertex table of vertices: the last one built when vertices is
-    that very tuple object, else a new one.  Only tuples are kept, because
-    a tuple cannot change between two terms while a list can."""
-    global _last_table
-    table = _last_table
-    if table.given is not vertices:
-        table = _VertexTable(vertices, _sorted_labels(vertices))
-        if type(vertices) is tuple:
-            _last_table = table
-    return table
-
-
-def _sorted_pairs(pos, pairs, what):
-    """A tuple of pairs of labels, in the order of their endpoints' places
-    pos[a], pos[b] among the sorted vertices, which is the order
-    label_sort_key gives; refused if a pair has an endpoint outside them or
-    two pairs are the same.  The tuple holds the caller's own pairs."""
-    n = len(pos)
-    try:
-        keys = [pos[a] * n + pos[b] for a, b in pairs]
-    except KeyError:
-        raise ValueError(f"{what} endpoint outside the vertex set") from None
-    if len(set(pairs)) != len(pairs):
-        raise ValueError(f"duplicate {what}")
-    return tuple(map(dict(zip(keys, pairs)).__getitem__, sorted(keys)))
-
-
-def _pair_ranks(table, pairs, what):
-    """Refuse pairs, the edges or arcs (what says which) of a term on table
-    in the order the term keeps them, unless both ends of each pair are
-    vertices of the table and the ranks pos[a] * n + pos[b] strictly
-    increase.  An edge also has to be no loop and to have its lesser end
-    first.  Every pair is checked on its own before any two are compared."""
+def _ranked_pairs(table, pairs, what, given=False):
+    """pairs, the edges or arcs (what says which) of a term on table, as
+    the tuple of the caller's pairs the term keeps, in the order of their
+    ranks pos[a] * n + pos[b], which is the order label_sort_key gives.
+    Each pair is checked, in the order given, before any two are compared:
+    both ends must be vertices, and an edge no loop; two pairs of one rank
+    are the same, refused.  Given (by public constructors), the pairs are
+    sorted and each edge turned to have its lesser end first and made a
+    tuple; else (from listings) they must come in that order."""
     pos = table.pos
     n = len(pos)
-    ranks = []
-    for a, b in pairs:
-        if what == "edge" and a == b:
+    edges = what == "edge"
+    kept, ranks = [], []
+    for pair in pairs:
+        a, b = pair
+        if edges and a == b:
             raise ValueError("a simple graph has no loops")
         try:
             i, j = pos[a], pos[b]
         except KeyError:
             raise ValueError(f"{what} endpoint outside the vertex set") from None
-        if what == "edge" and i > j:
+        if edges and given:
+            pair, i, j = ((b, a), j, i) if i > j else (tuple(pair), i, j)
+        elif edges and i > j:
             raise ValueError("edge out of order")
+        kept.append(pair)
         ranks.append(i * n + j)
+    if given:
+        # A term is hashed with its pairs: an arc given as a list, which
+        # cannot be, is refused before any two pairs are compared.
+        hash(tuple(kept))
+        kept = _in_key_order(kept, ranks)
+        ranks.sort()
     for last, rank in zip(ranks, ranks[1:]):
         if rank <= last:
             raise ValueError(
                 f"duplicate {what}" if rank == last else f"{what} out of order"
             )
-
-
-def _one_more_pair(table, pairs, pair, what):
-    """pairs + (pair,), where pairs are the checked, ordered edges or arcs
-    (what says which) of a term on table: pair is checked after the last of
-    pairs by _pair_ranks."""
-    if type(pair) is not tuple:
-        pair = tuple(pair)
-    _pair_ranks(table, pairs[-1:] + (pair,), what)
-    return pairs + (pair,)
+    return tuple(kept)
 
 
 def _pair_code(pair):
@@ -1210,27 +1157,30 @@ def _pair_code(pair):
 
 
 class _Graph(Structure):
-    """A graph or digraph on a vertex table (see _vertex_table): every term
-    built on the same vertex tuple object shares the table, and with it the
-    sorted, checked vertices and their one interned set, which is the
-    term's label set.  pairs holds the edges or arcs; each class names the
-    slot after its JSON key and says what one pair is called (what)."""
+    """A graph or digraph on a vertex table: the sorted, checked vertices
+    and their one interned set, which is the term's label set.  pairs holds
+    the edges or arcs, checked by _ranked_pairs; each class names the slot
+    after its JSON key and says what one pair is called (what).  Listings
+    build graphs and digraphs with listed, every term on one table."""
 
     __slots__ = ("_table", "pairs")
 
     vertices = property(attrgetter("_table.vertices"))
     _labels = property(attrgetter("_table.labels"))
 
+    def __init__(self, vertices, pairs):
+        self._table = table = _VertexTable(vertices)
+        self.pairs = _ranked_pairs(table, pairs, self.what, given=True)
+
     @classmethod
     def listed(cls, vertices, pairs):
         """cls(vertices, chosen) for every sublist chosen of pairs, in
         encode() order (see _list_order), made bare.  pairs, the possible
         edges or arcs in the order of their ranks, are checked once by
-        _pair_ranks, so every sublist holds them in order, and every term
+        _ranked_pairs, so every sublist holds them in order, and every term
         shares the table."""
-        table = _vertex_table(vertices)
-        pairs = tuple(p if type(p) is tuple else tuple(p) for p in pairs)
-        _pair_ranks(table, pairs, cls.what)
+        table = _VertexTable(vertices)
+        pairs = _ranked_pairs(table, map(tuple, pairs), cls.what)
         found = _list_order(pairs, _pair_code)
         for at, chosen in enumerate(found):
             found[at] = term = _new(cls)
@@ -1240,13 +1190,7 @@ class _Graph(Structure):
 
 
 class GraphTerm(_Graph):
-    """A simple graph: vertex set plus sorted undirected edges.
-
-    The vertices are sorted and checked once per vertex table.  The edges
-    are turned, checked and sorted in full.  GraphTerm(graph, edge), graph
-    a GraphTerm, is graph with one more edge: only that edge is checked
-    (_one_more_pair), and the new graph shares graph's table.  Listings
-    build graphs with GraphTerm.listed instead."""
+    """A simple graph: vertex set plus sorted undirected edges."""
 
     __slots__ = ()
     kind = "graph"
@@ -1254,54 +1198,19 @@ class GraphTerm(_Graph):
     fields = (("vertices", "vertices", _LABELS), ("edges", "edges", _PAIRS))
     edges = _Graph.pairs
 
-    def __init__(self, vertices, edges):
-        if type(vertices) is GraphTerm:
-            self._table = table = vertices._table
-            self.edges = _one_more_pair(table, vertices.edges, edges, "edge")
-            return
-        table = _vertex_table(vertices)
-        pos = table.pos
-        turned = []
-        for edge in edges:
-            a, b = edge
-            if a == b:
-                raise ValueError("a simple graph has no loops")
-            i, j = pos.get(a), pos.get(b)
-            if i is None or j is None:
-                raise ValueError("edge endpoint outside the vertex set")
-            if i > j:
-                edge = (b, a)
-            elif type(edge) is not tuple:
-                edge = (a, b)
-            turned.append(edge)
-        self._table = table
-        self.edges = _sorted_pairs(pos, tuple(turned), "edge")
-
     def render(self):
         edges = " ".join(_brace(e) for e in self.edges) or "-"
         return f"graph(V={_brace(self.vertices)}, E: {edges})"
 
 
 class DigraphTerm(_Graph):
-    """A directed graph on the label set; loops allowed.
-
-    Like GraphTerm, it shares the vertex table of its vertex tuple, and
-    DigraphTerm(digraph, arc), digraph a DigraphTerm, is digraph with one
-    more arc, of which only that arc is checked."""
+    """A directed graph on the label set; loops allowed."""
 
     __slots__ = ()
     kind = "digraph"
     what = "arc"
     fields = (("vertices", "vertices", _LABELS), ("arcs", "arcs", _PAIRS))
     arcs = _Graph.pairs
-
-    def __init__(self, vertices, arcs):
-        if type(vertices) is DigraphTerm:
-            self._table = table = vertices._table
-            self.arcs = _one_more_pair(table, vertices.arcs, arcs, "arc")
-        else:
-            self._table = table = _vertex_table(vertices)
-            self.arcs = _sorted_pairs(table.pos, tuple(arcs), "arc")
 
     def render(self):
         arcs = " ".join(
@@ -1318,28 +1227,11 @@ class PartitionTerm(Structure):
     fields = (("blocks", "blocks", _BLOCKS),)
 
     def __init__(self, blocks):
-        """Every label's key is read in one pass; each block is then kept
-        as given when its keys increase, and sorted otherwise, as
-        _sorted_labels does."""
-        norm = [tuple(b) for b in blocks]
-        keys = _label_keys([x for b in norm for x in b])
-        firsts = []
-        end = 0
-        for i, block in enumerate(norm):
-            start = end
-            end += len(block)
-            if not block:
-                continue
-            block_keys = keys[start:end]
-            if not _increasing(block_keys):
-                norm[i] = block = tuple(_in_key_order(block, block_keys))
-                if len(set(block)) != len(block):
-                    raise ValueError(f"duplicate label in {block!r}")
-            firsts.append(min(block_keys))
-        if len(firsts) != len(norm):
-            raise ValueError("empty block in partition")
-        if len(set().union(*norm)) != len(keys):
-            raise ValueError("blocks overlap")
+        norm = [_sorted_labels(b) for b in blocks]
+        firsts = [_block_keys(b[:1])[0] for b in norm]
+        seen = frozenset()
+        for block in norm:
+            seen = _joined(frozenset(block), seen)
         if not _increasing(firsts):
             norm = _in_key_order(norm, firsts)
         self.blocks = tuple(norm)
@@ -1352,6 +1244,23 @@ class PartitionTerm(Structure):
         return "{" + ",".join(_brace(b) for b in self.blocks) + "}"
 
 
+def _block_keys(block):
+    """The keys of a partition block's labels, refused when it is empty."""
+    keys = _label_keys(block)
+    if not keys:
+        raise ValueError("empty block in partition")
+    return keys
+
+
+def _joined(block, labels):
+    """labels | block, the sets of a block's labels and of the labels of
+    the blocks beside it, refused if they meet."""
+    found = labels | block
+    if len(found) != len(labels) + len(block):
+        raise ValueError("blocks overlap")
+    return found
+
+
 class SumTerm(_Composite):
     """A structure of the left or right summand, tagged with its side."""
 
@@ -1360,8 +1269,7 @@ class SumTerm(_Composite):
     fields = (("side", "side", _TEXT), ("inner", "inner", _CHILD))
 
     def __init__(self, side, inner):
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+        _check_side(side)
         self.side = side
         self.inner = inner
         self._labels = inner._labels
@@ -1373,6 +1281,11 @@ class SumTerm(_Composite):
         return f"{self.side}({self.inner.render()})"
 
 
+def _check_side(side):
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+
+
 class ProdTerm(_Composite):
     """An ordered pair of structures on complementary label sets."""
 
@@ -1381,17 +1294,19 @@ class ProdTerm(_Composite):
     fields = (("left", "left", _CHILD), ("right", "right", _CHILD))
 
     def __init__(self, left, right):
-        if not left.labels().isdisjoint(right.labels()):
-            raise ValueError("product parts share labels")
+        self._labels = _product_labels(left.labels(), right.labels())
         self.left = left
         self.right = right
-        self._labels = None
-
-    def _label_set(self):
-        return self.left.labels() | self.right.labels()
 
     def render(self):
         return f"({self.left.render()}, {self.right.render()})"
+
+
+def _product_labels(left, right):
+    """The one set of a product's labels, refused if its parts meet."""
+    if not left.isdisjoint(right):
+        raise ValueError("product parts share labels")
+    return _interned(left | right)
 
 
 class ProductSplit:
@@ -1410,13 +1325,11 @@ class ProductSplit:
 
     def __init__(self, chosen, rest, rights):
         chosen, rest = _interned(chosen), _interned(rest)
-        if not chosen.isdisjoint(rest):
-            raise ValueError("product parts share labels")
+        self.labels = _product_labels(chosen, rest)
         rights = tuple(rights)
         if not _all_on(rights, rest):
             raise ValueError("right factor is not on its labels")
         self.chosen, self.rights = chosen, rights
-        self.labels = _interned(chosen | rest)
 
     def products(self, left):
         if left.labels() != self.chosen:
@@ -1441,64 +1354,50 @@ def _before(block, tail):
     """The interned block set and label set of the assignment tail with
     block put before its pairs, refused unless block meets none of tail's
     labels and its key is below the key of tail's first block."""
-    members = block.member_set
-    if not members.isdisjoint(tail.labels):
-        raise ValueError("blocks overlap")
+    labels = _joined(block.member_set, tail.labels)
     pairs = tail.pairs
     if pairs and not block.key < pairs[0][0].key:
         raise ValueError("blocks out of order")
-    return (
-        _interned(tail.blocks.union((block,))), _interned(tail.labels | members)
-    )
+    return _interned(tail.blocks.union((block,))), _interned(labels)
 
 
 class Assignment:
     """The (block, inner) pairs of a substitution, checked as listings
-    build them, one part at a time.
+    build them, one part at a time, for _comp_terms to build terms on.
 
     Assignment.pair(block, inner) forms a pair, checking that inner lives
     on block; a listing forms each pair once, however many assignments
-    share it.  Assignment() holds no pair, and Assignment(pair, tail) puts
-    a pair so formed before the pairs of the assignment tail, checking
-    only its block (_before).  Assignment.listed(pairs, tails) does so for
-    many pairs on one block and many tails at once.  pairs is the tuple of
-    pairs in block order, blocks the set of their blocks and labels the
-    set of their members, each the one set _SETS holds for it.
-    CompTerm(outer, assignment) checks only that outer lives on the
-    blocks."""
+    share it.  Assignment() holds no pair, and Assignment.listed builds
+    the others.  pairs is the tuple of pairs in block order, blocks the set
+    of their blocks and labels the set of their members, each the one set
+    _SETS holds for it."""
 
     __slots__ = ("pairs", "blocks", "labels")
 
-    def __init__(self, pair=None, tail=None):
-        if pair is None:
-            self.pairs = ()
-            self.blocks = self.labels = _interned(())
-            return
-        self.blocks, self.labels = _before(pair[0], tail)
-        self.pairs = (pair,) + tail.pairs
+    def __init__(self):
+        self.pairs = ()
+        self.blocks = self.labels = _interned(())
 
     @staticmethod
     def pair(block, inner):
         """The pair (block, inner), refused unless inner lives on block."""
-        if not isinstance(block, Block):
-            raise TypeError("assignment keys must be blocks")
+        _block_key((block, inner))
         if inner.labels() != block.member_set:
             raise ValueError("inner structure is not on its block")
         return block, inner
 
     @staticmethod
     def listed(pairs, tails):
-        """Assignment(pair, tail) for every pair of pairs, then every tail
-        of tails, made bare.  The pairs, formed by Assignment.pair, are
-        checked once to share one block object, which is checked against
-        each tail once (_before); the block and label sets it makes with a
-        tail are formed once for all the pairs."""
+        """Each pair of pairs put before the pairs of each tail of tails,
+        pair by pair and then tail by tail, made bare.  The pairs, formed by
+        Assignment.pair, are checked once to share one block, which is
+        checked against each tail once (_before); the block and label sets
+        it makes with a tail are formed once for all the pairs."""
         pairs = tuple(pairs)
         if not pairs:
             return []
+        _block_key(pairs[0])
         block = pairs[0][0]
-        if not isinstance(block, Block):
-            raise TypeError("assignment keys must be blocks")
         if not all(map(is_, map(itemgetter(0), pairs), repeat(block))):
             raise ValueError("assignment pairs do not share one block")
         joined = [(tail.pairs, *_before(block, tail)) for tail in tails]
@@ -1515,35 +1414,24 @@ class CompTerm(_Composite):
     """A substitution structure: a partition into blocks, one inner
     structure per block, and an outer structure on the blocks themselves.
 
-    assign is the (block, inner) pairs in any order, sorted and checked in
-    full, or an Assignment, whose pairs are checked already: then only the
-    outer term is checked against its blocks."""
+    assign is the (block, inner) pairs in any order, sorted by block.  The
+    outer term, then each pair, take the checks the bulk builders make
+    (_check_outers, Assignment.pair and _joined)."""
 
     __slots__ = ("outer", "assign")
     kind = "comp"
     fields = (("outer", "outer", _ON_BLOCKS), ("assign", "assign", _ASSIGN))
 
     def __init__(self, outer, assign):
-        if type(assign) is Assignment:
-            if outer.labels() != assign.blocks:
-                raise ValueError("outer structure is not on the block set")
-            self.outer, self.assign = outer, assign.pairs
-            self._labels = assign.labels
-            return
         assign = tuple(sorted(map(tuple, assign), key=_block_key))
-        if outer.labels() != frozenset(map(itemgetter(0), assign)):
-            raise ValueError("outer structure is not on the block set")
-        seen = set()
+        _check_outers((outer,), frozenset(map(itemgetter(0), assign)))
+        labels = frozenset()
         for block, inner in assign:
-            members = block.member_set
-            if inner.labels() != members:
-                raise ValueError("inner structure is not on its block")
-            if not seen.isdisjoint(members):
-                raise ValueError("blocks overlap")
-            seen |= members
+            Assignment.pair(block, inner)
+            labels = _joined(block.member_set, labels)
         self.outer = outer
         self.assign = assign
-        self._labels = _interned(seen)
+        self._labels = _interned(labels)
 
     def render(self):
         parts = ", ".join(
@@ -1553,6 +1441,29 @@ class CompTerm(_Composite):
         return f"comp({self.outer.render()}; {parts})" if parts else (
             f"comp({self.outer.render()};)"
         )
+
+
+def _check_outers(outers, blocks):
+    """Refuse outers unless all live on blocks, a substitution's blocks."""
+    if not _all_on(outers, blocks):
+        raise ValueError("outer structure is not on the block set")
+
+
+def _comp_terms(assigns, outers_on):
+    """CompTerm(outer, assign.pairs) for every Assignment assign of
+    assigns, then every outer of outers_on[assign.blocks], made bare: each
+    outer list is checked once, in C, to live on its block set, and every
+    term takes its assignment's label set."""
+    for blocks, outers in outers_on.items():
+        _check_outers(outers, blocks)
+    terms = []
+    for assign in assigns:
+        pairs, labels = assign.pairs, assign.labels
+        for outer in outers_on[assign.blocks]:
+            term = _new(CompTerm)
+            term.outer, term.assign, term._labels = outer, pairs, labels
+            terms.append(term)
+    return terms
 
 
 class DerivTerm(_Composite):
@@ -1589,17 +1500,18 @@ class PointTerm(_Composite):
 
     def __init__(self, at, inner):
         labels = inner.labels()
-        if at not in labels:
-            raise ValueError("distinguished point is not a label")
+        _check_points((at,), labels)
         self.at = at
         self.inner = inner
         self._labels = labels
 
-    def _label_set(self):
-        return self.inner.labels()
-
     def render(self):
         return f"pt[{label_to_string(self.at)}]{self.inner.render()}"
+
+
+def _check_points(points, labels):
+    if not labels.issuperset(points):
+        raise ValueError("distinguished point is not a label")
 
 
 class NamedTerm(_Composite):
@@ -1610,6 +1522,7 @@ class NamedTerm(_Composite):
     fields = (("name", "name", _TEXT), ("inner", "inner", _CHILD))
 
     def __init__(self, name, inner):
+        _check_name(name)
         self.name = name
         self.inner = inner
         self._labels = inner._labels
@@ -1619,6 +1532,11 @@ class NamedTerm(_Composite):
 
     def render(self):
         return f"{self.name}:{self.inner.render()}"
+
+
+def _check_name(name):
+    if not isinstance(name, str):
+        raise TypeError("a name must be a string")
 
 
 _compile_writers(list(_CLASSES.values()))

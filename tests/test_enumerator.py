@@ -963,7 +963,7 @@ class TestSublistPrimitives:
 
     def test_digraphs_on_four_labels_are_built_once_each(self, monkeypatch):
         """The builder makes every listed digraph exactly once, 2^16
-        distinct terms, with no constructor and no one-arc step run."""
+        distinct terms, with no constructor run."""
         made = []
         listed = DigraphTerm.listed.__func__
 
@@ -977,7 +977,6 @@ class TestSublistPrimitives:
 
         monkeypatch.setattr(DigraphTerm, "listed", classmethod(counted))
         monkeypatch.setattr(DigraphTerm, "__init__", refused)
-        monkeypatch.setattr(structures, "_one_more_pair", refused)
         got = enum("Gro", [1, 2, 3, 4])
         assert len(got) == len(made) == 2**16
         assert len({id(t) for t in made}) == 2**16
@@ -1392,9 +1391,34 @@ def test_listings_run_no_constructor_of_the_checked_once_terms(
         parse_expr(text), _CHECKED_ONCE_ENV, order=n
     ).count(n)
     assert built == Counter()
-    # Below the fewest labels checked once, the public constructors run.
-    enum(text, [1, 2], _CHECKED_ONCE_ENV)
-    assert built or text == "B"
+    # Nor on few labels.
+    for k in range(4):
+        enum(text, list(range(1, k + 1)), _CHECKED_ONCE_ENV)
+        assert built == Counter()
+
+
+# Labels whose codes sort apart from their values, cut to 0 to 3 labels.
+_FEW_LABELS = {
+    "int": [1, 2, 3], "str": ["c", "b", "a"], "mixed-code": [10, 9, 100],
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_FEW_LABELS))
+@pytest.mark.parametrize(
+    "text", ["L", "Lp", "C", "C'", "Part", "pt(L)", "pt(C)", "(X*L')''"]
+)
+def test_listings_on_few_labels_equal_their_rebuilt_terms(text, kind, k):
+    """On 0 to 3 labels, the terms listed on a checked label tuple or
+    child list equal their decode_structure rebuilds, strictly increase
+    by encoding and share one interned label set."""
+    labels = _FEW_LABELS[kind][:k]
+    got = enum(text, labels, _CHECKED_ONCE_ENV)
+    assert len(got) == egf_of(
+        parse_expr(text), _CHECKED_ONCE_ENV, order=k
+    ).count(k)
+    _assert_checked_once_listing(got, labels)
+    assert len({id(t.labels()) for t in got}) <= 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])

@@ -936,7 +936,7 @@ class TestSharedLabelSets:
         assert not structures._SETS
 
 
-# -- the one-item steps, against the public constructors ------------------
+# -- public constructors refusing what listings check once ----------------
 
 def _digraph(*arcs):
     return DigraphTerm((1, 2, "a"), arcs)
@@ -948,73 +948,42 @@ def _graph(*edges):
 
 def _assignment(*pairs):
     """The Assignment of pairs, each formed by Assignment.pair, given in
-    block order."""
+    block order, each put before the others by Assignment.listed."""
     found = structures.Assignment()
     for block, inner in reversed(pairs):
-        found = structures.Assignment(
-            structures.Assignment.pair(block, inner), found
+        (found,) = structures.Assignment.listed(
+            [structures.Assignment.pair(block, inner)], [found]
         )
     return found
 
 
 _B1, _B23, _B2 = Block([1]), Block([2, 3]), Block([2])
 
-# Each refusal of an extension step: the step, the public constructor on
-# the same parts (None where it has no such refusal: it sorts or turns
-# what the step refuses), and the exception type and message both raise.
+# Each refusal of a public constructor that a bulk builder also makes, from
+# the same check: the constructor on the parts, and the exception type and
+# message it raises.
 EXTENSION_REFUSED = {
     "duplicate arc": (
-        lambda: DigraphTerm(_digraph((1, 2)), (1, 2)),
         lambda: _digraph((1, 2), (1, 2)),
         ValueError, "duplicate arc",
     ),
-    "unordered arc": (
-        lambda: DigraphTerm(_digraph((2, 1)), (1, 2)),
-        None, ValueError, "arc out of order",
-    ),
     "arc endpoint outside": (
-        lambda: DigraphTerm(_digraph((1, 2)), (2, 3)),
         lambda: _digraph((1, 2), (2, 3)),
         ValueError, "arc endpoint outside the vertex set",
     ),
     "duplicate edge": (
-        lambda: GraphTerm(_graph((1, 2)), (1, 2)),
         lambda: _graph((1, 2), (1, 2)),
         ValueError, "duplicate edge",
     ),
-    "unordered edge": (
-        lambda: GraphTerm(_graph((2, "a")), (1, "a")),
-        None, ValueError, "edge out of order",
-    ),
-    "turned edge": (
-        lambda: GraphTerm(_graph(), (2, 1)),
-        None, ValueError, "edge out of order",
-    ),
     "edge loop": (
-        lambda: GraphTerm(_graph((1, 2)), (2, 2)),
         lambda: _graph((1, 2), (2, 2)),
         ValueError, "a simple graph has no loops",
     ),
     "edge endpoint outside": (
-        lambda: GraphTerm(_graph((1, 2)), (2, 3)),
         lambda: _graph((1, 2), (2, 3)),
         ValueError, "edge endpoint outside the vertex set",
     ),
-    "subset member outside the complement": (
-        lambda: SubsetTerm(SubsetTerm([1], [2]), 1),
-        None, ValueError, "subset member outside the complement",
-    ),
-    "unordered subset member": (
-        lambda: SubsetTerm(SubsetTerm([2], [1]), 1),
-        None, ValueError, "subset members out of order",
-    ),
-    "unordered block": (
-        lambda: _assignment((_B23, SetTerm([2, 3])), (_B1, SetTerm([1]))),
-        None, ValueError, "blocks out of order",
-    ),
     "overlapping block": (
-        lambda: _assignment((_B1, SetTerm([1])), (Block([1, 2]),
-                                                  SetTerm([1, 2]))),
         lambda: CompTerm(
             SetTerm([_B1, Block([1, 2])]),
             [(_B1, SetTerm([1])), (Block([1, 2]), SetTerm([1, 2]))],
@@ -1022,18 +991,14 @@ EXTENSION_REFUSED = {
         ValueError, "blocks overlap",
     ),
     "inner term not on its block": (
-        lambda: structures.Assignment.pair(_B23, SetTerm([2])),
         lambda: CompTerm(SetTerm([_B23]), [(_B23, SetTerm([2]))]),
         ValueError, "inner structure is not on its block",
     ),
     "key that is not a block": (
-        lambda: structures.Assignment.pair(1, SetTerm([1])),
         lambda: CompTerm(SetTerm([1]), [(1, SetTerm([1]))]),
         TypeError, "assignment keys must be blocks",
     ),
     "outer term off the blocks": (
-        lambda: CompTerm(SetTerm([_B1]), _assignment(
-            (_B1, SetTerm([1])), (_B2, SetTerm([2])))),
         lambda: CompTerm(SetTerm([_B1]), [
             (_B1, SetTerm([1])), (_B2, SetTerm([2]))]),
         ValueError, "outer structure is not on the block set",
@@ -1043,17 +1008,12 @@ EXTENSION_REFUSED = {
 
 @pytest.mark.parametrize("case", sorted(EXTENSION_REFUSED))
 def test_extension_refusals(case):
-    """Each extension step refuses what it must, with the exception type
-    and message of the public constructor where that refuses the same
-    parts."""
-    step, public, error, message = EXTENSION_REFUSED[case]
+    """Each public constructor refuses these parts with the exact exception
+    type and message."""
+    public, error, message = EXTENSION_REFUSED[case]
     with pytest.raises(error) as refused:
-        step()
+        public()
     assert str(refused.value) == message
-    if public is not None:
-        with pytest.raises(error) as refused:
-            public()
-        assert str(refused.value) == message
 
 
 def test_what_a_step_refuses_the_public_constructor_puts_in_order():
@@ -1066,32 +1026,11 @@ def test_what_a_step_refuses_the_public_constructor_puts_in_order():
     assert term.assign == ((_B1, SetTerm([1])), (_B23, SetTerm([2, 3])))
 
 
-@pytest.mark.parametrize("cls,first,items", [
-    (SubsetTerm, lambda: SubsetTerm((), (1, 10, 9, "a!")), [1, 9, "a!"]),
-    (GraphTerm, lambda: _graph(), [(1, 2), (1, "a"), (2, "a")]),
-    (DigraphTerm, lambda: _digraph(), [(1, 1), (2, 1), ("a", 2)]),
-])
-def test_extended_terms_equal_the_publicly_built_ones(cls, first, items):
-    """Extending a checked term one item at a time builds the term the
-    public constructor builds from all the items at once, with the same
-    encoding and the label set of the term it extends."""
-    term = first()
-    for at, item in enumerate(items):
-        term = cls(term, item)
-        chosen = items[:at + 1]
-        if cls is SubsetTerm:
-            want = SubsetTerm(chosen, {1, 10, 9, "a!"} - set(chosen))
-        else:
-            want = cls((1, 2, "a"), chosen)
-        assert term == want
-        assert term.encode() == want.encode()
-        assert term.labels() == want.labels()
-
-
 def test_a_comp_term_on_an_assignment_equals_the_public_one():
     inners = [(_B1, ListTerm([1])), (_B23, CycleTerm([3, 2]))]
     outer = ListTerm([_B23, _B1])
-    built = CompTerm(outer, _assignment(*inners))
+    assign = _assignment(*inners)
+    (built,) = structures._comp_terms([assign], {assign.blocks: [outer]})
     want = CompTerm(outer, inners[::-1])
     assert built == want and built.encode() == want.encode()
     assert built.labels() == want.labels() == frozenset({1, 2, 3})
@@ -1103,52 +1042,53 @@ _VERTS = (1, 2, "a")
 _B3 = Block([3])
 
 # Each refusal of a check a bulk builder makes once: the builder, the
-# one-item step given the same parts (None where the step has no such
-# check), the exception type and the message both raise.
+# public constructor given the same parts (None where it sorts or turns what
+# the builder refuses, or has no such check), the exception type and the
+# message both raise.
 BULK_REFUSED = {
     "listed arc endpoint outside": (
         lambda: DigraphTerm.listed(_VERTS, [(1, 2), (2, 3)]),
-        lambda: DigraphTerm(_digraph((1, 2)), (2, 3)),
+        lambda: _digraph((1, 2), (2, 3)),
         ValueError, "arc endpoint outside the vertex set",
     ),
     "listed duplicate arc": (
         lambda: DigraphTerm.listed(_VERTS, [(1, 2), (1, 2)]),
-        lambda: DigraphTerm(_digraph((1, 2)), (1, 2)),
+        lambda: _digraph((1, 2), (1, 2)),
         ValueError, "duplicate arc",
     ),
     "listed arcs out of order": (
         lambda: DigraphTerm.listed(_VERTS, [(2, 1), (1, 2)]),
-        lambda: DigraphTerm(_digraph((2, 1)), (1, 2)),
+        None,
         ValueError, "arc out of order",
     ),
     "listed edge loop": (
         lambda: GraphTerm.listed(_VERTS, [(1, 2), (2, 2)]),
-        lambda: GraphTerm(_graph((1, 2)), (2, 2)),
+        lambda: _graph((1, 2), (2, 2)),
         ValueError, "a simple graph has no loops",
     ),
     "listed edge endpoint outside": (
         lambda: GraphTerm.listed(_VERTS, [(1, 2), (2, 3)]),
-        lambda: GraphTerm(_graph((1, 2)), (2, 3)),
+        lambda: _graph((1, 2), (2, 3)),
         ValueError, "edge endpoint outside the vertex set",
     ),
     "listed turned edge": (
         lambda: GraphTerm.listed(_VERTS, [(2, 1)]),
-        lambda: GraphTerm(_graph(), (2, 1)),
+        None,
         ValueError, "edge out of order",
     ),
     "listed duplicate edge": (
         lambda: GraphTerm.listed(_VERTS, [(1, 2), (1, 2)]),
-        lambda: GraphTerm(_graph((1, 2)), (1, 2)),
+        lambda: _graph((1, 2), (1, 2)),
         ValueError, "duplicate edge",
     ),
     "listed edges out of order": (
         lambda: GraphTerm.listed(_VERTS, [(2, "a"), (1, "a")]),
-        lambda: GraphTerm(_graph((2, "a")), (1, "a")),
+        None,
         ValueError, "edge out of order",
     ),
     "listed subset labels out of order": (
         lambda: SubsetTerm.listed([2, 1]),
-        lambda: SubsetTerm(SubsetTerm([2], [1]), 1),
+        None,
         ValueError, "subset members out of order",
     ),
     "listed subset label twice": (
@@ -1159,7 +1099,7 @@ BULK_REFUSED = {
         lambda: structures.Assignment.listed(
             [(1, SetTerm([1]))], [structures.Assignment()]
         ),
-        lambda: structures.Assignment.pair(1, SetTerm([1])),
+        lambda: CompTerm(SetTerm([1]), [(1, SetTerm([1]))]),
         TypeError, "assignment keys must be blocks",
     ),
     "listed pairs on two blocks": (
@@ -1175,8 +1115,10 @@ BULK_REFUSED = {
             [_assignment((_B2, SetTerm([2]))),
              _assignment((Block([1, 2]), SetTerm([1, 2])))],
         ),
-        lambda: _assignment((_B1, SetTerm([1])), (Block([1, 2]),
-                                                  SetTerm([1, 2]))),
+        lambda: CompTerm(
+            SetTerm([_B1, Block([1, 2])]),
+            [(_B1, SetTerm([1])), (Block([1, 2]), SetTerm([1, 2]))],
+        ),
         ValueError, "blocks overlap",
     ),
     "listed block after a tail's first": (
@@ -1184,8 +1126,27 @@ BULK_REFUSED = {
             [(_B23, SetTerm([2, 3]))],
             [_assignment((_B1, SetTerm([1])))],
         ),
-        lambda: _assignment((_B23, SetTerm([2, 3])), (_B1, SetTerm([1]))),
-        ValueError, "blocks out of order",
+        None, ValueError, "blocks out of order",
+    ),
+    "listed inner term off its block": (
+        lambda: structures.Assignment.pair(_B23, SetTerm([2])),
+        lambda: CompTerm(SetTerm([_B23]), [(_B23, SetTerm([2]))]),
+        ValueError, "inner structure is not on its block",
+    ),
+    "listed outer terms off the blocks": (
+        lambda: structures._comp_terms([], {
+            _assignment((_B1, SetTerm([1])), (_B2, SetTerm([2]))).blocks:
+                [SetTerm([_B1, _B2]), SetTerm([_B1])],
+        }),
+        lambda: CompTerm(SetTerm([_B1]), [
+            (_B1, SetTerm([1])), (_B2, SetTerm([2]))]),
+        ValueError, "outer structure is not on the block set",
+    ),
+    "listed outer term that keeps no label set yet": (
+        lambda: structures._comp_terms([], {
+            frozenset({_B1, _B2}): [SetTerm([_B1, _B2]), ListTerm([_B1])],
+        }),
+        None, ValueError, "outer structure is not on the block set",
     ),
 }
 
@@ -1193,8 +1154,8 @@ BULK_REFUSED = {
 @pytest.mark.parametrize("case", sorted(BULK_REFUSED))
 def test_bulk_refusals(case):
     """Each check a bulk builder makes once refuses what it must, with the
-    exception type and message of the one-item step where that checks the
-    same parts."""
+    exception type and message of the public constructor where that checks
+    the same parts."""
     bulk, step, error, message = BULK_REFUSED[case]
     with pytest.raises(error) as refused:
         bulk()
@@ -1205,28 +1166,19 @@ def test_bulk_refusals(case):
         assert str(refused.value) == message
 
 
-def _step_built(first, items, size=None):
-    """The listing of the one-item steps: a depth-first walk that extends
-    each term by every later item in code order and keeps a term after its
-    extensions (only those holding size items, when given)."""
-    def code(item):
-        if isinstance(item, tuple):
-            return tuple(map(structures.label_code, item))
-        return structures.label_code(item)
-
-    by_code = sorted(range(len(items)), key=lambda i: code(items[i]))
-    out = []
-
-    def walk(term, start, length):
-        if size is None or length < size:
-            for i in by_code:
-                if i >= start:
-                    walk(type(first)(term, items[i]), i + 1, length + 1)
-        if size is None or length == size:
-            out.append(term)
-
-    walk(first, 0, 0)
-    return out
+def _publicly_built(cls, labels, items, size=None):
+    """The public constructor's terms on every sublist of items (only those
+    of length size, when given), each given in reverse order, sorted by
+    encoding: the listing the bulk builders must make."""
+    chosen = [
+        c[::-1] for k in range(len(items) + 1)
+        for c in combinations(items, k) if size is None or k == size
+    ]
+    if cls is SubsetTerm:
+        terms = [SubsetTerm(c, set(labels) - set(c)) for c in chosen]
+    else:
+        terms = [cls(labels, c) for c in chosen]
+    return sorted(terms, key=lambda t: t.encode())
 
 
 def _same_bulk_terms(built, want):
@@ -1245,22 +1197,22 @@ def _same_bulk_terms(built, want):
 ], ids=["int", "str", "mixed-code"])
 @pytest.mark.parametrize("text", ["Gra", "Gro", "P", "Pk[2]"])
 def test_bulk_built_terms_equal_the_step_built_ones(text, labels):
-    """The bulk builders list the terms the one-item steps build, in the
-    same order, and every term shares one label set."""
+    """The bulk builders list the terms the public constructors build, in
+    encode() order, and every term shares one label set."""
     if text == "Gro":
         labels = labels[:3]
     if text == "Gra":
         edges = list(combinations(labels, 2))
         built = GraphTerm.listed(labels, edges)
-        want = _step_built(GraphTerm(labels, ()), edges)
+        want = _publicly_built(GraphTerm, labels, edges)
     elif text == "Gro":
         arcs = list(product(labels, repeat=2))
         built = DigraphTerm.listed(labels, arcs)
-        want = _step_built(DigraphTerm(labels, ()), arcs)
+        want = _publicly_built(DigraphTerm, labels, arcs)
     else:
         size = 2 if text == "Pk[2]" else None
         built = SubsetTerm.listed(labels, size)
-        want = _step_built(SubsetTerm((), labels), list(labels), size)
+        want = _publicly_built(SubsetTerm, labels, labels, size)
     _same_bulk_terms(built, want)
     assert len({id(t.labels()) for t in built}) == 1
     listed = enumerate_structures(parse_expr(text), None, labels)
@@ -1279,9 +1231,10 @@ def test_bulk_built_subsets_of_one_size(size, members):
 
 
 def test_bulk_built_assignments_equal_the_step_built_ones():
-    """Assignment.listed builds, pair by pair and tail by tail, the
-    assignments Assignment(pair, tail) builds, each tail's block and label
-    sets with the block formed once for all the pairs."""
+    """Assignment.listed builds, pair by pair and tail by tail, each pair
+    put before each tail, each tail's block and label sets with the block
+    formed once for all the pairs; comp terms on them equal the ones
+    CompTerm builds from the pairs given in reverse block order."""
     pairs = [
         structures.Assignment.pair(_B1, inner)
         for inner in (SetTerm([1]), ListTerm([1]), CycleTerm([1]))
@@ -1293,16 +1246,19 @@ def test_bulk_built_assignments_equal_the_step_built_ones():
         _assignment((_B2, SetTerm([2])), (_B3, ListTerm([3]))),
     ]
     built = structures.Assignment.listed(pairs, tails)
-    want = [structures.Assignment(pair, tail)
-            for pair in pairs for tail in tails]
+    want = [(pair,) + tail.pairs for pair in pairs for tail in tails]
     assert len(built) == len(want) == 12
     for mine, theirs in zip(built, want):
-        assert mine.pairs == theirs.pairs
-        assert mine.blocks == theirs.blocks
-        assert mine.labels == theirs.labels
+        assert mine.pairs == theirs
+        assert mine.blocks == frozenset(block for block, _ in theirs)
+        assert mine.labels == frozenset().union(
+            *(block.members for block, _ in theirs)
+        )
         outer = SetTerm(mine.blocks)
-        assert CompTerm(outer, mine) == CompTerm(outer, theirs)
-        assert CompTerm(outer, mine).encode() == CompTerm(outer, theirs).encode()
+        (term,) = structures._comp_terms([mine], {mine.blocks: [outer]})
+        public = CompTerm(outer, theirs[::-1])
+        assert term == public and term.encode() == public.encode()
+        assert term.labels() == public.labels()
     for at in range(len(tails)):
         column = built[at::len(tails)]
         assert len({id(a.blocks) for a in column}) == 1
@@ -1512,7 +1468,8 @@ WRAPPED_REFUSED = {
     ),
     "name that is no string": (
         lambda: structures.named_terms(7, [SetTerm([1])]),
-        None, TypeError, "a name must be a string",
+        lambda: NamedTerm(7, SetTerm([1])),
+        TypeError, "a name must be a string",
     ),
 }
 
@@ -1580,3 +1537,68 @@ def test_wrapped_terms_equal_the_public_ones():
     _same_terms(structures.named_terms("F", inners),
                 [NamedTerm("F", t) for t in inners], inners[0]._labels)
     assert structures.sum_terms("left", []) == []
+
+
+# -- refusals no other table reaches ----------------------------------------
+
+# Each refusal of label and token parsing, of a JSON pair list, and of
+# public constructors no listing runs: the call, the exception type and
+# its message.
+OTHER_REFUSED = {
+    "bool label": (
+        lambda: structures.check_label(True),
+        ParseError, "True is not a usable label",
+    ),
+    "float label": (
+        lambda: structures.check_label(2.5),
+        ParseError, "2.5 is not a usable label",
+    ),
+    "empty label": (
+        lambda: structures.check_label(""),
+        ParseError, "'' is not a usable label",
+    ),
+    "token that is no string": (
+        lambda: string_to_label(None),
+        ParseError, "None is not a label",
+    ),
+    "block token with no closing brace": (
+        lambda: string_to_label("{1,2"),
+        ParseError, "unbalanced block token '{1,2'",
+    ),
+    "empty block token": (
+        lambda: string_to_label("{}"),
+        ParseError, "a block cannot be empty",
+    ),
+    "block token with an unclosed inner block": (
+        lambda: string_to_label("{{1}"),
+        ParseError, "unbalanced block token '{{1}'",
+    ),
+    "pair of three labels": (
+        lambda: decode_structure({"kind": "map", "pairs": [["1", "1", "1"]]}),
+        ParseError, "a pair must be a two-element list",
+    ),
+    "list with a label twice": (
+        lambda: ListTerm([1, 2, 1]),
+        ValueError, "duplicate label in list",
+    ),
+    "derivative with no star": (
+        lambda: DerivTerm(SetTerm([1])),
+        ValueError, "derivative structure is missing its star point",
+    ),
+    "writer of a class with no field table": (
+        lambda: structures.Structure._text(SetTerm([1]), None),
+        NotImplementedError, "",
+    ),
+    "sort parts of a class with no field table": (
+        lambda: structures.Structure._sort_parts(SetTerm([1]), None),
+        NotImplementedError, "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_REFUSED))
+def test_other_refusals(case):
+    build, error, message = OTHER_REFUSED[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message
