@@ -23,14 +23,15 @@ the substitution terms on every assignment, checking each list of outer
 terms once against its block set.  A ProductSplit checks a split's two
 label sets, each left factor and each right factor once for all the
 products on that split.  A MapSources
-checks a sorted label tuple once for all the terms built on it: maps,
-each checking only that its targets are among the labels; lists and
+checks a sorted label tuple once for all the terms built on it: the one
+set of 1, X, E, Ep or Ek[k]; maps, each checking only that its targets
+are among the labels; lists and
 cycles, permutations of one order checked once to hold each label once;
 partitions, each block checked once and each partition for holding each
 label once, blocks in order; and the derivative and pointed terms around
 a listed child, the child list checked once to live on the tuple.  Sum
 and named terms check their side or name once per child list.  No listing
-runs a public constructor but SetTerm's, on any number of labels.
+runs a public constructor, on any number of labels.
 
 A walk is the state of a listing: its guards, and its memos of lists,
 sort keys and series counts.  enumerate_structures makes a fresh one per
@@ -554,9 +555,10 @@ def _primitive_structures(expr, labels):
     possible edges, or of the possible arcs in order.  Each checks those
     items once and builds every term bare from the sublists it walks.
     Lists, cycles and maps hold their labels in fixed places (maps by
-    source), so they are generated from the labels in encoded order.  All
-    maps, lists, cycles or partitions on labels are built on one
-    MapSources, which checks the label tuple once.  Lists and
+    source), so they are generated from the labels in encoded order.  The
+    set and all maps, lists, cycles or partitions on labels are built on
+    one MapSources, which checks the label tuple once, so no primitive
+    listing runs a public constructor.  Lists and
     cycles are the permutations of one order it checks once; partitions,
     from _set_partitions, are checked block by block and once each for
     holding every label once.  Partitions are still sorted by encode().
@@ -569,15 +571,15 @@ def _primitive_structures(expr, labels):
     if kind is K.ZERO:
         return []
     if kind is K.ONE:
-        return [SetTerm(())] if n == 0 else []
+        return MapSources(labels).sets() if n == 0 else []
     if kind is K.SINGLETON:
-        return [SetTerm(labels)] if n == 1 else []
+        return MapSources(labels).sets() if n == 1 else []
     if kind is K.SET:
-        return [SetTerm(labels)]
+        return MapSources(labels).sets()
     if kind is K.NONEMPTY_SET:
-        return [SetTerm(labels)] if n >= 1 else []
+        return MapSources(labels).sets() if n >= 1 else []
     if kind is K.KSET:
-        return [SetTerm(labels)] if n == expr.param else []
+        return MapSources(labels).sets() if n == expr.param else []
     if kind is K.SUBSET or kind is K.KSUBSET:
         size = expr.param if kind is K.KSUBSET else None
         return SubsetTerm.listed(labels, size)

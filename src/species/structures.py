@@ -18,23 +18,24 @@ many (block, inner) pairs once against each assignment it is put before,
 and _comp_terms each list of outer terms once against its block set; a
 ProductSplit checks a split's two label sets and each of its factors once
 for all the products of that split; MapSources checks a sorted label tuple
-once for all the maps, lists, cycles, partitions, derivatives and pointed
-terms on it; and sum_terms and named_terms check a side or a name once for
-every term wrapped around a list of children.  Where both ways check the
+once for the set and all the maps, lists, cycles, partitions, derivatives
+and pointed terms on it; and sum_terms and named_terms check a side or a
+name once for every term wrapped around a list of children.  Where both ways check the
 same thing they call one check, which raises that refusal.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
 point a derivative adds; nested derivatives use runs of the same character
 (two stars, three stars, ...) so the added points stay distinct.  Every term
-knows its underlying label set — subsets remember their complement and
-graphs their isolated vertices — which is what transport needs to check
-domains.
+fixes its underlying label set when it is built — subsets remember their
+complement and graphs their isolated vertices — which is what transport
+needs to check domains: a public constructor keeps the frozenset its checks
+compute, and a bulk builder gives its terms the one set _SETS holds.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import chain, permutations, repeat
-from operator import add, attrgetter, eq, is_, itemgetter, lt, methodcaller
+from operator import add, attrgetter, eq, is_, itemgetter, lt
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -173,11 +174,11 @@ _KEYS = _Keys()
 _KEY = _KEYS.__getitem__
 
 
-#: The one frozenset of each set of labels that Structure.labels() or
-#: Block.member_set has returned: terms of a listing that cover the same
-#: labels share one set instead of keeping a copy each.  Like _CODES, it
-#: only ever maps a set to an equal set, so threads share it safely; sets
-#: of blocks it holds keep those blocks alive until it is emptied.
+#: The one frozenset of each set of labels that a bulk builder has given
+#: its terms or Block.member_set holds: terms of a listing that cover the
+#: same labels share one set instead of keeping a copy each.  Like _CODES,
+#: it only ever maps a set to an equal set, so threads share it safely;
+#: sets of blocks it holds keep those blocks alive until it is emptied.
 _SETS = {}
 
 
@@ -188,16 +189,12 @@ def _interned(labels):
 
 
 _kept_labels = attrgetter("_labels")
-_label_set_of = methodcaller("labels")
 
 
 def _all_on(terms, labels):
-    """True when every term of terms lives on labels.  The label sets the
-    terms keep are compared in C; only when one has not kept its set yet is
-    every term asked for it."""
-    return all(map(eq, map(_kept_labels, terms), repeat(labels))) or all(
-        map(labels.__eq__, map(_label_set_of, terms))
-    )
+    """True when every term of terms lives on labels: the label sets the
+    terms keep are compared in C."""
+    return all(map(eq, map(_kept_labels, terms), repeat(labels)))
 
 
 _new = object.__new__
@@ -690,15 +687,11 @@ class Structure:
             cls._attrs = attrgetter(*[attr for _, attr, _ in cls.fields])
 
     def labels(self):
-        """The underlying label set (derivative stars excluded), computed on
-        first use and kept: the one frozenset _SETS holds for it.  Every
-        constructor sets _labels, to None when it leaves the set for later;
-        a graph reads it from its vertex table."""
-        found = self._labels
-        if found is None:
-            found = self._label_set()
-            self._labels = found = _SETS.setdefault(found, found)
-        return found
+        """The underlying label set (derivative stars excluded), fixed when
+        the term is built.  A public constructor keeps the frozenset its
+        own checks compute; a bulk builder gives its terms the one set
+        _SETS holds; a graph reads it from its vertex table."""
+        return self._labels
 
     def relabel(self, f):
         """A copy with f applied to every label; stars stay fixed by the
@@ -708,9 +701,10 @@ class Structure:
         ])
 
     def to_json(self):
-        """The term as a JSON-ready dict, for API callers; no writer of
-        this module builds it.  A primitive term builds a fresh one per
-        call."""
+        """The term as a fresh JSON-ready dict on every call, built from
+        the field tables: the reference the compiled writers are checked
+        against, and a tree for API callers.  No writer of this module
+        builds it."""
         tree = {"kind": self.kind}
         for key, attr, fk in self.fields:
             tree[key] = fk.json(getattr(self, attr))
@@ -754,28 +748,6 @@ class Structure:
         return self.render()
 
 
-class _Composite(Structure):
-    """A term built from other terms.  Enumeration shares one subterm among
-    many parents, so its to_json() tree is built on the first call and
-    kept, and every later call, and the JSON of every term containing it,
-    returns that same dict: callers must not mutate it.  (A primitive term
-    builds a fresh dict per call: one kept dict per listed set, map or
-    graph costs more memory than rebuilding it.)  The tree serves API
-    callers only.  Like every term class, a composite's _text and
-    _sort_parts are compiled from its field table, and encode() joins its
-    _sort_parts: enumeration, `enumerate --json` and encode() build no
-    tree."""
-
-    __slots__ = ("_json",)
-
-    def to_json(self):
-        try:
-            return self._json
-        except AttributeError:
-            self._json = tree = super().to_json()
-            return tree
-
-
 class SetTerm(Structure):
     """The underlying set itself; also the one structure of 1 (empty set)
     and X (singleton)."""
@@ -786,10 +758,7 @@ class SetTerm(Structure):
 
     def __init__(self, members):
         self.members = _sorted_labels(members)
-        self._labels = None
-
-    def _label_set(self):
-        return frozenset(self.members)
+        self._labels = frozenset(self.members)
 
     def render(self):
         return _brace(self.members)
@@ -806,9 +775,10 @@ class SubsetTerm(Structure):
     def __init__(self, members, rest):
         self.members = _sorted_labels(members)
         self.rest = _sorted_labels(rest)
-        if set(self.members) & set(self.rest):
+        chosen = frozenset(self.members)
+        if not chosen.isdisjoint(self.rest):
             raise ValueError("subset and complement overlap")
-        self._labels = None
+        self._labels = chosen.union(self.rest)
 
     @classmethod
     def listed(cls, labels, size=None):
@@ -827,9 +797,6 @@ class SubsetTerm(Structure):
             term.members, term.rest, term._labels = members, rest, every
         return found
 
-    def _label_set(self):
-        return frozenset(self.members) | frozenset(self.rest)
-
     def render(self):
         return _brace(self.members)
 
@@ -843,12 +810,9 @@ class ListTerm(Structure):
 
     def __init__(self, seq):
         self.seq = tuple(seq)
-        if len(set(self.seq)) != len(self.seq):
+        self._labels = labels = frozenset(self.seq)
+        if len(labels) != len(self.seq):
             raise ValueError("duplicate label in list")
-        self._labels = None
-
-    def _label_set(self):
-        return frozenset(self.seq)
 
     def render(self):
         return "[" + ",".join(label_to_string(x) for x in self.seq) + "]"
@@ -864,15 +828,12 @@ class CycleTerm(Structure):
     def __init__(self, seq):
         seq = tuple(seq)
         _check_cycle(seq)
-        if len(set(seq)) != len(seq):
+        self._labels = labels = frozenset(seq)
+        if len(labels) != len(seq):
             raise ValueError("duplicate label in cycle")
         keys = _label_keys(seq)
         pivot = keys.index(min(keys))
         self.seq = seq[pivot:] + seq[:pivot] if pivot else seq
-        self._labels = None
-
-    def _label_set(self):
-        return frozenset(self.seq)
 
     def render(self):
         return "(" + " ".join(label_to_string(x) for x in self.seq) + ")"
@@ -900,15 +861,11 @@ class MapTerm(Structure):
         keys = _label_keys(sources)
         if not _increasing(keys):
             items = _in_key_order(items, keys)
-            sources = [a for a, _ in items]
-            if len(set(sources)) != len(sources):
-                raise ValueError("duplicate source in map")
-        _check_targets([map(itemgetter(1), items)], frozenset(sources))
+        self._labels = labels = frozenset(sources)
+        if len(labels) != len(sources):
+            raise ValueError("duplicate source in map")
+        _check_targets([map(itemgetter(1), items)], labels)
         self.pairs = tuple(items)
-        self._labels = None
-
-    def _label_set(self):
-        return frozenset(a for a, _ in self.pairs)
 
     def mapping(self):
         return dict(self.pairs)
@@ -933,9 +890,9 @@ def _check_targets(images, labels):
 
 
 class MapSources:
-    """A sorted label tuple that a listing builds its maps, lists, cycles,
-    partitions, derivatives or pointed terms on, checked once for every
-    term built on it.
+    """A sorted label tuple that a listing builds its set, maps, lists,
+    cycles, partitions, derivatives or pointed terms on, checked once for
+    every term built on it.
 
     MapSources(labels) refuses labels whose keys do not strictly increase,
     so they are distinct and in the order MapTerm keeps its pairs, and
@@ -945,6 +902,7 @@ class MapSources:
     constructor would build, in the order given, made bare (no __init__
     run), and checks only what each term adds:
 
+    - sets(): [SetTerm(labels)], which adds nothing.
     - maps(images): MapTerm(zip(labels, image)) for every image, a tuple
       of one target per source; each image's length, and that its targets
       lie in targets.
@@ -975,6 +933,11 @@ class MapSources:
         if not _increasing(_label_keys(labels)):
             raise ValueError("map sources out of order")
         self.labels, self.targets = labels, _interned(labels)
+
+    def sets(self):
+        term = _new(SetTerm)
+        term.members, term._labels = self.labels, self.targets
+        return [term]
 
     def maps(self, images):
         labels, targets = self.labels, self.targets
@@ -1075,7 +1038,8 @@ class MapSources:
 
 def sum_terms(side, inners):
     """SumTerm(side, inner) for every inner, made bare: the side is checked
-    once, and each term takes its inner term's kept label set."""
+    once, and each term takes the label set its inner term fixed when it
+    was built."""
     _check_side(side)
     terms = _bare(SumTerm, len(inners))
     for term, inner in zip(terms, inners):
@@ -1085,8 +1049,8 @@ def sum_terms(side, inners):
 
 def named_terms(name, inners):
     """NamedTerm(name, inner) for every inner, made bare: the name is
-    checked once to be a string, and each term takes its inner term's kept
-    label set."""
+    checked once to be a string, and each term takes the label set its
+    inner term fixed when it was built."""
     _check_name(name)
     terms = _bare(NamedTerm, len(inners))
     for term, inner in zip(terms, inners):
@@ -1115,9 +1079,9 @@ def _ranked_pairs(table, pairs, what, given=False):
     ranks pos[a] * n + pos[b], which is the order label_sort_key gives.
     Each pair is checked, in the order given, before any two are compared:
     both ends must be vertices, and an edge no loop; two pairs of one rank
-    are the same, refused.  Given (by public constructors), the pairs are
-    sorted and each edge turned to have its lesser end first and made a
-    tuple; else (from listings) they must come in that order."""
+    are the same, refused.  Given (by public constructors), each pair is
+    made a tuple, each edge turned to have its lesser end first, and the
+    pairs are sorted; else (from listings) they must come in that order."""
     pos = table.pos
     n = len(pos)
     edges = what == "edge"
@@ -1130,16 +1094,13 @@ def _ranked_pairs(table, pairs, what, given=False):
             i, j = pos[a], pos[b]
         except KeyError:
             raise ValueError(f"{what} endpoint outside the vertex set") from None
-        if edges and given:
-            pair, i, j = ((b, a), j, i) if i > j else (tuple(pair), i, j)
+        if given:
+            pair, i, j = ((b, a), j, i) if edges and i > j else ((a, b), i, j)
         elif edges and i > j:
             raise ValueError("edge out of order")
         kept.append(pair)
         ranks.append(i * n + j)
     if given:
-        # A term is hashed with its pairs: an arc given as a list, which
-        # cannot be, is refused before any two pairs are compared.
-        hash(tuple(kept))
         kept = _in_key_order(kept, ranks)
         ranks.sort()
     for last, rank in zip(ranks, ranks[1:]):
@@ -1235,10 +1196,7 @@ class PartitionTerm(Structure):
         if not _increasing(firsts):
             norm = _in_key_order(norm, firsts)
         self.blocks = tuple(norm)
-        self._labels = None
-
-    def _label_set(self):
-        return frozenset(x for b in self.blocks for x in b)
+        self._labels = seen
 
     def render(self):
         return "{" + ",".join(_brace(b) for b in self.blocks) + "}"
@@ -1261,7 +1219,7 @@ def _joined(block, labels):
     return found
 
 
-class SumTerm(_Composite):
+class SumTerm(Structure):
     """A structure of the left or right summand, tagged with its side."""
 
     __slots__ = ("side", "inner")
@@ -1274,9 +1232,6 @@ class SumTerm(_Composite):
         self.inner = inner
         self._labels = inner._labels
 
-    def _label_set(self):
-        return self.inner.labels()
-
     def render(self):
         return f"{self.side}({self.inner.render()})"
 
@@ -1286,7 +1241,7 @@ def _check_side(side):
         raise ValueError("side must be 'left' or 'right'")
 
 
-class ProdTerm(_Composite):
+class ProdTerm(Structure):
     """An ordered pair of structures on complementary label sets."""
 
     __slots__ = ("left", "right")
@@ -1303,10 +1258,10 @@ class ProdTerm(_Composite):
 
 
 def _product_labels(left, right):
-    """The one set of a product's labels, refused if its parts meet."""
+    """The set of a product's labels, refused if its parts meet."""
     if not left.isdisjoint(right):
         raise ValueError("product parts share labels")
-    return _interned(left | right)
+    return left | right
 
 
 class ProductSplit:
@@ -1325,7 +1280,7 @@ class ProductSplit:
 
     def __init__(self, chosen, rest, rights):
         chosen, rest = _interned(chosen), _interned(rest)
-        self.labels = _product_labels(chosen, rest)
+        self.labels = _interned(_product_labels(chosen, rest))
         rights = tuple(rights)
         if not _all_on(rights, rest):
             raise ValueError("right factor is not on its labels")
@@ -1410,7 +1365,7 @@ class Assignment:
         return terms
 
 
-class CompTerm(_Composite):
+class CompTerm(Structure):
     """A substitution structure: a partition into blocks, one inner
     structure per block, and an outer structure on the blocks themselves.
 
@@ -1431,7 +1386,7 @@ class CompTerm(_Composite):
             labels = _joined(block.member_set, labels)
         self.outer = outer
         self.assign = assign
-        self._labels = _interned(labels)
+        self._labels = labels
 
     def render(self):
         parts = ", ".join(
@@ -1466,32 +1421,27 @@ def _comp_terms(assigns, outers_on):
     return terms
 
 
-class DerivTerm(_Composite):
-    """A structure on the labels plus one extra reserved point."""
+class DerivTerm(Structure):
+    """A structure on the labels plus one extra reserved point, its
+    inner term's longest star."""
 
     __slots__ = ("inner",)
     kind = "deriv"
     fields = (("inner", "inner", _CHILD),)
 
     def __init__(self, inner):
-        if not any(is_star(l) for l in inner.labels()):
+        labels = inner.labels()
+        stars = [l for l in labels if is_star(l)]
+        if not stars:
             raise ValueError("derivative structure is missing its star point")
         self.inner = inner
-        self._labels = None
-
-    def _star(self):
-        return max(
-            (l for l in self.inner.labels() if is_star(l)), key=len
-        )
-
-    def _label_set(self):
-        return self.inner.labels() - {self._star()}
+        self._labels = labels.difference((max(stars, key=len),))
 
     def render(self):
         return f"D({self.inner.render()})"
 
 
-class PointTerm(_Composite):
+class PointTerm(Structure):
     """A structure together with one of its own labels singled out."""
 
     __slots__ = ("at", "inner")
@@ -1514,7 +1464,7 @@ def _check_points(points, labels):
         raise ValueError("distinguished point is not a label")
 
 
-class NamedTerm(_Composite):
+class NamedTerm(Structure):
     """One unfolding of a named species wrapped with that name."""
 
     __slots__ = ("name", "inner")
@@ -1526,9 +1476,6 @@ class NamedTerm(_Composite):
         self.name = name
         self.inner = inner
         self._labels = inner._labels
-
-    def _label_set(self):
-        return self.inner.labels()
 
     def render(self):
         return f"{self.name}:{self.inner.render()}"

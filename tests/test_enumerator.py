@@ -56,7 +56,6 @@ from species.structures import (
     Structure,
     SubsetTerm,
     SumTerm,
-    _Composite,
     decode_structure,
 )
 
@@ -475,9 +474,15 @@ class TestSharing:
     def test_cached_json_stays_intact(self):
         env = parse_defs("A = X*E(A)\n")
         for s in enumerate_structures(parse_expr("A"), env, [1, 2, 3, 4]):
+            code = s.encode()
             first = s.to_json()
             second = s.to_json()
-            assert second is first
+            assert second == first and second is not first
+            assert second["inner"] is not first["inner"]
+            first["inner"]["kind"] = "mutated"
+            first["kind"] = "mutated"
+            assert s.to_json() == second
+            assert s.encode() == code
             assert decode_structure(second) == s
             assert decode_structure(json.loads(s.encode())) == s
 
@@ -547,13 +552,13 @@ class TestEncodeOrder:
 
     def test_sorting_builds_no_json_tree(self, monkeypatch):
         calls = []
-        to_json = _Composite.to_json
+        to_json = Structure.to_json
 
         def recorded(self):
             calls.append(type(self).__name__)
             return to_json(self)
 
-        monkeypatch.setattr(_Composite, "to_json", recorded)
+        monkeypatch.setattr(Structure, "to_json", recorded)
         env = parse_defs("B = 1 + X*B^2\n")
         got = enumerate_structures(parse_expr("B"), env, range(1, 6))
         assert len(got) == factorial(5) * comb(10, 5) // 6
@@ -739,13 +744,13 @@ class TestJsonListing:
 
             monkeypatch.setattr(cls, "_text", counted)
         trees = []
-        to_json = _Composite.to_json
+        to_json = Structure.to_json
 
         def recorded(self):
             trees.append(type(self).__name__)
             return to_json(self)
 
-        monkeypatch.setattr(_Composite, "to_json", recorded)
+        monkeypatch.setattr(Structure, "to_json", recorded)
         defs = tmp_path / "defs.species"
         defs.write_text(_DIGEST_DEFS, encoding="utf-8")
         pool = _INT_LABELS if kind == "int" else _STR_LABELS

@@ -390,8 +390,9 @@ def test_cycle_rotates_from_the_least_label(seq, first):
 def _reference_graph(vertices, pairs, directed):
     """(vertices, pairs) as GraphTerm or DigraphTerm should store them, or
     the exception they should raise, found without vertex tables or ranks:
-    sort the vertices, check every pair against the vertex list, turn each
-    edge to put its lesser end first, refuse repeats, sort by place."""
+    sort the vertices, check every pair against the vertex list, take it
+    as a tuple (a list pair is accepted as both an edge and an arc), turn
+    each edge to put its lesser end first, refuse repeats, sort by place."""
     ordered = tuple(sorted(vertices, key=_reference_key))
     if len(set(ordered)) != len(ordered):
         raise ValueError(f"duplicate label in {ordered!r}")
@@ -404,9 +405,9 @@ def _reference_graph(vertices, pairs, directed):
             raise ValueError("a simple graph has no loops")
         if a not in ordered or b not in ordered:
             raise ValueError(f"{what} endpoint outside the vertex set")
-        if not directed:
-            pair = (b, a) if place(a) > place(b) else (a, b)
-        kept.append(pair)
+        if not directed and place(a) > place(b):
+            a, b = b, a
+        kept.append((a, b))
     if len(set(kept)) != len(kept):
         raise ValueError(f"duplicate {what}")
     kept.sort(key=lambda p: (place(p[0]), place(p[1])))
@@ -1267,13 +1268,63 @@ def test_bulk_built_assignments_equal_the_step_built_ones():
     assert structures.Assignment.listed(pairs, []) == []
 
 
+def _relabelled_labels(term):
+    """The labels other than stars that term.relabel passes to its
+    function: the term's label set, found without reading _labels."""
+    seen = set()
+
+    def record(label):
+        seen.add(label)
+        return label
+
+    term.relabel(record)
+    return frozenset(label for label in seen if not is_star(label))
+
+
+# One listing per primitive kind and per composite kind, each built by its
+# bulk builder; sets are listed for every primitive that makes one.
+LISTED_KINDS = [
+    ("set", "1", []), ("set", "X", ["a"]), ("set", "E", [1, "a", 10]),
+    ("set", "Ep", [1, "a"]), ("set", "Ek[2]", [1, "a"]),
+    ("subset", "P", [1, "a", 10]), ("subset", "Pk[1]", [1, "a", 10]),
+    ("list", "L", [1, "a", 10]), ("cycle", "C", [1, "a", 10]),
+    ("map", "S", [1, "a", 10]), ("map", "Der", [1, "a", 10]),
+    ("map", "Inv", [1, "a", 10]), ("map", "End", [1, "a"]),
+    ("graph", "Gra", [1, "a", 10]), ("digraph", "Gro", [1, "a", 10]),
+    ("partition", "Part", [1, "a", 10]), ("sum", "X+L", [1, "a"]),
+    ("prod", "X*L", [1, "a", 10]), ("comp", "E(C)", [1, "a", 10]),
+    ("deriv", "L'", [1, "a"]), ("point", "pt(C)", [1, "a", 10]),
+    ("named", "A", [1, "a", 10]),
+]
+
+
 def test_every_term_has_its_label_slot_set():
-    """Every constructor sets _labels, to None or to the set, so labels()
-    never reads an unset slot."""
-    for kind, term in TERMS.items():
-        fresh = decode_structure(term.to_json())
-        assert fresh._labels is None or fresh._labels == fresh.labels(), kind
-        assert fresh.labels() == term.labels()
+    """Every way a term is built fixes its label set there: its public
+    constructor, decode_structure and the bulk builder a listing runs.  No
+    term or subterm keeps None, and each set is the labels relabel reaches,
+    stars excluded (a subterm inside a derivative also keeps its stars)."""
+    ways = {"public": [], "decoded": [], "bulk": []}
+    for term in TERMS.values():
+        ways["public"].append(term)
+        ways["decoded"].append(decode_structure(term.to_json()))
+    env = parse_defs("A = X*E(A)\n")
+    for kind, text, labels in LISTED_KINDS:
+        found = enumerate_structures(parse_expr(text), env, labels)
+        assert found and {term.kind for term in found} == {kind}, text
+        ways["bulk"] += found
+    for way, terms in ways.items():
+        assert {term.kind for term in terms} == set(TERMS), way
+        for term in terms:
+            assert term.labels() == _relabelled_labels(term), (way, term)
+            for sub in _subterms(term):
+                if isinstance(sub, Block):
+                    continue
+                assert sub._labels is not None, (way, sub)
+                labels = sub.labels()
+                assert type(labels) is frozenset, (way, sub)
+                assert labels - {l for l in labels if is_star(l)} == (
+                    _relabelled_labels(sub)
+                ), (way, sub)
 
 
 # -- products on a split and maps on a source tuple, checked once ----------
@@ -1364,7 +1415,7 @@ def test_terms_on_a_split_or_sources_equal_the_public_ones():
 # -- lists, cycles, partitions and wrapped terms, checked once -------------
 
 _ON = structures.MapSources
-_KEPT_OFF = ListTerm([1, 3])  # keeps no label set until it is asked
+_KEPT_OFF = ListTerm([1, 3])  # keeps its own set, not the tuple's one
 
 # Each refusal of a check made once for a list of terms: the step, the
 # public constructor given the same parts (None where it accepts them or
