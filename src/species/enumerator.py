@@ -8,30 +8,21 @@ budget guard and keeps enumeration and series honest against each other.
 No listing is sorted at the end.  The encoding fixes the order child first,
 so every node builds its list in encode() order from its children's lists:
 a node that wraps one child keeps the child's order, a sum merges its two
-sides, a product orders its left factors, and primitives are generated in
-order.  Only partitions are still sorted by encode(), once per label set.
+sides, a product orders its left factors, and a primitive's listing, its
+row of primitives.ROWS, comes in order (see primitives.py).
 
-Listed terms are built from parts checked once.  Subsets, graphs and
-digraphs are built bare from the sublists of one tuple, of the labels, of
-the possible edges or of the possible arcs, which SubsetTerm.listed,
-GraphTerm.listed and DigraphTerm.listed check once: every sublist their
-walk takes keeps its items distinct and in order.  The (block, inner)
+Listed terms are built from parts checked once.  The (block, inner)
 pairs of substitution terms are formed once each, and Assignment.listed
 puts the pairs on one block before each assignment of the labels left,
 checking that block once against each of them; _comp_terms then builds
 the substitution terms on every assignment, checking each list of outer
 terms once against its block set.  A ProductSplit checks a split's two
 label sets, each left factor and each right factor once for all the
-products on that split.  A MapSources
-checks a sorted label tuple once for all the terms built on it: the one
-set of 1, X, E, Ep or Ek[k]; maps, each checking only that its targets
-are among the labels; lists and
-cycles, permutations of one order checked once to hold each label once;
-partitions, each block checked once and each partition for holding each
-label once, blocks in order; and the derivative and pointed terms around
-a listed child, the child list checked once to live on the tuple.  Sum
-and named terms check their side or name once per child list.  No listing
-runs a public constructor, on any number of labels.
+products on that split.  A MapSources checks a sorted label tuple once
+for the derivative and pointed terms around a listed child, the child
+list checked once to live on the tuple.  Sum and named terms check their
+side or name once per child list.  No listing runs a public constructor,
+on any number of labels.
 
 A walk is the state of a listing: its guards, and its memos of lists,
 sort keys and series counts.  enumerate_structures makes a fresh one per
@@ -78,9 +69,8 @@ them began.
 
 import gc
 import random
-from itertools import combinations, permutations, product as iproduct, repeat
+from itertools import combinations
 from math import prod
-from operator import add, ne
 
 from .errors import (
     BudgetExceeded,
@@ -95,12 +85,12 @@ from .expr import (
     Name,
     Pointing,
     Primitive,
-    PrimitiveKind,
     Product,
     RestrictCard,
     Substitute,
     Sum,
 )
+from .primitives import ROWS
 from .semantics import egf_of
 from .structures import (
     Assignment,
@@ -108,14 +98,11 @@ from .structures import (
     Block,
     CompTerm,
     CycleTerm,
-    DigraphTerm,
-    GraphTerm,
     MapSources,
     MapTerm,
     ProductSplit,
     SetTerm,
     STAR,
-    SubsetTerm,
     _comp_terms,
     check_label,
     clear_label_codes,
@@ -140,8 +127,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10_000_000
 
-K = PrimitiveKind
-
 
 def _clean_labels(labels):
     seen = []
@@ -154,31 +139,6 @@ def _clean_labels(labels):
     if len(set(out)) != len(out):
         raise ParseError(f"duplicate label in {labels!r}")
     return out
-
-
-def _set_partitions(items, listed):
-    """All partitions of a tuple into nonempty blocks, as tuples of blocks,
-    each block a tuple of items in items' order (the empty tuple has
-    exactly one partition: the empty one).  The first block holds
-    items[0], so blocks are in order of their first item.  listed maps
-    each tuple of items left over to its partitions, so that each is
-    listed once however many first blocks leave it, and every partition
-    is one tuple built once, not rebuilt at each level."""
-    if len(items) < 2:
-        return [(items,)] if items else [()]
-    found = listed.get(items)
-    if found is not None:
-        return found
-    first, rest = items[0], items[1:]
-    found = listed[items] = []
-    for k in range(len(rest) + 1):
-        for companions in combinations(rest, k):
-            taken = set(companions)
-            tails = _set_partitions(
-                tuple(x for x in rest if x not in taken), listed
-            )
-            found += map(add, repeat(((first,) + companions,)), tails)
-    return found
 
 
 def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
@@ -354,7 +314,7 @@ def _build(expr, env, labels, active):
     reads (_Walk.hold).
     """
     if isinstance(expr, Primitive):
-        return _primitive_structures(expr, labels)
+        return ROWS[expr.kind][1](labels, expr.param)
     if isinstance(expr, Name):
         guard = (expr.ident, frozenset(labels))
         active.add(guard)
@@ -515,104 +475,6 @@ def _assignments(state, rest, blocks):
         out += Assignment.listed(pairs, tails)
     listed[(rest, blocks)] = out
     return out
-
-
-def _involutions(labels):
-    """Every involution of labels, in encode() order: a depth-first fill of
-    the sources in order, where each free source maps, by encoded label,
-    to itself or to a later free source."""
-    n = len(labels)
-    by_code = sorted(range(n), key=lambda i: label_code(labels[i]))
-    images = []
-    _fill(labels, by_code, [None] * n, images, 0)
-    return MapSources(labels).maps(images)
-
-
-def _fill(labels, by_code, image, out, i):
-    """Append to out the targets, one per source, of every involution that
-    extends the partial one in image, whose sources before i are all
-    mapped."""
-    n = len(labels)
-    while i < n and image[i] is not None:
-        i += 1
-    if i == n:
-        out.append(tuple(map(labels.__getitem__, image)))
-        return
-    for j in by_code:
-        if j == i or (j > i and image[j] is None):
-            image[i] = j
-            image[j] = i
-            _fill(labels, by_code, image, out, i + 1)
-            image[i] = image[j] = None
-
-
-def _primitive_structures(expr, labels):
-    """The structures of a primitive on labels, in encode() order.
-
-    On one label set, subsets, graphs and digraphs differ only in their
-    list of members, edges or arcs, so SubsetTerm.listed, GraphTerm.listed
-    and DigraphTerm.listed walk the sublists of the labels, of the
-    possible edges, or of the possible arcs in order.  Each checks those
-    items once and builds every term bare from the sublists it walks.
-    Lists, cycles and maps hold their labels in fixed places (maps by
-    source), so they are generated from the labels in encoded order.  The
-    set and all maps, lists, cycles or partitions on labels are built on
-    one MapSources, which checks the label tuple once, so no primitive
-    listing runs a public constructor.  Lists and
-    cycles are the permutations of one order it checks once; partitions,
-    from _set_partitions, are checked block by block and once each for
-    holding every label once.  Partitions are still sorted by encode().
-    On the verify workload that sort is the one call of Structure.encode,
-    a boundary that perfbench/tracing.py requires to be reached until the
-    engine counts its own work (ROADMAP item 1).
-    """
-    kind = expr.kind
-    n = len(labels)
-    if kind is K.ZERO:
-        return []
-    if kind is K.ONE:
-        return MapSources(labels).sets() if n == 0 else []
-    if kind is K.SINGLETON:
-        return MapSources(labels).sets() if n == 1 else []
-    if kind is K.SET:
-        return MapSources(labels).sets()
-    if kind is K.NONEMPTY_SET:
-        return MapSources(labels).sets() if n >= 1 else []
-    if kind is K.KSET:
-        return MapSources(labels).sets() if n == expr.param else []
-    if kind is K.SUBSET or kind is K.KSUBSET:
-        size = expr.param if kind is K.KSUBSET else None
-        return SubsetTerm.listed(labels, size)
-    if kind is K.GRAPH:
-        return GraphTerm.listed(labels, combinations(labels, 2))
-    if kind is K.DIGRAPH:
-        return DigraphTerm.listed(labels, iproduct(labels, repeat=2))
-    by_code = sorted(labels, key=label_code)
-    if kind is K.NONEMPTY_LIST and n == 0:
-        return []
-    if kind is K.LIST or kind is K.NONEMPTY_LIST:
-        return MapSources(labels).lists(by_code)
-    if kind is K.CYCLE:
-        if n == 0:
-            return []
-        rest = [x for x in by_code if x != labels[0]]
-        return MapSources(labels).cycles(rest)
-    if kind is K.PERMUTATION:
-        return MapSources(labels).maps(permutations(by_code))
-    if kind is K.DERANGEMENT:
-        return MapSources(labels).maps(
-            image for image in permutations(by_code)
-            if all(map(ne, labels, image))
-        )
-    if kind is K.INVOLUTION:
-        return _involutions(labels)
-    if kind is K.ENDOFUNCTION:
-        return MapSources(labels).maps(iproduct(by_code, repeat=n))
-    if kind is K.PARTITION:
-        out = MapSources(labels).partitions(_set_partitions(labels, {}))
-        out.sort(key=lambda s: s.encode())
-        return out
-    raise TypeError(f"no structure rule for primitive {kind}")
 
 
 # -- transport -------------------------------------------------------------

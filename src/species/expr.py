@@ -136,7 +136,7 @@ class Primitive(SpeciesExpr):
 
     def __init__(self, kind, param=None):
         if kind in PARAMETRIC:
-            if param is None or param < 0:
+            if type(param) is not int or param < 0:
                 raise ValueError(
                     f"{kind.value} requires a nonnegative integer parameter"
                 )

@@ -1,10 +1,7 @@
 """From expressions to counting series.
 
-egf_of evaluates an expression to its exact truncated series.  Primitive
-species have closed-form count tables; three of them are deliberately
-derived from the others through the series algebra (derangements by dividing
-permutations by sets, involutions and partitions by substitution), which
-keeps a single source of truth for those counts.
+egf_of evaluates an expression to its exact truncated series.  A primitive
+species reads its series from its row of primitives.ROWS.
 
 Named species may be mutually recursive.  Evaluation groups the reachable
 names into strongly connected components, resolves acyclic names directly,
@@ -19,7 +16,6 @@ O(N^3).
 """
 
 from itertools import compress, count
-from math import comb, factorial
 from operator import ne
 
 from .errors import (
@@ -34,13 +30,13 @@ from .expr import (
     Name,
     Pointing,
     Primitive,
-    PrimitiveKind,
     Product,
     RestrictCard,
     Substitute,
     Sum,
     print_expr,
 )
+from .primitives import ROWS
 from .series import CountSeries, solve_system
 
 __all__ = [
@@ -53,81 +49,10 @@ __all__ = [
 
 DEFAULT_ORDER = 12
 
-K = PrimitiveKind
-
-
-def _from_counts(order, count_at):
-    return CountSeries(count_at(n) for n in range(order + 1))
-
-
-def _build_set(order, _):
-    return _from_counts(order, lambda n: 1)
-
-
-def _build_nonempty_set(order, _):
-    return _from_counts(order, lambda n: 1 if n >= 1 else 0)
-
-
-def _build_list(order, _):
-    return _from_counts(order, factorial)
-
-
-def _build_derangement(order, _):
-    # Fixed points split off as a set: S = E * Der, so Der = S / E.
-    return _build_list(order, None) / _build_set(order, None)
-
-
-def _build_involution(order, _):
-    # An involution is a set of fixed points and 2-cycles: E(X + E_2).
-    if order == 0:
-        return CountSeries.one(0)
-    singles = CountSeries.x(order)
-    pairs = _build_kset(order, 2)
-    return _build_set(order, None)(singles + pairs)
-
-
-def _build_partition(order, _):
-    # A partition is a set of nonempty blocks: E(E+).
-    return _build_set(order, None)(_build_nonempty_set(order, None))
-
-
-def _build_kset(order, k):
-    return _from_counts(order, lambda n: 1 if n == k else 0)
-
-
-_SERIES_BUILDERS = {
-    K.ZERO: lambda order, _: CountSeries.zero(order),
-    K.ONE: lambda order, _: CountSeries.one(order),
-    K.SINGLETON: lambda order, _: _from_counts(
-        order, lambda n: 1 if n == 1 else 0
-    ),
-    K.SET: _build_set,
-    K.NONEMPTY_SET: _build_nonempty_set,
-    K.KSET: _build_kset,
-    K.LIST: _build_list,
-    K.NONEMPTY_LIST: lambda order, _: _from_counts(
-        order, lambda n: factorial(n) if n >= 1 else 0
-    ),
-    K.CYCLE: lambda order, _: _from_counts(
-        order, lambda n: factorial(n - 1) if n >= 1 else 0
-    ),
-    K.PERMUTATION: _build_list,
-    K.DERANGEMENT: _build_derangement,
-    K.INVOLUTION: _build_involution,
-    K.ENDOFUNCTION: lambda order, _: _from_counts(
-        order, lambda n: n**n if n else 1
-    ),
-    K.PARTITION: _build_partition,
-    K.SUBSET: lambda order, _: _from_counts(order, lambda n: 2**n),
-    K.KSUBSET: lambda order, k: _from_counts(order, lambda n: comb(n, k)),
-    K.GRAPH: lambda order, _: _from_counts(order, lambda n: 2 ** comb(n, 2)),
-    K.DIGRAPH: lambda order, _: _from_counts(order, lambda n: 2 ** (n * n)),
-}
-
 
 def primitive_series(kind, order, param=None):
     """The counting series of one primitive, truncated at order."""
-    return _SERIES_BUILDERS[kind](order, param)
+    return ROWS[kind][0](order, param)
 
 
 def _sccs(nodes, edges):
@@ -316,9 +241,9 @@ class _Evaluator:
         return node
 
     def _primitive(self, expr):
-        build = _SERIES_BUILDERS[expr.kind]
+        series = ROWS[expr.kind][0]
         param = expr.param
-        return lambda order: build(order, param)
+        return lambda order: series(order, param)
 
     def _name(self, expr):
         ident = expr.ident

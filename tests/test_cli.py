@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import species
-from species import cli, identities, semantics
+from species import cli, identities, primitives
 from species.cli import main
 from species.errors import BudgetExceeded
 from species.expr import RESERVED, PrimitiveKind, print_expr
@@ -264,7 +264,7 @@ class TestVerify:
         assert all(case["status"] == "pass" for case in payload["cases"])
 
     def test_failure_is_exit_1_with_a_witness(self, capsys, monkeypatch):
-        real = semantics._SERIES_BUILDERS[PrimitiveKind.DERANGEMENT]
+        real, listing = primitives.ROWS[PrimitiveKind.DERANGEMENT]
 
         def perturbed(order, param=None):
             series = real(order, param)
@@ -274,7 +274,7 @@ class TestVerify:
             return CountSeries.from_coefficients(coeffs)
 
         monkeypatch.setitem(
-            semantics._SERIES_BUILDERS, PrimitiveKind.DERANGEMENT, perturbed
+            primitives.ROWS, PrimitiveKind.DERANGEMENT, (perturbed, listing)
         )
         code, out, _ = run(capsys, "verify", "--case", "counts-Der")
         assert code == 1

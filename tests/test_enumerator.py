@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from species import cli, enumerator, structures
+from species import cli, enumerator, primitives, structures
 from species.enumerator import (
     _structures,
     check_functoriality,
@@ -410,13 +410,12 @@ class TestSharing:
         self, monkeypatch
     ):
         calls = []
-        primitive = enumerator._primitive_structures
+        for kind, (series, listing) in list(primitives.ROWS.items()):
+            def counted(labels, param, kind=kind, listing=listing):
+                calls.append((kind, labels))
+                return listing(labels, param)
 
-        def counted(expr, labels):
-            calls.append((id(expr), labels))
-            return primitive(expr, labels)
-
-        monkeypatch.setattr(enumerator, "_primitive_structures", counted)
+            monkeypatch.setitem(primitives.ROWS, kind, (series, counted))
         env = parse_defs("B = 1 + X*B^2\n")
         got = enumerate_structures(parse_expr("B"), env, [1, 2, 3, 4, 5])
         assert len(got) == factorial(5) * comb(10, 5) // 6
@@ -449,13 +448,12 @@ class TestSharing:
         self, text, monkeypatch
     ):
         kinds = []
-        primitive = enumerator._primitive_structures
+        for kind, (series, listing) in list(primitives.ROWS.items()):
+            def counted(labels, param, kind=kind, listing=listing):
+                kinds.append(kind)
+                return listing(labels, param)
 
-        def counted(expr, labels):
-            kinds.append(expr.kind)
-            return primitive(expr, labels)
-
-        monkeypatch.setattr(enumerator, "_primitive_structures", counted)
+            monkeypatch.setitem(primitives.ROWS, kind, (series, counted))
         assert enum(text, [1, 2, 3, 4]) == []
         assert PrimitiveKind.DIGRAPH not in kinds
 

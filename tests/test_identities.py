@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from species import enumerator, identities, semantics
+from species import enumerator, identities, primitives
 from species.enumerator import enumerate_structures
 from species.errors import DuplicateName, ParseError
 from species.expr import PrimitiveKind
@@ -103,7 +103,7 @@ def test_note_mentions_counts():
 
 def test_fault_injection_is_localized(monkeypatch):
     """Perturb one built-in series and exactly its dependents must fail."""
-    real = semantics._SERIES_BUILDERS[PrimitiveKind.DERANGEMENT]
+    real, listing = primitives.ROWS[PrimitiveKind.DERANGEMENT]
 
     def perturbed(order, param=None):
         series = real(order, param)
@@ -113,7 +113,7 @@ def test_fault_injection_is_localized(monkeypatch):
         return CountSeries.from_coefficients(coeffs)
 
     monkeypatch.setitem(
-        semantics._SERIES_BUILDERS, PrimitiveKind.DERANGEMENT, perturbed
+        primitives.ROWS, PrimitiveKind.DERANGEMENT, (perturbed, listing)
     )
     failed = {r.name: r for r in run_suite() if not r.passed}
     assert sorted(failed) == ["Der-alternating-sum", "S=E*Der", "counts-Der"]

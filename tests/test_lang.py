@@ -29,6 +29,7 @@ from species.expr import (
     print_expr,
 )
 from species.parser import parse_defs, parse_expr
+from species.primitives import ROWS
 from species.semantics import egf_of, primitive_series, validate
 
 from oracles import bell, involutions, subfactorial
@@ -255,6 +256,16 @@ class TestPrimitiveSeries:
     def test_counts_match_oracle(self, kind, param, law):
         series = primitive_series(kind, order=8, param=param)
         assert series.counts() == [law(n) for n in range(9)]
+
+    def test_every_kind_has_one_row(self):
+        assert set(ROWS) == set(PrimitiveKind)
+
+    @pytest.mark.parametrize(
+        "kind,param", [(K.KSUBSET, 2.5), (K.KSET, "2"), (K.KSET, True)]
+    )
+    def test_a_parameter_that_is_no_int_is_refused(self, kind, param):
+        with pytest.raises(ValueError, match="nonnegative integer parameter"):
+            Primitive(kind, param)
 
 
 class TestEvaluation:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from species import semantics, series
+from species import primitives, series
 from species.expr import (
     Derivative,
     Environment,
@@ -207,12 +207,12 @@ def test_binary_trees_to_order_60_compute_few_product_counts(monkeypatch):
 def test_name_free_nodes_are_built_once_per_solve(monkeypatch):
     """X and E are built at the solve's order and sliced for every pass."""
     built = []
-    for kind, build in list(semantics._SERIES_BUILDERS.items()):
+    for kind, (build, listing) in list(primitives.ROWS.items()):
         def logged(order, param, kind=kind, build=build):
             built.append((kind.value, order))
             return build(order, param)
 
-        monkeypatch.setitem(semantics._SERIES_BUILDERS, kind, logged)
+        monkeypatch.setitem(primitives.ROWS, kind, (logged, listing))
     egf_of(parse_expr("A"), _ENV, order=40)
     assert sorted(built) == [("E", 40), ("X", 40)]
 
