@@ -173,7 +173,9 @@ class _Evaluator:
         need = {name: order + depth for name, depth in seeds.items()}
         for comp in reversed(components):
             comp_order = max(need.get(name, 0) for name in comp)
-            comp_order = max(comp_order, order)
+            # solve_system decides a cycle through count 1 even at order 0,
+            # so every name is resolved at least that deep.
+            comp_order = max(comp_order, order, 1)
             for name in comp:
                 need[name] = comp_order
             for name in comp:

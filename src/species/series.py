@@ -451,6 +451,29 @@ def _probe(order):
     return CountSeries([0] + [factorial(n) for n in range(1, order + 1)])
 
 
+def _triangular(solution, order):
+    """True when every count 1 .. order of every unknown in solution is a
+    positive int: for a species system, proof that the equations at each
+    size are triangular (see solve_system)."""
+    for series in solution.values():
+        counts = series._counts[1:order + 1]
+        if not _INT.issuperset(map(type, counts)) or min(counts) <= 0:
+            return False
+    return True
+
+
+def _first_change(old, new, hint):
+    """The lowest index at which the count tuples old and new differ, or
+    None; the scan starts at hint when they agree below it."""
+    if old == new:
+        return None
+    start = hint if old[:hint] == new[:hint] else 0
+    for k in range(start, min(len(old), len(new))):
+        if old[k] != new[k]:
+            return k
+    return None
+
+
 def solve_system(equations, order, order_loss=0):
     """Solve a system of implicit equations name = rhs(names) for series.
 
@@ -460,16 +483,41 @@ def solve_system(equations, order, order_loss=0):
     truncation orders one evaluation may consume (nonzero only when a
     derivative is applied to an unknown inside its own cycle).
 
-    The iteration starts from the zero series and, independently, from a
-    generic nonzero series.  A well-founded system is a contraction in the
-    coefficient metric, so both runs stabilize on the same coefficients; if
-    either run fails to stabilize, or the two runs disagree, the system does
-    not determine its unknowns and IllFoundedEquation is raised.
+    The iteration runs from the zero series.  Passes widen their truncation
+    one band of len(equations) coefficients at a time, and stabilization is
+    tested only once a pass reaches order; the ceil(order / len(equations))
+    passes that takes are added to the pass budget.  A run that does not
+    stabilize within the budget raises IllFoundedEquation.  The system is
+    decided through count 1 even at order 0, so that F = F is refused at
+    every order.
 
-    Passes widen their truncation one band of len(equations) coefficients
-    at a time, and stabilization is tested only once a pass reaches order;
-    the ceil(order / len(equations)) passes that takes are added to the
-    pass budget.
+    Whether one run decides the system rests on a precondition that every
+    species system meets: each right-hand side is a monotone polynomial
+    with nonnegative integer coefficients in the unknowns' counts.  With
+    no derivative of an unknown in its own cycle (order_loss == 0), count n
+    reads only counts <= n.  The run from zero then rises monotonically,
+    and:
+
+    - When every count 1 .. order of every unknown is a positive int, the
+      equations at each size are triangular, so they have one solution,
+      and the first run's is returned.  Were some cycle of same-size
+      dependencies to survive, the first of its counts to turn positive
+      took its value from outside the cycle, and from then on each count
+      around the cycle is at least 1 plus the next: y_i >= 1 + y_i.  (This
+      is the nilpotent Jacobian of Pivoteau, Salvy and Soria's
+      well-founded systems, JCTA 2012.)
+    - Otherwise (a zero, negative or Fraction count, or order_loss > 0)
+      the iteration is run again from a generic nonzero start, _probe, and
+      if the two runs disagree, the system does not determine its unknowns
+      and IllFoundedEquation is raised.  Callables outside the
+      precondition take this path whenever a count is zero, negative or a
+      Fraction.
+    - A run that converges has, by the same argument, no surviving cycle,
+      so each size settles within len(equations) passes of the sizes
+      below it.  So when the lowest changed count stays at one index for
+      len(equations) + 1 passes in a row, that count grows without bound,
+      and the run from zero refuses at once, naming it, instead of
+      squaring its way through the whole pass budget.
     """
     names = [name for name, _ in equations]
     if len(set(names)) != len(names):
@@ -477,13 +525,15 @@ def solve_system(equations, order, order_loss=0):
     if not equations:
         return {}
 
+    depth = max(order, 1)
     width = len(equations)
-    warmup = -(-order // width)
-    cap = (order + 2) * width + warmup
-    deep = order + cap * order_loss
+    warmup = -(-depth // width)
+    cap = (depth + 2) * width + warmup
+    deep = depth + cap * order_loss
 
-    def run(start):
+    def run(start, watch=False):
         approx = {name: start for name in names}
+        low = streak = 0
         for passno in range(1, cap + 1):
             # Pass p evaluates only through p * width, about as far as p
             # passes can have fixed the unknowns; the coefficients above
@@ -500,24 +550,46 @@ def solve_system(equations, order, order_loss=0):
                 if above:
                     value = CountSeries(value._counts + above)
                 current[name] = value
-            if target >= order and all(
-                current[name].agrees_through(approx[name], order)
+            if target >= depth and all(
+                current[name].agrees_through(approx[name], depth)
                 for name in names
             ):
-                return {name: current[name].truncate(order) for name in names}
+                return current
+            if watch:
+                # The divergence rule: (lowest changed index, its unknown).
+                changed = [
+                    (k, name) for name in names
+                    if (k := _first_change(
+                        approx[name]._counts, current[name]._counts, low
+                    )) is not None
+                ]
+                if not changed:
+                    streak = 0
+                else:
+                    k, name = min(changed)
+                    streak = streak + 1 if k == low else 1
+                    low = k
+                    if streak > width:
+                        raise IllFoundedEquation(
+                            f"equation for {name} has no fixed point: its "
+                            f"count at size {k} grows on every pass"
+                        )
             approx = current
         raise IllFoundedEquation(
             "system {"
             + ", ".join(names)
-            + f"}} did not stabilize through order {order} after {cap} passes"
+            + f"}} did not stabilize through order {depth} after {cap} passes"
         )
 
-    solution = run(CountSeries.zero(deep))
-    cross_check = run(_probe(deep))
-    for name in names:
-        if not solution[name].agrees_through(cross_check[name], order):
-            raise IllFoundedEquation(
-                f"equation for {name} admits more than one fixed point; "
-                "the system does not determine it"
-            )
-    return solution
+    # Only the run from zero of a system with no derivative in a cycle
+    # rises monotonically, which the divergence rule rests on.
+    solution = run(CountSeries.zero(deep), watch=not order_loss)
+    if order_loss or not _triangular(solution, depth):
+        cross_check = run(_probe(deep))
+        for name in names:
+            if not solution[name].agrees_through(cross_check[name], depth):
+                raise IllFoundedEquation(
+                    f"equation for {name} admits more than one fixed point; "
+                    "the system does not determine it"
+                )
+    return {name: solution[name].truncate(order) for name in names}

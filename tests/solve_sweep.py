@@ -1,0 +1,177 @@
+"""An oracle for the solver's one-run shortcut: each recursive system of a
+small family is counted by egf_of twice, once as it stands and once with
+the shortcut forced off (series._triangular, the one predicate that takes
+it, replaced by one that never holds), so that every system also runs
+the cross-check from series._probe.  At every order the two must give
+the same counts or raise the same exception class.
+
+The families are single_name_systems, F = t for every tree t of at most
+a number of operators over LEAVES that names F, substituting into HEADS,
+and two_name_systems, a seeded sample of cycles F = s, G = t over the
+same leaves and heads with G added to both.
+
+Each path of a system runs under a time limit.  A path that runs out of
+it, or out of memory, is a refusal only when the other path is too: it
+refuses, runs out of time or runs out of memory at that order.
+
+Run as a script, it sweeps the single-name systems of at most --ops
+operators and --pairs two-name systems drawn with --seed, at orders 0 ..
+--max-order, in --jobs worker processes, each under an address-space
+limit of --memory-mb, and prints each disagreement:
+
+    PYTHONPATH=src:tests python tests/solve_sweep.py --ops 3 --pairs 3000
+
+It exits 1 when a system disagrees.  test_solve_sweep.py runs the
+single-name systems of at most two operators.
+"""
+
+import argparse
+import multiprocessing
+import random
+import resource
+import signal
+import sys
+from contextlib import contextmanager
+from functools import partial
+
+from species import series
+from species.expr import Environment, Name, print_expr
+from species.semantics import egf_of
+
+from strategies import expression_trees
+
+LEAVES = ("X", "1", "E", "F")
+HEADS = ("E", "L", "C", "F")
+
+#: What a path that ran out of time or memory reads as.
+TIMEOUT = "Timeout"
+OUT_OF_MEMORY = "MemoryError"
+_RAN_OUT = {TIMEOUT, OUT_OF_MEMORY}
+
+
+class _Timeout(Exception):
+    pass
+
+
+def single_name_systems(max_ops):
+    """{F: t} for each tree t of at most max_ops operators that names F."""
+    return [
+        {"F": tree}
+        for tree in expression_trees(max_ops, LEAVES, HEADS)
+        if "F" in tree.depths
+    ]
+
+
+def two_name_systems(count, seed, max_ops=2):
+    """count systems {F: s, G: t}, drawn with seed, in which s names G and
+    t names F, over trees of at most max_ops operators."""
+    trees = list(expression_trees(max_ops, LEAVES + ("G",), HEADS + ("G",)))
+    names_g = [t for t in trees if "G" in t.depths]
+    names_f = [t for t in trees if "F" in t.depths]
+    pick = random.Random(seed)
+    return [
+        {"F": pick.choice(names_g), "G": pick.choice(names_f)}
+        for _ in range(count)
+    ]
+
+
+@contextmanager
+def one_run_off():
+    """Force every solve through the cross-check run from _probe."""
+    kept = series._triangular
+    series._triangular = lambda solution, order: False
+    try:
+        yield
+    finally:
+        series._triangular = kept
+
+
+@contextmanager
+def _time_limit(seconds):
+    if seconds is None:
+        yield
+        return
+
+    def expire(signum, frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def outcomes(system, orders, seconds=None):
+    """F's counts at each order, or the class name of what egf_of raises;
+    TIMEOUT at each order left when the time limit expires."""
+    env = Environment(system)
+    out = []
+    try:
+        with _time_limit(seconds):
+            for order in orders:
+                try:
+                    out.append(egf_of(Name("F"), env, order=order).counts())
+                except (_Timeout, MemoryError):
+                    raise
+                except Exception as err:
+                    out.append(type(err).__name__)
+    except _Timeout:
+        out += [TIMEOUT] * (len(orders) - len(out))
+    except MemoryError:
+        out += [OUT_OF_MEMORY] * (len(orders) - len(out))
+    return out
+
+
+def disagreement(system, orders, seconds=None):
+    """Why the two paths disagree on system, as text, or None."""
+    one = outcomes(system, orders, seconds)
+    with one_run_off():
+        two = outcomes(system, orders, seconds)
+    for order, a, b in zip(orders, one, two):
+        if a == b:
+            continue
+        if isinstance(a, str) and isinstance(b, str) and {a, b} & _RAN_OUT:
+            continue  # both refused, one of them by running out
+        text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
+        return f"{text} at order {order}: {a} with one run, {b} with two"
+    return None
+
+
+def _limit_memory(megabytes):
+    limit = megabytes * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ops", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=3000)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--max-order", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=2.0,
+                        help="time limit of each path of each system")
+    parser.add_argument("--memory-mb", type=int, default=2048)
+    parser.add_argument("--jobs", type=int, default=1)
+    args = parser.parse_args(argv)
+    systems = single_name_systems(args.ops) + two_name_systems(
+        args.pairs, args.seed
+    )
+    checked = partial(
+        disagreement, orders=range(args.max_order + 1), seconds=args.seconds
+    )
+    with multiprocessing.get_context("spawn").Pool(
+        args.jobs, _limit_memory, (args.memory_mb,)
+    ) as pool:
+        found = list(pool.imap(checked, systems, chunksize=50))
+    failures = [line for line in found if line]
+    for line in failures:
+        print("FAIL", line)
+    print(f"{len(systems)} systems, {len(failures)} disagree")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,9 +9,10 @@ rebuild every structure from its JSON tree.  A tree whose series is
 refused (a SpeciesError: an ill-founded name, an inner with structures on
 the empty set) must be refused by the listing too.  A listing that
 refuses with a SpeciesError is a refusal, not a failure, even where the
-series counts: the series of an ill-founded name F = F on the empty set
-is 0, and its listing raises RecursionGuard.  A listing over BUDGET
-structures is not built.
+series counts; a listing over BUDGET structures is not built
+(BudgetExceeded).  The ill-founded name F = F is refused by both on every
+label set, the empty one included: the series raises IllFoundedEquation
+and the listing RecursionGuard.
 
 Run as a script, it sweeps every tree of at most --ops operators and two
 leaves over X and each other primitive (full_sweep), substituting into

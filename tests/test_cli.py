@@ -238,6 +238,50 @@ class TestSolve:
         assert code == 1
         assert "fixed point" in err
 
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_ill_founded_system_is_refused_at_every_size(self, capsys,
+                                                         tmp_path, size):
+        path = tmp_path / "bad.species"
+        path.write_text("F = F\n", encoding="utf-8")
+        code, out, err = run(capsys, "count", "F", size, "--defs", str(path))
+        assert (code, out) == (1, "")
+        assert "admits more than one fixed point" in err
+
+
+class TestDivergentSystems:
+    """A system whose counts grow on every pass is refused within a few
+    passes, before its counts square their way past the machine's memory.
+    Each call runs apart, under a 2 GB address-space limit."""
+
+    @pytest.mark.parametrize("defs, argv, size", [
+        ("F = 1 + F*F", ["count", "F", "12"], 0),
+        ("F = 1 + F*F", ["count", "F", "14"], 0),
+        ("F = 1 + F*F*F", ["count", "F", "10"], 0),
+        ("F = X + F(F)", ["count", "F", "14"], 1),
+    ])
+    def test_exits_1_within_two_seconds(self, tmp_path, defs, argv, size):
+        path = tmp_path / "divergent.species"
+        path.write_text(defs + "\n", encoding="utf-8")
+        src = Path(species.__file__).resolve().parent.parent
+        probe = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "sys.path.insert(0, sys.argv[1]); "
+            "from species.cli import main; sys.exit(main(sys.argv[2:]))"
+        )
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", probe, str(src), *argv,
+             "--defs", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - started < 2.0
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: equation for F has no fixed point: its count at size "
+            f"{size} grows on every pass\n"
+        )
+
 
 class TestVerify:
     def test_single_case(self, capsys):

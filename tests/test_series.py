@@ -247,6 +247,27 @@ class TestOrderLoss:
             egf_of(parse_expr("F"), parse_defs(defs), order=order)
 
 
+class TestOrderZero:
+    """A system is decided through count 1 even when only count 0 is asked
+    for, so order 0 refuses exactly what order 1 refuses."""
+
+    @pytest.mark.parametrize("defs", [
+        "F = F", "F = pt(F)", "F = E*F", "F = F*F + F", "F = E(pt(F))",
+        "F = G*F + X\nG = E",
+    ])
+    def test_ill_founded_systems_are_refused(self, defs):
+        for order in (0, 1):
+            with pytest.raises(IllFoundedEquation):
+                egf_of(parse_expr("F"), parse_defs(defs), order=order)
+
+    @pytest.mark.parametrize("defs, count", [
+        ("F = X*E(F)", 0), ("F = 1 + X*F^2", 1), ("F = 1 + X*G\nG = X*F", 1),
+    ])
+    def test_well_founded_systems_count_their_empty_set(self, defs, count):
+        got = egf_of(parse_expr("F"), parse_defs(defs), order=0)
+        assert got.counts() == [count]
+
+
 def fraction_series(order, zero_constant=False):
     """Series whose counts are small rationals, mostly not integers."""
     base = st.lists(
