@@ -54,7 +54,6 @@ from .errors import (
     NotABijection,
     OrderExceeded,
     ParseError,
-    RecursionGuard,
     UnboundName,
 )
 from .expr import Name, RESERVED, print_expr
@@ -538,7 +537,6 @@ def _main(argv):
         IllFoundedEquation,
         NotABijection,
         OrderExceeded,
-        RecursionGuard,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 enumerate_structures produces every structure of a species on a concrete
 label set, as canonical terms in the order of their encoding.  The expected
 cardinality is computed from the counting series first, which doubles as the
-budget guard and keeps enumeration and series honest against each other.
+budget guard, refuses an ill-founded name before any node is visited, and
+keeps enumeration and series honest against each other.
 
 No listing is sorted at the end.  The encoding fixes the order child first,
 so every node builds its list in encode() order from its children's lists:
@@ -24,8 +25,8 @@ list checked once to live on the tuple.  Sum and named terms check their
 side or name once per child list.  No listing runs a public constructor,
 on any number of labels.
 
-A walk is the state of a listing: its guards, and its memos of lists,
-sort keys and series counts.  enumerate_structures makes a fresh one per
+A walk is the state of a listing: its memos of lists, sort keys and
+series counts.  enumerate_structures makes a fresh one per
 call unless the caller passes one in (walk=), which several calls then
 share, so that each subexpression is listed once per label set and its
 series counted once for all of them.  A walk is bound to the env it was
@@ -77,7 +78,6 @@ from .errors import (
     DomainMismatch,
     NotABijection,
     ParseError,
-    RecursionGuard,
 )
 from .expr import (
     Derivative,
@@ -198,9 +198,9 @@ class listing:
             gc.enable()
 
 
-class _Walk(set):
-    """The guard set of a walk, carrying its memos: one
-    enumerate_structures call's, or those of every call that shares it.
+class _Walk:
+    """The memos of a walk: one enumerate_structures call's, or those of
+    every call that shares it.
 
     memo maps (id(node), labels) to a finished list, so that each
     subexpression is enumerated once per label set and its terms are shared
@@ -210,17 +210,15 @@ class _Walk(set):
     it in two places.  Node ids are stable because the
     expression and env outlive the walk; term ids are stable because the
     memo keeps every term alive.  env is the env the walk was made with
-    (None for none), the only one its calls may use.  The memos ride on
-    the guard set because _structures keeps its four-argument signature,
-    which perfbench/tracing.py wraps to count every node visit.  A refused
-    call leaves only finished lists and counts in the walk, and a
-    RecursionGuard no guard, so the walk stays usable.
+    (None for none), the only one its calls may use.  A refused call
+    leaves only finished lists and counts in the walk, so the walk stays
+    usable.  It holds no guard against a name that recurs on the same
+    labels: _build never walks back to one (see there).
     """
 
     __slots__ = ("memo", "keys", "series_counts", "holders", "env")
 
-    def __init__(self, guards=(), env=None):
-        super().__init__(guards)
+    def __init__(self, env=None):
         self.memo = {}
         self.keys = {}
         self.series_counts = {}
@@ -267,11 +265,12 @@ class _Walk(set):
 
     def counts(self, expr, env, n):
         """The structure counts of a subexpression on 0..n labels, from its
-        series; kept per node, and recomputed only when a visit needs more
-        labels (a derivative adds one)."""
-        found = self.series_counts.get(id(expr))
+        series; kept per node, or per name for a Name, and recomputed only
+        when a visit needs more labels (a derivative adds one)."""
+        key = expr.ident if isinstance(expr, Name) else id(expr)
+        found = self.series_counts.get(key)
         if found is None or len(found) <= n:
-            found = self.series_counts[id(expr)] = egf_of(
+            found = self.series_counts[key] = egf_of(
                 expr, env, order=n
             ).counts()
         return found
@@ -279,21 +278,10 @@ class _Walk(set):
 
 def _structures(expr, env, labels, active):
     """The list of structures on a sorted label tuple, in encode() order;
-    active tracks the named species currently being expanded on each label
-    set.
+    active is the _Walk that holds the memos.
 
     Finished lists are memoised in the walk and shared: never mutate one.
-    A plain set as active starts a new walk holding its guards.
     """
-    if not isinstance(active, _Walk):
-        active = _Walk(active)
-    if isinstance(expr, Name):
-        guard = (expr.ident, frozenset(labels))
-        if guard in active:
-            raise RecursionGuard(
-                f"'{expr.ident}' recurred on the same labels "
-                f"without consuming any; its structures are not well-founded"
-            )
     memo = active.memo
     key = (id(expr), labels)
     found = memo.get(key)
@@ -312,16 +300,22 @@ def _build(expr, env, labels, active):
     by its left factor, then its right; a pointed term by its point, then
     its inner term.  Each branch counts the holders of every child list it
     reads (_Walk.hold).
+
+    No walk comes back to a name on the labels it is listed on.  A name
+    lists nothing where its count is 0, a pointing nothing on no labels,
+    a product only splits whose factors both have structures, and a
+    substitution a block's inner only when the rest can complete it.  So
+    on one label set each child's count enters its parent's at least
+    once, and every name met has a positive count: a walk back to one
+    would give that count y >= 1 + y at the least fixed point the series
+    solves for, as in series.solve_system.
     """
     if isinstance(expr, Primitive):
         return ROWS[expr.kind][1](labels, expr.param)
     if isinstance(expr, Name):
-        guard = (expr.ident, frozenset(labels))
-        active.add(guard)
-        try:
-            inner = _structures(env[expr.ident], env, labels, active)
-        finally:
-            active.discard(guard)
+        if not active.counts(expr, env, len(labels))[len(labels)]:
+            return []
+        inner = _structures(env[expr.ident], env, labels, active)
         active.hold(inner, 1)
         return named_terms(expr.ident, inner)
     if isinstance(expr, Sum):
@@ -378,6 +372,8 @@ def _build(expr, env, labels, active):
         active.hold(inner, 1)
         return MapSources(extended).derivatives(star, inner)
     if isinstance(expr, Pointing):
+        if not labels:
+            return []
         inner = _structures(expr.inner, env, labels, active)
         points = sorted(labels, key=label_code)
         active.hold(inner, len(points))
@@ -436,7 +432,8 @@ def _assignments(state, rest, blocks):
     blocks), block_on one block per member tuple and pairs_on its checked
     (block, inner) pairs, so every entry of listed and every term built on
     it share the block, what it keeps and its pairs; empty is the
-    Assignment with no pair."""
+    Assignment with no pair.  A first block's inner is listed only when
+    the labels left have tails."""
     expr, env, active, listed, block_on, pairs_on, empty = state
     if not rest:
         return [empty] if blocks & 1 else []
@@ -458,6 +455,12 @@ def _assignments(state, rest, blocks):
     heads.sort(key=lambda head: head[0])
     out = []
     for _, block, chosen in heads:
+        taken = set(chosen)
+        tails = _assignments(
+            state, tuple(x for x in others if x not in taken), blocks >> 1
+        )
+        if not tails:
+            continue
         pairs = pairs_on.get(block.members)
         if pairs is None:
             pairs = pairs_on[block.members] = [
@@ -466,12 +469,6 @@ def _assignments(state, rest, blocks):
                     expr.inner, env, block.members, active
                 )
             ]
-        if not pairs:
-            continue
-        taken = set(chosen)
-        tails = _assignments(
-            state, tuple(x for x in others if x not in taken), blocks >> 1
-        )
         out += Assignment.listed(pairs, tails)
     listed[(rest, blocks)] = out
     return out

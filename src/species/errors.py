@@ -75,11 +75,6 @@ class BudgetExceeded(SpeciesError):
     or a command line asks for more labels than the CLI takes."""
 
 
-class RecursionGuard(SpeciesError):
-    """Enumeration re-entered the same named species on the same label set
-    without consuming any label; the recursion cannot terminate."""
-
-
 class DomainMismatch(SpeciesError):
     """A structure was paired with a bijection whose domain is not the
     structure's underlying label set."""

@@ -5,7 +5,8 @@ species reads its series from its row of primitives.ROWS.
 
 Named species may be mutually recursive.  Evaluation groups the reachable
 names into strongly connected components, resolves acyclic names directly,
-and hands every genuine cycle to series.solve_system.
+and hands every genuine cycle to series.solve_system, resolving the names
+it reads outside itself through its reach (series.reach).
 
 Each egf_of call compiles the expression, and every definition it reaches,
 once into a tree of closures.  Inside a solve, product and substitution
@@ -37,7 +38,7 @@ from .expr import (
     print_expr,
 )
 from .primitives import ROWS
-from .series import CountSeries, solve_system
+from .series import CountSeries, reach, solve_system
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -130,7 +131,7 @@ class _Evaluator:
 
     A node that references no name has the same series under every
     overlay: it is built once, at the deepest order asked for so far but at
-    least the order of the solve running, and sliced for lower ones.  A
+    least the reach of the solve running, and sliced for lower ones.  A
     product or substitution node keeps its operands' counts and its result
     from its last evaluation, and hands the kernel the part of that result
     its new operands leave valid.  Solver passes change only the counts
@@ -169,26 +170,11 @@ class _Evaluator:
 
         components = _sccs(set(edges), edges)
 
-        # Orders needed, flowing from use sites down to definitions.
+        # Orders needed, flowing from use sites down to definitions: a
+        # cycle reads the names outside it through its reach.
         need = {name: order + depth for name, depth in seeds.items()}
+        plan = []
         for comp in reversed(components):
-            comp_order = max(need.get(name, 0) for name in comp)
-            # solve_system decides a cycle through count 1 even at order 0,
-            # so every name is resolved at least that deep.
-            comp_order = max(comp_order, order, 1)
-            for name in comp:
-                need[name] = comp_order
-            for name in comp:
-                for ref, depth in edges[name].items():
-                    if ref not in comp:
-                        need[ref] = max(need.get(ref, 0), comp_order + depth)
-
-        for comp in components:
-            comp_order = need[comp[0]]
-            if len(comp) == 1 and comp[0] not in edges[comp[0]]:
-                name = comp[0]
-                self.resolved[name] = self._compile(self.env[name])(comp_order)
-                continue
             in_cycle = set(comp)
             loss = max(
                 (
@@ -199,10 +185,25 @@ class _Evaluator:
                 ),
                 default=0,
             )
+            # solve_system decides a cycle through count 1 even at order 0,
+            # so every name is resolved at least that deep.
+            comp_order = max(*(need.get(name, 0) for name in comp), order, 1)
+            far = reach(comp_order, len(comp), loss)
+            for name in comp:
+                for ref, depth in edges[name].items():
+                    if ref not in in_cycle:
+                        need[ref] = max(need.get(ref, 0), far + depth)
+            plan.append((comp, comp_order, loss, far))
+
+        for comp, comp_order, loss, far in reversed(plan):
+            if len(comp) == 1 and comp[0] not in edges[comp[0]]:
+                name = comp[0]
+                self.resolved[name] = self._compile(self.env[name])(comp_order)
+                continue
             equations = [
                 (name, self._equation(self.env[name])) for name in comp
             ]
-            self.horizon = comp_order
+            self.horizon = far
             try:
                 solution = solve_system(equations, comp_order, order_loss=loss)
             finally:

@@ -30,6 +30,9 @@ asked for, rather than computing it once per term, and a substitution
 recognises those three outers by comparing its counts with a module-level
 table of factorials.  A series times itself is squared in half the
 products, because C(n, k) = C(n, n - k).
+
+solve_system alone judges whether a recursive system determines its
+unknowns: through one reach, under one divergence rule for every run.
 """
 
 from fractions import Fraction
@@ -474,6 +477,12 @@ def _first_change(old, new, hint):
     return None
 
 
+def reach(order, width, order_loss):
+    """How far solve_system solves a cycle of width equations, and
+    semantics the names outside it that it reads (see solve_system)."""
+    return max(order, 1) + width * order_loss
+
+
 def solve_system(equations, order, order_loss=0):
     """Solve a system of implicit equations name = rhs(names) for series.
 
@@ -483,41 +492,41 @@ def solve_system(equations, order, order_loss=0):
     truncation orders one evaluation may consume (nonzero only when a
     derivative is applied to an unknown inside its own cycle).
 
-    The iteration runs from the zero series.  Passes widen their truncation
-    one band of len(equations) coefficients at a time, and stabilization is
-    tested only once a pass reaches order; the ceil(order / len(equations))
-    passes that takes are added to the pass budget.  A run that does not
-    stabilize within the budget raises IllFoundedEquation.  The system is
-    decided through count 1 even at order 0, so that F = F is refused at
-    every order.
+    Count n of an unknown reads counts at most order_loss above n, and in
+    a system that determines its unknowns a path of reads comes back to an
+    unknown only below where it left it, so no count through order reads
+    past reach(order, len(equations), order_loss).  Each run solves and
+    tests stability through the reach, one band of len(equations) counts
+    further per pass, with order_loss counts of headroom above it.  The
+    system is thus decided through count 1 even at order 0, so F = F is
+    refused at every order.
 
     Whether one run decides the system rests on a precondition that every
     species system meets: each right-hand side is a monotone polynomial
     with nonnegative integer coefficients in the unknowns' counts.  With
-    no derivative of an unknown in its own cycle (order_loss == 0), count n
-    reads only counts <= n.  The run from zero then rises monotonically,
-    and:
+    order_loss == 0, count n reads only counts <= n, and when the run from
+    zero leaves every count 1 .. order a positive int, the equations at
+    each size are triangular and its solution is returned.  Were some cycle
+    of same-size dependencies to survive, the first of its counts to turn
+    positive took its value from outside the cycle, and from then on each
+    count around it is at least 1 plus the next: y_i >= 1 + y_i.  (This is
+    the nilpotent Jacobian of Pivoteau, Salvy and Soria's well-founded
+    systems, JCTA 2012.)  Otherwise (a zero, negative or Fraction count, or
+    order_loss > 0) the iteration runs again from a generic nonzero start,
+    _probe, and IllFoundedEquation is raised unless the runs agree through
+    the order.
 
-    - When every count 1 .. order of every unknown is a positive int, the
-      equations at each size are triangular, so they have one solution,
-      and the first run's is returned.  Were some cycle of same-size
-      dependencies to survive, the first of its counts to turn positive
-      took its value from outside the cycle, and from then on each count
-      around the cycle is at least 1 plus the next: y_i >= 1 + y_i.  (This
-      is the nilpotent Jacobian of Pivoteau, Salvy and Soria's
-      well-founded systems, JCTA 2012.)
-    - Otherwise (a zero, negative or Fraction count, or order_loss > 0)
-      the iteration is run again from a generic nonzero start, _probe, and
-      if the two runs disagree, the system does not determine its unknowns
-      and IllFoundedEquation is raised.  Callables outside the
-      precondition take this path whenever a count is zero, negative or a
-      Fraction.
-    - A run that converges has, by the same argument, no surviving cycle,
-      so each size settles within len(equations) passes of the sizes
-      below it.  So when the lowest changed count stays at one index for
-      len(equations) + 1 passes in a row, that count grows without bound,
-      and the run from zero refuses at once, naming it, instead of
-      squaring its way through the whole pass budget.
+    Every run refuses, naming the count, once its lowest changed count
+    stays at one index for len(equations) + 1 passes: from zero there is
+    then no fixed point, and from _probe the iteration does not determine
+    the one the run from zero found.  A determined system settles each size
+    within len(equations) passes of the sizes below, so it trips the rule
+    in no run from zero, which stays below the least fixed point, where a
+    dependency that vanishes at the solution vanishes throughout; nor in a
+    _probe run without a derivative in its cycle, which reads only counts
+    at or below each size.  For the _probe run of a derivative cycle no
+    argument is known; tests/solve_sweep.py finds no system that the rule
+    refuses and the two runs would count alike.
     """
     names = [name for name, _ in equations]
     if len(set(names)) != len(names):
@@ -527,11 +536,12 @@ def solve_system(equations, order, order_loss=0):
 
     depth = max(order, 1)
     width = len(equations)
-    warmup = -(-depth // width)
-    cap = (depth + 2) * width + warmup
-    deep = depth + cap * order_loss
+    far = reach(order, width, order_loss)
+    deep = far + order_loss
+    warmup = -(-far // width)  # passes before one reaches far
+    cap = (far + 2) * width + warmup
 
-    def run(start, watch=False):
+    def run(start, diverges):
         approx = {name: start for name in names}
         low = streak = 0
         for passno in range(1, cap + 1):
@@ -539,7 +549,7 @@ def solve_system(equations, order, order_loss=0):
             # passes can have fixed the unknowns; the coefficients above
             # keep the previous approximation's values (the probe's, say)
             # until a later pass reaches them.
-            target = min(deep - passno * order_loss, passno * width)
+            target = min(far, passno * width)
             current = dict(approx)
             for name, rhs in equations:
                 # Gauss-Seidel: later equations see this pass's values,
@@ -550,42 +560,39 @@ def solve_system(equations, order, order_loss=0):
                 if above:
                     value = CountSeries(value._counts + above)
                 current[name] = value
-            if target >= depth and all(
-                current[name].agrees_through(approx[name], depth)
+            if target == far and all(
+                current[name].agrees_through(approx[name], far)
                 for name in names
             ):
                 return current
-            if watch:
-                # The divergence rule: (lowest changed index, its unknown).
-                changed = [
-                    (k, name) for name in names
-                    if (k := _first_change(
-                        approx[name]._counts, current[name]._counts, low
-                    )) is not None
-                ]
-                if not changed:
-                    streak = 0
-                else:
-                    k, name = min(changed)
-                    streak = streak + 1 if k == low else 1
-                    low = k
-                    if streak > width:
-                        raise IllFoundedEquation(
-                            f"equation for {name} has no fixed point: its "
-                            f"count at size {k} grows on every pass"
-                        )
+            # The divergence rule: (lowest changed index, its unknown).
+            changed = [
+                (k, name) for name in names
+                if (k := _first_change(
+                    approx[name]._counts, current[name]._counts, low
+                )) is not None
+            ]
+            if not changed:
+                streak = 0
+            else:
+                k, name = min(changed)
+                streak = streak + 1 if k == low else 1
+                low = k
+                if streak > width:
+                    raise IllFoundedEquation(diverges.format(name=name, k=k))
             approx = current
         raise IllFoundedEquation(
             "system {"
             + ", ".join(names)
-            + f"}} did not stabilize through order {depth} after {cap} passes"
+            + f"}} did not stabilize through order {far} after {cap} passes"
         )
 
-    # Only the run from zero of a system with no derivative in a cycle
-    # rises monotonically, which the divergence rule rests on.
-    solution = run(CountSeries.zero(deep), watch=not order_loss)
+    grows = "its count at size {k} grows on every pass"
+    solution = run(CountSeries.zero(deep),
+                   "equation for {name} has no fixed point: " + grows)
     if order_loss or not _triangular(solution, depth):
-        cross_check = run(_probe(deep))
+        cross_check = run(_probe(deep), "the system does not determine "
+                          "{name}: from a nonzero start " + grows)
         for name in names:
             if not solution[name].agrees_through(cross_check[name], depth):
                 raise IllFoundedEquation(

@@ -1,14 +1,24 @@
-"""An oracle for the solver's one-run shortcut: each recursive system of a
-small family is counted by egf_of twice, once as it stands and once with
-the shortcut forced off (series._triangular, the one predicate that takes
-it, replaced by one that never holds), so that every system also runs
-the cross-check from series._probe.  At every order the two must give
-the same counts or raise the same exception class.
+"""Two oracles for the solver, on small families of recursive systems.
+
+One run against two: each system is counted by egf_of twice, once as it
+stands and once with the one-run shortcut forced off (series._triangular,
+the one predicate that takes it, replaced by one that never holds), so
+that every system also runs the cross-check from series._probe.  At every
+order the two must give the same counts or raise the same exception class.
+
+Order consistency: on each path, a count at some order implies the same
+counts, as a prefix, at every lower order, and no order raises
+OrderExceeded.  A system is decided through its reach, not through the
+order asked for, so a lower order cannot refuse what a higher one counts.
 
 The families are single_name_systems, F = t for every tree t of at most
-a number of operators over LEAVES that names F, substituting into HEADS,
-and two_name_systems, a seeded sample of cycles F = s, G = t over the
-same leaves and heads with G added to both.
+a number of operators over LEAVES that names F, substituting into HEADS;
+two_name_systems, a seeded sample of cycles F = s, G = t over the same
+leaves and heads with G added to both; and derivative_systems, cycles
+through X^k with a derivative in them, F = X + a*G^(d), G = X^k*b*F and
+F = X + X^k*a*F^(d)*b, with factors a and b that include the name H =
+X + E outside the cycle.  The derivative systems run at orders 0 ..
+DERIVATIVE_MAX_ORDER.
 
 Each path of a system runs under a time limit.  A path that runs out of
 it, or out of memory, is a refusal only when the other path is too: it
@@ -16,13 +26,15 @@ refuses, runs out of time or runs out of memory at that order.
 
 Run as a script, it sweeps the single-name systems of at most --ops
 operators and --pairs two-name systems drawn with --seed, at orders 0 ..
---max-order, in --jobs worker processes, each under an address-space
-limit of --memory-mb, and prints each disagreement:
+--max-order, and every derivative system, in --jobs worker processes,
+each under an address-space limit of --memory-mb, and prints each
+failure:
 
     PYTHONPATH=src:tests python tests/solve_sweep.py --ops 3 --pairs 3000
 
-It exits 1 when a system disagrees.  test_solve_sweep.py runs the
-single-name systems of at most two operators.
+It exits 1 when a system fails either oracle.  test_solve_sweep.py runs
+the single-name systems of at most two operators and a slice of the
+derivative systems.
 """
 
 import argparse
@@ -33,15 +45,20 @@ import signal
 import sys
 from contextlib import contextmanager
 from functools import partial
+from itertools import product
 
 from species import series
 from species.expr import Environment, Name, print_expr
+from species.parser import parse_expr
 from species.semantics import egf_of
 
 from strategies import expression_trees
 
 LEAVES = ("X", "1", "E", "F")
 HEADS = ("E", "L", "C", "F")
+#: The factors a and b of derivative_systems; H is bound outside the cycle.
+FACTORS = ("1", "X", "E", "L", "C", "H")
+DERIVATIVE_MAX_ORDER = 8
 
 #: What a path that ran out of time or memory reads as.
 TIMEOUT = "Timeout"
@@ -73,6 +90,23 @@ def two_name_systems(count, seed, max_ops=2):
         {"F": pick.choice(names_g), "G": pick.choice(names_f)}
         for _ in range(count)
     ]
+
+
+def derivative_systems(factors=FACTORS):
+    """F = X + a*G^(d), G = X^k*b*F and F = X + X^k*a*F^(d)*b for each
+    1 <= k <= 5, 1 <= d <= 3 and factors a and b; a system that reads H
+    also binds H = X + E."""
+    systems = []
+    for k, d, a, b in product(range(1, 6), range(1, 4), factors, factors):
+        marks = "'" * d
+        for texts in (
+            {"F": f"X + {a}*G{marks}", "G": f"X^{k}*{b}*F"},
+            {"F": f"X + X^{k}*{a}*F{marks}*{b}"},
+        ):
+            if "H" in (a, b):
+                texts["H"] = "X + E"
+            systems.append({n: parse_expr(t) for n, t in texts.items()})
+    return systems
 
 
 @contextmanager
@@ -125,19 +159,44 @@ def outcomes(system, orders, seconds=None):
     return out
 
 
+def inconsistency(found, orders):
+    """Why one path's outcomes at orders contradict each other, as text,
+    or None: an order that raises OrderExceeded, or one below a counted
+    order that does not give a prefix of its counts."""
+    counted = None
+    for order, got in reversed(list(zip(orders, found))):
+        if got == "OrderExceeded":
+            return f"OrderExceeded at order {order}"
+        if counted is None:
+            if isinstance(got, list):
+                counted = order, got
+        elif got != counted[1][:order + 1]:
+            return f"{got} at order {order}, {counted[1]} at {counted[0]}"
+    return None
+
+
 def disagreement(system, orders, seconds=None):
-    """Why the two paths disagree on system, as text, or None."""
+    """Why the two paths disagree on system, or either contradicts itself
+    across orders, as text, or None."""
     one = outcomes(system, orders, seconds)
     with one_run_off():
         two = outcomes(system, orders, seconds)
+    text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
+    for path, found in (("one run", one), ("two runs", two)):
+        why = inconsistency(found, orders)
+        if why:
+            return f"{text} with {path}: {why}"
     for order, a, b in zip(orders, one, two):
         if a == b:
             continue
         if isinstance(a, str) and isinstance(b, str) and {a, b} & _RAN_OUT:
             continue  # both refused, one of them by running out
-        text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
         return f"{text} at order {order}: {a} with one run, {b} with two"
     return None
+
+
+def _checked(job, seconds):
+    return disagreement(*job, seconds=seconds)
 
 
 def _limit_memory(megabytes):
@@ -156,20 +215,25 @@ def main(argv=None):
     parser.add_argument("--memory-mb", type=int, default=2048)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    systems = single_name_systems(args.ops) + two_name_systems(
-        args.pairs, args.seed
-    )
-    checked = partial(
-        disagreement, orders=range(args.max_order + 1), seconds=args.seconds
-    )
+    orders = range(args.max_order + 1)
+    jobs = [
+        (system, orders)
+        for system in single_name_systems(args.ops)
+        + two_name_systems(args.pairs, args.seed)
+    ] + [
+        (system, range(DERIVATIVE_MAX_ORDER + 1))
+        for system in derivative_systems()
+    ]
     with multiprocessing.get_context("spawn").Pool(
         args.jobs, _limit_memory, (args.memory_mb,)
     ) as pool:
-        found = list(pool.imap(checked, systems, chunksize=50))
+        found = list(pool.imap(
+            partial(_checked, seconds=args.seconds), jobs, chunksize=50
+        ))
     failures = [line for line in found if line]
     for line in failures:
         print("FAIL", line)
-    print(f"{len(systems)} systems, {len(failures)} disagree")
+    print(f"{len(jobs)} systems, {len(failures)} fail")
     return 1 if failures else 0
 
 

@@ -11,8 +11,8 @@ the empty set) must be refused by the listing too.  A listing that
 refuses with a SpeciesError is a refusal, not a failure, even where the
 series counts; a listing over BUDGET structures is not built
 (BudgetExceeded).  The ill-founded name F = F is refused by both on every
-label set, the empty one included: the series raises IllFoundedEquation
-and the listing RecursionGuard.
+label set, the empty one included: the series raises IllFoundedEquation,
+and so does the listing, which counts the series before it visits a node.
 
 Run as a script, it sweeps every tree of at most --ops operators and two
 leaves over X and each other primitive (full_sweep), substituting into

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -248,18 +248,56 @@ class TestSolve:
         assert "admits more than one fixed point" in err
 
 
+class TestDerivativeCycles:
+    """A cycle through a derivative is decided through its reach, past the
+    order asked for, so every order gives the same decision and counts."""
+
+    @staticmethod
+    def _defs(tmp_path, text):
+        path = tmp_path / "cycle.species"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_a_count_that_reads_past_its_size(self, capsys, tmp_path):
+        # F_3 = G_5 = C(5, 4) * 4! * F_1.
+        defs = self._defs(tmp_path, "F = X + G''\nG = X^4*F\n")
+        assert run(capsys, "count", "F", "3", "--defs", defs) == (
+            0, "120\n", ""
+        )
+
+    def test_a_cycle_that_reads_an_outside_name(self, capsys, tmp_path):
+        # f = x + x^2 f' e^x: f_n = [n = 1] + n(n - 1) g_(n-2), where
+        # g = f' e^x has g_m = sum_k C(m, k) f_(k+1).
+        want = [0, 1]
+        for n in range(2, 7):
+            g = sum(comb(n - 2, k) * want[k + 1] for k in range(n - 1))
+            want.append(n * (n - 1) * g)
+        defs = self._defs(tmp_path, "F = X + X^2*F'*H\nH = E\n")
+        code, out, err = run(capsys, "series", "F", "--order", "6",
+                             "--defs", defs)
+        assert (code, err) == (0, "")
+        assert [int(line.split()[1]) for line in out.splitlines()] == want
+        assert want[3:] == [18, 276, 6740, 238830]
+
+    @pytest.mark.parametrize("size", ["0", "1", "4"])
+    def test_a_same_size_cycle_is_refused_at_every_order(
+            self, capsys, tmp_path, size):
+        # H_2 = 2 * H_2: size 2 lies within the reach of every order.
+        defs = self._defs(tmp_path, "H = X + X^2*H''\n")
+        code, out, err = run(capsys, "count", "H", size, "--defs", defs)
+        assert (code, out) == (1, "")
+        assert "the system does not determine H" in err
+
+
 class TestDivergentSystems:
     """A system whose counts grow on every pass is refused within a few
     passes, before its counts square their way past the machine's memory.
     Each call runs apart, under a 2 GB address-space limit."""
 
-    @pytest.mark.parametrize("defs, argv, size", [
-        ("F = 1 + F*F", ["count", "F", "12"], 0),
-        ("F = 1 + F*F", ["count", "F", "14"], 0),
-        ("F = 1 + F*F*F", ["count", "F", "10"], 0),
-        ("F = X + F(F)", ["count", "F", "14"], 1),
-    ])
-    def test_exits_1_within_two_seconds(self, tmp_path, defs, argv, size):
+    @staticmethod
+    def _refusal(tmp_path, defs, argv):
+        """Run the CLI on defs in a fresh interpreter under the limit:
+        (seconds taken, the finished process)."""
         path = tmp_path / "divergent.species"
         path.write_text(defs + "\n", encoding="utf-8")
         src = Path(species.__file__).resolve().parent.parent
@@ -275,11 +313,39 @@ class TestDivergentSystems:
              "--defs", str(path)],
             capture_output=True, text=True, timeout=60,
         )
-        assert time.perf_counter() - started < 2.0
+        return time.perf_counter() - started, done
+
+    @pytest.mark.parametrize("defs, argv, size", [
+        ("F = 1 + F*F", ["count", "F", "12"], 0),
+        ("F = 1 + F*F", ["count", "F", "14"], 0),
+        ("F = 1 + F*F*F", ["count", "F", "10"], 0),
+        ("F = X + F(F)", ["count", "F", "14"], 1),
+    ])
+    def test_exits_1_within_two_seconds(self, tmp_path, defs, argv, size):
+        elapsed, done = self._refusal(tmp_path, defs, argv)
+        assert elapsed < 2.0
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == (
             f"error: equation for F has no fixed point: its count at size "
             f"{size} grows on every pass\n"
+        )
+
+    @pytest.mark.parametrize("defs, argv, name, size", [
+        ("F = G(X)*F\nG = G(F)'", ["count", "F", "5"], "G", 0),
+        ("F = (G + G)*E\nG = 1*G(F)", ["count", "F", "7"], "F", 1),
+    ])
+    def test_the_cross_check_run_is_watched_too(self, tmp_path, defs, argv,
+                                                name, size):
+        """Systems whose run from zero leaves a count at 0, or that have a
+        derivative in their cycle, also run from a nonzero start; that run
+        obeys the same divergence rule.  The run from zero has found a
+        fixed point, so the refusal does not claim there is none."""
+        elapsed, done = self._refusal(tmp_path, defs, argv)
+        assert elapsed < 2.0
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: the system does not determine {name}: from a nonzero "
+            f"start its count at size {size} grows on every pass\n"
         )
 
 

@@ -32,9 +32,18 @@ from species.errors import (
     IllFoundedEquation,
     NotABijection,
     ParseError,
-    RecursionGuard,
 )
-from species.expr import PrimitiveKind, print_expr
+from species.expr import (
+    Environment,
+    Name,
+    Pointing,
+    Primitive,
+    PrimitiveKind,
+    Product,
+    RestrictCard,
+    Sum,
+    print_expr,
+)
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of, validate
 from species.structures import (
@@ -250,12 +259,43 @@ class TestGuards:
         with pytest.raises(BudgetExceeded):
             enum("Gro", [1, 2, 3, 4], budget=100)
 
-    def test_unproductive_recursion_is_caught(self):
-        # series validation would flag F = F first; drive the generator
-        # directly to show the guard also stops it
+    def test_unproductive_recursion_is_caught(self, monkeypatch):
+        # The series count refuses F = Ep(F) before the walk visits a node.
+        def never(expr, env, labels, active):
+            raise AssertionError("the walk visited a node")
+
+        monkeypatch.setattr(enumerator, "_structures", never)
         env = parse_defs("G = X\n").merged(parse_defs("F = Ep(F)\n"))
-        with pytest.raises(RecursionGuard):
-            _structures(parse_expr("F"), env, (1, 2), set())
+        for labels in ([], [1], [1, 2]):
+            with pytest.raises(IllFoundedEquation):
+                enumerate_structures(parse_expr("F"), env, labels)
+
+    @pytest.mark.parametrize("first, inner, want", [
+        (PrimitiveKind.SINGLETON, Pointing(Name("F")), [0, 1, 0, 0]),
+        (PrimitiveKind.SINGLETON, Name("F"), [0, 1, 0, 0]),
+        (PrimitiveKind.SINGLETON,
+         Product(Primitive(PrimitiveKind.SET), Name("F")), [0, 1, 0, 0]),
+        (PrimitiveKind.ONE, Pointing(Name("F")), [1, 0, 0, 0]),
+    ])
+    def test_a_name_met_again_on_no_labels_ends(self, first, inner, want):
+        # F = first + (inner restricted to no labels): the walk meets F
+        # again on no labels, where it lists nothing if F has no structures
+        # there, and a pointing has no point to choose.
+        env = Environment({"F": Sum(Primitive(first),
+                                    RestrictCard(inner, "==", 0))})
+        assert egf_of(Name("F"), env, order=3).counts() == want
+        for n in range(4):
+            got = enumerate_structures(Name("F"), env, list(range(1, n + 1)))
+            assert len(got) == want[n]
+
+    def test_a_block_on_every_label_is_walked_only_when_it_is_used(self):
+        # Binary trees F = X + E2(F): the one block holding every label has
+        # no E2-structure, so F is not listed on all the labels again.
+        env = parse_defs("F = X + G(F)\nG = Ek[2]\n")
+        for n, want in enumerate([0, 1, 1, 3, 15]):
+            got = enumerate_structures(parse_expr("F"), env,
+                                       list(range(1, n + 1)))
+            assert len(got) == want
 
     def test_bad_labels(self):
         with pytest.raises(ParseError):
@@ -1036,11 +1076,11 @@ class TestCollectorPause:
     def test_a_walk_that_raises_turns_it_back_on(self, monkeypatch):
         def failing(expr, env, labels, active):
             assert not gc.isenabled()
-            raise RecursionGuard("failed walk")
+            raise IllFoundedEquation("failed walk")
 
         monkeypatch.setattr(enumerator, "_structures", failing)
         gc.enable()
-        with pytest.raises(RecursionGuard, match="failed walk"):
+        with pytest.raises(IllFoundedEquation, match="failed walk"):
             enum("Gra", [1, 2, 3])
         assert gc.isenabled()
 
@@ -1155,7 +1195,8 @@ def test_extended_substitution_listings_equal_the_public_ones(
     want = []
     for partition in _set_partitions(labs):
         blocks = sorted(map(Block, partition), key=lambda b: b.key)
-        outers = _structures(outer_expr, env, tuple(blocks), set())
+        outers = _structures(outer_expr, env, tuple(blocks),
+                             enumerator._Walk())
         inners = [
             [_publicly_built(t)
              for t in enumerate_structures(inner_expr, env, b.members)]
@@ -1509,15 +1550,15 @@ class TestSharedWalk:
         with pytest.raises(IllFoundedEquation):
             enumerate_structures(parse_expr("F"), _SHARED_ENV, [1, 2],
                                  walk=walk)
-        with pytest.raises(RecursionGuard):
-            _structures(parse_expr("G"), _SHARED_ENV, (1, 2), walk)
-        assert not walk  # no guard is left behind
+        with pytest.raises(IllFoundedEquation):
+            enumerate_structures(parse_expr("G"), _SHARED_ENV, [1, 2],
+                                 walk=walk)
+        assert not walk.memo  # each was refused before any node was visited
         for n in (4, 2, 3):
             labels = list(range(1, n + 1))
             got = enumerate_structures(a, _SHARED_ENV, labels, walk=walk)
             want = enumerate_structures(a, _SHARED_ENV, labels)
             assert _encodings(got) == _encodings(want)
-        assert not walk
 
     def test_a_shared_walk_returns_its_memo_lists(self):
         a = parse_expr("A")

@@ -1,7 +1,10 @@
-"""The solver's one-run shortcut against the cross-check run it skips
-(solve_sweep.py): every single-name system of at most two operators at
-orders 0 .. 7, and three systems whose right-hand-side evaluations are
-counted.  The three-operator family and two-name systems run in CI."""
+"""The solver's one-run shortcut against the cross-check run it skips, and
+each path's counts against its own at lower orders (solve_sweep.py): every
+single-name system of at most two operators at orders 0 .. 7, the
+derivative cycles whose factors are 1 or the outside name H at orders
+0 .. 8, and three systems whose right-hand-side evaluations are counted.
+The three-operator family, two-name systems and every derivative cycle
+run in CI."""
 
 import pytest
 
@@ -9,7 +12,12 @@ from species import semantics, series
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of
 
-from solve_sweep import disagreement, single_name_systems
+from solve_sweep import (
+    DERIVATIVE_MAX_ORDER,
+    derivative_systems,
+    disagreement,
+    single_name_systems,
+)
 
 SYSTEMS = single_name_systems(2)
 
@@ -21,6 +29,16 @@ def test_the_family_holds_every_system_of_two_operators():
 
 def test_one_run_agrees_with_two_on_every_system():
     found = (disagreement(system, range(8), seconds=10) for system in SYSTEMS)
+    assert [line for line in found if line] == []
+
+
+def test_derivative_cycles_are_decided_alike_at_every_order():
+    # 5 powers X^k, 3 derivative depths, 4 choices of the factors a and b
+    # among 1 and H, and 2 shapes.
+    systems = derivative_systems(("1", "H"))
+    assert len(systems) == 120
+    orders = range(DERIVATIVE_MAX_ORDER + 1)
+    found = (disagreement(system, orders, seconds=10) for system in systems)
     assert [line for line in found if line] == []
 
 
