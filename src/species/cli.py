@@ -209,9 +209,9 @@ def _cmd_enumerate(args):
     collection after the walk would traverse every listed term.  The scope
     restores it however the call ends, a closed pipe included.
 
-    For --json the walk gives the ids of the subterms held in two or more
-    places, and is then dropped, memos and all, before the first byte is
-    written: the listing keeps every term it reaches alive."""
+    For --json the walk gives the subterms held in two or more places,
+    children first, and is then dropped, memos and all, before any text is
+    built: the listing keeps every term it reaches alive."""
     env = _load_env(args.defs)
     expr = parse_expr(args.expr)
     labels = _parse_labels(args.labels)
@@ -231,40 +231,28 @@ def _cmd_enumerate(args):
     return 0
 
 
-def _write_json_listing(structures, shared=frozenset()):
+def _write_json_listing(structures, shared=()):
     """Write json.dumps([s.to_json() for s in structures]) + "\n", one
     structure at a time.
 
-    shared holds the ids of the subterms to keep the text of, from their
-    first ask on: those held in two or more places (_Walk.shared()).  Then
-    every subterm is serialised exactly once, and the writer stores
-    nothing for any other subterm.  Without shared it keeps nothing, and
+    shared holds the subterms held in two or more places, each once and
+    children first (_Walk.shared()).  Their texts are filled first, in that
+    order, into one dict by id that every term's _text reads, so each
+    subterm is serialised exactly once, with no callback per subterm, and
+    no other subterm's text is kept.  Without shared it keeps nothing, and
     writes the same bytes.  The listing keeps every term alive, so ids stay
-    unique.  text refers to itself through its closure, so the writer
-    drops that reference when it ends: text and the memo are then freed at
-    once, not left as a cycle for the cyclic collector to find.
+    unique.
     """
     kept = {}
-
-    def text(term):
-        key = id(term)
-        if key not in shared:
-            return term._text(text)
-        found = kept.get(key)
-        if found is None:
-            found = kept[key] = term._text(text)
-        return found
-
+    for term in shared:
+        kept[id(term)] = term._text(kept)
     write = sys.stdout.write
-    try:
-        write("[")
-        for i, s in enumerate(structures):
-            if i:
-                write(", ")
-            write(s._text(text))
-        write("]\n")
-    finally:
-        text = None
+    write("[")
+    for i, s in enumerate(structures):
+        if i:
+            write(", ")
+        write(s._text(kept))
+    write("]\n")
 
 
 def _cmd_transport(args):
@@ -283,7 +271,7 @@ def _cmd_transport(args):
         )
     moved = transport(expr, env, structure, bijection)
     if args.json:
-        print(json.dumps(moved.to_json()))
+        print(moved._text({}))
     else:
         print(moved.render())
     return 0

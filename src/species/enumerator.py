@@ -45,9 +45,11 @@ right factor of their split and its right factors once per left factor,
 and a substitution's outer terms once per assignment on their blocks and
 each inner term once per assignment holding it times the outers on those
 blocks.  A restriction returns its child's list and adds nothing.  So one
-count per list is exact, and walk.shared() gives the ids of the terms held
-in two or more places, the only ones a writer that writes each subterm
-once needs to keep the text of (`enumerate --json`).
+count per list is exact, and walk.shared() gives the terms held in two or
+more places, children before their parents: the only ones a writer that
+writes each subterm once needs to keep the text of.  `enumerate --json`
+fills their texts first, in that order, so that each parent reads its
+shared children's texts, and then writes the listing with no callback.
 
 Transport applies a bijection of label sets to a structure.  Because the
 canonical constructors determine how relabeling acts (pair lists conjugate,
@@ -233,15 +235,17 @@ class _Walk:
         holders[key] = holders.get(key, 0) + times
 
     def shared(self):
-        """The ids of the terms held in two or more places in the walk's
-        terms: every term of each memo list held that often.  Over a walk
-        shared by several calls, it counts the parents of all of them."""
+        """The terms of each memo list held in two or more places, each
+        once and every child before its parents: the memo is filled child
+        first, and a list under two keys (a restriction's is its child's)
+        counts once.  Over a walk shared by several calls, it counts the
+        parents of all of them."""
         holders = self.holders
-        found = set()
-        for terms in self.memo.values():
-            if holders.get(id(terms), 0) > 1:
-                found.update(map(id, terms))
-        return found
+        lists = {
+            id(terms): terms for terms in self.memo.values()
+            if holders.get(id(terms), 0) > 1
+        }
+        return [term for terms in lists.values() for term in terms]
 
     def key(self, term):
         """term's _sort_parts tuple, built once per walk: comparing keys

@@ -517,10 +517,10 @@ class _FieldKind:
     writers, in which @ is the value: code is a piece of f-string writing
     the encode() text of a value that holds no term, and text its
     json.dumps text when that differs (a list's separators do).  A value
-    that holds terms has its text, a piece of f-string, in _text(text),
-    and its part of _sort_parts(key), a Python expression: one child's key
-    or, when splice is set, a run of texts and keys that starts and ends
-    with text."""
+    that holds terms has its text, a piece of f-string, in _text(kept)
+    (see _CHILD_TEXT), and its part of _sort_parts(key), a Python
+    expression: one child's key or, when splice is set, a run of texts and
+    keys that starts and ends with text."""
 
     def __init__(self, shape, decode, json, relabel, code="", text="",
                  part="", splice=False):
@@ -567,15 +567,17 @@ _BLOCKS = _FieldKind(
     lambda v, f: [[f(x) for x in b] for b in v],
     code='{_block_list(@, ",")}', text='{_block_list(@, ", ")}',
 )
+#: A child's text: its kept text, or its own _text(kept) when none is kept.
+_CHILD_TEXT = "{(kept.get(id(@)) or @._text(kept))}"
 _CHILD = _FieldKind(
     dict, decode_structure, lambda v: v.to_json(), lambda v, f: v.relabel(f),
-    text="{text(@)}", part="key(@)",
+    text=_CHILD_TEXT, part="key(@)",
 )
 #: A child whose labels are blocks, relabelled by each block's image.
 _ON_BLOCKS = _FieldKind(
     dict, decode_structure, lambda v: v.to_json(),
     lambda v, f: v.relabel(lambda b: Block(f(m) for m in b.members)),
-    text="{text(@)}", part="key(@)",
+    text=_CHILD_TEXT, part="key(@)",
 )
 #: A substitution's (block, inner term) pairs.
 _ASSIGN = _FieldKind(
@@ -587,7 +589,7 @@ _ASSIGN = _FieldKind(
     lambda v, f: [
         (Block(f(m) for m in b.members), t.relabel(f)) for b, t in v
     ],
-    text="{_assign_text(@, text)}",
+    text="{_assign_text(@, kept)}",
     part="_assign_parts(@, key)",
     splice=True,
 )
@@ -621,7 +623,7 @@ def _text_source(cls, fields):
     text = '{{"kind": ' + _quote(cls.kind)
     for k, v, fk in fields:
         text += f", {_quote(k)}: " + (fk.text or fk.code).replace("@", v)
-    return f"def {cls.__name__}_text(self, text): return f'{text}}}}}'"
+    return f"def {cls.__name__}_text(self, kept): return f'{text}}}}}'"
 
 
 def _parts_source(cls, fields):
@@ -655,9 +657,9 @@ def _splice(*runs):
     return tuple(out)
 
 
-def _assign_text(assign, text):
+def _assign_text(assign, kept):
     return "[" + ", ".join(
-        f"[{block.text()}, {text(inner)}]"
+        f"[{block.text()}, {kept.get(id(inner)) or inner._text(kept)}]"
         for block, inner in assign
     ) + "]"
 
@@ -710,12 +712,13 @@ class Structure:
             tree[key] = fk.json(getattr(self, attr))
         return tree
 
-    def _text(self, text):
+    def _text(self, kept):
         """json.dumps(self.to_json()): default separators, keys in
-        insertion order, non-ASCII escaped.  A term writes its own literals
-        and labels around text(child) for each child, so the caller decides
-        which children's texts to keep.  Every class compiles its own from
-        its field table."""
+        insertion order, non-ASCII escaped.  kept maps the id of a term to
+        its text.  A term writes its own literals and labels around each
+        child's text: the child's kept text when there is one, else the
+        child's own _text(kept), so _text({}) writes the term in full.
+        Every class compiles its own from its field table."""
         raise NotImplementedError
 
     def encode(self):

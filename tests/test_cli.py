@@ -190,6 +190,26 @@ class TestTransport:
         assert code == 0
         assert json.loads(out) == {"kind": "list", "labels": ["2", "1"]}
 
+    @pytest.mark.parametrize("text, labels, bijection", [
+        ("E(C)+L'*X", "1,2,3", "1->3,2->1,3->2"),
+        ("C'", "é,b", "é->b,b->é"),
+        ("Gra", "1,2,3", "1->a,2->b,3->c"),
+    ])
+    def test_json_bytes_equal_json_dumps(self, capsys, text, labels,
+                                         bijection):
+        """--json writes the moved structure with the compiled writer:
+        json.dumps of its to_json() tree, stars and non-ASCII escaped."""
+        expr = species.parse_expr(text)
+        moving = cli._parse_bijection(bijection)
+        found = species.enumerate_structures(expr, None,
+                                             cli._parse_labels(labels))
+        for structure in found:
+            code, out, _ = run(capsys, "transport", text, bijection,
+                               json.dumps(structure.to_json()), "--json")
+            moved = species.transport(expr, None, structure, moving)
+            assert code == 0
+            assert out == json.dumps(moved.to_json()) + "\n"
+
     def test_a_member_on_the_wrong_labels_is_still_exit_4(self, capsys):
         # A subset on three labels, moved by a bijection that misses one.
         code, out, err = run(

@@ -806,7 +806,7 @@ class TestJsonListing:
         assert trees == []
 
     def test_the_writer_keeps_only_shared_texts(self):
-        """With the walk's shared ids the writer's memory is the kept texts
+        """With the walk's shared terms the writer's memory is the kept texts
         of the shared subterms; without them it keeps nothing.  A memo
         entry per unshared subterm (24 000 of them here) would add more
         than a megabyte."""
@@ -820,10 +820,7 @@ class TestJsonListing:
             walk = None
             assert len(terms) - len(shared) > 24_000
 
-            def full(term):
-                return term._text(full)
-
-            texts = sum(sys.getsizeof(full(terms[key])) for key in shared)
+            texts = sum(sys.getsizeof(t._text({})) for t in shared)
             memo = sys.getsizeof(dict.fromkeys(shared))
             terms = None
             want = hashlib.sha256(_dumped(got).encode("utf-8")).hexdigest()
@@ -1637,7 +1634,9 @@ class TestHolders:
                 for term in found:
                     held.update(map(id, _children(term)))
             assert got
-            assert walk.shared() == {k for k, c in held.items() if c > 1}
+            assert {id(t) for t in walk.shared()} == {
+                k for k, c in held.items() if c > 1
+            }
 
     def test_a_product_of_a_term_with_itself_holds_it_twice(self):
         walk = enumerator._Walk()
@@ -1645,4 +1644,52 @@ class TestHolders:
         with enumerator.listing():
             (term,) = enumerate_structures(expr, None, [], walk=walk)
             assert term.left is term.right
-            assert walk.shared() == {id(term.left)}
+            assert {id(t) for t in walk.shared()} == {id(term.left)}
+
+    @pytest.mark.parametrize("kind", sorted(_HOLDER_LABELS))
+    @pytest.mark.parametrize("text, n", _HOLDER_CASES,
+                             ids=[f"{t}-{n}" for t, n in _HOLDER_CASES])
+    def test_shared_terms_come_once_and_children_first(self, text, n, kind):
+        env = parse_defs(_DIGEST_DEFS)
+        _check_shared_order_and_bytes(parse_expr(text), env,
+                                      _HOLDER_LABELS[kind][:n])
+
+    def test_a_restricted_name_shares_its_list_under_two_keys(self):
+        """A restriction returns its child's list, so the memo holds that
+        list under two keys; shared() lists its terms once."""
+        restricted = RestrictCard(Name("A"), ">=", 1)
+        expr = Product(restricted, Primitive(PrimitiveKind.LIST))
+        env = parse_defs(_DIGEST_DEFS)
+        walk = _check_shared_order_and_bytes(expr, env, [1, 2, 3, 4, 5])
+        keys = Counter(map(id, walk.memo.values()))
+        twice = [k for k, c in keys.items() if c > 1]
+        assert twice
+        assert any(walk.holders.get(k, 0) > 1 for k in twice)
+
+
+def _check_shared_order_and_bytes(expr, env, labels):
+    """walk.shared() lists each shared term once and every shared child
+    before each shared term that holds it, and the --json writer writes
+    json.dumps's bytes with and without it.  Returns the walk."""
+    walk = enumerator._Walk(env=env)
+    with enumerator.listing():
+        got = enumerate_structures(expr, env, labels, walk=walk)
+        assert got
+        shared = walk.shared()
+        place = {id(t): i for i, t in enumerate(shared)}
+        assert len(place) == len(shared)
+        held = Counter()
+        lists = {id(found): found for found in walk.memo.values()}
+        for found in lists.values():
+            for term in found:
+                held.update(map(id, _children(term)))
+        assert set(place) == {k for k, c in held.items() if c > 1}
+        for i, term in enumerate(shared):
+            for child in _children(term):
+                assert place.get(id(child), -1) < i
+        want = _dumped(got)
+        for given in ((), shared):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                cli._write_json_listing(got, given)
+            assert out.getvalue() == want
+    return walk

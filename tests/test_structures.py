@@ -105,7 +105,7 @@ def _joined(term):
 
 def _dumped(term):
     """A term's --json text, every child's text written in full."""
-    return term._text(_dumped)
+    return term._text({})
 
 
 def _relabelled(obj, f):
