@@ -34,9 +34,15 @@ boundary that perfbench/tracing.py requires to be reached until the
 engine counts its own work (ROADMAP item 1).
 """
 
-from itertools import combinations, permutations, product as iproduct, repeat
-from math import comb, factorial
-from operator import add, ne
+from itertools import (
+    accumulate,
+    combinations,
+    permutations,
+    product as iproduct,
+    repeat,
+)
+from math import comb
+from operator import add, mul, ne
 
 from .expr import PrimitiveKind as K
 from .series import CountSeries
@@ -56,6 +62,11 @@ def _counts(count_at):
     return lambda order, k: CountSeries(
         count_at(n, k) for n in range(order + 1)
     )
+
+
+def _factorials(order, k):
+    """The counts 0!, 1!, .., order! of L, as a running product."""
+    return CountSeries(accumulate(range(1, order + 1), mul, initial=1))
 
 
 def _kept(row, admits):
@@ -151,7 +162,7 @@ def _partitions(labels, k):
 
 _E = (_counts(lambda n, k: 1), lambda labels, k: MapSources(labels).sets())
 _L = (
-    _counts(lambda n, k: factorial(n)),
+    _factorials,
     lambda labels, k: MapSources(labels).lists(_by_code(labels)),
 )
 _X = _kept(_E, lambda n, k: n == 1)
@@ -167,7 +178,13 @@ ROWS = {
     K.KSET: _EK,
     K.LIST: _L,
     K.NONEMPTY_LIST: _kept(_L, lambda n, k: n >= 1),
-    K.CYCLE: (_counts(lambda n, k: factorial(n - 1) if n else 0), _cycles),
+    # (n - 1)! cycles on n labels: L's counts shifted one place.
+    K.CYCLE: (
+        lambda order, k: CountSeries(
+            (0, *_factorials(order, k)._counts[:order])
+        ),
+        _cycles,
+    ),
     K.PERMUTATION: (
         _L[0],
         lambda labels, k: MapSources(labels).maps(

@@ -14,19 +14,24 @@ through negative intermediate values).  Only count() insists on integrality,
 and only the CLI insists on nonnegativity.
 
 Every kernel is O(N^2) in the order N, except substitution into an outer
-series that is none of E, L or C; that one costs O(N^3).  The product,
-quotient and E, L, C substitution kernels also resume: given the leading
-counts of the result that are already known (``known``), they compute only
-the counts after them.  Count n of each of those results reads the
-operands' counts 0 .. n only, so a caller whose operands changed only above
-some index may keep the result's counts below it.  The evaluator in
+series that is none of E, L or C; that one costs O(N^3).  Each O(N^2)
+kernel multiplies counts, except division by E (a divisor whose counts
+are all 1): f / E = f e^-x is f's inverse binomial transform, which takes
+O(N^2) additions and nothing else.  The product, quotient and E, L, C
+substitution kernels also resume: given the leading counts of the result
+that are already known (``known``), they compute only the counts after
+them.  Count n of each of those results reads the operands' counts 0 .. n
+only, so a caller whose operands changed only above some index may keep
+the result's counts below it.  The evaluator in
 semantics does that on every solver pass, which makes one solve O(N^2)
 kernel work instead of O(N^3).  Substituting into
 E, L and C follows the standard recurrences (Bergeron, Labelle and Leroux,
 Combinatorial Species and Tree-like Structures, ch. 1-3): exp for E,
-1/(1 - g) for L and log 1/(1 - g) for C.  The binomial kernels read
-C(n, k) from one module-level Pascal table, grown to the largest order
-asked for, rather than computing it once per term, and a substitution
+1/(1 - g) for L and log 1/(1 - g) for C.  The binomial kernels (product,
+E, L and C substitution, and division by anything but E) read C(n, k)
+from one module-level Pascal table, grown to the largest order they are
+asked for, rather than computing it once per term; division by E reads
+no row of it, so derangements, Der = S / E, grow no row.  A substitution
 recognises those three outers by comparing its counts with a module-level
 table of factorials.  A series times itself is squared in half the
 products, because C(n, k) = C(n, n - k).
@@ -37,7 +42,7 @@ unknowns: through one reach, under one divergence rule for every run.
 
 from fractions import Fraction
 from math import factorial
-from operator import add
+from operator import add, sub
 from threading import Lock
 
 from .errors import (
@@ -72,9 +77,10 @@ def _quotient(a, b):
 
 
 # Rows 0 .. N of Pascal's triangle, _PASCAL[n][k] = C(n, k), grown on demand
-# to the largest order a kernel has asked for.  Rows are only appended, each
-# complete, so readers need no lock; growers take _GROWING, or two threads
-# could append the same row twice.
+# to the largest order a binomial kernel has asked for (division by E, which
+# reads no binomial, grows none).  Rows are only appended, each complete, so
+# readers need no lock; growers take _GROWING, or two threads could append
+# the same row twice.
 _PASCAL = [[1]]
 _GROWING = Lock()
 
@@ -179,6 +185,20 @@ def _divide(f, g, order, known=()):
                 break
             acc -= row[k] * c * quot[n - k]
         quot.append(_quotient(acc, g[0]))
+    return quot
+
+
+def _over_e(f, order):
+    """Counts of f / E, the inverse binomial transform q_n = sum_j
+    (-1)^(n-j) C(n, j) f_j (f = q e^x, so q = f e^-x).  q_n is the leading
+    entry of the n-th forward difference of f_0 .. f_N, so the table of
+    differences yields every count with additions only: no binomial is
+    read and no two counts are multiplied."""
+    row = f[:order + 1]
+    quot = []
+    while row:
+        quot.append(row[0])
+        row = [*map(sub, row[1:], row)]
     return quot
 
 
@@ -389,6 +409,8 @@ class CountSeries:
                 "division requires a divisor with nonzero constant term"
             )
         order = min(self.order, other.order)
+        if other._counts[:order + 1] == (1,) * (order + 1):
+            return CountSeries(_over_e(self._counts, order))
         return CountSeries(_divide(self._counts, other._counts, order))
 
     def __call__(self, inner, known=()):

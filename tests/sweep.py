@@ -7,12 +7,12 @@ set of LABEL_SETS, the listing must have as many structures as the series
 counts, their encodings must strictly increase, and decode_structure must
 rebuild every structure from its JSON tree.  A tree whose series is
 refused (a SpeciesError: an ill-founded name, an inner with structures on
-the empty set) must be refused by the listing too.  A listing that
-refuses with a SpeciesError is a refusal, not a failure, even where the
-series counts; a listing over BUDGET structures is not built
-(BudgetExceeded).  The ill-founded name F = F is refused by both on every
-label set, the empty one included: the series raises IllFoundedEquation,
-and so does the listing, which counts the series before it visits a node.
+the empty set) must be refused by the listing too, and a listing may
+refuse (with a SpeciesError) only where the series refuses, except that a
+listing over BUDGET structures is not built (BudgetExceeded).  The
+ill-founded name F = F is refused by both on every label set, the empty
+one included: the series raises IllFoundedEquation, and so does the
+listing, which counts the series before it visits a node.
 
 Run as a script, it sweeps every tree of at most --ops operators and two
 leaves over X and each other primitive (full_sweep), substituting into
@@ -31,7 +31,7 @@ import sys
 from functools import partial
 
 from species.enumerator import enumerate_structures
-from species.errors import SpeciesError
+from species.errors import BudgetExceeded, SpeciesError
 from species.expr import PrimitiveKind, print_expr
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of
@@ -61,7 +61,8 @@ FULL_HEADS = ("E", "L", "C")
 
 def check(tree, env, budget=BUDGET):
     """Why tree fails a check, as text, or None when it passes them all.
-    A refusal passes."""
+    A listing over budget passes, and so does a listing refused where the
+    series is refused too."""
     text = print_expr(tree)
     if parse_expr(text) != tree:
         return f"{text}: print_expr does not re-parse to the same tree"
@@ -76,8 +77,13 @@ def check(tree, env, budget=BUDGET):
         want = counted[n]
         try:
             listed = enumerate_structures(tree, env, labels, budget)
-        except SpeciesError:  # BudgetExceeded among them
+        except BudgetExceeded:
             continue
+        except SpeciesError as err:
+            if isinstance(want, SpeciesError):
+                continue
+            return (f"{text} on {labels}: {want} counted, but the listing "
+                    f"refuses: {err!r}")
         except Exception as err:  # a defect, reported as the tree's failure
             return f"{text} on {labels}: the listing raises {err!r}"
         if isinstance(want, SpeciesError):

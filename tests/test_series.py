@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,6 +17,7 @@ from species.errors import (
     OrderExceeded,
     ZeroConstantDivisor,
 )
+from species import series
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of
 from species.series import CountSeries, _binomials, solve_system
@@ -324,6 +326,13 @@ class TestSubstitutionKernels:
         assert got == [partitional_composite(fc, gc, n) for n in range(6)]
 
 
+# Counts mixing ints, negative ones included, with fractions.
+_COUNT = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
 class TestDivisionKernel:
     @given(
         counts_series(5),
@@ -343,6 +352,45 @@ class TestDivisionKernel:
         assert q.coefficient(0) == Fraction(1, 2)
         with pytest.raises(NonIntegerCount):
             q.count(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_division_by_e_equals_the_binomial_kernel(self, data):
+        # A divisor whose counts are all 1 through the order takes the
+        # table of differences; _divide is the kernel of every other one.
+        order = data.draw(st.integers(0, 30))
+        f = CountSeries.from_counts(data.draw(
+            st.lists(_COUNT, min_size=order + 1, max_size=order + 1)
+        ))
+        e = CountSeries.from_counts([1] * (order + 1 + data.draw(
+            st.integers(0, 5)
+        )))
+        got = (f / e)._counts
+        want = CountSeries(
+            series._divide(f._counts, e._counts, order)
+        )._counts
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+
+    def test_division_by_e_grows_no_pascal_row(self):
+        rows = len(series._PASCAL)
+        order = max(rows, 900) + 100
+        der = egf_of(parse_expr("Der"), order=order)
+        assert len(series._PASCAL) == rows
+        assert der.counts() == subfactorial_table(order)
+
+    def test_derangements_at_order_1000_peak_below_8_mb(self):
+        # The table of differences holds one row of counts at a time.  The
+        # Pascal table is cut back to row 160 first, so that a kernel that
+        # read it would have to grow it through row 1000 (52 MB traced).
+        del series._PASCAL[161:]
+        tracemalloc.start()
+        try:
+            egf_of(parse_expr("Der"), order=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCountTypes:
@@ -393,13 +441,6 @@ class TestClosedFormsAtHighOrder:
 
 
 # -- the kernels against references written with math.comb -----------------
-
-# Counts mixing ints, negative ones included, with fractions.
-_COUNT = st.one_of(
-    st.integers(-30, 30),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
-)
-
 
 @st.composite
 def _count_lists(draw, zero_constant=False, unit_constant=False):

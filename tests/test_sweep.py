@@ -6,7 +6,7 @@ sweep, up to four operators, runs in CI."""
 import pytest
 
 from species.expr import Primitive, PrimitiveKind, Substitute
-from species.parser import parse_defs
+from species.parser import parse_defs, parse_expr
 
 from strategies import expression_trees
 from sweep import DEFS, FULL_HEADS, PRIMITIVE_LEAVES, check
@@ -45,6 +45,16 @@ def test_the_slice_takes_every_kind_as_a_leaf_and_as_an_inner():
 def test_every_tree_passes(leaf):
     assert [found for found in (check(t, _ENV) for t in SLICE[leaf])
             if found] == []
+
+
+#: Binary trees through a recursive name substituted into Ek[2], which the
+#: slice's trees never do.
+_BINARY = parse_defs("F = X + G(F)\nG = Ek[2]\n")
+
+
+@pytest.mark.parametrize("text", ["F", "E(F)", "F*F", "pt(F)", "F'", "G(F)"])
+def test_binary_trees_through_ek_are_listed_where_counted(text):
+    assert check(parse_expr(text), _BINARY) is None
 
 
 def test_the_generator_yields_every_tree_once():
