@@ -26,16 +26,16 @@ side or name once per child list.  No listing runs a public constructor,
 on any number of labels.
 
 A walk is the state of a listing: its memos of lists, sort keys and
-series counts.  enumerate_structures makes a fresh one per
-call unless the caller passes one in (walk=), which several calls then
-share, so that each subexpression is listed once per label set and its
-series counted once for all of them.  A walk is bound to the env it was
-made with, since its memo is keyed by node and names resolve through env;
-a call with another env is refused.  Lists from a shared walk are its memo
-lists, shared with every later call, and must not be mutated.  A caller
-that shares a walk holds one listing() scope around all of its calls
-(see below) and drops the walk when it is done, so no cache outlives it;
-the identity suite makes one walk per case.
+series counts, and its evaluator.  enumerate_structures makes a fresh one
+per call unless the caller passes one in (walk=), which several calls then
+share, so that each subexpression is listed once per label set and each
+recursive system solved once for all of them.  A walk is bound to the env
+it was made with, since its memo is keyed by node and names resolve
+through env; a call with another env is refused.  Lists from a shared
+walk are its memo lists, shared with every later call, and must not be
+mutated.  A caller that shares a walk holds one listing() scope around
+all of its calls (see below) and drops the walk when it is done, so no
+cache outlives it; the identity suite makes one walk per case.
 
 A walk also counts, for each memo list, the places in parent terms that
 hold its terms.  Every parent build holds each term of a child list the
@@ -93,7 +93,8 @@ from .expr import (
     Sum,
 )
 from .primitives import ROWS
-from .semantics import egf_of
+# egf_of stays importable here for perfbench/tracing.py.
+from .semantics import _Evaluator, egf_of  # noqa: F401
 from .structures import (
     Assignment,
     Bijection,
@@ -154,12 +155,13 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
     it is returned as built.  It runs in the scope of one listing().
 
     walk, a _Walk(env=env), lets several calls share one walk: each
-    subexpression is then listed once per label set, and its series counts
-    computed once, for all of them.  A walk is bound to the env it was made
-    with, since its memo is keyed by node and names resolve through env; a
-    call with another env raises ValueError.  On a shared walk the result
-    is the walk's own memo list, shared with later calls: callers must not
-    mutate it.  Calls at the largest size first compute every series once.
+    subexpression is then listed once per label set, and each recursive
+    system solved once, for all of them.  A walk is bound to the env it was
+    made with, since its memo is keyed by node and names resolve through
+    env; a call with another env raises ValueError.  On a shared walk the
+    result is the walk's own memo list, shared with later calls: callers
+    must not mutate it.  Calls at the largest size first solve every
+    system once; a call on more labels solves again, deeper.
     A caller sharing a walk should also hold one listing() scope around
     all of its calls, so that the collector stays paused between them.
     Without walk, each call lists on a fresh walk of its own.
@@ -171,7 +173,7 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
     env = env or Environment()
     labs = _clean_labels(labels)
     n = len(labs)
-    expected = walk.counts(expr, env, n)[n]
+    expected = walk.counts(expr, n)[n]
     if expected > budget:
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
@@ -202,7 +204,7 @@ class listing:
 
 class _Walk:
     """The memos of a walk: one enumerate_structures call's, or those of
-    every call that shares it.
+    every call that shares it, and the evaluator that counts their nodes.
 
     memo maps (id(node), labels) to a finished list, so that each
     subexpression is enumerated once per label set and its terms are shared
@@ -218,7 +220,8 @@ class _Walk:
     labels: _build never walks back to one (see there).
     """
 
-    __slots__ = ("memo", "keys", "series_counts", "holders", "env")
+    __slots__ = ("memo", "keys", "series_counts", "holders", "env",
+                 "evaluator")
 
     def __init__(self, env=None):
         self.memo = {}
@@ -226,6 +229,7 @@ class _Walk:
         self.series_counts = {}
         self.holders = {}
         self.env = env
+        self.evaluator = _Evaluator(env or Environment())
 
     def hold(self, terms, times):
         """Count times more places that hold each term of terms, a memo
@@ -267,16 +271,14 @@ class _Walk:
             found = self.keys[id(term)] = parts
         return found
 
-    def counts(self, expr, env, n):
+    def counts(self, expr, n):
         """The structure counts of a subexpression on 0..n labels, from its
-        series; kept per node, or per name for a Name, and recomputed only
+        series in the walk's evaluator; kept per node, and recomputed only
         when a visit needs more labels (a derivative adds one)."""
-        key = expr.ident if isinstance(expr, Name) else id(expr)
-        found = self.series_counts.get(key)
+        found = self.series_counts.get(id(expr))
         if found is None or len(found) <= n:
-            found = self.series_counts[key] = egf_of(
-                expr, env, order=n
-            ).counts()
+            found = self.evaluator.eval(expr, n).counts()
+            self.series_counts[id(expr)] = found
         return found
 
 
@@ -317,7 +319,7 @@ def _build(expr, env, labels, active):
     if isinstance(expr, Primitive):
         return ROWS[expr.kind][1](labels, expr.param)
     if isinstance(expr, Name):
-        if not active.counts(expr, env, len(labels))[len(labels)]:
+        if not active.counts(expr, len(labels))[len(labels)]:
             return []
         inner = _structures(env[expr.ident], env, labels, active)
         active.hold(inner, 1)
@@ -336,8 +338,8 @@ def _build(expr, env, labels, active):
         return out
     if isinstance(expr, Product):
         n = len(labels)
-        left_counts = active.counts(expr.left, env, n)
-        right_counts = active.counts(expr.right, env, n)
+        left_counts = active.counts(expr.left, n)
+        right_counts = active.counts(expr.right, n)
         rows = []
         splits = 0
         for k in range(n + 1):
@@ -407,7 +409,7 @@ def _compositions(expr, env, labels, active):
     term is in that product divided by its list's length of them.
     """
     n = len(labels)
-    outer_counts = active.counts(expr.outer, env, n)
+    outer_counts = active.counts(expr.outer, n)
     state = (expr, env, active, {}, {}, {}, Assignment())
     wanted = sum(1 << k for k in range(n + 1) if outer_counts[k])
     assigns = _assignments(state, labels, wanted)

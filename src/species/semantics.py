@@ -8,7 +8,9 @@ names into strongly connected components, resolves acyclic names directly,
 and hands every genuine cycle to series.solve_system, resolving the names
 it reads outside itself through its reach (series.reach).
 
-Each egf_of call compiles the expression, and every definition it reaches,
+An evaluator keeps each name's series across its calls and solves a system
+again only deeper: egf_of makes one per call, a listing's walk one for all
+its counts.  Each evaluation compiles the expression, and every definition it reaches,
 once into a tree of closures.  Inside a solve, product and substitution
 nodes resume from the counts their operands kept since the previous pass
 (the kernels' known prefix), and name-free nodes are built once and
@@ -125,8 +127,8 @@ def _resumed(kernel):
 
 
 class _Evaluator:
-    """One egf_of call.  Every node of the expression, and of each
-    definition it reaches, is compiled once into a closure order ->
+    """Series over one env, keeping each name's (resolved) across calls.
+    A call compiles every node it reaches once into a closure order ->
     CountSeries; _compile is the one place that dispatches on node kind.
 
     A node that references no name has the same series under every
@@ -196,6 +198,12 @@ class _Evaluator:
             plan.append((comp, comp_order, loss, far))
 
         for comp, comp_order, loss, far in reversed(plan):
+            held = [self.resolved.get(name) for name in comp]
+            if all(s is not None and s.order >= comp_order for s in held):
+                continue
+            # A shallower solution would shadow the solver's overlay.
+            for name in comp:
+                self.resolved.pop(name, None)
             if len(comp) == 1 and comp[0] not in edges[comp[0]]:
                 name = comp[0]
                 self.resolved[name] = self._compile(self.env[name])(comp_order)

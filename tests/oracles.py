@@ -240,3 +240,94 @@ def fixed_by(token, cycle_type, k=None):
     sigma = permutation_of_type(cycle_type)
     found = raw_structures(token, list(sigma), k)
     return sum(1 for s in found if moved(s, sigma) == s)
+
+
+# -- recursive species ------------------------------------------------------
+
+
+def lagrange_counts(r_counts, order):
+    """Counts 0 .. order of the species F = X * R(F), by Lagrange
+    inversion: f_n = (n - 1)! [t^(n-1)] R(t)^n, where R(t) is the
+    exponential series sum_k r_k t^k / k! of r_counts, which must hold
+    r_0 .. r_(order-1) at least (Bergeron, Labelle and Leroux, ch. 3.1).
+    For R = E it gives Cayley's n^(n-1) rooted trees."""
+    r = [Fraction(c, factorial(k)) for k, c in enumerate(r_counts[:order])]
+    power = [Fraction(1)] + [Fraction(0)] * (order - 1)  # R(t)^0
+    out = [0]
+    for n in range(1, order + 1):
+        power = [sum(power[j] * r[i - j] for j in range(i + 1))
+                 for i in range(order)]
+        value = factorial(n - 1) * power[n - 1]
+        assert value.denominator == 1
+        out.append(int(value))
+    return out
+
+
+#: Counts of the primitives of the solver sweeps, by token.
+PRIMITIVE_COUNTS = {
+    "X": lambda n: int(n == 1),
+    "1": lambda n: int(n == 0),
+    "E": lambda n: 1,
+    "L": factorial,
+    "C": lambda n: factorial(n - 1) if n else 0,
+}
+
+
+def _plain_counts(tree, values, order):
+    """Counts 0 .. order of a plain tree (see kleene_counts), reading each
+    name's counts from values and 0 past their end."""
+    if isinstance(tree, str):
+        return [PRIMITIVE_COUNTS[tree](n) for n in range(order + 1)]
+    op, *args = tree
+    if op == "name":
+        found = values[args[0]][:order + 1]
+        return found + [0] * (order + 1 - len(found))
+    if op == "'":
+        return _plain_counts(args[0], values, order + 1)[1:]
+    f = _plain_counts(args[0], values, order)
+    if op == "pt":
+        return [n * c for n, c in enumerate(f)]
+    g = _plain_counts(args[1], values, order)
+    if op == "+":
+        return [a + b for a, b in zip(f, g)]
+    if op == "*":
+        return [binomial_convolution(f, g, n) for n in range(order + 1)]
+    if op == "of":
+        if g[0]:
+            raise ValueError("a substitution inner has a structure on the "
+                             "empty set")
+        return [partitional_composite(f, g, n) for n in range(order + 1)]
+    raise ValueError(f"not a plain tree: {tree!r}")
+
+
+def _derivatives(tree):
+    """The most derivatives stacked on any path of a plain tree."""
+    if isinstance(tree, str) or tree[0] == "name":
+        return 0
+    return (tree[0] == "'") + max(map(_derivatives, tree[1:]))
+
+
+def kleene_counts(equations, order):
+    """The least fixed point of a system of species equations, as counts
+    0 .. order of each name, or None when the iteration finds none.
+
+    equations maps each name to a plain tree: a token of PRIMITIVE_COUNTS,
+    ("name", ident), ("+", a, b), ("*", a, b), ("of", outer, inner),
+    ("'", a) for a derivative or ("pt", a) for a pointing.  Counts are
+    iterated from zero (Kleene), every equation reading the previous
+    pass, until a pass repeats its counts.  They are kept through order
+    plus the number of equations times the most derivatives in any tree,
+    the deepest a count through order reads in a system that determines
+    its unknowns, and read as 0 beyond.  Each count is a nondecreasing
+    integer that stops changing or grows for ever, so a system whose
+    counts still change after one pass per count kept, plus two, gets
+    None."""
+    deep = order + len(equations) * max(map(_derivatives, equations.values()))
+    values = {name: [0] * (deep + 1) for name in equations}
+    for _ in range((deep + 1) * len(equations) + 2):
+        found = {name: _plain_counts(tree, values, deep)
+                 for name, tree in equations.items()}
+        if found == values:
+            return {name: counts[:order + 1] for name, counts in values.items()}
+        values = found
+    return None

@@ -1,4 +1,4 @@
-"""Two oracles for the solver, on small families of recursive systems.
+"""Three oracles for the solver, on small families of recursive systems.
 
 One run against two: each system is counted by egf_of twice, once as it
 stands and once with the one-run shortcut forced off (series._triangular,
@@ -10,6 +10,10 @@ Order consistency: on each path, a count at some order implies the same
 counts, as a prefix, at every lower order, and no order raises
 OrderExceeded.  A system is decided through its reach, not through the
 order asked for, so a lower order cannot refuse what a higher one counts.
+
+The least fixed point: where egf_of counts a system, its counts equal
+those that oracles.kleene_counts, which shares no code with the engine,
+iterates from zero over plain count lists.
 
 The families are single_name_systems, F = t for every tree t of at most
 a number of operators over LEAVES that names F, substituting into HEADS;
@@ -26,15 +30,16 @@ refuses, runs out of time or runs out of memory at that order.
 
 Run as a script, it sweeps the single-name systems of at most --ops
 operators and --pairs two-name systems drawn with --seed, at orders 0 ..
---max-order, and every derivative system, in --jobs worker processes,
-each under an address-space limit of --memory-mb, and prints each
-failure:
+--max-order, and every derivative system, against the first two oracles,
+and the derivative-free single-name systems at --max-order against the
+least fixed point, in --jobs worker processes, each under an
+address-space limit of --memory-mb, and prints each failure:
 
     PYTHONPATH=src:tests python tests/solve_sweep.py --ops 3 --pairs 3000
 
-It exits 1 when a system fails either oracle.  test_solve_sweep.py runs
-the single-name systems of at most two operators and a slice of the
-derivative systems.
+It exits 1 when a system fails an oracle.  test_solve_sweep.py runs the
+single-name systems of at most two operators, derivatives included, and
+a slice of the derivative systems.
 """
 
 import argparse
@@ -48,10 +53,21 @@ from functools import partial
 from itertools import product
 
 from species import series
-from species.expr import Environment, Name, print_expr
+from species.expr import (
+    Derivative,
+    Environment,
+    Name,
+    Pointing,
+    Primitive,
+    Product,
+    Substitute,
+    Sum,
+    print_expr,
+)
 from species.parser import parse_expr
 from species.semantics import egf_of
 
+from oracles import kleene_counts
 from strategies import expression_trees
 
 LEAVES = ("X", "1", "E", "F")
@@ -195,8 +211,41 @@ def disagreement(system, orders, seconds=None):
     return None
 
 
+_PLAIN_OPS = {Sum: "+", Product: "*", Substitute: "of", Derivative: "'",
+              Pointing: "pt"}
+
+
+def plain(expr):
+    """expr as a plain tree of oracles.kleene_counts."""
+    if isinstance(expr, Primitive):
+        return expr.kind.value
+    if isinstance(expr, Name):
+        return ("name", expr.ident)
+    return (_PLAIN_OPS[type(expr)],
+            *(plain(getattr(expr, field)) for field in expr.fields))
+
+
+def lfp_disagreement(system, order, seconds=None):
+    """Why F's counts at order differ from the least fixed point that
+    oracles.kleene_counts finds, as text, or None.  A system egf_of does
+    not count is not compared."""
+    (got,) = outcomes(system, [order], seconds)
+    if not isinstance(got, list):
+        return None
+    want = kleene_counts({n: plain(t) for n, t in system.items()}, order)
+    if want is not None and want["F"] == got:
+        return None
+    text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
+    return (f"{text} at order {order}: {got} by egf_of, "
+            f"{want and want['F']} least fixed point")
+
+
 def _checked(job, seconds):
     return disagreement(*job, seconds=seconds)
+
+
+def _lfp_checked(job, seconds):
+    return lfp_disagreement(*job, seconds=seconds)
 
 
 def _limit_memory(megabytes):
@@ -224,16 +273,25 @@ def main(argv=None):
         (system, range(DERIVATIVE_MAX_ORDER + 1))
         for system in derivative_systems()
     ]
+    lfp_jobs = [
+        (system, args.max_order) for system in single_name_systems(args.ops)
+        if "'" not in print_expr(system["F"])
+    ]
     with multiprocessing.get_context("spawn").Pool(
         args.jobs, _limit_memory, (args.memory_mb,)
     ) as pool:
         found = list(pool.imap(
             partial(_checked, seconds=args.seconds), jobs, chunksize=50
         ))
-    failures = [line for line in found if line]
+        lfp_found = list(pool.imap(
+            partial(_lfp_checked, seconds=args.seconds), lfp_jobs,
+            chunksize=50
+        ))
+    failures = [line for line in found + lfp_found if line]
     for line in failures:
         print("FAIL", line)
-    print(f"{len(jobs)} systems, {len(failures)} fail")
+    print(f"{len(jobs)} systems, and {len(lfp_jobs)} against the least "
+          f"fixed point, {len(failures)} fail")
     return 1 if failures else 0
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from species import cli, enumerator, primitives, structures
+from species import cli, enumerator, primitives, semantics, structures
 from species.enumerator import (
     _structures,
     check_functoriality,
@@ -605,7 +605,7 @@ class TestEncodeOrder:
 
 def _finished_walk(expr, env, labels):
     """The walk of one listing after it returns, with its memo."""
-    walk = enumerator._Walk()
+    walk = enumerator._Walk(env=env)
     _structures(expr, env, enumerator._clean_labels(labels), walk)
     return walk
 
@@ -1570,23 +1570,67 @@ class TestSharedWalk:
         reaches it on; calls on fewer labels read those counts, budget
         check included."""
         counted = []
-        real = enumerator.egf_of
-
-        def recorded(expr, env=None, order=None):
-            counted.append(expr)
-            return real(expr, env, order=order)
-
-        monkeypatch.setattr(enumerator, "egf_of", recorded)
         expr = parse_expr("E(C) * pt(A) + L'")
         walk = enumerator._Walk(env=_SHARED_ENV)
+        real = walk.evaluator.eval
+
+        def recorded(expr, order):
+            counted.append(expr)
+            return real(expr, order)
+
+        monkeypatch.setattr(walk.evaluator, "eval", recorded)
         enumerate_structures(expr, _SHARED_ENV, range(1, 5), walk=walk)
         assert expr in counted
         del counted[:]
         for n in range(3, -1, -1):
             got = enumerate_structures(expr, _SHARED_ENV, range(1, n + 1),
                                        walk=walk)
-            assert len(got) == real(expr, _SHARED_ENV, order=n).count(n)
+            assert len(got) == egf_of(expr, _SHARED_ENV, order=n).count(n)
         assert counted == []
+
+    def test_a_walk_shared_smallest_first_solves_again_deeper(self):
+        """A system solved for a small listing is solved again, deeper,
+        for a larger one on the same walk, and the shallow solution does
+        not stand in for the deeper one while it is solved."""
+        env = parse_defs(_DIGEST_DEFS)
+        b = parse_expr("B")
+        walk = enumerator._Walk(env=env)
+        with enumerator.listing():
+            small = enumerate_structures(b, env, [1, 2], walk=walk)
+            large = enumerate_structures(b, env, range(1, 7), walk=walk)
+        assert _encodings(small) == _encodings(
+            enumerate_structures(b, env, [1, 2]))
+        assert _encodings(large) == _encodings(
+            enumerate_structures(b, env, range(1, 7)))
+        assert len(large) == egf_of(b, env, order=6).count(6)
+
+
+class TestOneSolvePerSystem:
+    """A walk's nodes count through the walk's one evaluator, so each
+    recursive system a listing reaches is solved once, however many of its
+    nodes read it."""
+
+    @pytest.mark.parametrize("defs, text, n", [
+        (_DIGEST_DEFS, "B", 5),
+        (_DIGEST_DEFS, "A", 6),
+        (_DIGEST_DEFS, "pt(A)", 5),
+        ("M = X*E(N)\nN = X*E(M)\n", "M", 5),
+        (_DIGEST_DEFS, "B''", 3),
+    ], ids=["B-5", "A-6", "pt(A)-5", "mutual-5", "B''-3"])
+    def test_each_listing_solves_each_system_once(self, monkeypatch, defs,
+                                                  text, n):
+        solved = []
+        real = semantics.solve_system
+
+        def recorded(equations, order, order_loss=0):
+            solved.append(frozenset(name for name, _ in equations))
+            return real(equations, order, order_loss=order_loss)
+
+        monkeypatch.setattr(semantics, "solve_system", recorded)
+        got = enumerate_structures(parse_expr(text), parse_defs(defs),
+                                   range(1, n + 1))
+        assert got
+        assert len(solved) == len(set(solved)) == 1
 
 
 # -- holder counts -----------------------------------------------------------

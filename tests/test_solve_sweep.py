@@ -4,18 +4,28 @@ single-name system of at most two operators at orders 0 .. 7, the
 derivative cycles whose factors are 1 or the outside name H at orders
 0 .. 8, and three systems whose right-hand-side evaluations are counted.
 The three-operator family, two-name systems and every derivative cycle
-run in CI."""
+run in CI.
+
+Two oracles that share no code with the solver (tests/oracles.py): every
+system of at most two operators that egf_of counts at order 5 against its
+least fixed point, and F = X*R(F) against Lagrange inversion, through the
+series and through listing lengths.  CI runs the least fixed point on the
+derivative-free three-operator systems."""
 
 import pytest
 
-from species import semantics, series
+from species import enumerator, semantics, series
+from species.enumerator import enumerate_structures
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of
 
+from oracles import PRIMITIVE_COUNTS, lagrange_counts
 from solve_sweep import (
     DERIVATIVE_MAX_ORDER,
     derivative_systems,
     disagreement,
+    lfp_disagreement,
+    outcomes,
     single_name_systems,
 )
 
@@ -79,3 +89,50 @@ def test_the_shortcut_halves_evaluations_only_where_it_applies(
         assert 2 * one_evaluations == two_evaluations
     else:
         assert one_evaluations == two_evaluations
+
+
+def test_every_counted_system_is_its_least_fixed_point():
+    counted = [system for system in SYSTEMS
+               if isinstance(outcomes(system, [5])[0], list)]
+    assert len(counted) == 135
+    found = (lfp_disagreement(system, 5) for system in counted)
+    assert [line for line in found if line] == []
+
+
+#: R of F = X*R(F), as a sum of primitive tokens.
+_LAGRANGE_R = ["E", "L", "C", "1 + X", "E + X"]
+
+
+def _lagrange(r, order):
+    """F = X*R(F)'s counts 0 .. order by Lagrange inversion."""
+    tokens = r.split(" + ")
+    return lagrange_counts(
+        [sum(PRIMITIVE_COUNTS[t](k) for t in tokens) for k in range(order)],
+        order,
+    )
+
+
+@pytest.mark.parametrize("r", _LAGRANGE_R)
+def test_implicit_trees_are_their_lagrange_inversion(r):
+    env = parse_defs(f"R = {r}\nF = X*R(F)\n")
+    want = _lagrange(r, 30)
+    for order in range(31):
+        assert egf_of(parse_expr("F"), env, order=order).counts() == \
+            want[:order + 1]
+    if r == "E":
+        assert want[1:] == [n ** (n - 1) for n in range(1, 31)]
+
+
+@pytest.mark.parametrize("r", _LAGRANGE_R)
+def test_implicit_tree_listings_have_their_lagrange_lengths(r):
+    """On one walk, smallest size first, so that each listing solves the
+    system again deeper through the walk's evaluator."""
+    env = parse_defs(f"R = {r}\nF = X*R(F)\n")
+    f = parse_expr("F")
+    walk = enumerator._Walk(env=env)
+    with enumerator.listing():
+        lengths = [
+            len(enumerate_structures(f, env, range(1, n + 1), walk=walk))
+            for n in range(6)
+        ]
+    assert lengths == _lagrange(r, 5)
