@@ -12,30 +12,31 @@ a node that wraps one child keeps the child's order, a sum merges its two
 sides, a product orders its left factors, and a primitive's listing, its
 row of primitives.ROWS, comes in order (see primitives.py).
 
-Listed terms are built from parts checked once.  The (block, inner)
-pairs of substitution terms are formed once each, and Assignment.listed
+Listed terms are built from parts checked once.  The (block, inner) pairs
+of substitution terms are formed once each per walk, and Assignment.listed
 puts the pairs on one block before each assignment of the labels left,
-checking that block once against each of them; _comp_terms then builds
-the substitution terms on every assignment, checking each list of outer
-terms once against its block set.  A ProductSplit checks a split's two
-label sets, each left factor and each right factor once for all the
-products on that split.  A MapSources checks a sorted label tuple once
-for the derivative and pointed terms around a listed child, the child
-list checked once to live on the tuple.  Sum and named terms check their
-side or name once per child list.  No listing runs a public constructor,
-on any number of labels.
+checking that block once against each of them; _comp_terms then builds the
+substitution terms on every assignment, checking each list of outer terms
+once against its block set.  A ProductSplit checks a split's two label
+sets, each left factor and each right factor once for all the products on
+that split.  A MapSources checks a sorted label tuple once for the
+derivative and pointed terms around a listed child, the child list checked
+once to live on the tuple.  Sum and named terms check their side or name
+once per child list.  No listing runs a public constructor, on any number
+of labels.
 
 A walk is the state of a listing: its memos of lists, sort keys and
-series counts, and its evaluator.  enumerate_structures makes a fresh one
-per call unless the caller passes one in (walk=), which several calls then
-share, so that each subexpression is listed once per label set and each
-recursive system solved once for all of them.  A walk is bound to the env
-it was made with, since its memo is keyed by node and names resolve
-through env; a call with another env is refused.  Lists from a shared
-walk are its memo lists, shared with every later call, and must not be
-mutated.  A caller that shares a walk holds one listing() scope around
-all of its calls (see below) and drops the walk when it is done, so no
-cache outlives it; the identity suite makes one walk per case.
+series counts, its substitution tables, and its evaluator.
+enumerate_structures makes a fresh one per call unless the caller passes
+one in (walk=), which several calls then share, so that each
+subexpression is listed once per label set and each recursive system
+solved once for all of them.  A walk is bound to the env it was made
+with, since its memo is keyed by node and names resolve through env; a
+call with another env is refused.  Lists from a shared walk are its memo
+lists, shared with every later call, and must not be mutated.  A caller
+that shares a walk holds one listing() scope around all of its calls
+(see below) and drops the walk when it is done, so no cache outlives
+it; the identity suite makes one walk per case.
 
 A walk also counts, for each memo list, the places in parent terms that
 hold its terms.  Every parent build holds each term of a child list the
@@ -208,23 +209,27 @@ class _Walk:
 
     memo maps (id(node), labels) to a finished list, so that each
     subexpression is enumerated once per label set and its terms are shared
-    by every term built on them.  holders maps the id of a memo list to
-    the number of places in the walk's parent terms that hold each of its
-    terms (see the module docstring); a product of a term with itself holds
-    it in two places.  Node ids are stable because the
-    expression and env outlive the walk; term ids are stable because the
-    memo keeps every term alive.  env is the env the walk was made with
-    (None for none), the only one its calls may use.  A refused call
-    leaves only finished lists and counts in the walk, so the walk stays
-    usable.  It holds no guard against a name that recurs on the same
-    labels: _build never walks back to one (see there).
+    by every term built on them.  tables maps the id of a substitution node
+    to its tables (see _assignments), one set for all its label sets, so
+    that each of its blocks, pairs and assignment tails is built once per
+    walk.  holders maps the id of a memo list to the number of places in the
+    walk's parent terms that hold each of its terms (see the module
+    docstring); a product of a term with itself holds it in two
+    places.  Node ids are stable because the expression and env outlive the
+    walk; term ids are stable because the memo keeps every term alive.  env
+    is the env the walk was made with (None for none), the only one its
+    calls may use.  A refused call leaves only finished lists, table
+    entries and counts in the walk, so the walk stays usable.  It holds no
+    guard against a name that recurs on the same labels: _build never walks
+    back to one (see there).
     """
 
-    __slots__ = ("memo", "keys", "series_counts", "holders", "env",
-                 "evaluator")
+    __slots__ = ("memo", "tables", "keys", "series_counts", "holders",
+                 "env", "evaluator")
 
     def __init__(self, env=None):
         self.memo = {}
+        self.tables = {}
         self.keys = {}
         self.series_counts = {}
         self.holders = {}
@@ -401,7 +406,8 @@ def _compositions(expr, env, labels, active):
     set), and last by outer term.  The outer's counts say on how many
     blocks it has structures; other partitions are not listed.  Each
     assignment is checked once, when _assignments builds it, and
-    _comp_terms checks each block set's outers once against it.
+    _comp_terms checks each block set's outers once against it.  The
+    tables of _assignments are the walk's, one set per substitution node.
 
     Holders are counted once per block set, not per term: the assignments
     on a block set are every choice of one inner term per block, so there
@@ -410,7 +416,8 @@ def _compositions(expr, env, labels, active):
     """
     n = len(labels)
     outer_counts = active.counts(expr.outer, n)
-    state = (expr, env, active, {}, {}, {}, Assignment())
+    tables = active.tables.setdefault(id(expr), ({}, {}, {}, Assignment()))
+    state = (expr, env, active, *tables)
     wanted = sum(1 << k for k in range(n + 1) if outer_counts[k])
     assigns = _assignments(state, labels, wanted)
     outers_on = {}
@@ -433,13 +440,16 @@ def _compositions(expr, env, labels, active):
 def _assignments(state, rest, blocks):
     """The Assignments on rest in order, using a number of blocks whose
     bit is set in blocks, built by Assignment.listed from the pairs on
-    each first block and the tails listed on the labels left.  state is (expr, env, active, listed,
-    block_on, pairs_on, empty): listed keeps every finished list by (rest,
+    each first block and the tails listed on the labels left.  state is
+    (expr, env, active, listed, block_on, pairs_on, empty), the last four
+    the walk's tables for expr: listed keeps every finished list by (rest,
     blocks), block_on one block per member tuple and pairs_on its checked
     (block, inner) pairs, so every entry of listed and every term built on
     it share the block, what it keeps and its pairs; empty is the
-    Assignment with no pair.  A first block's inner is listed only when
-    the labels left have tails."""
+    Assignment with no pair.  blocks is cut to the sizes rest can take, so
+    one entry serves every label set around rest.  An entry is stored
+    only when finished, so a refused call leaves the tables usable.  A
+    first block's inner is listed only when the labels left have tails."""
     expr, env, active, listed, block_on, pairs_on, empty = state
     if not rest:
         return [empty] if blocks & 1 else []

@@ -128,18 +128,21 @@ def label_code(label):
 
 class _Codes(dict):
     """label -> label_code(label), each label quoted when it is first
-    written.  Labels are integers and strings, where equal labels have
-    equal codes, which a dict key needs.  A block is not kept here but
-    keeps its own (Block.quoted), so the table never keeps a block alive.
-    Listings empty it when they end (clear_label_codes), so it holds the
-    labels of at most one listing and whatever was encoded since."""
+    written.  Only labels whose type is exactly int or str are kept, as in
+    _Keys, so a bool or float never takes the code of the int it equals.
+    A block is not kept here but keeps its own (Block.quoted), so the
+    table never keeps a block alive.  Listings empty it when they end
+    (clear_label_codes), so it holds the labels of at most one listing and
+    whatever was encoded since."""
 
     __slots__ = ()
 
     def __missing__(self, label):
         if isinstance(label, Block):
             return label.quoted()
-        self[label] = found = _quote(str(label))
+        found = _quote(str(label))
+        if type(label) is int or type(label) is str:
+            self[label] = found
         return found
 
 

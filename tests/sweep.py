@@ -12,7 +12,10 @@ refuse (with a SpeciesError) only where the series refuses, except that a
 listing over BUDGET structures is not built (BudgetExceeded).  The
 ill-founded name F = F is refused by both on every label set, the empty
 one included: the series raises IllFoundedEquation, and so does the
-listing, which counts the series before it visits a node.
+listing, which counts the series before it visits a node.  Each tree is
+also listed on one walk over every label set, largest first, as the
+identity suite shares a walk, and must list and refuse as the fresh
+walks do, encoding for encoding and in order.
 
 Run as a script, it sweeps every tree of at most --ops operators and two
 leaves over X and each other primitive (full_sweep), substituting into
@@ -30,7 +33,7 @@ import multiprocessing
 import sys
 from functools import partial
 
-from species.enumerator import enumerate_structures
+from species.enumerator import _Walk, enumerate_structures, listing
 from species.errors import BudgetExceeded, SpeciesError
 from species.expr import PrimitiveKind, print_expr
 from species.parser import parse_defs, parse_expr
@@ -67,6 +70,7 @@ def check(tree, env, budget=BUDGET):
     if parse_expr(text) != tree:
         return f"{text}: print_expr does not re-parse to the same tree"
     counted = {}
+    fresh = []
     for labels in LABEL_SETS:
         n = len(labels)
         if n not in counted:
@@ -75,6 +79,7 @@ def check(tree, env, budget=BUDGET):
             except SpeciesError as err:
                 counted[n] = err
         want = counted[n]
+        fresh.append(None)
         try:
             listed = enumerate_structures(tree, env, labels, budget)
         except BudgetExceeded:
@@ -96,6 +101,31 @@ def check(tree, env, budget=BUDGET):
         for term in listed:
             if decode_structure(term.to_json()) != term:
                 return f"{text} on {labels}: {term.render()} does not decode"
+        fresh[-1] = codes
+    return _shared_walk_check(tree, env, budget, text, fresh)
+
+
+def _shared_walk_check(tree, env, budget, text, fresh):
+    """Why one walk over every label set, largest first, lists otherwise
+    than the fresh walks did, or None.  fresh holds each label set's
+    encodings from its fresh walk, None where that listing was refused."""
+    walk = _Walk(env=env)
+    with listing():
+        for i in sorted(range(len(LABEL_SETS)),
+                        key=lambda i: -len(LABEL_SETS[i])):
+            labels = LABEL_SETS[i]
+            try:
+                listed = enumerate_structures(tree, env, labels, budget,
+                                              walk=walk)
+                codes = [term.encode() for term in listed]
+            except SpeciesError:
+                codes = None
+            except Exception as err:  # a defect, as in check
+                return f"{text} on {labels}: the shared walk raises {err!r}"
+            if codes != fresh[i]:
+                return (f"{text} on {labels}: a shared walk lists otherwise "
+                        f"than a fresh one")
+        del walk
     return None
 
 

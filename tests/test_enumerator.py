@@ -1605,6 +1605,73 @@ class TestSharedWalk:
         assert len(large) == egf_of(b, env, order=6).count(6)
 
 
+class TestSubstitutionTables:
+    """A substitution node's blocks, pairs and assignment tails are the
+    walk's, built once for every label set the walk lists it on."""
+
+    def test_each_pair_is_formed_once_per_walk(self, monkeypatch):
+        """Listing A = X*E(A) on 6 labels lists E(A) on every proper
+        subset, and each (block, inner) pair is formed once: one per tree
+        on each block of 1..5 labels, C(6,k)*k^(k-1) on k labels."""
+        formed = []
+        real = structures.Assignment.pair
+
+        def counted(block, inner):
+            formed.append((block.members, inner.encode()))
+            return real(block, inner)
+
+        monkeypatch.setattr(structures.Assignment, "pair",
+                            staticmethod(counted))
+        got = enumerate_structures(parse_expr("A"), _SHARED_ENV,
+                                   range(1, 7))
+        assert len(got) == 6 ** 5
+        assert len(formed) == len(set(formed)) == sum(
+            comb(6, k) * k ** (k - 1) for k in range(1, 6)
+        ) == 4926
+
+    @pytest.mark.parametrize("sizes", [range(5, -1, -1), range(6)],
+                             ids=["largest-first", "smallest-first"])
+    def test_a_shared_walk_lists_as_fresh_walks_do(self, sizes):
+        exprs = [parse_expr(t) for t in ("A", "pt(A)", "Lp(A)", "E(C)")]
+        walk = enumerator._Walk(env=_SHARED_ENV)
+        with enumerator.listing():
+            for n in sizes:
+                for expr in exprs:
+                    labels = range(1, n + 1)
+                    got = enumerate_structures(expr, _SHARED_ENV, labels,
+                                               walk=walk)
+                    want = enumerate_structures(expr, _SHARED_ENV, labels)
+                    assert _encodings(got) == _encodings(want)
+
+    def test_a_call_refused_mid_walk_leaves_the_tables_usable(
+            self, monkeypatch):
+        """A listing that raises part way through its assignments stores
+        no unfinished table entry: the same walk then lists as a fresh
+        one does."""
+        real = structures.Assignment.listed
+        calls = []
+
+        def failing(pairs, tails):
+            calls.append(None)
+            if len(calls) == 40:
+                raise ValueError("refused part way")
+            return real(pairs, tails)
+
+        a = parse_expr("A")
+        walk = enumerator._Walk(env=_SHARED_ENV)
+        monkeypatch.setattr(structures.Assignment, "listed",
+                            staticmethod(failing))
+        with pytest.raises(ValueError, match="part way"):
+            enumerate_structures(a, _SHARED_ENV, range(1, 6), walk=walk)
+        monkeypatch.undo()
+        assert walk.tables
+        for n in (5, 4):
+            got = enumerate_structures(a, _SHARED_ENV, range(1, n + 1),
+                                       walk=walk)
+            want = enumerate_structures(a, _SHARED_ENV, range(1, n + 1))
+            assert _encodings(got) == _encodings(want)
+
+
 class TestOneSolvePerSystem:
     """A walk's nodes count through the walk's one evaluator, so each
     recursive system a listing reaches is solved once, however many of its

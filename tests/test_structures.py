@@ -882,6 +882,33 @@ def test_the_key_table_keys_each_label_as_its_own_type():
     assert CycleTerm([1.0, 2]).seq == (2, 1.0)
 
 
+def test_a_bool_label_leaves_no_code_for_its_int_twin():
+    """True equals 1, but the code table does not keep it, so a later
+    listing on 1 writes 1 as itself, in encode() order."""
+    structures.clear_label_codes()
+    try:
+        SetTerm([True, 2]).encode()
+        found = enumerate_structures(parse_expr("L"), None, [1, 2])
+        assert [term.encode() for term in found] == [
+            '{"kind":"list","labels":["1","2"]}',
+            '{"kind":"list","labels":["2","1"]}',
+        ]
+    finally:
+        structures.clear_label_codes()
+
+
+def test_a_float_label_leaves_no_code_for_its_int_twin():
+    structures.clear_label_codes()
+    try:
+        SetTerm([2, 1.0]).encode()
+        assert SetTerm([1, 2]).encode() == (
+            '{"kind":"set","labels":["1","2"]}'
+        )
+        assert all(type(label) in (int, str) for label in structures._CODES)
+    finally:
+        structures.clear_label_codes()
+
+
 # -- one label-set object per set ---------------------------------------------
 
 def _subterms(term):
