@@ -13,14 +13,15 @@ Exit codes: 0 success, 1 parse/validation failure (also a failed verify run),
 label set larger than MAX_LABELS, 10 000, given to count or enumerate,
 refused before any label list is built, or an --order above MAX_ORDER,
 10 000, given to series, solve or verify, refused before any series is
-computed), 4 label-set mismatch in transport.  transport first checks that
-the structure is one of the expression's structures on its labels: one
-that is not exits 1, and one whose listing would exceed the default budget
-exits 3.  A reader that closes stdout early is no failure: output stops
-and the exit code is 0.  An expression that nests deeper than
-parser.MAX_NESTING levels is a parse failure, and so is any other input
-that nests too deeply for Python's recursion limit (a long chain of names
-enumerated, a deeply nested JSON structure).
+computed, or a call that runs out of memory), 4 label-set mismatch in
+transport.  transport first checks that the structure is one of the
+expression's structures on its labels: one that is not exits 1, and one
+whose listing would exceed the default budget exits 3.  A reader that
+closes stdout early is no failure: output stops and the exit code is 0.
+An expression that nests deeper than parser.MAX_NESTING levels is a
+parse failure, and so is any other input that nests too deeply for
+Python's recursion limit (a long chain of names enumerated, a deeply
+nested JSON structure).
 
 A well-formed command line (a subcommand, its positionals, then its
 options spelled in full) is read straight from one argument table,
@@ -41,7 +42,6 @@ from .enumerator import (
     DEFAULT_BUDGET,
     _Walk,
     enumerate_structures,
-    listing,
     transport,
 )
 from .errors import (
@@ -204,25 +204,24 @@ def _cmd_series(args):
 
 def _cmd_enumerate(args):
     """List the structures.  The listing holds no reference cycles (see the
-    enumerator module), so one listing() scope keeps the collector paused
+    enumerator module), so the walk's scope keeps the collector paused
     from the walk through the last line written: otherwise the first
     collection after the walk would traverse every listed term.  The scope
     restores it however the call ends, a closed pipe included.
 
     For --json the walk gives the subterms held in two or more places,
-    children first, and is then dropped, memos and all, before any text is
-    built: the listing keeps every term it reaches alive."""
+    children first, and is then released, memos and all, before any text
+    is built: the listing keeps every term it reaches alive."""
     env = _load_env(args.defs)
     expr = parse_expr(args.expr)
     labels = _parse_labels(args.labels)
-    walk = _Walk(env=env)
-    with listing():
+    with _Walk(env=env) as walk:
         structures = enumerate_structures(
             expr, env, labels, budget=args.budget, walk=walk
         )
         if args.json:
             shared = walk.shared()
-            walk = None
+            walk.release()
             _write_json_listing(structures, shared)
         else:
             for s in structures:
@@ -507,6 +506,9 @@ def _main(argv):
         return 2
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: the call ran out of memory", file=sys.stderr)
         return 3
     except DomainMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)

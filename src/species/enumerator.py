@@ -25,18 +25,21 @@ once to live on the tuple.  Sum and named terms check their side or name
 once per child list.  No listing runs a public constructor, on any number
 of labels.
 
-A walk is the state of a listing: its memos of lists, sort keys and
-series counts, its substitution tables, and its evaluator.
-enumerate_structures makes a fresh one per call unless the caller passes
+A walk is the state and the scope of a listing: its memos of lists,
+sort keys and series counts, its substitution tables, and its evaluator;
+and, while `with walk:` holds it open, the paused collector (see below)
+and the tables of label codes and label sets (see structures).
+enumerate_structures opens a fresh one per call unless the caller passes
 one in (walk=), which several calls then share, so that each
 subexpression is listed once per label set and each recursive system
 solved once for all of them.  A walk is bound to the env it was made
 with, since its memo is keyed by node and names resolve through env; a
 call with another env is refused.  Lists from a shared walk are its memo
 lists, shared with every later call, and must not be mutated.  A caller
-that shares a walk holds one listing() scope around all of its calls
-(see below) and drops the walk when it is done, so no cache outlives
-it; the identity suite makes one walk per case.
+that shares a walk opens it around all of its calls; closing it drops
+its caches, and the last open walk to close empties the label tables,
+so no cache outlives the listing.  The identity suite opens one walk per
+case.
 
 A walk also counts, for each memo list, the places in parent terms that
 hold its terms.  Every parent build holds each term of a child list the
@@ -62,13 +65,13 @@ holds hundreds of thousands of terms that refer only to their children, so
 it has no reference cycles to find, yet each full collection would traverse
 all of them again.  The walk itself makes no cycle either: its recursive
 helpers are module functions that get their state as arguments, not
-closures that refer to themselves.  listing() pauses the collector and
-turns it back on when the listing returns or raises, if it was on when the
-listing began.  The switch is process-wide: another thread that turns the
-collector off during a walk finds it on again when the walk ends, and one
-that turns it on makes the rest of the walk collect as usual.  Walks that
-overlap in several threads leave it on if it was on before the first of
-them began.
+closures that refer to themselves.  Opening a walk pauses the collector,
+and closing it, however its block ends, turns it back on if it was on
+when the walk was opened.  The switch is process-wide: another thread
+that turns the collector off during a walk finds it on again when the
+walk ends, and one that turns it on makes the rest of the walk collect as
+usual.  Walks that overlap in several threads leave it on if it was on
+before the first of them began.
 """
 
 import gc
@@ -107,9 +110,10 @@ from .structures import (
     ProductSplit,
     SetTerm,
     STAR,
+    _close_walk,
     _comp_terms,
+    _open_walk,
     check_label,
-    clear_label_codes,
     is_star,
     label_code,
     label_sort_key,
@@ -153,7 +157,7 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
     The series count is computed first; BudgetExceeded is raised before any
     structure is built when it is larger than the budget.  The result's
     length always equals that count.  The walk builds the list in order, so
-    it is returned as built.  It runs in the scope of one listing().
+    it is returned as built.
 
     walk, a _Walk(env=env), lets several calls share one walk: each
     subexpression is then listed once per label set, and each recursive
@@ -162,15 +166,22 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
     env; a call with another env raises ValueError.  On a shared walk the
     result is the walk's own memo list, shared with later calls: callers
     must not mutate it.  Calls at the largest size first solve every
-    system once; a call on more labels solves again, deeper.
-    A caller sharing a walk should also hold one listing() scope around
-    all of its calls, so that the collector stays paused between them.
-    Without walk, each call lists on a fresh walk of its own.
+    system once; a call on more labels solves again, deeper.  The caller
+    opens a shared walk (`with walk:`) around all of its calls, so that
+    the collector stays paused between them and the label tables serve
+    them all; a call opens no scope of its own on it.  Without walk, each
+    call lists in a fresh walk of its own, opened for the call.
     """
     if walk is None:
-        walk = _Walk(env=env)
-    elif walk.env is not env:
+        with _Walk(env=env) as walk:
+            return _listed(expr, env, labels, budget, walk)
+    if walk.env is not env:
         raise ValueError("a walk lists only on the env it was made with")
+    return _listed(expr, env, labels, budget, walk)
+
+
+def _listed(expr, env, labels, budget, walk):
+    """enumerate_structures on walk, whose env is env."""
     env = env or Environment()
     labs = _clean_labels(labels)
     n = len(labs)
@@ -179,33 +190,13 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
         raise BudgetExceeded(
             f"{expected} structures would exceed the budget of {budget}"
         )
-    with listing():
-        return _structures(expr, env, labs, walk)
-
-
-class listing:
-    """The scope of a listing: the cyclic garbage collector is paused in it
-    and left as it was found (see the module docstring), and the table of
-    label codes the listing filled is emptied when it ends.  Scopes nest.
-
-    Not a generator: its exit would allocate a StopIteration after turning
-    the collector back on, and that allocation starts a young collection
-    that traverses every term the caller still holds.
-    """
-
-    def __enter__(self):
-        self.collecting = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info):
-        clear_label_codes()
-        if self.collecting:
-            gc.enable()
+    return _structures(expr, env, labs, walk)
 
 
 class _Walk:
     """The memos of a walk: one enumerate_structures call's, or those of
-    every call that shares it, and the evaluator that counts their nodes.
+    every call that shares it, and the evaluator that counts their nodes;
+    and the scope of their listing.
 
     memo maps (id(node), labels) to a finished list, so that each
     subexpression is enumerated once per label set and its terms are shared
@@ -222,10 +213,17 @@ class _Walk:
     entries and counts in the walk, so the walk stays usable.  It holds no
     guard against a name that recurs on the same labels: _build never walks
     back to one (see there).
+
+    `with walk:` is the listing's scope: it pauses the collector (see the
+    module docstring) and opens the label tables (see structures); its
+    exit, however the block ends, releases the walk, closes the tables and
+    restores the collector.  Not a generator, whose exit would allocate a
+    StopIteration after the collector is back on, starting a young
+    collection over every term the caller still holds.
     """
 
     __slots__ = ("memo", "tables", "keys", "series_counts", "holders",
-                 "env", "evaluator")
+                 "env", "evaluator", "collecting")
 
     def __init__(self, env=None):
         self.memo = {}
@@ -235,6 +233,24 @@ class _Walk:
         self.holders = {}
         self.env = env
         self.evaluator = _Evaluator(env or Environment())
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+        _open_walk()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release()
+        _close_walk()
+        if self.collecting:
+            gc.enable()
+
+    def release(self):
+        """Drop the memos, tables, keys, holders and evaluator: only what
+        the caller holds stays alive, and the walk lists no more."""
+        self.memo = self.tables = self.keys = None
+        self.series_counts = self.holders = self.evaluator = None
 
     def hold(self, terms, times):
         """Count times more places that hold each term of terms, a memo

@@ -5,15 +5,15 @@ table, or a closed-form count law, and checks it two ways: exact equality of
 series counts up to a truncation order, and (where tractable) cardinality of
 the exhaustive enumerations on small label sets.
 
-The enumerations of one case share one walk (enumerator._Walk): every
-side is listed on [n] for n from the largest order down to 0, on that walk
-and inside one listing() scope, so each subexpression is listed once per
+The enumerations of one case share one walk (enumerator._Walk), opened
+around all of them: every side is listed on [n] for n from the largest
+order down to 0 on that walk, so each subexpression is listed once per
 label set, and its series counted once, for the whole case.  The smallest
 n at which the sides differ is the witness, as if the orders were tried
 from 0 up; but every order is listed, so a refusal at a larger order
 (a budget, say) is raised even when a smaller one already differs.  The
-walk is dropped when the case's enumerative check returns, so no listing
-outlives it.
+walk is closed, and its caches dropped, when the case's listings end, so
+no listing outlives it.
 
 The catalogue is one table of makers (_CASES), and a call builds only the
 cases it names, afresh: their expressions are parsed then, and the shared
@@ -29,7 +29,7 @@ report header says so.
 from fractions import Fraction
 from math import comb, factorial
 
-from .enumerator import _Walk, enumerate_structures, listing
+from .enumerator import _Walk, enumerate_structures
 from .errors import DuplicateName, ParseError
 from .expr import Name, PrimitiveKind, Primitive, RestrictCard
 from .parser import parse_defs, parse_expr
@@ -114,22 +114,19 @@ def _listing_sizes(exprs, env, max_n):
     """For n = 0 .. max_n, the number of structures of each of exprs on
     [n], as one list per n.
 
-    Every listing runs on one walk, largest n first, so the listings on
-    fewer labels reuse the lists and series counts of the first, and inside
-    one listing() scope, so the collector stays paused between the
-    listings.  The walk is freed before the scope ends, while the collector
-    is still paused.
+    Every listing runs in one open walk, largest n first, so the listings
+    on fewer labels reuse the lists and series counts of the first, and
+    the collector stays paused between the listings.  The walk releases
+    its caches as it closes, while the collector is still paused.
     """
-    walk = _Walk(env=env)
     sizes = [None] * (max_n + 1)
-    with listing():
+    with _Walk(env=env) as walk:
         for n in range(max_n, -1, -1):
             labels = list(range(1, n + 1))
             sizes[n] = [
                 len(enumerate_structures(expr, env, labels, walk=walk))
                 for expr in exprs
             ]
-        del walk
     return sizes
 
 

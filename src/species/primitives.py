@@ -35,17 +35,16 @@ engine counts its own work (ROADMAP item 1).
 """
 
 from itertools import (
-    accumulate,
     combinations,
     permutations,
     product as iproduct,
     repeat,
 )
 from math import comb
-from operator import add, mul, ne
+from operator import add, ne
 
 from .expr import PrimitiveKind as K
-from .series import CountSeries
+from .series import CountSeries, _factorials
 from .structures import (
     DigraphTerm,
     GraphTerm,
@@ -62,11 +61,6 @@ def _counts(count_at):
     return lambda order, k: CountSeries(
         count_at(n, k) for n in range(order + 1)
     )
-
-
-def _factorials(order, k):
-    """The counts 0!, 1!, .., order! of L, as a running product."""
-    return CountSeries(accumulate(range(1, order + 1), mul, initial=1))
 
 
 def _kept(row, admits):
@@ -161,8 +155,9 @@ def _partitions(labels, k):
 
 
 _E = (_counts(lambda n, k: 1), lambda labels, k: MapSources(labels).sets())
+# n! lists on n labels, sliced from the series module's factorial table.
 _L = (
-    _factorials,
+    lambda order, k: CountSeries(_factorials(order)[:order + 1]),
     lambda labels, k: MapSources(labels).lists(_by_code(labels)),
 )
 _X = _kept(_E, lambda n, k: n == 1)
@@ -180,9 +175,7 @@ ROWS = {
     K.NONEMPTY_LIST: _kept(_L, lambda n, k: n >= 1),
     # (n - 1)! cycles on n labels: L's counts shifted one place.
     K.CYCLE: (
-        lambda order, k: CountSeries(
-            (0, *_factorials(order, k)._counts[:order])
-        ),
+        lambda order, k: CountSeries((0, *_factorials(order)[:order])),
         _cycles,
     ),
     K.PERMUTATION: (

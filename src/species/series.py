@@ -43,7 +43,6 @@ unknowns: through one reach, under one divergence rule for every run.
 from fractions import Fraction
 from math import factorial
 from operator import add, sub
-from threading import Lock
 
 from .errors import (
     IllFoundedEquation,
@@ -78,27 +77,28 @@ def _quotient(a, b):
 
 # Rows 0 .. N of Pascal's triangle, _PASCAL[n][k] = C(n, k), grown on demand
 # to the largest order a binomial kernel has asked for (division by E, which
-# reads no binomial, grows none).  Rows are only appended, each complete, so
-# readers need no lock; growers take _GROWING, or two threads could append
-# the same row twice.
+# reads no binomial, grows none).  A grower builds a longer table and
+# rebinds the name, so a reader keeps the complete table it read, and
+# threads need no lock: two that grow at once each build their own.
 _PASCAL = [[1]]
-_GROWING = Lock()
 
-# 0!, 1!, .., N!, the counts of L (and, shifted one place, of C) that
-# _closed_form compares outer counts with.  Grown like _PASCAL, under the
-# same lock; a tuple, so that the comparisons run in C, replaced whole
-# when it grows, so readers need no lock.
+# 0!, 1!, .., N!, the counts of L, S and C (primitives.py) and those that
+# _closed_form compares outer counts with.  Grown like _PASCAL; a tuple,
+# so that the comparisons run in C.
 _FACTORIALS = (1,)
 
 
 def _binomials(order):
-    """Pascal's triangle through row order (the shared table itself)."""
+    """Pascal's triangle through row order at least (the shared table
+    itself)."""
+    global _PASCAL
     rows = _PASCAL
     if len(rows) <= order:
-        with _GROWING:
-            while len(rows) <= order:
-                row = rows[-1]
-                rows.append([1, *map(add, row, row[1:]), 1])
+        rows = rows[:]
+        while len(rows) <= order:
+            row = rows[-1]
+            rows.append([1, *map(add, row, row[1:]), 1])
+        _PASCAL = rows
     return rows
 
 
@@ -223,11 +223,10 @@ def _factorials(order):
     global _FACTORIALS
     facts = _FACTORIALS
     if len(facts) <= order:
-        with _GROWING:
-            grown = list(_FACTORIALS)
-            for n in range(len(grown), order + 1):
-                grown.append(grown[-1] * n)
-            _FACTORIALS = facts = tuple(grown)
+        grown = list(facts)
+        for n in range(len(grown), order + 1):
+            grown.append(grown[-1] * n)
+        _FACTORIALS = facts = tuple(grown)
     return facts
 
 

@@ -6,8 +6,8 @@ labels, cycles rotate their smallest label first, partitions order blocks by
 least member, mappings sort by key), so two terms are equal exactly when they
 denote the same structure, and the compact JSON encoding of a term fixes
 the order of enumeration output.  Each constructor reads the labels' sort
-keys from one table and keeps its input as given when the keys strictly
-increase; only other input is sorted.
+keys once and keeps its input as given when the keys strictly increase;
+only other input is sorted.
 
 Every term class is built in two ways: by its public constructor, which
 normalizes and checks its input in full, and by one bulk builder, which
@@ -31,6 +31,10 @@ fixes its underlying label set when it is built — subsets remember their
 complement and graphs their isolated vertices — which is what transport
 needs to check domains: a public constructor keeps the frozenset its checks
 compute, and a bulk builder gives its terms the one set _SETS holds.
+
+The tables of label codes (_CODES) and of label sets (_SETS) keep entries
+only while a walk (enumerator._Walk) is open; the last open walk to close
+empties them.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
@@ -128,12 +132,12 @@ def label_code(label):
 
 class _Codes(dict):
     """label -> label_code(label), each label quoted when it is first
-    written.  Only labels whose type is exactly int or str are kept, as in
-    _Keys, so a bool or float never takes the code of the int it equals.
-    A block is not kept here but keeps its own (Block.quoted), so the
-    table never keeps a block alive.  Listings empty it when they end
-    (clear_label_codes), so it holds the labels of at most one listing and
-    whatever was encoded since."""
+    written.  Only labels whose type is exactly int or str are kept, so a
+    bool never takes the code of the int it equals, and only while a walk
+    is open (_OPEN_WALKS): outside one every label is quoted anew, so a
+    float written after the int it equals still writes itself.  A block is
+    not kept here but keeps its own (Block.quoted), so the table never
+    keeps a block alive."""
 
     __slots__ = ()
 
@@ -141,54 +145,51 @@ class _Codes(dict):
         if isinstance(label, Block):
             return label.quoted()
         found = _quote(str(label))
-        if type(label) is int or type(label) is str:
+        if _OPEN_WALKS and (type(label) is int or type(label) is str):
             self[label] = found
         return found
 
 
 #: The one table of label codes.  It only ever maps a label to its own
-#: code, so threads share it safely: a listing that empties it while
-#: another thread writes costs that thread a few quotings again.
+#: code, so threads share it safely: a walk that empties it while another
+#: thread writes costs that thread a few quotings again.
 _CODES = _Codes()
 _CODE = _CODES.__getitem__
 
 
-class _Keys(dict):
-    """label -> label_sort_key(label), each label keyed when it is first
-    looked up.  Only labels whose type is exactly int or str are kept: a
-    block's key is its own Block.key, so, like _Codes, the table never
-    keeps a block alive, and a bool or another type is keyed again on every
-    lookup.  Listings empty it with the codes (clear_label_codes)."""
-
-    __slots__ = ()
-
-    def __missing__(self, label):
-        if type(label) is Block:
-            return label.key
-        found = label_sort_key(label)
-        if type(label) is int or type(label) is str:
-            self[label] = found
-        return found
-
-
-#: The one table of label sort keys.  Like _CODES, it only ever maps a
-#: label to its own key, so threads share it safely.
-_KEYS = _Keys()
-_KEY = _KEYS.__getitem__
-
-
 #: The one frozenset of each set of labels that a bulk builder has given
-#: its terms or Block.member_set holds: terms of a listing that cover the
-#: same labels share one set instead of keeping a copy each.  Like _CODES,
-#: it only ever maps a set to an equal set, so threads share it safely;
-#: sets of blocks it holds keep those blocks alive until it is emptied.
+#: its terms or Block.member_set holds, while a walk is open: terms of a
+#: listing that cover the same labels share one set instead of keeping a
+#: copy each.  Like _CODES, it only ever maps a set to an equal set, so
+#: threads share it safely; sets of blocks it holds keep those blocks
+#: alive until the last open walk closes.
 _SETS = {}
+
+#: One entry per open walk: _CODES and _SETS keep entries only while it is
+#: nonempty.  list.append and list.pop are atomic, so walks in several
+#: threads keep the count right without a lock.
+_OPEN_WALKS = []
+
+
+def _open_walk():
+    _OPEN_WALKS.append(None)
+
+
+def _close_walk():
+    """Close one walk; the last to close empties the label tables."""
+    _OPEN_WALKS.pop()
+    if not _OPEN_WALKS:
+        _CODES.clear()
+        _SETS.clear()
 
 
 def _interned(labels):
-    """The one frozenset _SETS holds for the set of labels."""
+    """The frozenset of labels, the one _SETS holds while a walk is
+    open."""
     found = frozenset(labels)
-    return _SETS.setdefault(found, found)
+    if _OPEN_WALKS:
+        return _SETS.setdefault(found, found)
+    return found
 
 
 _kept_labels = attrgetter("_labels")
@@ -286,14 +287,6 @@ def _list_walk(state, head, node):
             _list_walk(state, head + part, follows)
 
 
-def clear_label_codes():
-    """Forget every quoted label, every label key and every kept label set;
-    a listing calls this when it ends."""
-    _CODES.clear()
-    _KEYS.clear()
-    _SETS.clear()
-
-
 def string_to_label(text):
     """Invert label_to_string: digits become ints, braces become blocks.
 
@@ -345,10 +338,10 @@ class Block:
     those terms ask of it.  At creation it sorts its members (members
     given in order are kept as given) and keeps them, its sort key (what
     label_sort_key returns for it), the frozenset of its members (the one
-    _SETS holds for that set) and its hash.  On first use it keeps its
-    member list's encode() text (code()), its json.dumps text (text()) and
-    its own code as a label of an outer term (quoted()).  Neither the code
-    nor the key table keeps a block, and a block can be weakly referenced,
+    _SETS holds for that set in a walk) and its hash.  On first use it
+    keeps its member list's encode() text (code()), its json.dumps text
+    (text()) and its own code as a label of an outer term (quoted()).  The
+    code table never keeps a block, and a block can be weakly referenced,
     so that can be checked.
     """
 
@@ -368,7 +361,7 @@ class Block:
         member_set = frozenset(ms)
         if len(member_set) != len(ms):
             raise ValueError("duplicate member in block")
-        self.member_set = _SETS.setdefault(member_set, member_set)
+        self.member_set = _interned(member_set)
         self.members = ms
         self.key = (2, tuple(keys))
         self._hash = hash(("Block", ms))
@@ -416,17 +409,8 @@ def _labels_json(labels):
     return [label_to_string(l) for l in labels]
 
 
-#: The label types whose keys are read through the key table.  A label of
-#: another type may equal a kept one (1.0 and True equal 1) while its key
-#: differs, so it is keyed by label_sort_key itself.
-_KEYED_TYPES = frozenset((int, str, Block))
-
-
 def _label_keys(labels):
-    """[label_sort_key(l) for l in labels], read through the key table in
-    one pass when every label is an integer, a string or a block."""
-    if _KEYED_TYPES.issuperset(map(type, labels)):
-        return list(map(_KEY, labels))
+    """[label_sort_key(l) for l in labels]."""
     return list(map(label_sort_key, labels))
 
 

@@ -33,7 +33,7 @@ import multiprocessing
 import sys
 from functools import partial
 
-from species.enumerator import _Walk, enumerate_structures, listing
+from species.enumerator import _Walk, enumerate_structures
 from species.errors import BudgetExceeded, SpeciesError
 from species.expr import PrimitiveKind, print_expr
 from species.parser import parse_defs, parse_expr
@@ -109,8 +109,7 @@ def _shared_walk_check(tree, env, budget, text, fresh):
     """Why one walk over every label set, largest first, lists otherwise
     than the fresh walks did, or None.  fresh holds each label set's
     encodings from its fresh walk, None where that listing was refused."""
-    walk = _Walk(env=env)
-    with listing():
+    with _Walk(env=env) as walk:
         for i in sorted(range(len(LABEL_SETS)),
                         key=lambda i: -len(LABEL_SETS[i])):
             labels = LABEL_SETS[i]

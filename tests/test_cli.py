@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import species
-from species import cli, identities, primitives
+from species import cli, identities, primitives, series
 from species.cli import main
 from species.errors import BudgetExceeded
 from species.expr import RESERVED, PrimitiveKind, print_expr
@@ -444,6 +444,16 @@ class TestExitCodes:
     def test_missing_defs_file(self, capsys):
         code, _, err = run(capsys, "count", "A", "3", "--defs", "/no/such/file")
         assert code == 1
+
+    def test_out_of_memory_is_exit_3_with_one_error_line(self, capsys,
+                                                         monkeypatch):
+        def exhausted(g, order, known=()):
+            raise MemoryError
+
+        monkeypatch.setattr(series, "_exp", exhausted)
+        code, out, err = run(capsys, "series", "Part", "--order", "5")
+        assert (code, out) == (3, "")
+        assert err == "error: the call ran out of memory\n"
 
     def test_usage_error_is_exit_1(self, capsys):
         assert main([]) == 1

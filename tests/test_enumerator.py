@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from math import comb, factorial
@@ -811,13 +812,12 @@ class TestJsonListing:
         entry per unshared subterm (24 000 of them here) would add more
         than a megabyte."""
         env = parse_defs(_DIGEST_DEFS)
-        walk = enumerator._Walk(env=env)
-        with enumerator.listing():
+        with enumerator._Walk(env=env) as walk:
             got = enumerate_structures(parse_expr("B"), env, range(1, 6),
                                        walk=walk)
             shared = walk.shared()
             terms = {id(t): t for found in walk.memo.values() for t in found}
-            walk = None
+            walk.release()
             assert len(terms) - len(shared) > 24_000
 
             texts = sum(sys.getsizeof(t._text({})) for t in shared)
@@ -1079,6 +1079,70 @@ class TestCollectorPause:
         gc.enable()
         with pytest.raises(IllFoundedEquation, match="failed walk"):
             enum("Gra", [1, 2, 3])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_a_walk_block_that_raises_empties_the_tables(self, collecting):
+        """Leaving an open walk by an exception drops its memo, empties
+        the label tables and leaves the collector as it was."""
+        (gc.enable if collecting else gc.disable)()
+        env = parse_defs("A = X*E(A)\n")
+        with pytest.raises(ValueError, match="mid-walk"):
+            with enumerator._Walk(env=env) as walk:
+                got = enumerate_structures(parse_expr("E(C) + A"), env,
+                                           [1, 2, "a"], walk=walk)
+                assert got and walk.memo
+                assert structures._CODES and structures._SETS
+                assert not gc.isenabled()
+                raise ValueError("mid-walk")
+        assert not walk.memo
+        assert not structures._CODES and not structures._SETS
+        assert gc.isenabled() == collecting
+
+    def test_closing_an_inner_walk_keeps_the_outer_tables(self):
+        gc.enable()
+        with enumerator._Walk() as outer:
+            assert enumerate_structures(parse_expr("E(C)"), None, [1, 2, 3],
+                                        walk=outer)
+            codes, sets = dict(structures._CODES), dict(structures._SETS)
+            assert codes and sets
+            # A call with no walk opens and closes a fresh one.
+            assert enumerate_structures(parse_expr("L"), None, [4, 5])
+            assert codes.items() <= structures._CODES.items()
+            assert all(structures._SETS[s] is s for s in sets)
+            assert outer.memo
+            assert not gc.isenabled()
+        assert not structures._CODES and not structures._SETS
+        assert gc.isenabled()
+
+    def test_walks_in_several_threads_close_the_tables(self):
+        """Walks that open and close in several threads at once list as
+        one walk alone does, and leave the tables empty and the collector
+        on."""
+        expr = parse_expr("E(C) + Part")
+        want = _encodings(enumerate_structures(expr, None, [1, 2, "a"]))
+        got = []
+
+        def lists():
+            for _ in range(10):
+                got.append(_encodings(
+                    enumerate_structures(expr, None, [1, 2, "a"])
+                ))
+
+        gc.enable()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lists) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 40
+        assert not structures._CODES and not structures._SETS
         assert gc.isenabled()
 
     def test_the_walk_leaves_no_reference_cycles(self):
@@ -1594,8 +1658,7 @@ class TestSharedWalk:
         not stand in for the deeper one while it is solved."""
         env = parse_defs(_DIGEST_DEFS)
         b = parse_expr("B")
-        walk = enumerator._Walk(env=env)
-        with enumerator.listing():
+        with enumerator._Walk(env=env) as walk:
             small = enumerate_structures(b, env, [1, 2], walk=walk)
             large = enumerate_structures(b, env, range(1, 7), walk=walk)
         assert _encodings(small) == _encodings(
@@ -1633,8 +1696,7 @@ class TestSubstitutionTables:
                              ids=["largest-first", "smallest-first"])
     def test_a_shared_walk_lists_as_fresh_walks_do(self, sizes):
         exprs = [parse_expr(t) for t in ("A", "pt(A)", "Lp(A)", "E(C)")]
-        walk = enumerator._Walk(env=_SHARED_ENV)
-        with enumerator.listing():
+        with enumerator._Walk(env=_SHARED_ENV) as walk:
             for n in sizes:
                 for expr in exprs:
                     labels = range(1, n + 1)
@@ -1735,8 +1797,7 @@ class TestHolders:
         """walk.shared() is every term held in two or more places by the
         terms of the walk's memo lists, counted term by term."""
         env = parse_defs(_DIGEST_DEFS)
-        walk = enumerator._Walk(env=env)
-        with enumerator.listing():
+        with enumerator._Walk(env=env) as walk:
             got = enumerate_structures(parse_expr(text), env,
                                        _HOLDER_LABELS[kind][:n], walk=walk)
             held = Counter()
@@ -1750,9 +1811,8 @@ class TestHolders:
             }
 
     def test_a_product_of_a_term_with_itself_holds_it_twice(self):
-        walk = enumerator._Walk()
         expr = parse_expr("E*E")
-        with enumerator.listing():
+        with enumerator._Walk() as walk:
             (term,) = enumerate_structures(expr, None, [], walk=walk)
             assert term.left is term.right
             assert {id(t) for t in walk.shared()} == {id(term.left)}
@@ -1762,8 +1822,9 @@ class TestHolders:
                              ids=[f"{t}-{n}" for t, n in _HOLDER_CASES])
     def test_shared_terms_come_once_and_children_first(self, text, n, kind):
         env = parse_defs(_DIGEST_DEFS)
-        _check_shared_order_and_bytes(parse_expr(text), env,
-                                      _HOLDER_LABELS[kind][:n])
+        with enumerator._Walk(env=env) as walk:
+            _check_shared_order_and_bytes(parse_expr(text), env,
+                                          _HOLDER_LABELS[kind][:n], walk)
 
     def test_a_restricted_name_shares_its_list_under_two_keys(self):
         """A restriction returns its child's list, so the memo holds that
@@ -1771,36 +1832,34 @@ class TestHolders:
         restricted = RestrictCard(Name("A"), ">=", 1)
         expr = Product(restricted, Primitive(PrimitiveKind.LIST))
         env = parse_defs(_DIGEST_DEFS)
-        walk = _check_shared_order_and_bytes(expr, env, [1, 2, 3, 4, 5])
-        keys = Counter(map(id, walk.memo.values()))
-        twice = [k for k, c in keys.items() if c > 1]
-        assert twice
-        assert any(walk.holders.get(k, 0) > 1 for k in twice)
+        with enumerator._Walk(env=env) as walk:
+            _check_shared_order_and_bytes(expr, env, [1, 2, 3, 4, 5], walk)
+            keys = Counter(map(id, walk.memo.values()))
+            twice = [k for k, c in keys.items() if c > 1]
+            assert twice
+            assert any(walk.holders.get(k, 0) > 1 for k in twice)
 
 
-def _check_shared_order_and_bytes(expr, env, labels):
+def _check_shared_order_and_bytes(expr, env, labels, walk):
     """walk.shared() lists each shared term once and every shared child
     before each shared term that holds it, and the --json writer writes
-    json.dumps's bytes with and without it.  Returns the walk."""
-    walk = enumerator._Walk(env=env)
-    with enumerator.listing():
-        got = enumerate_structures(expr, env, labels, walk=walk)
-        assert got
-        shared = walk.shared()
-        place = {id(t): i for i, t in enumerate(shared)}
-        assert len(place) == len(shared)
-        held = Counter()
-        lists = {id(found): found for found in walk.memo.values()}
-        for found in lists.values():
-            for term in found:
-                held.update(map(id, _children(term)))
-        assert set(place) == {k for k, c in held.items() if c > 1}
-        for i, term in enumerate(shared):
-            for child in _children(term):
-                assert place.get(id(child), -1) < i
-        want = _dumped(got)
-        for given in ((), shared):
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                cli._write_json_listing(got, given)
-            assert out.getvalue() == want
-    return walk
+    json.dumps's bytes with and without it; walk is open, made with env."""
+    got = enumerate_structures(expr, env, labels, walk=walk)
+    assert got
+    shared = walk.shared()
+    place = {id(t): i for i, t in enumerate(shared)}
+    assert len(place) == len(shared)
+    held = Counter()
+    lists = {id(found): found for found in walk.memo.values()}
+    for found in lists.values():
+        for term in found:
+            held.update(map(id, _children(term)))
+    assert set(place) == {k for k, c in held.items() if c > 1}
+    for i, term in enumerate(shared):
+        for child in _children(term):
+            assert place.get(id(child), -1) < i
+    want = _dumped(got)
+    for given in ((), shared):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._write_json_listing(got, given)
+        assert out.getvalue() == want

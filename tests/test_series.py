@@ -510,15 +510,21 @@ class TestKernelsAgainstComb:
 
     def test_pascal_table_grown_from_many_threads(self):
         # Threads that grow the shared table at once must not append a row
-        # twice, which would shift every later row.
-        rows = _binomials(0)
+        # twice, which would shift every later row.  Each grower rebinds
+        # the table, so the one left is read after the threads, and each
+        # thread keeps a table through its own row.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        got = {}
+
+        def grow(order):
+            got[order] = _binomials(order)
+
         try:
             for _ in range(10):
-                del rows[1:]
+                del series._PASCAL[1:]
                 threads = [
-                    threading.Thread(target=_binomials, args=(order,))
+                    threading.Thread(target=grow, args=(order,))
                     for order in range(10, 170, 10)
                 ]
                 for t in threads:
@@ -526,7 +532,11 @@ class TestKernelsAgainstComb:
                 for t in threads:
                     t.join(timeout=30)
                 assert not any(t.is_alive() for t in threads)
-                assert len(rows) == 161
+                for order, rows in got.items():
+                    assert rows[order] == [comb(order, k)
+                                           for k in range(order + 1)]
+                rows = series._PASCAL
+                assert len(rows) > 10
                 for n, row in enumerate(rows):
                     assert row == [comb(n, k) for k in range(n + 1)]
         finally:

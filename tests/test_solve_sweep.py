@@ -129,8 +129,7 @@ def test_implicit_tree_listings_have_their_lagrange_lengths(r):
     system again deeper through the walk's evaluator."""
     env = parse_defs(f"R = {r}\nF = X*R(F)\n")
     f = parse_expr("F")
-    walk = enumerator._Walk(env=env)
-    with enumerator.listing():
+    with enumerator._Walk(env=env) as walk:
         lengths = [
             len(enumerate_structures(f, env, range(1, n + 1), walk=walk))
             for n in range(6)

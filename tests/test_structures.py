@@ -1,6 +1,7 @@
 """Each term kind's JSON, sort parts, --json text, decoder and relabelling,
 checked against one another on a hand-built term of every kind."""
 
+import contextlib
 import json
 import weakref
 from itertools import combinations, permutations, product
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from species import enumerate_structures, parse_defs, parse_expr, structures
+from species.enumerator import _Walk, transport
 from species.errors import ParseError
 from species.structures import (
     STAR,
+    Bijection,
     Block,
     CompTerm,
     CycleTerm,
@@ -812,28 +815,28 @@ def _written(made):
     labels=st.lists(st.sampled_from(_ORDERED_POOL), unique=True, max_size=6),
     fault=st.sampled_from([None, None, "duplicate", "outside", "overlap",
                            "empty"]),
-    forget=st.booleans(),
+    in_walk=st.booleans(),
     data=st.data(),
 )
 def test_canonical_and_shuffled_input_build_the_same_term(
-    kind, labels, fault, forget, data
+    kind, labels, fault, in_walk, data
 ):
     """Each constructor stores what a full sort of its input stored, or
     raises the same exception with the same message, whether the input
     arrives in canonical order (checked and kept) or shuffled (sorted),
-    with the label-key table empty or already holding the labels; and the
-    terms built both ways write the same encode() and --json text."""
+    outside a walk or in an open one whose label tables come to hold the
+    labels; and the terms built both ways write the same encode() and
+    --json text."""
     cls, reference = _BUILT[kind]
     args = data.draw(_constructor_input(kind, labels, fault))
     shuffled = data.draw(_shuffled(kind, args))
-    if forget:
-        structures.clear_label_codes()
-    want = _outcome(lambda: reference(*args))
-    for given_args in (args, shuffled):
-        assert _outcome(lambda: _fields(cls(*given_args))) == want
-    assert _outcome(lambda: _written(cls(*args))) == _outcome(
-        lambda: _written(cls(*shuffled))
-    )
+    with _Walk() if in_walk else contextlib.nullcontext():
+        want = _outcome(lambda: reference(*args))
+        for given_args in (args, shuffled):
+            assert _outcome(lambda: _fields(cls(*given_args))) == want
+        assert _outcome(lambda: _written(cls(*args))) == _outcome(
+            lambda: _written(cls(*shuffled))
+        )
 
 
 def test_a_tuple_in_canonical_order_is_kept_as_given():
@@ -845,68 +848,78 @@ def test_a_tuple_in_canonical_order_is_kept_as_given():
     assert PartitionTerm([first, second]).blocks[0] is first
 
 
-# -- the label-key table ---------------------------------------------------
+# -- the label tables ------------------------------------------------------
 
-def test_the_key_table_is_empty_after_a_listing():
+def test_the_label_tables_are_empty_after_a_listing():
     found = enumerate_structures(parse_expr("E(C) + S"), None,
                                  [9, 10, "a"])
-    assert found and not structures._KEYS and not structures._CODES
+    assert found and not structures._CODES and not structures._SETS
 
 
-def test_the_key_table_keeps_no_block_alive():
-    block = Block([1, "a"])
-    alive = weakref.ref(block)
-    assert structures._KEYS[block] == block.key
-    SetTerm([Block([2]), block]).encode()
-    PartitionTerm([[block, 3]]).encode()
-    CycleTerm([block, Block([0])])
-    assert all(type(label) in (int, str) for label in structures._KEYS)
-    del block
-    assert alive() is None
+def test_the_label_tables_stay_empty_outside_a_walk():
+    """Public constructors, encode(), decode_structure and transport run
+    outside any walk leave nothing in the label tables."""
+    for i in range(1000):
+        graph = GraphTerm([Block([i, "a"]), Block([i + 1000])], [])
+        graph.encode()
+    decoded = decode_structure(graph.to_json())
+    assert decoded == graph
+    moved = transport(None, None, SetTerm([1, 2]),
+                      Bijection({1: "b", 2: "c"}))
+    assert moved.encode() == '{"kind":"set","labels":["b","c"]}'
+    assert not structures._CODES and not structures._SETS
 
 
-def test_the_key_table_keys_each_label_as_its_own_type():
-    """1.0 and True equal 1, which the table keeps; each is still keyed
-    as itself, and only exact integers and strings are kept."""
-    structures.clear_label_codes()
-    assert structures._KEYS[True] == label_sort_key(True)
-    assert structures._KEYS[1.0] == label_sort_key(1.0)
-    assert not structures._KEYS
-    assert structures._KEYS[1] == (0, 1)
+def test_the_code_table_keeps_no_block_alive():
+    with _Walk():
+        block = Block([1, "a"])
+        alive = weakref.ref(block)
+        SetTerm([Block([2]), block]).encode()
+        PartitionTerm([[block, 3]]).encode()
+        CycleTerm([block, Block([0])]).encode()
+        assert structures._CODES
+        assert all(type(label) in (int, str) for label in structures._CODES)
+        del block
+        assert alive() is None
+
+
+def test_each_label_is_keyed_as_its_own_type():
+    """1.0 and True equal 1; each is still keyed as itself."""
     keys = structures._label_keys([1.0, True, 1])
     assert keys == [label_sort_key(1.0), label_sort_key(True), (0, 1)]
     assert [type(key[1]) for key in keys] == [float, bool, int]
-    assert all(type(label) in (int, str) for label in structures._KEYS)
     # 1.0 sorts as a string-class label, after every integer.
     assert SetTerm([1.0, 2]).members == (2, 1.0)
     assert CycleTerm([1.0, 2]).seq == (2, 1.0)
 
 
 def test_a_bool_label_leaves_no_code_for_its_int_twin():
-    """True equals 1, but the code table does not keep it, so a later
-    listing on 1 writes 1 as itself, in encode() order."""
-    structures.clear_label_codes()
-    try:
+    """True equals 1, but the code table of an open walk does not keep
+    it, so a listing on 1 in that walk writes 1 as itself, in encode()
+    order."""
+    with _Walk():
         SetTerm([True, 2]).encode()
         found = enumerate_structures(parse_expr("L"), None, [1, 2])
         assert [term.encode() for term in found] == [
             '{"kind":"list","labels":["1","2"]}',
             '{"kind":"list","labels":["2","1"]}',
         ]
-    finally:
-        structures.clear_label_codes()
 
 
 def test_a_float_label_leaves_no_code_for_its_int_twin():
-    structures.clear_label_codes()
-    try:
+    with _Walk():
         SetTerm([2, 1.0]).encode()
         assert SetTerm([1, 2]).encode() == (
             '{"kind":"set","labels":["1","2"]}'
         )
         assert all(type(label) in (int, str) for label in structures._CODES)
-    finally:
-        structures.clear_label_codes()
+
+
+def test_a_float_label_writes_itself_after_its_int_twin():
+    assert SetTerm([1, 2]).encode() == '{"kind":"set","labels":["1","2"]}'
+    assert SetTerm([1.0, 2]).encode() == (
+        '{"kind":"set","labels":["2","1.0"]}'
+    )
 
 
 # -- one label-set object per set ---------------------------------------------
@@ -960,7 +973,6 @@ class TestSharedLabelSets:
                 else:
                     fresh = decode_structure(sub.to_json())
                     assert sub.labels() == fresh.labels()
-        structures.clear_label_codes()
         assert not structures._SETS
 
 
