@@ -8,12 +8,15 @@ the exhaustive enumerations on small label sets.
 The enumerations of one case share one walk (enumerator._Walk), opened
 around all of them: every side is listed on [n] for n from the largest
 order down to 0 on that walk, so each subexpression is listed once per
-label set, and its series counted once, for the whole case.  The smallest
-n at which the sides differ is the witness, as if the orders were tried
-from 0 up; but every order is listed, so a refusal at a larger order
-(a budget, say) is raised even when a smaller one already differs.  The
-walk is closed, and its caches dropped, when the case's listings end, so
-no listing outlives it.
+label set for the whole case, and the listings count through the walk's
+one evaluator, which solves each recursive system once.  The series
+checks do not share it: each calls egf_of, which solves every system it
+reaches again.  The smallest n at which two count lists differ
+(_witness) is the witness, as if the orders were tried from 0 up; but
+every order is listed, so a refusal at a larger order (a budget, say) is
+raised even when a smaller one already differs.  The walk is closed, and
+its caches dropped, when the case's listings end, so no listing outlives
+it.
 
 The catalogue is one table of makers (_CASES), and a call builds only the
 cases it names, afresh: their expressions are parsed then, and the shared
@@ -34,7 +37,7 @@ from .errors import DuplicateName, ParseError
 from .expr import Name, PrimitiveKind, Primitive, RestrictCard
 from .parser import parse_defs, parse_expr
 from .semantics import egf_of
-from .series import CountSeries
+from .series import CountSeries, _first_difference
 
 __all__ = [
     "SUITE_NOTE",
@@ -90,17 +93,21 @@ class VerificationReport:
         else:
             out["witness"] = {
                 "n": self.witness_n,
-                "lhs": _json_count(self.lhs_count),
-                "rhs": _json_count(self.rhs_count),
+                "lhs": self.lhs_count,
+                "rhs": self.rhs_count,
                 "detail": self.witness,
             }
         return out
 
 
-def _json_count(value):
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    return value
+def _witness(detail, lhs, rhs):
+    """The witness (detail, n, lhs[n], rhs[n]) at the smallest n at which
+    the count lists lhs and rhs differ, as far as the shorter goes, with n
+    put into detail; None where they agree."""
+    n = _first_difference(lhs, rhs)
+    if n is None:
+        return None
+    return (detail.format(n=n), n, lhs[n], rhs[n])
 
 
 def _report(name, check):
@@ -111,22 +118,22 @@ def _report(name, check):
 
 
 def _listing_sizes(exprs, env, max_n):
-    """For n = 0 .. max_n, the number of structures of each of exprs on
-    [n], as one list per n.
+    """For each of exprs, the number of its structures on [n] for n = 0 ..
+    max_n, as one list per expression.
 
     Every listing runs in one open walk, largest n first, so the listings
     on fewer labels reuse the lists and series counts of the first, and
     the collector stays paused between the listings.  The walk releases
     its caches as it closes, while the collector is still paused.
     """
-    sizes = [None] * (max_n + 1)
+    sizes = [[None] * (max_n + 1) for _ in exprs]
     with _Walk(env=env) as walk:
         for n in range(max_n, -1, -1):
             labels = list(range(1, n + 1))
-            sizes[n] = [
-                len(enumerate_structures(expr, env, labels, walk=walk))
-                for expr in exprs
-            ]
+            for row, expr in zip(sizes, exprs):
+                row[n] = len(
+                    enumerate_structures(expr, env, labels, walk=walk)
+                )
     return sizes
 
 
@@ -163,27 +170,17 @@ class IdentityCase(_Case):
         self.rhs = parse_expr(rhs) if isinstance(rhs, str) else rhs
 
     def _series_witness(self, order):
-        left = egf_of(self.lhs, self.env, order)
-        right = egf_of(self.rhs, self.env, order)
-        for n in range(order + 1):
-            lc, rc = left.coefficient(n), right.coefficient(n)
-            if lc != rc:
-                return (
-                    f"series counts differ at n={n}",
-                    n,
-                    lc * factorial(n),
-                    rc * factorial(n),
-                )
-        return None
+        return _witness(
+            "series counts differ at n={n}",
+            egf_of(self.lhs, self.env, order).counts(),
+            egf_of(self.rhs, self.env, order).counts(),
+        )
 
     def _enum_witness(self, max_n):
         """The smallest n <= max_n at which the two sides have different
         numbers of structures on [n], both sides listed on one walk."""
-        sizes = _listing_sizes((self.lhs, self.rhs), self.env, max_n)
-        for n, (lhs, rhs) in enumerate(sizes):
-            if lhs != rhs:
-                return (f"enumerations differ on [{n}]", n, lhs, rhs)
-        return None
+        lhs, rhs = _listing_sizes((self.lhs, self.rhs), self.env, max_n)
+        return _witness("enumerations differ on [{n}]", lhs, rhs)
 
 
 class TableCase(_Case):
@@ -199,28 +196,19 @@ class TableCase(_Case):
 
     def _series_witness(self, order):
         order = min(order, len(self.expected) - 1)
-        got = egf_of(self.expr, self.env, order)
-        for n in range(order + 1):
-            value = got.count(n)
-            if value != self.expected[n]:
-                return (
-                    f"count table differs at n={n}",
-                    n,
-                    value,
-                    self.expected[n],
-                )
-        return None
+        return _witness(
+            "count table differs at n={n}",
+            egf_of(self.expr, self.env, order).counts(),
+            self.expected,
+        )
 
     def _enum_witness(self, max_n):
         """The smallest n <= max_n (and within the table) at which the
         number of structures on [n] differs from the table, every order
         listed on one walk."""
         max_n = min(max_n, len(self.expected) - 1)
-        sizes = _listing_sizes((self.expr,), self.env, max_n)
-        for n, (got,) in enumerate(sizes):
-            if got != self.expected[n]:
-                return (f"enumeration differs on [{n}]", n, got, self.expected[n])
-        return None
+        (got,) = _listing_sizes((self.expr,), self.env, max_n)
+        return _witness("enumeration differs on [{n}]", got, self.expected)
 
 
 class FormulaCase(_Case):
@@ -286,6 +274,7 @@ class SubstitutionCase(_Case):
         g = CountSeries.from_counts(self.G_COUNTS)
         h = f(g)
         fc, gc = self.F_COUNTS, self.G_COUNTS
+        totals = []
         for n in range(order + 1):
             total = 0
             for sizes in self._partition_sizes(n):
@@ -293,9 +282,10 @@ class SubstitutionCase(_Case):
                 for size in sizes:
                     term *= gc[size]
                 total += term
-            got = h.count(n)
-            if got != total:
-                return (f"substitution differs at n={n}", n, got, total)
+            totals.append(total)
+        witness = _witness("substitution differs at n={n}", h.counts(), totals)
+        if witness:
+            return witness
         if order >= 4:
             law = (
                 fc[4] * gc[1] ** 4

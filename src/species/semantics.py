@@ -18,9 +18,6 @@ sliced, so one solve costs O(N^2) kernel work in the order N instead of
 O(N^3).
 """
 
-from itertools import compress, count
-from operator import ne
-
 from .errors import (
     IllFoundedEquation,
     NonemptyInnerOnEmptySet,
@@ -40,7 +37,7 @@ from .expr import (
     print_expr,
 )
 from .primitives import ROWS
-from .series import CountSeries, reach, solve_system
+from .series import CountSeries, _first_difference, reach, solve_system
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -116,9 +113,9 @@ def _resumed(kernel):
         now_f, now_g = f._counts, g._counts
         n = min(len(was_h), len(now_f), len(now_g))
         if was_f[:n] != now_f[:n]:
-            n = next(compress(count(), map(ne, was_f, now_f)))
+            n = _first_difference(was_f, now_f)
         if was_g[:n] != now_g[:n]:
-            n = next(compress(count(), map(ne, was_g, now_g)))
+            n = _first_difference(was_g, now_g)
         h = kernel(f, g, was_h[:n])
         was_f, was_g, was_h = now_f, now_g, h._counts
         return h

@@ -41,8 +41,9 @@ unknowns: through one reach, under one divergence rule for every run.
 """
 
 from fractions import Fraction
+from itertools import compress, count
 from math import factorial
-from operator import add, sub
+from operator import add, ne, sub
 
 from .errors import (
     IllFoundedEquation,
@@ -100,6 +101,12 @@ def _binomials(order):
             rows.append([1, *map(add, row, row[1:]), 1])
         _PASCAL = rows
     return rows
+
+
+def _first_difference(a, b):
+    """The lowest index at which the count sequences a and b differ, or
+    None where they agree as far as the shorter goes; the scan runs in C."""
+    return next(compress(count(), map(ne, a, b)), None)
 
 
 def _nonzero(counts, start, stop):
@@ -486,18 +493,6 @@ def _triangular(solution, order):
     return True
 
 
-def _first_change(old, new, hint):
-    """The lowest index at which the count tuples old and new differ, or
-    None; the scan starts at hint when they agree below it."""
-    if old == new:
-        return None
-    start = hint if old[:hint] == new[:hint] else 0
-    for k in range(start, min(len(old), len(new))):
-        if old[k] != new[k]:
-            return k
-    return None
-
-
 def reach(order, width, order_loss):
     """How far solve_system solves a cycle of width equations, and
     semantics the names outside it that it reads (see solve_system)."""
@@ -581,19 +576,18 @@ def solve_system(equations, order, order_loss=0):
                 if above:
                     value = CountSeries(value._counts + above)
                 current[name] = value
-            if target == far and all(
-                current[name].agrees_through(approx[name], far)
-                for name in names
-            ):
-                return current
             # The divergence rule: (lowest changed index, its unknown).
+            # The counts above target are the previous pass's, so at
+            # target == far no change means agreement through far.
             changed = [
                 (k, name) for name in names
-                if (k := _first_change(
-                    approx[name]._counts, current[name]._counts, low
+                if (k := _first_difference(
+                    approx[name]._counts, current[name]._counts
                 )) is not None
             ]
             if not changed:
+                if target == far:
+                    return current
                 streak = 0
             else:
                 k, name = min(changed)
@@ -615,7 +609,8 @@ def solve_system(equations, order, order_loss=0):
         cross_check = run(_probe(deep), "the system does not determine "
                           "{name}: from a nonzero start " + grows)
         for name in names:
-            if not solution[name].agrees_through(cross_check[name], depth):
+            if _first_difference(solution[name]._counts[:depth + 1],
+                                 cross_check[name]._counts) is not None:
                 raise IllFoundedEquation(
                     f"equation for {name} admits more than one fixed point; "
                     "the system does not determine it"

@@ -1,4 +1,4 @@
-"""Three oracles for the solver, on small families of recursive systems.
+"""Four oracles for the solver, on small families of recursive systems.
 
 One run against two: each system is counted by egf_of twice, once as it
 stands and once with the one-run shortcut forced off (series._triangular,
@@ -14,6 +14,14 @@ order asked for, so a lower order cannot refuse what a higher one counts.
 The least fixed point: where egf_of counts a system, its counts equal
 those that oracles.kleene_counts, which shares no code with the engine,
 iterates from zero over plain count lists.
+
+Renaming (metamorphic): a two-name system is counted again with its
+equations swapped and F and G renamed into each other, and F's outcome
+at every order is compared with the renamed G's.  It fails only where
+both count the system and the counts differ.  A system counted one way
+and refused the other, or refused with another class, is a finding for
+ROADMAP item 15, where the decision must not depend on how a system is
+written: it is printed, and fails nothing.
 
 The families are single_name_systems, F = t for every tree t of at most
 a number of operators over LEAVES that names F, substituting into HEADS;
@@ -31,15 +39,17 @@ refuses, runs out of time or runs out of memory at that order.
 Run as a script, it sweeps the single-name systems of at most --ops
 operators and --pairs two-name systems drawn with --seed, at orders 0 ..
 --max-order, and every derivative system, against the first two oracles,
-and the derivative-free single-name systems at --max-order against the
-least fixed point, in --jobs worker processes, each under an
-address-space limit of --memory-mb, and prints each failure:
+the derivative-free single-name systems at --max-order against the
+least fixed point, and the two-name systems against their renaming, in
+--jobs worker processes, each under an address-space limit of
+--memory-mb, and prints each failure and each renaming finding:
 
     PYTHONPATH=src:tests python tests/solve_sweep.py --ops 3 --pairs 3000
 
 It exits 1 when a system fails an oracle.  test_solve_sweep.py runs the
-single-name systems of at most two operators, derivatives included, and
-a slice of the derivative systems.
+single-name systems of at most two operators, derivatives included, a
+slice of the derivative systems, and the first 600 two-name systems of
+seed 1 against their renaming.
 """
 
 import argparse
@@ -60,6 +70,7 @@ from species.expr import (
     Pointing,
     Primitive,
     Product,
+    SpeciesExpr,
     Substitute,
     Sum,
     print_expr,
@@ -154,16 +165,16 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def outcomes(system, orders, seconds=None):
-    """F's counts at each order, or the class name of what egf_of raises;
-    TIMEOUT at each order left when the time limit expires."""
+def outcomes(system, orders, seconds=None, name="F"):
+    """name's counts at each order, or the class name of what egf_of
+    raises; TIMEOUT at each order left when the time limit expires."""
     env = Environment(system)
     out = []
     try:
         with _time_limit(seconds):
             for order in orders:
                 try:
-                    out.append(egf_of(Name("F"), env, order=order).counts())
+                    out.append(egf_of(Name(name), env, order=order).counts())
                 except (_Timeout, MemoryError):
                     raise
                 except Exception as err:
@@ -211,6 +222,47 @@ def disagreement(system, orders, seconds=None):
     return None
 
 
+def _renamed(expr, swap):
+    """expr with each name that swap maps replaced by its image."""
+    if isinstance(expr, Name):
+        return Name(swap.get(expr.ident, expr.ident))
+    values = (getattr(expr, field) for field in expr.fields)
+    return type(expr)(*(
+        _renamed(value, swap) if isinstance(value, SpeciesExpr) else value
+        for value in values
+    ))
+
+
+def swapped(system):
+    """The two-name system {F: s, G: t} written the other way round:
+    {F: t', G: s'}, where ' renames F and G into each other."""
+    swap = {"F": "G", "G": "F"}
+    return {swap[name]: _renamed(system[name], swap)
+            for name in reversed(system)}
+
+
+def renaming_disagreement(system, orders, seconds=None):
+    """How F's outcomes on a two-name system at orders differ from G's in
+    swapped(system), as (text, counts_differ), or None where they agree
+    at every order.  counts_differ holds when both count the system at
+    some order and the counts differ; any other difference, counted one
+    way and refused the other or refused with two classes, is a finding
+    for ROADMAP item 15: a decision that depends on how the system is
+    written."""
+    one = outcomes(system, orders, seconds)
+    other = outcomes(swapped(system), orders, seconds, name="G")
+    differ = [(order, a, b) for order, a, b in zip(orders, one, other)
+              if a != b]
+    if not differ:
+        return None
+    text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
+    order, a, b = differ[0]
+    counts_differ = any(isinstance(a, list) and isinstance(b, list)
+                        for _, a, b in differ)
+    return (f"{text} at order {order}: {a} as written, {b} with the "
+            "equations swapped and F and G renamed"), counts_differ
+
+
 _PLAIN_OPS = {Sum: "+", Product: "*", Substitute: "of", Derivative: "'",
               Pointing: "pt"}
 
@@ -248,6 +300,10 @@ def _lfp_checked(job, seconds):
     return lfp_disagreement(*job, seconds=seconds)
 
 
+def _renaming_checked(job, seconds):
+    return renaming_disagreement(*job, seconds=seconds)
+
+
 def _limit_memory(megabytes):
     limit = megabytes * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -277,6 +333,9 @@ def main(argv=None):
         (system, args.max_order) for system in single_name_systems(args.ops)
         if "'" not in print_expr(system["F"])
     ]
+    renaming_jobs = [
+        (system, orders) for system in two_name_systems(args.pairs, args.seed)
+    ]
     with multiprocessing.get_context("spawn").Pool(
         args.jobs, _limit_memory, (args.memory_mb,)
     ) as pool:
@@ -287,11 +346,20 @@ def main(argv=None):
             partial(_lfp_checked, seconds=args.seconds), lfp_jobs,
             chunksize=50
         ))
+        renamed = [got for got in pool.imap(
+            partial(_renaming_checked, seconds=args.seconds), renaming_jobs,
+            chunksize=50
+        ) if got]
     failures = [line for line in found + lfp_found if line]
+    failures += [line for line, counts_differ in renamed if counts_differ]
+    findings = [line for line, counts_differ in renamed if not counts_differ]
     for line in failures:
         print("FAIL", line)
-    print(f"{len(jobs)} systems, and {len(lfp_jobs)} against the least "
-          f"fixed point, {len(failures)} fail")
+    for line in findings:
+        print("ROADMAP item 15:", line)
+    print(f"{len(jobs)} systems, {len(lfp_jobs)} against the least fixed "
+          f"point and {len(renaming_jobs)} renamed, {len(failures)} fail; "
+          f"{len(findings)} decided otherwise once renamed")
     return 1 if failures else 0
 
 

@@ -236,6 +236,40 @@ class TestPermutationViews:
         direct = {s.encode() for s in enum("E(C)", [1, 2, 3])}
         assert images == direct
 
+    @staticmethod
+    def _relabelled_permutations():
+        """(p, σ) for every permutation p on n <= 4 labels and every
+        bijection σ from its labels onto b1 .. bn: 618 pairs."""
+        for n in range(5):
+            labels = range(1, n + 1)
+            targets = [f"b{k}" for k in labels]
+            for p in enum("S", labels):
+                for image in itertools.permutations(targets):
+                    yield p, Bijection(dict(zip(labels, image)))
+
+    def test_the_views_commute_with_transport(self):
+        # The naturality squares of S = E*Der and S = E(C): transporting a
+        # permutation, then viewing it, is viewing it, then transporting
+        # each part along σ restricted to the part's labels.
+        s, e, der, e_c = map(parse_expr, ("S", "E", "Der", "E(C)"))
+
+        def along(sigma, part):
+            return Bijection({a: sigma.apply(a) for a in part.labels()})
+
+        squares = 0
+        for p, sigma in self._relabelled_permutations():
+            moved = transport(s, None, p, sigma)
+            fixed, deranged = decompose_permutation(p)
+            assert decompose_permutation(moved) == (
+                transport(e, None, fixed, along(sigma, fixed)),
+                transport(der, None, deranged, along(sigma, deranged)),
+            )
+            assert permutation_to_cycles(moved) == transport(
+                e_c, None, permutation_to_cycles(p), sigma
+            )
+            squares += 1
+        assert squares == 618
+
     def test_only_permutations_decompose(self):
         not_a_perm = MapTerm([(1, 1), (2, 1), (3, 3)])
         with pytest.raises(NotABijection):

@@ -2,9 +2,10 @@
 each path's counts against its own at lower orders (solve_sweep.py): every
 single-name system of at most two operators at orders 0 .. 7, the
 derivative cycles whose factors are 1 or the outside name H at orders
-0 .. 8, and three systems whose right-hand-side evaluations are counted.
-The three-operator family, two-name systems and every derivative cycle
-run in CI.
+0 .. 8, three systems whose right-hand-side evaluations are counted, and
+the first 600 two-name systems of seed 1 against their renaming, equations
+swapped and F and G renamed into each other.  The three-operator family,
+3 000 two-name systems and every derivative cycle run in CI.
 
 Two oracles that share no code with the solver (tests/oracles.py): every
 system of at most two operators that egf_of counts at order 5 against its
@@ -26,7 +27,9 @@ from solve_sweep import (
     disagreement,
     lfp_disagreement,
     outcomes,
+    renaming_disagreement,
     single_name_systems,
+    two_name_systems,
 )
 
 SYSTEMS = single_name_systems(2)
@@ -50,6 +53,27 @@ def test_derivative_cycles_are_decided_alike_at_every_order():
     orders = range(DERIVATIVE_MAX_ORDER + 1)
     found = (disagreement(system, orders, seconds=10) for system in systems)
     assert [line for line in found if line] == []
+
+
+def test_renaming_a_two_name_system_never_changes_its_counts():
+    # Counted one way and refused the other is an item-15 finding, which
+    # the script prints; only different counts fail.
+    found = filter(None, (renaming_disagreement(system, range(6))
+                          for system in two_name_systems(600, 1)))
+    assert [line for line, counts_differ in found if counts_differ] == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_a_mutual_system_is_decided_alike_in_both_equation_orders():
+    system = {"F": parse_expr("G(X)*F"), "G": parse_expr("G(F)'")}
+    assert renaming_disagreement(system, range(6)) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_a_mutual_system_is_decided_alike_at_every_order():
+    system = {"F": parse_expr("G + E + X"), "G": parse_expr("G*(G + F)")}
+    found = outcomes(system, range(6))
+    assert len({isinstance(got, list) for got in found}) == 1
 
 
 def _solve(monkeypatch, defs, order, one_run):
