@@ -334,8 +334,8 @@ def _build(expr, env, labels, active):
     substitution a block's inner only when the rest can complete it.  So
     on one label set each child's count enters its parent's at least
     once, and every name met has a positive count: a walk back to one
-    would give that count y >= 1 + y at the least fixed point the series
-    solves for, as in series.solve_system.
+    would be a count that depends on itself, which semantics refuses
+    before any listing.
     """
     if isinstance(expr, Primitive):
         return ROWS[expr.kind][1](labels, expr.param)

@@ -5,7 +5,8 @@ ROWS maps every PrimitiveKind to a row (series, listing).  series(order,
 k) is the kind's counting series truncated at order; listing(labels, k) is
 the list of its structures on a sorted label tuple, in encode() order.  k
 is the parameter of Ek[k] and Pk[k], None for every other kind.  The
-evaluator in semantics and the enumerator read a primitive's row and
+evaluator in semantics and the enumerator read a primitive's row, and the
+evaluator's decision on recursive systems its sizes in NONEMPTY, and
 nothing else, so a primitive is added or mended here alone.
 
 Six rows restrict another by cardinality (Bergeron, Labelle and Leroux,
@@ -53,7 +54,7 @@ from .structures import (
     label_code,
 )
 
-__all__ = ["ROWS"]
+__all__ = ["NONEMPTY", "ROWS"]
 
 
 def _counts(count_at):
@@ -160,19 +161,34 @@ _L = (
     lambda order, k: CountSeries(_factorials(order)[:order + 1]),
     lambda labels, k: MapSources(labels).lists(_by_code(labels)),
 )
-_X = _kept(_E, lambda n, k: n == 1)
-_EK = _kept(_E, lambda n, k: n == k)
-_EP = _kept(_E, lambda n, k: n >= 1)
+
+#: The sizes n on which a kind has structures, as a predicate of (n, k),
+#: for the kinds that lack them on some label sets; every other kind has
+#: structures on every set.  The kept rows keep E and L on these sizes.
+NONEMPTY = {
+    K.ZERO: lambda n, k: False,
+    K.ONE: lambda n, k: n == 0,
+    K.SINGLETON: lambda n, k: n == 1,
+    K.KSET: lambda n, k: n == k,
+    K.NONEMPTY_SET: lambda n, k: n >= 1,
+    K.NONEMPTY_LIST: lambda n, k: n >= 1,
+    K.CYCLE: lambda n, k: n >= 1,
+    K.DERANGEMENT: lambda n, k: n != 1,
+    K.KSUBSET: lambda n, k: n >= k,
+}
+_X = _kept(_E, NONEMPTY[K.SINGLETON])
+_EK = _kept(_E, NONEMPTY[K.KSET])
+_EP = _kept(_E, NONEMPTY[K.NONEMPTY_SET])
 
 ROWS = {
-    K.ZERO: _kept(_E, lambda n, k: False),
-    K.ONE: _kept(_E, lambda n, k: n == 0),
+    K.ZERO: _kept(_E, NONEMPTY[K.ZERO]),
+    K.ONE: _kept(_E, NONEMPTY[K.ONE]),
     K.SINGLETON: _X,
     K.SET: _E,
     K.NONEMPTY_SET: _EP,
     K.KSET: _EK,
     K.LIST: _L,
-    K.NONEMPTY_LIST: _kept(_L, lambda n, k: n >= 1),
+    K.NONEMPTY_LIST: _kept(_L, NONEMPTY[K.NONEMPTY_LIST]),
     # (n - 1)! cycles on n labels: L's counts shifted one place.
     K.CYCLE: (
         lambda order, k: CountSeries((0, *_factorials(order)[:order])),

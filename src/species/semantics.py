@@ -4,9 +4,36 @@ egf_of evaluates an expression to its exact truncated series.  A primitive
 species reads its series from its row of primitives.ROWS.
 
 Named species may be mutually recursive.  Evaluation groups the reachable
-names into strongly connected components, resolves acyclic names directly,
-and hands every genuine cycle to series.solve_system, resolving the names
-it reads outside itself through its reach (series.reach).
+names into strongly connected components, decides every recursive one
+from its equations (_decide), resolves acyclic names directly, and hands
+each recursive one to series.solve_system, which computes its least fixed
+point, resolving the names it reads outside itself through its reach
+(series.reach).
+
+A recursive system is counted when it is well-founded in the sense of
+Pivoteau, Salvy and Soria ("Algorithms for combinatorial structures:
+well-founded systems and Newton iterations", JCTA 2012): its Jacobian is
+nilpotent at its least solution, the limit of the iteration from zero.
+Count n of F depends on count m of G when a term of F's equation at size
+n reads count m of G beside factors that are nonzero at the least
+solution.  The system is well-founded when no substitution inner has a
+structure on the empty set there, and no count depends on itself or on
+counts of ever larger size; an unknown that is itself a substitution
+inner has its count at size 0 forced to 0, so that count depends on
+nothing.  Each count is then fixed by the finitely many it depends on,
+one run from zero reaches the least solution, and any other solution
+differs from it only where it has a factor 0 (F = F*F is also solved by
+the constant 1).  Joyal's implicit species theorem, the tree species A =
+X*E(A) of the paper's section 11, is the one-equation case.  Without
+derivatives no dependency reads a larger size, and this is the nilpotent
+Jacobian at the size-0 solution of Pivoteau, Salvy and Soria.  With them
+the dependencies form a shift graph: a derivative adds one to the size a
+term reads, and a factor with no structure below size k takes k away, so
+a cycle of weight >= 0 is a count that depends on itself or on ever
+larger ones.  _decide settles this once per component and environment
+(Environment.well_founded keeps the names found well-founded, since no
+name is ever rebound), before any kernel runs, and refuses with
+IllFoundedEquation, naming the equation, the unknown and the size.
 
 An evaluator keeps each name's series across its calls and solves a system
 again only deeper: egf_of makes one per call, a listing's walk one for all
@@ -32,11 +59,12 @@ from .expr import (
     Primitive,
     Product,
     RestrictCard,
+    SpeciesExpr,
     Substitute,
     Sum,
     print_expr,
 )
-from .primitives import ROWS
+from .primitives import NONEMPTY, ROWS
 from .series import CountSeries, _first_difference, reach, solve_system
 
 __all__ = [
@@ -99,6 +127,201 @@ def _sccs(nodes, edges):
     return out
 
 
+def _subtrees(expr):
+    """expr and every node below it."""
+    out, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo += [v for v in node._values if isinstance(v, SpeciesExpr)]
+    return out
+
+
+def _times(a, b, full):
+    """The support of a product of series with supports a and b, cut to
+    full.  A support is a bit mask of the sizes whose count is nonzero."""
+    out = 0
+    for k in range(a.bit_length()):
+        if a >> k & 1:
+            out |= b << k
+    return out & full
+
+
+def _powers(inner, full):
+    """The supports of the sets of 0, 1, 2, .. structures of a species of
+    support inner, while they fit in full."""
+    out = [1]
+    while out[-1] and len(out) < full.bit_length():
+        out.append(_times(out[-1], inner, full))
+    return out
+
+
+class _Least:
+    """The supports of the least solution of the components reached,
+    dependencies first, over the sizes in full: each component's is a
+    least fixed point over bit masks, iterated from no structures."""
+
+    def __init__(self, env, reached, full):
+        self.full = full
+        self.held = {}
+        # The supports that no later iteration changes, by node id: the
+        # env keeps every node alive.
+        self.fixed = {}
+        self.settled = False
+        held = self.held
+        for comp in reached:
+            held.update(dict.fromkeys(comp, 0))
+            changed = True
+            while changed:
+                changed = False
+                for name in comp:
+                    found = self(env[name])
+                    if found != held[name]:
+                        held[name] = found
+                        changed = True
+        self.settled = True
+
+    def __call__(self, expr):
+        """expr's support."""
+        found = self.fixed.get(id(expr))
+        if found is not None:
+            return found
+        kind = type(expr)
+        if kind is Name:
+            return self.held[expr.ident]
+        if kind is Primitive:
+            has = NONEMPTY.get(expr.kind)
+            found = self.full if has is None else self._sizes(
+                lambda n: has(n, expr.param))
+        elif kind is Sum:
+            found = self(expr.left) | self(expr.right)
+        elif kind is Product:
+            found = _times(self(expr.left), self(expr.right), self.full)
+        elif kind is Substitute:
+            outer, found = self(expr.outer), 0
+            for k, power in enumerate(_powers(self(expr.inner), self.full)):
+                if outer >> k & 1:
+                    found |= power
+        elif kind is Derivative:
+            found = self(expr.inner) >> 1
+        elif kind is Pointing:
+            found = self(expr.inner) & ~1
+        else:
+            found = self(expr.inner) & self._sizes(expr.admits)
+        if self.settled or not expr.depths:
+            self.fixed[id(expr)] = found
+        return found
+
+    def _sizes(self, admits):
+        """The support of the sizes in the window that admits holds for."""
+        return sum(1 << n for n in range(self.full.bit_length()) if admits(n))
+
+    def reads(self, expr, n, names, out):
+        """Add to out (name, size) for each count of a name in names that
+        count n of expr reads beside factors that are nonzero."""
+        if names.isdisjoint(expr.depths):
+            return
+        kind = type(expr)
+        if kind is Name:
+            out.add((expr.ident, n))
+        elif kind is Sum:
+            self.reads(expr.left, n, names, out)
+            self.reads(expr.right, n, names, out)
+        elif kind is Product:
+            left, right = self(expr.left), self(expr.right)
+            for k in range(n + 1):
+                if right >> n - k & 1:
+                    self.reads(expr.left, k, names, out)
+                if left >> k & 1:
+                    self.reads(expr.right, n - k, names, out)
+        elif kind is Substitute:
+            # k blocks under an outer structure on them, or one block of
+            # size j beside k others under one on k + 1 blocks.
+            outer = self(expr.outer)
+            for k, power in enumerate(_powers(self(expr.inner), self.full)):
+                if power >> n & 1:
+                    self.reads(expr.outer, k, names, out)
+                for j in range(1, n + 1) if outer >> k + 1 & 1 else ():
+                    if power >> n - j & 1:
+                        self.reads(expr.inner, j, names, out)
+        elif kind is Derivative:
+            self.reads(expr.inner, n + 1, names, out)
+        elif n if kind is Pointing else expr.admits(n):  # or a restriction
+            self.reads(expr.inner, n, names, out)
+
+
+def _refusal(env, name, verdict, n, why):
+    """The IllFoundedEquation that refuses name's equation."""
+    return IllFoundedEquation(
+        f"equation {name} = {print_expr(env[name])} {verdict}: the system "
+        f"does not determine {name}, whose count at size {n} {why}"
+    )
+
+
+def _decide(env, components, cycles):
+    """Refuse each recursive component in cycles that is not well-founded
+    (see the module docstring).  components holds the components of the
+    names the cycles reach, dependencies first.  No series is built.
+
+    The counts of a cycle at sizes 0 .. low, and all they depend on, form
+    a finite graph over (unknown, size).  A path of dependencies passes at
+    most spin derivatives, all those of the equations reached, so in a
+    well-founded system no count at size n depends on one above n + spin:
+    a read above deep = low + spin is a chain of ever larger sizes, and a
+    cycle of the graph a count that depends on itself.  A cycle of the
+    shift graph with weight >= 0 takes away at most spin along its way, so
+    it shows from some size up to low, which also leaves room for a
+    pointing (size 1) and each restriction's bound.  The supports reach
+    2 * spin above deep, room for the derivatives read there, so those at
+    and below deep + spin are the least solution's."""
+    reached = components[:max(map(components.index, cycles)) + 1]
+    trees = {name: _subtrees(env[name]) for comp in reached for name in comp}
+    nodes = [node for tree in trees.values() for node in tree]
+    spin = sum(type(node) is Derivative for node in nodes)
+    low = 2 * spin + 1 + max((node.bound for node in nodes
+                              if type(node) is RestrictCard), default=0)
+    deep = low + spin
+    least = _Least(env, reached, (2 << deep + 2 * spin) - 1)
+    for comp in cycles:
+        names = set(comp)
+        inners = [(name, node.inner) for name in comp for node in trees[name]
+                  if type(node) is Substitute]
+        for name, inner in inners:
+            if least(inner) & 1:
+                raise NonemptyInnerOnEmptySet(
+                    f"substitution inner species {print_expr(inner)} has a "
+                    f"structure on the empty set in equation {name} = "
+                    f"{print_expr(env[name])}"
+                )
+        forced = {(inner.ident, 0) for _, inner in inners
+                  if type(inner) is Name}
+        graph = {}
+        todo = [(name, n) for name in comp for n in range(low + 1)]
+        while todo:
+            node = todo.pop()
+            if node in graph:
+                continue
+            name, n = node
+            out = graph[node] = set()
+            if node not in forced:
+                least.reads(env[name], n, names, out)
+            if any(m > deep for _, m in out):
+                raise _refusal(env, name, "is not well-founded", n,
+                               "depends on counts of ever larger size")
+            todo.extend(out)
+        if all(m < n for (_, n), out in graph.items() for _, m in out):
+            continue  # every count reads smaller ones only: no loop
+        loops = [node for loop in _sccs(set(graph), graph)
+                 if len(loop) > 1 or loop[0] in graph[loop[0]]
+                 for node in loop]
+        if loops:
+            name, n = min(loops, key=lambda node: node[::-1])
+            raise _refusal(
+                env, name, "has no fixed point" if least.held[name] >> n & 1
+                else "admits more than one fixed point", n, "depends on itself"
+            )
+
+
 def _resumed(kernel):
     """kernel(f, g, known), a product or a substitution, as a function of
     f and g that keeps its last operands' counts and result.  Count n of
@@ -155,6 +378,13 @@ class _Evaluator:
             self.compiled.clear()
 
     def _resolve_names(self, expr, order):
+        """Resolve every name expr reaches, deep enough to evaluate expr
+        to order.  Each recursive component not yet found well-founded is
+        decided from its equations first (_decide), all of them before any
+        series is built; then, definitions first, each acyclic name is
+        evaluated and each recursive component solved for its least fixed
+        point (solve_system), through the order its users need plus the
+        reach its derivatives ask for."""
         seeds = expr.depths
         if not seeds:
             return
@@ -168,6 +398,13 @@ class _Evaluator:
             todo.extend(edges[name])
 
         components = _sccs(set(edges), edges)
+        cycles = [comp for comp in components
+                  if comp[0] not in self.env.well_founded
+                  and (len(comp) > 1 or comp[0] in edges[comp[0]])]
+        if cycles:
+            _decide(self.env, components, cycles)
+            self.env.well_founded.update(
+                name for comp in cycles for name in comp)
 
         # Orders needed, flowing from use sites down to definitions: a
         # cycle reads the names outside it through its reach.
@@ -184,9 +421,7 @@ class _Evaluator:
                 ),
                 default=0,
             )
-            # solve_system decides a cycle through count 1 even at order 0,
-            # so every name is resolved at least that deep.
-            comp_order = max(*(need.get(name, 0) for name in comp), order, 1)
+            comp_order = max(need.get(name, 0) for name in comp)
             far = reach(comp_order, len(comp), loss)
             for name in comp:
                 for ref, depth in edges[name].items():

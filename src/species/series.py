@@ -36,8 +36,9 @@ recognises those three outers by comparing its counts with a module-level
 table of factorials.  A series times itself is squared in half the
 products, because C(n, k) = C(n, n - k).
 
-solve_system alone judges whether a recursive system determines its
-unknowns: through one reach, under one divergence rule for every run.
+solve_system computes the least fixed point of a recursive system by one
+run from zero; whether the system determines its unknowns is decided from
+its equations before (semantics).
 """
 
 from fractions import Fraction
@@ -348,14 +349,6 @@ class CountSeries:
             )
         return _series(self._counts[: order + 1])
 
-    def agrees_through(self, other, order):
-        """True when self and other share counts f_0 .. f_order."""
-        return (
-            self._counts[: order + 1] == other._counts[: order + 1]
-            and self.order >= order
-            and other.order >= order
-        )
-
     # -- arithmetic --------------------------------------------------------
 
     def _promoted(self, other):
@@ -476,31 +469,15 @@ def _series(counts):
 
 # -- implicit systems ------------------------------------------------------
 
-def _probe(order):
-    """A generic start with zero constant term: x + x^2 + ... + x^order,
-    whose counts are n!."""
-    return CountSeries([0] + [factorial(n) for n in range(1, order + 1)])
-
-
-def _triangular(solution, order):
-    """True when every count 1 .. order of every unknown in solution is a
-    positive int: for a species system, proof that the equations at each
-    size are triangular (see solve_system)."""
-    for series in solution.values():
-        counts = series._counts[1:order + 1]
-        if not _INT.issuperset(map(type, counts)) or min(counts) <= 0:
-            return False
-    return True
-
-
 def reach(order, width, order_loss):
     """How far solve_system solves a cycle of width equations, and
     semantics the names outside it that it reads (see solve_system)."""
-    return max(order, 1) + width * order_loss
+    return order + width * order_loss
 
 
 def solve_system(equations, order, order_loss=0):
-    """Solve a system of implicit equations name = rhs(names) for series.
+    """The least fixed point of a system of implicit equations name =
+    rhs(names), through order.
 
     equations is a sequence of (name, rhs) pairs where rhs is a callable
     rhs(approx, target_order) -> CountSeries evaluating the right-hand side
@@ -508,41 +485,18 @@ def solve_system(equations, order, order_loss=0):
     truncation orders one evaluation may consume (nonzero only when a
     derivative is applied to an unknown inside its own cycle).
 
-    Count n of an unknown reads counts at most order_loss above n, and in
-    a system that determines its unknowns a path of reads comes back to an
-    unknown only below where it left it, so no count through order reads
-    past reach(order, len(equations), order_loss).  Each run solves and
-    tests stability through the reach, one band of len(equations) counts
-    further per pass, with order_loss counts of headroom above it.  The
-    system is thus decided through count 1 even at order 0, so F = F is
-    refused at every order.
-
-    Whether one run decides the system rests on a precondition that every
-    species system meets: each right-hand side is a monotone polynomial
-    with nonnegative integer coefficients in the unknowns' counts.  With
-    order_loss == 0, count n reads only counts <= n, and when the run from
-    zero leaves every count 1 .. order a positive int, the equations at
-    each size are triangular and its solution is returned.  Were some cycle
-    of same-size dependencies to survive, the first of its counts to turn
-    positive took its value from outside the cycle, and from then on each
-    count around it is at least 1 plus the next: y_i >= 1 + y_i.  (This is
-    the nilpotent Jacobian of Pivoteau, Salvy and Soria's well-founded
-    systems, JCTA 2012.)  Otherwise (a zero, negative or Fraction count, or
-    order_loss > 0) the iteration runs again from a generic nonzero start,
-    _probe, and IllFoundedEquation is raised unless the runs agree through
-    the order.
-
-    Every run refuses, naming the count, once its lowest changed count
-    stays at one index for len(equations) + 1 passes: from zero there is
-    then no fixed point, and from _probe the iteration does not determine
-    the one the run from zero found.  A determined system settles each size
-    within len(equations) passes of the sizes below, so it trips the rule
-    in no run from zero, which stays below the least fixed point, where a
-    dependency that vanishes at the solution vanishes throughout; nor in a
-    _probe run without a derivative in its cycle, which reads only counts
-    at or below each size.  For the _probe run of a derivative cycle no
-    argument is known; tests/solve_sweep.py finds no system that the rule
-    refuses and the two runs would count alike.
+    One Gauss-Seidel run from zero: each pass evaluates the equations in
+    turn, later ones reading this pass's values, one band of len(equations)
+    counts further than the last, through the reach, with order_loss counts
+    of headroom above it; the run ends when a pass through the reach
+    changes nothing.  Whether the system determines its unknowns is left to
+    the caller: semantics.egf_of decides it from the equations before it
+    calls here (see semantics), and then count n reads no count past
+    order_loss above it on any path back to an unknown, so no count through
+    order reads past reach(order, len(equations), order_loss).  For an
+    opaque rhs, a safety net raises IllFoundedEquation once the lowest
+    changed count stays at one index for len(equations) + 1 passes, or the
+    passes run out.
     """
     names = [name for name, _ in equations]
     if len(set(names)) != len(names):
@@ -550,69 +504,49 @@ def solve_system(equations, order, order_loss=0):
     if not equations:
         return {}
 
-    depth = max(order, 1)
     width = len(equations)
     far = reach(order, width, order_loss)
-    deep = far + order_loss
     warmup = -(-far // width)  # passes before one reaches far
     cap = (far + 2) * width + warmup
-
-    def run(start, diverges):
-        approx = {name: start for name in names}
-        low = streak = 0
-        for passno in range(1, cap + 1):
-            # Pass p evaluates only through p * width, about as far as p
-            # passes can have fixed the unknowns; the coefficients above
-            # keep the previous approximation's values (the probe's, say)
-            # until a later pass reaches them.
-            target = min(far, passno * width)
-            current = dict(approx)
-            for name, rhs in equations:
-                # Gauss-Seidel: later equations see this pass's values,
-                # which speeds up chains.  Every value keeps order deep, so
-                # a lookup always has its truncation headroom.
-                value = rhs(dict(current), target)
-                above = approx[name]._counts[target + 1:]
-                if above:
-                    value = CountSeries(value._counts + above)
-                current[name] = value
-            # The divergence rule: (lowest changed index, its unknown).
-            # The counts above target are the previous pass's, so at
-            # target == far no change means agreement through far.
-            changed = [
-                (k, name) for name in names
-                if (k := _first_difference(
-                    approx[name]._counts, current[name]._counts
-                )) is not None
-            ]
-            if not changed:
-                if target == far:
-                    return current
-                streak = 0
-            else:
-                k, name = min(changed)
-                streak = streak + 1 if k == low else 1
-                low = k
-                if streak > width:
-                    raise IllFoundedEquation(diverges.format(name=name, k=k))
-            approx = current
-        raise IllFoundedEquation(
-            "system {"
-            + ", ".join(names)
-            + f"}} did not stabilize through order {far} after {cap} passes"
-        )
-
-    grows = "its count at size {k} grows on every pass"
-    solution = run(CountSeries.zero(deep),
-                   "equation for {name} has no fixed point: " + grows)
-    if order_loss or not _triangular(solution, depth):
-        cross_check = run(_probe(deep), "the system does not determine "
-                          "{name}: from a nonzero start " + grows)
-        for name in names:
-            if _first_difference(solution[name]._counts[:depth + 1],
-                                 cross_check[name]._counts) is not None:
+    approx = dict.fromkeys(names, CountSeries.zero(far + order_loss))
+    low = streak = 0
+    for passno in range(1, cap + 1):
+        # Pass p evaluates only through p * width, about as far as p passes
+        # can have fixed the unknowns; the coefficients above keep the
+        # previous approximation's values until a later pass reaches them.
+        target = min(far, passno * width)
+        current = dict(approx)
+        for name, rhs in equations:
+            # Gauss-Seidel: later equations see this pass's values.  Every
+            # value keeps order far + order_loss, so a lookup always has
+            # its truncation headroom.
+            value = rhs(current, target)
+            above = approx[name]._counts[target + 1:]
+            current[name] = _series(value._counts + above) if above else value
+        # The safety net: (lowest changed index, its unknown).  The counts
+        # above target are the previous pass's, so at target == far no
+        # change means agreement through far.
+        changed = [
+            (k, name) for name in names
+            if (k := _first_difference(
+                approx[name]._counts, current[name]._counts
+            )) is not None
+        ]
+        if not changed:
+            if target == far:
+                return {name: current[name].truncate(order) for name in names}
+            streak = 0
+        else:
+            k, name = min(changed)
+            streak = streak + 1 if k == low else 1
+            low = k
+            if streak > width:
                 raise IllFoundedEquation(
-                    f"equation for {name} admits more than one fixed point; "
-                    "the system does not determine it"
+                    f"equation for {name} has no fixed point: its count at "
+                    f"size {k} grows on every pass"
                 )
-    return {name: solution[name].truncate(order) for name in names}
+        approx = current
+    raise IllFoundedEquation(
+        "system {" + ", ".join(names)
+        + f"}} did not stabilize through order {far} after {cap} passes"
+    )

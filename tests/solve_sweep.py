@@ -1,15 +1,16 @@
 """Four oracles for the solver, on small families of recursive systems.
 
-One run against two: each system is counted by egf_of twice, once as it
-stands and once with the one-run shortcut forced off (series._triangular,
-the one predicate that takes it, replaced by one that never holds), so
-that every system also runs the cross-check from series._probe.  At every
-order the two must give the same counts or raise the same exception class.
+Decided before any kernel runs: every system that egf_of refuses at some
+order is counted again at that order with every CountSeries kernel, and
+semantics.solve_system, replaced by one that raises (kernels_raise), and
+must be refused with the same exception class.  So the engine decides
+each system from its equations alone, and no refusal comes from running
+the solver.
 
-Order consistency: on each path, a count at some order implies the same
-counts, as a prefix, at every lower order, and no order raises
-OrderExceeded.  A system is decided through its reach, not through the
-order asked for, so a lower order cannot refuse what a higher one counts.
+Order consistency: a count at some order implies the same counts, as a
+prefix, at every lower order, and no order raises OrderExceeded.  A system
+is decided from its equations, not from the order asked for, so a lower
+order cannot refuse what a higher one counts.
 
 The least fixed point: where egf_of counts a system, its counts equal
 those that oracles.kleene_counts, which shares no code with the engine,
@@ -17,11 +18,9 @@ iterates from zero over plain count lists.
 
 Renaming (metamorphic): a two-name system is counted again with its
 equations swapped and F and G renamed into each other, and F's outcome
-at every order is compared with the renamed G's.  It fails only where
-both count the system and the counts differ.  A system counted one way
-and refused the other, or refused with another class, is a finding for
-ROADMAP item 15, where the decision must not depend on how a system is
-written: it is printed, and fails nothing.
+at every order must equal the renamed G's: the same counts, or a refusal
+of the same class.  The decision is a property of the equation graph, so
+it cannot depend on how the system is written.
 
 The families are single_name_systems, F = t for every tree t of at most
 a number of operators over LEAVES that names F, substituting into HEADS;
@@ -32,9 +31,8 @@ F = X + X^k*a*F^(d)*b, with factors a and b that include the name H =
 X + E outside the cycle.  The derivative systems run at orders 0 ..
 DERIVATIVE_MAX_ORDER.
 
-Each path of a system runs under a time limit.  A path that runs out of
-it, or out of memory, is a refusal only when the other path is too: it
-refuses, runs out of time or runs out of memory at that order.
+Each system runs under a time limit.  One that runs out of it, or out of
+memory, at some order is not compared there.
 
 Run as a script, it sweeps the single-name systems of at most --ops
 operators and --pairs two-name systems drawn with --seed, at orders 0 ..
@@ -42,7 +40,7 @@ operators and --pairs two-name systems drawn with --seed, at orders 0 ..
 the derivative-free single-name systems at --max-order against the
 least fixed point, and the two-name systems against their renaming, in
 --jobs worker processes, each under an address-space limit of
---memory-mb, and prints each failure and each renaming finding:
+--memory-mb, and prints each failure:
 
     PYTHONPATH=src:tests python tests/solve_sweep.py --ops 3 --pairs 3000
 
@@ -62,7 +60,7 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import product
 
-from species import series
+from species import semantics
 from species.expr import (
     Derivative,
     Environment,
@@ -77,6 +75,7 @@ from species.expr import (
 )
 from species.parser import parse_expr
 from species.semantics import egf_of
+from species.series import CountSeries
 
 from oracles import kleene_counts
 from strategies import expression_trees
@@ -91,6 +90,10 @@ DERIVATIVE_MAX_ORDER = 8
 TIMEOUT = "Timeout"
 OUT_OF_MEMORY = "MemoryError"
 _RAN_OUT = {TIMEOUT, OUT_OF_MEMORY}
+
+
+def _ran_out(got):
+    return isinstance(got, str) and got in _RAN_OUT
 
 
 class _Timeout(Exception):
@@ -136,15 +139,36 @@ def derivative_systems(factors=FACTORS):
     return systems
 
 
+#: The CountSeries methods that compute counts, which kernels_raise
+#: replaces.
+KERNELS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+           "__mul__", "__rmul__", "__truediv__", "__call__", "derive",
+           "point")
+
+
+class KernelRan(Exception):
+    """What a kernel raises under kernels_raise."""
+
+
+def _kernel_ran(*args, **kwargs):
+    raise KernelRan
+
+
 @contextmanager
-def one_run_off():
-    """Force every solve through the cross-check run from _probe."""
-    kept = series._triangular
-    series._triangular = lambda solution, order: False
+def kernels_raise():
+    """Make every CountSeries kernel, and semantics.solve_system, raise
+    KernelRan."""
+    kept = {name: CountSeries.__dict__[name] for name in KERNELS}
+    solve = semantics.solve_system
+    for name in KERNELS:
+        setattr(CountSeries, name, _kernel_ran)
+    semantics.solve_system = _kernel_ran
     try:
         yield
     finally:
-        series._triangular = kept
+        for name, method in kept.items():
+            setattr(CountSeries, name, method)
+        semantics.solve_system = solve
 
 
 @contextmanager
@@ -202,23 +226,28 @@ def inconsistency(found, orders):
     return None
 
 
+def _text(system):
+    return "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
+
+
 def disagreement(system, orders, seconds=None):
-    """Why the two paths disagree on system, or either contradicts itself
-    across orders, as text, or None."""
-    one = outcomes(system, orders, seconds)
-    with one_run_off():
-        two = outcomes(system, orders, seconds)
-    text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
-    for path, found in (("one run", one), ("two runs", two)):
-        why = inconsistency(found, orders)
-        if why:
-            return f"{text} with {path}: {why}"
-    for order, a, b in zip(orders, one, two):
-        if a == b:
-            continue
-        if isinstance(a, str) and isinstance(b, str) and {a, b} & _RAN_OUT:
-            continue  # both refused, one of them by running out
-        return f"{text} at order {order}: {a} with one run, {b} with two"
+    """Why system's outcomes at orders contradict each other, or a
+    refusal is not made again, with the same class, when every kernel
+    raises, as text, or None."""
+    found = outcomes(system, orders, seconds)
+    why = inconsistency(found, orders)
+    if why:
+        return f"{_text(system)}: {why}"
+    refused = {order: got for order, got in zip(orders, found)
+               if isinstance(got, str) and not _ran_out(got)}
+    if not refused:
+        return None
+    with kernels_raise():
+        again = outcomes(system, list(refused), seconds)
+    for (order, got), other in zip(refused.items(), again):
+        if got != other and not _ran_out(other):
+            return (f"{_text(system)} at order {order}: {got}, but {other} "
+                    "when every kernel raises")
     return None
 
 
@@ -243,24 +272,14 @@ def swapped(system):
 
 def renaming_disagreement(system, orders, seconds=None):
     """How F's outcomes on a two-name system at orders differ from G's in
-    swapped(system), as (text, counts_differ), or None where they agree
-    at every order.  counts_differ holds when both count the system at
-    some order and the counts differ; any other difference, counted one
-    way and refused the other or refused with two classes, is a finding
-    for ROADMAP item 15: a decision that depends on how the system is
-    written."""
+    swapped(system), as text, or None where they agree at every order."""
     one = outcomes(system, orders, seconds)
     other = outcomes(swapped(system), orders, seconds, name="G")
-    differ = [(order, a, b) for order, a, b in zip(orders, one, other)
-              if a != b]
-    if not differ:
-        return None
-    text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
-    order, a, b = differ[0]
-    counts_differ = any(isinstance(a, list) and isinstance(b, list)
-                        for _, a, b in differ)
-    return (f"{text} at order {order}: {a} as written, {b} with the "
-            "equations swapped and F and G renamed"), counts_differ
+    for order, a, b in zip(orders, one, other):
+        if a != b and not (_ran_out(a) or _ran_out(b)):
+            return (f"{_text(system)} at order {order}: {a} as written, {b} "
+                    "with the equations swapped and F and G renamed")
+    return None
 
 
 _PLAIN_OPS = {Sum: "+", Product: "*", Substitute: "of", Derivative: "'",
@@ -287,8 +306,7 @@ def lfp_disagreement(system, order, seconds=None):
     want = kleene_counts({n: plain(t) for n, t in system.items()}, order)
     if want is not None and want["F"] == got:
         return None
-    text = "; ".join(f"{n} = {print_expr(t)}" for n, t in system.items())
-    return (f"{text} at order {order}: {got} by egf_of, "
+    return (f"{_text(system)} at order {order}: {got} by egf_of, "
             f"{want and want['F']} least fixed point")
 
 
@@ -346,20 +364,15 @@ def main(argv=None):
             partial(_lfp_checked, seconds=args.seconds), lfp_jobs,
             chunksize=50
         ))
-        renamed = [got for got in pool.imap(
+        renamed = list(pool.imap(
             partial(_renaming_checked, seconds=args.seconds), renaming_jobs,
             chunksize=50
-        ) if got]
-    failures = [line for line in found + lfp_found if line]
-    failures += [line for line, counts_differ in renamed if counts_differ]
-    findings = [line for line, counts_differ in renamed if not counts_differ]
+        ))
+    failures = [line for line in found + lfp_found + renamed if line]
     for line in failures:
         print("FAIL", line)
-    for line in findings:
-        print("ROADMAP item 15:", line)
     print(f"{len(jobs)} systems, {len(lfp_jobs)} against the least fixed "
-          f"point and {len(renaming_jobs)} renamed, {len(failures)} fail; "
-          f"{len(findings)} decided otherwise once renamed")
+          f"point and {len(renaming_jobs)} renamed, {len(failures)} fail")
     return 1 if failures else 0
 
 

@@ -346,27 +346,37 @@ class TestDivergentSystems:
         assert elapsed < 2.0
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == (
-            f"error: equation for F has no fixed point: its count at size "
-            f"{size} grows on every pass\n"
+            f"error: equation {defs} has no fixed point: the system does not "
+            f"determine F, whose count at size {size} depends on itself\n"
         )
 
     @pytest.mark.parametrize("defs, argv, name, size", [
         ("F = G(X)*F\nG = G(F)'", ["count", "F", "5"], "G", 0),
-        ("F = (G + G)*E\nG = 1*G(F)", ["count", "F", "7"], "F", 1),
+        ("F = (G + G)*E\nG = 1*G(F)", ["count", "F", "7"], "G", 0),
     ])
     def test_the_cross_check_run_is_watched_too(self, tmp_path, defs, argv,
                                                 name, size):
-        """Systems whose run from zero leaves a count at 0, or that have a
-        derivative in their cycle, also run from a nonzero start; that run
-        obeys the same divergence rule.  The run from zero has found a
-        fixed point, so the refusal does not claim there is none."""
-        elapsed, done = self._refusal(tmp_path, defs, argv)
+        """Two systems that a second solver run, from a nonzero start, once
+        decided.  Each is now decided from its equations, alike once they
+        are swapped and F and G renamed into each other.  The first is
+        counted, all zeros, since every factor is 0 at its least solution;
+        the second is refused, since name's count at size depends on
+        itself."""
+        swap = str.maketrans("FG", "GF")
+        swapped = "\n".join(reversed(defs.translate(swap).split("\n")))
+        _, done = self._refusal(tmp_path, defs, argv)
+        elapsed, again = self._refusal(tmp_path, swapped,
+                                       [argv[0], "G", argv[2]])
         assert elapsed < 2.0
-        assert (done.returncode, done.stdout) == (1, "")
-        assert done.stderr == (
-            f"error: the system does not determine {name}: from a nonzero "
-            f"start its count at size {size} grows on every pass\n"
-        )
+        if done.returncode == 0:
+            assert (done.stdout, done.stderr) == ("0\n", "")
+        else:
+            assert (done.returncode, done.stdout) == (1, "")
+            assert (f"does not determine {name}, whose count at size {size} "
+                    "depends on itself") in done.stderr
+            assert f"does not determine {name.translate(swap)}," in again.stderr
+        assert (again.returncode, again.stdout) == (done.returncode,
+                                                   done.stdout)
 
 
 class TestVerify:

@@ -17,7 +17,16 @@ from species.errors import (
     OrderExceeded,
     ZeroConstantDivisor,
 )
-from species import series
+from species import enumerator, semantics, series
+from species.enumerator import enumerate_structures
+from species.expr import (
+    Environment,
+    Name,
+    Primitive,
+    PrimitiveKind,
+    RestrictCard,
+    Sum,
+)
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of
 from species.series import CountSeries, _binomials, solve_system
@@ -31,6 +40,7 @@ from oracles import (
     partitional_composite,
     subfactorial_table,
 )
+from solve_sweep import kernels_raise
 
 
 def counts_series(order, lo=-9, hi=9, zero_constant=False):
@@ -213,9 +223,12 @@ class TestSolve:
             factorial(n) if n % 2 else 0 for n in range(31)
         ]
 
-    def test_self_identity_is_rejected(self):
-        with pytest.raises(IllFoundedEquation):
-            solve_system([("F", lambda approx, order: approx["F"])], order=4)
+    def test_an_opaque_self_identity_gives_its_least_fixed_point(self):
+        # solve_system computes the least fixed point; egf_of, which reads
+        # the equations, refuses F = F (TestDecision).
+        solution = solve_system([("F", lambda approx, order: approx["F"])],
+                                order=4)
+        assert solution["F"].counts() == [0] * 5
 
     def test_divergent_equation_is_rejected(self):
         # F = 1 + F has no fixed point at all
@@ -224,12 +237,6 @@ class TestSolve:
 
         with pytest.raises(IllFoundedEquation):
             solve_system([("F", rhs)], order=4)
-
-    def test_agrees_through(self):
-        f = CountSeries.from_counts([1, 2, 3, 4])
-        g = CountSeries.from_counts([1, 2, 3, 9])
-        assert f.agrees_through(g, 2)
-        assert not f.agrees_through(g, 3)
 
 
 class TestOrderLoss:
@@ -268,6 +275,83 @@ class TestOrderZero:
     def test_well_founded_systems_count_their_empty_set(self, defs, count):
         got = egf_of(parse_expr("F"), parse_defs(defs), order=0)
         assert got.counts() == [count]
+
+
+#: Systems and the first name's counts at order 6 under the written
+#: definition (see semantics), or None where it is refused.
+DECISIONS = [
+    ("F = F", None),
+    ("F = E*F", None),
+    ("F = 1 + F", None),
+    ("F = F + F", None),
+    ("F = pt(F)", None),
+    ("F = F*F + F", None),
+    ("F = E(pt(F))", None),
+    ("F = X + X*F'", None),
+    ("F = X*G\nG = 1 + F'", None),
+    ("H = X + X^2*H''", None),
+    ("F = X + F(F)", None),
+    ("F = G + E + X\nG = G*(G + F)", None),
+    ("F = F(X*X)", None),
+    (Environment({"F": Sum(Primitive(PrimitiveKind.SINGLETON),
+                           RestrictCard(Name("F"), "==", 0))}), None),
+    ("F = X + F(X*F)", None),
+    ("F = E(F)'", None),
+    ("F = X*E(F)", [0, 1, 2, 9, 64, 625, 7776]),
+    ("F = 1 + X*F^2", [1, 1, 4, 30, 336, 5040, 95040]),
+    ("F = 1 + X*G\nG = X*F", [1, 0, 2, 0, 24, 0, 720]),
+    ("F = X + X^2*F'", [0, 1, 2, 12, 144, 2880, 86400]),
+    ("F = X + G''\nG = X^4*F", [0, 1, 0, 120, 0, 100800, 0]),
+    ("F = X + X^2*F'*H\nH = E", [0, 1, 2, 18, 276, 6740, 238830]),
+    ("F = X + G(F)\nG = Ek[2]", [0, 1, 1, 3, 15, 105, 945]),
+    # Every factor is 0 at the least solution, written either way.
+    ("F = G(X)*F\nG = G(F)'", [0] * 7),
+    ("G = F(X)*G\nF = F(G)'", [0] * 7),
+]
+
+
+class TestDecision:
+    """Each recursive system is decided from its equations, alike at every
+    order; a refusal names an equation as written."""
+
+    @pytest.mark.parametrize("defs, want", DECISIONS)
+    def test_every_order_decides_alike(self, defs, want):
+        env = parse_defs(defs) if isinstance(defs, str) else defs
+        first = Name(next(iter(env)))
+        for order in (0, 1, 4, 6):
+            if want is None:
+                with pytest.raises(IllFoundedEquation, match=r"equation \w+ = "):
+                    egf_of(first, env, order=order)
+            else:
+                assert egf_of(first, env, order=order).counts() == \
+                    want[:order + 1]
+
+    def test_each_system_is_decided_once_per_environment(self, monkeypatch):
+        # A walk that lists smallest first solves A again deeper at each
+        # size; neither it nor a later call decides A again.
+        decided = []
+        decide = semantics._decide
+
+        def counted(env, components, cycles):
+            decided.append(sorted(name for comp in cycles for name in comp))
+            return decide(env, components, cycles)
+
+        monkeypatch.setattr(semantics, "_decide", counted)
+        env = parse_defs("A = X*E(A)\nB = 1 + X*B^2\n")
+        with enumerator._Walk(env=env) as walk:
+            for n in range(5):
+                enumerate_structures(Name("A"), env, range(1, n + 1),
+                                     walk=walk)
+        egf_of(Name("A"), env, order=9)
+        egf_of(parse_expr("A*B"), env, order=3)
+        assert decided == [["A"], ["B"]]
+
+    @pytest.mark.parametrize("defs", ["F = F", "F = E*F", "F = 1 + F"])
+    def test_refused_before_any_kernel_runs(self, defs):
+        with kernels_raise():
+            for order in (0, 1, 4):
+                with pytest.raises(IllFoundedEquation):
+                    egf_of(Name("F"), parse_defs(defs), order=order)
 
 
 def fraction_series(order, zero_constant=False):

@@ -1,6 +1,6 @@
-"""The solver's one-run shortcut against the cross-check run it skips, and
-each path's counts against its own at lower orders (solve_sweep.py): every
-single-name system of at most two operators at orders 0 .. 7, the
+"""The engine's decision against its refusals with every kernel raising,
+and each system's counts against its own at lower orders (solve_sweep.py):
+every single-name system of at most two operators at orders 0 .. 7, the
 derivative cycles whose factors are 1 or the outside name H at orders
 0 .. 8, three systems whose right-hand-side evaluations are counted, and
 the first 600 two-name systems of seed 1 against their renaming, equations
@@ -13,14 +13,16 @@ least fixed point, and F = X*R(F) against Lagrange inversion, through the
 series and through listing lengths.  CI runs the least fixed point on the
 derivative-free three-operator systems."""
 
+from math import factorial
+
 import pytest
 
-from species import enumerator, semantics, series
+from species import enumerator, semantics
 from species.enumerator import enumerate_structures
 from species.parser import parse_defs, parse_expr
 from species.semantics import egf_of
 
-from oracles import PRIMITIVE_COUNTS, lagrange_counts
+from oracles import PRIMITIVE_COUNTS, factorial_product_table, lagrange_counts
 from solve_sweep import (
     DERIVATIVE_MAX_ORDER,
     derivative_systems,
@@ -40,7 +42,7 @@ def test_the_family_holds_every_system_of_two_operators():
     assert len(SYSTEMS) == len({system["F"] for system in SYSTEMS}) == 695
 
 
-def test_one_run_agrees_with_two_on_every_system():
+def test_every_refusal_is_made_before_any_kernel_runs():
     found = (disagreement(system, range(8), seconds=10) for system in SYSTEMS)
     assert [line for line in found if line] == []
 
@@ -56,35 +58,32 @@ def test_derivative_cycles_are_decided_alike_at_every_order():
 
 
 def test_renaming_a_two_name_system_never_changes_its_counts():
-    # Counted one way and refused the other is an item-15 finding, which
-    # the script prints; only different counts fail.
-    found = filter(None, (renaming_disagreement(system, range(6))
-                          for system in two_name_systems(600, 1)))
-    assert [line for line, counts_differ in found if counts_differ] == []
+    found = (renaming_disagreement(system, range(6))
+             for system in two_name_systems(600, 1))
+    assert [line for line in found if line] == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
 def test_a_mutual_system_is_decided_alike_in_both_equation_orders():
     system = {"F": parse_expr("G(X)*F"), "G": parse_expr("G(F)'")}
     assert renaming_disagreement(system, range(6)) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
 def test_a_mutual_system_is_decided_alike_at_every_order():
     system = {"F": parse_expr("G + E + X"), "G": parse_expr("G*(G + F)")}
     found = outcomes(system, range(6))
     assert len({isinstance(got, list) for got in found}) == 1
 
 
-def _solve(monkeypatch, defs, order, one_run):
-    """F's counts and the right-hand-side evaluations of its solve."""
-    evaluations = []
+def _solve(monkeypatch, defs, order):
+    """F's counts and the target of each right-hand-side evaluation of its
+    solves."""
+    targets = []
     solve = semantics.solve_system
 
     def counted(equations, order, order_loss=0):
         def wrap(rhs):
             def evaluate(approx, target):
-                evaluations.append(target)
+                targets.append(target)
                 return rhs(approx, target)
             return evaluate
 
@@ -93,32 +92,30 @@ def _solve(monkeypatch, defs, order, one_run):
 
     with monkeypatch.context() as patch:
         patch.setattr(semantics, "solve_system", counted)
-        if not one_run:
-            patch.setattr(series, "_triangular", lambda solution, order: False)
         counts = egf_of(parse_expr("F"), parse_defs(defs), order=order).counts()
-    return counts, len(evaluations)
+    return counts, targets
 
 
-@pytest.mark.parametrize("defs, order, halved", [
-    ("F = X*E(F)", 16, True),
-    ("F = 1 + X*V\nV = X*F", 16, False),  # every other count is 0
-    ("F = X + X^2*F'", 12, False),  # a derivative in its own cycle
+@pytest.mark.parametrize("defs, order, want", [
+    ("F = X*E(F)", 16, [n ** (n - 1) if n else 0 for n in range(17)]),
+    # every other count is 0
+    ("F = 1 + X*V\nV = X*F", 16,
+     [factorial(n) if n % 2 == 0 else 0 for n in range(17)]),
+    # a derivative in its own cycle
+    ("F = X + X^2*F'", 12, factorial_product_table(12)),
 ], ids=["rooted-trees", "even-odd", "derivative"])
-def test_the_shortcut_halves_evaluations_only_where_it_applies(
-        monkeypatch, defs, order, halved):
-    one, one_evaluations = _solve(monkeypatch, defs, order, one_run=True)
-    two, two_evaluations = _solve(monkeypatch, defs, order, one_run=False)
-    assert one == two
-    if halved:
-        assert 2 * one_evaluations == two_evaluations
-    else:
-        assert one_evaluations == two_evaluations
+def test_each_system_takes_one_run(monkeypatch, defs, order, want):
+    """One run from zero: each pass evaluates as far as the one before or
+    further, and none starts again from the first band."""
+    counts, targets = _solve(monkeypatch, defs, order)
+    assert counts == want
+    assert targets == sorted(targets)
 
 
 def test_every_counted_system_is_its_least_fixed_point():
     counted = [system for system in SYSTEMS
                if isinstance(outcomes(system, [5])[0], list)]
-    assert len(counted) == 135
+    assert len(counted) == 142
     found = (lfp_disagreement(system, 5) for system in counted)
     assert [line for line in found if line] == []
 
