@@ -206,9 +206,6 @@ class Environment:
 
     def __init__(self, defs=()):
         self._defs = {}
-        # The names of the recursive systems semantics has found
-        # well-founded: no name is ever rebound, so a decision holds for good.
-        self.well_founded = set()
         pairs = defs.items() if isinstance(defs, dict) else defs
         for name, rhs in pairs:
             self.bind(name, rhs)

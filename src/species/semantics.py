@@ -4,9 +4,9 @@ egf_of evaluates an expression to its exact truncated series.  A primitive
 species reads its series from its row of primitives.ROWS.
 
 Named species may be mutually recursive.  Evaluation groups the reachable
-names into strongly connected components, decides every recursive one
-from its equations (_decide), resolves acyclic names directly, and hands
-each recursive one to series.solve_system, which computes its least fixed
+names into strongly connected components, decides the recursive ones from
+their equations (_decide), resolves acyclic names directly, and hands each
+recursive one to series.solve_system, which computes its least fixed
 point, resolving the names it reads outside itself through its reach
 (series.reach).
 
@@ -16,33 +16,28 @@ well-founded systems and Newton iterations", JCTA 2012): its Jacobian is
 nilpotent at its least solution, the limit of the iteration from zero.
 Count n of F depends on count m of G when a term of F's equation at size
 n reads count m of G beside factors that are nonzero at the least
-solution.  The system is well-founded when no substitution inner has a
-structure on the empty set there, and no count depends on itself or on
+solution (a substitution's blocks are nonempty, so no term reads count 0
+of its inner).  The system is well-founded when no substitution inner has
+a structure on the empty set there, and no count depends on itself or on
 counts of ever larger size; an unknown that is itself a substitution
 inner has its count at size 0 forced to 0, so that count depends on
 nothing.  Each count is then fixed by the finitely many it depends on,
 one run from zero reaches the least solution, and any other solution
 differs from it only where it has a factor 0 (F = F*F is also solved by
-the constant 1).  Joyal's implicit species theorem, the tree species A =
-X*E(A) of the paper's section 11, is the one-equation case.  Without
-derivatives no dependency reads a larger size, and this is the nilpotent
-Jacobian at the size-0 solution of Pivoteau, Salvy and Soria.  With them
-the dependencies form a shift graph: a derivative adds one to the size a
-term reads, and a factor with no structure below size k takes k away, so
-a cycle of weight >= 0 is a count that depends on itself or on ever
-larger ones.  _decide settles this once per component and environment
-(Environment.well_founded keeps the names found well-founded, since no
-name is ever rebound), before any kernel runs, and refuses with
-IllFoundedEquation, naming the equation, the unknown and the size.
+the constant 1).  The tree species A = X*E(A) of the paper's section 11
+is the one-equation case.  _decide settles this before any kernel runs,
+once per system (equal systems under other names share the decision),
+and refuses with IllFoundedEquation, naming the equation, the unknown
+and the size.
 
 An evaluator keeps each name's series across its calls and solves a system
 again only deeper: egf_of makes one per call, a listing's walk one for all
-its counts.  Each evaluation compiles the expression, and every definition it reaches,
-once into a tree of closures.  Inside a solve, product and substitution
-nodes resume from the counts their operands kept since the previous pass
-(the kernels' known prefix), and name-free nodes are built once and
-sliced, so one solve costs O(N^2) kernel work in the order N instead of
-O(N^3).
+its counts.  Each evaluation compiles the expression, and every definition
+it reaches, once into a tree of closures.  Inside a solve, product and
+substitution nodes resume from the counts their operands kept since the
+previous pass (the kernels' known prefix), and name-free nodes are built
+once and sliced, so one solve costs O(N^2) kernel work in the order N
+instead of O(N^3).
 """
 
 from .errors import (
@@ -147,107 +142,112 @@ def _times(a, b, full):
     return out & full
 
 
-def _powers(inner, full):
-    """The supports of the sets of 0, 1, 2, .. structures of a species of
-    support inner, while they fit in full."""
-    out = [1]
-    while out[-1] and len(out) < full.bit_length():
-        out.append(_times(out[-1], inner, full))
+def _merged(profiles):
+    """The profile of a sum of nodes with these profiles (see _Window)."""
+    out = {}
+    for profile in profiles:
+        for key, mask in profile.items():
+            out[key] = out.get(key, 0) | mask
     return out
 
 
-class _Least:
-    """The supports of the least solution of the components reached,
-    dependencies first, over the sizes in full: each component's is a
-    least fixed point over bit masks, iterated from no structures."""
+def _product(a, b, full):
+    """The profile of a product of nodes with profiles a and b: the
+    product's support, and by the product rule each read of one factor
+    where the other is nonzero."""
+    out = {None: _times(a[None], b[None], full)}
+    for one, other in ((a, b), (b, a)):
+        for key, mask in one.items():
+            if key is not None:
+                out[key] = out.get(key, 0) | _times(mask, other[None], full)
+    return out
 
-    def __init__(self, env, reached, full):
-        self.full = full
-        self.held = {}
-        # The supports that no later iteration changes, by node id: the
-        # env keeps every node alive.
-        self.fixed = {}
-        self.settled = False
-        held = self.held
+
+class _Window:
+    """The profiles of the nodes of the components reached, over the sizes
+    0 .. top - 1 that _decide reads.  A profile maps None to the node's
+    support at the least solution, and each count (name, m) of an unknown
+    to the mask of the sizes whose count reads it beside nonzero factors:
+    the node's counts and their first derivatives, over the booleans.  The
+    supports are least fixed points, dependencies first, from none."""
+
+    def __init__(self, env, reached, nodes, spin):
+        # Restriction bounds, each gap between them cut to gap (_decide).
+        gap = 3 * spin + 2 + max((node.param for node in nodes
+                                  if type(node) is Primitive and node.param),
+                                 default=0)
+        self.place, at, last = {}, 0, 0
+        for bound in sorted({node.bound for node in nodes
+                             if type(node) is RestrictCard}):
+            at += min(bound - last, gap)
+            self.place[bound], last = at, bound
+        self.low = 2 * spin + 1 + at
+        self.deep = self.low + spin
+        self.top = self.deep + 2 * spin + 1
+        self.full = (1 << self.top) - 1
+        self.held, self.memo = {}, {}
         for comp in reached:
-            held.update(dict.fromkeys(comp, 0))
+            self.held.update(dict.fromkeys(comp, 0))
             changed = True
             while changed:
                 changed = False
                 for name in comp:
-                    found = self(env[name])
-                    if found != held[name]:
-                        held[name] = found
-                        changed = True
-        self.settled = True
+                    found = self.profile(env[name])[None]
+                    changed |= found != self.held[name]
+                    self.held[name] = found
 
-    def __call__(self, expr):
-        """expr's support."""
-        found = self.fixed.get(id(expr))
+    def size(self, n):
+        """The size that n in the window stands for."""
+        b, p = min(((0, 0), *self.place.items()),
+                   key=lambda bp: abs(n - bp[1]))
+        return n + b - p
+
+    def profile(self, expr, names=()):
+        """expr's profile, reading the counts of the unknowns in names."""
+        found = self.memo.get(id(expr))
         if found is not None:
             return found
-        kind = type(expr)
+        kind, full = type(expr), self.full
         if kind is Name:
-            return self.held[expr.ident]
+            found = {None: self.held[expr.ident]}
+            if expr.ident in names:
+                found.update(((expr.ident, m), 1 << m)
+                             for m in range(self.top))
+            return found
         if kind is Primitive:
             has = NONEMPTY.get(expr.kind)
-            found = self.full if has is None else self._sizes(
-                lambda n: has(n, expr.param))
+            found = {None: full if has is None else sum(
+                1 << n for n in range(self.top) if has(n, expr.param))}
         elif kind is Sum:
-            found = self(expr.left) | self(expr.right)
+            found = _merged([self.profile(expr.left, names),
+                             self.profile(expr.right, names)])
         elif kind is Product:
-            found = _times(self(expr.left), self(expr.right), self.full)
+            found = _product(self.profile(expr.left, names),
+                             self.profile(expr.right, names), full)
         elif kind is Substitute:
-            outer, found = self(expr.outer), 0
-            for k, power in enumerate(_powers(self(expr.inner), self.full)):
-                if outer >> k & 1:
-                    found |= power
-        elif kind is Derivative:
-            found = self(expr.inner) >> 1
-        elif kind is Pointing:
-            found = self(expr.inner) & ~1
-        else:
-            found = self(expr.inner) & self._sizes(expr.admits)
-        if self.settled or not expr.depths:
-            self.fixed[id(expr)] = found
+            # outer's count k times the k-th power of inner, for each k;
+            # blocks are nonempty, so no count 0 of inner is read.
+            outer = self.profile(expr.outer, names)
+            inner = {key: mask if key is None else mask & ~1
+                     for key, mask in self.profile(expr.inner, names).items()}
+            terms, power = [], {None: 1}
+            for k in range(self.top):
+                at_k = {key: mask >> k & 1 for key, mask in outer.items()}
+                terms.append(_product(at_k, power, full))
+                power = _product(power, inner, full)
+            found = _merged(terms)
+        else:  # a derivative, a pointing or a restriction of one inner
+            shift = 1 if kind is Derivative else 0
+            keep = full - 1 if kind is Pointing else full
+            if kind is RestrictCard:
+                b = self.place[expr.bound]
+                keep &= {"==": 1 << b, ">=": full >> b << b,
+                         "<=": (2 << b) - 1}[expr.relation]
+            found = {key: mask >> shift & keep for key, mask
+                     in self.profile(expr.inner, names).items()}
+        if not expr.depths:
+            self.memo[id(expr)] = found
         return found
-
-    def _sizes(self, admits):
-        """The support of the sizes in the window that admits holds for."""
-        return sum(1 << n for n in range(self.full.bit_length()) if admits(n))
-
-    def reads(self, expr, n, names, out):
-        """Add to out (name, size) for each count of a name in names that
-        count n of expr reads beside factors that are nonzero."""
-        if names.isdisjoint(expr.depths):
-            return
-        kind = type(expr)
-        if kind is Name:
-            out.add((expr.ident, n))
-        elif kind is Sum:
-            self.reads(expr.left, n, names, out)
-            self.reads(expr.right, n, names, out)
-        elif kind is Product:
-            left, right = self(expr.left), self(expr.right)
-            for k in range(n + 1):
-                if right >> n - k & 1:
-                    self.reads(expr.left, k, names, out)
-                if left >> k & 1:
-                    self.reads(expr.right, n - k, names, out)
-        elif kind is Substitute:
-            # k blocks under an outer structure on them, or one block of
-            # size j beside k others under one on k + 1 blocks.
-            outer = self(expr.outer)
-            for k, power in enumerate(_powers(self(expr.inner), self.full)):
-                if power >> n & 1:
-                    self.reads(expr.outer, k, names, out)
-                for j in range(1, n + 1) if outer >> k + 1 & 1 else ():
-                    if power >> n - j & 1:
-                        self.reads(expr.inner, j, names, out)
-        elif kind is Derivative:
-            self.reads(expr.inner, n + 1, names, out)
-        elif n if kind is Pointing else expr.admits(n):  # or a restriction
-            self.reads(expr.inner, n, names, out)
 
 
 def _refusal(env, name, verdict, n, why):
@@ -268,26 +268,28 @@ def _decide(env, components, cycles):
     most spin derivatives, all those of the equations reached, so in a
     well-founded system no count at size n depends on one above n + spin:
     a read above deep = low + spin is a chain of ever larger sizes, and a
-    cycle of the graph a count that depends on itself.  A cycle of the
-    shift graph with weight >= 0 takes away at most spin along its way, so
-    it shows from some size up to low, which also leaves room for a
-    pointing (size 1) and each restriction's bound.  The supports reach
-    2 * spin above deep, room for the derivatives read there, so those at
-    and below deep + spin are the least solution's."""
+    cycle of the graph a count that depends on itself.  A derivative adds
+    one to the size a term reads, and a factor with no structure below
+    size k takes k away, so a loop is a cycle of weight >= 0 in a shift
+    graph; it takes away at most spin along its way, so it shows from
+    some size up to low, which also leaves room for a pointing (size 1)
+    and each restriction's bound.  Near each bound such a cycle spans
+    fewer than gap = 3 * spin + 2 + (largest parameter) sizes, so a
+    longer gap between two bounds, or below the first, is cut to gap
+    (_Window.place), and a refusal names the size it stands for; past a
+    cut gap, whether a loop's least count is 0 may differ.  The masks
+    reach 2 * spin above deep, room for the derivatives read there, so
+    those at and below deep + spin are the least solution's."""
     reached = components[:max(map(components.index, cycles)) + 1]
     trees = {name: _subtrees(env[name]) for comp in reached for name in comp}
     nodes = [node for tree in trees.values() for node in tree]
     spin = sum(type(node) is Derivative for node in nodes)
-    low = 2 * spin + 1 + max((node.bound for node in nodes
-                              if type(node) is RestrictCard), default=0)
-    deep = low + spin
-    least = _Least(env, reached, (2 << deep + 2 * spin) - 1)
+    window = _Window(env, reached, nodes, spin)
     for comp in cycles:
-        names = set(comp)
         inners = [(name, node.inner) for name in comp for node in trees[name]
                   if type(node) is Substitute]
         for name, inner in inners:
-            if least(inner) & 1:
+            if window.profile(inner)[None] & 1:
                 raise NonemptyInnerOnEmptySet(
                     f"substitution inner species {print_expr(inner)} has a "
                     f"structure on the empty set in equation {name} = "
@@ -296,30 +298,55 @@ def _decide(env, components, cycles):
         forced = {(inner.ident, 0) for _, inner in inners
                   if type(inner) is Name}
         graph = {}
-        todo = [(name, n) for name in comp for n in range(low + 1)]
-        while todo:
-            node = todo.pop()
-            if node in graph:
-                continue
-            name, n = node
-            out = graph[node] = set()
-            if node not in forced:
-                least.reads(env[name], n, names, out)
-            if any(m > deep for _, m in out):
-                raise _refusal(env, name, "is not well-founded", n,
-                               "depends on counts of ever larger size")
-            todo.extend(out)
-        if all(m < n for (_, n), out in graph.items() for _, m in out):
-            continue  # every count reads smaller ones only: no loop
-        loops = [node for loop in _sccs(set(graph), graph)
-                 if len(loop) > 1 or loop[0] in graph[loop[0]]
+        for name in comp:
+            reads = window.profile(env[name], set(comp)).items()
+            for n in range(window.top):
+                if (name, n) not in forced:
+                    graph[name, n] = {key for key, mask in reads
+                                      if key is not None and mask >> n & 1}
+        seen = set()
+        for start in sorted(((name, n) for name in comp
+                             for n in range(window.low + 1)),
+                            key=lambda node: node[::-1]):
+            todo = [start]
+            while todo:
+                node = todo.pop()
+                if node not in seen:
+                    seen.add(node)
+                    reads = graph.get(node, ())
+                    if any(m > window.deep for _, m in reads):
+                        raise _refusal(env, start[0], "is not well-founded",
+                                       window.size(start[1]), "depends on "
+                                       "counts of ever larger size")
+                    todo += reads
+        loops = [node for loop in _sccs(seen, graph)
+                 if len(loop) > 1 or loop[0] in graph.get(loop[0], ())
                  for node in loop]
         if loops:
             name, n = min(loops, key=lambda node: node[::-1])
             raise _refusal(
-                env, name, "has no fixed point" if least.held[name] >> n & 1
-                else "admits more than one fixed point", n, "depends on itself"
+                env, name, "has no fixed point" if window.held[name] >> n & 1
+                else "admits more than one fixed point", window.size(n),
+                "depends on itself"
             )
+
+
+def _shape(expr, met, places):
+    """expr as a value that equal trees share whatever their names: each
+    name is replaced by its place in met, to which a new name is added."""
+    if type(expr) is Name:
+        if expr.ident not in places:
+            places[expr.ident] = len(met)
+            met.append(expr.ident)
+        return places[expr.ident]
+    return type(expr), *(_shape(v, met, places)
+                         if isinstance(v, SpeciesExpr) else v
+                         for v in expr._values)
+
+
+# The shapes (_shape) of the systems found well-founded: a decision reads
+# the equations alone, so it holds in every env, under any names.
+_WELL_FOUNDED = set()
 
 
 def _resumed(kernel):
@@ -367,6 +394,7 @@ class _Evaluator:
         self.overlay = {}
         self.horizon = 0
         self.compiled = {}
+        self.decided = set()
 
     def eval(self, expr, order):
         try:
@@ -398,13 +426,19 @@ class _Evaluator:
             todo.extend(edges[name])
 
         components = _sccs(set(edges), edges)
-        cycles = [comp for comp in components
-                  if comp[0] not in self.env.well_founded
+        cycles = [comp for comp in components if comp[0] not in self.decided
                   and (len(comp) > 1 or comp[0] in edges[comp[0]])]
         if cycles:
-            _decide(self.env, components, cycles)
-            self.env.well_founded.update(
-                name for comp in cycles for name in comp)
+            # The definitions reached, as equal systems share them.
+            met = list(seeds)
+            places = {name: place for place, name in enumerate(met)}
+            shape = tuple(_shape(self.env[name], met, places) for name in met)
+            if shape not in _WELL_FOUNDED:
+                _decide(self.env, components, cycles)
+                if len(_WELL_FOUNDED) >= 4096:
+                    _WELL_FOUNDED.clear()
+                _WELL_FOUNDED.add(shape)
+            self.decided.update(name for comp in cycles for name in comp)
 
         # Orders needed, flowing from use sites down to definitions: a
         # cycle reads the names outside it through its reach.

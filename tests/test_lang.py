@@ -17,6 +17,7 @@ from species.errors import (
     UnboundName,
 )
 from species.expr import (
+    PARAMETRIC,
     Derivative,
     Name,
     Pointing,
@@ -29,7 +30,7 @@ from species.expr import (
     print_expr,
 )
 from species.parser import parse_defs, parse_expr
-from species.primitives import ROWS
+from species.primitives import NONEMPTY, ROWS
 from species.semantics import egf_of, primitive_series, validate
 
 from oracles import bell, involutions, subfactorial
@@ -259,6 +260,15 @@ class TestPrimitiveSeries:
 
     def test_every_kind_has_one_row(self):
         assert set(ROWS) == set(PrimitiveKind)
+
+    @pytest.mark.parametrize("kind", list(PrimitiveKind))
+    def test_nonempty_holds_where_the_row_counts(self, kind):
+        # The decision on recursive systems reads NONEMPTY, not the rows.
+        has = NONEMPTY.get(kind, lambda n, k: True)
+        for param in (0, 1, 2, 5) if kind in PARAMETRIC else (None,):
+            counts = primitive_series(kind, 20, param).counts()
+            assert [bool(c) for c in counts] == \
+                [has(n, param) for n in range(21)]
 
     @pytest.mark.parametrize(
         "kind,param", [(K.KSUBSET, 2.5), (K.KSET, "2"), (K.KSET, True)]

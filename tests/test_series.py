@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
@@ -24,6 +25,7 @@ from species.expr import (
     Name,
     Primitive,
     PrimitiveKind,
+    Product,
     RestrictCard,
     Sum,
 )
@@ -326,9 +328,10 @@ class TestDecision:
                 assert egf_of(first, env, order=order).counts() == \
                     want[:order + 1]
 
-    def test_each_system_is_decided_once_per_environment(self, monkeypatch):
+    def test_each_system_is_decided_once(self, monkeypatch):
         # A walk that lists smallest first solves A again deeper at each
-        # size; neither it nor a later call decides A again.
+        # size; neither it nor a later call decides A again, nor a call on
+        # the same equation under another name.  A*B reaches a new system.
         decided = []
         decide = semantics._decide
 
@@ -337,14 +340,37 @@ class TestDecision:
             return decide(env, components, cycles)
 
         monkeypatch.setattr(semantics, "_decide", counted)
+        monkeypatch.setattr(semantics, "_WELL_FOUNDED", set())
         env = parse_defs("A = X*E(A)\nB = 1 + X*B^2\n")
         with enumerator._Walk(env=env) as walk:
             for n in range(5):
                 enumerate_structures(Name("A"), env, range(1, n + 1),
                                      walk=walk)
         egf_of(Name("A"), env, order=9)
+        egf_of(Name("Z"), parse_defs("Z = X*E(Z)\n"), order=9)
         egf_of(parse_expr("A*B"), env, order=3)
-        assert decided == [["A"], ["B"]]
+        assert decided == [["A"], ["A", "B"]]
+
+    @pytest.mark.parametrize("relation, counts, size", [
+        ("==", [0, 1, 0, 0, 0, 0], 10**5),
+        (">=", [0, 1, 0, 0, 0, 0], 10**5),
+        ("<=", [0, 1, 2, 6, 24, 120], 0),
+    ])
+    def test_a_large_restriction_bound_is_decided_at_once(self, relation,
+                                                          counts, size):
+        # F = X + X*restrict(F) reads F one size down; F = X + restrict(F)
+        # reads itself where the restriction admits its size.
+        x, f = Primitive(PrimitiveKind.SINGLETON), Name("F")
+        started = time.perf_counter()
+        env = Environment({"F": Sum(x, Product(
+            x, RestrictCard(f, relation, 10**5)))})
+        assert egf_of(f, env, order=5).counts() == counts
+        env = Environment({"F": Sum(x, RestrictCard(f, relation, 10**5))})
+        with pytest.raises(IllFoundedEquation, match=(
+                f"admits more than one fixed point: .* count at size {size} "
+                "depends on itself")):
+            egf_of(f, env, order=5)
+        assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("defs", ["F = F", "F = E*F", "F = 1 + F"])
     def test_refused_before_any_kernel_runs(self, defs):
