@@ -191,12 +191,15 @@ def _time_limit(seconds):
 
 def outcomes(system, orders, seconds=None, name="F"):
     """name's counts at each order, or the class name of what egf_of
-    raises; TIMEOUT at each order left when the time limit expires."""
+    raises; TIMEOUT at each order left when the time limit expires.  The
+    decisions kept from earlier calls are dropped before each call, so that
+    every order and every renaming is decided afresh."""
     env = Environment(system)
     out = []
     try:
         with _time_limit(seconds):
             for order in orders:
+                semantics._WELL_FOUNDED.clear()
                 try:
                     out.append(egf_of(Name(name), env, order=order).counts())
                 except (_Timeout, MemoryError):
