@@ -32,9 +32,9 @@ complement and graphs their isolated vertices — which is what transport
 needs to check domains: a public constructor keeps the frozenset its checks
 compute, and a bulk builder gives its terms the one set _SETS holds.
 
-The tables of label codes (_CODES) and of label sets (_SETS) keep entries
-only while a walk (enumerator._Walk) is open; the last open walk to close
-empties them.
+The tables of label codes (_CODES), of run texts (_RUN_CODES and
+_RUN_TEXTS) and of label sets (_SETS) keep entries only while a walk
+(enumerator._Walk) is open; the last open walk to close empties them.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
@@ -137,7 +137,7 @@ class _Codes(dict):
     is open (_OPEN_WALKS): outside one every label is quoted anew, so a
     float written after the int it equals still writes itself.  A block is
     not kept here but keeps its own (Block.quoted), so the table never
-    keeps a block alive."""
+    keeps a block alive.  The run tables (_Runs) keep to the same rules."""
 
     __slots__ = ()
 
@@ -165,9 +165,42 @@ _CODE = _CODES.__getitem__
 #: alive until the last open walk closes.
 _SETS = {}
 
-#: One entry per open walk: _CODES and _SETS keep entries only while it is
-#: nonempty.  list.append and list.pop are atomic, so walks in several
-#: threads keep the count right without a lock.
+
+class _Runs(dict):
+    """run -> its JSON list text, each label written as its code and sep
+    between them, for a run (a tuple of labels: a map's or graph's pair,
+    a partition's block) when it is first written.  A listing writes the
+    same few runs in many terms: every partition on 8 labels holds some
+    of the 255 blocks, every map on 7 some of the 49 pairs.  Like _CODES,
+    a run is kept only while a walk is open and only when each of its
+    labels is exactly an int or a str, so a run holding a bool or a float
+    never takes the text of the run of ints it equals, and no block is
+    kept alive."""
+
+    __slots__ = ("sep",)
+
+    def __init__(self, sep):
+        super().__init__()
+        self.sep = sep
+
+    def __missing__(self, run):
+        found = "[" + self.sep.join(map(_CODE, run)) + "]"
+        if _OPEN_WALKS and all(type(x) is int or type(x) is str for x in run):
+            self[run] = found
+        return found
+
+
+#: The run tables of encode() and of `enumerate --json`, which differ in
+#: their separator.  Each only ever maps a run to its own text, so threads
+#: share them as they share _CODES.
+_RUN_CODES = _Runs(",")
+_RUN_TEXTS = _Runs(", ")
+
+
+#: One entry per open walk: _CODES, _RUN_CODES, _RUN_TEXTS and _SETS keep
+#: entries only while it is nonempty.  list.append and list.pop are
+#: atomic, so walks in several threads keep the count right without a
+#: lock.
 _OPEN_WALKS = []
 
 
@@ -176,10 +209,13 @@ def _open_walk():
 
 
 def _close_walk():
-    """Close one walk; the last to close empties the label tables."""
+    """Close one walk; the last to close empties the label, run and set
+    tables."""
     _OPEN_WALKS.pop()
     if not _OPEN_WALKS:
         _CODES.clear()
+        _RUN_CODES.clear()
+        _RUN_TEXTS.clear()
         _SETS.clear()
 
 
@@ -492,8 +528,10 @@ def decode_structure(obj):
 # `enumerate --json`, listing and encode() call once per term, are compiled
 # from it, for all classes in one compile() call when the module is
 # loaded: f-strings with the literal JSON text around each field fixed
-# then, and every label written as its code from the one table of label
-# codes.  No writer builds a to_json() tree.
+# then, every label written as its code from the one table of label codes,
+# and every list of pairs or blocks from the run table of its separator
+# (_RUN_CODES for encode(), _RUN_TEXTS for --json).  No writer builds a
+# to_json() tree.
 
 
 class _FieldKind:
@@ -516,15 +554,28 @@ class _FieldKind:
         self.part, self.splice = part, splice
 
 
-def _pair_list(pairs, sep):
-    """A pair list as JSON text, with sep between items."""
-    items = [f"[{_CODE(a)}{sep}{_CODE(b)}]" for a, b in pairs]
+def _pair_list(pairs, runs):
+    """A pair list as JSON text, each pair read from runs, a run table,
+    while a walk is open.  Outside one, where the table is empty, and for
+    pairs of blocks, which a substitution's outer term holds, each pair is
+    written afresh, as _block_list writes blocks: a lookup that always
+    misses, or hashes blocks, costs more than writing the codes."""
+    sep = runs.sep
+    if _OPEN_WALKS and pairs and type(pairs[0][0]) is not Block:
+        items = map(runs.__getitem__, pairs)
+    else:
+        items = [f"[{_CODE(a)}{sep}{_CODE(b)}]" for a, b in pairs]
     return "[" + sep.join(items) + "]"
 
 
-def _block_list(blocks, sep):
-    """A list of label lists as JSON text, with sep between items."""
-    items = ["[" + sep.join(map(_CODE, b)) + "]" for b in blocks]
+def _block_list(blocks, runs):
+    """A list of label lists as JSON text, each read from runs as in
+    _pair_list."""
+    sep = runs.sep
+    if _OPEN_WALKS and blocks and type(blocks[0][0]) is not Block:
+        items = map(runs.__getitem__, blocks)
+    else:
+        items = ["[" + sep.join(map(_CODE, b)) + "]" for b in blocks]
     return "[" + sep.join(items) + "]"
 
 
@@ -545,14 +596,15 @@ _PAIRS = _FieldKind(
     lambda v: [(string_to_label(a), string_to_label(b)) for a, b in _pairs(v)],
     lambda v: [[label_to_string(a), label_to_string(b)] for a, b in v],
     lambda v, f: [(f(a), f(b)) for a, b in v],
-    code='{_pair_list(@, ",")}', text='{_pair_list(@, ", ")}',
+    code="{_pair_list(@, _RUN_CODES)}", text="{_pair_list(@, _RUN_TEXTS)}",
 )
 _BLOCKS = _FieldKind(
     list,
     lambda v: [_decode_labels(b) for b in v],
     lambda v: [_labels_json(b) for b in v],
     lambda v, f: [[f(x) for x in b] for b in v],
-    code='{_block_list(@, ",")}', text='{_block_list(@, ", ")}',
+    code="{_block_list(@, _RUN_CODES)}",
+    text="{_block_list(@, _RUN_TEXTS)}",
 )
 #: A child's text: its kept text, or its own _text(kept) when none is kept.
 _CHILD_TEXT = "{(kept.get(id(@)) or @._text(kept))}"

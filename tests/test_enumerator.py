@@ -756,6 +756,12 @@ def _dumped(structures):
     return json.dumps([s.to_json() for s in structures]) + "\n"
 
 
+def _tables_empty():
+    """True when the label, run and set tables hold nothing."""
+    return not (structures._CODES or structures._RUN_CODES
+                or structures._RUN_TEXTS or structures._SETS)
+
+
 class _Digest:
     """A stdout that keeps only the sha256 of what is written to it."""
 
@@ -813,6 +819,30 @@ class TestJsonListing:
 
     def test_empty_listing(self):
         assert _cli_stdout(["enumerate", "0", "2", "--json"]) == (0, "[]\n")
+
+    @pytest.mark.parametrize("arg", ["1,2,10", "a,2,b10", "é,1,b"])
+    @pytest.mark.parametrize(
+        "text", ["S", "Der", "End", "Inv", "S'", "Part", "Gra", "Gro"]
+    )
+    def test_pairs_and_blocks_from_the_run_tables(self, text, arg):
+        """Maps, graphs, digraphs and partitions write their pairs and
+        blocks from the walk's run tables: the listing is json.dumps's
+        bytes in strictly increasing encode() order, and every term,
+        written again once the walk has closed and its tables are empty,
+        writes the same texts."""
+        code, out = _cli_stdout(["enumerate", text, arg, "--json"])
+        assert code == 0
+        got = enumerate_structures(parse_expr(text), None,
+                                   cli._parse_labels(arg))
+        assert out == _dumped(got)
+        assert _tables_empty()
+        codes = [term.encode() for term in got]
+        assert all(map(str.__lt__, codes, codes[1:]))
+        assert codes == [
+            json.dumps(term.to_json(), separators=(",", ":"), sort_keys=True)
+            for term in got
+        ]
+        assert out == "[" + ", ".join(term._text({}) for term in got) + "]\n"
 
     @pytest.mark.parametrize("kind", sorted(_B5_DIGESTS))
     def test_each_subterm_is_written_once(self, kind, tmp_path, monkeypatch):
@@ -1131,30 +1161,33 @@ class TestCollectorPause:
         env = parse_defs("A = X*E(A)\n")
         with pytest.raises(ValueError, match="mid-walk"):
             with enumerator._Walk(env=env) as walk:
-                got = enumerate_structures(parse_expr("E(C) + A"), env,
-                                           [1, 2, "a"], walk=walk)
+                got = enumerate_structures(parse_expr("E(C) + A + Part"),
+                                           env, [1, 2, "a"], walk=walk)
                 assert got and walk.memo
                 assert structures._CODES and structures._SETS
+                assert structures._RUN_CODES
                 assert not gc.isenabled()
                 raise ValueError("mid-walk")
         assert not walk.memo
-        assert not structures._CODES and not structures._SETS
+        assert _tables_empty()
         assert gc.isenabled() == collecting
 
     def test_closing_an_inner_walk_keeps_the_outer_tables(self):
         gc.enable()
         with enumerator._Walk() as outer:
-            assert enumerate_structures(parse_expr("E(C)"), None, [1, 2, 3],
-                                        walk=outer)
+            assert enumerate_structures(parse_expr("E(C) + Part"), None,
+                                        [1, 2, 3], walk=outer)
             codes, sets = dict(structures._CODES), dict(structures._SETS)
-            assert codes and sets
+            runs = dict(structures._RUN_CODES)
+            assert codes and sets and runs
             # A call with no walk opens and closes a fresh one.
-            assert enumerate_structures(parse_expr("L"), None, [4, 5])
+            assert enumerate_structures(parse_expr("L + S"), None, [4, 5])
             assert codes.items() <= structures._CODES.items()
+            assert runs.items() <= structures._RUN_CODES.items()
             assert all(structures._SETS[s] is s for s in sets)
             assert outer.memo
             assert not gc.isenabled()
-        assert not structures._CODES and not structures._SETS
+        assert _tables_empty()
         assert gc.isenabled()
 
     def test_walks_in_several_threads_close_the_tables(self):
@@ -1184,7 +1217,7 @@ class TestCollectorPause:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 40
-        assert not structures._CODES and not structures._SETS
+        assert _tables_empty()
         assert gc.isenabled()
 
     def test_the_walk_leaves_no_reference_cycles(self):

@@ -850,10 +850,21 @@ def test_a_tuple_in_canonical_order_is_kept_as_given():
 
 # -- the label tables ------------------------------------------------------
 
+def _tables_empty():
+    """True when the label, run and set tables hold nothing."""
+    return not (structures._CODES or structures._RUN_CODES
+                or structures._RUN_TEXTS or structures._SETS)
+
+
+def _runs_kept():
+    """Every run the two run tables keep."""
+    return [*structures._RUN_CODES, *structures._RUN_TEXTS]
+
+
 def test_the_label_tables_are_empty_after_a_listing():
-    found = enumerate_structures(parse_expr("E(C) + S"), None,
+    found = enumerate_structures(parse_expr("E(C) + S + Part"), None,
                                  [9, 10, "a"])
-    assert found and not structures._CODES and not structures._SETS
+    assert found and _tables_empty()
 
 
 def test_the_label_tables_stay_empty_outside_a_walk():
@@ -867,7 +878,11 @@ def test_the_label_tables_stay_empty_outside_a_walk():
     moved = transport(None, None, SetTerm([1, 2]),
                       Bijection({1: "b", 2: "c"}))
     assert moved.encode() == '{"kind":"set","labels":["b","c"]}'
-    assert not structures._CODES and not structures._SETS
+    for term in (MapTerm([(1, 2), (2, 1)]), PartitionTerm([[1, "a"], [2]]),
+                 DigraphTerm([1, 2], [(1, 2), (2, 2)])):
+        term.encode()
+        _dumped(term)
+    assert _tables_empty()
 
 
 def test_the_code_table_keeps_no_block_alive():
@@ -877,9 +892,22 @@ def test_the_code_table_keeps_no_block_alive():
         SetTerm([Block([2]), block]).encode()
         PartitionTerm([[block, 3]]).encode()
         CycleTerm([block, Block([0])]).encode()
+        # A map and a partition on blocks, and runs that mix a block with
+        # an int, in both run tables.
+        for term in (
+            MapTerm([(block, Block([0])), (Block([0]), block)]),
+            PartitionTerm([[block], [Block([0]), Block([5])]]),
+            PartitionTerm([[block, 3], [4]]),
+            MapTerm([(3, 3), (block, 3)]),
+        ):
+            term.encode()
+            _dumped(term)
         assert structures._CODES
         assert all(type(label) in (int, str) for label in structures._CODES)
-        del block
+        assert _runs_kept() and all(
+            type(label) in (int, str) for run in _runs_kept() for label in run
+        )
+        del block, term
         assert alive() is None
 
 
@@ -904,6 +932,32 @@ def test_a_bool_label_leaves_no_code_for_its_int_twin():
             '{"kind":"list","labels":["1","2"]}',
             '{"kind":"list","labels":["2","1"]}',
         ]
+
+
+@pytest.mark.parametrize("twin", [True, 1.0])
+def test_a_bool_or_float_run_leaves_no_text_for_its_int_twin(twin):
+    """(True, 2) and (1.0, 2) equal (1, 2), but the run tables of an open
+    walk keep no run holding them, so maps and partitions listed on 1 and
+    2 in that walk write 1 as itself, in encode() order."""
+    with _Walk():
+        for term in (MapTerm([(twin, 2), (2, twin)]),
+                     PartitionTerm([[twin, 2]]),
+                     PartitionTerm([[twin], [2]])):
+            term.encode()
+            _dumped(term)
+        assert all(type(label) in (int, str)
+                   for run in _runs_kept() for label in run)
+        maps = enumerate_structures(parse_expr("S"), None, [1, 2])
+        parts = enumerate_structures(parse_expr("Part"), None, [1, 2])
+        assert [term.encode() for term in maps + parts] == [
+            '{"kind":"map","pairs":[["1","1"],["2","2"]]}',
+            '{"kind":"map","pairs":[["1","2"],["2","1"]]}',
+            '{"blocks":[["1","2"]],"kind":"partition"}',
+            '{"blocks":[["1"],["2"]],"kind":"partition"}',
+        ]
+        for term in maps + parts:
+            assert _dumped(term) == json.dumps(term.to_json())
+    assert _tables_empty()
 
 
 def test_a_float_label_leaves_no_code_for_its_int_twin():
@@ -948,7 +1002,7 @@ class TestSharedLabelSets:
         env = parse_defs("A = X*E(A)\nB = 1 + X*B^2\n")
         found = enumerate_structures(parse_expr(text), env, labels)
         assert found
-        assert not structures._SETS
+        assert _tables_empty()
         kept = {}
         for term in found:
             for sub in _subterms(term):
@@ -973,7 +1027,7 @@ class TestSharedLabelSets:
                 else:
                     fresh = decode_structure(sub.to_json())
                     assert sub.labels() == fresh.labels()
-        assert not structures._SETS
+        assert _tables_empty()
 
 
 # -- public constructors refusing what listings check once ----------------
