@@ -425,11 +425,8 @@ def _read(argv):
     return SimpleNamespace(**args)
 
 
-def _build_parser(command=None):
-    """The argparse parser of _COMMANDS: with command, a subcommand name,
-    the top parser with that one subparser, else with all of them.  The
-    one-subcommand parser names every subcommand in its usage, as the full
-    one does, so its messages are the same.  argparse is imported here, so
+def _build_parser():
+    """The argparse parser of _COMMANDS.  argparse is imported here, so
     that a process whose line _read reads never imports it."""
     import argparse
 
@@ -437,20 +434,17 @@ def _build_parser(command=None):
         prog="species",
         description="Count, list, and relabel the structures of a species expression.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, positionals, options, run) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for dest, optional, help_ in positionals:
-                p.add_argument(dest, nargs="?" if optional else None,
-                               help=help_)
-            for spelling, dest, action, convert, default, meta, help_ in options:
-                typed = {} if action == "store_true" else {
-                    "type": convert, "metavar": meta}
-                p.add_argument(spelling, dest=dest, action=action,
-                               default=default, help=help_, **typed)
-            p.set_defaults(func=run)
+        p = sub.add_parser(name, help=help_text)
+        for dest, optional, help_ in positionals:
+            p.add_argument(dest, nargs="?" if optional else None, help=help_)
+        for spelling, dest, action, convert, default, meta, help_ in options:
+            typed = {} if action == "store_true" else {
+                "type": convert, "metavar": meta}
+            p.add_argument(spelling, dest=dest, action=action,
+                           default=default, help=help_, **typed)
+        p.set_defaults(func=run)
     return parser
 
 
@@ -458,9 +452,7 @@ def main(argv=None):
     """Run one command line and return its exit code.  A well-formed line
     is read straight from the argument table (_read) and builds no parser.
     Any other line (help, a usage error, a spelling only argparse reads)
-    goes to argparse, with the subparser of the subcommand named first or,
-    for any other first word (an option, an unknown name, nothing), the
-    full parser and its messages.
+    goes to the argparse parser (_build_parser).
 
     Exact counts print in full however many digits they have: CPython's
     limit on converting integers to text (4 300 digits by default) is
@@ -484,9 +476,8 @@ def _main(argv):
         # its bound with BudgetExceeded, exit 3 like any other bound.
         args = _read(argv)
         if args is None:
-            command = argv[0] if argv and argv[0] in _COMMANDS else None
             try:
-                args = _build_parser(command).parse_args(argv)
+                args = _build_parser().parse_args(argv)
             except SystemExit as exc:
                 # argparse exits 2 on usage errors; fold that into the
                 # parse-failure code so 2 stays reserved for count

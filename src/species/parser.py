@@ -74,6 +74,21 @@ def _tokenize(text):
     return out
 
 
+def _named(ident, pos, hint):
+    """The node ident names without a [k] parameter: a primitive or a
+    Name.  A parametric kind is refused at pos, hint ending the message."""
+    kind = TOKEN_TO_KIND.get(ident)
+    if kind is None:
+        return Name(ident)
+    if kind in PARAMETRIC:
+        raise ParseError(
+            f"'{ident}' needs its parameter{hint}",
+            position=pos,
+            expected=("'['",),
+        )
+    return _PRIMITIVES[kind]
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -195,7 +210,8 @@ class _Parser:
             return node
         if self.accept_sym("("):
             inner = self.bracketed("a substitution argument")
-            node = Substitute(self._callee(ident, pos), inner)
+            callee = _named(ident, pos, " before an argument")
+            node = Substitute(callee, inner)
             self.nested(node.height)
             return node
         if self.accept_sym("["):
@@ -209,29 +225,7 @@ class _Parser:
                     expected=("Pk", "Ek"),
                 )
             return Primitive(kind, k)
-        kind = TOKEN_TO_KIND.get(ident)
-        if kind is not None:
-            if kind in PARAMETRIC:
-                raise ParseError(
-                    f"'{ident}' needs its parameter, e.g. {ident}[2]",
-                    position=pos,
-                    expected=("'['",),
-                )
-            return _PRIMITIVES[kind]
-        return Name(ident)
-
-    @staticmethod
-    def _callee(ident, pos):
-        kind = TOKEN_TO_KIND.get(ident)
-        if kind is None:
-            return Name(ident)
-        if kind in PARAMETRIC:
-            raise ParseError(
-                f"'{ident}' needs its parameter before an argument",
-                position=pos,
-                expected=("'['",),
-            )
-        return _PRIMITIVES[kind]
+        return _named(ident, pos, f", e.g. {ident}[2]")
 
     def finish(self, node):
         kind, value, pos = self.tokens[self.at]

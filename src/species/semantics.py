@@ -344,8 +344,9 @@ def _shape(expr, met, places):
                          for v in expr._values)
 
 
-# The shapes (_shape) of the systems found well-founded: a decision reads
-# the equations alone, so it holds in every env, under any names.
+# The shapes (_shape) of the systems found well-founded, the one record of
+# a decision: a decision reads the equations alone, so it holds in every
+# env, under any names.
 _WELL_FOUNDED = set()
 
 
@@ -394,7 +395,6 @@ class _Evaluator:
         self.overlay = {}
         self.horizon = 0
         self.compiled = {}
-        self.decided = set()
 
     def eval(self, expr, order):
         try:
@@ -407,9 +407,10 @@ class _Evaluator:
 
     def _resolve_names(self, expr, order):
         """Resolve every name expr reaches, deep enough to evaluate expr
-        to order.  Each recursive component not yet found well-founded is
-        decided from its equations first (_decide), all of them before any
-        series is built; then, definitions first, each acyclic name is
+        to order.  Its recursive components are decided from their
+        equations first (_decide), all of them before any series is built,
+        unless a system of the same shape was found well-founded before
+        (_WELL_FOUNDED); then, definitions first, each acyclic name is
         evaluated and each recursive component solved for its least fixed
         point (solve_system), through the order its users need plus the
         reach its derivatives ask for."""
@@ -426,8 +427,8 @@ class _Evaluator:
             todo.extend(edges[name])
 
         components = _sccs(set(edges), edges)
-        cycles = [comp for comp in components if comp[0] not in self.decided
-                  and (len(comp) > 1 or comp[0] in edges[comp[0]])]
+        cycles = [comp for comp in components
+                  if len(comp) > 1 or comp[0] in edges[comp[0]]]
         if cycles:
             # The definitions reached, as equal systems share them.
             met = list(seeds)
@@ -438,7 +439,6 @@ class _Evaluator:
                 if len(_WELL_FOUNDED) >= 4096:
                     _WELL_FOUNDED.clear()
                 _WELL_FOUNDED.add(shape)
-            self.decided.update(name for comp in cycles for name in comp)
 
         # Orders needed, flowing from use sites down to definitions: a
         # cycle reads the names outside it through its reach.

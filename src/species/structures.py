@@ -166,10 +166,16 @@ _CODE = _CODES.__getitem__
 _SETS = {}
 
 
+def _label_list(labels, sep):
+    """A list of labels as JSON text: each label written as its code, sep
+    between them."""
+    return "[" + sep.join(map(_CODE, labels)) + "]"
+
+
 class _Runs(dict):
-    """run -> its JSON list text, each label written as its code and sep
-    between them, for a run (a tuple of labels: a map's or graph's pair,
-    a partition's block) when it is first written.  A listing writes the
+    """run -> _label_list(run, sep), for a run (a tuple of labels: a map's
+    or graph's pair, a partition's block) when it is first written;
+    _run_list writes a term's list of runs from it.  A listing writes the
     same few runs in many terms: every partition on 8 labels holds some
     of the 255 blocks, every map on 7 some of the 49 pairs.  Like _CODES,
     a run is kept only while a walk is open and only when each of its
@@ -184,7 +190,7 @@ class _Runs(dict):
         self.sep = sep
 
     def __missing__(self, run):
-        found = "[" + self.sep.join(map(_CODE, run)) + "]"
+        found = _label_list(run, self.sep)
         if _OPEN_WALKS and all(type(x) is int or type(x) is str for x in run):
             self[run] = found
         return found
@@ -403,14 +409,14 @@ class Block:
         self._hash = hash(("Block", ms))
 
     def token(self):
-        return "{" + ",".join(label_to_string(m) for m in self.members) + "}"
+        return _brace(self.members)
 
     def code(self):
         """The member list as encode() writes it in a substitution term."""
         try:
             return self._code
         except AttributeError:
-            self._code = found = "[" + ",".join(map(_CODE, self.members)) + "]"
+            self._code = found = _label_list(self.members, ",")
             return found
 
     def text(self):
@@ -418,9 +424,7 @@ class Block:
         try:
             return self._text
         except AttributeError:
-            self._text = found = (
-                "[" + ", ".join(map(_CODE, self.members)) + "]"
-            )
+            self._text = found = _label_list(self.members, ", ")
             return found
 
     def quoted(self):
@@ -554,28 +558,18 @@ class _FieldKind:
         self.part, self.splice = part, splice
 
 
-def _pair_list(pairs, runs):
-    """A pair list as JSON text, each pair read from runs, a run table,
-    while a walk is open.  Outside one, where the table is empty, and for
-    pairs of blocks, which a substitution's outer term holds, each pair is
-    written afresh, as _block_list writes blocks: a lookup that always
-    misses, or hashes blocks, costs more than writing the codes."""
-    sep = runs.sep
-    if _OPEN_WALKS and pairs and type(pairs[0][0]) is not Block:
-        items = map(runs.__getitem__, pairs)
+def _run_list(runs, table):
+    """A list of runs (a map's or graph's pairs, a partition's blocks) as
+    JSON text, each run read from table, a run table, while a walk is
+    open.  Outside one, where the table is empty, and for runs of blocks,
+    which a substitution's outer term holds, each run is written afresh: a
+    lookup that always misses, or hashes blocks, costs more than writing
+    the codes."""
+    sep = table.sep
+    if _OPEN_WALKS and runs and type(runs[0][0]) is not Block:
+        items = map(table.__getitem__, runs)
     else:
-        items = [f"[{_CODE(a)}{sep}{_CODE(b)}]" for a, b in pairs]
-    return "[" + sep.join(items) + "]"
-
-
-def _block_list(blocks, runs):
-    """A list of label lists as JSON text, each read from runs as in
-    _pair_list."""
-    sep = runs.sep
-    if _OPEN_WALKS and blocks and type(blocks[0][0]) is not Block:
-        items = map(runs.__getitem__, blocks)
-    else:
-        items = ["[" + sep.join(map(_CODE, b)) + "]" for b in blocks]
+        items = [_label_list(run, sep) for run in runs]
     return "[" + sep.join(items) + "]"
 
 
@@ -596,15 +590,14 @@ _PAIRS = _FieldKind(
     lambda v: [(string_to_label(a), string_to_label(b)) for a, b in _pairs(v)],
     lambda v: [[label_to_string(a), label_to_string(b)] for a, b in v],
     lambda v, f: [(f(a), f(b)) for a, b in v],
-    code="{_pair_list(@, _RUN_CODES)}", text="{_pair_list(@, _RUN_TEXTS)}",
+    code="{_run_list(@, _RUN_CODES)}", text="{_run_list(@, _RUN_TEXTS)}",
 )
 _BLOCKS = _FieldKind(
     list,
     lambda v: [_decode_labels(b) for b in v],
     lambda v: [_labels_json(b) for b in v],
     lambda v, f: [[f(x) for x in b] for b in v],
-    code="{_block_list(@, _RUN_CODES)}",
-    text="{_block_list(@, _RUN_TEXTS)}",
+    code="{_run_list(@, _RUN_CODES)}", text="{_run_list(@, _RUN_TEXTS)}",
 )
 #: A child's text: its kept text, or its own _text(kept) when none is kept.
 _CHILD_TEXT = "{(kept.get(id(@)) or @._text(kept))}"

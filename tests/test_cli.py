@@ -492,8 +492,8 @@ def _captured(call, argv):
 
 
 class TestOneSubcommandParser:
-    """main builds only the subparser of the subcommand it runs; its exit
-    codes, output and messages are those of the full parser."""
+    """A line that main leaves to argparse (help, a usage error) prints
+    the argparse parser's output and messages, its usage error exiting 1."""
 
     @pytest.mark.parametrize("argv, code", [
         ([], 1),
@@ -520,12 +520,6 @@ class TestOneSubcommandParser:
         assert code == 0
         assert out.startswith("usage: species count [-h] ")
         assert "--defs FILE" in out and "--json" in out
-
-    def test_only_the_named_subparser_is_built(self):
-        sub = cli._build_parser("series")._subparsers._group_actions[0]
-        assert list(sub.choices) == ["series"]
-        full = cli._build_parser()._subparsers._group_actions[0]
-        assert list(full.choices) == list(cli._COMMANDS)
 
 
 class TestCollectorAroundTheListing:
@@ -1039,7 +1033,7 @@ class TestDirectReader:
         assert cli._read(["verify", "--case", "a"]).case == ["a"]
 
 
-def _refuse_to_build(command=None):
+def _refuse_to_build():
     raise AssertionError("a well-formed line built a parser")
 
 

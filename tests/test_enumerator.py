@@ -69,6 +69,7 @@ from species.structures import (
     decode_structure,
 )
 
+from internals import _joined, _tables_empty
 from oracles import subfactorial
 from strategies import grammar_exprs
 
@@ -582,11 +583,6 @@ _ORDER_LABELS = st.lists(
 )
 
 
-def _joined(term):
-    """A term's sort parts with every child key joined back into text."""
-    return "".join(term._sort_parts(_joined))
-
-
 def _assert_in_encode_order(got):
     assert got == sorted(got, key=lambda s: s.encode())
     for s in got:
@@ -756,12 +752,6 @@ def _dumped(structures):
     return json.dumps([s.to_json() for s in structures]) + "\n"
 
 
-def _tables_empty():
-    """True when the label, run and set tables hold nothing."""
-    return not (structures._CODES or structures._RUN_CODES
-                or structures._RUN_TEXTS or structures._SETS)
-
-
 class _Digest:
     """A stdout that keeps only the sha256 of what is written to it."""
 
@@ -843,6 +833,23 @@ class TestJsonListing:
             for term in got
         ]
         assert out == "[" + ", ".join(term._text({}) for term in got) + "]\n"
+
+    @pytest.mark.parametrize("text, size, count", [
+        ("Part(C)", 4, 73), ("Gra(Ep)", 3, 15), ("Gro(X)", 2, 16),
+    ])
+    def test_runs_of_blocks_written_afresh(self, text, size, count):
+        """A partition, graph or digraph on blocks, the outer term of a
+        substitution, writes its blocks and pairs of blocks afresh inside
+        the listing's walk: json.dumps's bytes, in strictly increasing
+        encode() order."""
+        code, out = _cli_stdout(["enumerate", text, str(size), "--json"])
+        assert code == 0
+        got = enumerate_structures(parse_expr(text), None,
+                                   range(1, size + 1))
+        assert len(got) == count
+        assert out == _dumped(got)
+        codes = [term.encode() for term in got]
+        assert all(map(str.__lt__, codes, codes[1:]))
 
     @pytest.mark.parametrize("kind", sorted(_B5_DIGESTS))
     def test_each_subterm_is_written_once(self, kind, tmp_path, monkeypatch):
@@ -1736,10 +1743,10 @@ class TestSharedWalk:
         with enumerator._Walk(env=env) as walk:
             small = enumerate_structures(b, env, [1, 2], walk=walk)
             large = enumerate_structures(b, env, range(1, 7), walk=walk)
-        assert _encodings(small) == _encodings(
-            enumerate_structures(b, env, [1, 2]))
-        assert _encodings(large) == _encodings(
-            enumerate_structures(b, env, range(1, 7)))
+        # Canonical terms are equal exactly when their encodings are, and
+        # comparing 95 040 trees takes a fraction of encoding them.
+        assert small == enumerate_structures(b, env, [1, 2])
+        assert large == enumerate_structures(b, env, range(1, 7))
         assert len(large) == egf_of(b, env, order=6).count(6)
 
 

@@ -96,6 +96,20 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_expr(bad)
 
+    @pytest.mark.parametrize("bad, message, position", [
+        ("Ek", "'Ek' needs its parameter, e.g. Ek[2]", 0),
+        ("Ek(X)", "'Ek' needs its parameter before an argument", 0),
+        ("X + Pk", "'Pk' needs its parameter, e.g. Pk[2]", 4),
+        ("Pk(E)", "'Pk' needs its parameter before an argument", 0),
+    ])
+    def test_a_parametric_kind_without_its_parameter(self, bad, message,
+                                                     position):
+        with pytest.raises(ParseError) as info:
+            parse_expr(bad)
+        assert info.value.message == message
+        assert info.value.position == position
+        assert info.value.expected == ("'['",)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as info:
             parse_expr("X + )")

@@ -38,6 +38,8 @@ from species.structures import (
     string_to_label,
 )
 
+from internals import _joined, _tables_empty
+
 # Labels mix integers with strings that JSON escapes (the quote, e acute).
 TERMS = {
     "set": SetTerm([1, "a", 'q"']),
@@ -99,11 +101,6 @@ MOVE = {1: "b", 2: 'q"', 10: 1, "a": 10, "b": 2, 'q"': "é",
 
 # JSON keys whose values are not labels.
 NOT_LABELS = {"kind", "side", "name"}
-
-
-def _joined(term):
-    """A term's sort parts with every child key joined back into text."""
-    return "".join(term._sort_parts(_joined))
 
 
 def _dumped(term):
@@ -849,12 +846,6 @@ def test_a_tuple_in_canonical_order_is_kept_as_given():
 
 
 # -- the label tables ------------------------------------------------------
-
-def _tables_empty():
-    """True when the label, run and set tables hold nothing."""
-    return not (structures._CODES or structures._RUN_CODES
-                or structures._RUN_TEXTS or structures._SETS)
-
 
 def _runs_kept():
     """Every run the two run tables keep."""
