@@ -28,9 +28,11 @@ options spelled in full) is read straight from one argument table,
 _COMMANDS.  Everything else (help, usage errors, abbreviations,
 --opt=value, --) goes to an argparse parser built from the same table,
 with the same output and exit codes, so argparse is imported only then.
+Likewise this module imports json only in verify and transport: the
+--json lines of count, series and solve hold integers and "p/q" texts,
+which need no escaping, and are written directly, in json.dumps's bytes.
 """
 
-import json
 import os
 import re
 import sys
@@ -171,12 +173,10 @@ def _print_series(series, as_json):
     counts = [_checked_count(series, n) for n in range(series.order + 1)]
     coefficients = _coefficient_texts(counts)
     if as_json:
-        payload = {
-            "order": series.order,
-            "counts": counts,
-            "coefficients": coefficients,
-        }
-        print(json.dumps(payload))
+        listed = ", ".join(map(str, counts))
+        quoted = '", "'.join(coefficients)
+        print(f'{{"order": {series.order}, "counts": [{listed}], '
+              f'"coefficients": ["{quoted}"]}}')
     else:
         for n, value in enumerate(counts):
             print(n, value, coefficients[n])
@@ -189,7 +189,7 @@ def _cmd_count(args):
     n = len(labels)
     value = _checked_count(egf_of(expr, env, order=n), n)
     if args.json:
-        print(json.dumps({"n": n, "count": value}))
+        print(f'{{"n": {n}, "count": {value}}}')
     else:
         print(value)
     return 0
@@ -259,6 +259,8 @@ def _cmd_transport(args):
     expr = parse_expr(args.expr)
     bijection = _parse_bijection(args.bijection)
     text = args.structure if args.structure is not None else sys.stdin.read()
+    import json
+
     try:
         obj = json.loads(text)
     except ValueError as exc:
@@ -295,6 +297,8 @@ def _cmd_verify(args):
     reports = run_suite(order=args.order, names=names, extra_env=env)
     ok = all(r.passed for r in reports)
     if args.json:
+        import json
+
         payload = {
             "note": SUITE_NOTE,
             "ok": ok,

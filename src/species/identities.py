@@ -29,7 +29,6 @@ attempts to exhibit a natural isomorphism between the two sides, and the
 report header says so.
 """
 
-from fractions import Fraction
 from math import comb, factorial
 
 from .enumerator import _Walk, enumerate_structures
@@ -311,6 +310,8 @@ def verify_enumerative(case, max_n=None):
 
 
 def _alternating_count(n):
+    from fractions import Fraction
+
     total = sum(Fraction((-1) ** k, factorial(k)) for k in range(n + 1))
     return int(factorial(n) * total)
 

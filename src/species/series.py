@@ -39,9 +39,15 @@ products, because C(n, k) = C(n, n - k).
 solve_system computes the least fixed point of a recursive system by one
 run from zero; whether the system determines its unknowns is decided from
 its equations before (semantics).
+
+The fractions module is loaded only where a Fraction is made: for a count
+that is not integral, and by the Fraction API (from_coefficients,
+coefficient).  A series of integer counts never loads it, so no count,
+series or solve call of the CLI does; a scalar operand is recognised
+without it (_scalar).
 """
 
-from fractions import Fraction
+import sys
 from itertools import compress, count
 from math import factorial
 from operator import add, ne, sub
@@ -64,6 +70,8 @@ def _integral(c):
     """c as an int when it is integral; a non-integral Fraction as is."""
     if type(c) is int:
         return c
+    from fractions import Fraction
+
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -74,7 +82,19 @@ def _quotient(a, b):
         q, r = divmod(a, b)
         if not r:
             return q
+    from fractions import Fraction
+
     return _integral(Fraction(a) / b)
+
+
+def _scalar(x):
+    """Whether x is a number a series is lifted from, multiplied or divided
+    by: an int or a Fraction.  No Fraction exists before the fractions
+    module is loaded, so the check never loads it."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 # Rows 0 .. N of Pascal's triangle, _PASCAL[n][k] = C(n, k), grown on demand
@@ -285,6 +305,8 @@ class CountSeries:
     @classmethod
     def from_coefficients(cls, coefficients):
         """Build a series from ordinary coefficients, i.e. f_n = n! * a_n."""
+        from fractions import Fraction
+
         return cls(Fraction(a) * factorial(n) for n, a in enumerate(coefficients))
 
     @classmethod
@@ -323,6 +345,8 @@ class CountSeries:
 
     def coefficient(self, n):
         """The ordinary coefficient a_n = f_n / n!, as a Fraction."""
+        from fractions import Fraction
+
         return Fraction(self._at(n), factorial(n))
 
     def count(self, n):
@@ -355,7 +379,7 @@ class CountSeries:
         """Lift a plain number to a constant series of the same order."""
         if isinstance(other, CountSeries):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _scalar(other):
             return CountSeries([other] + [0] * self.order)
         return None
 
@@ -385,9 +409,9 @@ class CountSeries:
     def __mul__(self, other, known=()):
         """The product; known, when given, holds its leading counts.  A
         series times itself is squared in half the products."""
-        if isinstance(other, (int, Fraction)):
-            return CountSeries(c * other for c in self._counts)
         if not isinstance(other, CountSeries):
+            if _scalar(other):
+                return CountSeries(c * other for c in self._counts)
             return NotImplemented
         if other is self:
             return CountSeries(_square(self._counts, self.order, known))
@@ -399,9 +423,9 @@ class CountSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CountSeries(_quotient(c, other) for c in self._counts)
         if not isinstance(other, CountSeries):
+            if _scalar(other):
+                return CountSeries(_quotient(c, other) for c in self._counts)
             return NotImplemented
         if other._counts[0] == 0:
             raise ZeroConstantDivisor(

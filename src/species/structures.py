@@ -37,7 +37,6 @@ _RUN_TEXTS) and of label sets (_SETS) keep entries only while a walk
 (enumerator._Walk) is open; the last open walk to close empties them.
 """
 
-from json.encoder import encode_basestring_ascii as _quote
 from itertools import chain, permutations, repeat
 from operator import add, attrgetter, eq, is_, itemgetter, lt
 
@@ -120,6 +119,17 @@ def label_to_string(label):
     if isinstance(label, Block):
         return label.token()
     return str(label)
+
+
+def _quote(text):
+    """text as a JSON string literal, non-ASCII escaped: json's own
+    encode_basestring_ascii, which the first call imports and binds in
+    place of this function.  No counting call writes a label, so none loads
+    json."""
+    global _quote
+    from json.encoder import encode_basestring_ascii as _quote
+
+    return _quote(text)
 
 
 def label_code(label):
@@ -530,12 +540,13 @@ def decode_structure(obj):
 # key order of to_json().  The decoder, the equality key, relabelling and
 # to_json() read the table.  Every class's _text and _sort_parts, which
 # `enumerate --json`, listing and encode() call once per term, are compiled
-# from it, for all classes in one compile() call when the module is
-# loaded: f-strings with the literal JSON text around each field fixed
-# then, every label written as its code from the one table of label codes,
-# and every list of pairs or blocks from the run table of its separator
-# (_RUN_CODES for encode(), _RUN_TEXTS for --json).  No writer builds a
-# to_json() tree.
+# from it, for all classes in one compile() call on the first call of
+# either writer (Structure._text and Structure._sort_parts compile, then
+# dispatch), so that no counting call pays for it: f-strings with the
+# literal JSON text around each field fixed then, every label written as
+# its code from the one table of label codes, and every list of pairs or
+# blocks from the run table of its separator (_RUN_CODES for encode(),
+# _RUN_TEXTS for --json).  No writer builds a to_json() tree.
 
 
 class _FieldKind:
@@ -634,9 +645,11 @@ def _tuple(items):
     return "(" + "".join(item + ", " for item in items) + ")"
 
 
-def _compile_writers(classes):
+def _compile_writers():
     """Set every class's _text and _sort_parts, compiled from the field
-    tables in one go."""
+    tables in one go.  Compiling again sets equal methods, so two threads
+    that make the first write at once may both compile."""
+    classes = list(_CLASSES.values())
     src = []
     for cls in classes:
         fields = [(key, "self." + attr, fk) for key, attr, fk in cls.fields]
@@ -704,6 +717,16 @@ def _assign_parts(assign, key):
     return (*parts, text + "]")
 
 
+def _first_write(term, writer):
+    """term's compiled method named writer, once every class's writers are
+    compiled.  A class with no field table has none."""
+    _compile_writers()
+    method = getattr(type(term), writer)
+    if method is Structure.__dict__[writer]:
+        raise NotImplementedError
+    return method.__get__(term)
+
+
 def _encoded(term):
     """term.encode(), its children written without calling encode()."""
     return "".join(term._sort_parts(_encoded))
@@ -750,8 +773,9 @@ class Structure:
         its text.  A term writes its own literals and labels around each
         child's text: the child's kept text when there is one, else the
         child's own _text(kept), so _text({}) writes the term in full.
-        Every class compiles its own from its field table."""
-        raise NotImplementedError
+        Every class compiles its own from its field table; this one, reached
+        before they are compiled, compiles them and calls the term's own."""
+        return _first_write(self, "_text")(kept)
 
     def encode(self):
         """Canonical encoding, json.dumps(self.to_json(), separators=(",",
@@ -767,8 +791,10 @@ class Structure:
         (with key giving the children's tuples) orders terms exactly as
         comparing their encodings does.  Enumeration compares terms this way
         where it merges sorted lists.  A term with no child is one literal,
-        its encode().  Every class compiles its own from its field table."""
-        raise NotImplementedError
+        its encode().  Every class compiles its own from its field table;
+        this one, reached before they are compiled, compiles them and calls
+        the term's own."""
+        return _first_write(self, "_sort_parts")(key)
 
     def _key(self):
         return self._attrs(self)
@@ -1519,9 +1545,6 @@ class NamedTerm(Structure):
 def _check_name(name):
     if not isinstance(name, str):
         raise TypeError("a name must be a string")
-
-
-_compile_writers(list(_CLASSES.values()))
 
 
 # -- bijections ------------------------------------------------------------

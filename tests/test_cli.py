@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -39,20 +40,60 @@ def run(capsys, *argv):
     return code, out, err
 
 
+#: Modules that no count, series or solve call loads, each a millisecond
+#: or more of start-up: rationals (fractions, and decimal with it), made
+#: only for a count that is not integral, and json, which only verify and
+#: transport read and write with.
+_LAZY = ("fractions", "decimal", "json")
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """A fresh interpreter, isolated from the environment, imports the CLI
     from this checkout without either module, each a few milliseconds of
-    every command's start-up."""
+    every command's start-up, and without any of _LAZY."""
     src = Path(species.__file__).resolve().parent.parent
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import species.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', *sys.argv[2:]}"
+        " & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", probe, str(src)],
+        [sys.executable, "-I", "-c", probe, str(src), *_LAZY],
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+_COUNTING_CALLS = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from species import cli, structures
+    for line in sys.stdin.read().splitlines():
+        assert cli.main(line.split()) == 0, line
+    loaded = sorted(set(sys.argv[2:]) & set(sys.modules))
+    print(loaded, "_text" in structures.SumTerm.__dict__)
+""")
+
+
+def test_counting_calls_load_no_rationals_json_or_writers(tmp_path):
+    """count, series and solve, --json included, run in a fresh isolated
+    interpreter through main, load none of _LAZY and compile no term
+    writer."""
+    defs = tmp_path / "mutual.species"
+    defs.write_text("T = X*E(U)\nU = X*L(T)\n", encoding="utf-8")
+    lines = [
+        "count Part 6 --json", "count T 5 --defs DEFS --json",
+        "series Part --order 5 --json", "series Der --order 9",
+        "solve U --order 6 --defs DEFS --json", "count C 4",
+    ]
+    src = Path(species.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _COUNTING_CALLS, str(src), *_LAZY],
+        input="\n".join(lines).replace("DEFS", str(defs)),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[] False"
+    assert done.stdout.splitlines()[0] == '{"n": 6, "count": 203}'
 
 
 class TestCount:
@@ -995,14 +1036,20 @@ class TestDirectReader:
     """A well-formed line is read without argparse, into the attributes
     argparse would give it; any other line is left to argparse."""
 
+    @pytest.fixture(scope="class")
+    def parser(self):
+        """One argparse parser for every example: parse_args leaves it as
+        it was."""
+        return cli._build_parser()
+
     @settings(max_examples=400, deadline=None)
     @given(_READER_ARGVS)
-    def test_declines_or_agrees_with_argparse(self, argv):
+    def test_declines_or_agrees_with_argparse(self, parser, argv):
         read = cli._read(argv)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                parsed = cli._build_parser().parse_args(argv)
+                parsed = parser.parse_args(argv)
             except SystemExit:
                 parsed = None
         if parsed is None:
@@ -1076,16 +1123,57 @@ class TestNoParserOnWellFormedCalls:
             "counts-X"]
 
 
+class TestJsonLinesEqualJsonDumps:
+    """count, series and solve write their --json line without json: the
+    bytes are json.dumps's of the payload, past the digit limit too."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["count", "Gra", "200", "--json"],
+         {"n": 200, "count": 2 ** comb(200, 2)}),
+        (["series", "Part", "--order", "0", "--json"],
+         {"order": 0, "counts": [1], "coefficients": ["1"]}),
+        (["count", "0", "3", "--json"], {"n": 3, "count": 0}),
+    ])
+    def test_fixed_payload(self, capsys, int_digits, argv, payload):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        assert out == json.dumps(payload) + "\n"
+        if argv[1] == "Gra":
+            assert len(str(payload["count"])) > 4300
+
+    def test_solve_on_a_mutual_system(self, capsys, tmp_path):
+        defs = tmp_path / "mutual.species"
+        defs.write_text("T = X*E(U)\nU = X*L(T)\n", encoding="utf-8")
+        code, out, err = run(capsys, "solve", "U", "--order", "9",
+                             "--defs", str(defs), "--json")
+        assert (code, err) == (0, "")
+        env = species.parse_defs(defs.read_text(encoding="utf-8"))
+        counts = species.egf_of(species.parse_expr("U"), env, order=9).counts()
+        assert any(count % factorial(n) for n, count in enumerate(counts))
+        payload = {
+            "order": 9,
+            "counts": counts,
+            "coefficients": [
+                str(Fraction(count, factorial(n)))
+                for n, count in enumerate(counts)
+            ],
+        }
+        assert out == json.dumps(payload) + "\n"
+
+
 def test_importing_the_cli_loads_neither_argparse_nor_gettext():
     """argparse, and gettext with it, is imported only when a line needs a
-    parser: help, a usage error, or a spelling the direct reader declines."""
+    parser: help, a usage error, or a spelling the direct reader declines;
+    and none of _LAZY is imported with the CLI."""
     src = Path(species.__file__).resolve().parent.parent
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import species.cli; "
-        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        "print(sorted({'argparse', 'gettext', *sys.argv[2:]}"
+        " & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", probe, str(src)],
+        [sys.executable, "-I", "-c", probe, str(src), *_LAZY],
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"

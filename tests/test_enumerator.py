@@ -6,11 +6,14 @@ import hashlib
 import io
 import itertools
 import json
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from collections import Counter
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -704,6 +707,7 @@ class TestOrderByConstruction:
 
     def test_top_level_results_are_never_cut_up(self, monkeypatch):
         cut = []
+        structures._compile_writers()  # the methods wrapped below
         for cls in (Structure, SumTerm, ProdTerm, CompTerm, DerivTerm,
                     PointTerm, NamedTerm):
             def recorded(self, key, original=cls.__dict__["_sort_parts"]):
@@ -738,6 +742,61 @@ class TestOrderByConstruction:
                 want.append(MapTerm(f.items()))
         want.sort(key=lambda s: s.encode())
         assert enum("Inv", labels) == want
+
+
+#: A fresh interpreter's first listing, made by two threads at once, before
+#: either the term writers or json are loaded: the compile of the writers
+#: waits until both threads are in it.  Each thread's stdout is its own
+#: buffer.
+_FIRST_LISTINGS = textwrap.dedent("""
+    import sys, threading
+    sys.path.insert(0, sys.argv[1])
+    from species import cli, enumerate_structures, parse_expr, structures
+
+    class PerThread:
+        def __init__(self):
+            self.written = {}
+
+        def write(self, text):
+            ident = threading.get_ident()
+            self.written.setdefault(ident, []).append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    assert "_text" not in structures.SumTerm.__dict__
+    assert "json" not in sys.modules
+    compile_writers = structures._compile_writers
+    both = threading.Barrier(2, timeout=10)
+
+    def together():
+        both.wait()
+        compile_writers()
+
+    structures._compile_writers = together
+    text, size = sys.argv[2:]
+    out = {}
+
+    def call():
+        code = cli.main(["enumerate", text, size, "--json"])
+        written = sys.stdout.written.get(threading.get_ident(), ())
+        out[threading.get_ident()] = code, "".join(written)
+
+    real, sys.stdout = sys.stdout, PerThread()
+    threads = [threading.Thread(target=call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    sys.stdout = real
+    assert not any(thread.is_alive() for thread in threads)
+    import json
+
+    got = enumerate_structures(parse_expr(text), None, range(1, int(size) + 1))
+    want = json.dumps([term.to_json() for term in got]) + "\\n"
+    print([out.get(thread.ident) == (0, want) for thread in threads])
+""")
 
 
 def _cli_stdout(argv):
@@ -854,6 +913,7 @@ class TestJsonListing:
     @pytest.mark.parametrize("kind", sorted(_B5_DIGESTS))
     def test_each_subterm_is_written_once(self, kind, tmp_path, monkeypatch):
         built = Counter()
+        structures._compile_writers()  # the methods wrapped below
         for cls in (Structure, SumTerm, ProdTerm, CompTerm, DerivTerm,
                     PointTerm, NamedTerm):
             def counted(self, text, original=cls.__dict__["_text"]):
@@ -884,6 +944,18 @@ class TestJsonListing:
         assert sum(built.values()) > factorial(5) * comb(10, 5) // 6
         assert max(built.values()) == 1
         assert trees == []
+
+    def test_two_threads_make_the_first_listing_at_once(self):
+        """In a fresh interpreter, whose term writers are not compiled yet,
+        two threads make the same `enumerate --json` call, and both are in
+        the first write at once; both write json.dumps's bytes."""
+        src = str(Path(structures.__file__).resolve().parent.parent)
+        for text, size in (("E(C)", "4"), ("Part(Lp)+X*S", "3")):
+            done = subprocess.run(
+                [sys.executable, "-I", "-c", _FIRST_LISTINGS, src, text, size],
+                capture_output=True, text=True, check=True, timeout=60,
+            )
+            assert done.stdout == "[True, True]\n"
 
     def test_the_writer_keeps_only_shared_texts(self):
         """With the walk's shared terms the writer's memory is the kept texts

@@ -1676,6 +1676,13 @@ def test_wrapped_terms_equal_the_public_ones():
 
 # -- refusals no other table reaches ----------------------------------------
 
+class _NoFields(structures.Structure):
+    """A term class with no field table, so with no compiled writer."""
+
+    __slots__ = ()
+    kind = "no fields"
+
+
 # Each refusal of label and token parsing, of a JSON pair list, and of
 # public constructors no listing runs: the call, the exception type and
 # its message.
@@ -1721,11 +1728,11 @@ OTHER_REFUSED = {
         ValueError, "derivative structure is missing its star point",
     ),
     "writer of a class with no field table": (
-        lambda: structures.Structure._text(SetTerm([1]), None),
+        lambda: _NoFields()._text({}),
         NotImplementedError, "",
     ),
     "sort parts of a class with no field table": (
-        lambda: structures.Structure._sort_parts(SetTerm([1]), None),
+        lambda: _NoFields()._sort_parts(None),
         NotImplementedError, "",
     ),
 }
