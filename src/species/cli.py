@@ -14,14 +14,15 @@ label set larger than MAX_LABELS, 10 000, given to count or enumerate,
 refused before any label list is built, or an --order above MAX_ORDER,
 10 000, given to series, solve or verify, refused before any series is
 computed, or a call that runs out of memory), 4 label-set mismatch in
-transport.  transport first checks that the structure is one of the
-expression's structures on its labels: one that is not exits 1, and one
-whose listing would exceed the default budget exits 3.  A reader that
-closes stdout early is no failure: output stops and the exit code is 0.
-An expression that nests deeper than parser.MAX_NESTING levels is a
-parse failure, and so is any other input that nests too deeply for
-Python's recursion limit (a long chain of names enumerated, a deeply
-nested JSON structure).
+transport.  Each refusal's code lives on its error class (exit_code in
+the errors module), so main reports every SpeciesError the same way.
+transport first checks that the structure is one of the expression's
+structures on its labels: one that is not exits 1, and one whose listing
+would exceed the default budget exits 3.  A reader that closes stdout
+early is no failure: output stops and the exit code is 0.  An expression
+that nests deeper than parser.MAX_NESTING levels is a parse failure, and
+so is any other input that nests too deeply for Python's recursion limit
+(a long chain of names enumerated, a deeply nested JSON structure).
 
 A well-formed command line (a subcommand, its positionals, then its
 options spelled in full) is read straight from one argument table,
@@ -33,11 +34,11 @@ Likewise this module imports json only in verify and transport: the
 which need no escaping, and are written directly, in json.dumps's bytes.
 """
 
+import _thread
 import os
 import re
 import sys
 from math import gcd
-from pathlib import Path
 from types import SimpleNamespace
 
 from .enumerator import (
@@ -46,18 +47,7 @@ from .enumerator import (
     enumerate_structures,
     transport,
 )
-from .errors import (
-    BudgetExceeded,
-    DomainMismatch,
-    DuplicateName,
-    IllFoundedEquation,
-    NonIntegerCount,
-    NonzeroConstantTerm,
-    NotABijection,
-    OrderExceeded,
-    ParseError,
-    UnboundName,
-)
+from .errors import BudgetExceeded, NonIntegerCount, ParseError, SpeciesError
 from .expr import Name, RESERVED, print_expr
 from .identities import SUITE_NOTE, run_suite
 from .parser import _IDENT_RE, parse_defs, parse_expr
@@ -79,7 +69,8 @@ MAX_ORDER = 10_000
 def _load_env(path):
     if path is None:
         return None
-    return parse_defs(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as file:
+        return parse_defs(file.read())
 
 
 def _parse_labels(text):
@@ -452,6 +443,13 @@ def _build_parser():
     return parser
 
 
+#: main's lift of the digit limit, shared by the calls running in every
+#: thread: its lock, the calls running and the limit the first one found.
+_LIFT_LOCK = _thread.allocate_lock()
+_lifted = 0
+_saved_limit = None
+
+
 def main(argv=None):
     """Run one command line and return its exit code.  A well-formed line
     is read straight from the argument table (_read) and builds no parser.
@@ -460,16 +458,23 @@ def main(argv=None):
 
     Exact counts print in full however many digits they have: CPython's
     limit on converting integers to text (4 300 digits by default) is
-    lifted while main runs, and the caller's limit is restored when it
-    returns."""
+    lifted while any main call runs, in any thread: the first call lifts
+    it, and the last to return restores the limit the first found."""
+    global _lifted, _saved_limit
     if not hasattr(sys, "set_int_max_str_digits"):  # CPython before 3.10.7
         return _main(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    with _LIFT_LOCK:
+        if not _lifted:
+            _saved_limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _lifted += 1
     try:
         return _main(argv)
     finally:
-        sys.set_int_max_str_digits(limit)
+        with _LIFT_LOCK:
+            _lifted -= 1
+            if not _lifted:
+                sys.set_int_max_str_digits(_saved_limit)
 
 
 def _main(argv):
@@ -496,34 +501,17 @@ def _main(argv):
         # still buffered, here or at exit, stays quiet.
         _quiet_stdout()
         return 0
-    except NonIntegerCount as exc:
+    except SpeciesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except MemoryError:
         print("error: the call ran out of memory", file=sys.stderr)
         return 3
-    except DomainMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except RecursionError:
-        print(
-            "error: the input nests too deeply for Python's recursion limit",
-            file=sys.stderr,
-        )
+        print("error: the input nests too deeply for Python's recursion "
+              "limit", file=sys.stderr)
         return 1
-    except (
-        ParseError,
-        DuplicateName,
-        UnboundName,
-        NonzeroConstantTerm,
-        IllFoundedEquation,
-        NotABijection,
-        OrderExceeded,
-        OSError,
-    ) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

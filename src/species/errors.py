@@ -2,11 +2,13 @@
 
 Everything raised deliberately derives from SpeciesError, so callers can
 distinguish expected failure modes from genuine bugs with one except clause.
+Each class carries its command-line exit code, exit_code (1 unless set).
 """
 
 
 class SpeciesError(Exception):
     """Base class for all errors raised on purpose by this package."""
+    exit_code = 1
 
 
 class OrderExceeded(SpeciesError):
@@ -19,6 +21,7 @@ class NonIntegerCount(SpeciesError):
     Raised when a series that is not the counting series of any species is
     interrogated for a structure count.
     """
+    exit_code = 2
 
 
 class NonzeroConstantTerm(SpeciesError):
@@ -73,11 +76,13 @@ class UnboundName(SpeciesError):
 class BudgetExceeded(SpeciesError):
     """An enumeration would produce more structures than the allowed budget,
     or a command line asks for more labels than the CLI takes."""
+    exit_code = 3
 
 
 class DomainMismatch(SpeciesError):
     """A structure was paired with a bijection whose domain is not the
     structure's underlying label set."""
+    exit_code = 4
 
 
 class NotABijection(SpeciesError):

@@ -183,15 +183,15 @@ def _label_list(labels, sep):
 
 
 class _Runs(dict):
-    """run -> _label_list(run, sep), for a run (a tuple of labels: a map's
-    or graph's pair, a partition's block) when it is first written;
-    _run_list writes a term's list of runs from it.  A listing writes the
-    same few runs in many terms: every partition on 8 labels holds some
-    of the 255 blocks, every map on 7 some of the 49 pairs.  Like _CODES,
-    a run is kept only while a walk is open and only when each of its
-    labels is exactly an int or a str, so a run holding a bool or a float
-    never takes the text of the run of ints it equals, and no block is
-    kept alive."""
+    """run -> _label_list(run, sep), for a run (a tuple of labels: a pair,
+    a block's members, a graph's vertices) when it is first written.  A
+    listing writes the same few runs in many terms: every partition on 8
+    labels holds some of the 255 blocks, every map on 7 some of the 49
+    pairs, every graph on 5 the one vertex list.  Like _CODES, a run is
+    kept only while a walk is open and only when each of its labels is
+    exactly an int or a str, so a run holding a bool or a float never
+    takes the text of the run of ints it equals, and no block is kept
+    alive."""
 
     __slots__ = ("sep",)
 
@@ -390,17 +390,15 @@ class Block:
     those terms ask of it.  At creation it sorts its members (members
     given in order are kept as given) and keeps them, its sort key (what
     label_sort_key returns for it), the frozenset of its members (the one
-    _SETS holds for that set in a walk) and its hash.  On first use it
-    keeps its member list's encode() text (code()), its json.dumps text
-    (text()) and its own code as a label of an outer term (quoted()).  The
-    code table never keeps a block, and a block can be weakly referenced,
-    so that can be checked.
+    _SETS holds for that set in a walk) and its hash.  Its member list's
+    encode() and json.dumps texts (code() and text()) come from the run
+    tables, like a partition's blocks.  On first use it keeps its own code
+    as a label of an outer term (quoted()), so the code table never keeps
+    a block; a block can be weakly referenced, so that can be checked.
     """
 
-    __slots__ = (
-        "members", "key", "member_set", "_hash", "_code", "_text", "_quoted",
-        "__weakref__",
-    )
+    __slots__ = ("members", "key", "member_set", "_hash", "_quoted",
+                 "__weakref__")
 
     def __init__(self, members):
         ms = tuple(members)
@@ -423,19 +421,11 @@ class Block:
 
     def code(self):
         """The member list as encode() writes it in a substitution term."""
-        try:
-            return self._code
-        except AttributeError:
-            self._code = found = _label_list(self.members, ",")
-            return found
+        return _RUN_CODES[self.members]
 
     def text(self):
         """The member list as json.dumps writes it, for `enumerate --json`."""
-        try:
-            return self._text
-        except AttributeError:
-            self._text = found = _label_list(self.members, ", ")
-            return found
+        return _RUN_TEXTS[self.members]
 
     def quoted(self):
         """label_code(self): the block's token, JSON-quoted."""
@@ -545,8 +535,9 @@ def decode_structure(obj):
 # dispatch), so that no counting call pays for it: f-strings with the
 # literal JSON text around each field fixed then, every label written as
 # its code from the one table of label codes, and every list of pairs or
-# blocks from the run table of its separator (_RUN_CODES for encode(),
-# _RUN_TEXTS for --json).  No writer builds a to_json() tree.
+# blocks, and every graph's vertex list, from the run table of its
+# separator (_RUN_CODES for encode(), _RUN_TEXTS for --json).  No writer
+# builds a to_json() tree.
 
 
 class _FieldKind:
@@ -569,13 +560,20 @@ class _FieldKind:
         self.part, self.splice = part, splice
 
 
-def _run_list(runs, table):
-    """A list of runs (a map's or graph's pairs, a partition's blocks) as
-    JSON text, each run read from table, a run table, while a walk is
-    open.  Outside one, where the table is empty, and for runs of blocks,
-    which a substitution's outer term holds, each run is written afresh: a
+def _run_text(run, table):
+    """A run as JSON text, read from table, a run table, while a walk is
+    open.  Outside one, where the table is empty, and for a run of blocks,
+    which a substitution's outer term holds, it is written afresh: a
     lookup that always misses, or hashes blocks, costs more than writing
     the codes."""
+    if _OPEN_WALKS and run and type(run[0]) is not Block:
+        return table[run]
+    return _label_list(run, table.sep)
+
+
+def _run_list(runs, table):
+    """A list of runs (a map's or graph's pairs, a partition's blocks) as
+    JSON text, each run as _run_text writes it."""
     sep = table.sep
     if _OPEN_WALKS and runs and type(runs[0][0]) is not Block:
         items = map(table.__getitem__, runs)
@@ -596,6 +594,10 @@ _LABELS = _FieldKind(
     list, _decode_labels, _labels_json, lambda v, f: [f(x) for x in v],
     code='[{",".join(map(_CODE, @))}]', text='[{", ".join(map(_CODE, @))}]',
 )
+#: A label list that many terms share (a graph's vertices), as a run.
+_RUN = _FieldKind(list, _decode_labels, _labels_json, _LABELS.relabel,
+                  code="{_run_text(@, _RUN_CODES)}",
+                  text="{_run_text(@, _RUN_TEXTS)}")
 _PAIRS = _FieldKind(
     list,
     lambda v: [(string_to_label(a), string_to_label(b)) for a, b in _pairs(v)],
@@ -1217,7 +1219,7 @@ class GraphTerm(_Graph):
     __slots__ = ()
     kind = "graph"
     what = "edge"
-    fields = (("vertices", "vertices", _LABELS), ("edges", "edges", _PAIRS))
+    fields = (("vertices", "vertices", _RUN), ("edges", "edges", _PAIRS))
     edges = _Graph.pairs
 
     def render(self):
@@ -1231,7 +1233,7 @@ class DigraphTerm(_Graph):
     __slots__ = ()
     kind = "digraph"
     what = "arc"
-    fields = (("vertices", "vertices", _LABELS), ("arcs", "arcs", _PAIRS))
+    fields = (("vertices", "vertices", _RUN), ("arcs", "arcs", _PAIRS))
     arcs = _Graph.pairs
 
     def render(self):

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -19,7 +20,12 @@ from hypothesis import strategies as st
 import species
 from species import cli, identities, primitives, series
 from species.cli import main
-from species.errors import BudgetExceeded
+from species.errors import (
+    BudgetExceeded,
+    DomainMismatch,
+    NonIntegerCount,
+    SpeciesError,
+)
 from species.expr import RESERVED, PrimitiveKind, print_expr
 from species.parser import MAX_NESTING
 from species.series import CountSeries
@@ -62,6 +68,19 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_importing_the_cli_without_site_loads_no_pathlib():
+    """Without site, which loads pathlib itself, importing the CLI loads
+    no pathlib: only a --defs file is read, and open() reads it."""
+    src = Path(species.__file__).resolve().parent.parent
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import species.cli; print('pathlib' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 _COUNTING_CALLS = textwrap.dedent("""
@@ -487,6 +506,16 @@ class TestVerify:
         assert (code, out, err) == (1, "", "error: 'V' is defined twice\n")
 
 
+def _error_classes(cls=SpeciesError):
+    """cls and every class derived from it."""
+    return [cls, *(found for sub in cls.__subclasses__()
+                   for found in _error_classes(sub))]
+
+
+#: The exit codes the cli module documents other than 1, by error class.
+_DOCUMENTED_CODES = {NonIntegerCount: 2, BudgetExceeded: 3, DomainMismatch: 4}
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "count", "E(", "3")
@@ -518,6 +547,18 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         out, _ = capsys.readouterr()
         assert "count" in out and "verify" in out
+
+    @pytest.mark.parametrize("error", _error_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_every_error_class_exits_with_its_documented_code(
+            self, capsys, monkeypatch, error):
+        def refuse(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "egf_of", refuse)
+        code, out, err = run(capsys, "count", "X", "1")
+        assert (code, out, err) == (
+            _DOCUMENTED_CODES.get(error, 1), "", "error: refused\n")
 
 
 def _captured(call, argv):
@@ -834,6 +875,49 @@ class TestExactOutputPastTheDigitLimit:
         main(argv)
         capsys.readouterr()
         assert sys.get_int_max_str_digits() == 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before CPython 3.10.7")
+def test_main_in_threads_hands_back_the_callers_limit(int_digits):
+    """One thread prints 3000! twenty times while two others count X on
+    one label until it ends, with threads switching every 10 us: no call
+    raises, and the limit the caller set before them is the limit after
+    them."""
+    sys.set_int_max_str_digits(5000)
+    big_done = threading.Event()
+    codes, raised = [], []
+
+    def big():
+        try:
+            for _ in range(20):
+                codes.append(main(["count", "S", "3000"]))
+        except BaseException as exc:
+            raised.append(exc)
+        finally:
+            big_done.set()
+
+    def small():
+        try:
+            while not big_done.is_set():
+                codes.append(main(["count", "X", "1"]))
+        except BaseException as exc:
+            raised.append(exc)
+
+    threads = [threading.Thread(target=f) for f in (big, small, small)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert raised == [] and set(codes) == {0}
+    assert sys.get_int_max_str_digits() == 5000
 
 
 # -- argument reading ---------------------------------------------------------

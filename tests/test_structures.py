@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from species import enumerate_structures, parse_defs, parse_expr, structures
+from species import (
+    cli, enumerate_structures, parse_defs, parse_expr, structures,
+)
 from species.enumerator import _Walk, transport
 from species.errors import ParseError
 from species.structures import (
@@ -900,6 +902,29 @@ def test_the_code_table_keeps_no_block_alive():
         )
         del block, term
         assert alive() is None
+
+
+def test_a_walk_writes_vertex_lists_and_blocks_from_the_run_tables(capsys):
+    """In an open walk every graph's and digraph's vertex list, and every
+    block's member list, is written from the run tables, and the bytes
+    are json.dumps's."""
+    with _Walk() as walk:
+        found = [
+            *enumerate_structures(parse_expr("Gra"), None, [1, 2, 3, 4],
+                                  walk=walk),
+            *enumerate_structures(parse_expr("Gro"), None, [1, 2, 3],
+                                  walk=walk),
+        ]
+        cli._write_json_listing(found)
+        assert capsys.readouterr().out == json.dumps(
+            [term.to_json() for term in found]) + "\n"
+        assert {term.vertices for term in found} == {(1, 2, 3, 4), (1, 2, 3)}
+        assert all(term.vertices in structures._RUN_TEXTS for term in found)
+        block = Block([3, "a", 1])
+        assert block.code() is structures._RUN_CODES[(1, 3, "a")]
+        assert block.text() is structures._RUN_TEXTS[(1, 3, "a")]
+        assert block.text() == '["1", "3", "a"]'
+    assert _tables_empty()
 
 
 def test_each_label_is_keyed_as_its_own_type():
