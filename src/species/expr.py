@@ -92,7 +92,25 @@ class SpeciesExpr:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self is other or self._values == other._values
+        # Each distinct pair of nodes is compared once, from a stack, so a
+        # node shared by many paths (F^k's base) costs one comparison.
+        compared, todo = set(), [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            if type(a) is not type(b):
+                return False
+            kept = getattr(a, "_hash", None), getattr(b, "_hash", None)
+            if None not in kept and kept[0] != kept[1]:
+                return False
+            compared.add((id(a), id(b)))
+            for x, y in zip(a._values, b._values):
+                if isinstance(x, SpeciesExpr):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self):
         found = getattr(self, "_hash", None)

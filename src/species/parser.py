@@ -19,9 +19,12 @@ bound later in the file.
 
 An expression nests at most MAX_NESTING levels: no more brackets open at
 once, and no more nodes on a path from the root of its tree, where F^k
-counts as the k-1 products it expands to.  The parser and the walks over
-the tree recurse once or a few times per level, so deeper input is
-refused with a ParseError before it can exhaust Python's stack.
+counts as the k-1 products it expands to.  The parser does not recurse: it
+reads the tokens in one loop and keeps a stack of the brackets open.  The
+walks over the tree (evaluation, the decision of a recursive system,
+listing) recurse once or a few times per level, so MAX_NESTING guards
+them: deeper input is refused with a ParseError before a walk can
+exhaust Python's stack.
 """
 
 import re
@@ -89,159 +92,141 @@ def _named(ident, pos, hint):
     return _PRIMITIVES[kind]
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.at = 0
-        self.open = 0
+def _expect(tokens, at, symbol, why):
+    """The index past tokens[at], which must be symbol; why names what was
+    being read."""
+    kind, value, pos = tokens[at]
+    if value != symbol:  # only a "sym" token's text is a symbol
+        raise ParseError(
+            f"found {value!r} while reading {why}" if value
+            else f"input ended while reading {why}",
+            position=pos,
+            expected=(repr(symbol),),
+        )
+    return at + 1
 
-    def accept_sym(self, symbol):
-        # Only a "sym" token's text is a symbol.
-        if self.tokens[self.at][1] == symbol:
-            self.at += 1
-            return True
-        return False
 
-    def expect_sym(self, symbol, why):
-        if not self.accept_sym(symbol):
-            kind, value, pos = self.tokens[self.at]
-            raise ParseError(
-                f"found {value!r} while reading {why}" if value
-                else f"input ended while reading {why}",
-                position=pos,
-                expected=(repr(symbol),),
-            )
+def _integer(tokens, at, why):
+    kind, value, pos = tokens[at]
+    if kind != "int":
+        raise ParseError(
+            f"expected an integer for {why}",
+            position=pos,
+            expected=("integer",),
+        )
+    return int(value)
 
-    def expect_int(self, why):
-        kind, value, pos = self.tokens[self.at]
-        if kind != "int":
-            raise ParseError(
-                f"expected an integer for {why}",
-                position=pos,
-                expected=("integer",),
-            )
-        self.at += 1
-        return int(value)
 
-    def nested(self, depth):
-        """Refuse a depth over MAX_NESTING at the token just read."""
-        if depth > MAX_NESTING:
-            raise ParseError(
-                f"the expression nests deeper than {MAX_NESTING} levels",
-                position=self.tokens[self.at - 1][2],
-            )
+def _nested(tokens, at, depth):
+    """Refuse a depth over MAX_NESTING at tokens[at - 1], the token just
+    read."""
+    if depth > MAX_NESTING:
+        raise ParseError(
+            f"the expression nests deeper than {MAX_NESTING} levels",
+            position=tokens[at - 1][2],
+        )
 
-    def bracketed(self, why):
-        """An expression inside brackets that are open, up to the closing
-        one."""
-        self.open += 1
-        self.nested(self.open)
-        found = self.expr()
-        self.expect_sym(")", why)
-        self.open -= 1
-        return found
 
-    # -- grammar ----------------------------------------------------------
+def parse_expr(text):
+    """Parse one expression; raises ParseError with position on bad input.
 
-    def expr(self):
-        node = self.term()
-        while self.accept_sym("+"):
-            node = Sum(node, self.term())
-            self.nested(node.height)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.accept_sym("*"):
-            node = Product(node, self.factor())
-            self.nested(node.height)
-        return node
-
-    def factor(self):
-        node = self.postfix()
-        while self.accept_sym("^"):
-            k = self.expect_int("the exponent")
-            if k == 0:
-                node = _PRIMITIVES[PrimitiveKind.ONE]
-                continue
-            # Checked before the k-1 products are built.
-            self.nested(node.height + k - 1)
-            base = node
-            for _ in range(k - 1):
-                node = Product(node, base)
-        return node
-
-    def postfix(self):
-        node = self.atom()
-        while self.accept_sym("'"):
-            node = Derivative(node)
-            self.nested(node.height)
-        return node
-
-    def atom(self):
-        kind, value, pos = self.tokens[self.at]
-        self.at += 1
-        if kind == "sym" and value == "(":
-            return self.bracketed("a parenthesized expression")
-        if kind == "int":
-            if value == "0":
-                return _PRIMITIVES[PrimitiveKind.ZERO]
-            if value == "1":
-                return _PRIMITIVES[PrimitiveKind.ONE]
+    One loop reads the tokens left to right.  It keeps the sum and the
+    product being built inside the innermost open bracket, and a stack
+    with one entry per open bracket: the sum and product outside it, the
+    identifier before it ("pt", a species substituted into, or None) and
+    its position, and what a missing ")" reports having read."""
+    tokens = _tokenize(text)
+    at, stack, total, product = 0, [], None, None
+    while True:
+        # An operand: a bracket opens, or an atom is read.
+        kind, value, pos = tokens[at]
+        at += 1
+        if value == "(" or kind == "ident" and (
+                value == "pt" or tokens[at][1] == "("):
+            if value == "(":
+                value, why = None, "a parenthesized expression"
+            else:
+                why = ("the argument of pt" if value == "pt"
+                       else "a substitution argument")
+                at = _expect(tokens, at, "(", why)
+            stack.append((total, product, value, pos, why))
+            _nested(tokens, at, len(stack))
+            total = product = None
+            continue
+        if kind == "ident" and tokens[at][1] == "[":
+            k = _integer(tokens, at + 1, "the parameter")
+            at = _expect(tokens, at + 2, "]", "a parameter")
+            kind = TOKEN_TO_KIND.get(value)
+            if kind not in PARAMETRIC:
+                raise ParseError(
+                    f"'{value}' does not take a [k] parameter",
+                    position=pos,
+                    expected=("Pk", "Ek"),
+                )
+            node = Primitive(kind, k)
+        elif kind == "ident":
+            node = _named(value, pos, f", e.g. {value}[2]")
+        elif value in ("0", "1"):
+            node = _PRIMITIVES[PrimitiveKind.ZERO if value == "0"
+                               else PrimitiveKind.ONE]
+        elif kind == "int":
             raise ParseError(
                 f"the number {value} is not a species",
                 position=pos,
                 expected=("'0'", "'1'"),
             )
-        if kind == "ident":
-            return self._ident_atom(value, pos)
-        raise ParseError(
-            f"found {value!r} where an expression was expected" if value
-            else "input ended where an expression was expected",
-            position=pos,
-            expected=("identifier", "'('", "'0'", "'1'"),
-        )
-
-    def _ident_atom(self, ident, pos):
-        if ident == "pt":
-            self.expect_sym("(", "the argument of pt")
-            node = Pointing(self.bracketed("the argument of pt"))
-            self.nested(node.height)
-            return node
-        if self.accept_sym("("):
-            inner = self.bracketed("a substitution argument")
-            callee = _named(ident, pos, " before an argument")
-            node = Substitute(callee, inner)
-            self.nested(node.height)
-            return node
-        if self.accept_sym("["):
-            k = self.expect_int("the parameter")
-            self.expect_sym("]", "a parameter")
-            kind = TOKEN_TO_KIND.get(ident)
-            if kind is None or kind not in PARAMETRIC:
-                raise ParseError(
-                    f"'{ident}' does not take a [k] parameter",
-                    position=pos,
-                    expected=("Pk", "Ek"),
-                )
-            return Primitive(kind, k)
-        return _named(ident, pos, f", e.g. {ident}[2]")
-
-    def finish(self, node):
-        kind, value, pos = self.tokens[self.at]
-        if kind != "end":
+        else:
             raise ParseError(
-                f"trailing input {value!r}",
+                f"found {value!r} where an expression was expected" if value
+                else "input ended where an expression was expected",
                 position=pos,
-                expected=("end of input",),
+                expected=("identifier", "'('", "'0'", "'1'"),
             )
-        return node
-
-
-def parse_expr(text):
-    """Parse one expression; raises ParseError with position on bad input."""
-    p = _Parser(text)
-    return p.finish(p.expr())
+        # The operand is read: its postfix operators, then up to the next
+        # operand, or out of each bracket that closes after it.
+        while True:
+            while tokens[at][1] == "'":
+                at += 1
+                node = Derivative(node)
+                _nested(tokens, at, node.height)
+            while tokens[at][1] == "^":
+                k = _integer(tokens, at + 1, "the exponent")
+                at += 2
+                if k == 0:
+                    node = _PRIMITIVES[PrimitiveKind.ONE]
+                    continue
+                # Checked before the k-1 products are built.
+                _nested(tokens, at, node.height + k - 1)
+                base = node
+                for _ in range(k - 1):
+                    node = Product(node, base)
+            if product is not None:
+                node = Product(product, node)
+                _nested(tokens, at, node.height)
+            if tokens[at][1] == "*":
+                at, product = at + 1, node
+                break
+            if total is not None:
+                node = Sum(total, node)
+                _nested(tokens, at, node.height)
+            if tokens[at][1] == "+":
+                at, total, product = at + 1, node, None
+                break
+            if not stack:
+                kind, value, pos = tokens[at]
+                if kind != "end":
+                    raise ParseError(
+                        f"trailing input {value!r}",
+                        position=pos,
+                        expected=("end of input",),
+                    )
+                return node
+            total, product, ident, pos, why = stack.pop()
+            at = _expect(tokens, at, ")", why)
+            if ident is not None:
+                node = Pointing(node) if ident == "pt" else Substitute(
+                    _named(ident, pos, " before an argument"), node)
+                _nested(tokens, at, node.height)
 
 
 def parse_defs(text):

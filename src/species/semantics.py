@@ -123,13 +123,28 @@ def _sccs(nodes, edges):
 
 
 def _subtrees(expr):
-    """expr and every node below it."""
-    out, todo = [], [expr]
+    """Each distinct node of expr, the first time a walk from the root
+    meets it, with the number of times it occurs in the tree (paths from
+    the root to it): a shared node is walked once."""
+    nodes, edges, todo = {}, {}, [expr]
     while todo:
         node = todo.pop()
-        out.append(node)
-        todo += [v for v in node._values if isinstance(v, SpeciesExpr)]
-    return out
+        edges[id(node)] = edges.get(id(node), 0) + 1
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            todo += [v for v in node._values if isinstance(v, SpeciesExpr)]
+    # Parents before children: a node is ready once each edge into it,
+    # the root's from outside the tree, has handed on its parent's count.
+    occurs, ready = {id(expr): 1}, [expr]
+    while ready:
+        node = ready.pop()
+        for v in node._values:
+            if isinstance(v, SpeciesExpr):
+                occurs[id(v)] = occurs.get(id(v), 0) + occurs[id(node)]
+                edges[id(v)] -= 1
+                if not edges[id(v)]:
+                    ready.append(v)
+    return [(node, occurs[key]) for key, node in nodes.items()]
 
 
 def _times(a, b, full):
@@ -202,9 +217,12 @@ class _Window:
                    key=lambda bp: abs(n - bp[1]))
         return n + b - p
 
-    def profile(self, expr, names=()):
-        """expr's profile, reading the counts of the unknowns in names."""
-        found = self.memo.get(id(expr))
+    def profile(self, expr, names=(), call=None):
+        """expr's profile, reading the counts of the unknowns in names.
+        memo keeps the profiles of the nodes that read no name, and call,
+        for one call, those of the nodes that read one."""
+        call = {} if call is None else call
+        found = self.memo.get(id(expr)) or call.get(id(expr))
         if found is not None:
             return found
         kind, full = type(expr), self.full
@@ -219,17 +237,17 @@ class _Window:
             found = {None: full if has is None else sum(
                 1 << n for n in range(self.top) if has(n, expr.param))}
         elif kind is Sum:
-            found = _merged([self.profile(expr.left, names),
-                             self.profile(expr.right, names)])
+            found = _merged([self.profile(expr.left, names, call),
+                             self.profile(expr.right, names, call)])
         elif kind is Product:
-            found = _product(self.profile(expr.left, names),
-                             self.profile(expr.right, names), full)
+            found = _product(self.profile(expr.left, names, call),
+                             self.profile(expr.right, names, call), full)
         elif kind is Substitute:
             # outer's count k times the k-th power of inner, for each k;
             # blocks are nonempty, so no count 0 of inner is read.
-            outer = self.profile(expr.outer, names)
-            inner = {key: mask if key is None else mask & ~1
-                     for key, mask in self.profile(expr.inner, names).items()}
+            outer = self.profile(expr.outer, names, call)
+            inner = {key: mask if key is None else mask & ~1 for key, mask
+                     in self.profile(expr.inner, names, call).items()}
             terms, power = [], {None: 1}
             for k in range(self.top):
                 at_k = {key: mask >> k & 1 for key, mask in outer.items()}
@@ -244,9 +262,8 @@ class _Window:
                 keep &= {"==": 1 << b, ">=": full >> b << b,
                          "<=": (2 << b) - 1}[expr.relation]
             found = {key: mask >> shift & keep for key, mask
-                     in self.profile(expr.inner, names).items()}
-        if not expr.depths:
-            self.memo[id(expr)] = found
+                     in self.profile(expr.inner, names, call).items()}
+        (call if expr.depths else self.memo)[id(expr)] = found
         return found
 
 
@@ -282,12 +299,13 @@ def _decide(env, components, cycles):
     those at and below deep + spin are the least solution's."""
     reached = components[:max(map(components.index, cycles)) + 1]
     trees = {name: _subtrees(env[name]) for comp in reached for name in comp}
-    nodes = [node for tree in trees.values() for node in tree]
-    spin = sum(type(node) is Derivative for node in nodes)
+    nodes = [node for tree in trees.values() for node, _ in tree]
+    spin = sum(occurs for tree in trees.values() for node, occurs in tree
+               if type(node) is Derivative)
     window = _Window(env, reached, nodes, spin)
     for comp in cycles:
-        inners = [(name, node.inner) for name in comp for node in trees[name]
-                  if type(node) is Substitute]
+        inners = [(name, node.inner) for name in comp
+                  for node, _ in trees[name] if type(node) is Substitute]
         for name, inner in inners:
             if window.profile(inner)[None] & 1:
                 raise NonemptyInnerOnEmptySet(
@@ -331,17 +349,23 @@ def _decide(env, components, cycles):
             )
 
 
-def _shape(expr, met, places):
-    """expr as a value that equal trees share whatever their names: each
-    name is replaced by its place in met, to which a new name is added."""
+def _shape(expr, met, places, rows):
+    """expr as a value that equal trees share whatever their names: a name
+    is -1 - its place in met, to which a new name is added, and any other
+    node the place of its row in rows, which holds one row per distinct
+    node (its class and fields, each field a value or a node's place)."""
     if type(expr) is Name:
         if expr.ident not in places:
             places[expr.ident] = len(met)
             met.append(expr.ident)
-        return places[expr.ident]
-    return type(expr), *(_shape(v, met, places)
-                         if isinstance(v, SpeciesExpr) else v
-                         for v in expr._values)
+        return -1 - places[expr.ident]
+    row = rows.get(id(expr))
+    if row is None:
+        fields = tuple(_shape(v, met, places, rows)
+                       if isinstance(v, SpeciesExpr) else v
+                       for v in expr._values)
+        row = rows[id(expr)] = len(rows), type(expr), *fields
+    return row[0]
 
 
 # The shapes (_shape) of the systems found well-founded, the one record of
@@ -433,7 +457,9 @@ class _Evaluator:
             # The definitions reached, as equal systems share them.
             met = list(seeds)
             places = {name: place for place, name in enumerate(met)}
-            shape = tuple(_shape(self.env[name], met, places) for name in met)
+            rows = {}
+            shape = (tuple(_shape(self.env[name], met, places, rows)
+                           for name in met), *rows.values())
             if shape not in _WELL_FOUNDED:
                 _decide(self.env, components, cycles)
                 if len(_WELL_FOUNDED) >= 4096:

@@ -757,6 +757,33 @@ class TestNestingLimit:
         _refused_as_too_deep(code, out, err)
         assert "recursion limit" in err
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["count", "T+T", "0"], "0\n"),
+        (["solve", "F", "--order", "3"], "0 0 0\n1 1 1\n2 0 0\n3 0 0\n"),
+    ], ids=["equal-towers", "decided-tower"])
+    def test_stacked_powers_take_time_linear_in_their_height(
+            self, tmp_path, argv, stdout):
+        """Every F^k shares one base, so X^2^...^2 has 2^k paths through a
+        few dozen nodes.  Comparing two such towers and deciding an
+        equation over one each visit every distinct node once: T is 40
+        powers of X and F = X + X*F^2^...^2 60 powers deep, and each call
+        prints within seconds, where one visit per path would take
+        forever."""
+        path = tmp_path / "tower.species"
+        path.write_text("F = X + X*F" + "^2" * 60 + "\n", encoding="utf-8")
+        argv = [arg.replace("T", "X" + "^2" * 40) for arg in argv]
+        src = Path(species.__file__).resolve().parent.parent
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from species.cli import main; sys.exit(main(sys.argv[2:]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", probe, str(src), *argv,
+             "--defs", str(path)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, stdout, "")
+
     def test_a_deeply_nested_structure(self, capsys):
         text = "[" * 5000 + "]" * 5000
         code, out, err = run(capsys, "transport", "X", "1->1", text)

@@ -3,6 +3,7 @@ and the counting series of the built-in species."""
 
 import copy
 import pickle
+import sys
 from math import comb, factorial
 
 import pytest
@@ -29,7 +30,7 @@ from species.expr import (
     Sum,
     print_expr,
 )
-from species.parser import parse_defs, parse_expr
+from species.parser import MAX_NESTING, parse_defs, parse_expr
 from species.primitives import NONEMPTY, ROWS
 from species.semantics import egf_of, primitive_series, validate
 
@@ -37,6 +38,9 @@ from oracles import bell, involutions, subfactorial
 from strategies import grammar_exprs
 
 K = PrimitiveKind
+N = MAX_NESTING
+_NO_EXPRESSION = ("identifier", "'('", "'0'", "'1'")
+_TOO_DEEP = f"the expression nests deeper than {N} levels"
 
 
 class TestParsing:
@@ -116,6 +120,120 @@ class TestParsing:
         assert info.value.position == 4
         assert "position 4" in str(info.value)
 
+    def test_nesting_at_the_limit_parses_without_recursion(self):
+        """The parser keeps its open brackets on a stack of its own, so
+        expressions at the nesting limit parse with under 100 frames of
+        the recursion limit left to them."""
+        texts = [
+            "pt(" * (N - 1) + "X" + ")" * (N - 1),
+            "(" * N + "X" + ")" * N,
+            "C(" * (N - 1) + "X" + ")" * (N - 1),
+        ]
+        depth = 0
+        while sys._getframe(depth).f_back is not None:
+            depth += 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            trees = [parse_expr(text) for text in texts]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [tree.height for tree in trees] == [N, 1, N]
+
+
+class TestParseErrors:
+    """Every way parse_expr and parse_defs refuse input, each with its
+    message, position and expected tokens."""
+
+    @pytest.mark.parametrize("text, message, position, expected", [
+        ("X + $", "unexpected character '$'", 4,
+         ("identifier", "number", "operator")),
+        ("", "input ended where an expression was expected", 0,
+         _NO_EXPRESSION),
+        ("X +", "input ended where an expression was expected", 3,
+         _NO_EXPRESSION),
+        ("X + + X", "found '+' where an expression was expected", 4,
+         _NO_EXPRESSION),
+        ("2*X", "the number 2 is not a species", 0, ("'0'", "'1'")),
+        ("X^", "expected an integer for the exponent", 2, ("integer",)),
+        ("X^Y", "expected an integer for the exponent", 2, ("integer",)),
+        ("X^-1", "expected an integer for the exponent", 2, ("integer",)),
+        ("Ek", "'Ek' needs its parameter, e.g. Ek[2]", 0, ("'['",)),
+        ("Ek(X)", "'Ek' needs its parameter before an argument", 0,
+         ("'['",)),
+        ("Ek(X", "input ended while reading a substitution argument", 4,
+         ("')'",)),
+        ("Ek[", "expected an integer for the parameter", 3, ("integer",)),
+        ("Ek[x]", "expected an integer for the parameter", 3, ("integer",)),
+        ("Ek[2", "input ended while reading a parameter", 4, ("']'",)),
+        ("Ek[2)", "found ')' while reading a parameter", 4, ("']'",)),
+        ("E[2]", "'E' does not take a [k] parameter", 0, ("Pk", "Ek")),
+        ("F[3]", "'F' does not take a [k] parameter", 0, ("Pk", "Ek")),
+        ("pt", "input ended while reading the argument of pt", 2,
+         ("'('",)),
+        ("pt X", "found 'X' while reading the argument of pt", 3, ("'('",)),
+        ("pt[2]", "found '[' while reading the argument of pt", 2,
+         ("'('",)),
+        ("pt(X", "input ended while reading the argument of pt", 4,
+         ("')'",)),
+        ("pt(X]", "found ']' while reading the argument of pt", 4,
+         ("')'",)),
+        ("(X", "input ended while reading a parenthesized expression", 2,
+         ("')'",)),
+        ("(X]", "found ']' while reading a parenthesized expression", 2,
+         ("')'",)),
+        ("E(X", "input ended while reading a substitution argument", 3,
+         ("')'",)),
+        ("F(X + Y", "input ended while reading a substitution argument", 7,
+         ("')'",)),
+        ("X)", "trailing input ')'", 1, ("end of input",)),
+        ("X Y", "trailing input 'Y'", 2, ("end of input",)),
+        ("E(C)(X)", "trailing input '('", 4, ("end of input",)),
+        ("X^2'", "trailing input \"'\"", 3, ("end of input",)),
+        ("(" * (N + 1) + "X" + ")" * (N + 1), _TOO_DEEP, N, ()),
+        ("pt(" * N + "X" + ")" * N, _TOO_DEEP, 4 * N, ()),
+        ("pt(" * (N + 1) + "X" + ")" * (N + 1), _TOO_DEEP, 3 * N + 2, ()),
+        ("C(" * N + "X" + ")" * N, _TOO_DEEP, 3 * N, ()),
+        ("Ek(" + "(" * N + "X" + ")" * (N + 1), _TOO_DEEP, N + 2, ()),
+        ("(" * N + "pt(X)" + ")" * N, _TOO_DEEP, N + 2, ()),
+        ("+".join(["X"] * (N + 1)), _TOO_DEEP, 2 * N, ()),
+        ("*".join(["X"] * (N + 1)), _TOO_DEEP, 2 * N, ()),
+        ("(" * (N - 1) + "X" + ")" * (N - 1) + "+X" * (N + 1), _TOO_DEEP,
+         4 * N - 2, ()),
+        (f"X^{N + 1}", _TOO_DEEP, 2, ()),
+        (f"(X*X)^{N}", _TOO_DEEP, 6, ()),
+        ("X^50^52", _TOO_DEEP, 5, ()),
+        (f"X^0^{N + 1}", _TOO_DEEP, 4, ()),
+        (f"E'*X^{N}", _TOO_DEEP, 5, ()),
+        ("E" + "'" * N, _TOO_DEEP, N, ()),
+    ])
+    def test_an_expression(self, text, message, position, expected):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        found = info.value
+        assert (found.message, found.position, found.expected) == (
+            message, position, expected)
+
+    @pytest.mark.parametrize("text, message, position, expected", [
+        ("X", "line 1: expected 'Name = expression'", 0,
+         ("Name = expression",)),
+        ("1F = X", "line 1: expected 'Name = expression'", 0,
+         ("Name = expression",)),
+        ("F = X +\n", "line 1: input ended where an expression was expected",
+         4, _NO_EXPRESSION),
+        ("A = X\nB = (",
+         "line 2: input ended where an expression was expected", 2,
+         _NO_EXPRESSION),
+        ("# c\nF = Ek", "line 2: 'Ek' needs its parameter, e.g. Ek[2]", 1,
+         ("'['",)),
+    ])
+    def test_a_definitions_file(self, text, message, position, expected):
+        with pytest.raises(ParseError) as info:
+            parse_defs(text)
+        found = info.value
+        assert (found.message, found.position, found.expected) == (
+            message, position, expected)
+
 
 class TestPrinting:
     def test_needs_parentheses(self):
@@ -164,6 +282,16 @@ class TestNodeValues:
         assert first == second
         assert hash(first) == hash(second)
         assert {first: 1}[second] == 1
+
+    def test_stacked_powers_compare_in_time_linear_in_their_height(self):
+        """X^2^...^2 shares one base per power: separate parses of 90 of
+        them compare equal, and unequal at their one leaf, in one pass
+        over the distinct pairs of nodes, not one per path down."""
+        text = "X" + "^2" * 90
+        first, second = parse_expr(text), parse_expr(text)
+        assert first is not second and first.height == 91
+        assert first == second and not first != second
+        assert first != parse_expr("E" + text[1:])
 
     def test_the_node_kind_is_part_of_the_value(self):
         a, b = Name("A"), Name("B")
