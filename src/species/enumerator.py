@@ -65,16 +65,15 @@ holds hundreds of thousands of terms that refer only to their children, so
 it has no reference cycles to find, yet each full collection would traverse
 all of them again.  The walk itself makes no cycle either: its recursive
 helpers are module functions that get their state as arguments, not
-closures that refer to themselves.  Opening a walk pauses the collector,
-and closing it, however its block ends, turns it back on if it was on
-when the walk was opened.  The switch is process-wide: another thread
-that turns the collector off during a walk finds it on again when the
-walk ends, and one that turns it on makes the rest of the walk collect as
-usual.  Walks that overlap in several threads leave it on if it was on
-before the first of them began.
+closures that refer to themselves.  Each walk pauses the collector as it
+opens, and the last to close, however its block ends, turns it back on
+if it was on when the first opened, in any thread: both under the lock
+that opens and closes the label tables (structures).  The switch is
+process-wide: another thread that turns the collector off during a walk
+finds it on again when the last walk ends, and one that turns it on
+makes the walks collect as usual until another opens.
 """
 
-import gc
 import random
 from itertools import combinations
 from math import prod
@@ -214,16 +213,17 @@ class _Walk:
     guard against a name that recurs on the same labels: _build never walks
     back to one (see there).
 
-    `with walk:` is the listing's scope: it pauses the collector (see the
-    module docstring) and opens the label tables (see structures); its
-    exit, however the block ends, releases the walk, closes the tables and
-    restores the collector.  Not a generator, whose exit would allocate a
-    StopIteration after the collector is back on, starting a young
-    collection over every term the caller still holds.
+    `with walk:` is the listing's scope: it opens the label tables and
+    pauses the collector (see the module docstring); its exit, however the
+    block ends, releases the walk and closes the tables, which the last
+    walk to close empties, restoring the collector.  Not a generator,
+    whose exit would allocate a StopIteration after the collector is back
+    on, starting a young collection over every term the caller still
+    holds.
     """
 
     __slots__ = ("memo", "tables", "keys", "series_counts", "holders",
-                 "env", "evaluator", "collecting")
+                 "env", "evaluator")
 
     def __init__(self, env=None):
         self.memo = {}
@@ -235,16 +235,12 @@ class _Walk:
         self.evaluator = _Evaluator(env or Environment())
 
     def __enter__(self):
-        self.collecting = gc.isenabled()
-        gc.disable()
         _open_walk()
         return self
 
     def __exit__(self, *exc_info):
         self.release()
         _close_walk()
-        if self.collecting:
-            gc.enable()
 
     def release(self):
         """Drop the memos, tables, keys, holders and evaluator: only what

@@ -66,11 +66,11 @@ class SpeciesExpr:
 
     Each node class lists its fields in constructor order, as
     ``__slots__ = fields = (...)``.  Two nodes are equal when they have the
-    same class and equal fields.  height, the number of nodes on the longest
-    path down, is set at construction, and _values keeps the fields in
-    order; the hash and depths are computed the first time they are asked
-    for and kept, so a tree is walked for them once however often it is
-    looked up.
+    same class and equal fields: when a _Table of both gives them one row.
+    height, the number of nodes on the longest path down, is set at
+    construction, and _values keeps the fields in order; the hash and
+    depths are computed the first time they are asked for and kept, so a
+    tree is walked for them once however often it is looked up.
     """
 
     __slots__ = ("height", "_values", "_hash", "_depths")
@@ -92,25 +92,8 @@ class SpeciesExpr:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        # Each distinct pair of nodes is compared once, from a stack, so a
-        # node shared by many paths (F^k's base) costs one comparison.
-        compared, todo = set(), [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b or (id(a), id(b)) in compared:
-                continue
-            if type(a) is not type(b):
-                return False
-            kept = getattr(a, "_hash", None), getattr(b, "_hash", None)
-            if None not in kept and kept[0] != kept[1]:
-                return False
-            compared.add((id(a), id(b)))
-            for x, y in zip(a._values, b._values):
-                if isinstance(x, SpeciesExpr):
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
+        table = _Table()
+        return table.add(self) == table.add(other)
 
     def __hash__(self):
         found = getattr(self, "_hash", None)
@@ -147,6 +130,64 @@ class SpeciesExpr:
 
 
 _set = object.__setattr__
+
+
+class _Table:
+    """One row per distinct value among the nodes of the trees added
+    (hash-consing: Filliâtre and Conchon, "Type-safe modular hash-consing",
+    2006).  A row is a node's class and fields, each child replaced by its
+    row, so equal subtrees share one row, from any number of trees; a name
+    is a row of its own, its definition not unfolded.  Rows are numbered
+    children first: for each, nodes holds one node and kids its child rows
+    in field order.  add meets each node once, by id, so a table must not
+    outlive the trees added to it."""
+
+    __slots__ = ("rows", "nodes", "kids", "_met")
+
+    def __init__(self):
+        self.rows, self.nodes, self.kids, self._met = {}, [], [], {}
+
+    def add(self, expr):
+        """expr's row, after a row for each new value under it: a node
+        waits on the stack under its children until each has a row."""
+        met, rows, nodes, todo = self._met, self.rows, self.nodes, [expr]
+        while todo:
+            node = todo[-1]
+            if id(node) in met:
+                todo.pop()
+                continue
+            key, kids = [type(node)], []
+            for value in node._values:
+                if isinstance(value, SpeciesExpr):
+                    kid = met.get(id(value))
+                    if kid is None:
+                        todo.append(value)
+                    kids.append(kid)
+                    key.append(kid)
+                else:
+                    key.append(value)
+            if todo[-1] is node:
+                todo.pop()
+                row = met[id(node)] = rows.setdefault(tuple(key), len(rows))
+                if row == len(nodes):
+                    nodes.append(node)
+                    self.kids.append(kids)
+        return met[id(expr)]
+
+    def occurrences(self, top):
+        """The number of paths from row top to each row under it, top's
+        own included, in the order a walk meets them, last child first."""
+        kids, paths, todo = self.kids, {}, [top]
+        while todo:
+            row = todo.pop()
+            if row not in paths:
+                paths[row] = 0
+                todo += kids[row]
+        paths[top] = 1
+        for row in sorted(paths, reverse=True):  # each above its kids
+            for kid in kids[row]:
+                paths[kid] += paths[row]
+        return paths
 
 
 class Primitive(SpeciesExpr):

@@ -32,12 +32,12 @@ and the size.
 
 An evaluator keeps each name's series across its calls and solves a system
 again only deeper: egf_of makes one per call, a listing's walk one for all
-its counts.  Each evaluation compiles the expression, and every definition
-it reaches, once into a tree of closures.  Inside a solve, product and
-substitution nodes resume from the counts their operands kept since the
-previous pass (the kernels' known prefix), and name-free nodes are built
-once and sliced, so one solve costs O(N^2) kernel work in the order N
-instead of O(N^3).
+its counts.  Each evaluation numbers the distinct nodes it reaches in one
+table (expr._Table) and compiles each row once into a closure, children
+first.  Inside a solve, product and substitution nodes resume from the
+counts their operands kept since the previous pass (the kernels' known
+prefix), and name-free nodes are built once and sliced, so one solve
+costs O(N^2) kernel work in the order N instead of O(N^3).
 """
 
 from .errors import (
@@ -54,9 +54,9 @@ from .expr import (
     Primitive,
     Product,
     RestrictCard,
-    SpeciesExpr,
     Substitute,
     Sum,
+    _Table,
     print_expr,
 )
 from .primitives import NONEMPTY, ROWS
@@ -122,31 +122,6 @@ def _sccs(nodes, edges):
     return out
 
 
-def _subtrees(expr):
-    """Each distinct node of expr, the first time a walk from the root
-    meets it, with the number of times it occurs in the tree (paths from
-    the root to it): a shared node is walked once."""
-    nodes, edges, todo = {}, {}, [expr]
-    while todo:
-        node = todo.pop()
-        edges[id(node)] = edges.get(id(node), 0) + 1
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            todo += [v for v in node._values if isinstance(v, SpeciesExpr)]
-    # Parents before children: a node is ready once each edge into it,
-    # the root's from outside the tree, has handed on its parent's count.
-    occurs, ready = {id(expr): 1}, [expr]
-    while ready:
-        node = ready.pop()
-        for v in node._values:
-            if isinstance(v, SpeciesExpr):
-                occurs[id(v)] = occurs.get(id(v), 0) + occurs[id(node)]
-                edges[id(v)] -= 1
-                if not edges[id(v)]:
-                    ready.append(v)
-    return [(node, occurs[key]) for key, node in nodes.items()]
-
-
 def _times(a, b, full):
     """The support of a product of series with supports a and b, cut to
     full.  A support is a bit mask of the sizes whose count is nonzero."""
@@ -179,14 +154,22 @@ def _product(a, b, full):
 
 
 class _Window:
-    """The profiles of the nodes of the components reached, over the sizes
-    0 .. top - 1 that _decide reads.  A profile maps None to the node's
+    """The profiles of the rows of the components reached, over the sizes
+    0 .. top - 1 that _decide reads.  A profile maps None to the row's
     support at the least solution, and each count (name, m) of an unknown
     to the mask of the sizes whose count reads it beside nonzero factors:
-    the node's counts and their first derivatives, over the booleans.  The
-    supports are least fixed points, dependencies first, from none."""
+    the row's counts and their first derivatives, over the booleans.  The
+    supports are least fixed points, dependencies first, from none, and
+    least keeps each row's profile there, reading no count.  trees maps
+    each name reached to the rows under its definition (occurrences), and
+    roots to the row of the definition."""
 
-    def __init__(self, env, reached, nodes, spin):
+    def __init__(self, table, roots, reached, trees):
+        self.table, self.trees = table, trees
+        nodes = [table.nodes[row] for tree in trees.values() for row in tree]
+        spin = sum(occurs for tree in trees.values()
+                   for row, occurs in tree.items()
+                   if type(table.nodes[row]) is Derivative)
         # Restriction bounds, each gap between them cut to gap (_decide).
         gap = 3 * spin + 2 + max((node.param for node in nodes
                                   if type(node) is Primitive and node.param),
@@ -200,16 +183,16 @@ class _Window:
         self.deep = self.low + spin
         self.top = self.deep + 2 * spin + 1
         self.full = (1 << self.top) - 1
-        self.held, self.memo = {}, {}
+        self.held, self.memo, self.least = {}, {}, {}
         for comp in reached:
             self.held.update(dict.fromkeys(comp, 0))
-            changed = True
-            while changed:
-                changed = False
-                for name in comp:
-                    found = self.profile(env[name])[None]
-                    changed |= found != self.held[name]
-                    self.held[name] = found
+            while True:
+                found = self.profiles(comp)
+                supports = {name: found[roots[name]][None] for name in comp}
+                if supports.items() <= self.held.items():
+                    break
+                self.held.update(supports)
+            self.least.update(found)
 
     def size(self, n):
         """The size that n in the window stands for."""
@@ -217,54 +200,59 @@ class _Window:
                    key=lambda bp: abs(n - bp[1]))
         return n + b - p
 
-    def profile(self, expr, names=(), call=None):
-        """expr's profile, reading the counts of the unknowns in names.
-        memo keeps the profiles of the nodes that read no name, and call,
-        for one call, those of the nodes that read one."""
-        call = {} if call is None else call
-        found = self.memo.get(id(expr)) or call.get(id(expr))
-        if found is not None:
-            return found
-        kind, full = type(expr), self.full
+    def profiles(self, comp, names=()):
+        """The profile of each row under the definitions of comp's names,
+        children first, reading the counts of the unknowns in names.  memo
+        keeps the profiles of the rows that read no name."""
+        table, memo, found = self.table, self.memo, {}
+        for row in sorted(set().union(*map(self.trees.get, comp))):
+            profile = memo.get(row)
+            if profile is None:
+                node = table.nodes[row]
+                profile = self._profile(node, names, *[
+                    found[kid] for kid in table.kids[row]])
+                if not node.depths:
+                    memo[row] = profile
+            found[row] = profile
+        return found
+
+    def _profile(self, node, names, *kids):
+        """node's profile, from those of its children."""
+        kind, full = type(node), self.full
         if kind is Name:
-            found = {None: self.held[expr.ident]}
-            if expr.ident in names:
-                found.update(((expr.ident, m), 1 << m)
+            found = {None: self.held[node.ident]}
+            if node.ident in names:
+                found.update(((node.ident, m), 1 << m)
                              for m in range(self.top))
             return found
         if kind is Primitive:
-            has = NONEMPTY.get(expr.kind)
-            found = {None: full if has is None else sum(
-                1 << n for n in range(self.top) if has(n, expr.param))}
-        elif kind is Sum:
-            found = _merged([self.profile(expr.left, names, call),
-                             self.profile(expr.right, names, call)])
-        elif kind is Product:
-            found = _product(self.profile(expr.left, names, call),
-                             self.profile(expr.right, names, call), full)
-        elif kind is Substitute:
+            has = NONEMPTY.get(node.kind)
+            return {None: full if has is None else sum(
+                1 << n for n in range(self.top) if has(n, node.param))}
+        if kind is Sum:
+            return _merged(kids)
+        if kind is Product:
+            return _product(*kids, full)
+        if kind is Substitute:
             # outer's count k times the k-th power of inner, for each k;
             # blocks are nonempty, so no count 0 of inner is read.
-            outer = self.profile(expr.outer, names, call)
-            inner = {key: mask if key is None else mask & ~1 for key, mask
-                     in self.profile(expr.inner, names, call).items()}
+            outer, inner = kids
+            inner = {key: mask if key is None else mask & ~1
+                     for key, mask in inner.items()}
             terms, power = [], {None: 1}
             for k in range(self.top):
                 at_k = {key: mask >> k & 1 for key, mask in outer.items()}
                 terms.append(_product(at_k, power, full))
                 power = _product(power, inner, full)
-            found = _merged(terms)
-        else:  # a derivative, a pointing or a restriction of one inner
-            shift = 1 if kind is Derivative else 0
-            keep = full - 1 if kind is Pointing else full
-            if kind is RestrictCard:
-                b = self.place[expr.bound]
-                keep &= {"==": 1 << b, ">=": full >> b << b,
-                         "<=": (2 << b) - 1}[expr.relation]
-            found = {key: mask >> shift & keep for key, mask
-                     in self.profile(expr.inner, names, call).items()}
-        (call if expr.depths else self.memo)[id(expr)] = found
-        return found
+            return _merged(terms)
+        # a derivative, a pointing or a restriction of one inner
+        shift = 1 if kind is Derivative else 0
+        keep = full - 1 if kind is Pointing else full
+        if kind is RestrictCard:
+            b = self.place[node.bound]
+            keep &= {"==": 1 << b, ">=": full >> b << b,
+                     "<=": (2 << b) - 1}[node.relation]
+        return {key: mask >> shift & keep for key, mask in kids[0].items()}
 
 
 def _refusal(env, name, verdict, n, why):
@@ -275,10 +263,11 @@ def _refusal(env, name, verdict, n, why):
     )
 
 
-def _decide(env, components, cycles):
+def _decide(env, table, roots, components, cycles):
     """Refuse each recursive component in cycles that is not well-founded
     (see the module docstring).  components holds the components of the
-    names the cycles reach, dependencies first.  No series is built.
+    names the cycles reach, dependencies first, and roots the row of each
+    one's definition in table.  No series is built.
 
     The counts of a cycle at sizes 0 .. low, and all they depend on, form
     a finite graph over (unknown, size).  A path of dependencies passes at
@@ -298,26 +287,24 @@ def _decide(env, components, cycles):
     reach 2 * spin above deep, room for the derivatives read there, so
     those at and below deep + spin are the least solution's."""
     reached = components[:max(map(components.index, cycles)) + 1]
-    trees = {name: _subtrees(env[name]) for comp in reached for name in comp}
-    nodes = [node for tree in trees.values() for node, _ in tree]
-    spin = sum(occurs for tree in trees.values() for node, occurs in tree
-               if type(node) is Derivative)
-    window = _Window(env, reached, nodes, spin)
+    trees = {name: table.occurrences(roots[name])
+             for comp in reached for name in comp}
+    window, nodes = _Window(table, roots, reached, trees), table.nodes
     for comp in cycles:
-        inners = [(name, node.inner) for name in comp
-                  for node, _ in trees[name] if type(node) is Substitute]
+        inners = [(name, table.kids[row][1]) for name in comp
+                  for row in trees[name] if type(nodes[row]) is Substitute]
         for name, inner in inners:
-            if window.profile(inner)[None] & 1:
+            if window.least[inner][None] & 1:
                 raise NonemptyInnerOnEmptySet(
-                    f"substitution inner species {print_expr(inner)} has a "
-                    f"structure on the empty set in equation {name} = "
+                    f"substitution inner species {print_expr(nodes[inner])} "
+                    f"has a structure on the empty set in equation {name} = "
                     f"{print_expr(env[name])}"
                 )
-        forced = {(inner.ident, 0) for _, inner in inners
-                  if type(inner) is Name}
-        graph = {}
+        forced = {(nodes[inner].ident, 0) for _, inner in inners
+                  if type(nodes[inner]) is Name}
+        found, graph = window.profiles(comp, set(comp)), {}
         for name in comp:
-            reads = window.profile(env[name], set(comp)).items()
+            reads = found[roots[name]].items()
             for n in range(window.top):
                 if (name, n) not in forced:
                     graph[name, n] = {key for key, mask in reads
@@ -349,28 +336,9 @@ def _decide(env, components, cycles):
             )
 
 
-def _shape(expr, met, places, rows):
-    """expr as a value that equal trees share whatever their names: a name
-    is -1 - its place in met, to which a new name is added, and any other
-    node the place of its row in rows, which holds one row per distinct
-    node (its class and fields, each field a value or a node's place)."""
-    if type(expr) is Name:
-        if expr.ident not in places:
-            places[expr.ident] = len(met)
-            met.append(expr.ident)
-        return -1 - places[expr.ident]
-    row = rows.get(id(expr))
-    if row is None:
-        fields = tuple(_shape(v, met, places, rows)
-                       if isinstance(v, SpeciesExpr) else v
-                       for v in expr._values)
-        row = rows[id(expr)] = len(rows), type(expr), *fields
-    return row[0]
-
-
-# The shapes (_shape) of the systems found well-founded, the one record of
-# a decision: a decision reads the equations alone, so it holds in every
-# env, under any names.
+# The systems found well-founded, each as its rows, a name by its place
+# (_Evaluator._resolve_names): the one record of a decision, which reads
+# the equations alone, so it holds in every env, under any names.
 _WELL_FOUNDED = set()
 
 
@@ -400,8 +368,9 @@ def _resumed(kernel):
 
 class _Evaluator:
     """Series over one env, keeping each name's (resolved) across calls.
-    A call compiles every node it reaches once into a closure order ->
-    CountSeries; _compile is the one place that dispatches on node kind.
+    A call compiles each row of its table once into a closure order ->
+    CountSeries, which the evaluator does not keep, so a call leaves no
+    reference cycle; _compile is the one place that dispatches on kind.
 
     A node that references no name has the same series under every
     overlay: it is built once, at the deepest order asked for so far but at
@@ -418,26 +387,22 @@ class _Evaluator:
         self.resolved = {}
         self.overlay = {}
         self.horizon = 0
-        self.compiled = {}
 
     def eval(self, expr, order):
-        try:
-            self._resolve_names(expr, order)
-            return self._compile(expr)(order)
-        finally:
-            # Compiled nodes refer back to the evaluator; once they are
-            # dropped, the call leaves no reference cycle behind.
-            self.compiled.clear()
+        table, built = _Table(), []
+        self._resolve_names(expr, order, table, built)
+        return self._compile(table, built, expr)(order)
 
-    def _resolve_names(self, expr, order):
+    def _resolve_names(self, expr, order, table, built):
         """Resolve every name expr reaches, deep enough to evaluate expr
         to order.  Its recursive components are decided from their
         equations first (_decide), all of them before any series is built,
-        unless a system of the same shape was found well-founded before
-        (_WELL_FOUNDED); then, definitions first, each acyclic name is
-        evaluated and each recursive component solved for its least fixed
-        point (solve_system), through the order its users need plus the
-        reach its derivatives ask for."""
+        unless a system equal up to its names was found well-founded
+        before (_WELL_FOUNDED); then, definitions first, each acyclic name
+        is evaluated and each recursive component solved for its least
+        fixed point (solve_system), through the order its users need plus
+        the reach its derivatives ask for.  A definition enters the call's
+        table when a cycle is reached or its component resolved."""
         seeds = expr.depths
         if not seeds:
             return
@@ -454,17 +419,16 @@ class _Evaluator:
         cycles = [comp for comp in components
                   if len(comp) > 1 or comp[0] in edges[comp[0]]]
         if cycles:
-            # The definitions reached, as equal systems share them.
-            met = list(seeds)
-            places = {name: place for place, name in enumerate(met)}
-            rows = {}
-            shape = (tuple(_shape(self.env[name], met, places, rows)
-                           for name in met), *rows.values())
-            if shape not in _WELL_FOUNDED:
-                _decide(self.env, components, cycles)
+            # The definitions reached, in the order the walk above met them.
+            roots = {name: table.add(self.env[name]) for name in edges}
+            places = {name: place for place, name in enumerate(edges)}
+            key = (tuple(roots.values()), *[places[row[1]] if row[0] is Name
+                                            else row for row in table.rows])
+            if key not in _WELL_FOUNDED:
+                _decide(self.env, table, roots, components, cycles)
                 if len(_WELL_FOUNDED) >= 4096:
                     _WELL_FOUNDED.clear()
-                _WELL_FOUNDED.add(shape)
+                _WELL_FOUNDED.add(key)
 
         # Orders needed, flowing from use sites down to definitions: a
         # cycle reads the names outside it through its reach.
@@ -496,13 +460,13 @@ class _Evaluator:
             # A shallower solution would shadow the solver's overlay.
             for name in comp:
                 self.resolved.pop(name, None)
+            nodes = [self._compile(table, built, self.env[name])
+                     for name in comp]
             if len(comp) == 1 and comp[0] not in edges[comp[0]]:
-                name = comp[0]
-                self.resolved[name] = self._compile(self.env[name])(comp_order)
+                self.resolved[comp[0]] = nodes[0](comp_order)
                 continue
-            equations = [
-                (name, self._equation(self.env[name])) for name in comp
-            ]
+            equations = [(name, self._equation(node))
+                         for name, node in zip(comp, nodes)]
             self.horizon = far
             try:
                 solution = solve_system(equations, comp_order, order_loss=loss)
@@ -511,26 +475,25 @@ class _Evaluator:
                 self.overlay = {}
             self.resolved.update(solution)
 
-    def _equation(self, rhs):
-        node = self._compile(rhs)
-
+    def _equation(self, node):
         def evaluate(approx, target):
             self.overlay = approx
             return node(target)
 
         return evaluate
 
-    def _compile(self, expr):
-        node = self.compiled.get(expr)
-        if node is None:
-            kind = _COMPILE.get(type(expr))
-            if kind is None:
-                raise TypeError(f"not a species expression: {expr!r}")
-            node = kind(self, expr)
-            if not expr.depths:
-                node = self._built_once(node)
-            self.compiled[expr] = node
-        return node
+    def _compile(self, table, built, expr):
+        """expr's closure.  built holds the closures of table's first rows;
+        each row up to expr's is compiled in turn, from its children's."""
+        row = table.add(expr)
+        for at in range(len(built), row + 1):
+            node = table.nodes[at]
+            make = _COMPILE.get(type(node))
+            if make is None:
+                raise TypeError(f"not a species expression: {node!r}")
+            closure = make(self, node, *map(built.__getitem__, table.kids[at]))
+            built.append(closure if node.depths else self._built_once(closure))
+        return built[row]
 
     def _built_once(self, build):
         built = None
@@ -560,14 +523,10 @@ class _Evaluator:
 
         return node
 
-    def _sum(self, expr):
-        left = self._compile(expr.left)
-        right = self._compile(expr.right)
+    def _sum(self, expr, left, right):
         return lambda order: left(order) + right(order)
 
-    def _product(self, expr):
-        left = self._compile(expr.left)
-        right = self._compile(expr.right)
+    def _product(self, expr, left, right):
         multiply = _resumed(lambda f, g, known: f.__mul__(g, known))
         if left is right:
             # One series passed twice, so that the product squares it.
@@ -578,9 +537,7 @@ class _Evaluator:
             return square
         return lambda order: multiply(left(order), right(order))
 
-    def _substitute(self, expr):
-        outer = self._compile(expr.outer)
-        inner = self._compile(expr.inner)
+    def _substitute(self, expr, outer, inner):
         substitute = _resumed(lambda f, g, known: f(g, known))
 
         def node(order):
@@ -594,16 +551,13 @@ class _Evaluator:
 
         return node
 
-    def _derivative(self, expr):
-        inner = self._compile(expr.inner)
+    def _derivative(self, expr, inner):
         return lambda order: inner(order + 1).derive()
 
-    def _pointing(self, expr):
-        inner = self._compile(expr.inner)
+    def _pointing(self, expr, inner):
         return lambda order: inner(order).point()
 
-    def _restrict(self, expr):
-        inner = self._compile(expr.inner)
+    def _restrict(self, expr, inner):
         admits = expr.admits
         return lambda order: CountSeries(
             c if admits(n) else 0 for n, c in enumerate(inner(order).counts())

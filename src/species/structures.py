@@ -37,6 +37,8 @@ _RUN_TEXTS) and of label sets (_SETS) keep entries only while a walk
 (enumerator._Walk) is open; the last open walk to close empties them.
 """
 
+import gc
+from _thread import allocate_lock
 from itertools import chain, permutations, repeat
 from operator import add, attrgetter, eq, is_, itemgetter, lt
 
@@ -213,26 +215,32 @@ _RUN_CODES = _Runs(",")
 _RUN_TEXTS = _Runs(", ")
 
 
-#: One entry per open walk: _CODES, _RUN_CODES, _RUN_TEXTS and _SETS keep
-#: entries only while it is nonempty.  list.append and list.pop are
-#: atomic, so walks in several threads keep the count right without a
-#: lock.
+#: One entry per open walk, in any thread, opened and closed under
+#: _WALK_LOCK; the first is whether the collector was on.  _CODES,
+#: _RUN_CODES, _RUN_TEXTS and _SETS keep entries only while it is nonempty.
 _OPEN_WALKS = []
+_WALK_LOCK = allocate_lock()
 
 
 def _open_walk():
-    _OPEN_WALKS.append(None)
+    """Open one walk, pausing the collector."""
+    with _WALK_LOCK:
+        _OPEN_WALKS.append(not _OPEN_WALKS and gc.isenabled())
+        gc.disable()
 
 
 def _close_walk():
     """Close one walk; the last to close empties the label, run and set
-    tables."""
-    _OPEN_WALKS.pop()
-    if not _OPEN_WALKS:
-        _CODES.clear()
-        _RUN_CODES.clear()
-        _RUN_TEXTS.clear()
-        _SETS.clear()
+    tables, and turns the collector back on if the first found it on."""
+    with _WALK_LOCK:
+        collecting = _OPEN_WALKS.pop()
+        if not _OPEN_WALKS:
+            _CODES.clear()
+            _RUN_CODES.clear()
+            _RUN_TEXTS.clear()
+            _SETS.clear()
+            if collecting:
+                gc.enable()
 
 
 def _interned(labels):

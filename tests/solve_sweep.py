@@ -44,14 +44,27 @@ least fixed point, and the two-name systems against their renaming, in
 
     PYTHONPATH=src:tests python tests/solve_sweep.py --ops 3 --pairs 3000
 
-It exits 1 when a system fails an oracle.  test_solve_sweep.py runs the
-single-name systems of at most two operators, derivatives included, a
-slice of the derivative systems, and the first 600 two-name systems of
-seed 1 against their renaming.
+The decision ledger, tests/decisions.json, holds one sha256 per family of
+every system's outcome at orders 0, 3 and 5: F's counts, or the class and
+message of its refusal.  The families are the single-name systems of at
+most three operators, 3 000 two-name systems of seed 1 and every
+derivative system, each decided afresh and with no time limit.  The
+script recomputes the ledger beside the sweep and names each family whose
+digest differs.  A change that changes an outcome writes the file again:
+
+    PYTHONPATH=src:tests python -c "import solve_sweep; solve_sweep.write_ledger()"
+
+It exits 1 when a system fails an oracle or a family differs from the
+ledger.  test_solve_sweep.py runs the single-name systems of at most two
+operators, derivatives included, a slice of the derivative systems, and
+the first 600 two-name systems of seed 1 against their renaming.
 """
 
 import argparse
+import hashlib
+import json
 import multiprocessing
+import os
 import random
 import resource
 import signal
@@ -313,6 +326,49 @@ def lfp_disagreement(system, order, seconds=None):
             f"{want and want['F']} least fixed point")
 
 
+LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "decisions.json")
+
+
+def decision_ledger():
+    """{family: sha256 of each system's text and its outcomes at orders 0,
+    3 and 5}, each outcome F's counts or the class and message of the
+    refusal, every system decided afresh."""
+    families = {
+        "single_name": single_name_systems(3),
+        "two_name": two_name_systems(3000, 1),
+        "derivative": derivative_systems(),
+    }
+    digests = {}
+    for family, systems in families.items():
+        digest = hashlib.sha256()
+        for system in systems:
+            env, found = Environment(system), []
+            for order in (0, 3, 5):
+                semantics._WELL_FOUNDED.clear()
+                try:
+                    found.append(egf_of(Name("F"), env, order=order).counts())
+                except Exception as err:
+                    found.append((type(err).__name__, str(err)))
+            digest.update(f"{_text(system)}\t{found!r}\n".encode())
+        digests[family] = digest.hexdigest()
+    return digests
+
+
+def write_ledger():
+    with open(LEDGER, "w", encoding="utf-8") as out:
+        json.dump(decision_ledger(), out, indent=2)
+        out.write("\n")
+
+
+def ledger_differences():
+    """The families whose digest differs from the ledger's."""
+    with open(LEDGER, encoding="utf-8") as kept:
+        want = json.load(kept)
+    got = decision_ledger()
+    return sorted(f for f in set(want) | set(got) if want.get(f) != got.get(f))
+
+
 def _checked(job, seconds):
     return disagreement(*job, seconds=seconds)
 
@@ -360,6 +416,7 @@ def main(argv=None):
     with multiprocessing.get_context("spawn").Pool(
         args.jobs, _limit_memory, (args.memory_mb,)
     ) as pool:
+        ledger = pool.apply_async(ledger_differences)
         found = list(pool.imap(
             partial(_checked, seconds=args.seconds), jobs, chunksize=50
         ))
@@ -371,7 +428,9 @@ def main(argv=None):
             partial(_renaming_checked, seconds=args.seconds), renaming_jobs,
             chunksize=50
         ))
-    failures = [line for line in found + lfp_found + renamed if line]
+        differ = ledger.get()
+    failures = [line for line in found + lfp_found + renamed if line] + [
+        f"{family}: outcomes differ from {LEDGER}" for family in differ]
     for line in failures:
         print("FAIL", line)
     print(f"{len(jobs)} systems, {len(lfp_jobs)} against the least fixed "

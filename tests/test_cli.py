@@ -561,6 +561,26 @@ class TestExitCodes:
             _DOCUMENTED_CODES.get(error, 1), "", "error: refused\n")
 
 
+class TestRefusalsNameWhatTheWalkMeetsLast:
+    """An unbound name, and a substitution inner with a structure on the
+    empty set, is named as the walks that find them meet it: the last name
+    of the expression, and the last inner of the equation, first."""
+
+    def test_the_last_unbound_name(self, capsys):
+        assert run(capsys, "count", "F+G", "1") == (
+            1, "", "error: no definition for 'G'\n")
+
+    @pytest.mark.parametrize("definition", [
+        "F = E(1) + E(F)", "F = E(1)*E(F)", "F = E(1) + L(F)",
+    ])
+    def test_the_last_inner(self, capsys, tmp_path, definition):
+        path = tmp_path / "defs.species"
+        path.write_text(definition + "\n", encoding="utf-8")
+        assert run(capsys, "count", "F", "1", "--defs", str(path)) == (
+            1, "", "error: substitution inner species F has a structure on "
+            f"the empty set in equation {definition}\n")
+
+
 def _captured(call, argv):
     """(exit code, stdout, stderr) of call(argv); a SystemExit from argparse
     gives its code."""

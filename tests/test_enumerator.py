@@ -1299,6 +1299,29 @@ class TestCollectorPause:
         assert _tables_empty()
         assert gc.isenabled()
 
+    def test_a_walk_opening_as_another_closes_leaves_it_on(self, monkeypatch):
+        """Walk W opens while walk V is open, and V closes between W
+        reading the collector's state and W pausing it: once both are
+        closed the collector is on, as the first walk found it."""
+        gc.enable()
+        first = enumerator._Walk()
+        first.__enter__()
+        isenabled = gc.isenabled
+
+        def first_closing():
+            found = isenabled()
+            if first.memo is not None:
+                first.__exit__(None, None, None)
+            return found
+
+        monkeypatch.setattr(gc, "isenabled", first_closing)
+        with enumerator._Walk():
+            monkeypatch.setattr(gc, "isenabled", isenabled)
+            if first.memo is not None:
+                first.__exit__(None, None, None)
+        assert gc.isenabled()
+        assert _tables_empty()
+
     def test_the_walk_leaves_no_reference_cycles(self):
         """Nothing a walk makes needs the collector: with it off, a
         collection after each listing finds no garbage."""

@@ -23,10 +23,12 @@ from species.enumerator import enumerate_structures
 from species.expr import (
     Environment,
     Name,
+    Pointing,
     Primitive,
     PrimitiveKind,
     Product,
     RestrictCard,
+    Substitute,
     Sum,
 )
 from species.parser import parse_defs, parse_expr
@@ -338,9 +340,9 @@ class TestDecision:
         decided = []
         decide = semantics._decide
 
-        def counted(env, components, cycles):
+        def counted(env, table, roots, components, cycles):
             decided.append(sorted(name for comp in cycles for name in comp))
-            return decide(env, components, cycles)
+            return decide(env, table, roots, components, cycles)
 
         monkeypatch.setattr(semantics, "_decide", counted)
         monkeypatch.setattr(semantics, "_WELL_FOUNDED", set())
@@ -353,6 +355,49 @@ class TestDecision:
         egf_of(Name("Z"), parse_defs("Z = X*E(Z)\n"), order=9)
         egf_of(parse_expr("A*B"), env, order=3)
         assert decided == [["A"], ["A", "B"]]
+
+    def test_a_deep_equation_is_numbered_compiled_and_decided_in_loops(
+            self, monkeypatch):
+        """The table, the decision, the key of the decisions kept and the
+        compile walk their rows in loops, so an equation 400 levels deep
+        is numbered, decided and compiled, and compared with a copy of
+        itself, with 50 frames of the recursion limit left to them.  Each
+        level's hash and names are kept as it is built, one level at a
+        time, and F is held deep enough that no closure runs."""
+        x = Primitive(PrimitiveKind.SINGLETON)
+        lp = Primitive(PrimitiveKind.NONEMPTY_LIST)
+        levels = [Pointing, lambda t: Sum(t, x), lambda t: Product(x, t),
+                  lambda t: Substitute(lp, t),
+                  lambda t: RestrictCard(t, "<=", 50)]
+
+        def deep():
+            tree = Name("F")
+            for level in range(400):
+                tree = levels[level % len(levels)](tree)
+                hash(tree), tree.depths
+            return Sum(x, Product(x, tree))
+
+        rhs, copy = deep(), deep()
+        env = Environment({"F": rhs})
+        evaluator = semantics._Evaluator(env)
+        evaluator.resolved["F"] = CountSeries([0, 1, 2, 6])
+        monkeypatch.setattr(semantics, "_WELL_FOUNDED", set())
+        depth = 0
+        while sys._getframe(depth).f_back is not None:
+            depth += 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            table, built = semantics._Table(), []
+            evaluator._resolve_names(Name("F"), 3, table, built)
+            closure = evaluator._compile(table, built, rhs)
+            equal = copy == rhs
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(semantics._WELL_FOUNDED) == 1
+        assert len(table.nodes) == len(built) == 405
+        assert built[table.add(rhs)] is closure
+        assert equal
 
     @pytest.mark.parametrize("relation, counts, size", [
         ("==", [0, 1, 0, 0, 0, 0], 10**5),
