@@ -29,9 +29,10 @@ options spelled in full) is read straight from one argument table,
 _COMMANDS.  Everything else (help, usage errors, abbreviations,
 --opt=value, --) goes to an argparse parser built from the same table,
 with the same output and exit codes, so argparse is imported only then.
-Likewise this module imports json only in verify and transport: the
---json lines of count, series and solve hold integers and "p/q" texts,
-which need no escaping, and are written directly, in json.dumps's bytes.
+Likewise this module imports json only in transport: the --json lines of
+count, series and solve hold integers and "p/q" texts, which need no
+escaping, and verify's --json document holds strings quoted by
+structures._quote; all are written directly, in json.dumps's bytes.
 """
 
 import _thread
@@ -52,6 +53,7 @@ from .expr import Name, RESERVED, print_expr
 from .identities import SUITE_NOTE, run_suite
 from .parser import _IDENT_RE, parse_defs, parse_expr
 from .semantics import DEFAULT_ORDER, egf_of
+from . import structures
 from .structures import Bijection, check_label, decode_structure
 
 _SIZE_RE = re.compile(r"\d+")
@@ -288,14 +290,12 @@ def _cmd_verify(args):
     reports = run_suite(order=args.order, names=names, extra_env=env)
     ok = all(r.passed for r in reports)
     if args.json:
-        import json
-
         payload = {
             "note": SUITE_NOTE,
             "ok": ok,
             "cases": [r.to_json() for r in reports],
         }
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload, "\n"))
     else:
         print(f"# {SUITE_NOTE}")
         for r in reports:
@@ -309,6 +309,33 @@ def _cmd_verify(args):
         failed = sum(1 for r in reports if not r.passed)
         print(f"{len(reports) - failed} passed, {failed} failed")
     return 0 if ok else 1
+
+
+def _indented(value, pad):
+    """json.dumps(value, indent=2), written directly rather than by json's
+    pure-Python indenting encoder: value is made of dicts, lists, strings
+    (quoted by structures._quote, as json quotes them), integers, booleans
+    and None, as a verify document is.  pad is a newline and the indent of
+    the line value starts on."""
+    if isinstance(value, (dict, list)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = pad + "  "
+        if isinstance(value, list):
+            return "[" + ",".join(
+                [inner + _indented(item, inner) for item in value]
+            ) + pad + "]"
+        return "{" + ",".join([
+            inner + structures._quote(key) + ": " + _indented(item, inner)
+            for key, item in value.items()
+        ]) + pad + "}"
+    if isinstance(value, str):
+        return structures._quote(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return int.__repr__(value)
 
 
 #: The options shared by several subcommands.  An option is (spelling,

@@ -182,7 +182,9 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
 def _listed(expr, env, labels, budget, walk):
     """enumerate_structures on walk, whose env is env."""
     env = env or Environment()
-    labs = _clean_labels(labels)
+    labs = walk.clean.get(id(labels))
+    if labs is None:
+        labs = _clean_labels(labels)
     n = len(labs)
     expected = walk.counts(expr, n)[n]
     if expected > budget:
@@ -206,9 +208,10 @@ class _Walk:
     walk's parent terms that hold each of its terms (see the module
     docstring); a product of a term with itself holds it in two
     places.  Node ids are stable because the expression and env outlive the
-    walk; term ids are stable because the memo keeps every term alive.  env
-    is the env the walk was made with (None for none), the only one its
-    calls may use.  A refused call leaves only finished lists, table
+    walk; term ids are stable because the memo keeps every term alive.
+    clean holds the label tuples its caller has cleaned (see keep_clean).
+    env is the env the walk was made with (None for none), the only one
+    its calls may use.  A refused call leaves only finished lists, table
     entries and counts in the walk, so the walk stays usable.  It holds no
     guard against a name that recurs on the same labels: _build never walks
     back to one (see there).
@@ -223,7 +226,7 @@ class _Walk:
     """
 
     __slots__ = ("memo", "tables", "keys", "series_counts", "holders",
-                 "env", "evaluator")
+                 "clean", "env", "evaluator")
 
     def __init__(self, env=None):
         self.memo = {}
@@ -231,6 +234,7 @@ class _Walk:
         self.keys = {}
         self.series_counts = {}
         self.holders = {}
+        self.clean = {}
         self.env = env
         self.evaluator = _Evaluator(env or Environment())
 
@@ -243,10 +247,19 @@ class _Walk:
         _close_walk()
 
     def release(self):
-        """Drop the memos, tables, keys, holders and evaluator: only what
-        the caller holds stays alive, and the walk lists no more."""
-        self.memo = self.tables = self.keys = None
+        """Drop the memos, tables, keys, holders, clean label tuples and
+        evaluator: only what the caller holds stays alive, and the walk
+        lists no more."""
+        self.memo = self.tables = self.keys = self.clean = None
         self.series_counts = self.holders = self.evaluator = None
+
+    def keep_clean(self, labels):
+        """Keep labels, a tuple _clean_labels returned or a prefix of one,
+        so that a call on the walk given that very tuple takes it as it
+        is.  clean maps the id of each such tuple to the tuple, which it
+        keeps alive, so that no other object takes its id."""
+        self.clean[id(labels)] = labels
+        return labels
 
     def hold(self, terms, times):
         """Count times more places that hold each term of terms, a memo

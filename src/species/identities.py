@@ -31,7 +31,7 @@ report header says so.
 
 from math import comb, factorial
 
-from .enumerator import _Walk, enumerate_structures
+from .enumerator import _Walk, _clean_labels, enumerate_structures
 from .errors import DuplicateName, ParseError
 from .expr import Name, PrimitiveKind, Primitive, RestrictCard
 from .parser import parse_defs, parse_expr
@@ -122,13 +122,16 @@ def _listing_sizes(exprs, env, max_n):
 
     Every listing runs in one open walk, largest n first, so the listings
     on fewer labels reuse the lists and series counts of the first, and
-    the collector stays paused between the listings.  The walk releases
-    its caches as it closes, while the collector is still paused.
+    the collector stays paused between the listings.  The labels are
+    cleaned once, as [1, max_n]: each [n] is a prefix of it, kept by the
+    walk as clean.  The walk releases its caches as it closes, while the
+    collector is still paused.
     """
     sizes = [[None] * (max_n + 1) for _ in exprs]
+    every = _clean_labels(range(1, max_n + 1))
     with _Walk(env=env) as walk:
         for n in range(max_n, -1, -1):
-            labels = list(range(1, n + 1))
+            labels = walk.keep_clean(every[:n])
             for row, expr in zip(sizes, exprs):
                 row[n] = len(
                     enumerate_structures(expr, env, labels, walk=walk)

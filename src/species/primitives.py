@@ -20,10 +20,10 @@ substituting X + E_2 into E, and partitions by substituting Ep into E.
 
 Every listing comes in encode() order.  On one label set, subsets, graphs
 and digraphs differ only in their list of members, edges or arcs, so
-SubsetTerm.listed, GraphTerm.listed and DigraphTerm.listed walk the
+SubsetTerm.listed, GraphTerm.listed and DigraphTerm.listed join the
 sublists of the labels, of the possible edges, or of the possible arcs in
 order; each checks those items once and builds every term bare from the
-sublists it walks.  Lists, cycles and maps hold their labels in fixed
+sublists joined, a graph's or digraph's as a mask of its pairs.  Lists, cycles and maps hold their labels in fixed
 places (maps by source), so they are generated from the labels in encoded
 order.  The set, and all maps, lists, cycles or partitions on labels, are
 built on one MapSources, which checks the label tuple once, so no listing

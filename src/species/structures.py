@@ -39,8 +39,8 @@ _RUN_TEXTS) and of label sets (_SETS) keep entries only while a walk
 
 import gc
 from _thread import allocate_lock
-from itertools import chain, permutations, repeat
-from operator import add, attrgetter, eq, is_, itemgetter, lt
+from itertools import chain, combinations, permutations, product, repeat
+from operator import add, attrgetter, eq, getitem, is_, itemgetter, lt
 
 from .errors import DomainMismatch, NotABijection, ParseError
 
@@ -270,81 +270,72 @@ def _bare(cls, count):
     return list(map(_new, repeat(cls, count)))
 
 
-def _list_order(items, code, size=None, complements=False):
-    """Every sublist of items (a tuple), each a tuple in items' order, in
-    the order of the JSON lists they are written as; with size, only those
-    of that length.  With complements, also each one's complement in items,
-    as a second list in the same order.  The lists are new, for a builder
-    to turn into its terms in place.
+def _list_order(units, empty, codes, size=None, items=None):
+    """Every sublist of some items, each the join (+) of its items' units
+    in item order, in the order of the JSON lists they are written as;
+    with size, only those of that length.  units and codes give each
+    item's unit and code, and empty is the empty join: 1-tuples of the
+    items build tuples, and 1 << k masks, where + is | on disjoint bits.
+    With items, the items as a tuple, also each sublist's complement in
+    items, as a second list in the same order.  The lists are new, for a
+    builder to turn into its terms in place.
 
     Those lists compare element by element, elements by code, and a list
-    comes before its proper prefixes ("," sorts before "]").  So a
-    depth-first walk extends each sublist by every later item in code order
-    and emits it after its extensions.  A node of the walk is the place
-    where the next item may start, with the sublist's length when size is
-    given.  plan gives each node its steps, each an item's place and the
-    next node (None for a leaf, emitted at once), and whether it emits its
-    own sublist; with size, an item is taken only when enough items follow
-    it, and only the leaves emit.  rows give each step the part it adds:
-    the item or, for complements, the items it skips (for a leaf, all the
-    items after it too).
+    comes after its extensions ("," sorts before "]").  So the sublists
+    are the group of each item j, in code order, then the empty one; the
+    group of j is j's unit put before each sublist of the items after j,
+    in their order, which is itself the groups of those items and the
+    empty one.  With size the groups are kept by length: the group of j of
+    length k puts j's unit before each sublist of length k - 1 of the
+    items after j, and only those of length size are joined at the end.
+    The groups are built a length at a time (without size, one level that
+    reads itself), later items first, each by one list comprehension, so
+    each sublist is one object however many longer ones extend it.  The
+    complements are joined in step (_complements).
     """
-    n = len(items)
+    n = len(units)
     if size is not None and not 0 <= size <= n:
-        return ([], []) if complements else []
-    by_code = sorted(range(n), key=list(map(code, items)).__getitem__)
-    if size is None:
-        plan = [
-            (start, start, [(i, i + 1 if i + 1 < n else None)
-                            for i in by_code if i >= start], True)
-            for start in range(n + 1)
-        ]
-        root = 0
-    else:
-        # Only the root has length 0; a sublist of length k with its next
-        # item at start needs size - k more items from start on.
-        plan = [((0, 0), 0, [], True)] if size == 0 else []
-        for start in range(n):
-            for length in range(max(start and 1, size - n + start),
-                                min(start, size - 1) + 1):
-                last = length + 1 == size
-                plan.append(((start, length), start, [
-                    (i, None if last else (i + 1, length + 1))
-                    for i in by_code if start <= i <= n - size + length
-                ], False))
-        root = (0, 0)
-    singles = list(zip(items))
-    rows = {
-        node: [(singles[i], follows) for i, follows in steps]
-        + ([((), None)] if emits else [])
-        for node, _, steps, emits in plan
-    }
-    found = []
-    _list_walk((rows, found.append), (), root)
-    if not complements:
+        return ([], []) if items is not None else []
+    by_code = sorted(range(n), key=codes.__getitem__)
+    # The groups of one length at a time, and their complements; without
+    # size every group holds any number of items and reads its own level.
+    groups = rests = [()] * n
+    for k in [None] if size is None else range(1, size + 1):
+        level, level_rests = [()] * n, [()] * n
+        below, below_rests = (
+            (level, level_rests) if k is None else (groups, rests)
+        )
+        whole = k is None or k == 1
+        for i in reversed(range(0 if k is None else size - k,
+                                n if k is None else n - k + 1)):
+            unit = units[i]
+            group = [unit + x for j in by_code if j > i for x in below[j]]
+            if whole:
+                group.append(unit)
+            level[i] = group
+            if items is not None:
+                level_rests[i] = _complements(
+                    below_rests, items, by_code, i + 1, whole
+                )
+        groups, rests = level, level_rests
+    found = [x for j in by_code for x in groups[j]]
+    if not size:
+        found.append(empty)
+    if items is None:
         return found
-    rows = {
-        node: [
-            (items[start:i] + (items[i + 1:] if follows is None else ()),
-             follows)
-            for i, follows in steps
-        ] + ([(items[start:], None)] if emits else [])
-        for node, start, steps, emits in plan
-    }
-    rests = []
-    _list_walk((rows, rests.append), (), root)
-    return found, rests
+    return found, _complements(rests, items, by_code, 0, not size)
 
 
-def _list_walk(state, head, node):
-    """Append what the walk emits from node on, head being what the path to
-    node has added; state is (rows, append), as _list_order makes it."""
-    rows, append = state
-    for part, follows in rows[node]:
-        if follows is None:
-            append(head + part)
-        else:
-            _list_walk(state, head + part, follows)
+def _complements(rests, items, by_code, start, whole):
+    """The complements, among the items from start on, of the sublists
+    _list_order joins from their groups: for each j from start on in code
+    order, the items from start to j put before each complement in j's
+    group (rests[j]), then, with whole, all of them."""
+    found = [skip + rest for j in by_code if j >= start
+             for skip in [items[start:j]] for rest in rests[j]]
+    if whole:
+        found.append(items[start:])
+    return found
 
 
 def string_to_label(text):
@@ -536,16 +527,18 @@ def decode_structure(obj):
 # Every term class declares `fields`: one (JSON key, attribute, field kind)
 # entry per constructor argument, in constructor order, which is also the
 # key order of to_json().  The decoder, the equality key, relabelling and
-# to_json() read the table.  Every class's _text and _sort_parts, which
+# to_json() read the table (a graph's equality key reads its mask
+# instead).  Every class's _text and _sort_parts, which
 # `enumerate --json`, listing and encode() call once per term, are compiled
 # from it, for all classes in one compile() call on the first call of
 # either writer (Structure._text and Structure._sort_parts compile, then
 # dispatch), so that no counting call pays for it: f-strings with the
 # literal JSON text around each field fixed then, every label written as
-# its code from the one table of label codes, and every list of pairs or
-# blocks, and every graph's vertex list, from the run table of its
-# separator (_RUN_CODES for encode(), _RUN_TEXTS for --json).  No writer
-# builds a to_json() tree.
+# its code from the one table of label codes, every map's pairs, every
+# partition's blocks and every graph's vertex list from the run table of
+# its separator (_RUN_CODES for encode(), _RUN_TEXTS for --json), and
+# every graph's edges or arcs from its vertex table.  No writer builds a
+# to_json() tree.
 
 
 class _FieldKind:
@@ -580,7 +573,7 @@ def _run_text(run, table):
 
 
 def _run_list(runs, table):
-    """A list of runs (a map's or graph's pairs, a partition's blocks) as
+    """A list of runs (a map's pairs, a partition's blocks) as
     JSON text, each run as _run_text writes it."""
     sep = table.sep
     if _OPEN_WALKS and runs and type(runs[0][0]) is not Block:
@@ -612,6 +605,13 @@ _PAIRS = _FieldKind(
     lambda v: [[label_to_string(a), label_to_string(b)] for a, b in v],
     lambda v, f: [(f(a), f(b)) for a, b in v],
     code="{_run_list(@, _RUN_CODES)}", text="{_run_list(@, _RUN_TEXTS)}",
+)
+#: A graph's or digraph's pairs, written by its vertex table from its
+#: mask, so the templates name the term (self) where others name @.
+_MASKED = _FieldKind(
+    list, _PAIRS.decode, _PAIRS.json, _PAIRS.relabel,
+    code="{self._table.write(self.mask, _RUN_CODES)}",
+    text="{self._table.write(self.mask, _RUN_TEXTS)}",
 )
 _BLOCKS = _FieldKind(
     list,
@@ -861,7 +861,9 @@ class SubsetTerm(Structure):
         labels = tuple(labels)
         if not _increasing(_label_keys(labels)):
             raise ValueError("subset members out of order")
-        found, rests = _list_order(labels, _CODE, size, complements=True)
+        found, rests = _list_order(
+            list(zip(labels)), (), list(map(_CODE, labels)), size, labels
+        )
         every = _interned(labels)
         for at, (members, rest) in enumerate(zip(found, rests)):
             found[at] = term = _new(cls)
@@ -1130,56 +1132,128 @@ def named_terms(name, inners):
 
 
 class _VertexTable:
-    """The vertex table of one vertex list: vertices its sorted, checked
-    tuple, pos each vertex's place in it, and labels the one set of them
-    _SETS holds, which is the label set of every graph and digraph on the
-    table.  (A plain class: creating a namedtuple class costs more at
+    """The vertex table of one vertex list and one kind of pair: vertices
+    its sorted, checked tuple, pos each vertex's place in it, labels the
+    one set of them _SETS holds, which is the label set of every term on
+    the table, and directed whether its pairs are arcs (every ordered pair
+    of vertices) or edges (every two vertices, the lesser first).  A term
+    on the table holds a mask: bit k stands for the k-th possible pair in
+    rank order (see bit).
+
+    The possible pairs, one tuple each, are made on first use and kept
+    (pairs()).  A public constructor makes a table for its one term, which
+    reads its mask bit by bit.  A listing's terms share one table
+    (listing), whose chunk tables of the pairs' tuples and of their
+    encode() and json.dumps texts are built on first use and kept
+    (chunks()), so that a mask of 16 arcs is decoded, or written, from two
+    lookups.  (A plain class: creating a namedtuple class costs more at
     import.)"""
 
-    __slots__ = ("vertices", "pos", "labels")
+    __slots__ = ("vertices", "pos", "labels", "directed", "_pairs",
+                 "_chunks")
 
-    def __init__(self, vertices):
+    def __init__(self, vertices, directed, listing=False):
         self.vertices = vertices = _sorted_labels(vertices)
         self.pos = {v: i for i, v in enumerate(vertices)}
         self.labels = _interned(vertices)
+        self.directed = directed
+        self._pairs = None
+        self._chunks = {} if listing else None
+
+    def pairs(self):
+        """Every possible pair, in bit order."""
+        if self._pairs is None:
+            vertices = self.vertices
+            self._pairs = tuple(
+                product(vertices, repeat=2) if self.directed
+                else combinations(vertices, 2)
+            )
+        return self._pairs
+
+    def bit(self, i, j):
+        """The bit of the pair of the vertices at places i and j (i < j for
+        an edge): the number of possible pairs of lesser rank, a pair's
+        rank being i * n + j, which orders pairs as label_sort_key does."""
+        n = len(self.pos)
+        if self.directed:
+            return i * n + j
+        return i * (2 * n - i - 3) // 2 + j - 1
+
+    def chunks(self, sep):
+        """For each 8 bits of a mask, the table of the joins (+), lowest bit
+        first, of the units of every byte's set bits, built by doubling: a
+        unit is a possible pair's 1-tuple (sep None), or its JSON text led
+        by sep, "," as encode() writes it and ", " as json.dumps does."""
+        found = self._chunks.get(sep)
+        if found is None:
+            if sep is None:
+                units, empty = list(zip(self.pairs())), ()
+            else:
+                units = [sep + _label_list(p, sep) for p in self.pairs()]
+                empty = ""
+            found = self._chunks[sep] = []
+            for at in range(0, len(units), 8):
+                chunk = [empty]
+                for unit in units[at:at + 8]:
+                    chunk += [x + unit for x in chunk]
+                found.append(chunk)
+        return found
+
+    def decode(self, mask):
+        """The pairs of mask's bits, in bit order."""
+        if self._chunks is None:
+            pairs = self.pairs()
+            return tuple([pairs[k] for k in range(mask.bit_length())
+                          if mask >> k & 1])
+        chunks = self.chunks(None)
+        found = ()
+        for part in map(getitem, chunks, mask.to_bytes(len(chunks), "little")):
+            found += part
+        return found
+
+    def write(self, mask, runs):
+        """The pairs of mask as a JSON list, with the separator of runs,
+        a run table, which writes them on a table of one term."""
+        if self._chunks is None:
+            return _run_list(self.decode(mask), runs)
+        sep = runs.sep
+        chunks = self._chunks.get(sep) or self.chunks(sep)
+        return "[" + "".join(map(
+            getitem, chunks, mask.to_bytes(len(chunks), "little")
+        ))[len(sep):] + "]"
 
 
-def _ranked_pairs(table, pairs, what, given=False):
-    """pairs, the edges or arcs (what says which) of a term on table, as
-    the tuple of the caller's pairs the term keeps, in the order of their
-    ranks pos[a] * n + pos[b], which is the order label_sort_key gives.
-    Each pair is checked, in the order given, before any two are compared:
-    both ends must be vertices, and an edge no loop; two pairs of one rank
-    are the same, refused.  Given (by public constructors), each pair is
-    made a tuple, each edge turned to have its lesser end first, and the
-    pairs are sorted; else (from listings) they must come in that order."""
-    pos = table.pos
-    n = len(pos)
-    edges = what == "edge"
-    kept, ranks = [], []
-    for pair in pairs:
-        a, b = pair
+def _pair_bits(table, pairs, given=False):
+    """The bits of pairs, the edges or arcs of a term on table, in rank
+    order.  Each pair is checked, in the order given, before any two are
+    compared: both ends must be vertices, and an edge no loop; two pairs
+    of one rank are the same, refused.  Given (by public constructors), an
+    edge may have its greater end first, and the bits are sorted; else
+    (from listings) the pairs must come in rank order."""
+    pos, bit = table.pos, table.bit
+    edges = not table.directed
+    what = "edge" if edges else "arc"
+    bits = []
+    for a, b in pairs:
         if edges and a == b:
             raise ValueError("a simple graph has no loops")
         try:
             i, j = pos[a], pos[b]
         except KeyError:
             raise ValueError(f"{what} endpoint outside the vertex set") from None
-        if given:
-            pair, i, j = ((b, a), j, i) if edges and i > j else ((a, b), i, j)
-        elif edges and i > j:
-            raise ValueError("edge out of order")
-        kept.append(pair)
-        ranks.append(i * n + j)
+        if edges and i > j:
+            if not given:
+                raise ValueError("edge out of order")
+            i, j = j, i
+        bits.append(bit(i, j))
     if given:
-        kept = _in_key_order(kept, ranks)
-        ranks.sort()
-    for last, rank in zip(ranks, ranks[1:]):
-        if rank <= last:
+        bits.sort()
+    for last, at in zip(bits, bits[1:]):
+        if at <= last:
             raise ValueError(
-                f"duplicate {what}" if rank == last else f"{what} out of order"
+                f"duplicate {what}" if at == last else f"{what} out of order"
             )
-    return tuple(kept)
+    return bits
 
 
 def _pair_code(pair):
@@ -1189,35 +1263,45 @@ def _pair_code(pair):
 
 
 class _Graph(Structure):
-    """A graph or digraph on a vertex table: the sorted, checked vertices
-    and their one interned set, which is the term's label set.  pairs holds
-    the edges or arcs, checked by _ranked_pairs; each class names the slot
-    after its JSON key and says what one pair is called (what).  Listings
-    build graphs and digraphs with listed, every term on one table."""
+    """A graph or digraph on a vertex table, which holds the sorted,
+    checked vertices and their one interned set, the term's label set, and
+    reads the term's mask of edges or arcs (pairs, named after the JSON
+    key by each class).  Equality and hashing read the vertices and the
+    mask, and decode nothing.  Listings build graphs and digraphs with
+    listed, every term on one table."""
 
-    __slots__ = ("_table", "pairs")
+    __slots__ = ("_table", "mask")
 
     vertices = property(attrgetter("_table.vertices"))
     _labels = property(attrgetter("_table.labels"))
 
     def __init__(self, vertices, pairs):
-        self._table = table = _VertexTable(vertices)
-        self.pairs = _ranked_pairs(table, pairs, self.what, given=True)
+        self._table = table = _VertexTable(vertices, self.directed)
+        self.mask = sum([1 << b for b in _pair_bits(table, pairs, True)])
+
+    @property
+    def pairs(self):
+        """The edges or arcs in rank order: the table's own pair tuples."""
+        return self._table.decode(self.mask)
+
+    def _key(self):
+        return self._table.vertices, self.mask
 
     @classmethod
     def listed(cls, vertices, pairs):
         """cls(vertices, chosen) for every sublist chosen of pairs, in
-        encode() order (see _list_order), made bare.  pairs, the possible
-        edges or arcs in the order of their ranks, are checked once by
-        _ranked_pairs, so every sublist holds them in order, and every term
-        shares the table."""
-        table = _VertexTable(vertices)
-        pairs = _ranked_pairs(table, map(tuple, pairs), cls.what)
-        found = _list_order(pairs, _pair_code)
-        for at, chosen in enumerate(found):
+        encode() order (see _list_order), made bare.  pairs, possible
+        edges or arcs in rank order, are checked once by _pair_bits, and
+        every term shares the table."""
+        table = _VertexTable(vertices, cls.directed, listing=True)
+        bits = _pair_bits(table, pairs)
+        every = table.pairs()
+        found = _list_order([1 << b for b in bits], 0,
+                            [_pair_code(every[b]) for b in bits])
+        for at, mask in enumerate(found):
             found[at] = term = _new(cls)
             term._table = table
-            term.pairs = chosen
+            term.mask = mask
         return found
 
 
@@ -1226,8 +1310,8 @@ class GraphTerm(_Graph):
 
     __slots__ = ()
     kind = "graph"
-    what = "edge"
-    fields = (("vertices", "vertices", _RUN), ("edges", "edges", _PAIRS))
+    directed = False
+    fields = (("vertices", "vertices", _RUN), ("edges", "edges", _MASKED))
     edges = _Graph.pairs
 
     def render(self):
@@ -1240,8 +1324,8 @@ class DigraphTerm(_Graph):
 
     __slots__ = ()
     kind = "digraph"
-    what = "arc"
-    fields = (("vertices", "vertices", _RUN), ("arcs", "arcs", _PAIRS))
+    directed = True
+    fields = (("vertices", "vertices", _RUN), ("arcs", "arcs", _MASKED))
     arcs = _Graph.pairs
 
     def render(self):

@@ -486,6 +486,25 @@ class TestVerify:
         assert "n=4" in out
         assert out.splitlines()[-1] == "0 passed, 1 failed"
 
+    def test_the_whole_suite_json_is_json_dumps_indented(self, capsys):
+        code, out, _ = run(capsys, "verify", "--json")
+        assert code == 0
+        assert out == _verify_document(identities.run_suite()) + "\n"
+
+    def test_a_failing_json_report_is_json_dumps_indented(
+        self, capsys, monkeypatch
+    ):
+        """A failing case's witness, through main, in json.dumps's bytes."""
+        real, listing = primitives.ROWS[PrimitiveKind.GRAPH]
+        monkeypatch.setitem(primitives.ROWS, PrimitiveKind.GRAPH, (
+            lambda order, param=None: real(order, param) * 2, listing))
+        code, out, _ = run(capsys, "verify", "--case", "counts-Gra",
+                           "--case", "counts-X", "--json")
+        reports = identities.run_suite(names={"counts-Gra", "counts-X"})
+        assert code == 1
+        assert [r.passed for r in reports] == [True, False]
+        assert out == _verify_document(reports) + "\n"
+
     def test_an_unknown_case_is_refused_before_any_case_runs(
         self, capsys, monkeypatch
     ):
@@ -504,6 +523,35 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--case", "counts-X",
                              "--case", "nope", "--defs", str(path))
         assert (code, out, err) == (1, "", "error: 'V' is defined twice\n")
+
+
+def _verify_document(reports):
+    """json.dumps of the `verify --json` document of reports."""
+    return json.dumps({
+        "note": identities.SUITE_NOTE,
+        "ok": all(r.passed for r in reports),
+        "cases": [r.to_json() for r in reports],
+    }, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reports=st.lists(st.builds(
+        identities.VerificationReport,
+        name=st.text(),
+        passed=st.booleans(),
+        witness=st.text() | st.sampled_from(['q"\\\u00e9\u2605\n', ""]),
+        witness_n=st.integers(min_value=0, max_value=12),
+        lhs_count=st.integers(),
+        rhs_count=st.integers(min_value=-(10**40), max_value=10**40),
+    ), max_size=4),
+)
+def test_verify_json_is_written_in_json_dumps_bytes(reports):
+    """The verify document, written directly, is json.dumps(..., indent=2)
+    byte for byte: passing and failing reports, names and witness details
+    with quotes, backslashes and non-ASCII, and no case at all."""
+    want = _verify_document(reports)
+    assert cli._indented(json.loads(want), "\n") == want
 
 
 def _error_classes(cls=SpeciesError):

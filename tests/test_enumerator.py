@@ -1182,6 +1182,22 @@ class TestSublistPrimitives:
         listing = enum("Gra", [1, 2, 3, 4, 5])
         assert len({id(p) for t in listing for p in t.edges}) <= 10
 
+    def test_digraphs_on_four_labels_peak_under_8_mb(self):
+        """Every listed digraph holds its vertex table and a mask of its
+        arcs, and the sublists are joined bottom-up, each once: the traced
+        peak of listing the 2^16 digraphs on 4 labels stays under 8 MB,
+        where terms holding a tuple of arcs each, made by a walk that
+        joined every prefix on the way, took 9 to 11 MB."""
+        expr = parse_expr("Gro")
+        tracemalloc.start()
+        try:
+            got = enumerate_structures(expr, None, [1, 2, 3, 4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 2**16
+        assert peak < 8e6
+
 
 class TestCollectorPause:
     """enumerate_structures walks with the cyclic garbage collector off and

@@ -27,7 +27,7 @@ from species.identities import (
     verify_enumerative,
     verify_series,
 )
-from species.parser import parse_defs
+from species.parser import parse_defs, parse_expr
 from species.semantics import validate
 from species.series import CountSeries
 
@@ -292,6 +292,32 @@ def test_a_shared_walk_lists_what_fresh_calls_list(name):
             got = enumerate_structures(expr, env, range(1, n + 1), walk=walk)
             assert len(got) == len(fresh[i, n])
             assert [s.encode() for s in got] == fresh[i, n]
+
+
+def test_listing_sizes_clean_the_labels_once(monkeypatch):
+    """_listing_sizes cleans [1, 5] once, not once per side and order,
+    and still lists every side on every [n] through enumerate_structures,
+    with the sizes fresh calls give."""
+    cleaned, listed = [], []
+    clean, enumerate_ = enumerator._clean_labels, identities.enumerate_structures
+
+    def counted_clean(labels):
+        cleaned.append(labels)
+        return clean(labels)
+
+    def counted_enumerate(expr, env, labels, **kwargs):
+        listed.append(tuple(labels))
+        return enumerate_(expr, env, labels, **kwargs)
+
+    monkeypatch.setattr(enumerator, "_clean_labels", counted_clean)
+    monkeypatch.setattr(identities, "_clean_labels", counted_clean)
+    monkeypatch.setattr(identities, "enumerate_structures", counted_enumerate)
+    exprs = (parse_expr("E*Der"), parse_expr("S"))
+    got = identities._listing_sizes(exprs, None, 5)
+    assert len(cleaned) == 1
+    assert sorted(listed) == sorted(
+        tuple(range(1, n + 1)) for n in range(6) for _ in exprs)
+    assert got == [[1, 1, 2, 6, 24, 120]] * 2
 
 
 def test_the_witness_is_the_smallest_failing_n():

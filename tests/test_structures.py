@@ -1340,6 +1340,64 @@ def test_bulk_built_subsets_of_one_size(size, members):
     ]
 
 
+def _json_order_key(codes):
+    """A sublist's place in the order of JSON lists: element by element,
+    elements by code, and a list after its extensions ("," sorts before
+    "]")."""
+    return lambda sub: [(0, codes[i]) for i in sub] + [(1,)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    codes=st.lists(st.text("ab!", max_size=3), unique=True, max_size=7),
+    size=st.none() | st.integers(min_value=-1, max_value=8),
+)
+def test_list_order_joins_every_sublist_once_in_json_order(codes, size):
+    """_list_order gives the sublists, sorted as their JSON lists, the same
+    from 1-tuple units as from bit units, and each complement beside its
+    sublist."""
+    items = tuple(range(len(codes)))
+    want = sorted(
+        (sub for k in range(len(items) + 1)
+         for sub in combinations(items, k) if size in (None, k)),
+        key=_json_order_key(codes),
+    )
+    singles = list(zip(items))
+    assert structures._list_order(singles, (), codes, size) == want
+    masks = structures._list_order([1 << i for i in items], 0, codes, size)
+    assert [tuple(i for i in items if m >> i & 1) for m in masks] == want
+    found, rests = structures._list_order(singles, (), codes, size, items)
+    assert found == want
+    assert rests == [tuple(i for i in items if i not in s) for s in want]
+
+
+@pytest.mark.parametrize("cls,labels", [
+    (GraphTerm, [2, 10, "a", "b"]), (GraphTerm, ["b", 10, "a!", 2, "a"]),
+    (DigraphTerm, [2, 10, "a"]), (DigraphTerm, ["b", 10, 2]),
+], ids=["graph", "graph-5", "digraph", "digraph-turned"])
+def test_masked_graphs_equal_their_public_twins(cls, labels):
+    """On labels whose sort keys and codes order them differently, every
+    listed graph or digraph equals and hashes as the term the public
+    constructor builds from its pairs, given reversed and (edges) turned,
+    and both hold the same mask; the pairs decode to the listing's own
+    pair objects, and back to the mask through JSON."""
+    text = "Gra" if cls is GraphTerm else "Gro"
+    listed = enumerate_structures(parse_expr(text), None, labels)
+    every = {id(p) for p in listed[0]._table.pairs()}
+    twins = []
+    for term in listed:
+        pairs = term.pairs
+        assert {id(p) for p in pairs} <= every
+        turned = [p[::-1] for p in pairs] if cls is GraphTerm else pairs
+        twin = cls(labels[::-1], turned[::-1])
+        assert (twin == term, hash(twin), twin.mask, twin.pairs) == (
+            True, hash(term), term.mask, pairs)
+        assert decode_structure(json.loads(term._text({}))).mask == term.mask
+        twins.append(twin)
+    assert set(twins) == set(listed)
+    assert len(set(listed)) == len(listed)
+
+
 def test_bulk_built_assignments_equal_the_step_built_ones():
     """Assignment.listed builds, pair by pair and tail by tail, each pair
     put before each tail, each tail's block and label sets with the block
