@@ -1146,7 +1146,8 @@ class _VertexTable:
     (listing), whose chunk tables of the pairs' tuples and of their
     encode() and json.dumps texts are built on first use and kept
     (chunks()), so that a mask of 16 arcs is decoded, or written, from two
-    lookups.  (A plain class: creating a namedtuple class costs more at
+    lookups.  Two threads that build one of them at once store equal
+    values.  (A plain class: creating a namedtuple class costs more at
     import.)"""
 
     __slots__ = ("vertices", "pos", "labels", "directed", "_pairs",
@@ -1191,12 +1192,13 @@ class _VertexTable:
             else:
                 units = [sep + _label_list(p, sep) for p in self.pairs()]
                 empty = ""
-            found = self._chunks[sep] = []
+            found = []
             for at in range(0, len(units), 8):
                 chunk = [empty]
                 for unit in units[at:at + 8]:
                     chunk += [x + unit for x in chunk]
                 found.append(chunk)
+            self._chunks[sep] = found
         return found
 
     def decode(self, mask):

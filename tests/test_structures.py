@@ -3,6 +3,8 @@ checked against one another on a hand-built term of every kind."""
 
 import contextlib
 import json
+import sys
+import threading
 import weakref
 from itertools import combinations, permutations, product
 
@@ -1396,6 +1398,42 @@ def test_masked_graphs_equal_their_public_twins(cls, labels):
         twins.append(twin)
     assert set(twins) == set(listed)
     assert len(set(listed)) == len(listed)
+
+
+def test_threads_reading_one_table_at_once_read_whole_chunk_tables():
+    """Threads that decode and write masks on one fresh listing table at
+    once, each building its chunk tables if none is there yet, all read
+    what a table of its own gives: no thread finds a table half built."""
+    vertices = tuple(range(1, 9)) + ("a", "b")
+    masks = [0, 1, 2**45 - 1, 0b1011 << 20, 2**44 | 5]
+    runs = (structures._RUN_CODES, structures._RUN_TEXTS)
+
+    def read(table):
+        return [(table.decode(m), *[table.write(m, r) for r in runs])
+                for m in masks]
+
+    want = read(structures._VertexTable(vertices, False, listing=True))
+    for _ in range(20):
+        table = structures._VertexTable(vertices, False, listing=True)
+        start = threading.Barrier(4)
+        got = []
+
+        def race():
+            start.wait(timeout=30)
+            got.append(read(table))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=race) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
 
 
 def test_bulk_built_assignments_equal_the_step_built_ones():
