@@ -112,6 +112,7 @@ from .structures import (
     _close_walk,
     _comp_terms,
     _open_walk,
+    _splits,
     check_label,
     is_star,
     label_code,
@@ -426,13 +427,14 @@ def _compositions(expr, env, labels, active):
 
     A comp term encodes its (block, inner) pairs first, in block order, and
     its outer term last.  The first block holds the least label, so the
-    terms order by that block's encoded label list, then its inner term,
-    then the pairs on the remaining labels (listed once per remaining label
-    set), and last by outer term.  The outer's counts say on how many
-    blocks it has structures; other partitions are not listed.  Each
-    assignment is checked once, when _assignments builds it, and
-    _comp_terms checks each block set's outers once against it.  The
-    tables of _assignments are the walk's, one set per substitution node.
+    terms order by its other labels as a JSON list (_list_order), then its
+    inner term, then the pairs on the remaining labels (listed once per
+    remaining label set), and last by outer term.  The outer's and the
+    inner's counts say on how many blocks, and on blocks of which sizes,
+    there are structures; no other block is listed.  Each assignment is
+    checked once, when _assignments builds it, and _comp_terms checks each
+    block set's outers once against it.  The tables of _assignments are
+    the walk's, one set per substitution node.
 
     Holders are counted once per block set, not per term: the assignments
     on a block set are every choice of one inner term per block, so there
@@ -441,7 +443,7 @@ def _compositions(expr, env, labels, active):
     """
     n = len(labels)
     outer_counts = active.counts(expr.outer, n)
-    tables = active.tables.setdefault(id(expr), ({}, {}, {}, Assignment()))
+    tables = active.tables.setdefault(id(expr), ({}, {}, Assignment()))
     state = (expr, env, active, *tables)
     wanted = sum(1 << k for k in range(n + 1) if outer_counts[k])
     assigns = _assignments(state, labels, wanted)
@@ -466,16 +468,16 @@ def _assignments(state, rest, blocks):
     """The Assignments on rest in order, using a number of blocks whose
     bit is set in blocks, built by Assignment.listed from the pairs on
     each first block and the tails listed on the labels left.  state is
-    (expr, env, active, listed, block_on, pairs_on, empty), the last four
-    the walk's tables for expr: listed keeps every finished list by (rest,
-    blocks), block_on one block per member tuple and pairs_on its checked
-    (block, inner) pairs, so every entry of listed and every term built on
-    it share the block, what it keeps and its pairs; empty is the
-    Assignment with no pair.  blocks is cut to the sizes rest can take, so
-    one entry serves every label set around rest.  An entry is stored
-    only when finished, so a refused call leaves the tables usable.  A
-    first block's inner is listed only when the labels left have tails."""
-    expr, env, active, listed, block_on, pairs_on, empty = state
+    (expr, env, active, listed, pairs_on, empty), the last three the
+    walk's tables for expr: listed keeps every finished list by (rest,
+    blocks) and pairs_on the checked (block, inner) pairs of each first
+    block by its members, so every entry of listed and every term built
+    on it share the block and its pairs; empty is the Assignment with no
+    pair.  blocks is cut to the sizes rest can take, so one entry serves
+    every label set around rest.  An entry is stored only when finished,
+    so a refused call leaves the tables usable.  A first block's inner is
+    listed only when the labels left have tails."""
+    expr, env, active, listed, pairs_on, empty = state
     if not rest:
         return [empty] if blocks & 1 else []
     blocks &= (2 << len(rest)) - 2
@@ -485,30 +487,23 @@ def _assignments(state, rest, blocks):
     if found is not None:
         return found
     first, others = rest[0], rest[1:]
-    heads = []
-    for k in range(len(others) + 1):
-        for chosen in combinations(others, k):
-            members = (first,) + chosen
-            block = block_on.get(members)
-            if block is None:
-                block = block_on[members] = Block(members)
-            heads.append((block.code(), block, chosen))
-    heads.sort(key=lambda head: head[0])
+    # k other members: the inner has structures on k + 1 labels, and blocks
+    # >> 1 has a bit for 1 to m blocks on the m labels left (bit 0 if m is 0).
+    sizes = active.counts(expr.inner, len(rest))
+    taken = {k for k in range(len(rest)) if sizes[k + 1]
+             and blocks >> 1 & ((2 << len(others) - k) - 2 or 1)}
     out = []
-    for _, block, chosen in heads:
-        taken = set(chosen)
-        tails = _assignments(
-            state, tuple(x for x in others if x not in taken), blocks >> 1
-        )
+    for chosen, left in _splits(others, taken):
+        tails = _assignments(state, left, blocks >> 1)
         if not tails:
             continue
-        pairs = pairs_on.get(block.members)
+        members = (first,) + chosen
+        pairs = pairs_on.get(members)
         if pairs is None:
-            pairs = pairs_on[block.members] = [
+            block = Block(members)
+            pairs = pairs_on[members] = [
                 Assignment.pair(block, inner)
-                for inner in _structures(
-                    expr.inner, env, block.members, active
-                )
+                for inner in _structures(expr.inner, env, members, active)
             ]
         out += Assignment.listed(pairs, tails)
     listed[(rest, blocks)] = out

@@ -18,21 +18,22 @@ the series algebra, which keeps a single source of truth for them:
 derangements by dividing permutations by sets (S = E*Der), involutions by
 substituting X + E_2 into E, and partitions by substituting Ep into E.
 
-Every listing comes in encode() order.  On one label set, subsets, graphs
-and digraphs differ only in their list of members, edges or arcs, so
-SubsetTerm.listed, GraphTerm.listed and DigraphTerm.listed join the
-sublists of the labels, of the possible edges, or of the possible arcs in
-order; each checks those items once and builds every term bare from the
-sublists joined, a graph's or digraph's as a mask of its pairs.  Lists, cycles and maps hold their labels in fixed
-places (maps by source), so they are generated from the labels in encoded
-order.  The set, and all maps, lists, cycles or partitions on labels, are
-built on one MapSources, which checks the label tuple once, so no listing
-runs a public constructor.  Lists and cycles are the permutations of one
-order it checks once; partitions are checked block by block and once each
-for holding every label once.  Partitions are still sorted by encode().
-On the verify workload that sort is the one call of Structure.encode, a
-boundary that perfbench/tracing.py requires to be reached until the
-engine counts its own work (ROADMAP item 1).
+Every listing comes in encode() order.  Subsets, graphs, digraphs and
+partitions take sublists in the order of their JSON lists, as masks from
+one generator (structures._list_order): SubsetTerm.listed, GraphTerm.listed
+and DigraphTerm.listed check the labels, possible edges or possible arcs
+once and build every term bare from a mask, and a partition's first block
+is the first label with a sublist of the others.  Lists, cycles and maps
+hold their labels in fixed places (maps by source), so they are generated
+from the labels in encoded order.  The set, and all maps, lists, cycles or
+partitions on labels, are built on one MapSources, which checks the label
+tuple once, so no listing runs a public constructor.  Lists and cycles are
+the permutations of one order it checks once; partitions are checked
+block by block and once each for holding every label once.  _partitions
+still sorts them by encode(), though they come in order: on the verify
+workload that sort is the one call of Structure.encode, a boundary that
+perfbench/tracing.py requires to be reached until the engine counts its
+own work (ROADMAP item 1).
 """
 
 from itertools import (
@@ -51,6 +52,7 @@ from .structures import (
     GraphTerm,
     MapSources,
     SubsetTerm,
+    _splits,
     label_code,
 )
 
@@ -82,11 +84,12 @@ def _by_code(labels):
 
 
 def _set_partitions(items, listed):
-    """All partitions of a tuple into nonempty blocks, as tuples of blocks,
-    each block a tuple of items in items' order (the empty tuple has
-    exactly one partition: the empty one).  The first block holds
-    items[0], so blocks are in order of their first item.  listed maps
-    each tuple of items left over to its partitions, so that each is
+    """All partitions of a tuple of labels into nonempty blocks, in
+    encode() order, as tuples of blocks, each block a tuple of labels in
+    items' order (the empty tuple has one partition: the empty one).  The
+    first block holds items[0] and a sublist of the others, in the order
+    of _splits, so blocks are in order of their first label.  listed maps
+    each tuple of labels left over to its partitions, so that each is
     listed once however many first blocks leave it, and every partition
     is one tuple built once, not rebuilt at each level."""
     if len(items) < 2:
@@ -96,13 +99,9 @@ def _set_partitions(items, listed):
         return found
     first, rest = items[0], items[1:]
     found = listed[items] = []
-    for k in range(len(rest) + 1):
-        for companions in combinations(rest, k):
-            taken = set(companions)
-            tails = _set_partitions(
-                tuple(x for x in rest if x not in taken), listed
-            )
-            found += map(add, repeat(((first,) + companions,)), tails)
+    for companions, left in _splits(rest):
+        tails = _set_partitions(left, listed)
+        found += map(add, repeat(((first,) + companions,)), tails)
     return found
 
 

@@ -20,8 +20,8 @@ ProductSplit checks a split's two label sets and each of its factors once
 for all the products of that split; MapSources checks a sorted label tuple
 once for the set and all the maps, lists, cycles, partitions, derivatives
 and pointed terms on it; and sum_terms and named_terms check a side or a
-name once for every term wrapped around a list of children.  Where both ways check the
-same thing they call one check, which raises that refusal.
+name once for every term wrapped around a list of children.  Where both
+ways check the same thing they call one check, which raises that refusal.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -270,41 +270,33 @@ def _bare(cls, count):
     return list(map(_new, repeat(cls, count)))
 
 
-def _list_order(units, empty, codes, size=None, items=None):
-    """Every sublist of some items, each the join (+) of its items' units
-    in item order, in the order of the JSON lists they are written as;
-    with size, only those of that length.  units and codes give each
-    item's unit and code, and empty is the empty join: 1-tuples of the
-    items build tuples, and 1 << k masks, where + is | on disjoint bits.
-    With items, the items as a tuple, also each sublist's complement in
-    items, as a second list in the same order.  The lists are new, for a
-    builder to turn into its terms in place.
+def _list_order(codes, size=None, units=None):
+    """Every sublist of some items, as the mask of its items' bits, in the
+    order of the JSON lists they are written as; with size, only those of
+    that length.  codes gives each item's code, and units its bit, 1 << k
+    for the k-th item unless given.  The list is new, for a builder to
+    turn into its terms in place.
 
     Those lists compare element by element, elements by code, and a list
     comes after its extensions ("," sorts before "]").  So the sublists
     are the group of each item j, in code order, then the empty one; the
-    group of j is j's unit put before each sublist of the items after j,
-    in their order, which is itself the groups of those items and the
-    empty one.  With size the groups are kept by length: the group of j of
-    length k puts j's unit before each sublist of length k - 1 of the
-    items after j, and only those of length size are joined at the end.
-    The groups are built a length at a time (without size, one level that
-    reads itself), later items first, each by one list comprehension, so
-    each sublist is one object however many longer ones extend it.  The
-    complements are joined in step (_complements).
+    group of j joins j's unit to each sublist of the items after j, in
+    their order, which is itself their groups and the empty one.  With
+    size the groups are kept by length, the group of j of length k built
+    from the sublists of length k - 1 after j.  The groups are built a
+    length at a time (without size, one level that reads itself), later
+    items first, each by one list comprehension.
     """
-    n = len(units)
+    n = len(codes)
     if size is not None and not 0 <= size <= n:
-        return ([], []) if items is not None else []
+        return []
+    if units is None:
+        units = [1 << k for k in range(n)]
     by_code = sorted(range(n), key=codes.__getitem__)
-    # The groups of one length at a time, and their complements; without
-    # size every group holds any number of items and reads its own level.
-    groups = rests = [()] * n
+    groups = [()] * n
     for k in [None] if size is None else range(1, size + 1):
-        level, level_rests = [()] * n, [()] * n
-        below, below_rests = (
-            (level, level_rests) if k is None else (groups, rests)
-        )
+        level = [()] * n
+        below = level if k is None else groups
         whole = k is None or k == 1
         for i in reversed(range(0 if k is None else size - k,
                                 n if k is None else n - k + 1)):
@@ -313,29 +305,56 @@ def _list_order(units, empty, codes, size=None, items=None):
             if whole:
                 group.append(unit)
             level[i] = group
-            if items is not None:
-                level_rests[i] = _complements(
-                    below_rests, items, by_code, i + 1, whole
-                )
-        groups, rests = level, level_rests
+        groups = level
     found = [x for j in by_code for x in groups[j]]
     if not size:
-        found.append(empty)
-    if items is None:
-        return found
-    return found, _complements(rests, items, by_code, 0, not size)
-
-
-def _complements(rests, items, by_code, start, whole):
-    """The complements, among the items from start on, of the sublists
-    _list_order joins from their groups: for each j from start on in code
-    order, the items from start to j put before each complement in j's
-    group (rests[j]), then, with whole, all of them."""
-    found = [skip + rest for j in by_code if j >= start
-             for skip in [items[start:j]] for rest in rests[j]]
-    if whole:
-        found.append(items[start:])
+        found.append(0)
     return found
+
+
+def _chunk_tables(units, empty, width=8):
+    """For each width units, the joins (+) of every subset of them, lowest
+    bit first, built by doubling; _decode reads 8-unit tables a byte each."""
+    found = []
+    for at in range(0, len(units), width):
+        chunk = [empty]
+        for unit in units[at:at + width]:
+            chunk += [x + unit for x in chunk]
+        found.append(chunk)
+    return found
+
+
+def _decode(chunks, mask):
+    """The join of the tuple units of mask's bits, lowest first, from their
+    chunk tables: with one table, the table's own tuple."""
+    found = ()
+    for chunk in chunks:
+        found += chunk[mask & 255]
+        mask >>= 8
+    return found
+
+
+def _splits(labels, sizes=None):
+    """Each sublist of a tuple of labels whose length is in sizes (any with
+    None) and the other labels, two tuples in a new list, in the order of
+    the sublists' JSON lists (_list_order), decoded from chunk tables."""
+    codes = list(map(_CODE, labels))
+    if sizes is None:
+        masks = _list_order(codes)
+    elif len(sizes) == 1:
+        masks = _list_order(codes, *sizes)
+    else:
+        masks = [mask for mask in (_list_order(codes) if sizes else ())
+                 if mask.bit_count() in sizes]
+    full = (1 << len(labels)) - 1
+    # Masks that are most of the sublists read one table of them all.
+    chunks = _chunk_tables(list(zip(labels)), (),
+                           len(labels) if 2 * len(masks) > full > 0 else 8)
+    if len(chunks) == 1:
+        table = chunks[0]
+        return [(table[mask], table[full ^ mask]) for mask in masks]
+    return [(_decode(chunks, mask), _decode(chunks, full ^ mask))
+            for mask in masks]
 
 
 def string_to_label(text):
@@ -855,17 +874,15 @@ class SubsetTerm(Structure):
     def listed(cls, labels, size=None):
         """SubsetTerm(chosen, rest) for every sublist chosen of labels (only
         those of length size, when given), rest the other labels, in
-        encode() order (see _list_order), made bare.  labels is checked
+        encode() order (see _splits), made bare.  labels is checked
         once to be distinct and in key order, so every sublist is, and
         every term takes its one interned set."""
         labels = tuple(labels)
         if not _increasing(_label_keys(labels)):
             raise ValueError("subset members out of order")
-        found, rests = _list_order(
-            list(zip(labels)), (), list(map(_CODE, labels)), size, labels
-        )
+        found = _splits(labels, None if size is None else (size,))
         every = _interned(labels)
-        for at, (members, rest) in enumerate(zip(found, rests)):
+        for at, (members, rest) in enumerate(found):
             found[at] = term = _new(cls)
             term.members, term.rest, term._labels = members, rest, every
         return found
@@ -1181,24 +1198,16 @@ class _VertexTable:
         return i * (2 * n - i - 3) // 2 + j - 1
 
     def chunks(self, sep):
-        """For each 8 bits of a mask, the table of the joins (+), lowest bit
-        first, of the units of every byte's set bits, built by doubling: a
-        unit is a possible pair's 1-tuple (sep None), or its JSON text led
-        by sep, "," as encode() writes it and ", " as json.dumps does."""
+        """The chunk tables (_chunk_tables) of the possible pairs' units: a
+        unit is a pair's 1-tuple (sep None), or its JSON text led by sep,
+        "," as encode() writes it and ", " as json.dumps does."""
         found = self._chunks.get(sep)
         if found is None:
-            if sep is None:
-                units, empty = list(zip(self.pairs())), ()
-            else:
-                units = [sep + _label_list(p, sep) for p in self.pairs()]
-                empty = ""
-            found = []
-            for at in range(0, len(units), 8):
-                chunk = [empty]
-                for unit in units[at:at + 8]:
-                    chunk += [x + unit for x in chunk]
-                found.append(chunk)
-            self._chunks[sep] = found
+            pairs = self.pairs()
+            found = self._chunks[sep] = (
+                _chunk_tables(list(zip(pairs)), ()) if sep is None else
+                _chunk_tables([sep + _label_list(p, sep) for p in pairs], "")
+            )
         return found
 
     def decode(self, mask):
@@ -1207,11 +1216,7 @@ class _VertexTable:
             pairs = self.pairs()
             return tuple([pairs[k] for k in range(mask.bit_length())
                           if mask >> k & 1])
-        chunks = self.chunks(None)
-        found = ()
-        for part in map(getitem, chunks, mask.to_bytes(len(chunks), "little")):
-            found += part
-        return found
+        return _decode(self.chunks(None), mask)
 
     def write(self, mask, runs):
         """The pairs of mask as a JSON list, with the separator of runs,
@@ -1298,8 +1303,8 @@ class _Graph(Structure):
         table = _VertexTable(vertices, cls.directed, listing=True)
         bits = _pair_bits(table, pairs)
         every = table.pairs()
-        found = _list_order([1 << b for b in bits], 0,
-                            [_pair_code(every[b]) for b in bits])
+        found = _list_order([_pair_code(every[b]) for b in bits],
+                            units=[1 << b for b in bits])
         for at, mask in enumerate(found):
             found[at] = term = _new(cls)
             term._table = table

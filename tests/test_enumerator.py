@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from math import comb, factorial
@@ -60,6 +61,7 @@ from species.structures import (
     DigraphTerm,
     GraphTerm,
     ListTerm,
+    MapSources,
     MapTerm,
     NamedTerm,
     PartitionTerm,
@@ -555,6 +557,33 @@ class TestSharing:
         listing = enum("E(C)", [1, 2, 3, 4, 5])
         assert len(listing) == factorial(5)
         assert len({id(b) for t in listing for b, _ in t.assign}) <= 2**5 - 1
+
+    @pytest.mark.parametrize("text,n,blocks", [
+        ("E(X)", 16, [(i,) for i in range(1, 17)]),
+        ("X(Ep)", 20, [tuple(range(1, 21))]),
+    ])
+    def test_first_blocks_are_taken_only_where_they_can_be_completed(
+        self, text, n, blocks
+    ):
+        """A first block is taken only of a size the inner has structures
+        on, leaving labels for a number of blocks the outer has structures
+        on: E(X) takes one label a block and X(Ep) one block of all, not
+        all 2^(n-1) first blocks of the least label."""
+        start = time.perf_counter()
+        (found,) = enum(text, range(1, n + 1))
+        assert time.perf_counter() - start < 1
+        assert [block.members for block, _ in found.assign] == blocks
+
+    def test_set_partitions_come_in_encode_order(self):
+        """Partitions come out of _set_partitions in encode() order, before
+        any sort, on labels whose codes sort otherwise than their keys."""
+        labels = (1, 2, 10, "a", "b10")
+        found = MapSources(labels).partitions(
+            primitives._set_partitions(labels, {})
+        )
+        codes = [p.encode() for p in found]
+        assert len(codes) == 52
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
     def test_cached_json_stays_intact(self):
         env = parse_defs("A = X*E(A)\n")

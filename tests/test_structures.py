@@ -1349,28 +1349,56 @@ def _json_order_key(codes):
     return lambda sub: [(0, codes[i]) for i in sub] + [(1,)]
 
 
+def _sublists(items, sizes):
+    """Every sublist of items whose length is in sizes (any, on None)."""
+    return [sub for k in range(len(items) + 1)
+            for sub in combinations(items, k) if sizes is None or k in sizes]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    codes=st.lists(st.text("ab!", max_size=3), unique=True, max_size=7),
-    size=st.none() | st.integers(min_value=-1, max_value=8),
+    codes=st.lists(st.text("ab!", max_size=3), unique=True, max_size=10),
+    size=st.none() | st.integers(min_value=-1, max_value=11),
 )
 def test_list_order_joins_every_sublist_once_in_json_order(codes, size):
-    """_list_order gives the sublists, sorted as their JSON lists, the same
-    from 1-tuple units as from bit units, and each complement beside its
-    sublist."""
+    """_list_order gives the masks of the sublists, sorted as their JSON
+    lists, the same over any bit units, and the chunk decoder turns each
+    back into its sublist and its complement, on more than 8 items too."""
     items = tuple(range(len(codes)))
-    want = sorted(
-        (sub for k in range(len(items) + 1)
-         for sub in combinations(items, k) if size in (None, k)),
-        key=_json_order_key(codes),
-    )
-    singles = list(zip(items))
-    assert structures._list_order(singles, (), codes, size) == want
-    masks = structures._list_order([1 << i for i in items], 0, codes, size)
-    assert [tuple(i for i in items if m >> i & 1) for m in masks] == want
-    found, rests = structures._list_order(singles, (), codes, size, items)
-    assert found == want
-    assert rests == [tuple(i for i in items if i not in s) for s in want]
+    want = sorted(_sublists(items, None if size is None else {size}),
+                  key=_json_order_key(codes))
+    masks = structures._list_order(codes, size)
+    chunks = structures._chunk_tables(list(zip(items)), ())
+    full = (1 << len(items)) - 1
+    assert [structures._decode(chunks, m) for m in masks] == want
+    assert [structures._decode(chunks, full ^ m) for m in masks] == [
+        tuple(i for i in items if i not in s) for s in want
+    ]
+    shifted = structures._list_order(codes, size, [2 << i for i in items])
+    assert shifted == [m << 1 for m in masks]
+
+
+_SPLIT_LABEL = st.integers(0, 120) | st.text("ab!", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(_SPLIT_LABEL, unique=True, max_size=10),
+    sizes=st.none() | st.sets(st.integers(-1, 11), max_size=3),
+)
+def test_splits_give_each_sublist_and_its_complement(labels, sizes):
+    """_splits gives the sublists of a label tuple whose length is in sizes,
+    each with the other labels, in the order of the sublists' JSON lists,
+    by one length or by several, up to 8 labels and past them."""
+    labels = tuple(labels)
+    codes = [structures.label_code(x) for x in labels]
+    at = {x: i for i, x in enumerate(labels)}
+    order = _json_order_key(codes)
+    want = sorted(_sublists(labels, sizes),
+                  key=lambda sub: order([at[x] for x in sub]))
+    assert structures._splits(labels, sizes) == [
+        (s, tuple(x for x in labels if x not in s)) for s in want
+    ]
 
 
 @pytest.mark.parametrize("cls,labels", [
