@@ -54,7 +54,7 @@ from .identities import SUITE_NOTE, run_suite
 from .parser import _IDENT_RE, parse_defs, parse_expr
 from .semantics import DEFAULT_ORDER, egf_of
 from . import structures
-from .structures import Bijection, check_label, decode_structure
+from .structures import Bijection, _kept_texts, check_label, decode_structure
 
 _SIZE_RE = re.compile(r"\d+")
 
@@ -202,20 +202,19 @@ def _cmd_enumerate(args):
     collection after the walk would traverse every listed term.  The scope
     restores it however the call ends, a closed pipe included.
 
-    For --json the walk gives the subterms held in two or more places,
-    children first, and is then released, memos and all, before any text
-    is built: the listing keeps every term it reaches alive."""
+    For --json, and only then, the walk counts holders: it gives the
+    subterms and pairs held in two or more places, children first, and is
+    then released, memos and all, before any text is built (_released):
+    the listing keeps every term it reaches alive."""
     env = _load_env(args.defs)
     expr = parse_expr(args.expr)
     labels = _parse_labels(args.labels)
-    with _Walk(env=env) as walk:
+    with _Walk(env=env, holders=args.json) as walk:
         structures = enumerate_structures(
             expr, env, labels, budget=args.budget, walk=walk
         )
         if args.json:
-            shared = walk.shared()
-            walk.release()
-            _write_json_listing(structures, shared)
+            _write_json_listing(structures, _released(walk))
         else:
             for s in structures:
                 print(s.render())
@@ -223,21 +222,34 @@ def _cmd_enumerate(args):
     return 0
 
 
+def _released(walk):
+    """Yield the walk's shared terms and pairs (_Walk.shared()), having
+    released the walk before the first: the writer builds no text while
+    the memos live.  The list of them shrinks as the writer reads it, and
+    is gone once every kept text is built."""
+    shared = walk.shared()
+    walk.release()
+    shared.reverse()
+    while shared:
+        yield shared.pop()
+
+
 def _write_json_listing(structures, shared=()):
     """Write json.dumps([s.to_json() for s in structures]) + "\n", one
     structure at a time.
 
-    shared holds the subterms held in two or more places, each once and
-    children first (_Walk.shared()).  Their texts are filled first, in that
-    order, into one dict by id that every term's _text reads, so each
-    subterm is serialised exactly once, with no callback per subterm, and
-    no other subterm's text is kept.  Without shared it keeps nothing, and
-    writes the same bytes.  The listing keeps every term alive, so ids stay
-    unique.
+    shared holds the subterms and substitution (block, inner) pairs held
+    in two or more places, each once and children first (_Walk.shared()).
+    Their texts are filled first, in that order, into one dict by id that
+    every term's _text reads (structures._kept_texts), so each subterm and
+    pair is serialised exactly once, with no callback per subterm, and no
+    other text is kept.  A substitution term is written as its outer's
+    text and one join of its pairs' texts: an inner term that only pairs
+    hold is kept inside its pair's text, not alone.  Without shared it
+    keeps nothing, and writes the same bytes.  The listing keeps every
+    term and pair alive, so ids stay unique.
     """
-    kept = {}
-    for term in shared:
-        kept[id(term)] = term._text(kept)
+    kept = _kept_texts(shared)
     write = sys.stdout.write
     write("[")
     for i, s in enumerate(structures):

@@ -15,15 +15,15 @@ row of primitives.ROWS, comes in order (see primitives.py).
 Listed terms are built from parts checked once.  The (block, inner) pairs
 of substitution terms are formed once each per walk, and Assignment.listed
 puts the pairs on one block before each assignment of the labels left,
-checking that block once against each of them; _comp_terms then builds the
-substitution terms on every assignment, checking each list of outer terms
-once against its block set.  A ProductSplit checks a split's two label
-sets, each left factor and each right factor once for all the products on
-that split.  A MapSources checks a sorted label tuple once for the
-derivative and pointed terms around a listed child, the child list checked
-once to live on the tuple.  Sum and named terms check their side or name
-once per child list.  No listing runs a public constructor, on any number
-of labels.
+checking that block once against their one label set; _comp_terms then
+builds the substitution terms on every assignment, checking each list of
+outer terms once against its block set.  A ProductSplit checks a split's
+two label sets, each left factor and each right factor once for all the
+products on that split.  A MapSources checks a sorted label tuple once for
+the derivative and pointed terms around a listed child, the child list
+checked once to live on the tuple.  Sum and named terms check their side
+or name once per child list.  No listing runs a public constructor, on
+any number of labels.
 
 A walk is the state and the scope of a listing: its memos of lists,
 sort keys and series counts, its substitution tables, and its evaluator;
@@ -41,18 +41,25 @@ its caches, and the last open walk to close empties the label tables,
 so no cache outlives the listing.  The identity suite opens one walk per
 case.
 
-A walk also counts, for each memo list, the places in parent terms that
-hold its terms.  Every parent build holds each term of a child list the
-same number of times: a named, sum or derivative term holds its child
-once, a pointed term once per point, a product's left factors once per
-right factor of their split and its right factors once per left factor,
-and a substitution's outer terms once per assignment on their blocks and
-each inner term once per assignment holding it times the outers on those
-blocks.  A restriction returns its child's list and adds nothing.  So one
-count per list is exact, and walk.shared() gives the terms held in two or
+A walk made with holders=True, the one `enumerate --json` writes, also
+counts, for each memo list and each list of (block, inner) pairs, the
+places in parent terms and pairs that hold its items; other walks, such
+as the identity suite's, count nothing.  Every parent build holds each
+item of a child list the same number of times: a named, sum or derivative
+term holds its child once, a pointed term once per point, a product's
+left factors once per right factor of their split and its right factors
+once per left factor, and a substitution's outer terms once per
+assignment on their blocks and each pair once per assignment holding it
+times the outers on those blocks; a pair holds its inner term once.  A
+restriction returns its child's list and adds nothing.  So one count per
+list is exact, and walk.shared() gives the terms and pairs held in two or
 more places, children before their parents: the only ones a writer that
-writes each subterm once needs to keep the text of.  `enumerate --json`
-fills their texts first, in that order, so that each parent reads its
+writes each subterm once needs to keep the text of.  A substitution term
+is written as its outer's text and one join of its pairs' texts, and a
+pair's text holds its inner term's.  So an inner term that only pairs
+hold is kept, if at all, inside its pair's text, and one also held
+elsewhere may be kept twice, alone and in its pair.  `enumerate --json`
+fills the kept texts first, in that order, so that each parent reads its
 shared children's texts, and then writes the listing with no callback.
 
 Transport applies a bijection of label sets to a structure.  Because the
@@ -205,11 +212,14 @@ class _Walk:
     by every term built on them.  tables maps the id of a substitution node
     to its tables (see _assignments), one set for all its label sets, so
     that each of its blocks, pairs and assignment tails is built once per
-    walk.  holders maps the id of a memo list to the number of places in the
-    walk's parent terms that hold each of its terms (see the module
-    docstring); a product of a term with itself holds it in two
-    places.  Node ids are stable because the expression and env outlive the
-    walk; term ids are stable because the memo keeps every term alive.
+    walk.  holders, None unless the walk was made with holders=True, maps
+    the id of a memo list or list of pairs to the number of places in the
+    walk's parent terms and pairs that hold each of its items (see the
+    module docstring), and held keeps those lists in the order they were
+    first held; a product of a term with itself holds it in two places.
+    Node ids are stable because the expression and env outlive the walk;
+    term and pair ids are stable because the memo and tables keep them
+    alive.
     clean holds the label tuples its caller has cleaned (see keep_clean).
     env is the env the walk was made with (None for none), the only one
     its calls may use.  A refused call leaves only finished lists, table
@@ -227,14 +237,15 @@ class _Walk:
     """
 
     __slots__ = ("memo", "tables", "keys", "series_counts", "holders",
-                 "clean", "env", "evaluator")
+                 "held", "clean", "env", "evaluator")
 
-    def __init__(self, env=None):
+    def __init__(self, env=None, holders=False):
         self.memo = {}
         self.tables = {}
         self.keys = {}
         self.series_counts = {}
-        self.holders = {}
+        self.holders = {} if holders else None
+        self.held = []
         self.clean = {}
         self.env = env
         self.evaluator = _Evaluator(env or Environment())
@@ -248,11 +259,12 @@ class _Walk:
         _close_walk()
 
     def release(self):
-        """Drop the memos, tables, keys, holders, clean label tuples and
-        evaluator: only what the caller holds stays alive, and the walk
-        lists no more."""
+        """Drop the memos, tables, keys, holders, held lists, clean label
+        tuples and evaluator: only what the caller holds stays alive, and
+        the walk lists no more."""
         self.memo = self.tables = self.keys = self.clean = None
-        self.series_counts = self.holders = self.evaluator = None
+        self.series_counts = self.holders = self.held = None
+        self.evaluator = None
 
     def keep_clean(self, labels):
         """Keep labels, a tuple _clean_labels returned or a prefix of one,
@@ -263,24 +275,29 @@ class _Walk:
         return labels
 
     def hold(self, terms, times):
-        """Count times more places that hold each term of terms, a memo
-        list, in a parent list just built."""
+        """Count times more places that hold each item of terms, a memo
+        list or a list of (block, inner) pairs, in a parent list just
+        built.  Called only on a walk made with holders=True."""
         key = id(terms)
         holders = self.holders
-        holders[key] = holders.get(key, 0) + times
+        count = holders.get(key)
+        if count is None:
+            self.held.append(terms)
+            count = 0
+        holders[key] = count + times
 
     def shared(self):
-        """The terms of each memo list held in two or more places, each
-        once and every child before its parents: the memo is filled child
-        first, and a list under two keys (a restriction's is its child's)
-        counts once.  Over a walk shared by several calls, it counts the
-        parents of all of them."""
+        """The terms and (block, inner) pairs of each list held in two or
+        more places, each once and every child before its parents: held
+        keeps the lists in the order they were first held, and a list is
+        first held while its first parent is built, after its own build
+        first held every list its items hold.  A list under two keys (a
+        restriction's is its child's) is held as one.  Over a walk shared
+        by several calls, it counts the parents of all of them.  Only a
+        walk made with holders=True has them."""
         holders = self.holders
-        lists = {
-            id(terms): terms for terms in self.memo.values()
-            if holders.get(id(terms), 0) > 1
-        }
-        return [term for terms in lists.values() for term in terms]
+        return [item for items in self.held if holders[id(items)] > 1
+                for item in items]
 
     def key(self, term):
         """term's _sort_parts tuple, built once per walk: comparing keys
@@ -335,8 +352,8 @@ def _build(expr, env, labels, active):
     derivative term, like a restriction, keeps its child's order; a sum
     term orders by its inner term, then left before right; a product term
     by its left factor, then its right; a pointed term by its point, then
-    its inner term.  Each branch counts the holders of every child list it
-    reads (_Walk.hold).
+    its inner term.  On a walk that counts holders, each branch counts
+    those of every child list it reads (_Walk.hold).
 
     No walk comes back to a name on the labels it is listed on.  A name
     lists nothing where its count is 0, a pointing nothing on no labels,
@@ -353,13 +370,15 @@ def _build(expr, env, labels, active):
         if not active.counts(expr, len(labels))[len(labels)]:
             return []
         inner = _structures(env[expr.ident], env, labels, active)
-        active.hold(inner, 1)
+        if active.holders is not None:
+            active.hold(inner, 1)
         return named_terms(expr.ident, inner)
     if isinstance(expr, Sum):
         left = _structures(expr.left, env, labels, active)
         right = _structures(expr.right, env, labels, active)
-        active.hold(left, 1)
-        active.hold(right, 1)
+        if active.holders is not None:
+            active.hold(left, 1)
+            active.hold(right, 1)
         out = sum_terms("left", left) + sum_terms("right", right)
         if left and right:
             # A stable sort of two sorted runs is their merge, with the
@@ -381,8 +400,9 @@ def _build(expr, env, labels, active):
                 taken = set(chosen)
                 rest = tuple(x for x in labels if x not in taken)
                 rights = _structures(expr.right, env, rest, active)
-                active.hold(lefts, len(rights))
-                active.hold(rights, len(lefts))
+                if active.holders is not None:
+                    active.hold(lefts, len(rights))
+                    active.hold(rights, len(lefts))
                 split = ProductSplit(chosen, rest, rights)
                 rows.extend((l, split) for l in lefts)
                 splits += 1
@@ -406,14 +426,16 @@ def _build(expr, env, labels, active):
             star += labels[-1]
         extended = labels + (star,)
         inner = _structures(expr.inner, env, extended, active)
-        active.hold(inner, 1)
+        if active.holders is not None:
+            active.hold(inner, 1)
         return MapSources(extended).derivatives(star, inner)
     if isinstance(expr, Pointing):
         if not labels:
             return []
         inner = _structures(expr.inner, env, labels, active)
         points = sorted(labels, key=label_code)
-        active.hold(inner, len(points))
+        if active.holders is not None:
+            active.hold(inner, len(points))
         return MapSources(labels).pointed(points, inner)
     if isinstance(expr, RestrictCard):
         if not expr.admits(len(labels)):
@@ -436,10 +458,11 @@ def _compositions(expr, env, labels, active):
     block set's outers once against it.  The tables of _assignments are
     the walk's, one set per substitution node.
 
-    Holders are counted once per block set, not per term: the assignments
-    on a block set are every choice of one inner term per block, so there
-    are as many as the product of the inner lists' lengths, and each inner
-    term is in that product divided by its list's length of them.
+    Holders are counted once per block set, not per term, on the lists of
+    pairs the assignments were built from: the assignments on a block set
+    are every choice of one pair per block, so there are as many as the
+    product of the pair lists' lengths, and each pair is in that product
+    divided by its list's length of them.
     """
     n = len(labels)
     outer_counts = active.counts(expr.outer, n)
@@ -454,13 +477,15 @@ def _compositions(expr, env, labels, active):
                 expr.outer, env, tuple(b for b, _ in assign.pairs), active
             )
     out = _comp_terms(assigns, outers_on)
-    memo, inner = active.memo, id(expr.inner)
-    for blocks, outers in outers_on.items():
-        inners = [memo[inner, block.members] for block in blocks]
-        count = prod(map(len, inners))
-        active.hold(outers, count)
-        for terms in inners:
-            active.hold(terms, count // len(terms) * len(outers))
+    if active.holders is not None:
+        pairs_on, hold = tables[1], active.hold
+        for blocks, outers in outers_on.items():
+            lists = [pairs_on[block.members] for block in blocks]
+            count = prod(map(len, lists))
+            hold(outers, count)
+            count *= len(outers)
+            for pairs in lists:
+                hold(pairs, count // len(pairs))
     return out
 
 
@@ -472,11 +497,12 @@ def _assignments(state, rest, blocks):
     walk's tables for expr: listed keeps every finished list by (rest,
     blocks) and pairs_on the checked (block, inner) pairs of each first
     block by its members, so every entry of listed and every term built
-    on it share the block and its pairs; empty is the Assignment with no
-    pair.  blocks is cut to the sizes rest can take, so one entry serves
-    every label set around rest.  An entry is stored only when finished,
-    so a refused call leaves the tables usable.  A first block's inner is
-    listed only when the labels left have tails."""
+    on it share the block and its pairs, each pair holding its inner term
+    once; empty is the Assignment with no pair.  blocks is cut to the sizes
+    rest can take, so one entry serves every label set around rest.  An
+    entry is stored only when finished, so a refused call leaves the tables
+    usable.  A first block's inner is listed only when the labels left have
+    tails."""
     expr, env, active, listed, pairs_on, empty = state
     if not rest:
         return [empty] if blocks & 1 else []
@@ -501,10 +527,12 @@ def _assignments(state, rest, blocks):
         pairs = pairs_on.get(members)
         if pairs is None:
             block = Block(members)
+            inners = _structures(expr.inner, env, members, active)
             pairs = pairs_on[members] = [
-                Assignment.pair(block, inner)
-                for inner in _structures(expr.inner, env, members, active)
+                Assignment.pair(block, inner) for inner in inners
             ]
+            if active.holders is not None:
+                active.hold(inners, 1)
         out += Assignment.listed(pairs, tails)
     listed[(rest, blocks)] = out
     return out

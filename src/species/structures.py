@@ -14,14 +14,15 @@ normalizes and checks its input in full, and by one bulk builder, which
 listings use.  SubsetTerm.listed, GraphTerm.listed and DigraphTerm.listed
 check a tuple of labels, possible edges or possible arcs once for all the
 terms built from its sublists; Assignment.listed checks the one block of
-many (block, inner) pairs once against each assignment it is put before,
-and _comp_terms each list of outer terms once against its block set; a
-ProductSplit checks a split's two label sets and each of its factors once
-for all the products of that split; MapSources checks a sorted label tuple
-once for the set and all the maps, lists, cycles, partitions, derivatives
-and pointed terms on it; and sum_terms and named_terms check a side or a
-name once for every term wrapped around a list of children.  Where both
-ways check the same thing they call one check, which raises that refusal.
+many (block, inner) pairs once against the one label set of the
+assignments it is put before, and _comp_terms each list of outer terms
+once against its block set; a ProductSplit checks a split's two label sets
+and each of its factors once for all the products of that split;
+MapSources checks a sorted label tuple once for the set and all the maps,
+lists, cycles, partitions, derivatives and pointed terms on it; and
+sum_terms and named_terms check a side or a name once for every term
+wrapped around a list of children.  Where both ways check the same thing
+they call one check, which raises that refusal.
 
 Labels are strings or integers.  A token consisting of digits only is always
 an integer.  The reserved token STAR (serialized "\\u2605") marks the extra
@@ -651,7 +652,8 @@ _ON_BLOCKS = _FieldKind(
     lambda v, f: v.relabel(lambda b: Block(f(m) for m in b.members)),
     text=_CHILD_TEXT, part="key(@)",
 )
-#: A substitution's (block, inner term) pairs.
+#: A substitution's (block, inner term) pairs, written as one join of each
+#: pair's kept text or, where none is kept, its own (_pair_text).
 _ASSIGN = _FieldKind(
     list,
     lambda v: [
@@ -661,7 +663,7 @@ _ASSIGN = _FieldKind(
     lambda v, f: [
         (Block(f(m) for m in b.members), t.relabel(f)) for b, t in v
     ],
-    text="{_assign_text(@, kept)}",
+    text='[{", ".join([kept.get(id(p)) or _pair_text(p, kept) for p in @])}]',
     part="_assign_parts(@, key)",
     splice=True,
 )
@@ -731,11 +733,22 @@ def _splice(*runs):
     return tuple(out)
 
 
-def _assign_text(assign, kept):
-    return "[" + ", ".join(
-        f"[{block.text()}, {kept.get(id(inner)) or inner._text(kept)}]"
-        for block, inner in assign
-    ) + "]"
+def _pair_text(pair, kept):
+    """A (block, inner) pair as JSON text: the block's member list and its
+    inner term's kept text, or its own _text(kept)."""
+    block, inner = pair
+    return f"[{block.text()}, {kept.get(id(inner)) or inner._text(kept)}]"
+
+
+def _kept_texts(shared):
+    """The texts of shared, terms and (block, inner) pairs each once and
+    every child before its parents (enumerator._Walk.shared()), by id:
+    each text reads the kept texts of the children it holds."""
+    kept = {}
+    for item in shared:
+        kept[id(item)] = (_pair_text(item, kept) if type(item) is tuple
+                          else item._text(kept))
+    return kept
 
 
 def _assign_parts(assign, key):
@@ -1468,14 +1481,17 @@ def _block_key(pair):
 
 
 def _before(block, tail):
-    """The interned block set and label set of the assignment tail with
-    block put before its pairs, refused unless block meets none of tail's
-    labels and its key is below the key of tail's first block."""
+    """The interned label set of the assignment tail with block put before
+    its pairs, refused unless block meets none of tail's labels and its key
+    is below the key of tail's first block."""
     labels = _joined(block.member_set, tail.labels)
     pairs = tail.pairs
     if pairs and not block.key < pairs[0][0].key:
         raise ValueError("blocks out of order")
-    return _interned(tail.blocks.union((block,))), _interned(labels)
+    return _interned(labels)
+
+
+_tail_labels = attrgetter("labels")
 
 
 class Assignment:
@@ -1507,9 +1523,16 @@ class Assignment:
     def listed(pairs, tails):
         """Each pair of pairs put before the pairs of each tail of tails,
         pair by pair and then tail by tail, made bare.  The pairs, formed by
-        Assignment.pair, are checked once to share one block, which is
-        checked against each tail once (_before); the block and label sets
-        it makes with a tail are formed once for all the pairs."""
+        Assignment.pair, are checked once to share one block; the block set
+        it makes with a tail is formed once for all the pairs.
+
+        The tails of a listing all cover one label set, so their
+        assignments share one label set, made and checked against the
+        block once (_before, on the first tail), each tail's labels
+        compared with the first's in C.  The first block of every
+        assignment holds its least label, so checking the block's order
+        against one tail checks it against all.  Tails on other label sets
+        are each checked on their own."""
         pairs = tuple(pairs)
         if not pairs:
             return []
@@ -1517,7 +1540,20 @@ class Assignment:
         block = pairs[0][0]
         if not all(map(is_, map(itemgetter(0), pairs), repeat(block))):
             raise ValueError("assignment pairs do not share one block")
-        joined = [(tail.pairs, *_before(block, tail)) for tail in tails]
+        if not tails:
+            return []
+        first = tails[0].labels
+        if all(map(eq, map(_tail_labels, tails), repeat(first))):
+            sets = repeat(_before(block, tails[0]))
+        else:
+            sets = [_before(block, tail) for tail in tails]
+        # A union with a set holding the block reads its stored hash, where
+        # one with the block itself would call Block.__hash__ per tail.
+        unit = frozenset((block,))
+        joined = [
+            (tail.pairs, _interned(tail.blocks | unit), labels)
+            for tail, labels in zip(tails, sets)
+        ]
         terms = _bare(Assignment, len(pairs) * len(joined))
         made = iter(terms)
         for pair in pairs:

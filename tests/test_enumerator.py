@@ -20,7 +20,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from species import cli, enumerator, primitives, semantics, structures
+from species import (
+    cli,
+    enumerator,
+    identities,
+    primitives,
+    semantics,
+    structures,
+)
 from species.enumerator import (
     _structures,
     check_functoriality,
@@ -992,7 +999,7 @@ class TestJsonListing:
         entry per unshared subterm (24 000 of them here) would add more
         than a megabyte."""
         env = parse_defs(_DIGEST_DEFS)
-        with enumerator._Walk(env=env) as walk:
+        with enumerator._Walk(env=env, holders=True) as walk:
             got = enumerate_structures(parse_expr("B"), env, range(1, 6),
                                        walk=walk)
             shared = walk.shared()
@@ -1017,21 +1024,30 @@ class TestJsonListing:
                 assert sink.hexdigest() == want
                 assert peak < bound
 
+    # E(C) and A are bound at their traced peaks before substitution pairs
+    # were written whole (2.263 and 6.227 MB under Python 3.11, 2.270 and
+    # 6.250 MB under 3.10), rounded up to 10 kB.  A's peak is its writer's:
+    # each pair's kept text takes the place of its inner term's, and
+    # keeping both would add about 0.9 MB.
     @pytest.mark.parametrize("text, n, bound_mb", [
-        ("B", 5, 8.0), ("pt(A)", 5, 2.5),
+        ("B", 5, 8.0), ("pt(A)", 5, 2.5), ("E(C)", 7, 2.27), ("A", 6, 6.26),
     ])
     def test_peak_memory_of_one_json_listing(self, text, n, bound_mb,
                                              tmp_path):
         """The traced peak of one `enumerate --json` call, walk and writer,
-        to a stdout that keeps no copy of what is written."""
+        to a stdout that keeps no copy of what is written.  The same call
+        is made once untraced first, so that what the first call of a
+        process sets up (the compiled writers, json) is not counted."""
         defs = tmp_path / "defs.species"
         defs.write_text(_DIGEST_DEFS, encoding="utf-8")
+        argv = ["enumerate", text, str(n), "--defs", str(defs), "--json"]
+        with contextlib.redirect_stdout(_Digest()):
+            cli.main(argv)
         sink = _Digest()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
-                code = cli.main(["enumerate", text, str(n), "--defs",
-                                 str(defs), "--json"])
+                code = cli.main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -2000,15 +2016,33 @@ _HOLDER_LABELS = {
 }
 
 
-def _children(term):
-    """Every place in term that holds a child term, one per place."""
-    for _, attr, fk in term.fields:
-        value = getattr(term, attr)
+def _children(item):
+    """Every place in item, a term or a (block, inner) pair, that holds a
+    child, one per place: a term's child terms and pairs, a pair's inner
+    term."""
+    if type(item) is tuple:
+        yield item[1]
+        return
+    for _, attr, fk in item.fields:
+        value = getattr(item, attr)
         if fk is structures._CHILD or fk is structures._ON_BLOCKS:
             yield value
         elif fk is structures._ASSIGN:
-            for _, inner in value:
-                yield inner
+            yield from value
+
+
+def _held(walk):
+    """How many places hold each term and pair of the walk's lists, its
+    memo lists and its substitution tables' lists of pairs, by id, counted
+    item by item."""
+    lists = {id(found): found for found in walk.memo.values()}
+    for _, pairs_on, _ in walk.tables.values():
+        lists.update((id(pairs), pairs) for pairs in pairs_on.values())
+    held = Counter()
+    for found in lists.values():
+        for item in found:
+            held.update(map(id, _children(item)))
+    return held
 
 
 class TestHolders:
@@ -2016,25 +2050,65 @@ class TestHolders:
     @pytest.mark.parametrize("text, n", _HOLDER_CASES,
                              ids=[f"{t}-{n}" for t, n in _HOLDER_CASES])
     def test_shared_ids_equal_a_brute_force_count(self, text, n, kind):
-        """walk.shared() is every term held in two or more places by the
-        terms of the walk's memo lists, counted term by term."""
+        """walk.shared() is every term and (block, inner) pair held in two
+        or more places by the terms and pairs of the walk's lists, counted
+        item by item."""
         env = parse_defs(_DIGEST_DEFS)
-        with enumerator._Walk(env=env) as walk:
+        with enumerator._Walk(env=env, holders=True) as walk:
             got = enumerate_structures(parse_expr(text), env,
                                        _HOLDER_LABELS[kind][:n], walk=walk)
-            held = Counter()
-            lists = {id(found): found for found in walk.memo.values()}
-            for found in lists.values():
-                for term in found:
-                    held.update(map(id, _children(term)))
+            held = _held(walk)
             assert got
             assert {id(t) for t in walk.shared()} == {
                 k for k, c in held.items() if c > 1
             }
 
+    def test_only_a_written_listing_counts_holders(self, monkeypatch):
+        """Only `enumerate --json` reads what a walk's holders count: the
+        identity suite's walks make no hold call, and the listing, whose
+        walk makes them, writes json.dumps's bytes."""
+        calls = []
+        real = enumerator._Walk.hold
+
+        def counted(walk, terms, times):
+            calls.append(times)
+            return real(walk, terms, times)
+
+        monkeypatch.setattr(enumerator._Walk, "hold", counted)
+        assert all(report.passed for report in identities.run_suite())
+        assert calls == []
+        code, out = _cli_stdout(["enumerate", "E(C)", "5", "--json"])
+        assert code == 0
+        assert calls
+        got = enumerate_structures(parse_expr("E(C)"), None, range(1, 6))
+        assert out == _dumped(got)
+
+    def test_each_pair_text_is_built_once(self, monkeypatch):
+        """`enumerate "E(C)" 7 --json` writes 13 068 (block, inner) pairs,
+        2 372 of them distinct, and builds each distinct pair's text once,
+        its block's member list with it: a kept one as the kept texts are
+        filled, any other where its one holder is written."""
+        written = []
+        real = structures.Block.text
+
+        def counted(block):
+            written.append(block)
+            return real(block)
+
+        monkeypatch.setattr(structures.Block, "text", counted)
+        code, out = _cli_stdout(["enumerate", "E(C)", "7", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "78f03dff3990e7291cf34990df7ca54a44e66f135cb41308ff15a7a67955feb1"
+        )
+        pairs = [json.dumps(pair) for term in json.loads(out)
+                 for pair in term["assign"]]
+        assert len(pairs) == 13_068
+        assert len(set(pairs)) == len(written) == 2_372
+
     def test_a_product_of_a_term_with_itself_holds_it_twice(self):
         expr = parse_expr("E*E")
-        with enumerator._Walk() as walk:
+        with enumerator._Walk(holders=True) as walk:
             (term,) = enumerate_structures(expr, None, [], walk=walk)
             assert term.left is term.right
             assert {id(t) for t in walk.shared()} == {id(term.left)}
@@ -2044,7 +2118,7 @@ class TestHolders:
                              ids=[f"{t}-{n}" for t, n in _HOLDER_CASES])
     def test_shared_terms_come_once_and_children_first(self, text, n, kind):
         env = parse_defs(_DIGEST_DEFS)
-        with enumerator._Walk(env=env) as walk:
+        with enumerator._Walk(env=env, holders=True) as walk:
             _check_shared_order_and_bytes(parse_expr(text), env,
                                           _HOLDER_LABELS[kind][:n], walk)
 
@@ -2054,7 +2128,7 @@ class TestHolders:
         restricted = RestrictCard(Name("A"), ">=", 1)
         expr = Product(restricted, Primitive(PrimitiveKind.LIST))
         env = parse_defs(_DIGEST_DEFS)
-        with enumerator._Walk(env=env) as walk:
+        with enumerator._Walk(env=env, holders=True) as walk:
             _check_shared_order_and_bytes(expr, env, [1, 2, 3, 4, 5], walk)
             keys = Counter(map(id, walk.memo.values()))
             twice = [k for k, c in keys.items() if c > 1]
@@ -2063,19 +2137,16 @@ class TestHolders:
 
 
 def _check_shared_order_and_bytes(expr, env, labels, walk):
-    """walk.shared() lists each shared term once and every shared child
-    before each shared term that holds it, and the --json writer writes
-    json.dumps's bytes with and without it; walk is open, made with env."""
+    """walk.shared() lists each shared term and pair once and every shared
+    child before each shared term or pair that holds it, and the --json
+    writer writes json.dumps's bytes with and without it; walk is open,
+    made with env, and counts holders."""
     got = enumerate_structures(expr, env, labels, walk=walk)
     assert got
     shared = walk.shared()
     place = {id(t): i for i, t in enumerate(shared)}
     assert len(place) == len(shared)
-    held = Counter()
-    lists = {id(found): found for found in walk.memo.values()}
-    for found in lists.values():
-        for term in found:
-            held.update(map(id, _children(term)))
+    held = _held(walk)
     assert set(place) == {k for k, c in held.items() if c > 1}
     for i, term in enumerate(shared):
         for child in _children(term):
