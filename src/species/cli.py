@@ -32,7 +32,8 @@ with the same output and exit codes, so argparse is imported only then.
 Likewise this module imports json only in transport: the --json lines of
 count, series and solve hold integers and "p/q" texts, which need no
 escaping, and verify's --json document holds strings quoted by
-structures._quote; all are written directly, in json.dumps's bytes.
+structures._quote, which loads no json; all are written directly, in
+json.dumps's bytes.
 """
 
 import _thread

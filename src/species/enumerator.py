@@ -10,7 +10,12 @@ No listing is sorted at the end.  The encoding fixes the order child first,
 so every node builds its list in encode() order from its children's lists:
 a node that wraps one child keeps the child's order, a sum merges its two
 sides, a product orders its left factors, and a primitive's listing, its
-row of primitives.ROWS, comes in order (see primitives.py).
+row of primitives.ROWS, comes in order (see primitives.py).  A walk made
+with ordered=False, the one the identity suite lists with, skips the two
+merges: a sum lists its left side, then its right, and a product each
+split's products as the split is built, in split order.  It lists the
+same structures, each once, and builds no sort key; it serves callers
+that read only how many there are.
 
 Listed terms are built from parts checked once.  The (block, inner) pairs
 of substitution terms are formed once each per walk, and Assignment.listed
@@ -39,7 +44,8 @@ lists, shared with every later call, and must not be mutated.  A caller
 that shares a walk opens it around all of its calls; closing it drops
 its caches, and the last open walk to close empties the label tables,
 so no cache outlives the listing.  The identity suite opens one walk per
-case.
+case, unordered, since it reads only the lengths of its listings;
+`enumerate`, `transport` and every API call list on ordered walks.
 
 A walk made with holders=True, the one `enumerate --json` writes, also
 counts, for each memo list and each list of (block, inner) pairs, the
@@ -172,7 +178,9 @@ def enumerate_structures(expr, env=None, labels=(), budget=DEFAULT_BUDGET,
     made with, since its memo is keyed by node and names resolve through
     env; a call with another env raises ValueError.  On a shared walk the
     result is the walk's own memo list, shared with later calls: callers
-    must not mutate it.  Calls at the largest size first solve every
+    must not mutate it.  On a walk made with ordered=False the list holds
+    the same structures, each once, in split order rather than encode()
+    order (see _Walk).  Calls at the largest size first solve every
     system once; a call on more labels solves again, deeper.  The caller
     opens a shared walk (`with walk:`) around all of its calls, so that
     the collector stays paused between them and the label tables serve
@@ -217,6 +225,10 @@ class _Walk:
     walk's parent terms and pairs that hold each of its items (see the
     module docstring), and held keeps those lists in the order they were
     first held; a product of a term with itself holds it in two places.
+    ordered, True unless the walk was made with ordered=False, says whether
+    sums and products merge their runs into encode() order; an unordered
+    walk, the identity suite's, lists them in split order (see the module
+    docstring) and builds no key.
     Node ids are stable because the expression and env outlive the walk;
     term and pair ids are stable because the memo and tables keep them
     alive.
@@ -237,9 +249,10 @@ class _Walk:
     """
 
     __slots__ = ("memo", "tables", "keys", "series_counts", "holders",
-                 "held", "clean", "env", "evaluator")
+                 "held", "clean", "env", "evaluator", "ordered")
 
-    def __init__(self, env=None, holders=False):
+    def __init__(self, env=None, holders=False, ordered=True):
+        self.ordered = ordered
         self.memo = {}
         self.tables = {}
         self.keys = {}
@@ -353,7 +366,8 @@ def _build(expr, env, labels, active):
     term orders by its inner term, then left before right; a product term
     by its left factor, then its right; a pointed term by its point, then
     its inner term.  On a walk that counts holders, each branch counts
-    those of every child list it reads (_Walk.hold).
+    those of every child list it reads (_Walk.hold).  On an unordered walk
+    a sum and a product keep their runs as built, with no merge.
 
     No walk comes back to a name on the labels it is listed on.  A name
     lists nothing where its count is 0, a pointing nothing on no labels,
@@ -380,7 +394,7 @@ def _build(expr, env, labels, active):
             active.hold(left, 1)
             active.hold(right, 1)
         out = sum_terms("left", left) + sum_terms("right", right)
-        if left and right:
+        if left and right and active.ordered:
             # A stable sort of two sorted runs is their merge, with the
             # left side first on equal inner terms.
             key = active.key
@@ -390,7 +404,8 @@ def _build(expr, env, labels, active):
         n = len(labels)
         left_counts = active.counts(expr.left, n)
         right_counts = active.counts(expr.right, n)
-        rows = []
+        out = []
+        rows = [] if active.ordered else None
         splits = 0
         for k in range(n + 1):
             if not left_counts[k] or not right_counts[n - k]:
@@ -404,6 +419,10 @@ def _build(expr, env, labels, active):
                     active.hold(lefts, len(rights))
                     active.hold(rights, len(lefts))
                 split = ProductSplit(chosen, rest, rights)
+                if rows is None:
+                    for left in lefts:
+                        out += split.products(left)
+                    continue
                 rows.extend((l, split) for l in lefts)
                 splits += 1
         if splits > 1:
@@ -411,8 +430,7 @@ def _build(expr, env, labels, active):
             # rights are already in order.
             key = active.key
             rows.sort(key=lambda row: key(row[0]))
-        out = []
-        for left, split in rows:
+        for left, split in rows or ():
             out += split.products(left)
         return out
     if isinstance(expr, Substitute):

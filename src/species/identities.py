@@ -6,17 +6,19 @@ series counts up to a truncation order, and (where tractable) cardinality of
 the exhaustive enumerations on small label sets.
 
 The enumerations of one case share one walk (enumerator._Walk), opened
-around all of them: every side is listed on [n] for n from the largest
-order down to 0 on that walk, so each subexpression is listed once per
-label set for the whole case, and the listings count through the walk's
-one evaluator, which solves each recursive system once.  The series
-checks do not share it: each calls egf_of, which solves every system it
-reaches again.  The smallest n at which two count lists differ
-(_witness) is the witness, as if the orders were tried from 0 up; but
-every order is listed, so a refusal at a larger order (a budget, say) is
-raised even when a smaller one already differs.  The walk is closed, and
-its caches dropped, when the case's listings end, so no listing outlives
-it.
+around all of them and unordered (ordered=False): only the lengths of the
+listings are read, so the walk lists every structure but merges no sum or
+product into encode() order, and builds no sort key.  Every side is
+listed on [n] for n from the largest order down to 0 on that walk, so
+each subexpression is listed once per label set for the whole case, and
+the listings count through the walk's one evaluator, which solves each
+recursive system once.  The series checks do not share it: each calls
+egf_of, which solves every system it reaches again.  The smallest n at
+which two count lists differ (_witness) is the witness, as if the orders
+were tried from 0 up; but every order is listed, so a refusal at a larger
+order (a budget, say) is raised even when a smaller one already differs.
+The walk is closed, and its caches dropped, when the case's listings end,
+so no listing outlives it.
 
 The catalogue is one table of makers (_CASES), and a call builds only the
 cases it names, afresh: their expressions are parsed then, and the shared
@@ -124,12 +126,14 @@ def _listing_sizes(exprs, env, max_n):
     on fewer labels reuse the lists and series counts of the first, and
     the collector stays paused between the listings.  The labels are
     cleaned once, as [1, max_n]: each [n] is a prefix of it, kept by the
-    walk as clean.  The walk releases its caches as it closes, while the
-    collector is still paused.
+    walk as clean.  The walk is unordered: each listing holds the
+    structures an ordered one would, each once, in split order, and only
+    its length is read.  The walk releases its caches as it closes, while
+    the collector is still paused.
     """
     sizes = [[None] * (max_n + 1) for _ in exprs]
     every = _clean_labels(range(1, max_n + 1))
-    with _Walk(env=env) as walk:
+    with _Walk(env=env, ordered=False) as walk:
         for n in range(max_n, -1, -1):
             labels = walk.keep_clean(every[:n])
             for row, expr in zip(sizes, exprs):
@@ -313,10 +317,10 @@ def verify_enumerative(case, max_n=None):
 
 
 def _alternating_count(n):
-    from fractions import Fraction
-
-    total = sum(Fraction((-1) ** k, factorial(k)) for k in range(n + 1))
-    return int(factorial(n) * total)
+    """The derangements of n labels by the alternating sum
+    sum over k of (-1)^k n!/k!, in integers."""
+    return sum((-1) ** k * (factorial(n) // factorial(k))
+               for k in range(n + 1))
 
 
 def _tree_quotient(n, count):

@@ -127,10 +127,15 @@ def label_to_string(label):
 def _quote(text):
     """text as a JSON string literal, non-ASCII escaped: json's own
     encode_basestring_ascii, which the first call imports and binds in
-    place of this function.  No counting call writes a label, so none loads
-    json."""
+    place of this function.  It is taken from the C module _json, the one
+    json.encoder itself binds, so that writing a label does not load the
+    json package; from json.encoder where _json is missing.  No counting
+    call writes a label, so none loads either."""
     global _quote
-    from json.encoder import encode_basestring_ascii as _quote
+    try:
+        from _json import encode_basestring_ascii as _quote
+    except ImportError:
+        from json.encoder import encode_basestring_ascii as _quote
 
     return _quote(text)
 

@@ -46,10 +46,10 @@ def run(capsys, *argv):
     return code, out, err
 
 
-#: Modules that no count, series or solve call loads, each a millisecond
-#: or more of start-up: rationals (fractions, and decimal with it), made
-#: only for a count that is not integral, and json, which only verify and
-#: transport read and write with.
+#: Modules that no count, series, solve or verify call loads, each a
+#: millisecond or more of start-up: rationals (fractions, and decimal with
+#: it), made only for a count that is not integral, and json, which only
+#: transport reads with.
 _LAZY = ("fractions", "decimal", "json")
 
 
@@ -113,6 +113,21 @@ def test_counting_calls_load_no_rationals_json_or_writers(tmp_path):
     )
     assert done.stdout.splitlines()[-1] == "[] False"
     assert done.stdout.splitlines()[0] == '{"n": 6, "count": 203}'
+
+
+def test_verify_loads_no_rationals_or_json():
+    """The whole suite, --json, run in a fresh isolated interpreter through
+    main, loads none of _LAZY: its names are quoted by the C module _json's
+    function, not through the json package, and Der-alternating-sum sums
+    in integers."""
+    src = Path(species.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _COUNTING_CALLS, str(src), *_LAZY],
+        input="verify --json", capture_output=True, text=True, check=True,
+    )
+    loaded, _ = done.stdout.splitlines()[-1].split()
+    assert loaded == "[]"
+    assert '"ok": true' in done.stdout
 
 
 class TestCount:

@@ -271,27 +271,74 @@ def _listed_cases():
 _LISTED = {name: rest for name, *rest in _listed_cases()}
 
 
-@pytest.mark.parametrize("name", sorted(_LISTED))
-def test_a_shared_walk_lists_what_fresh_calls_list(name):
-    """Every side of every listed suite case, with its env, on [n] for n
-    from the case's largest order down to 0 and back up, the sides
-    interleaved, all on one walk: the same lengths and encodings as a
-    fresh call each."""
+_FRESH = {}
+
+
+def _fresh_listings(name):
+    """The encodings a fresh call lists for each side i of the listed case
+    name on each [n], by (i, n): made for the first of the two walks that
+    check them and dropped for the second."""
+    found = _FRESH.pop(name, None)
+    if found is not None:
+        return found
     env, exprs, max_n = _LISTED[name]
-    assert max_n >= 4
-    fresh = {
+    found = _FRESH[name] = {
         (i, n): [s.encode() for s in enumerate_structures(
             expr, env, range(1, n + 1))]
         for i, expr in enumerate(exprs)
         for n in range(max_n + 1)
     }
-    walk = enumerator._Walk(env=env)
+    return found
+
+
+@pytest.mark.parametrize("name, ordered", [
+    pytest.param(name, ordered, id=name if ordered else f"{name}-unordered")
+    for name in sorted(_LISTED) for ordered in (True, False)
+])
+def test_a_shared_walk_lists_what_fresh_calls_list(name, ordered):
+    """Every side of every listed suite case, with its env, on [n] for n
+    from the case's largest order down to 0 and back up, the sides
+    interleaved, all on one walk: the same lengths and encodings as a
+    fresh call each.  An unordered walk, the identity suite's, lists the
+    same structures, each once, in split order: sorted, their encodings
+    are the fresh call's."""
+    env, exprs, max_n = _LISTED[name]
+    assert max_n >= 4
+    fresh = _fresh_listings(name)
+    walk = enumerator._Walk(env=env, ordered=ordered)
     order = list(range(max_n, -1, -1)) + list(range(max_n + 1))
     for n in order:
         for i, expr in enumerate(exprs):
             got = enumerate_structures(expr, env, range(1, n + 1), walk=walk)
             assert len(got) == len(fresh[i, n])
-            assert [s.encode() for s in got] == fresh[i, n]
+            codes = [s.encode() for s in got]
+            assert (codes if ordered else sorted(codes)) == fresh[i, n]
+
+
+def test_the_suite_never_builds_a_sort_key(monkeypatch):
+    """The identity suite reads only the lengths of its listings, so its
+    walks merge no sum or product into encode() order: every case passes
+    with _Walk.key refused.  A default walk, as enumerate_structures opens
+    one, still orders B's products on 4 labels by it."""
+    real = enumerator._Walk.key
+
+    def refused(walk, term):
+        raise AssertionError("a sort key was built")
+
+    monkeypatch.setattr(enumerator._Walk, "key", refused)
+    bad = [r.name for r in run_suite() if not r.passed]
+    assert bad == []
+    keyed = []
+
+    def counted(walk, term):
+        keyed.append(term)
+        return real(walk, term)
+
+    monkeypatch.setattr(enumerator._Walk, "key", counted)
+    listed = enumerate_structures(
+        parse_expr("B"), parse_defs(_SUITE_DEFS), range(1, 5))
+    assert len(listed) == 336
+    assert keyed
 
 
 def test_listing_sizes_clean_the_labels_once(monkeypatch):
