@@ -12,8 +12,8 @@ a node that wraps one child keeps the child's order, a sum merges its two
 sides, a product orders its left factors, and a primitive's listing, its
 row of primitives.ROWS, comes in order (see primitives.py).  A walk made
 with ordered=False, the one the identity suite lists with, skips the two
-merges: a sum lists its left side, then its right, and a product each
-split's products as the split is built, in split order.  It lists the
+merges: a sum lists its left side, then its right, and a product its
+left factors in split order, each with its split's rights.  It lists the
 same structures, each once, and builds no sort key; it serves callers
 that read only how many there are.
 
@@ -404,8 +404,7 @@ def _build(expr, env, labels, active):
         n = len(labels)
         left_counts = active.counts(expr.left, n)
         right_counts = active.counts(expr.right, n)
-        out = []
-        rows = [] if active.ordered else None
+        rows = []
         splits = 0
         for k in range(n + 1):
             if not left_counts[k] or not right_counts[n - k]:
@@ -419,18 +418,15 @@ def _build(expr, env, labels, active):
                     active.hold(lefts, len(rights))
                     active.hold(rights, len(lefts))
                 split = ProductSplit(chosen, rest, rights)
-                if rows is None:
-                    for left in lefts:
-                        out += split.products(left)
-                    continue
                 rows.extend((l, split) for l in lefts)
                 splits += 1
-        if splits > 1:
+        if splits > 1 and active.ordered:
             # One sorted run of left factors per split; each left factor's
             # rights are already in order.
             key = active.key
             rows.sort(key=lambda row: key(row[0]))
-        for left, split in rows or ():
+        out = []
+        for left, split in rows:
             out += split.products(left)
         return out
     if isinstance(expr, Substitute):

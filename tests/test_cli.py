@@ -87,23 +87,29 @@ _COUNTING_CALLS = textwrap.dedent("""
     import sys
     sys.path.insert(0, sys.argv[1])
     from species import cli, structures
+    unwritten = 0
     for line in sys.stdin.read().splitlines():
         assert cli.main(line.split()) == 0, line
+        unwritten += "_text" not in structures.SumTerm.__dict__
     loaded = sorted(set(sys.argv[2:]) & set(sys.modules))
-    print(loaded, "_text" in structures.SumTerm.__dict__)
+    print(loaded, unwritten)
 """)
 
 
 def test_counting_calls_load_no_rationals_json_or_writers(tmp_path):
-    """count, series and solve, --json included, run in a fresh isolated
-    interpreter through main, load none of _LAZY and compile no term
-    writer."""
+    """count, series, solve and verify, --json included, run in a fresh
+    isolated interpreter through main, load none of _LAZY: verify quotes
+    its names by the C module _json's function, not through the json
+    package, and Der-alternating-sum sums in integers.  The six counting
+    calls, run first, compile no term writer; verify, which sorts
+    partitions by encode(), does."""
     defs = tmp_path / "mutual.species"
     defs.write_text("T = X*E(U)\nU = X*L(T)\n", encoding="utf-8")
     lines = [
         "count Part 6 --json", "count T 5 --defs DEFS --json",
         "series Part --order 5 --json", "series Der --order 9",
         "solve U --order 6 --defs DEFS --json", "count C 4",
+        "verify --json",
     ]
     src = Path(species.__file__).resolve().parent.parent
     done = subprocess.run(
@@ -111,22 +117,8 @@ def test_counting_calls_load_no_rationals_json_or_writers(tmp_path):
         input="\n".join(lines).replace("DEFS", str(defs)),
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.splitlines()[-1] == "[] False"
+    assert done.stdout.splitlines()[-1] == "[] 6"
     assert done.stdout.splitlines()[0] == '{"n": 6, "count": 203}'
-
-
-def test_verify_loads_no_rationals_or_json():
-    """The whole suite, --json, run in a fresh isolated interpreter through
-    main, loads none of _LAZY: its names are quoted by the C module _json's
-    function, not through the json package, and Der-alternating-sum sums
-    in integers."""
-    src = Path(species.__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", _COUNTING_CALLS, str(src), *_LAZY],
-        input="verify --json", capture_output=True, text=True, check=True,
-    )
-    loaded, _ = done.stdout.splitlines()[-1].split()
-    assert loaded == "[]"
     assert '"ok": true' in done.stdout
 
 

@@ -1,6 +1,7 @@
 """The built-in verification suite: green as shipped, and sharp enough to
 localize an injected fault."""
 
+import functools
 import gc
 from collections import Counter
 from fractions import Fraction
@@ -271,24 +272,18 @@ def _listed_cases():
 _LISTED = {name: rest for name, *rest in _listed_cases()}
 
 
-_FRESH = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _fresh_listings(name):
     """The encodings a fresh call lists for each side i of the listed case
-    name on each [n], by (i, n): made for the first of the two walks that
-    check them and dropped for the second."""
-    found = _FRESH.pop(name, None)
-    if found is not None:
-        return found
+    name on each [n], by (i, n); kept for the last case asked for, which
+    both walks of a case check in turn."""
     env, exprs, max_n = _LISTED[name]
-    found = _FRESH[name] = {
+    return {
         (i, n): [s.encode() for s in enumerate_structures(
             expr, env, range(1, n + 1))]
         for i, expr in enumerate(exprs)
         for n in range(max_n + 1)
     }
-    return found
 
 
 @pytest.mark.parametrize("name, ordered", [
