@@ -6,7 +6,6 @@ restriction.  Trees are immutable values; equal trees compare and hash equal.
 """
 
 from enum import Enum, unique
-from types import MappingProxyType
 
 from .errors import DuplicateName, UnboundName
 
@@ -67,13 +66,12 @@ class SpeciesExpr:
     Each node class lists its fields in constructor order, as
     ``__slots__ = fields = (...)``.  Two nodes are equal when they have the
     same class and equal fields: when a _Table of both gives them one row.
-    height, the number of nodes on the longest path down, is set at
-    construction, and _values keeps the fields in order; the hash and
-    depths are computed the first time they are asked for and kept, so a
-    tree is walked for them once however often it is looked up.
+    height, the number of nodes on the longest path down, and the hash are
+    set at construction from the children's, so neither walks the tree, and
+    _values keeps the fields in order.
     """
 
-    __slots__ = ("height", "_values", "_hash", "_depths")
+    __slots__ = ("height", "_values", "_hash")
 
     def __init__(self, *values):
         height = 0
@@ -83,6 +81,7 @@ class SpeciesExpr:
                 height = value.height
         _set(self, "height", height + 1)
         _set(self, "_values", values)
+        _set(self, "_hash", hash((type(self), *values)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -96,11 +95,7 @@ class SpeciesExpr:
         return table.add(self) == table.add(other)
 
     def __hash__(self):
-        found = getattr(self, "_hash", None)
-        if found is None:
-            found = hash((type(self), *self._values))
-            _set(self, "_hash", found)
-        return found
+        return self._hash
 
     def __reduce__(self):
         return type(self), self._values
@@ -108,25 +103,6 @@ class SpeciesExpr:
     def __repr__(self):
         args = ", ".join(map("{}={!r}".format, self.fields, self._values))
         return f"{type(self).__name__}({args})"
-
-    @property
-    def depths(self):
-        """A read-only map from each name the tree references to the most
-        derivatives stacked above any of its occurrences: evaluating the
-        tree to order n needs that name to order n + depth."""
-        found = getattr(self, "_depths", None)
-        if found is None:
-            found = MappingProxyType(self._name_depths())
-            _set(self, "_depths", found)
-        return found
-
-    def _name_depths(self):
-        out = {}
-        for child in self._values:
-            if isinstance(child, SpeciesExpr):
-                for name, depth in child.depths.items():
-                    out[name] = max(depth, out.get(name, 0))
-        return out
 
 
 _set = object.__setattr__
@@ -138,19 +114,25 @@ class _Table:
     2006).  A row is a node's class and fields, each child replaced by its
     row, so equal subtrees share one row, from any number of trees; a name
     is a row of its own, its definition not unfolded.  Rows are numbered
-    children first: for each, nodes holds one node and kids its child rows
-    in field order.  add meets each node once, by id, so a table must not
-    outlive the trees added to it."""
+    children first: for each, nodes holds one node, kids its child rows in
+    field order, and reads a map from each name under it to the most
+    derivatives stacked above any of its occurrences: evaluating the row
+    to order n needs that name to order n + depth; a row shares its
+    child's map when it adds nothing to it, so no map is written once
+    made.  add meets each node once, by id, so a table must not outlive
+    the trees added to it."""
 
-    __slots__ = ("rows", "nodes", "kids", "_met")
+    __slots__ = ("rows", "nodes", "kids", "reads", "_met")
 
     def __init__(self):
-        self.rows, self.nodes, self.kids, self._met = {}, [], [], {}
+        self.rows, self.nodes, self.kids, self.reads = {}, [], [], []
+        self._met = {}
 
     def add(self, expr):
         """expr's row, after a row for each new value under it: a node
         waits on the stack under its children until each has a row."""
         met, rows, nodes, todo = self._met, self.rows, self.nodes, [expr]
+        reads = self.reads
         while todo:
             node = todo[-1]
             if id(node) in met:
@@ -172,6 +154,20 @@ class _Table:
                 if row == len(nodes):
                     nodes.append(node)
                     self.kids.append(kids)
+                    out = {node.ident: 0} if type(node) is Name else {}
+                    for kid in kids:
+                        below = reads[kid]
+                        if type(node) is Derivative:
+                            out = {name: depth + 1
+                                   for name, depth in below.items()}
+                        elif not out:
+                            out = below
+                        elif below:
+                            out = dict(out)
+                            for name, depth in below.items():
+                                if out.get(name, -1) < depth:
+                                    out[name] = depth
+                    reads.append(out)
         return met[id(expr)]
 
     def occurrences(self, top):
@@ -207,9 +203,6 @@ class Primitive(SpeciesExpr):
 class Name(SpeciesExpr):
     __slots__ = fields = ("ident",)
 
-    def _name_depths(self):
-        return {self.ident: 0}
-
 
 class Sum(SpeciesExpr):
     __slots__ = fields = ("left", "right")
@@ -225,9 +218,6 @@ class Substitute(SpeciesExpr):
 
 class Derivative(SpeciesExpr):
     __slots__ = fields = ("inner",)
-
-    def _name_depths(self):
-        return {name: d + 1 for name, d in self.inner.depths.items()}
 
 
 class Pointing(SpeciesExpr):

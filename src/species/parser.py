@@ -20,11 +20,12 @@ bound later in the file.
 An expression nests at most MAX_NESTING levels: no more brackets open at
 once, and no more nodes on a path from the root of its tree, where F^k
 counts as the k-1 products it expands to.  The parser does not recurse: it
-reads the tokens in one loop and keeps a stack of the brackets open.  The
-walks over the tree (evaluation, the decision of a recursive system,
-listing) recurse once or a few times per level, so MAX_NESTING guards
-them: deeper input is refused with a ParseError before a walk can
-exhaust Python's stack.
+reads the tokens in one loop and keeps a stack of the brackets open.  A
+node's height and hash are set as it is built, and evaluation, the
+decision of a recursive system and equality read a table of the nodes
+(expr._Table) in loops; only print_expr and the listing recurse, once or
+a few times per level, so MAX_NESTING guards them: deeper input is
+refused with a ParseError before either can exhaust Python's stack.
 """
 
 import re
@@ -42,6 +43,7 @@ from .expr import (
     Sum,
     Substitute,
     TOKEN_TO_KIND,
+    _Table,
 )
 
 __all__ = ["MAX_NESTING", "parse_expr", "parse_defs"]
@@ -258,8 +260,9 @@ def parse_defs(text):
                 expected=err.expected,
             ) from None
         env.bind(name, rhs)
+    table = _Table()
     for name, rhs in env.items():
-        for ref in sorted(rhs.depths):
+        for ref in sorted(table.reads[table.add(rhs)]):
             if ref not in env:
                 raise UnboundName(
                     f"'{ref}' (referenced by '{name}') is never defined"

@@ -33,19 +33,14 @@ and the size.
 An evaluator keeps each name's series across its calls and solves a system
 again only deeper: egf_of makes one per call, a listing's walk one for all
 its counts.  Each evaluation numbers the distinct nodes it reaches in one
-table (expr._Table) and compiles each row once into a closure, children
-first.  Inside a solve, product and substitution nodes resume from the
+table (expr._Table), which also records the names under each row, and
+compiles each row once into a closure, children first.  Inside a solve, product and substitution nodes resume from the
 counts their operands kept since the previous pass (the kernels' known
 prefix), and name-free nodes are built once and sliced, so one solve
 costs O(N^2) kernel work in the order N instead of O(N^3).
 """
 
-from .errors import (
-    IllFoundedEquation,
-    NonemptyInnerOnEmptySet,
-    NonzeroConstantTerm,
-    UnboundName,
-)
+from .errors import IllFoundedEquation, NonemptyInnerOnEmptySet
 from .expr import (
     Derivative,
     Environment,
@@ -66,8 +61,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "egf_of",
     "primitive_series",
-    "validate",
-    "ValidationReport",
 ]
 
 DEFAULT_ORDER = 12
@@ -211,7 +204,7 @@ class _Window:
                 node = table.nodes[row]
                 profile = self._profile(node, names, *[
                     found[kid] for kid in table.kids[row]])
-                if not node.depths:
+                if not table.reads[row]:
                     memo[row] = profile
             found[row] = profile
         return found
@@ -395,37 +388,39 @@ class _Evaluator:
 
     def _resolve_names(self, expr, order, table, built):
         """Resolve every name expr reaches, deep enough to evaluate expr
-        to order.  Its recursive components are decided from their
-        equations first (_decide), all of them before any series is built,
-        unless a system equal up to its names was found well-founded
-        before (_WELL_FOUNDED); then, definitions first, each acyclic name
-        is evaluated and each recursive component solved for its least
-        fixed point (solve_system), through the order its users need plus
-        the reach its derivatives ask for.  A definition enters the call's
-        table when a cycle is reached or its component resolved."""
-        seeds = expr.depths
+        to order.  The names come from the rows' reads: expr's from its
+        row in the call's table, and each definition's from its row in a
+        table of the definitions alone, numbered in the order the walk
+        meets them.  The recursive components are decided from their
+        equations in that table first (_decide), all of them before any
+        series is built, unless a system equal up to its names was found
+        well-founded before (_WELL_FOUNDED); then, definitions first, each
+        acyclic name is evaluated and each recursive component solved for
+        its least fixed point (solve_system), through the order its users
+        need plus the reach its derivatives ask for.  A definition enters
+        the call's table when its component is resolved."""
+        seeds = table.reads[table.add(expr)]
         if not seeds:
             return
-        edges = {}
+        defs, roots, edges = _Table(), {}, {}
         todo = list(seeds)
         while todo:
             name = todo.pop()
             if name in edges:
                 continue
-            edges[name] = self.env[name].depths
+            roots[name] = defs.add(self.env[name])
+            edges[name] = defs.reads[roots[name]]
             todo.extend(edges[name])
 
         components = _sccs(set(edges), edges)
         cycles = [comp for comp in components
                   if len(comp) > 1 or comp[0] in edges[comp[0]]]
         if cycles:
-            # The definitions reached, in the order the walk above met them.
-            roots = {name: table.add(self.env[name]) for name in edges}
             places = {name: place for place, name in enumerate(edges)}
             key = (tuple(roots.values()), *[places[row[1]] if row[0] is Name
-                                            else row for row in table.rows])
+                                            else row for row in defs.rows])
             if key not in _WELL_FOUNDED:
-                _decide(self.env, table, roots, components, cycles)
+                _decide(self.env, defs, roots, components, cycles)
                 if len(_WELL_FOUNDED) >= 4096:
                     _WELL_FOUNDED.clear()
                 _WELL_FOUNDED.add(key)
@@ -492,7 +487,8 @@ class _Evaluator:
             if make is None:
                 raise TypeError(f"not a species expression: {node!r}")
             closure = make(self, node, *map(built.__getitem__, table.kids[at]))
-            built.append(closure if node.depths else self._built_once(closure))
+            built.append(closure if table.reads[at]
+                         else self._built_once(closure))
         return built[row]
 
     def _built_once(self, build):
@@ -584,52 +580,3 @@ def egf_of(expr, env=None, order=DEFAULT_ORDER):
     not a well-formed species.
     """
     return _Evaluator(env or Environment()).eval(expr, order)
-
-
-class ValidationReport:
-    """Outcome of validate(): ok flag plus the collected problems."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-
-    @property
-    def ok(self):
-        return not self.problems
-
-    def __bool__(self):
-        return self.ok
-
-    def describe(self):
-        if self.ok:
-            return "ok"
-        return "; ".join(f"{type(p).__name__}: {p}" for p in self.problems)
-
-    def __repr__(self):
-        return f"ValidationReport({self.describe()})"
-
-
-def validate(expr, env=None, order=DEFAULT_ORDER):
-    """Check that expr (with its reachable definitions) denotes a species.
-
-    Collects unbound names first; if all names resolve, attempts the series
-    evaluation and reports substitution and well-foundedness failures.
-    """
-    env = env or Environment()
-    problems = []
-    seen = set()
-    todo = sorted(expr.depths)
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        if name not in env:
-            problems.append(UnboundName(f"no definition for '{name}'"))
-            continue
-        todo.extend(env[name].depths)
-    if not problems:
-        try:
-            egf_of(expr, env, order)
-        except (NonzeroConstantTerm, IllFoundedEquation) as err:
-            problems.append(err)
-    return ValidationReport(problems)

@@ -84,6 +84,7 @@ from species.expr import (
     SpeciesExpr,
     Substitute,
     Sum,
+    _Table,
     print_expr,
 )
 from species.parser import parse_expr
@@ -113,21 +114,25 @@ class _Timeout(Exception):
     pass
 
 
+def _naming(trees, name):
+    """The trees that read name.  trees is a list, so that each tree
+    outlives the table, which meets nodes by id."""
+    table = _Table()
+    return [tree for tree in trees if name in table.reads[table.add(tree)]]
+
+
 def single_name_systems(max_ops):
     """{F: t} for each tree t of at most max_ops operators that names F."""
-    return [
-        {"F": tree}
-        for tree in expression_trees(max_ops, LEAVES, HEADS)
-        if "F" in tree.depths
-    ]
+    trees = list(expression_trees(max_ops, LEAVES, HEADS))
+    return [{"F": tree} for tree in _naming(trees, "F")]
 
 
 def two_name_systems(count, seed, max_ops=2):
     """count systems {F: s, G: t}, drawn with seed, in which s names G and
     t names F, over trees of at most max_ops operators."""
     trees = list(expression_trees(max_ops, LEAVES + ("G",), HEADS + ("G",)))
-    names_g = [t for t in trees if "G" in t.depths]
-    names_f = [t for t in trees if "F" in t.depths]
+    names_g = _naming(trees, "G")
+    names_f = _naming(trees, "F")
     pick = random.Random(seed)
     return [
         {"F": pick.choice(names_g), "G": pick.choice(names_f)}

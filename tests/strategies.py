@@ -4,8 +4,10 @@ from itertools import product as iproduct
 
 from hypothesis import strategies as st
 
+from species.errors import IllFoundedEquation, NonzeroConstantTerm
 from species.expr import Derivative, Pointing, Product, Substitute, Sum
 from species.parser import parse_expr
+from species.semantics import egf_of
 
 _PRIM_LEAVES = ["0", "1", "X", "E", "Ep", "L", "Lp", "C", "S",
                 "Der", "Inv", "End", "Part", "P", "Gra", "Gro",
@@ -36,6 +38,16 @@ def grammar_exprs(include_names=True, max_leaves=6):
         )
 
     return st.recursive(leaves, compound, max_leaves=max_leaves)
+
+
+def well_formed(expr, order):
+    """Whether expr has a counting series: no substitution inner with a
+    structure on the empty set, and no ill-founded equation reached."""
+    try:
+        egf_of(expr, order=order)
+    except (NonzeroConstantTerm, IllFoundedEquation):
+        return False
+    return True
 
 
 def expression_trees(max_ops, leaves, heads, max_leaves=None):

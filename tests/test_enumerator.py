@@ -57,7 +57,7 @@ from species.expr import (
     print_expr,
 )
 from species.parser import parse_defs, parse_expr
-from species.semantics import egf_of, validate
+from species.semantics import egf_of
 from species.structures import (
     STAR,
     Bijection,
@@ -83,7 +83,7 @@ from species.structures import (
 
 from internals import _joined, _tables_empty
 from oracles import subfactorial
-from strategies import grammar_exprs
+from strategies import grammar_exprs, well_formed
 
 
 def enum(text, labels, env=None, **kwargs):
@@ -636,7 +636,7 @@ class TestEncodeOrder:
     )
     @given(grammar_exprs(include_names=False, max_leaves=4), _ORDER_LABELS)
     def test_listing_is_in_encode_order(self, expr, labels):
-        assume(validate(expr, order=len(labels)).ok)
+        assume(well_formed(expr, len(labels)))
         try:
             got = enumerate_structures(expr, None, labels, budget=2000)
         except BudgetExceeded:
@@ -713,7 +713,7 @@ class TestOrderByConstruction:
     @_merge_examples
     def test_every_memo_list_is_in_encode_order(self, expr, labels):
         n = len(labels)
-        assume(validate(expr, order=n).ok)
+        assume(well_formed(expr, n))
         assume(egf_of(expr, order=n).count(n) <= 2000)
         for found in _finished_walk(expr, None, labels).memo.values():
             assert found == sorted(found, key=lambda s: s.encode())

@@ -29,10 +29,9 @@ from species.identities import (
     verify_series,
 )
 from species.parser import parse_defs, parse_expr
-from species.semantics import validate
 from species.series import CountSeries
 
-from strategies import grammar_exprs
+from strategies import grammar_exprs, well_formed
 
 
 def test_the_whole_suite_is_green():
@@ -51,7 +50,7 @@ def test_case_names_are_unique():
 @settings(max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
 @given(grammar_exprs(include_names=False, max_leaves=4))
 def test_every_expression_equals_itself(expr):
-    assume(validate(expr, order=6).ok)
+    assume(well_formed(expr, 6))
     case = IdentityCase("reflexive", expr, expr, series_order=6, enum_max=-1)
     assert verify_series(case).passed
 

@@ -1,8 +1,10 @@
-"""The expression language: parsing, printing, definitions, validation,
-and the counting series of the built-in species."""
+"""The expression language: parsing, printing, definitions, the public
+names, and the counting series of the built-in species."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import sys
 from math import comb, factorial
 
@@ -28,11 +30,12 @@ from species.expr import (
     RestrictCard,
     Substitute,
     Sum,
+    _Table,
     print_expr,
 )
 from species.parser import MAX_NESTING, parse_defs, parse_expr
 from species.primitives import NONEMPTY, ROWS
-from species.semantics import egf_of, primitive_series, validate
+from species.semantics import egf_of, primitive_series
 
 from oracles import bell, involutions, subfactorial
 from strategies import grammar_exprs
@@ -320,17 +323,16 @@ class TestNodeValues:
             assert other.height == expr.height
 
     def test_depths_count_the_derivatives_above_each_name(self):
-        assert parse_defs("F = X + X^2*F'")["F"].depths == {"F": 1}
-        assert parse_expr("A''*pt(A)' + B + C(A)").depths == {"A": 2, "B": 0}
-        assert parse_expr("E(X)'' + 1").depths == {}
-        restricted = RestrictCard(Derivative(Name("A")), ">=", 2)
-        assert restricted.depths == {"A": 1}
+        table = _Table()
 
-    def test_depths_are_read_only(self):
-        depths = parse_expr("A'").depths
-        with pytest.raises(TypeError):
-            depths["A"] = 0
-        assert parse_expr("A'").depths == {"A": 1}
+        def reads(expr):
+            return table.reads[table.add(expr)]
+
+        assert reads(parse_defs("F = X + X^2*F'")["F"]) == {"F": 1}
+        assert reads(parse_expr("A''*pt(A)' + B + C(A)")) == {"A": 2, "B": 0}
+        assert reads(parse_expr("E(X)'' + 1")) == {}
+        restricted = RestrictCard(Derivative(Name("A")), ">=", 2)
+        assert reads(restricted) == {"A": 1}
 
 
 class TestDefinitions:
@@ -448,23 +450,12 @@ class TestEvaluation:
         assert shifted == plain[1:]
 
 
-class TestValidation:
-    def test_good_expression(self):
-        report = validate(parse_expr("E(Ep)"))
-        assert report.ok and bool(report)
-
-    def test_structures_on_the_empty_set(self):
-        report = validate(parse_expr("E(E)"))
-        assert not report.ok
-        assert "empty" in report.describe()
-
-    def test_ill_founded_definition(self):
-        env = parse_defs("F = F\n")
-        report = validate(Name("F"), env)
-        assert not report.ok
-        assert "IllFoundedEquation" in report.describe()
-
-    def test_unbound_name_is_reported_not_raised(self):
-        report = validate(parse_expr("X*Q"))
-        assert not report.ok
-        assert "Q" in report.describe()
+class TestPublicNames:
+    @pytest.mark.parametrize("module", ["species", *(
+        f"species.{info.name}" for info in pkgutil.iter_modules(
+            importlib.import_module("species").__path__))])
+    def test_every_name_in_all_exists(self, module):
+        module = importlib.import_module(module)
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == []

@@ -362,8 +362,9 @@ class TestDecision:
         compile walk their rows in loops, so an equation 400 levels deep
         is numbered, decided and compiled, and compared with a copy of
         itself, with 50 frames of the recursion limit left to them.  Each
-        level's hash and names are kept as it is built, one level at a
-        time, and F is held deep enough that no closure runs."""
+        level's hash is set as it is built, the names each row reads are
+        recorded as the table numbers it, and F is held deep enough that
+        no closure runs."""
         x = Primitive(PrimitiveKind.SINGLETON)
         lp = Primitive(PrimitiveKind.NONEMPTY_LIST)
         levels = [Pointing, lambda t: Sum(t, x), lambda t: Product(x, t),
@@ -374,7 +375,6 @@ class TestDecision:
             tree = Name("F")
             for level in range(400):
                 tree = levels[level % len(levels)](tree)
-                hash(tree), tree.depths
             return Sum(x, Product(x, tree))
 
         rhs, copy = deep(), deep()
